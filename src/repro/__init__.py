@@ -28,6 +28,7 @@ from .backends import (
 from .baselines import IdealTrainer, SingleDeviceTrainer
 from .circuit import (
     Parameter,
+    ParameterSweep,
     ParameterVector,
     QuantumCircuit,
     ghz_state,
@@ -137,6 +138,7 @@ __all__ = [
     # circuits
     "QuantumCircuit",
     "Parameter",
+    "ParameterSweep",
     "ParameterVector",
     "hardware_efficient_ansatz",
     "qaoa_maxcut_ansatz",

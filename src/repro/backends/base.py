@@ -6,10 +6,16 @@ entry point::
 
     backend.run(circuits, parameter_bindings, shots, seed) -> list[ExecutionResult]
 
-``circuits`` may be a single circuit or a sequence; ``parameter_bindings``
-lets callers ship one *template* circuit together with many parameter
-bindings (the parameter-shift pattern: 2·P structurally identical circuits
-that differ only in bound values), which is what the batched engine exploits.
+``circuits`` may be a single circuit, a sequence, or an unbound
+:class:`~repro.circuit.sweep.ParameterSweep` (templates times a ``(points,
+P)`` parameter matrix — the shape an EQC gradient job travels in; no circuit
+is bound anywhere below the objective); ``parameter_bindings`` lets callers
+ship one *template* circuit together with many parameter bindings (the
+parameter-shift pattern: 2·P structurally identical circuits that differ only
+in bound values), which is what the batched engine exploits.
+``backend.run_sweep(templates, theta_matrix, ...)`` is shorthand for running
+``ParameterSweep(templates, theta_matrix)`` and takes the same keyword
+context ``run`` does.
 
 Binding semantics
 -----------------
@@ -26,10 +32,19 @@ from __future__ import annotations
 
 from typing import Mapping, Protocol, Sequence, runtime_checkable
 
+import numpy as np
+
 from ..circuit.circuit import QuantumCircuit
+from ..circuit.sweep import ParameterSweep
 from ..simulator.result import ExecutionResult
 
-__all__ = ["ExecutionBackend", "ParameterBinding", "normalize_batch", "measured_register"]
+__all__ = [
+    "ExecutionBackend",
+    "ParameterBinding",
+    "normalize_batch",
+    "unbound_sweep",
+    "measured_register",
+]
 
 #: One set of parameter values for a circuit template.
 ParameterBinding = Mapping | Sequence
@@ -48,7 +63,7 @@ class ExecutionBackend(Protocol):
 
     def run(
         self,
-        circuits: QuantumCircuit | Sequence[QuantumCircuit],
+        circuits: QuantumCircuit | Sequence[QuantumCircuit] | ParameterSweep,
         parameter_bindings: Sequence[ParameterBinding] | None = None,
         shots: int = 8192,
         seed: int | None = None,
@@ -57,12 +72,43 @@ class ExecutionBackend(Protocol):
         """Execute a batch of circuits and return one result per circuit."""
         ...
 
+    def run_sweep(
+        self,
+        templates: Sequence[QuantumCircuit],
+        theta_matrix: np.ndarray,
+        shots: int = 8192,
+        seed: int | None = None,
+        **context,
+    ) -> list[ExecutionResult]:
+        """Execute ``templates`` at every row of ``theta_matrix``, unbound.
+
+        One result per (point, template), point-major with templates inner;
+        ``context`` is the same keyword context :meth:`run` accepts.
+        """
+        ...
+
 
 def _bind(template: QuantumCircuit, binding: ParameterBinding) -> QuantumCircuit:
     """Bind one template with either a mapping or an ordered value vector."""
     if isinstance(binding, Mapping):
         return template.bind_parameters(binding)
     return template.assign_by_order([float(v) for v in binding])
+
+
+def unbound_sweep(
+    circuits: object, parameter_bindings: Sequence[ParameterBinding] | None
+) -> ParameterSweep | None:
+    """``circuits`` when it is a :class:`ParameterSweep`, else ``None``.
+
+    Raises:
+        ValueError: when bindings accompany a sweep (it carries its own
+            parameter matrix).
+    """
+    if not isinstance(circuits, ParameterSweep):
+        return None
+    if parameter_bindings is not None:
+        raise ValueError("a ParameterSweep carries its own parameter matrix")
+    return circuits
 
 
 def normalize_batch(

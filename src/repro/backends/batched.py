@@ -26,6 +26,7 @@ import numpy as np
 
 from ..circuit.circuit import QuantumCircuit
 from ..circuit.gates import GATE_SPECS, gate_matrix
+from ..circuit.sweep import ParameterSweep
 from ..engine import (
     execute_program,
     marginal_probabilities,
@@ -36,7 +37,7 @@ from ..engine import (
 from ..engine.cache import ProgramCache
 from ..simulator.result import ExecutionResult
 from ..simulator.sampler import sample_distribution
-from .base import ParameterBinding, measured_register, normalize_batch
+from .base import ParameterBinding, measured_register, normalize_batch, unbound_sweep
 
 __all__ = [
     "structure_signature",
@@ -343,7 +344,7 @@ class BatchedStatevectorBackend:
 
     def run(
         self,
-        circuits: QuantumCircuit | Sequence[QuantumCircuit],
+        circuits: QuantumCircuit | Sequence[QuantumCircuit] | ParameterSweep,
         parameter_bindings: Sequence[ParameterBinding] | None = None,
         shots: int = 8192,
         seed: int | None = None,
@@ -362,6 +363,11 @@ class BatchedStatevectorBackend:
             seed: sampling seed (ignored when ``rng`` is given).
             rng: externally-owned RNG; takes precedence over ``seed``.
         """
+        sweep = unbound_sweep(circuits, parameter_bindings)
+        if sweep is not None:
+            return self.run_sweep(
+                sweep.templates, sweep.theta, shots=shots, seed=seed, rng=rng
+            )
         if (
             isinstance(circuits, QuantumCircuit)
             and parameter_bindings is not None
@@ -421,6 +427,7 @@ class BatchedStatevectorBackend:
         shots: int = 8192,
         seed: int | None = None,
         rng: np.random.Generator | None = None,
+        **_context,
     ) -> list[ExecutionResult]:
         """Execute a zero-rebind parameter sweep over template circuits.
 
@@ -428,7 +435,8 @@ class BatchedStatevectorBackend:
         ``[point0 × templates..., point1 × templates..., ...]`` — matching
         the flat circuit order of :func:`repro.vqa.gradient.parameter_shift_batch`,
         so a single seeded RNG stream is consumed identically to submitting
-        the bound circuits through :meth:`run`.
+        the bound circuits through :meth:`run`.  Device context is accepted
+        and ignored, as in :meth:`run`.
         """
         return sampled_sweep_results(
             self.name,

@@ -10,10 +10,11 @@ vectorized mixing pipeline
 (:func:`~repro.simulator.mixing.noisy_probabilities_batch`): one compiled
 program execution per structure group over the batch's angle matrix (with
 per-circuit coherent biases applied by scaling rotation slots), a broadcast
-depolarizing mix, and one batched readout-confusion pass.
-:meth:`NoisyBackend.run_sweep` is the sweep-aware entry: a parameter-shift
-batch executes straight off its ``(points, P)`` shift matrix without binding
-a single circuit.  The cloud layer owns one backend per device endpoint.
+depolarizing mix, and one batched readout-confusion pass.  A batch is either
+bound circuits or an unbound :class:`~repro.circuit.sweep.ParameterSweep` —
+a parameter-shift job executes straight off its ``(points, P)`` shift matrix
+without binding a single circuit.  The cloud layer owns one backend per
+device endpoint.
 """
 
 from __future__ import annotations
@@ -23,9 +24,10 @@ from typing import Sequence
 import numpy as np
 
 from ..circuit.circuit import QuantumCircuit
+from ..circuit.sweep import ParameterSweep
 from ..devices.qpu import QPU, CircuitFootprint
 from ..simulator.result import ExecutionResult
-from .base import ParameterBinding, normalize_batch
+from .base import ParameterBinding, normalize_batch, unbound_sweep
 
 __all__ = ["NoisyBackend"]
 
@@ -39,7 +41,7 @@ class NoisyBackend:
 
     def run(
         self,
-        circuits: QuantumCircuit | Sequence[QuantumCircuit],
+        circuits: QuantumCircuit | Sequence[QuantumCircuit] | ParameterSweep,
         parameter_bindings: Sequence[ParameterBinding] | None = None,
         shots: int = 8192,
         seed: int | None = None,
@@ -51,7 +53,9 @@ class NoisyBackend:
         """Execute a batch with this device's current (drifting) noise.
 
         Args:
-            circuits: a template or a sequence of circuits.
+            circuits: a template, a sequence of circuits, or an unbound
+                :class:`~repro.circuit.sweep.ParameterSweep` (which reaches
+                the device as-is: no circuit is ever bound).
             parameter_bindings: optional bindings (see :mod:`repro.backends.base`).
             shots: measurement shots per circuit.
             seed: sampling seed for a fresh RNG (ignored when ``rng`` given;
@@ -61,12 +65,17 @@ class NoisyBackend:
             now: simulation time the batch starts executing.
             rng: externally-owned RNG (the cloud endpoint's stream).
         """
-        bound = normalize_batch(circuits, parameter_bindings)
+        batch = unbound_sweep(circuits, parameter_bindings)
+        if batch is not None:
+            first = batch.templates[0]
+        else:
+            batch = normalize_batch(circuits, parameter_bindings)
+            first = batch[0]
         if footprint is None:
-            footprint = CircuitFootprint.from_circuit(bound[0])
+            footprint = CircuitFootprint.from_circuit(first)
         if rng is None and seed is not None:
             rng = np.random.default_rng(seed)
-        return self.qpu.execute_batch(bound, footprint, shots, now=now, rng=rng)
+        return self.qpu.execute_batch(batch, footprint, shots, now=now, rng=rng)
 
     def run_sweep(
         self,
@@ -79,21 +88,16 @@ class NoisyBackend:
         footprint: CircuitFootprint | None = None,
         now: float = 0.0,
     ) -> list[ExecutionResult]:
-        """Execute a zero-rebind parameter sweep under the device's noise.
+        """:meth:`run` over ``ParameterSweep(templates, theta_matrix)``.
 
-        The flat result order is point-major with templates inner, matching
-        :func:`repro.vqa.gradient.parameter_shift_batch`, and each flat
-        position occupies its own device job slot — results (counts, noise
-        metadata, durations) are identical to binding the circuits and
-        submitting them through :meth:`run`, but no circuit is ever built.
+        Results (counts, noise metadata, durations) are identical to binding
+        the circuits and submitting them through :meth:`run`.
         """
-        templates = list(templates)
-        if not templates:
-            raise ValueError("a sweep needs at least one template")
-        if footprint is None:
-            footprint = CircuitFootprint.from_circuit(templates[0])
-        if rng is None and seed is not None:
-            rng = np.random.default_rng(seed)
-        return self.qpu.execute_sweep(
-            templates, theta_matrix, footprint, shots, now=now, rng=rng
+        return self.run(
+            ParameterSweep(templates, theta_matrix),
+            shots=shots,
+            seed=seed,
+            footprint=footprint,
+            now=now,
+            rng=rng,
         )

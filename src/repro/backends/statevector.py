@@ -16,11 +16,12 @@ from typing import Sequence
 import numpy as np
 
 from ..circuit.circuit import QuantumCircuit
+from ..circuit.sweep import ParameterSweep
 from ..engine import execute_program, marginal_probabilities, slot_values_from_circuits
 from ..engine.cache import ProgramCache, shared_program_cache
 from ..simulator.result import ExecutionResult
 from ..simulator.sampler import sample_distribution
-from .base import ParameterBinding, measured_register, normalize_batch
+from .base import ParameterBinding, measured_register, normalize_batch, unbound_sweep
 from .batched import sampled_sweep_results
 
 __all__ = ["StatevectorBackend"]
@@ -48,7 +49,7 @@ class StatevectorBackend:
 
     def run(
         self,
-        circuits: QuantumCircuit | Sequence[QuantumCircuit],
+        circuits: QuantumCircuit | Sequence[QuantumCircuit] | ParameterSweep,
         parameter_bindings: Sequence[ParameterBinding] | None = None,
         shots: int = 8192,
         seed: int | None = None,
@@ -67,6 +68,11 @@ class StatevectorBackend:
             seed: sampling seed (ignored when ``rng`` is given).
             rng: externally-owned RNG; takes precedence over ``seed``.
         """
+        sweep = unbound_sweep(circuits, parameter_bindings)
+        if sweep is not None:
+            return self.run_sweep(
+                sweep.templates, sweep.theta, shots=shots, seed=seed, rng=rng
+            )
         bound = normalize_batch(circuits, parameter_bindings)
         rng = rng if rng is not None else np.random.default_rng(seed)
         results: list[ExecutionResult] = []
@@ -86,12 +92,14 @@ class StatevectorBackend:
         shots: int = 8192,
         seed: int | None = None,
         rng: np.random.Generator | None = None,
+        **_context,
     ) -> list[ExecutionResult]:
         """Execute a zero-rebind parameter sweep (see the batched backend).
 
         Sampling stays strictly sequential in point-major order, so the RNG
         stream is consumed exactly as if each bound circuit had been
-        submitted through :meth:`run` one by one.
+        submitted through :meth:`run` one by one.  Device context is accepted
+        and ignored, as in :meth:`run`.
         """
         return sampled_sweep_results(
             self.name,

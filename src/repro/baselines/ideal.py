@@ -70,19 +70,15 @@ class IdealTrainer:
     def _energy(self, values) -> float:
         if self.exact:
             return self.estimator.exact_energy(values)
-        if hasattr(self.backend, "run_sweep"):
-            # Zero-rebind: the compiled backends evaluate a one-point sweep
-            # straight from the value vector, sampling each measurement group
-            # in the same order as a bound-circuit submission.
-            results = self.backend.run_sweep(
-                self.estimator.template_circuits(),
-                np.asarray([[float(v) for v in values]]),
-                shots=self.shots,
-                rng=self.rng,
-            )
-        else:
-            circuits = self.estimator.measurement_circuits(values)
-            results = self.backend.run(circuits, shots=self.shots, rng=self.rng)
+        # Zero-rebind: a one-point sweep straight from the value vector,
+        # sampling each measurement group in the same order as a
+        # bound-circuit submission.
+        results = self.backend.run_sweep(
+            self.estimator.template_circuits(),
+            np.asarray([[float(v) for v in values]]),
+            shots=self.shots,
+            rng=self.rng,
+        )
         return self.estimator.energy_from_counts([r.counts for r in results])
 
     def train(

@@ -10,9 +10,11 @@ from .library import (
     qnn_encoder_ansatz,
 )
 from .parameters import Parameter, ParameterExpression, ParameterVector, bind_value
+from .sweep import ParameterSweep
 
 __all__ = [
     "QuantumCircuit",
+    "ParameterSweep",
     "Instruction",
     "GATE_SPECS",
     "BASIS_GATES",

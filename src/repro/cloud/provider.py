@@ -31,6 +31,7 @@ import numpy as np
 from ..backends.base import ExecutionBackend
 from ..backends.noisy import NoisyBackend
 from ..circuit.circuit import QuantumCircuit
+from ..circuit.sweep import ParameterSweep
 from ..devices.qpu import QPU, CircuitFootprint, job_slot_circuit_seconds
 from ..faults.errors import (
     DeviceOutageError,
@@ -240,13 +241,20 @@ class CloudProvider:
     def submit(
         self,
         device_name: str,
-        circuits: Sequence[QuantumCircuit],
+        circuits: Sequence[QuantumCircuit] | ParameterSweep,
         footprint: CircuitFootprint,
         now: float,
         shots: int | None = None,
         priority: int = 0,
     ) -> CloudJob:
-        """Submit a batch of bound circuits and simulate it to completion.
+        """Submit a batch of circuits and simulate it to completion.
+
+        The batch is either bound circuits (the baselines) or an unbound
+        :class:`~repro.circuit.sweep.ParameterSweep` (an EQC gradient job:
+        templates plus the parameter-point matrix).  All three submit paths
+        hand it to the endpoint's backend untouched, so a sweep is lowered
+        at the device without a single circuit being bound, and either form
+        of the same job yields identical results, timing and RNG state.
 
         The returned job is already in the ``DONE`` state with its results
         and timing populated; callers (EQC client nodes, baselines) treat
@@ -258,7 +266,7 @@ class CloudProvider:
         matter to the policy); otherwise the statistical fallback prices the
         queue wait in closed form.
         """
-        if not circuits:
+        if not len(circuits):
             raise ValueError("a job needs at least one circuit")
         endpoint = self._endpoint(device_name)
         shots = int(shots) if shots is not None else self.default_shots
@@ -307,7 +315,7 @@ class CloudProvider:
         self,
         endpoint: DeviceEndpoint,
         job: CloudJob,
-        circuits: Sequence[QuantumCircuit],
+        circuits: Sequence[QuantumCircuit] | ParameterSweep,
         footprint: CircuitFootprint,
         now: float,
         shots: int,
@@ -493,7 +501,7 @@ class CloudProvider:
         self,
         endpoint: DeviceEndpoint,
         job: CloudJob,
-        circuits: Sequence[QuantumCircuit],
+        circuits: Sequence[QuantumCircuit] | ParameterSweep,
         footprint: CircuitFootprint,
         start_time: float,
         shots: int,
@@ -513,7 +521,7 @@ class CloudProvider:
         diverge between them.
         """
         results = endpoint.backend.run(
-            list(circuits),
+            circuits,
             shots=shots,
             footprint=footprint,
             now=start_time,
@@ -536,7 +544,7 @@ class CloudProvider:
         self,
         endpoint: DeviceEndpoint,
         job: CloudJob,
-        circuits: Sequence[QuantumCircuit],
+        circuits: Sequence[QuantumCircuit] | ParameterSweep,
         footprint: CircuitFootprint,
         now: float,
         shots: int,

@@ -5,11 +5,13 @@ paper's list: it receives the circuit template and loss definition, transpiles
 the template once for its device's topology, and then, for every assigned
 gradient task, it
 
-1. builds the forward/backward (parameter-shift) circuits from the master's
-   current parameter snapshot,
+1. builds the forward/backward (parameter-shift) job from the master's
+   current parameter snapshot — the group templates plus the matrix of
+   shifted parameter points; no circuit is bound anywhere on the way to the
+   device,
 2. computes the ``PCorrect`` estimate from the transpiled footprint and the
    device's *reported* calibration at submission time,
-3. submits the circuits to the cloud provider and, once results return,
+3. submits the job to the cloud provider and, once results return,
    processes the two probability distributions through the loss into the
    scalar gradient,
 4. hands the gradient and its ``PCorrect`` back to the master.
@@ -142,10 +144,9 @@ class EQCClientNode:
     ) -> GradientOutcome:
         """Serve one gradient task end to end (Algorithm 2 body).
 
-        ``job_spec`` lets a caller that already built the task's circuit
-        batch (the parallel worker's timing preview) hand it in instead of
-        rebuilding; building it here from the same ``(task, theta)`` pair
-        produces an identical batch.
+        ``job_spec`` lets a caller that already built the task's job (the
+        parallel worker) hand it in instead of rebuilding; building it here
+        from the same ``(task, theta)`` pair produces an identical job.
         """
         if job_spec is None:
             job_spec = self.objective.build_job(task, theta)
@@ -159,7 +160,7 @@ class EQCClientNode:
 
         cloud_job = self.provider.submit(
             device_name=self.qpu.name,
-            circuits=list(job_spec.circuits),
+            circuits=job_spec.batch,
             footprint=footprint,
             now=submit_time,
             shots=self.shots,
@@ -183,7 +184,7 @@ class EQCClientNode:
             submit_time=float(submit_time),
             finish_time=float(cloud_job.finish_time),
             theta_version=int(theta_version),
-            num_circuits=len(job_spec.circuits),
+            num_circuits=job_spec.num_circuits,
             success_probability_truth=truth,
         )
 

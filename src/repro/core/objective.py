@@ -1,12 +1,13 @@
 """Gradient objectives: what a client node actually runs for one task.
 
 A :class:`VQAObjective` turns a :class:`~repro.vqa.tasks.GradientTask` plus a
-parameter snapshot into a batch of bound circuits, and later turns the
-measured counts back into a scalar gradient.  Two concrete objectives cover
-the paper's applications:
+parameter snapshot into an *unbound* circuit batch — the measurement-group
+templates and the matrix of parameter points to run them at — and later
+turns the measured counts back into a scalar gradient.  Two concrete
+objectives cover the paper's applications:
 
 * :class:`EnergyObjective` — VQE and QAOA: forward/backward parameter-shift
-  circuits for every qubit-wise-commuting measurement group of the
+  points for every qubit-wise-commuting measurement group of the
   Hamiltonian.
 * :class:`QnnObjective` — QNN training: a centre evaluation plus the
   forward/backward pair for the assigned data point, combined through the
@@ -19,10 +20,13 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Hashable, Sequence
 
+import numpy as np
+
 from ..circuit.circuit import QuantumCircuit
+from ..circuit.sweep import ParameterSweep
 from ..hamiltonian.expectation import EnergyEstimator
 from ..simulator.result import Counts
-from ..vqa.gradient import gradient_from_energies, shifted_parameter_vectors
+from ..vqa.gradient import gradient_from_energies, shifted_theta_matrix
 from ..vqa.qnn import QNNProblem
 from ..vqa.tasks import GradientTask
 
@@ -31,22 +35,38 @@ __all__ = ["GradientJobSpec", "VQAObjective", "EnergyObjective", "QnnObjective"]
 
 @dataclass(frozen=True)
 class GradientJobSpec:
-    """The circuits a client must run to serve one gradient task.
+    """What a client must run to serve one gradient task.
 
-    ``template_keys[i]`` identifies the parameterized template circuit that
-    ``circuits[i]`` was bound from; clients use it to cache one transpilation
-    per template per device.
+    ``batch`` is the job exactly as it travels to the device: the group
+    templates and a ``(points, P)`` parameter matrix (rows forward/backward,
+    or centre/forward/backward), never bound circuits.  ``template_keys[i]``
+    identifies ``batch.templates[i]``; clients use it to cache one
+    transpilation per template per device.
     """
 
-    circuits: tuple[QuantumCircuit, ...]
+    batch: ParameterSweep
     template_keys: tuple[Hashable, ...]
-    templates: tuple[QuantumCircuit, ...]
 
     def __post_init__(self) -> None:
-        if not (len(self.circuits) == len(self.template_keys) == len(self.templates)):
-            raise ValueError("circuits, template_keys and templates must align")
-        if not self.circuits:
-            raise ValueError("a gradient job needs at least one circuit")
+        if len(self.template_keys) != len(self.batch.templates):
+            raise ValueError("template_keys and templates must align")
+
+    @property
+    def templates(self) -> tuple[QuantumCircuit, ...]:
+        return self.batch.templates
+
+    @property
+    def num_circuits(self) -> int:
+        """Circuits the job occupies on the device (points x templates)."""
+        return len(self.batch)
+
+    @property
+    def circuits(self) -> tuple[QuantumCircuit, ...]:
+        """The job's circuits, bound on demand, in execution order.
+
+        For inspection and tests; the training path never binds.
+        """
+        return tuple(self.batch.bound_circuits())
 
 
 class VQAObjective(ABC):
@@ -59,17 +79,17 @@ class VQAObjective(ABC):
 
     @abstractmethod
     def build_job(self, task: GradientTask, theta: Sequence[float]) -> GradientJobSpec:
-        """Bound circuits needed to differentiate ``task`` at ``theta``."""
+        """The unbound batch needed to differentiate ``task`` at ``theta``."""
 
     def circuits_per_job(self, task: GradientTask) -> int:
         """How many circuits :meth:`build_job` will produce for ``task``.
 
         Queue timing depends only on the circuit *count*, never on the bound
         angles, so the parallel executor answers finish-time previews from
-        this without building (or binding) a single circuit.  Subclasses with
-        a cheaper answer than actually building the job should override.
+        this without building a job.  Subclasses with a cheaper answer than
+        actually building the job should override.
         """
-        return len(self.build_job(task, [0.0] * self.num_parameters).circuits)
+        return self.build_job(task, [0.0] * self.num_parameters).num_circuits
 
     @abstractmethod
     def gradient_from_counts(self, task: GradientTask, counts: Sequence[Counts]) -> float:
@@ -100,13 +120,14 @@ class EnergyObjective(VQAObjective):
         return self.estimator.num_groups
 
     def build_job(self, task: GradientTask, theta: Sequence[float]) -> GradientJobSpec:
-        pair = shifted_parameter_vectors(theta, task.parameter_index)
-        forward = self.estimator.measurement_circuits(pair.forward)
-        backward = self.estimator.measurement_circuits(pair.backward)
-        circuits = tuple(forward) + tuple(backward)
-        keys = self._template_keys + self._template_keys
-        templates = self._templates + self._templates
-        return GradientJobSpec(circuits=circuits, template_keys=keys, templates=templates)
+        return GradientJobSpec(
+            ParameterSweep(
+                self._templates,
+                shifted_theta_matrix(theta, [task.parameter_index]),
+                label=task,
+            ),
+            self._template_keys,
+        )
 
     def circuits_per_job(self, task: GradientTask) -> int:
         return 2 * self.estimator.num_groups
@@ -143,20 +164,17 @@ class QnnObjective(VQAObjective):
 
     def build_job(self, task: GradientTask, theta: Sequence[float]) -> GradientJobSpec:
         estimator = self._estimator(task)
-        pair = shifted_parameter_vectors(theta, task.parameter_index)
-        centre = estimator.measurement_circuits(list(theta))
-        forward = estimator.measurement_circuits(pair.forward)
-        backward = estimator.measurement_circuits(pair.backward)
-        groups = estimator.num_groups
+        shifted = shifted_theta_matrix(theta, [task.parameter_index])
         keys = tuple(
-            (task.data_index, "group", index % groups)
-            for index in range(3 * groups)
+            (task.data_index, "group", index) for index in range(estimator.num_groups)
         )
-        templates = tuple(estimator.template_circuits()) * 3
         return GradientJobSpec(
-            circuits=tuple(centre) + tuple(forward) + tuple(backward),
-            template_keys=keys,
-            templates=templates,
+            ParameterSweep(
+                estimator.template_circuits(),
+                np.vstack([np.asarray(theta, dtype=float), shifted]),
+                label=task,
+            ),
+            keys,
         )
 
     def circuits_per_job(self, task: GradientTask) -> int:

@@ -28,6 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from ..circuit.circuit import QuantumCircuit
+from ..circuit.sweep import ParameterSweep
 from ..noise.calibration import CalibrationSnapshot
 from ..noise.drift import DriftModel, DriftProfile
 from ..noise.generator import CalibrationGenerator, NoiseProfile
@@ -36,7 +37,6 @@ from ..simulator.mixing import (
     execute_with_mixing,
     noisy_probabilities,
     noisy_probabilities_batch,
-    noisy_sweep_probabilities,
 )
 from ..simulator.result import Counts, ExecutionResult
 from ..simulator.sampler import sample_distribution_batch
@@ -446,18 +446,20 @@ class QPU:
 
     def execute_batch(
         self,
-        circuits: Sequence[QuantumCircuit],
+        circuits: Sequence[QuantumCircuit] | ParameterSweep,
         footprint: CircuitFootprint,
         shots: int,
         now: float,
         rng: np.random.Generator | None = None,
     ) -> list[ExecutionResult]:
-        """Run a batch of bound circuits back to back on this device.
+        """Run a batch of circuits back to back on this device.
 
         This is the device-side batch entry point the cloud layer submits
-        multi-circuit jobs through.  The per-circuit clock offsets and noise
-        specs are computed up front (:meth:`noise_timeline`), the whole batch
-        flows through the vectorized mixing pipeline
+        multi-circuit jobs through; the batch is either bound circuits or an
+        unbound :class:`~repro.circuit.sweep.ParameterSweep` (same job slots,
+        same results, nothing bound).  The per-circuit clock offsets and
+        noise specs are computed up front (:meth:`noise_timeline`), the whole
+        batch flows through the vectorized mixing pipeline
         (:func:`~repro.simulator.mixing.noisy_probabilities_batch`) as one
         ``(batch, 2**n)`` matrix, and shots are sampled from the device RNG
         stream in batch order — so noise, drift, and the RNG stream evolve
@@ -465,7 +467,7 @@ class QPU:
         executions (:meth:`execute`, the sequential reference).  Batching
         changes the wall-clock cost, never the physics.
         """
-        if not circuits:
+        if not len(circuits):
             raise ValueError("a batch needs at least one circuit")
         if shots < 1:
             raise ValueError("shots must be >= 1")
@@ -474,9 +476,7 @@ class QPU:
             len(circuits), footprint, now
         )
         probabilities = noisy_probabilities_batch(circuits, specs)
-        return self._sampled_results(
-            circuits, probabilities, durations, metadata, shots, rng
-        )
+        return self._sampled_results(probabilities, durations, metadata, shots, rng)
 
     def execute_sweep(
         self,
@@ -487,36 +487,13 @@ class QPU:
         now: float,
         rng: np.random.Generator | None = None,
     ) -> list[ExecutionResult]:
-        """Run a zero-rebind parameter sweep with this device's noise.
-
-        The sweep's flat execution order is point-major with templates inner
-        (the :func:`repro.vqa.gradient.parameter_shift_batch` order); each
-        flat position occupies its own device job slot, exactly as if the
-        bound circuits had been submitted through :meth:`execute_batch` — but
-        no circuit is ever bound.
-        """
-        templates = list(templates)
-        theta = np.atleast_2d(np.asarray(theta_matrix, dtype=float))
-        if not templates:
-            raise ValueError("a sweep needs at least one template")
-        if shots < 1:
-            raise ValueError("shots must be >= 1")
-        rng = rng if rng is not None else self._rng
-        flat = theta.shape[0] * len(templates)
-        _, durations, specs, metadata = self._timeline_with_metadata(
-            flat, footprint, now
-        )
-        probabilities = noisy_sweep_probabilities(templates, theta, specs)
-        flat_templates = [
-            templates[i % len(templates)] for i in range(flat)
-        ]
-        return self._sampled_results(
-            flat_templates, probabilities, durations, metadata, shots, rng
+        """:meth:`execute_batch` over ``ParameterSweep(templates, theta_matrix)``."""
+        return self.execute_batch(
+            ParameterSweep(templates, theta_matrix), footprint, shots, now, rng
         )
 
     def _sampled_results(
         self,
-        circuits: Sequence[QuantumCircuit],
         probabilities: Sequence[np.ndarray],
         durations: Sequence[float],
         metadata: Sequence[dict],
@@ -525,43 +502,39 @@ class QPU:
     ) -> list[ExecutionResult]:
         """Sample a batch's distributions in batch order from one RNG stream.
 
-        Consecutive circuits with equal measured-register widths draw their
-        shots through one batched multinomial call; NumPy consumes the bit
-        stream row by row, so draws and the final generator state are
-        identical to per-circuit :func:`sample_distribution` calls.
+        Consecutive distributions of equal length (equal measured-register
+        widths) draw their shots through one batched multinomial call; NumPy
+        consumes the bit stream row by row, so draws and the final generator
+        state are identical to per-circuit :func:`sample_distribution` calls.
         """
-        widths = [
-            len(c.measured_qubits or tuple(range(c.num_qubits))) for c in circuits
-        ]
+        sizes = [probs.size for probs in probabilities]
         counts_list: list[Counts] = []
         index = 0
-        total = len(circuits)
+        total = len(sizes)
         while index < total:
             end = index + 1
-            while end < total and widths[end] == widths[index]:
+            while end < total and sizes[end] == sizes[index]:
                 end += 1
             counts_list.extend(
                 sample_distribution_batch(
                     np.stack(probabilities[index:end]),
                     shots,
                     rng,
-                    num_bits=widths[index],
+                    num_bits=sizes[index].bit_length() - 1,
                 )
             )
             index = end
 
-        results: list[ExecutionResult] = []
-        for counts, duration, meta in zip(counts_list, durations, metadata):
-            results.append(
-                ExecutionResult(
-                    counts=counts,
-                    shots=shots,
-                    backend_name=self.name,
-                    duration_seconds=duration,
-                    metadata=meta,
-                )
+        return [
+            ExecutionResult(
+                counts=counts,
+                shots=shots,
+                backend_name=self.name,
+                duration_seconds=duration,
+                metadata=meta,
             )
-        return results
+            for counts, duration, meta in zip(counts_list, durations, metadata)
+        ]
 
     def noisy_distribution(
         self, circuit: QuantumCircuit, footprint: CircuitFootprint, now: float

@@ -184,15 +184,15 @@ class _WorkerRuntime:
     ) -> GradientOutcome:
         """Run one client step and verify the previewed finish time.
 
-        The circuit batch is bound here, off the master's critical path —
-        the timing preview only needed the circuit *count*.
+        The job is built here, off the master's critical path — the timing
+        preview only needed the circuit *count*.
         """
         job_spec = self.objective.build_job(task, theta)
-        if len(job_spec.circuits) != num_circuits:
+        if job_spec.num_circuits != num_circuits:
             raise RuntimeError(
                 f"worker {self.worker_id}: circuits_per_job promised "
                 f"{num_circuits} circuits but build_job produced "
-                f"{len(job_spec.circuits)} on {device_name!r}"
+                f"{job_spec.num_circuits} on {device_name!r}"
             )
         client = self.clients[device_name]
         outcome = client.execute_task(
@@ -220,7 +220,7 @@ def _worker_main(context: WorkerContext, inbox, outbox) -> None:
     A daemon listener thread drains the inbox: for a job it answers the
     timing preview immediately (the preview needs only the circuit count,
     via :meth:`VQAObjective.circuits_per_job`) and appends the work item to
-    a backlog the main thread consumes FIFO — circuit binding and the
+    a backlog the main thread consumes FIFO — building the job and the
     simulation itself both stay off the master's critical path.  Control
     messages (``report``/``stop``) travel through the same backlog, so they
     serialize after every already-accepted job.

@@ -49,22 +49,13 @@ def expectation_from_group_counts(
 def group_sign_matrix(group: MeasurementGroup) -> np.ndarray:
     """The ``(terms, 2**n)`` eigenvalue matrix of one measurement group.
 
-    Entry ``(t, i)`` is the ±1 eigenvalue of the group's ``t``-th term
-    (after its basis rotation) on basis state ``i`` — the parity of the
-    measured bits on the term's support.  Against a stack of measured
-    distributions ``probs`` of shape ``(points, 2**n)``, per-term
-    expectations are one matrix product ``probs @ sign.T`` instead of the
-    per-qubit axis-move loop of ``Statevector.expectation_pauli``.
+    Against a stack of measured distributions ``probs`` of shape
+    ``(points, 2**n)``, per-term expectations are one matrix product
+    ``probs @ sign.T`` instead of the per-qubit axis-move loop of
+    ``Statevector.expectation_pauli``.  Memoized on the group
+    (:attr:`MeasurementGroup.sign_matrix`, read-only).
     """
-    n = group.num_qubits
-    index = np.arange(1 << n)
-    signs = np.empty((len(group.terms), 1 << n), dtype=float)
-    for row, term in enumerate(group.terms):
-        parity = np.zeros(index.shape, dtype=np.intp)
-        for qubit in term.support:
-            parity ^= (index >> (n - 1 - qubit)) & 1
-        signs[row] = 1.0 - 2.0 * parity
-    return signs
+    return group.sign_matrix
 
 
 class EnergyEstimator:

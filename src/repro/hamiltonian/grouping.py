@@ -15,11 +15,19 @@ parallelized) independently.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from ..circuit.circuit import QuantumCircuit
+from ..simulator.result import Counts
 from .pauli import PauliString, PauliSum
 
 __all__ = ["MeasurementGroup", "group_qubitwise_commuting", "measurement_basis_circuit"]
+
+#: Widest register whose ``2**n x terms`` signed-coefficient table is built;
+#: wider groups decode through the per-outcome loop.
+_MAX_TABLE_QUBITS = 16
 
 
 @dataclass(frozen=True)
@@ -39,12 +47,62 @@ class MeasurementGroup:
     def num_qubits(self) -> int:
         return len(self.basis)
 
+    @cached_property
+    def sign_matrix(self) -> np.ndarray:
+        """The ``(terms, 2**n)`` eigenvalue matrix of the group (read-only).
+
+        Entry ``(t, i)`` is the ±1 eigenvalue of the ``t``-th term (after
+        its basis rotation) on basis state ``i`` — the parity of the
+        measured bits on the term's support, qubit 0 most significant.
+        """
+        n = self.num_qubits
+        index = np.arange(1 << n)
+        signs = np.empty((len(self.terms), 1 << n), dtype=float)
+        for row, term in enumerate(self.terms):
+            parity = np.zeros(index.shape, dtype=np.intp)
+            for qubit in term.support:
+                parity ^= (index >> (n - 1 - qubit)) & 1
+            signs[row] = 1.0 - 2.0 * parity
+        signs.setflags(write=False)
+        return signs
+
+    @cached_property
+    def _signed_coefficients(self) -> np.ndarray:
+        """``(2**n, terms)`` table: row ``i`` holds ``coefficient * eigenvalue``
+        of every term on outcome ``i``, in term order."""
+        coefficients = np.array([term.coefficient for term in self.terms])
+        return np.ascontiguousarray((self.sign_matrix * coefficients[:, None]).T)
+
     def expectation_from_counts(self, counts) -> float:
         """Estimate the group's contribution to ``<H>`` from measured counts.
 
         ``counts`` is a mapping from bitstrings (measured after the basis
-        rotation) to frequencies.
+        rotation) to frequencies.  A sampler-built
+        :class:`~repro.simulator.result.Counts` decodes from its hit arrays:
+        one gather from the signed-coefficient table and one sequential
+        ``np.add.accumulate`` in the loop's (outcome-major, term-inner)
+        order.  ``weight * (coefficient * ±1)`` equals the loop's
+        ``(weight * coefficient) * ±1`` exactly, so both decoders return the
+        same bits; the loop remains for plain mappings and for registers too
+        wide to tabulate.
         """
+        hits = counts.hits if isinstance(counts, Counts) else None
+        if hits is None or self.num_qubits > _MAX_TABLE_QUBITS:
+            return self._expectation_from_mapping(counts)
+        indices, hit_counts = hits
+        total_shots = int(hit_counts.sum())
+        if total_shots == 0:
+            return 0.0
+        if counts.num_bits != self.num_qubits:
+            raise ValueError("bitstring width does not match the Pauli width")
+        contributions = np.empty(1 + indices.size * len(self.terms))
+        contributions[0] = 0.0
+        contributions[1:] = (
+            (hit_counts / total_shots)[:, None] * self._signed_coefficients[indices]
+        ).reshape(-1)
+        return float(np.add.accumulate(contributions)[-1])
+
+    def _expectation_from_mapping(self, counts) -> float:
         total_shots = sum(counts.values())
         if total_shots == 0:
             return 0.0

@@ -13,7 +13,7 @@ of the library consumes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -44,6 +44,9 @@ class PauliString:
 
     label: str
     coefficient: float = 1.0
+    #: Qubits on which the string acts non-trivially (derived from the label
+    #: once: the counts decoders read it per outcome per term).
+    support: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         label = self.label.upper()
@@ -53,16 +56,14 @@ class PauliString:
             raise ValueError(f"invalid Pauli label {self.label!r}")
         object.__setattr__(self, "label", label)
         object.__setattr__(self, "coefficient", float(self.coefficient))
+        object.__setattr__(
+            self, "support", tuple(i for i, c in enumerate(label) if c != "I")
+        )
 
     # ------------------------------------------------------------------
     @property
     def num_qubits(self) -> int:
         return len(self.label)
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        """Qubits on which the string acts non-trivially."""
-        return tuple(i for i, c in enumerate(self.label) if c != "I")
 
     @property
     def is_identity(self) -> bool:
@@ -165,6 +166,7 @@ class PauliSum:
         if len(widths) != 1:
             raise ValueError("all terms must act on the same number of qubits")
         self._terms = tuple(terms)
+        self._matrix: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     @classmethod
@@ -217,12 +219,19 @@ class PauliSum:
         return PauliSum(kept)
 
     def to_matrix(self) -> np.ndarray:
-        """Dense Hamiltonian matrix (exact diagonalization of small systems)."""
-        dim = 1 << self.num_qubits
-        total = np.zeros((dim, dim), dtype=complex)
-        for term in self._terms:
-            total += term.to_matrix()
-        return total
+        """Dense Hamiltonian matrix (exact diagonalization of small systems).
+
+        Built once (the terms are immutable) and shared read-only — copy
+        before mutating.
+        """
+        if self._matrix is None:
+            dim = 1 << self.num_qubits
+            total = np.zeros((dim, dim), dtype=complex)
+            for term in self._terms:
+                total += term.to_matrix()
+            total.setflags(write=False)
+            self._matrix = total
+        return self._matrix
 
     def ground_state_energy(self) -> float:
         """Exact minimum eigenvalue (reference "ground energy" of the paper)."""

@@ -29,6 +29,7 @@ import numpy as np
 
 from ..circuit.circuit import QuantumCircuit
 from ..circuit.gates import Instruction
+from ..circuit.sweep import ParameterSweep
 from ..engine import (
     execute_program,
     marginal_probabilities,
@@ -150,64 +151,91 @@ def noisy_probabilities(
 
 
 def noisy_probabilities_batch(
-    circuits: Sequence[QuantumCircuit],
+    circuits: Sequence[QuantumCircuit] | ParameterSweep,
     noises: Sequence[MixingNoiseSpec],
 ) -> list[np.ndarray]:
     """Analytic noisy outcome distributions for a whole device batch at once.
 
-    The vectorized counterpart of :func:`noisy_probabilities`: the batch is
-    partitioned by gate structure, each partition runs as **one** compiled
-    program execution over its ``(batch, slots)`` angle matrix (per-circuit
-    coherent biases applied by scaling rotation slots row-wise), the
-    depolarizing mix is a single broadcast combine against the uniform
-    distribution, and readout confusion is one batched per-bit contraction.
-    Every arithmetic step performs the identical per-row operations the
-    sequential path performs, so row ``i`` of the result matches
-    ``noisy_probabilities(circuits[i], noises[i])`` to within ~1e-16 (the
-    only difference is the GEMM batch shape inside the compiled engine) —
-    far below the multinomial sampler's decision thresholds, which is why
-    the seeded golden histories stay bit-exact.
+    The vectorized counterpart of :func:`noisy_probabilities`.  The batch is
+    first *lowered* to ``(program, slot-angle matrix, flat positions)``
+    groups — bound circuits partition by gate structure and have their
+    angles read off the instruction records; a
+    :class:`~repro.circuit.sweep.ParameterSweep` gives one group per template
+    straight from its ``(points, P)`` matrix, binding nothing — and from
+    there one tail serves both: each group runs as **one** compiled program
+    execution (per-circuit coherent biases applied by scaling rotation slots
+    row-wise), the depolarizing mix is a single broadcast combine against
+    the uniform distribution, and readout confusion is one batched per-bit
+    contraction.  Every arithmetic step performs the identical per-row
+    operations the sequential path performs, so row ``i`` of the result
+    matches ``noisy_probabilities(circuits[i], noises[i])`` to within ~1e-16
+    (the only difference is the GEMM batch shape inside the compiled engine)
+    — far below the multinomial sampler's decision thresholds, which is why
+    the seeded golden histories stay bit-exact; a sweep and its bound
+    circuits lower to the same groups and agree exactly.
 
     Args:
-        circuits: fully-bound circuits (any mix of structures).
-        noises: one :class:`MixingNoiseSpec` per circuit — each evaluated at
-            that circuit's position on the device clock by the caller.
+        circuits: fully-bound circuits (any mix of structures), or a sweep.
+        noises: one :class:`MixingNoiseSpec` per flat batch position — each
+            evaluated at that position on the device clock by the caller.
 
     Returns:
-        One measured-register distribution per circuit, in input order.
+        One measured-register distribution per position, in flat order.
     """
-    circuits = list(circuits)
     noises = list(noises)
-    if not circuits:
-        raise ValueError("a batch needs at least one circuit")
+    if isinstance(circuits, ParameterSweep):
+        groups = _lower_sweep(circuits)
+    else:
+        circuits = list(circuits)
+        if not circuits:
+            raise ValueError("a batch needs at least one circuit")
+        groups = _lower_bound(circuits)
     if len(circuits) != len(noises):
         raise ValueError(
             f"{len(circuits)} circuits do not align with {len(noises)} noise specs"
         )
-    for circuit in circuits:
-        if not circuit.is_bound:
-            raise ValueError("circuit has unbound parameters")
 
-    partitions: dict[object, list[int]] = {}
-    for index, circuit in enumerate(circuits):
-        partitions.setdefault(circuit.structure_key, []).append(index)
-
-    cache = shared_program_cache()
-    out: list[np.ndarray | None] = [None] * len(circuits)
-    for indices in partitions.values():
-        members = [circuits[i] for i in indices]
+    out: list[np.ndarray | None] = [None] * len(noises)
+    for program, thetas, circuit, indices in groups:
         specs = [noises[i] for i in indices]
-        first = members[0]
-        program = cache.get_or_compile(first)
-        thetas = slot_values_from_circuits(program, members)
         thetas = _bias_scaled(thetas, program.slot_gates, specs)
         states = execute_program(program, thetas)
-        measured = first.measured_qubits or tuple(range(first.num_qubits))
-        ideal = marginal_probabilities(states, measured, first.num_qubits)
+        measured = circuit.measured_qubits or tuple(range(circuit.num_qubits))
+        ideal = marginal_probabilities(states, measured, circuit.num_qubits)
         mixed = _mix_and_confuse(ideal, specs, len(measured))
         for row, index in enumerate(indices):
             out[index] = mixed[row]
     return out  # type: ignore[return-value]
+
+
+def _lower_bound(circuits: list[QuantumCircuit]):
+    """Bound circuits -> (program, angles, representative, positions) groups."""
+    for circuit in circuits:
+        if not circuit.is_bound:
+            raise ValueError("circuit has unbound parameters")
+    partitions: dict[object, list[int]] = {}
+    for index, circuit in enumerate(circuits):
+        partitions.setdefault(circuit.structure_key, []).append(index)
+    cache = shared_program_cache()
+    for indices in partitions.values():
+        members = [circuits[i] for i in indices]
+        program = cache.get_or_compile(members[0])
+        yield program, slot_values_from_circuits(program, members), members[0], indices
+
+
+def _lower_sweep(sweep: ParameterSweep):
+    """A sweep -> one group per template, off the raw parameter matrix."""
+    cache = shared_program_cache()
+    stride = len(sweep.templates)
+    for offset, template in enumerate(sweep.templates):
+        program = cache.get_or_compile(template)
+        plan = cache.plan_for(template, program)
+        yield (
+            program,
+            plan_slot_values(plan, sweep.theta),
+            template,
+            range(offset, len(sweep), stride),
+        )
 
 
 def noisy_sweep_probabilities(
@@ -215,43 +243,8 @@ def noisy_sweep_probabilities(
     theta_matrix: np.ndarray,
     noises: Sequence[MixingNoiseSpec],
 ) -> list[np.ndarray]:
-    """Noisy distributions of a zero-rebind parameter sweep on one device.
-
-    The sweep-aware entry of the batched pipeline: each template compiles
-    once and executes over the whole ``(points, P)`` parameter matrix — no
-    circuit is ever bound.  ``noises`` is indexed in the **flat execution
-    order** of the sweep, point-major with templates inner (the order
-    :meth:`~repro.backends.batched.BatchedStatevectorBackend.run_sweep`
-    samples in), because each flat position sits at its own spot on the
-    device clock.  The returned distributions follow the same flat order.
-    """
-    templates = list(templates)
-    theta = np.atleast_2d(np.asarray(theta_matrix, dtype=float))
-    points = theta.shape[0]
-    noises = list(noises)
-    if len(noises) != points * len(templates):
-        raise ValueError(
-            f"{len(noises)} noise specs do not cover {points} points x "
-            f"{len(templates)} templates"
-        )
-    cache = shared_program_cache()
-    num_templates = len(templates)
-    out: list[np.ndarray | None] = [None] * len(noises)
-    for offset, template in enumerate(templates):
-        specs = [noises[p * num_templates + offset] for p in range(points)]
-        program = cache.get_or_compile(template)
-        plan = cache.plan_for(template, program)
-        thetas = _bias_scaled(plan_slot_values(plan, theta), program.slot_gates, specs)
-        states = execute_program(program, thetas)
-        measured = template.measured_qubits or tuple(range(template.num_qubits))
-        mixed = _mix_and_confuse(
-            marginal_probabilities(states, measured, template.num_qubits),
-            specs,
-            len(measured),
-        )
-        for point in range(points):
-            out[point * num_templates + offset] = mixed[point]
-    return out  # type: ignore[return-value]
+    """:func:`noisy_probabilities_batch` over ``ParameterSweep(templates, theta_matrix)``."""
+    return noisy_probabilities_batch(ParameterSweep(templates, theta_matrix), noises)
 
 
 def _bias_scaled(

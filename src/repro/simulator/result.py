@@ -15,7 +15,17 @@ class Counts(Mapping[str, int]):
 
     Bitstrings follow the library convention: character ``i`` is the outcome
     of measured qubit ``i`` (qubit 0 leftmost).
+
+    Histograms built by the samplers also keep the sparse array form they
+    were drawn in — :attr:`hits`, the ``(outcome indices, counts)`` pair in
+    the same order the mapping iterates — so array consumers
+    (:meth:`~repro.hamiltonian.grouping.MeasurementGroup.expectation_from_counts`)
+    skip the bitstring round trip.
     """
+
+    #: ``(outcome indices, counts)`` as the sampler drew them; ``None`` for
+    #: histograms built from a plain mapping.
+    hits: tuple[np.ndarray, np.ndarray] | None = None
 
     def __init__(self, data: Mapping[str, int], shots: int | None = None) -> None:
         clean: dict[str, int] = {}
@@ -33,17 +43,24 @@ class Counts(Mapping[str, int]):
             raise ValueError("shots is smaller than the sum of counts")
 
     @classmethod
-    def _from_clean(cls, data: dict[str, int], shots: int) -> "Counts":
+    def _from_clean(
+        cls,
+        data: dict[str, int],
+        shots: int,
+        hits: tuple[np.ndarray, np.ndarray] | None = None,
+    ) -> "Counts":
         """Trusted constructor for internal samplers.
 
         Skips the per-entry validation of ``__init__`` — callers guarantee
         string keys of one width and positive integer values (the multinomial
         samplers build exactly that), which keeps the per-circuit sampling
-        hot path free of redundant re-validation.
+        hot path free of redundant re-validation.  ``hits`` must list the
+        same outcomes as ``data``, in the same order.
         """
         counts = cls.__new__(cls)
         counts._data = data
         counts._shots = shots
+        counts.hits = hits
         return counts
 
     # Mapping protocol -----------------------------------------------------

@@ -33,16 +33,19 @@ def _bitstring_labels(num_bits: int) -> tuple[str, ...]:
 
 
 def _counts_from_draws(draws: np.ndarray, num_bits: int, shots: int) -> Counts:
-    """Sparse Counts from a multinomial draw vector (only hit outcomes)."""
+    """Sparse Counts from a multinomial draw vector (only hit outcomes).
+
+    The hit index/count arrays ride along on the Counts (``Counts.hits``).
+    """
     (hits,) = np.nonzero(draws)
+    hit_counts = draws[hits]
+    pairs = zip(hits.tolist(), hit_counts.tolist())
     if num_bits <= _MAX_CACHED_LABEL_BITS:
         labels = _bitstring_labels(num_bits)
-        data = {labels[index]: int(draws[index]) for index in hits}
+        data = {labels[index]: count for index, count in pairs}
     else:
-        data = {
-            format(index, f"0{num_bits}b"): int(draws[index]) for index in hits
-        }
-    return Counts._from_clean(data, shots)
+        data = {format(index, f"0{num_bits}b"): count for index, count in pairs}
+    return Counts._from_clean(data, shots, hits=(hits, hit_counts))
 
 
 def sample_distribution(

@@ -173,8 +173,8 @@ def sampled_parameter_shift_gradient(
 ) -> np.ndarray:
     """Sampled parameter-shift gradient through one backend batch.
 
-    All forward/backward circuits for every requested parameter are submitted
-    in a single :meth:`ExecutionBackend.run` call; with the batched
+    All forward/backward points for every requested parameter are submitted
+    in a single :meth:`ExecutionBackend.run_sweep` call; with the batched
     statevector engine the whole sweep is one vectorized pass instead of
     2·P sequential simulations.
 
@@ -202,21 +202,16 @@ def sampled_parameter_shift_gradient(
         registry = _telemetry.registry
         registry.counter("vqa.gradient_sweeps").inc()
         registry.counter("vqa.gradient_parameters").inc(len(indices))
-    if hasattr(backend, "run_sweep"):
-        # Zero-rebind path: compiled backends take the raw shift-point matrix
-        # and sample in the same flat order the bound batch would have used,
-        # so the RNG stream is consumed identically.
-        theta_matrix = shifted_theta_matrix(values, indices, shift)
-        templates = estimator.template_circuits()
-        results = backend.run_sweep(
-            templates, theta_matrix, shots=shots, seed=seed, rng=rng
-        )
-    else:
-        circuits = parameter_shift_batch(estimator, values, indices, shift)
-        if rng is not None:
-            results = backend.run(circuits, shots=shots, rng=rng)
-        else:
-            results = backend.run(circuits, shots=shots, seed=seed)
+    # Zero-rebind: backends take the raw shift-point matrix and sample in the
+    # same flat order the bound batch (:func:`parameter_shift_batch`) would
+    # have used, so the RNG stream is consumed identically.
+    results = backend.run_sweep(
+        estimator.template_circuits(),
+        shifted_theta_matrix(values, indices, shift),
+        shots=shots,
+        seed=seed,
+        rng=rng,
+    )
     groups = estimator.num_groups
     gradient = np.empty(len(indices), dtype=float)
     position = 0

@@ -12,15 +12,17 @@ from repro.vqa.tasks import GradientTask
 
 class TestGradientJobSpec:
     def test_alignment_enforced(self):
-        from repro.circuit import QuantumCircuit
+        from repro.circuit import ParameterSweep, QuantumCircuit
 
         qc = QuantumCircuit(1).h(0)
         with pytest.raises(ValueError):
-            GradientJobSpec(circuits=(qc,), template_keys=(), templates=())
+            GradientJobSpec(ParameterSweep([qc], [[]]), template_keys=())
 
     def test_empty_rejected(self):
+        from repro.circuit import ParameterSweep
+
         with pytest.raises(ValueError):
-            GradientJobSpec(circuits=(), template_keys=(), templates=())
+            GradientJobSpec(ParameterSweep([], [[]]), template_keys=())
 
 
 class TestEnergyObjective:
@@ -28,10 +30,38 @@ class TestEnergyObjective:
         objective = EnergyObjective(vqe_problem.estimator)
         task = GradientTask(task_id=0, parameter_index=3)
         job = objective.build_job(task, [0.1] * 16)
-        # forward + backward circuits for each of the 3 measurement groups
-        assert len(job.circuits) == 6
-        assert all(circuit.is_bound for circuit in job.circuits)
-        assert len(set(job.template_keys)) == 3
+        # The job is unbound: the 3 group templates and a forward/backward
+        # parameter matrix standing for 6 circuits, point-major.
+        assert job.templates == tuple(vqe_problem.estimator.template_circuits())
+        assert len(set(job.template_keys)) == len(job.template_keys) == 3
+        assert job.batch.theta.shape == (2, 16)
+        expected = np.full((2, 16), 0.1)
+        expected[0, 3] += np.pi / 2
+        expected[1, 3] -= np.pi / 2
+        assert np.array_equal(job.batch.theta, expected)
+        assert job.num_circuits == objective.circuits_per_job(task) == 6
+        # The lazily bound inspection view, in execution order.
+        circuits = job.circuits
+        assert len(circuits) == 6
+        assert all(circuit.is_bound for circuit in circuits)
+        assert [c.structure_key for c in circuits] == 2 * [
+            t.structure_key for t in job.templates
+        ]
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_theta_names_task_and_parameter(self, vqe_problem, bad):
+        objective = EnergyObjective(vqe_problem.estimator)
+        task = GradientTask(task_id=41, parameter_index=3)
+        theta = [0.1] * 16
+        theta[5] = bad
+        with pytest.raises(ValueError, match=r"task_id=41.*parameter index 5"):
+            objective.build_job(task, theta)
+
+    def test_wrong_width_theta_rejected(self, vqe_problem):
+        objective = EnergyObjective(vqe_problem.estimator)
+        task = GradientTask(task_id=0, parameter_index=0)
+        with pytest.raises(ValueError, match="16 parameters"):
+            objective.build_job(task, [0.1] * 15)
 
     def test_gradient_from_ideal_counts_matches_exact(self, vqe_problem, rng):
         objective = EnergyObjective(vqe_problem.estimator)
@@ -68,7 +98,9 @@ class TestQnnObjective:
         task = GradientTask(task_id=0, parameter_index=1, data_index=2)
         job = objective.build_job(task, [0.1] * qnn.num_parameters)
         groups = qnn.estimator_for(2).num_groups
-        assert len(job.circuits) == 3 * groups
+        assert len(job.circuits) == job.num_circuits == 3 * groups
+        assert job.batch.theta.shape == (3, qnn.num_parameters)
+        assert np.array_equal(job.batch.theta[0], [0.1] * qnn.num_parameters)
 
     def test_missing_data_index_rejected(self, qnn):
         objective = QnnObjective(qnn)
