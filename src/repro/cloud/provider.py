@@ -1,20 +1,23 @@
 """The simulated cloud provider: job submission, queues, utilization.
 
 The :class:`CloudProvider` is the piece of the substrate that stands in for
-the IBMQ service.  Each backend device keeps a serial work queue, and the
-provider supports two queueing regimes:
+the IBMQ service.  Each backend device keeps a serial work queue, and every
+job runs through one service loop (:meth:`CloudProvider.submit`: retries,
+fault injection, deadlines, bookkeeping) over one of two clocks that decide
+when an attempt reaches the device head:
 
 * **statistical** (default) — a job submitted at time *t* waits for
   (a) whatever the device is still executing and (b) a stochastic congestion
   delay from the device's :class:`~repro.cloud.queueing.QueueModel`
-  (the :class:`~repro.cloud.queueing.StatisticalQueuePolicy` fallback; other
-  users are a distribution, and seeded histories are bit-exact with the
-  pre-scheduler code);
-* **scheduled** — when constructed with a
+  (the closed-form :class:`~repro.cloud.queueing.StatisticalQueuePolicy`;
+  other users are a distribution, and seeded histories are bit-exact with
+  the pre-scheduler code);
+* **event kernel** — when constructed with a
   :class:`~repro.sched.scheduler.CloudScheduler`, jobs are submitted into
   the shared discrete-event kernel where they compete with background tenant
   traffic for capacity-1 devices under a pluggable scheduling policy, and
-  queue delays *emerge* from contention and calibration downtime.
+  queue delays *emerge* from contention, calibration downtime and injected
+  outages.
 
 Either way the provider records per-device busy time so the utilization
 imbalance the paper motivates EQC with can be quantified (see
@@ -23,6 +26,8 @@ imbalance the paper motivates EQC with can be quantified (see
 
 from __future__ import annotations
 
+import copy
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
@@ -35,6 +40,7 @@ from ..circuit.sweep import ParameterSweep
 from ..devices.qpu import QPU, CircuitFootprint, job_slot_circuit_seconds
 from ..faults.errors import (
     DeviceOutageError,
+    FaultError,
     JobDeadlineExceeded,
     JobRetriesExhausted,
 )
@@ -52,6 +58,12 @@ __all__ = ["DeviceEndpoint", "CloudProvider", "UtilizationRecord"]
 
 #: Builds the execution backend serving one device endpoint.
 BackendFactory = Callable[[QPU], ExecutionBackend]
+
+#: The closed-form clock used when no scheduler is attached (stateless).
+_STATISTICAL_CLOCK = StatisticalQueuePolicy()
+
+#: Without fault injection nothing can bomb or be delayed: one attempt.
+_SINGLE_ATTEMPT = RetryPolicy(max_attempts=1)
 
 
 @dataclass
@@ -90,7 +102,7 @@ class DeviceEndpoint:
         self.queue_model = queue_model
         self.backend: ExecutionBackend = backend if backend is not None else NoisyBackend(qpu)
         self.rng = np.random.default_rng((seed, qpu.spec.seed, 0xB0B))
-        #: Simulation time at which the device becomes free.
+        #: Simulation time at which the provider's last job released the device.
         self.free_at = 0.0
         self.record = UtilizationRecord(device_name=qpu.name)
 
@@ -106,7 +118,6 @@ class CloudProvider:
         shots: int = 8192,
         backend_factory: BackendFactory | None = None,
         scheduler: "CloudScheduler | None" = None,
-        queue_policy: StatisticalQueuePolicy | None = None,
         fault_injector: "FaultInjector | None" = None,
         retry_policy: RetryPolicy | None = None,
     ) -> None:
@@ -130,24 +141,16 @@ class CloudProvider:
         #: snapshots can capture and restore the counter).
         self._next_job_id = 0
         self.scheduler = scheduler
-        self._queue_policy = (
-            queue_policy if queue_policy is not None else StatisticalQueuePolicy()
-        )
-        #: Fault injection: None (the default) keeps the fault-free hot path
-        #: untouched beyond one predicated branch per submit.
+        #: Fault injection: None (the default) leaves the submit loop a
+        #: single attempt that consumes no injector stream.
         self._faults = (
             fault_injector
             if fault_injector is not None and fault_injector.enabled
             else None
         )
         self._retry_policy = (
-            retry_policy if retry_policy is not None else DEFAULT_RETRY_POLICY
+            _SINGLE_ATTEMPT if self._faults is None else retry_policy or DEFAULT_RETRY_POLICY
         )
-        if self._faults is not None and scheduler is not None:
-            raise ValueError(
-                "fault injection is not supported on the scheduler path: "
-                "inject outages through CloudScheduler.inject_outage instead"
-            )
         #: Devices confirmed permanently down (fail-fast on later submits).
         self.dead_devices: set[str] = set()
         #: Plain-int fault accounting, maintained whenever faults are active
@@ -197,9 +200,11 @@ class CloudProvider:
         Per endpoint: the RNG bit-generator state (queue waits + measurement
         shots draw from it), the device's own fallback stream, the virtual
         clock, and the utilization record; provider-wide: the job-id
-        counter, dead devices, and fault counters.  The scheduler path keeps
-        its state inside the event kernel and is not checkpointable (config
-        validation rejects it before a snapshot is ever taken).
+        counter, dead devices, and fault counters.  This is the whole state
+        of the statistical clock; on the kernel clock the queues and pending
+        events live inside the event kernel, which is not checkpointable
+        (config validation rejects checkpointing with a scheduler before a
+        snapshot is ever taken).
         """
         return {
             "next_job_id": self._next_job_id,
@@ -251,164 +256,98 @@ class CloudProvider:
 
         The batch is either bound circuits (the baselines) or an unbound
         :class:`~repro.circuit.sweep.ParameterSweep` (an EQC gradient job:
-        templates plus the parameter-point matrix).  All three submit paths
-        hand it to the endpoint's backend untouched, so a sweep is lowered
-        at the device without a single circuit being bound, and either form
-        of the same job yields identical results, timing and RNG state.
+        templates plus the parameter-point matrix).  It reaches the
+        endpoint's backend untouched, so a sweep is lowered at the device
+        without a single circuit being bound, and either form of the same
+        job yields identical results, timing and RNG state.
 
         The returned job is already in the ``DONE`` state with its results
         and timing populated; callers (EQC client nodes, baselines) treat
         ``job.finish_time`` as the moment the results become visible, which is
         how asynchrony is realized on the virtual clock.
 
-        With a scheduler attached the job is routed through the shared event
-        kernel (where it competes with tenant traffic and ``priority`` can
-        matter to the policy); otherwise the statistical fallback prices the
-        queue wait in closed form.
+        Every job runs the same attempt loop: fail fast on a dead device,
+        get a service start from the clock (:meth:`_serve` — the event
+        kernel when a scheduler is attached, where the job competes with
+        tenant traffic and ``priority`` can matter to the policy; the
+        closed-form statistical queue otherwise), draw the plan's transient
+        failure at the device head, run the physics, add any injected result
+        delay, enforce the per-job deadline, book the device time.  A bombed
+        attempt holds the device for zero seconds, backs off (exponential,
+        deterministically jittered) and re-arrives; without fault injection
+        the loop runs exactly once.  Failures cost *virtual* time: every
+        :class:`~repro.faults.errors.FaultError` raised here carries the time
+        the caller learns about it and the job, ``FAILED`` with its ``error``.
+
+        The endpoint's physics RNG is only touched by an attempt that
+        actually executes, so a chaos run's successful measurements come from
+        the same stream positions as a fault-free run with the same seed
+        (fault decisions draw from injector streams exclusively).
         """
         if not len(circuits):
             raise ValueError("a job needs at least one circuit")
         endpoint = self._endpoint(device_name)
         shots = int(shots) if shots is not None else self.default_shots
+        if shots < 1:
+            raise ValueError(f"shots must be >= 1 (got {shots})")
+        now = float(now)
+        if not 0.0 <= now < math.inf:
+            raise ValueError(
+                f"now must be a finite, non-negative simulation time (got {now!r})"
+            )
 
         job = CloudJob(
             job_id=self._new_job_id(),
             device_name=device_name,
             num_circuits=len(circuits),
             shots=shots,
-            submit_time=float(now),
+            submit_time=now,
         )
-
-        if self.scheduler is not None:
-            return self._submit_scheduled(
-                endpoint, job, circuits, footprint, now, shots, priority
+        if device_name in self.dead_devices:
+            raise self._fail(
+                job, DeviceOutageError, "device permanently down", now, permanent=True
             )
 
-        if self._faults is not None:
-            return self._submit_with_faults(
-                endpoint, job, circuits, footprint, now, shots
-            )
-
-        start_time = self._queue_policy.start_time(endpoint, now)
-        job.start_time = start_time
-        job.status = JobStatus.RUNNING
-
-        elapsed = self._execute_batch(endpoint, job, circuits, footprint, start_time, shots)
-        for result in job.results:
-            result.queue_seconds = job.queue_seconds
-
-        job.finish_time = start_time + elapsed
-        job.status = JobStatus.DONE
-
-        endpoint.free_at = job.finish_time
-        endpoint.record.jobs_completed += 1
-        endpoint.record.busy_seconds += elapsed
-        endpoint.record.queued_seconds += job.queue_seconds
-        endpoint.record.last_finish_time = job.finish_time
-        if _telemetry.enabled:
-            # The statistical path owns its device timeline; on the scheduler
-            # path the service queue emits the per-job sim spans instead.
-            self._record_job(job, sim_span=True)
-        return job
-
-    def _submit_with_faults(
-        self,
-        endpoint: DeviceEndpoint,
-        job: CloudJob,
-        circuits: Sequence[QuantumCircuit] | ParameterSweep,
-        footprint: CircuitFootprint,
-        now: float,
-        shots: int,
-    ) -> CloudJob:
-        """Fault-injected statistical path: retries, outages, deadlines.
-
-        The job loops through up to ``retry_policy.max_attempts`` service
-        attempts.  Each attempt pays the normal stochastic queue wait, may be
-        deferred past a transient outage window, and may bomb with the plan's
-        transient-failure probability — in which case the provider backs off
-        (exponential, deterministically jittered) and tries again.  Failures
-        cost *virtual* time: every exception raised here carries the
-        simulation time at which the caller learns about it.
-
-        The endpoint's physics RNG is only touched by the attempt that
-        actually executes, so a chaos run's successful measurements come from
-        the same stream positions as a fault-free run with the same seed
-        (fault decisions draw from injector streams exclusively).
-        """
         faults = self._faults
         retry = self._retry_policy
-        device = job.device_name
         counters = self.fault_counters
 
-        if device in self.dead_devices:
-            job.status = JobStatus.FAILED
-            job.error = "device permanently down"
-            counters["job_failures"] += 1
-            raise DeviceOutageError(
-                f"device {device!r} is permanently down",
-                device_name=device,
-                detect_time=float(now),
-                permanent=True,
+        def service(start_time: float) -> float:
+            # One service start; returns the device-seconds held.  A service
+            # cut by an outage re-enters with a fresh start time: the partial
+            # results are dropped and the failure draw is made afresh.
+            job.results.clear()
+            if faults is not None and faults.transient_failure(device_name):
+                return 0.0
+            job.status = JobStatus.RUNNING
+            return self._execute_batch(
+                endpoint, job, circuits, footprint, start_time, shots
             )
 
         deadline = (
-            job.submit_time + retry.deadline_seconds
-            if retry.deadline_seconds is not None
-            else None
+            now + retry.deadline_seconds if retry.deadline_seconds is not None else None
         )
-        attempt_now = float(now)
+        attempt_now = now
         first_failure: float | None = None
         for attempt in range(1, retry.max_attempts + 1):
             job.attempts = attempt
-
-            outage = faults.outage_at(device, attempt_now)
-            if outage is not None and outage.permanent:
-                self.dead_devices.add(device)
-                job.status = JobStatus.FAILED
-                job.error = "permanent outage"
-                counters["job_failures"] += 1
-                raise DeviceOutageError(
-                    f"device {device!r} suffered a permanent outage",
-                    device_name=device,
-                    detect_time=attempt_now,
-                    permanent=True,
-                )
-
-            start_time = self._queue_policy.start_time(endpoint, attempt_now)
-            outage = faults.outage_at(device, start_time)
-            if outage is not None:
-                if outage.permanent:
-                    self.dead_devices.add(device)
-                    job.status = JobStatus.FAILED
-                    job.error = "permanent outage"
-                    counters["job_failures"] += 1
-                    raise DeviceOutageError(
-                        f"device {device!r} suffered a permanent outage",
-                        device_name=device,
-                        detect_time=start_time,
-                        permanent=True,
-                    )
-                # Transient window: the job simply waits it out at the head
-                # of the queue.
-                counters["outage_deferrals"] += 1
-                start_time = max(start_time, outage.end)
-
-            if faults.transient_failure(device):
+            start_time, elapsed = self._serve(
+                endpoint, job, attempt_now, priority, service
+            )
+            if not job.results:
+                # The attempt bombed at the device head.
                 if first_failure is None:
                     first_failure = start_time
                 counters["transient_failures"] += 1
                 if attempt >= retry.max_attempts:
-                    job.status = JobStatus.FAILED
-                    job.error = f"transient failures exhausted {attempt} attempts"
-                    counters["job_failures"] += 1
-                    raise JobRetriesExhausted(
-                        f"job {job.job_id} on {device!r} failed "
-                        f"{attempt} attempts",
-                        device_name=device,
-                        detect_time=start_time,
+                    raise self._fail(
+                        job,
+                        JobRetriesExhausted,
+                        f"transient failures exhausted {attempt} attempts",
+                        start_time,
                         attempts=attempt,
                     )
-                backoff = retry.backoff_seconds(attempt, faults.retry_stream(device))
+                backoff = retry.backoff_seconds(attempt, faults.retry_stream(device_name))
                 counters["retries"] += 1
                 if _telemetry.enabled:
                     _telemetry.registry.histogram(
@@ -417,70 +356,141 @@ class CloudProvider:
                     ).observe(backoff)
                 attempt_now = start_time + backoff
                 if deadline is not None and attempt_now > deadline:
-                    job.status = JobStatus.FAILED
-                    job.error = "deadline exceeded during backoff"
-                    counters["job_failures"] += 1
-                    raise JobDeadlineExceeded(
-                        f"job {job.job_id} on {device!r} blew its "
-                        f"{retry.deadline_seconds:.0f}s deadline while backing off",
-                        device_name=device,
-                        detect_time=deadline,
+                    raise self._fail(
+                        job,
+                        JobDeadlineExceeded,
+                        f"{retry.deadline_seconds:.0f}s deadline exceeded during backoff",
+                        deadline,
                     )
                 continue
 
-            # Successful attempt: run the physics.
-            job.start_time = start_time
-            job.status = JobStatus.RUNNING
-            elapsed = self._execute_batch(
-                endpoint, job, circuits, footprint, start_time, shots
-            )
-            delay = faults.result_delay(device)
+            delay = faults.result_delay(device_name) if faults is not None else 0.0
             if delay > 0.0:
                 counters["result_delays"] += 1
+            job.start_time = start_time
+            queue_seconds = job.queue_seconds
             finish_time = start_time + elapsed + delay
 
             # Device bookkeeping is real regardless of result visibility:
-            # the hardware executed the batch.
+            # the hardware executed the batch and freed up when it ended,
+            # not when the results landed.
             endpoint.free_at = start_time + elapsed
-            endpoint.record.jobs_completed += 1
-            endpoint.record.busy_seconds += elapsed
-            endpoint.record.queued_seconds += job.queue_seconds
-            endpoint.record.last_finish_time = finish_time
+            record = endpoint.record
+            record.jobs_completed += 1
+            record.busy_seconds += elapsed
+            record.queued_seconds += queue_seconds
+            record.last_finish_time = finish_time
 
             if deadline is not None and finish_time > deadline:
-                job.status = JobStatus.FAILED
-                job.error = "deadline exceeded awaiting results"
-                counters["job_failures"] += 1
-                raise JobDeadlineExceeded(
-                    f"job {job.job_id} on {device!r} missed its results "
-                    f"deadline (finish {finish_time:.0f}s > {deadline:.0f}s)",
-                    device_name=device,
-                    detect_time=deadline,
+                raise self._fail(
+                    job,
+                    JobDeadlineExceeded,
+                    "deadline exceeded awaiting results "
+                    f"(finish {finish_time:.0f}s > {deadline:.0f}s)",
+                    deadline,
                 )
-
             for result in job.results:
-                result.queue_seconds = job.queue_seconds
+                result.queue_seconds = queue_seconds
             job.finish_time = finish_time
             job.status = JobStatus.DONE
             if _telemetry.enabled:
-                self._record_job(job, sim_span=True)
-                if first_failure is not None:
-                    mttr = start_time - first_failure
-                    _telemetry.registry.histogram(
-                        "faults.mttr_seconds",
-                        bounds=(30, 60, 120, 300, 600, 1800, 3600),
-                    ).observe(mttr)
-                    _telemetry.tracer.add_sim_span(
-                        "fault recovery",
-                        "faults",
-                        device,
-                        first_failure,
-                        mttr,
-                        args={"job_id": job.job_id, "attempts": attempt},
-                    )
+                self._record_job(job, first_failure)
             return job
 
-        raise AssertionError("unreachable: retry loop exits via return/raise")
+        raise AssertionError("unreachable: the attempt loop exits via return/raise")
+
+    def _serve(
+        self,
+        endpoint: DeviceEndpoint,
+        job: CloudJob,
+        arrival: float,
+        priority: int,
+        service: Callable[[float], float],
+    ) -> tuple[float, float]:
+        """The clock seam: one service attempt for a job arriving at ``arrival``.
+
+        Decides when the attempt reaches the device head, calls
+        ``service(start_time)`` there, and returns ``(start_time,
+        device-seconds held)``.  On the event kernel the job queues behind
+        live tenant traffic and ``service`` runs inside the service-start
+        event — at the start time the scheduler *decides*, after contention,
+        calibration downtime and injected outages (which preempt and requeue
+        it) — so noise, drift and the device RNG stream see the true
+        execution time.  On the statistical clock the start is closed form:
+        one queue-wait draw from the endpoint's stream, deferred past a
+        transient outage window of the plan.  Either way a device that is
+        (or goes) down for good raises ``DeviceOutageError(permanent=True)``.
+        """
+        device = job.device_name
+        if self.scheduler is not None:
+            handle = self.scheduler.submit(
+                device_name=device,
+                arrival=arrival,
+                tenant="eqc",
+                num_circuits=job.num_circuits,
+                priority=priority,
+                service=service,
+            )
+            self.scheduler.run_until_complete(handle)
+            if not handle.done:
+                down_since = self.scheduler.queues[device].dead_since
+                raise self._device_lost(job, max(arrival, down_since))
+            return float(handle.start_time), handle.service_seconds
+
+        faults = self._faults
+        if faults is not None:
+            outage = faults.outage_at(device, arrival)
+            if outage is not None and outage.permanent:
+                raise self._device_lost(job, arrival)
+        start_time = _STATISTICAL_CLOCK.start_time(endpoint, arrival)
+        if faults is not None:
+            outage = faults.outage_at(device, start_time)
+            if outage is not None:
+                if outage.permanent:
+                    raise self._device_lost(job, start_time)
+                # Transient window: the job waits it out at the queue head.
+                self.fault_counters["outage_deferrals"] += 1
+                start_time = max(start_time, outage.end)
+        return start_time, service(start_time)
+
+    def _fail(
+        self,
+        job: CloudJob,
+        exc_type: type[FaultError],
+        error: str,
+        detect_time: float,
+        **context,
+    ) -> FaultError:
+        """Mark ``job`` failed and build the typed error for the caller to raise."""
+        job.status = JobStatus.FAILED
+        job.error = error
+        self.fault_counters["job_failures"] += 1
+        exc = exc_type(
+            f"job {job.job_id} on {job.device_name!r}: {error}",
+            device_name=job.device_name,
+            detect_time=detect_time,
+            **context,
+        )
+        exc.job = job
+        return exc
+
+    def _device_lost(self, job: CloudJob, detect_time: float) -> FaultError:
+        """A permanent outage caught ``job``: later submits fail fast."""
+        self.dead_devices.add(job.device_name)
+        return self._fail(
+            job, DeviceOutageError, "permanent outage", detect_time, permanent=True
+        )
+
+    def preview_start_time(self, device_name: str, now: float) -> float:
+        """The service start a submit at ``now`` would get on the statistical clock.
+
+        The queue-wait draw is made against a *copy* of the endpoint's
+        stream, so the real stream is left for the actual submit (parallel
+        workers preview job timings ahead of executing them).
+        """
+        preview = copy.copy(self._endpoint(device_name))
+        preview.rng = copy.deepcopy(preview.rng)
+        return _STATISTICAL_CLOCK.start_time(preview, now)
 
     def properties_view_time(self, device_name: str, now: float) -> float:
         """The calibration timestamp the provider *publishes* at ``now``.
@@ -516,9 +526,8 @@ class CloudProvider:
         front, the whole job simulates as one ``(batch, 2**n)`` matrix, and
         shots are drawn from the endpoint's RNG stream in batch order, so
         seeded histories are bit-exact with sequential execution.  Both
-        queueing regimes (the statistical fallback and the scheduler's
-        service-start event) share this path, so the physics can never
-        diverge between them.
+        clocks reach the physics through this one call, so the physics can
+        never diverge between them.
         """
         results = endpoint.backend.run(
             circuits,
@@ -529,73 +538,18 @@ class CloudProvider:
         )
         elapsed = 0.0
         for result in results:
-            if result.duration_seconds == 0.0:
-                # Ideal backends carry no device clock; charge the device's
-                # own job timing so swapping the physics never collapses the
-                # schedule (busy time, free_at, epochs/hour stay meaningful).
-                result.duration_seconds = endpoint.qpu.job_duration_seconds(
-                    start_time + elapsed
-                )
-            job.results.append(result)
             elapsed += job_slot_circuit_seconds(result.duration_seconds)
+        if elapsed == 0.0:
+            # Ideal backends carry no device clock; charge the device's
+            # own job timing so swapping the physics never collapses the
+            # schedule (busy time, free_at, epochs/hour stay meaningful).
+            _, durations, elapsed = endpoint.qpu.batch_clock(len(results), start_time)
+            for result, duration in zip(results, durations):
+                result.duration_seconds = duration
+        job.results.extend(results)
         return elapsed
 
-    def _submit_scheduled(
-        self,
-        endpoint: DeviceEndpoint,
-        job: CloudJob,
-        circuits: Sequence[QuantumCircuit] | ParameterSweep,
-        footprint: CircuitFootprint,
-        now: float,
-        shots: int,
-        priority: int,
-    ) -> CloudJob:
-        """Kernel path: the job queues behind live tenant traffic.
-
-        The backend's physics run inside the service-start event — at the
-        start time the scheduler *decides*, after contention and calibration
-        downtime — so noise, drift and the device RNG stream see the true
-        execution time, exactly as on the statistical path.
-        """
-
-        def service(start_time: float) -> float:
-            # A preempted service (outage mid-run) re-enters here with a
-            # fresh start time; drop any partial results from the cut run.
-            job.results.clear()
-            return self._execute_batch(
-                endpoint, job, circuits, footprint, start_time, shots
-            )
-
-        job.status = JobStatus.RUNNING
-        handle = self.scheduler.submit(
-            device_name=endpoint.qpu.name,
-            arrival=float(now),
-            tenant="eqc",
-            num_circuits=len(circuits),
-            priority=priority,
-            service=service,
-        )
-        self.scheduler.run_until_complete(handle)
-
-        job.start_time = float(handle.start_time)
-        job.finish_time = float(handle.finish_time)
-        job.status = JobStatus.DONE
-        for result in job.results:
-            result.queue_seconds = job.queue_seconds
-
-        queue = self.scheduler.queues[endpoint.qpu.name]
-        endpoint.free_at = max(endpoint.free_at, queue.free_at)
-        endpoint.record.jobs_completed += 1
-        endpoint.record.busy_seconds += handle.service_seconds
-        endpoint.record.queued_seconds += job.queue_seconds
-        endpoint.record.last_finish_time = max(
-            endpoint.record.last_finish_time, job.finish_time
-        )
-        if _telemetry.enabled:
-            self._record_job(job, sim_span=False)
-        return job
-
-    def _record_job(self, job: CloudJob, sim_span: bool) -> None:
+    def _record_job(self, job: CloudJob, first_failure: float | None) -> None:
         """Telemetry for one completed job (enabled-path only)."""
         registry = _telemetry.registry
         registry.counter("qpu.jobs", device=job.device_name).inc()
@@ -606,7 +560,9 @@ class CloudProvider:
         registry.histogram(
             "qpu.batch_size", bounds=(1, 2, 4, 8, 16, 32, 64, 128)
         ).observe(job.num_circuits)
-        if sim_span and job.start_time is not None and job.finish_time is not None:
+        if self.scheduler is None:
+            # The statistical clock owns its device timeline; on the event
+            # kernel the service queue emits the per-job sim spans instead.
             _telemetry.tracer.add_sim_span(
                 "qpu.job",
                 "qpu",
@@ -615,12 +571,22 @@ class CloudProvider:
                 job.finish_time - job.start_time,
                 args={"circuits": job.num_circuits, "shots": job.shots},
             )
+        if first_failure is not None:
+            mttr = job.start_time - first_failure
+            registry.histogram(
+                "faults.mttr_seconds",
+                bounds=(30, 60, 120, 300, 600, 1800, 3600),
+            ).observe(mttr)
+            _telemetry.tracer.add_sim_span(
+                "fault recovery",
+                "faults",
+                job.device_name,
+                first_failure,
+                mttr,
+                args={"job_id": job.job_id, "attempts": job.attempts},
+            )
 
     # ------------------------------------------------------------------
-    def device_free_at(self, device_name: str) -> float:
-        """Simulation time at which the device's queue drains."""
-        return self._endpoint(device_name).free_at
-
     def utilization_report(self, horizon_seconds: float | None = None) -> dict[str, dict[str, float]]:
         """Per-device utilization summary (the paper's imbalance discussion)."""
         report: dict[str, dict[str, float]] = {}

@@ -74,11 +74,13 @@ class EQCConfig:
             platform default).
         fault_plan: deterministic chaos scenario (see
             :class:`~repro.faults.FaultPlan`); ``None`` or an empty plan
-            keeps the fault-free path bit-exact.  Device-level faults are
-            incompatible with the shared-kernel scheduler (inject outages
-            through :meth:`CloudScheduler.inject_outage` there) and with
-            ``parallel_workers > 1`` (use ``worker_crashes`` for parallel
-            chaos).
+            keeps the fault-free path bit-exact.  Device-level faults run on
+            either clock — with a scheduler the plan's outage windows are
+            armed in the event kernel (preempting and holding the device
+            queue under tenant contention) while retries, result delays and
+            deadlines stay in the provider's one submit loop — but are
+            incompatible with ``parallel_workers > 1`` (use
+            ``worker_crashes`` for parallel chaos).
         retry_policy: provider retry/backoff/deadline policy for transient
             failures; ``None`` uses the default when faults are enabled.
         dispatch_deadline: master-side straggler cutoff — a dispatched job
@@ -181,12 +183,6 @@ class EQCConfig:
                 )
         if self.faults_enabled:
             plan = self.fault_plan
-            if plan.has_device_faults and self.uses_scheduler:
-                raise ValueError(
-                    "device-level fault injection is incompatible with the "
-                    "shared-kernel scheduler path: inject outages through "
-                    "CloudScheduler.inject_outage / apply_fault_plan instead"
-                )
             if plan.has_device_faults and self.parallel_workers > 1:
                 raise ValueError(
                     "device-level fault injection is incompatible with "
@@ -265,6 +261,11 @@ class EQCEnsemble:
             fault_injector=self.fault_injector,
             retry_policy=self.config.retry_policy,
         )
+        if self.scheduler is not None and self.fault_injector is not None:
+            # On the kernel clock outages are queue events (preempt, hold,
+            # requeue at head); everything else in the plan is drawn by the
+            # provider's submit loop exactly as on the statistical clock.
+            self.scheduler.apply_fault_plan(self.config.fault_plan)
         #: One structure-keyed transpile cache shared by every client: devices
         #: with a common topology reuse each other's transpilations.
         self.transpile_cache = TranspileCache()

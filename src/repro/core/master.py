@@ -307,15 +307,7 @@ class EQCMasterNode:
                 if epoch_completed % record_every == 0 or (
                     self.telemetry.updates_applied >= target_updates
                 ):
-                    history.add(
-                        EpochRecord(
-                            epoch=epoch_completed,
-                            sim_time_hours=(now - self._start_time) / SECONDS_PER_HOUR,
-                            loss=self.objective.exact_loss(self.state.snapshot()),
-                            parameters=self.state.snapshot(),
-                            weights=dict(self._weights),
-                        )
-                    )
+                    history.add(self._epoch_record(epoch_completed, now))
 
             # Hand the finishing client its next task immediately.
             if self.telemetry.updates_applied < target_updates:
@@ -334,15 +326,7 @@ class EQCMasterNode:
         # final partial epoch so truncated update budgets stay visible.
         tail_updates = self.telemetry.updates_applied - epoch_completed * self.cycle_length
         if tail_updates > 0:
-            history.add(
-                EpochRecord(
-                    epoch=epoch_completed + 1,
-                    sim_time_hours=(now - self._start_time) / SECONDS_PER_HOUR,
-                    loss=self.objective.exact_loss(self.state.snapshot()),
-                    parameters=self.state.snapshot(),
-                    weights=dict(self._weights),
-                )
-            )
+            history.add(self._epoch_record(epoch_completed + 1, now))
             history.metadata["final_epoch_partial_updates"] = tail_updates
             history.final_epoch_fraction = tail_updates / self.cycle_length
 
@@ -362,6 +346,16 @@ class EQCMasterNode:
         if telemetry_on:
             self.publish()
         return history
+
+    def _epoch_record(self, epoch: int, now: float) -> EpochRecord:
+        """The history row for the parameter state at time ``now``."""
+        return EpochRecord(
+            epoch=epoch,
+            sim_time_hours=(now - self._start_time) / SECONDS_PER_HOUR,
+            loss=self.objective.exact_loss(self.state.snapshot()),
+            parameters=self.state.snapshot(),
+            weights=dict(self._weights),
+        )
 
     def publish(self, registry=None, prefix: str = "eqc") -> None:
         """Write the master's run counters into a metrics registry as gauges."""
@@ -390,94 +384,64 @@ class EQCMasterNode:
     ) -> _InFlight:
         """Dispatch one specific task, absorbing faults into heap events."""
         device = client.device_name
+
+        def parked(kind: str, at: float, **extra) -> _InFlight:
+            # A fault-tolerance event: no outcome, but it carries the task.
+            return _InFlight(
+                finish_time=at,
+                sequence=sequence,
+                outcome=None,
+                client=client,
+                kind=kind,
+                task=task,
+                **extra,
+            )
+
         if self._health is not None and not self._health.allow(device, now):
             # Breaker open: park the dispatch until the recovery time; the
             # retry becomes the breaker's probe job.
             self._fault_stats["probes"] += 1
-            return _InFlight(
-                finish_time=max(now, self._health.retry_at(device)),
-                sequence=sequence,
-                outcome=None,
-                client=client,
-                kind="probe",
-                task=task,
-            )
+            return parked("probe", max(now, self._health.retry_at(device)))
         if self._executor is not None:
             # The worker answers with the previewed finish time (and circuit
             # count, so dispatch-time telemetry matches the sequential path)
-            # and simulates the job in the background.
+            # and simulates the job in the background; the outcome is
+            # collected when this entry reaches the front of the heap.
             job_id, finish_time, num_circuits = self._executor.submit(
-                client.device_name,
-                task,
-                self.state.snapshot(),
-                now,
-                self.state.version,
+                device, task, self.state.snapshot(), now, self.state.version
             )
-            self.telemetry.jobs_dispatched += 1
-            self.telemetry.circuits_executed += num_circuits
-            if (
-                self.dispatch_deadline is not None
-                and finish_time - now > self.dispatch_deadline
-            ):
-                # Straggler: the previewed turnaround blows the deadline, so
-                # the master cuts the job at the cutoff instead of waiting
-                # (the outcome is still collected there, then discarded, to
-                # keep the per-device worker protocol serialized).
-                return _InFlight(
-                    finish_time=now + self.dispatch_deadline,
-                    sequence=sequence,
-                    outcome=None,
-                    client=client,
-                    job_id=job_id,
-                    kind="straggler",
-                    task=task,
+            outcome = None
+        else:
+            try:
+                outcome = client.execute_task(
+                    task,
+                    theta=self.state.snapshot(),
+                    submit_time=now,
+                    theta_version=self.state.version,
                 )
-            return _InFlight(
-                finish_time=finish_time,
-                sequence=sequence,
-                outcome=None,
-                client=client,
-                job_id=job_id,
-            )
-        try:
-            outcome = client.execute_task(
-                task,
-                theta=self.state.snapshot(),
-                submit_time=now,
-                theta_version=self.state.version,
-            )
-        except FaultError as exc:
-            # The failure is only *known* at its virtual detection time;
-            # park it on the heap so breaker/retire bookkeeping happens in
-            # event order, interleaved correctly with other completions.
-            return _InFlight(
-                finish_time=max(now, exc.detect_time),
-                sequence=sequence,
-                outcome=None,
-                client=client,
-                kind="failure",
-                task=task,
-                failure=exc,
-            )
+            except FaultError as exc:
+                # The failure is only *known* at its virtual detection time;
+                # park it on the heap so breaker/retire bookkeeping happens in
+                # event order, interleaved correctly with other completions.
+                return parked("failure", max(now, exc.detect_time), failure=exc)
+            job_id, finish_time, num_circuits = -1, outcome.finish_time, outcome.num_circuits
         self.telemetry.jobs_dispatched += 1
-        self.telemetry.circuits_executed += outcome.num_circuits
+        self.telemetry.circuits_executed += num_circuits
         if (
             self.dispatch_deadline is not None
-            and outcome.finish_time - now > self.dispatch_deadline
+            and finish_time - now > self.dispatch_deadline
         ):
-            return _InFlight(
-                finish_time=now + self.dispatch_deadline,
-                sequence=sequence,
-                outcome=None,
-                client=client,
-                kind="straggler",
-                task=task,
-            )
+            # Straggler: the turnaround blows the deadline, so the master
+            # cuts the job at the cutoff instead of waiting (a worker's
+            # outcome is still collected there, then discarded, to keep the
+            # per-device worker protocol serialized).
+            return parked("straggler", now + self.dispatch_deadline, job_id=job_id)
         return _InFlight(
-            finish_time=outcome.finish_time,
+            finish_time=finish_time,
             sequence=sequence,
             outcome=outcome,
             client=client,
+            job_id=job_id,
         )
 
     # ------------------------------------------------------------------
@@ -489,44 +453,6 @@ class EQCMasterNode:
         """Process one non-job heap event; returns the updated sequence."""
         client = item.client
         device = client.device_name
-        if item.kind == "failure":
-            exc = item.failure
-            self._fault_stats["dispatch_failures"] += 1
-            permanent = isinstance(exc, DeviceOutageError) and exc.permanent
-            if self._health is not None:
-                if permanent:
-                    self._health.mark_dead(device, now)
-                else:
-                    self._health.record_failure(device, now)
-            self._record_fleet_event(
-                "job_failure", device, now, detail=type(exc).__name__
-            )
-            self._orphans.append(item.task)
-            dead = permanent or (
-                self._health is not None and self._health.is_dead(device)
-            )
-            if dead:
-                self._retire(client, now, reason=type(exc).__name__)
-                return sequence
-            sequence += 1
-            heapq.heappush(pending, self._dispatch(client, now, sequence))
-            return sequence
-        if item.kind == "straggler":
-            self._fault_stats["stragglers_cut"] += 1
-            if item.job_id >= 0:
-                # Drain the worker's outcome (and discard it) so the next
-                # submit to this device stays strictly serialized.
-                self._executor.collect(item.job_id)
-            if self._health is not None:
-                self._health.record_failure(device, now)
-            self._record_fleet_event("straggler_cut", device, now)
-            self._orphans.append(item.task)
-            if self._health is not None and self._health.is_dead(device):
-                self._retire(client, now, reason="straggler breaker exhausted")
-                return sequence
-            sequence += 1
-            heapq.heappush(pending, self._dispatch(client, now, sequence))
-            return sequence
         if item.kind == "probe":
             if client in self._live:
                 sequence += 1
@@ -536,7 +462,35 @@ class EQCMasterNode:
             else:
                 self._orphans.append(item.task)
             return sequence
-        raise RuntimeError(f"unknown in-flight event kind {item.kind!r}")
+        if item.kind == "failure":
+            stat, event = "dispatch_failures", "job_failure"
+        elif item.kind == "straggler":
+            stat, event = "stragglers_cut", "straggler_cut"
+            if item.job_id >= 0:
+                # Drain the worker's outcome (and discard it) so the next
+                # submit to this device stays strictly serialized.
+                self._executor.collect(item.job_id)
+        else:
+            raise RuntimeError(f"unknown in-flight event kind {item.kind!r}")
+        # One tail for both: record the failure, recover the task, then
+        # retire the device or hand it the next task.
+        failure = item.failure  # None for a straggler
+        detail = type(failure).__name__ if failure is not None else ""
+        permanent = isinstance(failure, DeviceOutageError) and failure.permanent
+        self._fault_stats[stat] += 1
+        if self._health is not None:
+            if permanent:
+                self._health.mark_dead(device, now)
+            else:
+                self._health.record_failure(device, now)
+        self._record_fleet_event(event, device, now, detail=detail)
+        self._orphans.append(item.task)
+        if permanent or (self._health is not None and self._health.is_dead(device)):
+            self._retire(client, now, reason=detail or "straggler breaker exhausted")
+            return sequence
+        sequence += 1
+        heapq.heappush(pending, self._dispatch(client, now, sequence))
+        return sequence
 
     def _retire(self, client: EQCClientNode, now: float, reason: str) -> None:
         """Remove a dead device from the rotation; training continues.

@@ -418,30 +418,44 @@ class QPU:
         )
         return starts, durations, specs
 
-    def _timeline_with_metadata(
-        self, num_circuits: int, footprint: CircuitFootprint, now: float
-    ) -> tuple[list[float], list[float], list[MixingNoiseSpec], list[dict]]:
-        """:meth:`noise_timeline` plus the per-result metadata dicts."""
+    def batch_clock(
+        self, num_circuits: int, now: float
+    ) -> tuple[list[float], list[float], float]:
+        """The in-batch device clock of one job starting at ``now``.
+
+        Returns each circuit's start time and job duration, and the device
+        seconds the whole batch occupies.  This is the one place the clock
+        advances within a batch — circuit ``i`` starts half a job slot
+        (:func:`job_slot_circuit_seconds`) per predecessor after ``now``, at
+        the drift-aware speed of its own start time — so the noise timeline,
+        the provider's ideal-backend timing and the parallel workers' finish
+        preview cannot drift apart.
+        """
         starts: list[float] = []
         durations: list[float] = []
-        specs: list[MixingNoiseSpec] = []
-        metadata: list[dict] = []
         elapsed = 0.0
         for _ in range(num_circuits):
             start = now + elapsed
             duration = self.job_duration_seconds(start)
-            spec = self.execution_noise(footprint, start)
             starts.append(start)
             durations.append(duration)
-            specs.append(spec)
-            metadata.append(
-                {
-                    "success_probability": spec.success_probability,
-                    "calibration_age_hours": self.hours_since_calibration(start),
-                    "drift_factor": self.drift_factor(start),
-                }
-            )
             elapsed += job_slot_circuit_seconds(duration)
+        return starts, durations, elapsed
+
+    def _timeline_with_metadata(
+        self, num_circuits: int, footprint: CircuitFootprint, now: float
+    ) -> tuple[list[float], list[float], list[MixingNoiseSpec], list[dict]]:
+        """:meth:`noise_timeline` plus the per-result metadata dicts."""
+        starts, durations, _ = self.batch_clock(num_circuits, now)
+        specs = [self.execution_noise(footprint, start) for start in starts]
+        metadata = [
+            {
+                "success_probability": spec.success_probability,
+                "calibration_age_hours": self.hours_since_calibration(start),
+                "drift_factor": self.drift_factor(start),
+            }
+            for spec, start in zip(specs, starts)
+        ]
         return starts, durations, specs, metadata
 
     def execute_batch(

@@ -40,7 +40,6 @@ across all devices and therefore cannot be partitioned per worker;
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import multiprocessing as mp
 import os
@@ -58,7 +57,7 @@ from ..cloud.provider import CloudProvider
 from ..cloud.queueing import QueueModel
 from ..core.client import EQCClientNode, GradientOutcome
 from ..core.objective import VQAObjective
-from ..devices.qpu import QPU, QPUSpec, job_slot_circuit_seconds
+from ..devices.qpu import QPU, QPUSpec
 from ..faults.plan import FaultPlan
 from ..telemetry import TELEMETRY as _telemetry
 from ..vqa.tasks import GradientTask
@@ -156,20 +155,14 @@ class _WorkerRuntime:
     ) -> float:
         """The exact finish time ``provider.submit`` will produce.
 
-        Replicates :meth:`StatisticalQueuePolicy.start_time` (one lognormal
-        draw against a *copy* of the endpoint stream, so the real stream is
-        consumed by the actual execution) followed by the per-circuit
-        duration accumulation of :meth:`QPU._timeline_with_metadata`, float
-        op for float op — the worker asserts bitwise equality afterwards.
+        The provider previews the service start (one queue-wait draw against
+        a *copy* of the endpoint stream, so the real stream is consumed by
+        the actual execution) and the device's own batch clock prices the
+        circuits — the same two calls the submit itself makes; the worker
+        still asserts bitwise equality afterwards.
         """
-        endpoint = self.provider._endpoint(device_name)
-        preview_rng = copy.deepcopy(endpoint.rng)
-        wait = endpoint.queue_model.sample_wait(submit_time, preview_rng)
-        start = max(float(submit_time) + wait, endpoint.free_at)
-        elapsed = 0.0
-        for _ in range(num_circuits):
-            duration = endpoint.qpu.job_duration_seconds(start + elapsed)
-            elapsed += job_slot_circuit_seconds(duration)
+        start = self.provider.preview_start_time(device_name, submit_time)
+        _, _, elapsed = self.provider.qpu(device_name).batch_clock(num_circuits, start)
         return start + elapsed
 
     def execute(

@@ -33,6 +33,9 @@ class FaultError(RuntimeError):
         self.device_name = str(device_name)
         #: Virtual-clock timestamp at which the failure surfaced.
         self.detect_time = float(detect_time)
+        #: The failed :class:`~repro.cloud.job.CloudJob` (status ``FAILED``,
+        #: ``error`` and ``attempts`` filled in) when the provider raised this.
+        self.job = None
 
 
 class TransientJobFailure(FaultError):

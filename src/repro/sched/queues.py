@@ -70,6 +70,8 @@ class SchedJob:
         deadline: absolute completion target (seconds of simulated time),
             assigned by deadline-aware policies at admission; ``None`` under
             every other policy.
+        arrival_event: the pending arrival of a directly submitted job, so
+            :meth:`CloudScheduler.run_until_complete` can withdraw it.
     """
 
     job_id: int
@@ -85,6 +87,7 @@ class SchedJob:
     service_seconds: float = 0.0
     rejected: bool = False
     deadline: float | None = None
+    arrival_event: Event | None = field(default=None, repr=False, compare=False)
 
     @property
     def done(self) -> bool:
@@ -190,6 +193,16 @@ class DeviceServiceQueue:
 
     def in_downtime(self, now: float) -> bool:
         return float(now) < self.downtime_until
+
+    @property
+    def dead_since(self) -> float | None:
+        """Start of the permanent outage that took the device down for good
+        (``None`` while the device can still come back)."""
+        if math.isfinite(self.downtime_until):
+            return None
+        return next(
+            w.start for w in self.outage_windows if not math.isfinite(w.duration)
+        )
 
     # ------------------------------------------------------------------
     # calibration downtime lifecycle
@@ -320,6 +333,12 @@ class DeviceServiceQueue:
             # timeline) cannot rewind committed work: it queues from free_at.
             self._try_start(max(now, self.free_at))
 
+    def withdraw(self, job: SchedJob) -> None:
+        """Drop a job from the waiting list (its submitter gave up on it)."""
+        if job in self.waiting:
+            self.waiting.remove(job)
+            self._waiting_circuits -= job.num_circuits
+
     def _try_start(self, now: float) -> None:
         if self.in_service is not None or not self.waiting:
             return
@@ -344,6 +363,8 @@ class DeviceServiceQueue:
 
     def _complete(self, job: SchedJob, now: float) -> None:
         job.finish_time = now
+        # The physics ran; completed handles must not pin the caller's closure.
+        job.service = None
         self.in_service = None
         self._service_event = None
         self.completed.append(job)

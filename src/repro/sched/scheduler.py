@@ -10,8 +10,8 @@ the same per-device queues under the same
 
 The provider's submit-and-wait contract is preserved by
 :meth:`run_until_complete`: the kernel is advanced exactly until the handle's
-completion event fires, leaving all later traffic pending on the heap for the
-next submission to consume.
+completion event fires (or its device goes down for good), leaving all later
+traffic pending on the heap for the next submission to consume.
 """
 
 from __future__ import annotations
@@ -35,6 +35,9 @@ DEFAULT_DOWNTIME_SECONDS = 20 * 60.0
 
 #: Default admission-control cap on background jobs waiting per device.
 DEFAULT_MAX_QUEUE_LENGTH = 32
+
+#: ``downtime_until`` of a device that a permanent outage took down.
+_FOREVER = float("inf")
 
 
 class CloudScheduler:
@@ -141,7 +144,7 @@ class CloudScheduler:
             foreground=bool(foreground),
             service=service,
         )
-        self.kernel.schedule(
+        job.arrival_event = self.kernel.schedule(
             job.arrival_time,
             lambda now, job=job: self._admit(job, now),
             priority=EVENT_PRIORITY["arrival"],
@@ -178,9 +181,10 @@ class CloudScheduler:
     def apply_fault_plan(self, plan) -> None:
         """Arm every outage window of a :class:`~repro.faults.FaultPlan`.
 
-        Only outages translate onto the kernel path — transient failures and
-        result timeouts belong to the provider's statistical fault path (the
-        two regimes are mutually exclusive by construction).
+        Only the outage windows live in the kernel (they preempt and hold
+        the device queue); a plan's transient failures, result delays and
+        retries are drawn by the provider's submit loop, which runs the same
+        way on this clock as on the statistical one.
         """
         for window in plan.outages:
             self.inject_outage(
@@ -192,8 +196,22 @@ class CloudScheduler:
 
     # ------------------------------------------------------------------
     def run_until_complete(self, job: SchedJob) -> SchedJob:
-        """Advance the kernel exactly until ``job``'s completion event fires."""
-        self.kernel.run_until(lambda: job.done)
+        """Advance the kernel exactly until ``job``'s completion event fires.
+
+        A job pinned to a device that is (or goes) permanently down can
+        never complete: the kernel stops at the event that took the device
+        down — not after spinning through tenant traffic to ``max_events`` —
+        and the job is withdrawn and returned with ``done`` still False.
+        """
+        # None for a policy-placed job: its device is only known at arrival.
+        queue = self.queues.get(job.device_name)
+        self.kernel.run_until(
+            lambda: job.finish_time is not None
+            or (queue is not None and queue.downtime_until == _FOREVER)
+        )
+        if not job.done:
+            job.arrival_event.cancel()
+            queue.withdraw(job)
         return job
 
     def run_until_time(self, timestamp: float) -> int:

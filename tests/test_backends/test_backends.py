@@ -145,6 +145,29 @@ class TestBackendSwap:
         assert history.total_hours() > 0
         assert utilization["busy_seconds"] > 0
 
+    def test_ideal_and_noisy_endpoints_run_on_one_device_clock(self):
+        """Same seed, same first job: the timing is identical whichever
+        backend does the physics, and it is the device's own batch clock."""
+        from repro.cloud.provider import CloudProvider
+        from repro.transpiler import transpile
+
+        circuit = ghz_state(4)
+        footprint = transpile(circuit, build_qpu("Belem").topology).footprint
+        ideal = CloudProvider(
+            [build_qpu("Belem")],
+            seed=4,
+            shots=64,
+            backend_factory=lambda qpu: StatevectorBackend(),
+        )
+        noisy = CloudProvider([build_qpu("Belem")], seed=4, shots=64)
+        start = noisy.preview_start_time("Belem", 7000.0)
+        _, durations, elapsed = noisy.qpu("Belem").batch_clock(3, start)
+        for provider in (ideal, noisy):
+            job = provider.submit("Belem", [circuit] * 3, footprint, now=7000.0)
+            assert job.start_time == start
+            assert job.finish_time == start + elapsed
+            assert [r.duration_seconds for r in job.results] == durations
+
 
 class TestBackendGradient:
     def test_sampled_sweep_tracks_exact_gradient(self):

@@ -7,6 +7,7 @@ from repro.circuit import ghz_state
 from repro.cloud.provider import CloudProvider
 from repro.cloud.queueing import QueueModel
 from repro.devices.catalog import build_qpu
+from repro.sched import CloudScheduler
 from repro.transpiler import transpile
 
 
@@ -86,6 +87,61 @@ class TestSubmission:
         circuit, footprint = belem_job_inputs
         with pytest.raises(KeyError):
             provider.submit("Quito", [circuit], footprint, now=0.0)
+
+
+class TestArgumentValidation:
+    """Bad ``shots``/``now`` are rejected before any state moves.
+
+    Regression: on a scheduler-backed provider they used to raise from inside
+    the kernel's service-start event, leaving the device queue ``in_service``
+    with no completion event (the next submit never returned); on the
+    statistical clock a NaN ``now`` burned a job id and a queue-wait draw.
+    """
+
+    @pytest.mark.parametrize("clock", ["statistical", "kernel"])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"shots": 0},
+            {"shots": -4},
+            {"now": float("nan")},
+            {"now": float("inf")},
+            {"now": -5.0},
+        ],
+        ids=["shots=0", "shots<0", "now=nan", "now=inf", "now<0"],
+    )
+    def test_rejected_call_leaves_no_trace(self, clock, bad, belem_job_inputs):
+        scheduler = CloudScheduler(policy="fifo", seed=1) if clock == "kernel" else None
+        provider = CloudProvider(
+            [build_qpu("Belem"), build_qpu("Bogota")],
+            seed=1,
+            shots=256,
+            scheduler=scheduler,
+        )
+        circuit, footprint = belem_job_inputs
+        provider.submit("Belem", [circuit], footprint, now=0.0)
+        endpoint = provider._endpoint("Belem")
+
+        def state():
+            kernel_state = None
+            if scheduler is not None:
+                queue = scheduler.queues["Belem"]
+                kernel_state = (scheduler.kernel.pending, queue.in_service, list(queue.waiting))
+            return (
+                provider._next_job_id,
+                endpoint.rng.bit_generator.state,
+                dict(provider.fault_counters),
+                kernel_state,
+            )
+
+        before = state()
+        (argument,) = bad
+        with pytest.raises(ValueError, match=argument):
+            provider.submit("Belem", [circuit], footprint, **{"now": 50.0, **bad})
+        assert state() == before
+        follow_up = provider.submit("Belem", [circuit], footprint, now=50.0)
+        assert follow_up.status.value == "done"
+        assert follow_up.job_id == before[0]
 
 
 class TestUtilization:

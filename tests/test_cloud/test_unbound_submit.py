@@ -16,7 +16,7 @@ from repro.circuit import ParameterSweep, QuantumCircuit
 from repro.cloud.provider import CloudProvider
 from repro.core.objective import EnergyObjective, QnnObjective
 from repro.devices.catalog import build_qpu
-from repro.faults import FaultError, FaultInjector, FaultPlan
+from repro.faults import FaultError, FaultInjector, FaultPlan, OutageWindow
 from repro.sched import CloudScheduler, WorkloadGenerator
 from repro.transpiler import transpile
 from repro.vqa.qnn import QNNProblem, make_synthetic_dataset
@@ -53,6 +53,32 @@ def _scheduled():
     return CloudProvider(
         [build_qpu(d) for d in DEVICES], seed=3, shots=256, scheduler=scheduler
     )
+
+
+def _scheduled_fault_injected():
+    """Kernel x faults: retries and delays from the submit loop, the outage
+    window (it holds the Belem queue shut mid-run) from the kernel."""
+    plan = FaultPlan(
+        seed=5,
+        transient_failure_rate=0.3,
+        result_timeout_rate=0.25,
+        result_delay_seconds=45.0,
+        outages=(OutageWindow(device="Belem", start=1000.0, duration=400.0),),
+    )
+    scheduler = CloudScheduler(
+        policy="deadline",
+        workload=WorkloadGenerator(num_tenants=300, jobs_per_tenant_hour=1.0),
+        seed=3,
+    )
+    provider = CloudProvider(
+        [build_qpu(d) for d in DEVICES],
+        seed=3,
+        shots=256,
+        scheduler=scheduler,
+        fault_injector=FaultInjector(plan, seed=3),
+    )
+    scheduler.apply_fault_plan(plan)
+    return provider
 
 
 def _submit(provider, device, circuits, footprint, now):
@@ -96,8 +122,9 @@ def _endpoint_view(provider):
 
 
 @pytest.mark.parametrize(
-    "make_provider", [_statistical, _fault_injected, _scheduled],
-    ids=["statistical", "fault_injected", "scheduled"],
+    "make_provider",
+    [_statistical, _fault_injected, _scheduled, _scheduled_fault_injected],
+    ids=["statistical", "fault_injected", "scheduled", "scheduled_fault_injected"],
 )
 def test_sweep_and_bound_circuits_are_indistinguishable(vqe_problem, make_provider):
     objective = EnergyObjective(vqe_problem.estimator)

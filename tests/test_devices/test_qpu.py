@@ -120,6 +120,21 @@ class TestExecution:
             ghz_footprint, now
         ) < bogota.true_success_probability(ghz_footprint, now)
 
+    def test_batch_clock_is_the_clock_a_batch_runs_on(self, bogota, ghz_footprint, rng):
+        now = 5.75 * 3600.0
+        starts, durations, elapsed = bogota.batch_clock(4, now)
+        assert starts[0] == now
+        for i in range(3):
+            assert starts[i + 1] > starts[i]
+            assert durations[i] == bogota.job_duration_seconds(starts[i])
+        # Half a job slot per circuit.
+        assert elapsed == pytest.approx(sum(durations) / 2.0)
+        assert bogota.noise_timeline(4, ghz_footprint, now)[:2] == (starts, durations)
+        results = bogota.execute_batch(
+            [ghz_state(4)] * 4, ghz_footprint, shots=64, now=now, rng=rng
+        )
+        assert [r.duration_seconds for r in results] == durations
+
     def test_job_duration_positive_and_slows_with_drift(self, bogota):
         base = bogota.spec.base_job_seconds
         assert bogota.job_duration_seconds(0.0) >= base * 0.99

@@ -86,6 +86,31 @@ class TestOutageWindows:
         assert job.start_time is None
         assert scheduler.queues["Belem"].downtime_until == float("inf")
 
+    def test_run_until_complete_gives_up_on_a_dead_device(self):
+        # Calibration cycles keep the heap alive forever: without the early
+        # stop this would spin to run_until's max_events.
+        scheduler = make_scheduler(downtime_seconds=600.0)
+        queue = scheduler.queues["Belem"]
+        scheduler.inject_outage("Belem", start=50.0, permanent=True)
+        running = scheduler.submit(device_name="Belem", arrival=0.0, duration=80.0)
+        late = scheduler.submit(device_name="Belem", arrival=70.0, duration=5.0)
+        assert queue.dead_since is None
+        # Cut at t=50, requeued at the head, then withdrawn.
+        assert scheduler.run_until_complete(running) is running
+        assert not running.done and running.start_time is None
+        assert scheduler.now == 50.0
+        assert queue.dead_since == 50.0
+        assert queue.in_service is None and queue.waiting == []
+        assert queue.backlog_seconds(50.0) == float("inf")
+        # Already down: the pending arrival is cancelled, no event runs.
+        events, pending = scheduler.kernel.events_processed, scheduler.kernel.pending
+        scheduler.run_until_complete(late)
+        assert not late.done
+        assert scheduler.kernel.events_processed == events
+        assert scheduler.kernel.pending == pending - 1
+        scheduler.run_until_time(1000.0)
+        assert queue.waiting == [] and late.start_time is None
+
     def test_validation(self):
         scheduler = make_scheduler()
         with pytest.raises(KeyError):

@@ -6,11 +6,15 @@ With no scheduler attached, ``CloudProvider`` prices queue waits through
 replaced, so these seeded histories must stay bit-exact forever.
 """
 
+import copy
+
 import numpy as np
 
 from repro.baselines.single_device import SingleDeviceTrainer
+from repro.circuit import ghz_state
 from repro.cloud.queueing import StatisticalQueuePolicy
 from repro.core.objective import EnergyObjective
+from repro.transpiler import transpile
 from repro.vqa import heisenberg_vqe_problem
 
 #: SingleDeviceTrainer on Belem, shots=256, seed=11,
@@ -28,12 +32,21 @@ GOLDEN_SINGLE_HOURS_HEX = [
 
 class TestStatisticalFallbackRegression:
     def test_default_provider_uses_statistical_policy(self):
+        """No scheduler attached, and a job starts exactly when
+        ``StatisticalQueuePolicy`` says (one draw from the endpoint stream)."""
         problem = heisenberg_vqe_problem()
         trainer = SingleDeviceTrainer(
             EnergyObjective(problem.estimator), "Belem", shots=256, seed=11
         )
-        assert trainer.provider.scheduler is None
-        assert isinstance(trainer.provider._queue_policy, StatisticalQueuePolicy)
+        provider = trainer.provider
+        assert provider.scheduler is None
+        endpoint = copy.deepcopy(provider._endpoint("Belem"))
+        expected_start = StatisticalQueuePolicy().start_time(endpoint, 120.0)
+        assert provider.preview_start_time("Belem", 120.0) == expected_start
+        circuit = ghz_state(4)
+        footprint = transpile(circuit, provider.qpu("Belem").topology).footprint
+        job = provider.submit("Belem", [circuit], footprint, now=120.0)
+        assert job.start_time == expected_start
 
     def test_single_device_history_bit_exact(self):
         problem = heisenberg_vqe_problem()
