@@ -13,7 +13,8 @@ per-circuit coherent biases applied by scaling rotation slots), a broadcast
 depolarizing mix, and one batched readout-confusion pass.  A batch is either
 bound circuits or an unbound :class:`~repro.circuit.sweep.ParameterSweep` —
 a parameter-shift job executes straight off its ``(points, P)`` shift matrix
-without binding a single circuit.  The cloud layer owns one backend per
+without binding a single circuit, its measurement templates merged into one
+program: one engine pass and one noise tail per job.  The cloud layer owns one backend per
 device endpoint.
 """
 

@@ -117,8 +117,16 @@ class EQCClientNode:
         return _average_footprints(results)
 
     # ------------------------------------------------------------------
-    def current_p_correct(self, job: GradientJobSpec, now: float) -> float:
+    def current_p_correct(
+        self,
+        job: GradientJobSpec,
+        now: float,
+        footprint: CircuitFootprint | None = None,
+    ) -> float:
         """Eq. 2 estimate from the freshest published properties at ``now``.
+
+        ``footprint`` is the job's :meth:`representative_footprint` when the
+        caller already averaged it (one averaging per job, not two).
 
         The estimate uses :meth:`QPU.estimated_calibration`, i.e. the device
         properties as republished every ``properties_refresh_hours`` — the
@@ -132,7 +140,9 @@ class EQCClientNode:
         """
         view_time = self.provider.properties_view_time(self.qpu.name, now)
         calibration = self.qpu.estimated_calibration(view_time)
-        return estimate_p_correct(calibration, self.representative_footprint(job))
+        if footprint is None:
+            footprint = self.representative_footprint(job)
+        return estimate_p_correct(calibration, footprint)
 
     def execute_task(
         self,
@@ -156,7 +166,7 @@ class EQCClientNode:
             self._transpiled(key, template)
 
         footprint = self.representative_footprint(job_spec)
-        p_correct = self.current_p_correct(job_spec, submit_time)
+        p_correct = self.current_p_correct(job_spec, submit_time, footprint)
 
         cloud_job = self.provider.submit(
             device_name=self.qpu.name,

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Sequence
 
 import numpy as np
@@ -160,6 +161,10 @@ class QPU:
         #: Raw per-cycle calibration value lists consumed by the fast
         #: execution-noise path (see :meth:`execution_noise`).
         self._cycle_stats: dict[int, tuple] = {}
+        #: Estimated snapshots per (cycle, properties-refresh step): the
+        #: republished properties only change at a refresh, so every job in
+        #: between reads one shared, read-only snapshot.
+        self._estimated_cache: dict[tuple[int, int], CalibrationSnapshot] = {}
 
     # ------------------------------------------------------------------
     # identity / convenience
@@ -193,6 +198,7 @@ class QPU:
         state = self.__dict__.copy()
         state["_reported_cache"] = {}
         state["_cycle_stats"] = {}
+        state["_estimated_cache"] = {}
         return state
 
     # ------------------------------------------------------------------
@@ -243,18 +249,36 @@ class QPU:
         cross-talk or a burst that started after the last refresh — which is
         the gap the Fig. 4 scatter quantifies.
         """
-        reported = self.reported_calibration(now)
         refresh = max(self.spec.properties_refresh_hours, 1e-6)
-        age = self.hours_since_calibration(now)
-        last_refresh_age = math.floor(age / refresh) * refresh
-        factor = self._drift.drift_factor(last_refresh_age, self.calibration_cycle(now))
-        return reported.scale_errors(factor)
+        cycle = self.calibration_cycle(now)
+        step = math.floor(self.hours_since_calibration(now) / refresh)
+        snapshot = self._estimated_cache.get((cycle, step))
+        if snapshot is None:
+            factor = self._drift.drift_factor(step * refresh, cycle)
+            snapshot = self.reported_calibration(now).scale_errors(factor)
+            self._estimated_cache[(cycle, step)] = snapshot
+        return snapshot
 
     def drift_factor(self, now: float) -> float:
         """Multiplicative error inflation relative to the reported snapshot."""
-        return self._drift.drift_factor(
-            self.hours_since_calibration(now), self.calibration_cycle(now)
-        )
+        return self._drift_at(now)[2]
+
+    def _drift_at(self, now: float) -> tuple[float, int, float]:
+        """``(calibration age in hours, cycle, drift factor)`` at ``now``.
+
+        One calibration-period division and one drift-model evaluation; the
+        device clock, the execution noise and the result metadata of a
+        circuit start are all derived from this triple.
+        """
+        period = self.spec.calibration_period_hours * SECONDS_PER_HOUR
+        now = float(now)
+        age = (now % period) / SECONDS_PER_HOUR
+        cycle = max(0, int(now // period))
+        return age, cycle, self._drift.drift_factor(age, cycle)
+
+    def _slot_seconds(self, factor: float) -> float:
+        """Job duration at drift ``factor`` (speed is its reciprocal)."""
+        return self.spec.base_job_seconds / max(1.0 / factor, 1e-6)
 
     # ------------------------------------------------------------------
     # timing
@@ -266,10 +290,7 @@ class QPU:
         come with retries and maintenance) — this is what makes Toronto-style
         devices swing between 6.5 and 0.03 epochs/hour.
         """
-        speed = self._drift.speed_factor(
-            self.hours_since_calibration(now), self.calibration_cycle(now)
-        )
-        return self.spec.base_job_seconds / max(speed, 1e-6)
+        return self._slot_seconds(self._drift_at(now)[2])
 
     # ------------------------------------------------------------------
     # noisy execution
@@ -308,9 +329,15 @@ class QPU:
         resulting spec is bit-identical to the snapshot-based construction
         (pinned by the test suite against :meth:`true_success_probability`).
         """
-        factor = self.drift_factor(now)
+        _, cycle, factor = self._drift_at(now)
+        return self._noise_spec(footprint, cycle, factor)
+
+    def _noise_spec(
+        self, footprint: CircuitFootprint, cycle: int, factor: float
+    ) -> MixingNoiseSpec:
+        """:meth:`execution_noise` at a known calibration cycle and drift factor."""
         t1s, t2s, p01s, p10s, sq_errors, cx_errors, mu_g1, mu_g2 = self._stats_for(
-            self.calibration_cycle(now)
+            cycle
         )
         n = len(t1s)
         t1_avg = sum(t1 / factor for t1 in t1s) / n
@@ -431,30 +458,46 @@ class QPU:
         the provider's ideal-backend timing and the parallel workers' finish
         preview cannot drift apart.
         """
+        starts, durations, elapsed, _ = self._walk_clock(num_circuits, now)
+        return starts, durations, elapsed
+
+    def _walk_clock(
+        self, num_circuits: int, now: float
+    ) -> tuple[list[float], list[float], float, list[tuple[float, int, float]]]:
+        """:meth:`batch_clock` plus the drift triple evaluated at each start."""
         starts: list[float] = []
         durations: list[float] = []
+        drifts: list[tuple[float, int, float]] = []
         elapsed = 0.0
         for _ in range(num_circuits):
             start = now + elapsed
-            duration = self.job_duration_seconds(start)
+            drift = self._drift_at(start)
+            duration = self._slot_seconds(drift[2])
             starts.append(start)
             durations.append(duration)
+            drifts.append(drift)
             elapsed += job_slot_circuit_seconds(duration)
-        return starts, durations, elapsed
+        return starts, durations, elapsed, drifts
 
     def _timeline_with_metadata(
         self, num_circuits: int, footprint: CircuitFootprint, now: float
     ) -> tuple[list[float], list[float], list[MixingNoiseSpec], list[dict]]:
-        """:meth:`noise_timeline` plus the per-result metadata dicts."""
-        starts, durations, _ = self.batch_clock(num_circuits, now)
-        specs = [self.execution_noise(footprint, start) for start in starts]
+        """:meth:`noise_timeline` plus the per-result metadata dicts.
+
+        The drift model is evaluated once per circuit start; the clock, the
+        noise spec and the metadata all read that one evaluation.
+        """
+        starts, durations, _, drifts = self._walk_clock(num_circuits, now)
+        specs = [
+            self._noise_spec(footprint, cycle, factor) for _, cycle, factor in drifts
+        ]
         metadata = [
             {
                 "success_probability": spec.success_probability,
-                "calibration_age_hours": self.hours_since_calibration(start),
-                "drift_factor": self.drift_factor(start),
+                "calibration_age_hours": age,
+                "drift_factor": factor,
             }
-            for spec, start in zip(specs, starts)
+            for spec, (age, _, factor) in zip(specs, drifts)
         ]
         return starts, durations, specs, metadata
 
@@ -508,7 +551,7 @@ class QPU:
 
     def _sampled_results(
         self,
-        probabilities: Sequence[np.ndarray],
+        probabilities: np.ndarray | Sequence[np.ndarray],
         durations: Sequence[float],
         metadata: Sequence[dict],
         shots: int,
@@ -521,23 +564,20 @@ class QPU:
         consumes the bit stream row by row, so draws and the final generator
         state are identical to per-circuit :func:`sample_distribution` calls.
         """
-        sizes = [probs.size for probs in probabilities]
+        if isinstance(probabilities, np.ndarray):
+            # A uniform job arrives as one (batch, 2**m) matrix.
+            runs = [probabilities]
+        else:
+            runs = [
+                np.stack(list(run)) for _, run in groupby(probabilities, key=np.size)
+            ]
         counts_list: list[Counts] = []
-        index = 0
-        total = len(sizes)
-        while index < total:
-            end = index + 1
-            while end < total and sizes[end] == sizes[index]:
-                end += 1
+        for run in runs:
             counts_list.extend(
                 sample_distribution_batch(
-                    np.stack(probabilities[index:end]),
-                    shots,
-                    rng,
-                    num_bits=sizes[index].bit_length() - 1,
+                    run, shots, rng, num_bits=run.shape[1].bit_length() - 1
                 )
             )
-            index = end
 
         return [
             ExecutionResult(

@@ -22,7 +22,12 @@ Compile → execute lifecycle
    straight off instruction records.
 3. **Execute** (:func:`execute_program`): one pass over the ops applied to a
    ``(batch, 2**n)`` state stack, with ping-pong buffers for matrix ops and
-   in-place elementwise phase multiplies for diagonal ops.
+   in-place elementwise phase multiplies for diagonal ops.  A sweep over
+   several templates (a gradient job: one ansatz, one basis change per
+   measurement group) executes as *one* merged program
+   (:meth:`ProgramCache.merged`, :func:`merge_programs`): the ops the
+   templates' programs share run once over all ``points x templates`` rows,
+   then each template's remaining ops run on its own rows.
 
 Fusion rules
 ------------
@@ -63,6 +68,7 @@ from .program import (
     MatrixOp,
     ParameterPlan,
     RunElement,
+    merge_programs,
     parameter_plan,
     plan_slot_values,
     slot_values_from_circuits,
@@ -76,6 +82,7 @@ __all__ = [
     "ParameterPlan",
     "DIAGONAL_GATES",
     "compile_circuit",
+    "merge_programs",
     "parameter_plan",
     "plan_slot_values",
     "slot_values_from_circuits",

@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import time
 import weakref
+from typing import Sequence
 
 from ..circuit.circuit import QuantumCircuit
 from ..telemetry import TELEMETRY as _telemetry
 from .compiler import compile_circuit
-from .program import GateProgram, ParameterPlan, parameter_plan
+from .program import GateProgram, ParameterPlan, merge_programs, parameter_plan
 
 __all__ = ["ProgramCache", "shared_program_cache"]
 
@@ -29,6 +30,9 @@ class ProgramCache:
 
     def __init__(self, *, fuse: bool = True, diagonals: bool = True) -> None:
         self._entries: dict[tuple, GateProgram] = {}
+        #: Merged programs, keyed by the identities of the cached programs
+        #: they fold (stable for as long as ``_entries`` holds those).
+        self._merged: dict[tuple[int, ...], GateProgram] = {}
         #: Per-template parameter plans, keyed by template identity (plans
         #: depend on the template's Parameter objects, not just structure).
         self._plans: weakref.WeakKeyDictionary[QuantumCircuit, tuple] = (
@@ -74,6 +78,21 @@ class ProgramCache:
             registry.gauge("engine.program_cache.size").set(len(self._entries))
         return program
 
+    def merged(self, programs: Sequence[GateProgram]) -> GateProgram:
+        """The merged program of a sweep's templates (one program: itself).
+
+        ``programs`` are the templates' own entries (:meth:`get_or_compile`);
+        what they share is found once
+        (:func:`~repro.engine.program.merge_programs`) and memoized, so a
+        gradient job's measurement templates execute as one program from the
+        second job on.
+        """
+        key = tuple(map(id, programs))
+        merged = self._merged.get(key)
+        if merged is None:
+            merged = self._merged[key] = merge_programs(programs)
+        return merged
+
     def stats(self) -> dict[str, float]:
         """Hit/miss/size counters (cache effectiveness at a glance)."""
         return {
@@ -113,6 +132,7 @@ class ProgramCache:
     def clear(self) -> None:
         """Drop every entry (hit/miss counters are kept)."""
         self._entries.clear()
+        self._merged.clear()
         self._plans.clear()
 
     # ------------------------------------------------------------------
@@ -121,11 +141,14 @@ class ProgramCache:
 
         The WeakKeyDictionary of parameter plans cannot cross a process
         boundary, and its entries would be useless anyway — they are keyed by
-        template *object identity*, which pickling does not preserve.  The
-        compiled entries themselves transfer; plans re-memoize on first use.
+        template *object identity*, which pickling does not preserve; the
+        merged programs are keyed by program identity and stay behind for the
+        same reason.  The compiled entries themselves transfer; plans and
+        merges re-memoize on first use.
         """
         state = self.__dict__.copy()
         state["_plans"] = None
+        state["_merged"] = {}
         return state
 
     def __setstate__(self, state: dict) -> None:

@@ -5,6 +5,11 @@
 matrix it produces the ``(batch, 2**n)`` final statevectors with
 
 * **no circuit objects** — angles come in as one float matrix,
+* **one pass per job** — a merged program (a sweep's templates: one ansatz,
+  several measurement bases) runs the ops its templates share over every
+  ``points x templates`` row at once and only the differing tails per
+  template, each row seeing the arithmetic it sees when its template
+  executes alone,
 * **ping-pong state buffers** — two preallocated ``(batch, 2**n)`` arrays
   alternate as einsum source/destination, so matrix gates stop allocating a
   fresh contiguous copy per gate (the pre-compiled path paid two copies per
@@ -135,35 +140,45 @@ def _combined_matrices(
     return combined
 
 
-def _execute_block(
-    program: GateProgram, thetas: np.ndarray, cdtype: np.dtype
+def _apply_ops(
+    ops: tuple,
+    state: np.ndarray,
+    thetas: np.ndarray,
+    stride: int,
+    num_qubits: int,
+    cdtype: np.dtype,
 ) -> np.ndarray:
-    """One ping-pong pass over the ops for a (sub-)batch of points.
+    """One ping-pong pass of ``ops`` over a state stack; returns the live buffer.
 
-    Contractions and phase multiplies act on each batch row independently,
-    so a tiled caller slicing ``thetas`` gets rows matching the untiled
-    pass to <=1e-10 (exactly, up to BLAS reduction order in the diagonal
-    slot matmul).  ``np.einsum(out=...)`` casts under the ``'safe'`` rule, so in
-    complex64 mode every einsum input is materialized at complex64 up front;
-    in-place diagonal multiplies use ``'same_kind'`` casting and need no
-    special handling.
+    Contractions and phase multiplies act on each batch row independently.
+    ``np.einsum(out=...)`` casts under the ``'safe'`` rule, so in complex64
+    mode every einsum input is materialized at complex64 up front; in-place
+    diagonal multiplies use ``'same_kind'`` casting and need no special
+    handling.  The one step whose rounding can depend on the row count is the
+    slot-angle GEMM of a diagonal op (BLAS picks its reduction order by
+    shape), so over rows that interleave ``stride`` templates it runs once
+    per template, at the shape that template's rows have when run alone.
     """
     size = thetas.shape[0]
-    n = program.num_qubits
-    dim = program.dim
-    shape = (size,) + (2,) * n
+    shape = (size,) + (2,) * num_qubits
     single = cdtype == np.dtype(np.complex64)
 
-    ping = np.zeros((size, dim), dtype=cdtype)
-    ping[:, 0] = 1.0
+    ping = state
     # Scratch allocation is deferred to the first MatrixOp: diagonal-only
     # programs mutate ping in place and never need a second buffer.
     pong: np.ndarray | None = None
 
-    for op in program.ops:
+    for op in ops:
         if type(op) is DiagonalOp:
             if op.slots:
-                angles = thetas[:, list(op.slots)] @ op.coeffs
+                columns = list(op.slots)
+                if stride == 1:
+                    angles = thetas[:, columns] @ op.coeffs
+                else:
+                    angles = np.empty((size, ping.shape[1]))
+                    for offset in range(stride):
+                        rows = np.ascontiguousarray(thetas[offset::stride])
+                        angles[offset::stride] = rows[:, columns] @ op.coeffs
                 if single:
                     phase = np.exp(np.complex64(1j) * angles.astype(np.float32))
                 else:
@@ -197,6 +212,36 @@ def _execute_block(
     return ping
 
 
+def _execute_block(
+    program: GateProgram, thetas: np.ndarray, cdtype: np.dtype
+) -> np.ndarray:
+    """Run a program over a (sub-)batch of points, from ``|0...0>``.
+
+    The program's ``ops`` run over every row; a merged program then runs each
+    template's tail on that template's rows (``t::stride``), gathered into
+    contiguous buffers so every tail op sees exactly the arrays it sees when
+    the template executes alone.  A tiled caller slicing ``thetas`` gets rows
+    matching the untiled pass to <=1e-10 (exactly, up to BLAS reduction order
+    in the diagonal slot matmul).
+    """
+    stride = program.stride
+    n = program.num_qubits
+    states = np.zeros((thetas.shape[0], program.dim), dtype=cdtype)
+    states[:, 0] = 1.0
+    states = _apply_ops(program.ops, states, thetas, stride, n, cdtype)
+    for offset, tail in enumerate(program.tails):
+        if tail:
+            states[offset::stride] = _apply_ops(
+                tail,
+                np.ascontiguousarray(states[offset::stride]),
+                np.ascontiguousarray(thetas[offset::stride]),
+                1,
+                n,
+                cdtype,
+            )
+    return states
+
+
 def execute_program(
     program: GateProgram,
     thetas: np.ndarray | Sequence[Sequence[float]] | None = None,
@@ -208,7 +253,11 @@ def execute_program(
     """Run a compiled program over a batch of parameter points.
 
     Args:
-        program: the compiled gate program.
+        program: the compiled gate program — one circuit structure, or a
+            sweep's templates merged (:meth:`ProgramCache.merged`), in
+            which case the rows interleave the templates in the sweep's flat
+            order (row ``r`` is template ``r % T``) and the ops the templates
+            share run once over all of them.
         thetas: ``(batch, num_slots)`` slot-angle matrix (a single point may
             be passed as a 1-D vector).  May be omitted for parameterless
             programs.
@@ -237,6 +286,12 @@ def execute_program(
         )
     cdtype = _resolve_dtype(dtype)
     size = thetas.shape[0]
+    stride = program.stride
+    if size % stride:
+        raise ValueError(
+            f"a program merged from {stride} templates runs whole points: "
+            f"{size} rows is not a multiple of {stride}"
+        )
 
     # Telemetry rides on one enabled-check per *program execution*, never
     # per op or per sweep point — the disabled path costs a single branch
@@ -248,6 +303,7 @@ def execute_program(
         tile = int(tile)
         if tile < 1:
             raise ValueError("tile must be >= 1")
+        tile = -(-tile // stride) * stride  # tiles hold whole points
         if tile < size:
             out = np.empty((size, program.dim), dtype=cdtype)
             tiles = 0
@@ -267,15 +323,27 @@ def execute_program(
 def _record_execution(
     program: GateProgram, points: int, tiles: int, start_ns: int
 ) -> None:
-    """Record one compiled execution into the registry and trace."""
-    matrix_ops = sum(1 for op in program.ops if type(op) is MatrixOp)
-    diagonal_ops = len(program.ops) - matrix_ops
+    """Record one compiled execution into the registry and trace.
+
+    Op applications are counted per row, so a merged execution adds what the
+    templates' separate executions would have added together.
+    """
+    matrix_ops = diagonal_ops = 0
+    matrix_applied = diagonal_applied = 0
+    for ops, rows in [(program.ops, points)] + [
+        (tail, points // program.stride) for tail in program.tails
+    ]:
+        matrices = sum(1 for op in ops if type(op) is MatrixOp)
+        matrix_ops += matrices
+        diagonal_ops += len(ops) - matrices
+        matrix_applied += matrices * rows
+        diagonal_applied += (len(ops) - matrices) * rows
     registry = _telemetry.registry
     registry.counter("engine.executions").inc()
     registry.counter("engine.points_executed").inc(points)
     registry.counter("engine.tiles_executed").inc(tiles)
-    registry.counter("engine.matrix_ops_applied").inc(matrix_ops * points)
-    registry.counter("engine.diagonal_ops_applied").inc(diagonal_ops * points)
+    registry.counter("engine.matrix_ops_applied").inc(matrix_applied)
+    registry.counter("engine.diagonal_ops_applied").inc(diagonal_applied)
     end_ns = time.time_ns()
     registry.histogram("engine.execute_seconds").observe((end_ns - start_ns) / 1e9)
     _telemetry.tracer.add_span(

@@ -19,6 +19,11 @@ Two op kinds exist after compilation:
   ``t``/``cz``/``rzz``/``cp``) collapsed to one elementwise phase multiply:
   ``state *= const_phase * exp(i · thetas @ coeffs)`` over precomputed
   per-basis-index exponent masks.  No matmul, no axis moves, no state copy.
+
+A sweep's templates — one ansatz under several measurement bases — compile
+to programs that agree op for op until their basis-change tails;
+:func:`merge_programs` folds them into one *merged* program that runs the
+agreeing ops once over every row of the job (``GateProgram.tails``).
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ __all__ = [
     "MatrixOp",
     "DiagonalOp",
     "GateProgram",
+    "merge_programs",
     "ParameterPlan",
     "parameter_plan",
     "plan_slot_values",
@@ -103,10 +109,19 @@ class GateProgram:
     slot_gates: tuple[str, ...]
     #: Unitary gate count of the source structure (before fusion).
     source_gates: int
+    #: Merged programs only (:func:`merge_programs`): the batch interleaves
+    #: ``len(tails)`` templates, ``ops`` is the part they share and runs on
+    #: every row, then ``tails[t]`` runs on rows ``t::len(tails)``.
+    tails: tuple[tuple, ...] = ()
 
     @property
     def dim(self) -> int:
         return 1 << self.num_qubits
+
+    @property
+    def stride(self) -> int:
+        """Templates interleaved in the batch rows (1 for a plain program)."""
+        return len(self.tails) or 1
 
     @property
     def num_slots(self) -> int:
@@ -115,6 +130,66 @@ class GateProgram:
     @property
     def num_ops(self) -> int:
         return len(self.ops)
+
+
+def _same_array(a: np.ndarray | None, b: np.ndarray | None) -> bool:
+    return (a is None and b is None) or (
+        a is not None and b is not None and np.array_equal(a, b)
+    )
+
+
+def _same_op(a, b) -> bool:
+    """Whether two compiled ops perform the identical per-row arithmetic."""
+    if type(a) is not type(b):
+        return False
+    if type(a) is DiagonalOp:
+        return (
+            a.slots == b.slots
+            and _same_array(a.phase, b.phase)
+            and _same_array(a.coeffs, b.coeffs)
+        )
+    return (
+        a.qubits == b.qubits
+        and _same_array(a.matrix, b.matrix)
+        and len(a.elements) == len(b.elements)
+        and all(
+            (x.gate, x.slot, x.lift) == (y.gate, y.slot, y.lift)
+            and _same_array(x.matrix, y.matrix)
+            for x, y in zip(a.elements, b.elements)
+        )
+    )
+
+
+def merge_programs(programs: Sequence[GateProgram]) -> GateProgram:
+    """Fold the programs of a sweep's templates into one merged program.
+
+    The merged program executes a batch whose rows interleave the templates
+    (row ``r`` belongs to template ``r % T`` — a sweep's flat order): the
+    leading run of ops all programs agree on runs once over every row, then
+    each program's remaining ops run on its own rows.  Programs that agree
+    on nothing keep their whole op lists as tails; a single program is
+    returned as is.  All programs must share one width and one slot-gate
+    table, so a row of slot angles means the same to every op that reads it.
+    """
+    first = programs[0]
+    if len(programs) == 1:
+        return first
+    for program in programs[1:]:
+        if program.num_qubits != first.num_qubits or program.slot_gates != first.slot_gates:
+            raise ValueError("merged programs must share a width and a slot-gate table")
+    shared = 0
+    for column in zip(*(program.ops for program in programs)):
+        if not all(_same_op(column[0], op) for op in column[1:]):
+            break
+        shared += 1
+    return GateProgram(
+        num_qubits=first.num_qubits,
+        ops=first.ops[:shared],
+        slot_positions=first.slot_positions,
+        slot_gates=first.slot_gates,
+        source_gates=sum(program.source_gates for program in programs),
+        tails=tuple(program.ops[shared:] for program in programs),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -153,26 +153,27 @@ def noisy_probabilities(
 def noisy_probabilities_batch(
     circuits: Sequence[QuantumCircuit] | ParameterSweep,
     noises: Sequence[MixingNoiseSpec],
-) -> list[np.ndarray]:
+) -> np.ndarray | list[np.ndarray]:
     """Analytic noisy outcome distributions for a whole device batch at once.
 
     The vectorized counterpart of :func:`noisy_probabilities`.  The batch is
     first *lowered* to ``(program, slot-angle matrix, flat positions)``
     groups — bound circuits partition by gate structure and have their
     angles read off the instruction records; a
-    :class:`~repro.circuit.sweep.ParameterSweep` gives one group per template
-    straight from its ``(points, P)`` matrix, binding nothing — and from
-    there one tail serves both: each group runs as **one** compiled program
-    execution (per-circuit coherent biases applied by scaling rotation slots
-    row-wise), the depolarizing mix is a single broadcast combine against
-    the uniform distribution, and readout confusion is one batched per-bit
-    contraction.  Every arithmetic step performs the identical per-row
-    operations the sequential path performs, so row ``i`` of the result
-    matches ``noisy_probabilities(circuits[i], noises[i])`` to within ~1e-16
-    (the only difference is the GEMM batch shape inside the compiled engine)
-    — far below the multinomial sampler's decision thresholds, which is why
+    :class:`~repro.circuit.sweep.ParameterSweep` becomes **one** group, its
+    templates merged into one program over all ``points x templates`` rows
+    straight from the ``(points, P)`` matrix, binding nothing — and from
+    there one tail serves both: a group is **one** bias scaling (per-circuit
+    coherent biases scale rotation slots row-wise), **one** compiled program
+    execution, one marginal, a single broadcast depolarizing mix against the
+    uniform distribution, and one batched per-bit readout contraction.
+    Every arithmetic step performs the identical per-row operations the
+    sequential path performs, so row ``i`` of the result matches
+    ``noisy_probabilities(circuits[i], noises[i])`` to within ~1e-16 (the
+    only difference is the GEMM batch shape inside the compiled engine) —
+    far below the multinomial sampler's decision thresholds, which is why
     the seeded golden histories stay bit-exact; a sweep and its bound
-    circuits lower to the same groups and agree exactly.
+    circuits agree to the same tolerance.
 
     Args:
         circuits: fully-bound circuits (any mix of structures), or a sweep.
@@ -180,7 +181,9 @@ def noisy_probabilities_batch(
             evaluated at that position on the device clock by the caller.
 
     Returns:
-        One measured-register distribution per position, in flat order.
+        One measured-register distribution per position, in flat order: the
+        ``(batch, 2**m)`` matrix itself when the batch lowered to a single
+        group (every gradient job does), otherwise a list of vectors.
     """
     noises = list(noises)
     if isinstance(circuits, ParameterSweep):
@@ -203,6 +206,9 @@ def noisy_probabilities_batch(
         measured = circuit.measured_qubits or tuple(range(circuit.num_qubits))
         ideal = marginal_probabilities(states, measured, circuit.num_qubits)
         mixed = _mix_and_confuse(ideal, specs, len(measured))
+        if len(specs) == len(noises):
+            # One group holds the whole batch, in flat order.
+            return mixed
         for row, index in enumerate(indices):
             out[index] = mixed[row]
     return out  # type: ignore[return-value]
@@ -224,17 +230,32 @@ def _lower_bound(circuits: list[QuantumCircuit]):
 
 
 def _lower_sweep(sweep: ParameterSweep):
-    """A sweep -> one group per template, off the raw parameter matrix."""
+    """A sweep -> one merged-program group, off the raw parameter matrix.
+
+    Templates of one width, one measured register and one slot-gate table —
+    a gradient job's — merge into a single program whose rows are the sweep's
+    flat order; templates that differ in any of the three run as a group of
+    their own, on their own flat positions.
+    """
     cache = shared_program_cache()
-    stride = len(sweep.templates)
-    for offset, template in enumerate(sweep.templates):
-        program = cache.get_or_compile(template)
-        plan = cache.plan_for(template, program)
+    programs = [cache.get_or_compile(template) for template in sweep.templates]
+    jobs: dict[tuple, list[int]] = {}
+    for offset, (template, program) in enumerate(zip(sweep.templates, programs)):
+        uniform = (template.num_qubits, template.measured_qubits, program.slot_gates)
+        jobs.setdefault(uniform, []).append(offset)
+    stride = len(programs)
+    for offsets in jobs.values():
+        slots = [
+            plan_slot_values(
+                cache.plan_for(sweep.templates[offset], programs[offset]), sweep.theta
+            )
+            for offset in offsets
+        ]
         yield (
-            program,
-            plan_slot_values(plan, sweep.theta),
-            template,
-            range(offset, len(sweep), stride),
+            cache.merged([programs[offset] for offset in offsets]),
+            np.stack(slots, axis=1).reshape(len(offsets) * len(sweep.theta), -1),
+            sweep.templates[offsets[0]],
+            [start + offset for start in range(0, len(sweep), stride) for offset in offsets],
         )
 
 
@@ -277,23 +298,30 @@ def _mix_and_confuse(
     uniform = np.full_like(ideal, 1.0 / ideal.shape[1])
     mixed = success[:, None] * ideal + (1.0 - success)[:, None] * uniform
 
-    confusions = [_confusion_matrices(spec, num_bits) for spec in noises]
-    with_readout = [bool(c) for c in confusions]
+    readouts = [_readout_pairs(spec, num_bits) for spec in noises]
+    with_readout = [bool(pairs) for pairs in readouts]
     if not any(with_readout):
         return mixed
     if all(with_readout):
-        stacks = [
-            np.stack([conf[bit] for conf in confusions])
-            for bit in range(num_bits)
-        ]
-        return apply_readout_error_batch(mixed, stacks)
+        # Every row's confusion matrices as one (bits, batch, 2, 2) array —
+        # entry for entry what readout_confusion_matrix builds per pair.
+        pairs = np.array(readouts, dtype=float)
+        if not np.all((pairs >= 0.0) & (pairs <= 1.0)):
+            raise ValueError("readout probability outside [0, 1]")
+        p01, p10 = pairs[:, :, 0].T, pairs[:, :, 1].T
+        confusion = np.empty((num_bits, len(noises), 2, 2), dtype=float)
+        confusion[:, :, 0, 0] = 1 - p01
+        confusion[:, :, 0, 1] = p10
+        confusion[:, :, 1, 0] = p01
+        confusion[:, :, 1, 1] = 1 - p10
+        return apply_readout_error_batch(mixed, confusion)
     # Mixed batch (some circuits noiseless on readout): fall back row-wise so
     # the no-confusion rows keep the sequential path's skip-renormalize
     # behaviour exactly.
     return np.stack(
         [
-            apply_readout_error(row, conf) if conf else row
-            for row, conf in zip(mixed, confusions)
+            apply_readout_error(row, _confusion_matrices(spec, num_bits)) if noisy else row
+            for row, spec, noisy in zip(mixed, noises, with_readout)
         ]
     )
 
@@ -312,17 +340,21 @@ def execute_with_mixing(
     return sample_distribution(probs, shots, rng, num_bits=len(measured))
 
 
-def _confusion_matrices(noise: MixingNoiseSpec, num_bits: int) -> list[np.ndarray]:
+def _readout_pairs(
+    noise: MixingNoiseSpec, num_bits: int
+) -> tuple[tuple[float, float], ...]:
+    """The ``(p01, p10)`` of each measured bit; empty when readout is exact."""
     if noise.per_qubit_readout:
         if len(noise.per_qubit_readout) < num_bits:
             raise ValueError("per_qubit_readout shorter than the measured register")
-        return [
-            readout_confusion_matrix(p01, p10)
-            for p01, p10 in noise.per_qubit_readout[:num_bits]
-        ]
+        return noise.per_qubit_readout[:num_bits]
     if noise.readout_p01 == 0.0 and noise.readout_p10 == 0.0:
-        return []
+        return ()
+    return ((noise.readout_p01, noise.readout_p10),) * num_bits
+
+
+def _confusion_matrices(noise: MixingNoiseSpec, num_bits: int) -> list[np.ndarray]:
     return [
-        readout_confusion_matrix(noise.readout_p01, noise.readout_p10)
-        for _ in range(num_bits)
+        readout_confusion_matrix(p01, p10)
+        for p01, p10 in _readout_pairs(noise, num_bits)
     ]

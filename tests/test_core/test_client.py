@@ -52,6 +52,23 @@ class TestClientExecution:
             client.execute_task(GradientTask(index, index), theta, submit_time=0.0)
         assert client.jobs_completed == 3
 
+    def test_job_footprint_is_averaged_once_per_task(self, client, vqe_problem, monkeypatch):
+        theta = vqe_problem.random_initial_parameters()
+        job = client.objective.build_job(GradientTask(0, 0), theta)
+        client.execute_task(GradientTask(0, 0), theta, submit_time=0.0, job_spec=job)
+        footprint = client.representative_footprint(job)
+        assert client.current_p_correct(job, 50.0, footprint) == client.current_p_correct(job, 50.0)
+
+        calls = []
+        original = client.representative_footprint
+        monkeypatch.setattr(
+            client,
+            "representative_footprint",
+            lambda job=None: calls.append(job) or original(job),
+        )
+        client.execute_task(GradientTask(1, 1), theta, submit_time=100.0)
+        assert len(calls) == 1
+
     def test_representative_footprint_requires_templates(self, vqe_problem):
         qpu = build_qpu("Quito")
         provider = CloudProvider([qpu], seed=0)

@@ -1,5 +1,7 @@
 """Tests for the simulated QPU model."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -64,6 +66,23 @@ class TestCalibrationLifecycle:
         reported = bogota.reported_calibration(now)
         estimated = bogota.estimated_calibration(now)
         assert estimated.average_cx_error >= reported.average_cx_error
+
+    def test_estimated_calibration_is_one_snapshot_per_refresh_step(self):
+        qpu = build_qpu("Bogota")
+        refresh = qpu.spec.properties_refresh_hours * 3600.0
+        first = qpu.estimated_calibration(5.1 * refresh)
+        # Every job until the next republish reads the same object ...
+        assert qpu.estimated_calibration(5.9 * refresh) is first
+        assert qpu.estimated_calibration(6.1 * refresh) is not first
+        # ... which is what a fresh device computes from scratch,
+        factor = qpu._drift.drift_factor(5 * qpu.spec.properties_refresh_hours, 0)
+        assert first == qpu.reported_calibration(5.1 * refresh).scale_errors(factor)
+        assert first == build_qpu("Bogota").estimated_calibration(5.5 * refresh)
+        # per calibration cycle,
+        period = qpu.spec.calibration_period_hours * 3600.0
+        assert qpu.estimated_calibration(period + 5.1 * refresh) is not first
+        # and the memo does not travel with a pickled device.
+        assert pickle.loads(pickle.dumps(qpu))._estimated_cache == {}
 
     def test_drift_factor_at_least_one(self, bogota):
         for hour in (0, 5, 12, 23):
@@ -134,6 +153,33 @@ class TestExecution:
             [ghz_state(4)] * 4, ghz_footprint, shots=64, now=now, rng=rng
         )
         assert [r.duration_seconds for r in results] == durations
+
+    def test_timeline_reads_one_drift_evaluation_per_start(
+        self, bogota, ghz_footprint, monkeypatch
+    ):
+        """Clock, noise spec and metadata of a batch equal — bit for bit —
+        what the public per-instant methods return at each circuit start."""
+        now = 23.9 * 3600.0  # the batch crosses a recalibration
+        calls = []
+        original = bogota._drift.drift_factor
+        monkeypatch.setattr(
+            bogota._drift,
+            "drift_factor",
+            lambda hours, cycle=0: calls.append(hours) or original(hours, cycle),
+        )
+        starts, durations, specs, metadata = bogota._timeline_with_metadata(
+            24, ghz_footprint, now
+        )
+        assert len(calls) == 24
+        assert bogota.calibration_cycle(starts[0]) != bogota.calibration_cycle(starts[-1])
+        for start, duration, spec, meta in zip(starts, durations, specs, metadata):
+            assert duration == bogota.job_duration_seconds(start)
+            assert spec == bogota.execution_noise(ghz_footprint, start)
+            assert meta == {
+                "success_probability": spec.success_probability,
+                "calibration_age_hours": bogota.hours_since_calibration(start),
+                "drift_factor": bogota.drift_factor(start),
+            }
 
     def test_job_duration_positive_and_slows_with_drift(self, bogota):
         base = bogota.spec.base_job_seconds

@@ -20,12 +20,14 @@ import pytest
 from repro.backends.noisy import NoisyBackend
 from repro.circuit import (
     Parameter,
+    ParameterSweep,
     QuantumCircuit,
     ghz_state,
     hardware_efficient_ansatz,
 )
 from repro.devices.catalog import build_qpu
 from repro.devices.qpu import CircuitFootprint, job_slot_circuit_seconds
+from repro.simulator import mixing
 from repro.simulator.mixing import (
     MixingNoiseSpec,
     noisy_probabilities,
@@ -147,6 +149,116 @@ class TestSweepProbabilities:
         assert len(swept) == len(batched)
         for left, right in zip(swept, batched):
             assert np.max(np.abs(left - right)) <= TOLERANCE
+
+
+def _measurement_family(measure_subset: bool = False) -> list[QuantumCircuit]:
+    """One ansatz under three measurement bases (a gradient job's templates)."""
+    templates = []
+    for basis in ("z", "x", "y"):
+        circuit = hardware_efficient_ansatz(3, measure=False)
+        for qubit in range(3):
+            if basis == "y":
+                circuit.sdg(qubit)
+            if basis != "z":
+                circuit.h(qubit)
+        if measure_subset and basis == "x":
+            circuit.measure(2).measure(0)
+        else:
+            circuit.measure_all()
+        templates.append(circuit)
+    return templates
+
+
+class TestJobWideTail:
+    """A multi-template sweep is one group: one engine pass, one noise tail."""
+
+    def _sweep(self, seed=0, points=2, **kwargs):
+        templates = _measurement_family(**kwargs)
+        rng = np.random.default_rng(seed)
+        theta = rng.uniform(-np.pi, np.pi, (points, len(templates[0].parameters)))
+        return ParameterSweep(templates, theta), rng
+
+    def test_uniform_job_is_one_execution_and_one_matrix(self, monkeypatch):
+        sweep, rng = self._sweep()
+        specs = [_random_spec(rng, 3) for _ in range(len(sweep))]
+        calls = []
+        original = mixing.execute_program
+
+        def counting(program, thetas):
+            calls.append(thetas.shape)
+            return original(program, thetas)
+
+        monkeypatch.setattr(mixing, "execute_program", counting)
+        batched = noisy_probabilities_batch(sweep, specs)
+        assert calls == [(6, 12)]  # all rows x the ansatz's 12 slots
+        assert isinstance(batched, np.ndarray) and batched.shape == (6, 8)
+        for circuit, spec, row in zip(sweep.bound_circuits(), specs, batched):
+            assert np.max(np.abs(row - noisy_probabilities(circuit, spec))) <= TOLERANCE
+
+    def test_templates_measuring_different_registers_split_into_uniform_jobs(self):
+        sweep, rng = self._sweep(seed=4, measure_subset=True)
+        specs = [_random_spec(rng, 3) for _ in range(len(sweep))]
+        batched = noisy_probabilities_batch(sweep, specs)
+        assert [row.size for row in batched] == [8, 4, 8, 8, 4, 8]
+        for circuit, spec, row in zip(sweep.bound_circuits(), specs, batched):
+            assert np.max(np.abs(row - noisy_probabilities(circuit, spec))) <= TOLERANCE
+
+    def test_mixed_readout_presence_falls_back_row_wise(self):
+        sweep, rng = self._sweep(seed=6)
+        specs = [
+            MixingNoiseSpec(success_probability=0.9) if index % 2 else _random_spec(rng, 3)
+            for index in range(len(sweep))
+        ]
+        batched = noisy_probabilities_batch(sweep, specs)
+        for circuit, spec, row in zip(sweep.bound_circuits(), specs, batched):
+            assert np.max(np.abs(row - noisy_probabilities(circuit, spec))) <= TOLERANCE
+
+    def test_scalar_readout_matches_sequential(self):
+        sweep, _ = self._sweep(seed=8)
+        specs = [
+            MixingNoiseSpec(0.8, readout_p01=0.01 * (i + 1), readout_p10=0.02)
+            for i in range(len(sweep))
+        ]
+        batched = noisy_probabilities_batch(sweep, specs)
+        for circuit, spec, row in zip(sweep.bound_circuits(), specs, batched):
+            assert np.max(np.abs(row - noisy_probabilities(circuit, spec))) <= TOLERANCE
+
+    def test_rejects_misaligned_spec_count(self):
+        sweep, _ = self._sweep()
+        with pytest.raises(ValueError, match="do not align"):
+            noisy_probabilities_batch(sweep, [MixingNoiseSpec(1.0)] * 5)
+
+    def test_rejects_readout_shorter_than_the_measured_register(self):
+        sweep, rng = self._sweep()
+        specs = [_random_spec(rng, 3) for _ in range(len(sweep))]
+        specs[4] = _random_spec(rng, 2)
+        with pytest.raises(ValueError, match="shorter than the measured register"):
+            noisy_probabilities_batch(sweep, specs)
+
+    def test_rejects_readout_probability_outside_unit_interval(self):
+        sweep, rng = self._sweep()
+        for bad in (1.5, -0.1, float("nan")):
+            specs = [_random_spec(rng, 3) for _ in range(len(sweep))]
+            # The spec validates at construction; a value corrupted afterwards
+            # must still be stopped before it reaches the sampler.
+            object.__setattr__(
+                specs[3], "per_qubit_readout", ((0.01, 0.02), (bad, 0.0), (0.0, 0.0))
+            )
+            with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+                noisy_probabilities_batch(sweep, specs)
+
+    def test_device_samples_the_job_matrix_like_a_list_of_rows(self):
+        sweep, _ = self._sweep(seed=10)
+        footprint = CircuitFootprint.from_circuit(sweep.templates[0])
+        swept = build_qpu("Belem").execute_batch(
+            sweep, footprint, 128, now=900.0, rng=np.random.default_rng(3)
+        )
+        bound = build_qpu("Belem").execute_batch(
+            sweep.bound_circuits(), footprint, 128, now=900.0, rng=np.random.default_rng(3)
+        )
+        for left, right in zip(swept, bound):
+            assert dict(left.counts) == dict(right.counts)
+            assert left.metadata == right.metadata
 
 
 class TestBatchedReadoutError:
