@@ -21,19 +21,21 @@ parity everywhere.
 from __future__ import annotations
 
 import time
+from typing import Sequence
 
 import numpy as np
 
 from _common import bench_json_path, bench_main, write_bench_json
 
-from repro.backends.batched import (
-    batched_probabilities,
-    simulate_statevector_batch,
-    simulate_statevector_batch_v1,
-    sweep_probabilities,
+from repro.backends import StatevectorBackend
+from repro.circuit import (
+    ParameterSweep,
+    QuantumCircuit,
+    hardware_efficient_ansatz,
+    qaoa_maxcut_ansatz,
 )
-from repro.circuit import hardware_efficient_ansatz, qaoa_maxcut_ansatz
-from repro.engine import shared_program_cache
+from repro.circuit.gates import GATE_SPECS, gate_matrix
+from repro.engine import marginal_probabilities, shared_program_cache
 from repro.simulator.statevector import simulate_statevector
 from repro.vqa.gradient import shifted_parameter_vectors, shifted_theta_matrix
 
@@ -49,6 +51,121 @@ BENCH_PATH = bench_json_path("engine")
 MIN_COMPILED_OVER_V1 = 3.0
 MIN_COMPILED_OVER_SEQUENTIAL = 3.0
 MAX_PROBABILITY_DELTA = 1e-10
+
+
+# ---------------------------------------------------------------------------
+# v1 engine — the PR-1 stacked-matmul path, kept here (the only file that
+# times it) as the baseline the compiled engine is measured against.
+# ---------------------------------------------------------------------------
+
+
+def _batched_rotation_matrices(name: str, thetas: np.ndarray) -> np.ndarray:
+    """Stacked ``(batch, dim, dim)`` unitaries for one rotation gate (v1)."""
+    half = 0.5 * thetas
+    if name == "rx":
+        c, s = np.cos(half), np.sin(half)
+        mats = np.zeros((thetas.size, 2, 2), dtype=complex)
+        mats[:, 0, 0] = c
+        mats[:, 0, 1] = -1j * s
+        mats[:, 1, 0] = -1j * s
+        mats[:, 1, 1] = c
+        return mats
+    if name == "ry":
+        c, s = np.cos(half), np.sin(half)
+        mats = np.zeros((thetas.size, 2, 2), dtype=complex)
+        mats[:, 0, 0] = c
+        mats[:, 0, 1] = -s
+        mats[:, 1, 0] = s
+        mats[:, 1, 1] = c
+        return mats
+    if name == "rz":
+        mats = np.zeros((thetas.size, 2, 2), dtype=complex)
+        mats[:, 0, 0] = np.exp(-1j * half)
+        mats[:, 1, 1] = np.exp(1j * half)
+        return mats
+    if name == "rzz":
+        phase = np.exp(-1j * half)
+        conj = np.exp(1j * half)
+        mats = np.zeros((thetas.size, 4, 4), dtype=complex)
+        mats[:, 0, 0] = phase
+        mats[:, 1, 1] = conj
+        mats[:, 2, 2] = conj
+        mats[:, 3, 3] = phase
+        return mats
+    raise ValueError(f"no batched matrix rule for gate {name!r}")
+
+
+def _apply_batched(
+    states: np.ndarray,
+    matrices: np.ndarray,
+    qubits: Sequence[int],
+    num_qubits: int,
+) -> np.ndarray:
+    """Apply one gate to every state in a ``(batch, 2**n)`` stack (v1).
+
+    ``matrices`` is either a single ``(2**k, 2**k)`` unitary (broadcast over
+    the batch) or a stacked ``(batch, 2**k, 2**k)`` array.
+    """
+    batch = states.shape[0]
+    k = len(qubits)
+    tensor = states.reshape([batch] + [2] * num_qubits)
+    src = [q + 1 for q in qubits]
+    dest = list(range(1, k + 1))
+    tensor = np.moveaxis(tensor, src, dest)
+    tensor = tensor.reshape(batch, 1 << k, -1)
+    tensor = matrices @ tensor
+    tensor = tensor.reshape([batch] + [2] * num_qubits)
+    tensor = np.moveaxis(tensor, dest, src)
+    return np.ascontiguousarray(tensor.reshape(batch, -1))
+
+
+def simulate_statevector_batch_v1(circuits: Sequence[QuantumCircuit]) -> np.ndarray:
+    """The PR-1 stacked-matmul batch engine (benchmark baseline).
+
+    One broadcast/stacked matmul per gate, with a ``moveaxis`` pair and a
+    contiguous copy per application — the costs the compiled engine removes.
+    Accepts bound circuits sharing one gate structure.
+    """
+    circuits = list(circuits)
+    if not circuits:
+        raise ValueError("batch simulation needs at least one circuit")
+    signature = circuits[0].structure_key
+    for circuit in circuits[1:]:
+        if circuit.structure_key != signature:
+            raise ValueError(
+                "all circuits in one batch must share the same gate structure"
+            )
+    for circuit in circuits:
+        if not circuit.is_bound:
+            raise ValueError("batch simulation requires fully bound circuits")
+    n = circuits[0].num_qubits
+    batch = len(circuits)
+    states = np.zeros((batch, 1 << n), dtype=complex)
+    states[:, 0] = 1.0
+
+    # Instruction tuples are cached on the circuits themselves now; the
+    # snapshot just keeps the per-gate indexing loop tight.
+    instruction_lists = [c.instructions for c in circuits]
+    reference = instruction_lists[0]
+    for position, inst in enumerate(reference):
+        if not inst.is_unitary:
+            continue
+        spec = GATE_SPECS[inst.name]
+        if spec.num_params == 0:
+            states = _apply_batched(states, gate_matrix(inst.name), inst.qubits, n)
+            continue
+        thetas = np.fromiter(
+            (float(insts[position].params[0]) for insts in instruction_lists),
+            dtype=float,
+            count=batch,
+        )
+        if np.all(thetas == thetas[0]):
+            matrix = gate_matrix(inst.name, (thetas[0],))
+            states = _apply_batched(states, matrix, inst.qubits, n)
+        else:
+            matrices = _batched_rotation_matrices(inst.name, thetas)
+            states = _apply_batched(states, matrices, inst.qubits, n)
+    return states
 
 
 def _best_of(callable_, repeats: int) -> float:
@@ -83,14 +200,15 @@ def build_micro_sweep() -> list:
 def run_micro(repeats: int) -> dict:
     circuits = build_micro_sweep()
     n = circuits[0].num_qubits
+    backend = StatevectorBackend()
 
     def v1():
-        return batched_probabilities(
+        return marginal_probabilities(
             simulate_statevector_batch_v1(circuits), range(n), n
         )
 
     def v2():
-        return batched_probabilities(simulate_statevector_batch(circuits), range(n), n)
+        return backend.probabilities(circuits)
 
     reference = _sequential_probabilities(circuits)
     max_delta = max(
@@ -134,13 +252,15 @@ def run_macro(repeats: int) -> dict:
     def v1():
         # What a PR-1 sweep paid: bind every point, then stacked matmuls.
         bound = [template.assign_by_order(row) for row in theta]
-        return batched_probabilities(
+        return marginal_probabilities(
             simulate_statevector_batch_v1(bound), range(MACRO_QUBITS), MACRO_QUBITS
         )
 
+    backend = StatevectorBackend()
+
     def v2():
         # Zero-rebind compiled execution straight off the shift matrix.
-        return sweep_probabilities([template], theta)[0]
+        return np.asarray(backend.probabilities(ParameterSweep([template], theta)))
 
     shared_program_cache().get_or_compile(template)  # compile outside timing
     bound = [template.assign_by_order(row) for row in theta]

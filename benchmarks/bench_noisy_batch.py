@@ -9,9 +9,9 @@ PRs:
   simulated device, timed against the retained sequential reference
   (per-circuit :meth:`QPU.execute` with the identical in-batch device
   clock).  Counts must be **bit-exact** between the two paths.
-* **zero-rebind sweep** — the same batch submitted as a raw shift matrix via
-  ``NoisyBackend.run_sweep`` (no circuit is ever bound), against binding the
-  circuits and submitting them through ``run``.
+* **zero-rebind sweep** — the same batch submitted to ``NoisyBackend.run`` as
+  an unbound ``ParameterSweep`` over the raw shift matrix (no circuit is ever
+  bound), against binding the circuits and submitting those.
 * **trajectory average** — 128-trajectory ``average_probabilities`` through
   the batched ``(trajectories, 2**n)`` engine vs the sequential
   one-trajectory-at-a-time reference, cross-checked against the exact
@@ -32,7 +32,7 @@ import numpy as np
 from _common import bench_json_path, bench_main, write_bench_json
 
 from repro.backends.noisy import NoisyBackend
-from repro.circuit import ghz_state, hardware_efficient_ansatz
+from repro.circuit import ParameterSweep, ghz_state, hardware_efficient_ansatz
 from repro.devices.catalog import build_qpu
 from repro.devices.qpu import CircuitFootprint, job_slot_circuit_seconds
 from repro.simulator.mixing import noisy_probabilities, noisy_probabilities_batch
@@ -148,7 +148,7 @@ def run_gradient_batch(repeats: int) -> dict:
 
 
 def run_sweep_batch(repeats: int) -> dict:
-    """Zero-rebind run_sweep vs bind-then-run on the same shift matrix."""
+    """An unbound sweep vs bind-then-run on the same shift matrix."""
     template, _, matrix = build_gradient_batch()
     backend = NoisyBackend(build_qpu(DEVICE))
     footprint = CircuitFootprint.from_circuit(template)
@@ -164,9 +164,8 @@ def run_sweep_batch(repeats: int) -> dict:
         )
 
     def sweep():
-        return backend.run_sweep(
-            [template],
-            matrix,
+        return backend.run(
+            ParameterSweep([template], matrix),
             shots=SHOTS,
             footprint=footprint,
             now=BATCH_START_TIME,
@@ -255,7 +254,7 @@ def check_and_record(result: dict) -> None:
         f"noisy batch parity broken: {gradient['max_probability_delta']:.3e}"
     )
     assert gradient["counts_bit_exact"], "batched counts diverged from sequential"
-    assert sweep["counts_bit_exact"], "run_sweep counts diverged from bound run"
+    assert sweep["counts_bit_exact"], "sweep counts diverged from bound run"
     assert gradient["speedup_batched_vs_sequential"] >= MIN_BATCHED_OVER_SEQUENTIAL, (
         "batched noisy path regressed below "
         f"{MIN_BATCHED_OVER_SEQUENTIAL}x over sequential: "

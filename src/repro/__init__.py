@@ -19,7 +19,6 @@ Quickstart::
 """
 
 from .backends import (
-    BatchedStatevectorBackend,
     ExecutionBackend,
     NoisyBackend,
     StatevectorBackend,
@@ -158,7 +157,6 @@ __all__ = [
     # execution backends
     "ExecutionBackend",
     "StatevectorBackend",
-    "BatchedStatevectorBackend",
     "NoisyBackend",
     "TranspileCache",
     # devices / transpiler

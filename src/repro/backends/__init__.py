@@ -1,33 +1,23 @@
 """Pluggable execution backends for the submit→simulate→sample path.
 
-This package defines the :class:`ExecutionBackend` protocol and its three
-engines:
+This package defines the :class:`ExecutionBackend` protocol — one method,
+``run(batch, shots, seed, **context)``, over bound circuits or an unbound
+:class:`~repro.circuit.sweep.ParameterSweep` — and its two engines:
 
-* :class:`StatevectorBackend` — ideal, sequential semantics (one circuit,
-  one sample draw at a time) executed through the compiled engine.
-* :class:`BatchedStatevectorBackend` — ideal, vectorized: a whole batch of
-  bindings of one circuit structure runs as one compiled-program pass over
-  a ``(batch, 2**n)`` state stack; template sweeps (:meth:`run_sweep`)
-  never bind a circuit at all.
+* :class:`StatevectorBackend` — ideal: a whole batch runs as one
+  compiled-program pass per lowered group over a ``(rows, 2**n)`` state
+  stack; a sweep never binds a circuit at all.
 * :class:`NoisyBackend` — the analytic channel/mixing device path, adapted
-  to the protocol; one per cloud device endpoint (its ideal sub-path also
-  runs compiled programs).
+  to the protocol; one per cloud device endpoint.
 
-It also owns the shared structure-keyed caches: :class:`TranspileCache`
+Both execute from the same lowering (:func:`repro.engine.lower_batch`).  The
+package also owns the shared structure-keyed caches: :class:`TranspileCache`
 (templates → routed circuits) and the re-exported
 :class:`~repro.engine.cache.ProgramCache` (structures → compiled gate
 programs).
 """
 
 from .base import ExecutionBackend, measured_register, normalize_batch
-from .batched import (
-    BatchedStatevectorBackend,
-    batched_probabilities,
-    simulate_statevector_batch,
-    simulate_statevector_batch_v1,
-    structure_signature,
-    sweep_probabilities,
-)
 from .cache import (
     ProgramCache,
     TranspileCache,
@@ -40,17 +30,11 @@ from .statevector import StatevectorBackend
 __all__ = [
     "ExecutionBackend",
     "StatevectorBackend",
-    "BatchedStatevectorBackend",
     "NoisyBackend",
     "TranspileCache",
     "ProgramCache",
     "shared_program_cache",
     "normalize_batch",
     "measured_register",
-    "simulate_statevector_batch",
-    "simulate_statevector_batch_v1",
-    "sweep_probabilities",
-    "batched_probabilities",
-    "structure_signature",
     "template_structure_key",
 ]

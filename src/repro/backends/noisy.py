@@ -7,15 +7,17 @@ position on the device clock and samples are drawn from the device's RNG
 stream in batch order, so seeded results are bit-exact with the pre-backend
 execution code — while the whole batch underneath runs through the
 vectorized mixing pipeline
-(:func:`~repro.simulator.mixing.noisy_probabilities_batch`): one compiled
-program execution per structure group over the batch's angle matrix (with
-per-circuit coherent biases applied by scaling rotation slots), a broadcast
-depolarizing mix, and one batched readout-confusion pass.  A batch is either
-bound circuits or an unbound :class:`~repro.circuit.sweep.ParameterSweep` —
-a parameter-shift job executes straight off its ``(points, P)`` shift matrix
-without binding a single circuit, its measurement templates merged into one
-program: one engine pass and one noise tail per job.  The cloud layer owns one backend per
-device endpoint.
+(:func:`~repro.simulator.mixing.noisy_probabilities_batch`): the batch is
+lowered by :func:`repro.engine.lower_batch` — the lowering the ideal backend
+executes from too — and each group is one compiled program execution over
+its angle matrix (with per-circuit coherent biases applied by scaling
+rotation slots), a broadcast depolarizing mix, and one batched
+readout-confusion pass.  A batch is either bound circuits or an unbound
+:class:`~repro.circuit.sweep.ParameterSweep` — a parameter-shift job
+executes straight off its ``(points, P)`` shift matrix without binding a
+single circuit, its measurement templates merged into one program: one
+engine pass and one noise tail per job.  The cloud layer owns one backend
+per device endpoint.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from ..circuit.circuit import QuantumCircuit
 from ..circuit.sweep import ParameterSweep
 from ..devices.qpu import QPU, CircuitFootprint
 from ..simulator.result import ExecutionResult
-from .base import ParameterBinding, normalize_batch, unbound_sweep
+from .base import check_shots, normalize_batch
 
 __all__ = ["NoisyBackend"]
 
@@ -42,8 +44,7 @@ class NoisyBackend:
 
     def run(
         self,
-        circuits: QuantumCircuit | Sequence[QuantumCircuit] | ParameterSweep,
-        parameter_bindings: Sequence[ParameterBinding] | None = None,
+        batch: QuantumCircuit | Sequence[QuantumCircuit] | ParameterSweep,
         shots: int = 8192,
         seed: int | None = None,
         *,
@@ -54,10 +55,9 @@ class NoisyBackend:
         """Execute a batch with this device's current (drifting) noise.
 
         Args:
-            circuits: a template, a sequence of circuits, or an unbound
-                :class:`~repro.circuit.sweep.ParameterSweep` (which reaches
-                the device as-is: no circuit is ever bound).
-            parameter_bindings: optional bindings (see :mod:`repro.backends.base`).
+            batch: a bound circuit, a sequence of bound circuits, or an
+                unbound :class:`~repro.circuit.sweep.ParameterSweep` (which
+                reaches the device as-is: no circuit is ever bound).
             shots: measurement shots per circuit.
             seed: sampling seed for a fresh RNG (ignored when ``rng`` given;
                 with neither, the device's own stream is used).
@@ -66,39 +66,11 @@ class NoisyBackend:
             now: simulation time the batch starts executing.
             rng: externally-owned RNG (the cloud endpoint's stream).
         """
-        batch = unbound_sweep(circuits, parameter_bindings)
-        if batch is not None:
-            first = batch.templates[0]
-        else:
-            batch = normalize_batch(circuits, parameter_bindings)
-            first = batch[0]
+        check_shots(shots)
+        batch = normalize_batch(batch)
         if footprint is None:
+            first = batch.templates[0] if isinstance(batch, ParameterSweep) else batch[0]
             footprint = CircuitFootprint.from_circuit(first)
         if rng is None and seed is not None:
             rng = np.random.default_rng(seed)
         return self.qpu.execute_batch(batch, footprint, shots, now=now, rng=rng)
-
-    def run_sweep(
-        self,
-        templates: Sequence[QuantumCircuit],
-        theta_matrix: np.ndarray,
-        shots: int = 8192,
-        seed: int | None = None,
-        rng: np.random.Generator | None = None,
-        *,
-        footprint: CircuitFootprint | None = None,
-        now: float = 0.0,
-    ) -> list[ExecutionResult]:
-        """:meth:`run` over ``ParameterSweep(templates, theta_matrix)``.
-
-        Results (counts, noise metadata, durations) are identical to binding
-        the circuits and submitting them through :meth:`run`.
-        """
-        return self.run(
-            ParameterSweep(templates, theta_matrix),
-            shots=shots,
-            seed=seed,
-            footprint=footprint,
-            now=now,
-            rng=rng,
-        )

@@ -1,12 +1,16 @@
-"""The sequential ideal backend, now running compiled gate programs.
+"""The ideal backend: compiled gate programs over whole batches.
 
-This backend retains the *semantics* of the historical per-circuit path —
-circuits simulate and sample one at a time, in input order, off a single RNG
-stream — but each circuit executes through the compiled engine
-(:mod:`repro.engine`) as a batch of one, so repeated structures (every
-parameter-shift sweep) compile once and skip the per-gate Python overhead.
-The looped :func:`~repro.simulator.statevector.simulate_statevector` remains
-the bit-level reference implementation the engine is validated against.
+A batch is lowered once (:func:`repro.engine.lower_batch` — bound circuits
+partition by gate structure, an unbound
+:class:`~repro.circuit.sweep.ParameterSweep` becomes one merged program over
+its raw parameter matrix), each group runs as one compiled-program pass over
+a ``(rows, 2**n)`` state stack, and counts are sampled in the batch's flat
+order off a single RNG stream — so a sweep and its bound circuits consume a
+seeded stream identically.  Gate semantics are those of the looped
+:func:`~repro.simulator.statevector.simulate_statevector`, the bit-level
+reference the engine is validated against (same bit ordering, same tensor
+contraction; probabilities agree to ~1e-15, the equivalence suite asserts
+<=1e-10).
 """
 
 from __future__ import annotations
@@ -17,18 +21,17 @@ import numpy as np
 
 from ..circuit.circuit import QuantumCircuit
 from ..circuit.sweep import ParameterSweep
-from ..engine import execute_program, marginal_probabilities, slot_values_from_circuits
+from ..engine import execute_program, lower_batch, marginal_probabilities
 from ..engine.cache import ProgramCache, shared_program_cache
 from ..simulator.result import ExecutionResult
 from ..simulator.sampler import sample_distribution
-from .base import ParameterBinding, measured_register, normalize_batch, unbound_sweep
-from .batched import sampled_sweep_results
+from .base import check_shots, measured_register, normalize_batch
 
 __all__ = ["StatevectorBackend"]
 
 
 class StatevectorBackend:
-    """Ideal (noise-free) backend executing each circuit sequentially."""
+    """Ideal (noise-free) execution backend."""
 
     def __init__(
         self,
@@ -40,77 +43,60 @@ class StatevectorBackend:
             program_cache if program_cache is not None else shared_program_cache()
         )
 
-    def _circuit_probabilities(self, circuit: QuantumCircuit) -> np.ndarray:
-        program = self.program_cache.get_or_compile(circuit)
-        thetas = slot_values_from_circuits(program, [circuit])
-        states = execute_program(program, thetas)
-        measured = measured_register(circuit)
-        return marginal_probabilities(states, measured, circuit.num_qubits)[0]
+    def _distributions(
+        self, batch: Sequence[QuantumCircuit] | ParameterSweep
+    ) -> tuple[list[np.ndarray], int]:
+        """Measured-register distributions in flat order, and the group count."""
+        groups = lower_batch(batch, self.program_cache)
+        out: list[np.ndarray | None] = [None] * len(batch)
+        for program, thetas, circuit, positions in groups:
+            states = execute_program(program, thetas)
+            probabilities = marginal_probabilities(
+                states, measured_register(circuit), circuit.num_qubits
+            )
+            for row, position in zip(probabilities, positions):
+                out[position] = row
+        return out, len(groups)  # type: ignore[return-value]
 
     def run(
         self,
-        circuits: QuantumCircuit | Sequence[QuantumCircuit] | ParameterSweep,
-        parameter_bindings: Sequence[ParameterBinding] | None = None,
+        batch: QuantumCircuit | Sequence[QuantumCircuit] | ParameterSweep,
         shots: int = 8192,
         seed: int | None = None,
+        *,
         rng: np.random.Generator | None = None,
         **_context,
     ) -> list[ExecutionResult]:
-        """Simulate and sample every circuit in input order.
+        """Execute a batch ideally; one compiled pass per lowered group.
 
         Device context (``footprint``, ``now``) is accepted and ignored so an
         ideal backend can serve a cloud endpoint directly.
 
         Args:
-            circuits: a template or a sequence of circuits.
-            parameter_bindings: optional bindings (see :mod:`repro.backends.base`).
+            batch: a bound circuit, a sequence of bound circuits, or an
+                unbound :class:`~repro.circuit.sweep.ParameterSweep`.
             shots: measurement shots per circuit.
             seed: sampling seed (ignored when ``rng`` is given).
             rng: externally-owned RNG; takes precedence over ``seed``.
         """
-        sweep = unbound_sweep(circuits, parameter_bindings)
-        if sweep is not None:
-            return self.run_sweep(
-                sweep.templates, sweep.theta, shots=shots, seed=seed, rng=rng
-            )
-        bound = normalize_batch(circuits, parameter_bindings)
+        check_shots(shots)
+        probabilities, groups = self._distributions(normalize_batch(batch))
         rng = rng if rng is not None else np.random.default_rng(seed)
-        results: list[ExecutionResult] = []
-        for circuit in bound:
-            measured = measured_register(circuit)
-            probs = self._circuit_probabilities(circuit)
-            counts = sample_distribution(probs, shots, rng, num_bits=len(measured))
-            results.append(
-                ExecutionResult(counts=counts, shots=shots, backend_name=self.name)
+        metadata = {"batch_size": len(probabilities), "structure_groups": groups}
+        return [
+            ExecutionResult(
+                counts=sample_distribution(
+                    row, shots, rng, num_bits=row.size.bit_length() - 1
+                ),
+                shots=shots,
+                backend_name=self.name,
+                metadata=dict(metadata),
             )
-        return results
+            for row in probabilities
+        ]
 
-    def run_sweep(
-        self,
-        templates: Sequence[QuantumCircuit],
-        theta_matrix: np.ndarray,
-        shots: int = 8192,
-        seed: int | None = None,
-        rng: np.random.Generator | None = None,
-        **_context,
-    ) -> list[ExecutionResult]:
-        """Execute a zero-rebind parameter sweep (see the batched backend).
-
-        Sampling stays strictly sequential in point-major order, so the RNG
-        stream is consumed exactly as if each bound circuit had been
-        submitted through :meth:`run` one by one.  Device context is accepted
-        and ignored, as in :meth:`run`.
-        """
-        return sampled_sweep_results(
-            self.name,
-            templates,
-            theta_matrix,
-            shots,
-            seed,
-            rng,
-            program_cache=self.program_cache,
-        )
-
-    def probabilities(self, circuits: Sequence[QuantumCircuit]) -> list[np.ndarray]:
-        """Exact measured-register distributions, one circuit at a time."""
-        return [self._circuit_probabilities(circuit) for circuit in circuits]
+    def probabilities(
+        self, batch: Sequence[QuantumCircuit] | ParameterSweep
+    ) -> list[np.ndarray]:
+        """Exact measured-register distributions of a batch, in flat order."""
+        return self._distributions(batch)[0]

@@ -7,11 +7,10 @@ an ideal distribution (finite-shot noise only), there is no queue, and the
 wall-clock per epoch is negligible.
 
 Sampled execution is routed through an
-:class:`~repro.backends.base.ExecutionBackend`: the default
-:class:`~repro.backends.statevector.StatevectorBackend` keeps seeded results
-bit-exact with the historical sequential path, while passing
-``BatchedStatevectorBackend()`` turns every parameter step's forward/backward
-circuit family into one vectorized pass.
+:class:`~repro.backends.base.ExecutionBackend` (default: the ideal
+:class:`~repro.backends.statevector.StatevectorBackend`): every parameter
+step's forward/backward circuit family is one unbound
+:class:`~repro.circuit.sweep.ParameterSweep`, one vectorized pass.
 """
 
 from __future__ import annotations
@@ -20,6 +19,7 @@ import numpy as np
 
 from ..backends.base import ExecutionBackend
 from ..backends.statevector import StatevectorBackend
+from ..circuit.sweep import ParameterSweep
 from ..hamiltonian.expectation import EnergyEstimator
 from ..vqa.gradient import (
     gradient_from_energies,
@@ -54,8 +54,7 @@ class IdealTrainer:
             seconds_per_epoch: nominal simulator wall time per epoch, used
                 only so the history has a meaningful epochs/hour.
             backend: ideal execution backend for sampled mode; defaults to
-                the sequential :class:`StatevectorBackend` (bit-exact with
-                historical results for a fixed seed).
+                :class:`StatevectorBackend`.
         """
         self.estimator = estimator
         self.shots = int(shots)
@@ -73,9 +72,8 @@ class IdealTrainer:
         # Zero-rebind: a one-point sweep straight from the value vector,
         # sampling each measurement group in the same order as a
         # bound-circuit submission.
-        results = self.backend.run_sweep(
-            self.estimator.template_circuits(),
-            np.asarray([[float(v) for v in values]]),
+        results = self.backend.run(
+            ParameterSweep(self.estimator.template_circuits(), values),
             shots=self.shots,
             rng=self.rng,
         )

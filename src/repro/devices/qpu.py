@@ -522,7 +522,9 @@ class QPU:
         stream in batch order — so noise, drift, and the RNG stream evolve
         exactly as they would for the equivalent sequence of single
         executions (:meth:`execute`, the sequential reference).  Batching
-        changes the wall-clock cost, never the physics.
+        changes the wall-clock cost, never the physics.  It is the only batch
+        entry point: templates plus a parameter matrix arrive wrapped in a
+        ``ParameterSweep``, not through a second method.
         """
         if not len(circuits):
             raise ValueError("a batch needs at least one circuit")
@@ -534,20 +536,6 @@ class QPU:
         )
         probabilities = noisy_probabilities_batch(circuits, specs)
         return self._sampled_results(probabilities, durations, metadata, shots, rng)
-
-    def execute_sweep(
-        self,
-        templates: Sequence[QuantumCircuit],
-        theta_matrix: np.ndarray,
-        footprint: CircuitFootprint,
-        shots: int,
-        now: float,
-        rng: np.random.Generator | None = None,
-    ) -> list[ExecutionResult]:
-        """:meth:`execute_batch` over ``ParameterSweep(templates, theta_matrix)``."""
-        return self.execute_batch(
-            ParameterSweep(templates, theta_matrix), footprint, shots, now, rng
-        )
 
     def _sampled_results(
         self,

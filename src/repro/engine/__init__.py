@@ -29,6 +29,11 @@ Compile → execute lifecycle
    templates' programs share run once over all ``points x templates`` rows,
    then each template's remaining ops run on its own rows.
 
+:func:`lower_batch` does steps 1 and 2 for a whole backend batch — bound
+circuits or an unbound sweep become ``(program, slot angles, representative
+circuit, flat positions)`` groups, each ready for one step-3 call — and is
+the one lowering both the ideal and the noisy backend execute from.
+
 Fusion rules
 ------------
 * Runs of single-qubit gates on one wire fuse into a single 2×2 application
@@ -62,6 +67,7 @@ from .executor import (
     marginal_distribution,
     marginal_probabilities,
 )
+from .lowering import lower_batch
 from .program import (
     DiagonalOp,
     GateProgram,
@@ -86,6 +92,7 @@ __all__ = [
     "parameter_plan",
     "plan_slot_values",
     "slot_values_from_circuits",
+    "lower_batch",
     "execute_program",
     "batched_gate_matrices",
     "marginal_distribution",

@@ -16,7 +16,6 @@ from .mixing import (
     execute_with_mixing,
     noisy_probabilities,
     noisy_probabilities_batch,
-    noisy_sweep_probabilities,
 )
 from .result import Counts, ExecutionResult
 from .sampler import (
@@ -60,7 +59,6 @@ __all__ = [
     "execute_with_mixing",
     "noisy_probabilities",
     "noisy_probabilities_batch",
-    "noisy_sweep_probabilities",
     "MonteCarloSimulator",
     "TrajectoryNoiseSpec",
     "density_matrix_probabilities",

@@ -32,8 +32,8 @@ from ..circuit.gates import Instruction
 from ..circuit.sweep import ParameterSweep
 from ..engine import (
     execute_program,
+    lower_batch,
     marginal_probabilities,
-    plan_slot_values,
     slot_values_from_circuits,
 )
 from ..engine.cache import shared_program_cache
@@ -47,7 +47,6 @@ __all__ = [
     "execute_with_mixing",
     "noisy_probabilities",
     "noisy_probabilities_batch",
-    "noisy_sweep_probabilities",
 ]
 
 _ROTATION_GATES = frozenset({"rx", "ry", "rz", "rzz"})
@@ -157,9 +156,9 @@ def noisy_probabilities_batch(
     """Analytic noisy outcome distributions for a whole device batch at once.
 
     The vectorized counterpart of :func:`noisy_probabilities`.  The batch is
-    first *lowered* to ``(program, slot-angle matrix, flat positions)``
-    groups — bound circuits partition by gate structure and have their
-    angles read off the instruction records; a
+    first *lowered* (:func:`repro.engine.lower_batch`, the lowering the ideal
+    backend shares) to ``(program, slot-angle matrix, representative, flat
+    positions)`` groups — bound circuits partition by gate structure; a
     :class:`~repro.circuit.sweep.ParameterSweep` becomes **one** group, its
     templates merged into one program over all ``points x templates`` rows
     straight from the ``(points, P)`` matrix, binding nothing — and from
@@ -186,13 +185,7 @@ def noisy_probabilities_batch(
         group (every gradient job does), otherwise a list of vectors.
     """
     noises = list(noises)
-    if isinstance(circuits, ParameterSweep):
-        groups = _lower_sweep(circuits)
-    else:
-        circuits = list(circuits)
-        if not circuits:
-            raise ValueError("a batch needs at least one circuit")
-        groups = _lower_bound(circuits)
+    groups = lower_batch(circuits)
     if len(circuits) != len(noises):
         raise ValueError(
             f"{len(circuits)} circuits do not align with {len(noises)} noise specs"
@@ -212,60 +205,6 @@ def noisy_probabilities_batch(
         for row, index in enumerate(indices):
             out[index] = mixed[row]
     return out  # type: ignore[return-value]
-
-
-def _lower_bound(circuits: list[QuantumCircuit]):
-    """Bound circuits -> (program, angles, representative, positions) groups."""
-    for circuit in circuits:
-        if not circuit.is_bound:
-            raise ValueError("circuit has unbound parameters")
-    partitions: dict[object, list[int]] = {}
-    for index, circuit in enumerate(circuits):
-        partitions.setdefault(circuit.structure_key, []).append(index)
-    cache = shared_program_cache()
-    for indices in partitions.values():
-        members = [circuits[i] for i in indices]
-        program = cache.get_or_compile(members[0])
-        yield program, slot_values_from_circuits(program, members), members[0], indices
-
-
-def _lower_sweep(sweep: ParameterSweep):
-    """A sweep -> one merged-program group, off the raw parameter matrix.
-
-    Templates of one width, one measured register and one slot-gate table —
-    a gradient job's — merge into a single program whose rows are the sweep's
-    flat order; templates that differ in any of the three run as a group of
-    their own, on their own flat positions.
-    """
-    cache = shared_program_cache()
-    programs = [cache.get_or_compile(template) for template in sweep.templates]
-    jobs: dict[tuple, list[int]] = {}
-    for offset, (template, program) in enumerate(zip(sweep.templates, programs)):
-        uniform = (template.num_qubits, template.measured_qubits, program.slot_gates)
-        jobs.setdefault(uniform, []).append(offset)
-    stride = len(programs)
-    for offsets in jobs.values():
-        slots = [
-            plan_slot_values(
-                cache.plan_for(sweep.templates[offset], programs[offset]), sweep.theta
-            )
-            for offset in offsets
-        ]
-        yield (
-            cache.merged([programs[offset] for offset in offsets]),
-            np.stack(slots, axis=1).reshape(len(offsets) * len(sweep.theta), -1),
-            sweep.templates[offsets[0]],
-            [start + offset for start in range(0, len(sweep), stride) for offset in offsets],
-        )
-
-
-def noisy_sweep_probabilities(
-    templates: Sequence[QuantumCircuit],
-    theta_matrix: np.ndarray,
-    noises: Sequence[MixingNoiseSpec],
-) -> list[np.ndarray]:
-    """:func:`noisy_probabilities_batch` over ``ParameterSweep(templates, theta_matrix)``."""
-    return noisy_probabilities_batch(ParameterSweep(templates, theta_matrix), noises)
 
 
 def _bias_scaled(

@@ -6,9 +6,9 @@ shifted by +pi/2 (the *forward* circuit) and by -pi/2 (the *backward*
 circuit); the derivative is half the difference.  This module provides the
 shift bookkeeping, an exact (statevector) gradient used by tests and the
 ideal baseline, and :func:`sampled_parameter_shift_gradient`, which ships the
-full 2·P-circuit sweep to an :class:`~repro.backends.base.ExecutionBackend`
-as one batch — the shape the vectorized batch engine turns into a single
-stacked NumPy pass.
+full 2·P-point sweep to an :class:`~repro.backends.base.ExecutionBackend` as
+one unbound :class:`~repro.circuit.sweep.ParameterSweep` — the shape the
+compiled engine turns into a single stacked NumPy pass.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from ..backends.base import ExecutionBackend
+from ..circuit.sweep import ParameterSweep
 from ..hamiltonian.expectation import EnergyEstimator
 from ..telemetry import TELEMETRY as _telemetry
 
@@ -81,7 +82,8 @@ def shifted_theta_matrix(
 
     Rows are ordered ``[i0 forward, i0 backward, i1 forward, ...]`` — the
     same point order as :func:`parameter_shift_batch` — and feed compiled
-    zero-rebind execution (``backend.run_sweep``,
+    zero-rebind execution (the ``theta`` of a
+    :class:`~repro.circuit.sweep.ParameterSweep`,
     ``EnergyEstimator.exact_energies``) directly.
     """
     base = np.asarray([float(v) for v in values], dtype=float)
@@ -174,14 +176,14 @@ def sampled_parameter_shift_gradient(
     """Sampled parameter-shift gradient through one backend batch.
 
     All forward/backward points for every requested parameter are submitted
-    in a single :meth:`ExecutionBackend.run_sweep` call; with the batched
-    statevector engine the whole sweep is one vectorized pass instead of
-    2·P sequential simulations.
+    as one :class:`~repro.circuit.sweep.ParameterSweep` in a single
+    :meth:`ExecutionBackend.run` call — one vectorized pass instead of 2·P
+    sequential simulations, and no circuit is bound.
 
     Args:
         estimator: ansatz + Hamiltonian estimator.
         values: the parameter vector to differentiate at.
-        backend: any execution backend (ideal, batched, noisy).
+        backend: any execution backend (ideal or noisy).
         shots: measurement shots per circuit.
         seed: sampling seed forwarded to the backend.
         rng: externally-owned RNG forwarded to the backend (wins over seed).
@@ -205,9 +207,10 @@ def sampled_parameter_shift_gradient(
     # Zero-rebind: backends take the raw shift-point matrix and sample in the
     # same flat order the bound batch (:func:`parameter_shift_batch`) would
     # have used, so the RNG stream is consumed identically.
-    results = backend.run_sweep(
-        estimator.template_circuits(),
-        shifted_theta_matrix(values, indices, shift),
+    results = backend.run(
+        ParameterSweep(
+            estimator.template_circuits(), shifted_theta_matrix(values, indices, shift)
+        ),
         shots=shots,
         seed=seed,
         rng=rng,

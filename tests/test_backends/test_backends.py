@@ -4,42 +4,42 @@ import numpy as np
 import pytest
 
 from repro.backends import (
-    BatchedStatevectorBackend,
     ExecutionBackend,
     NoisyBackend,
     StatevectorBackend,
     TranspileCache,
     normalize_batch,
-    structure_signature,
 )
-from repro.circuit import ghz_state, hardware_efficient_ansatz
+from repro.baselines.ideal import IdealTrainer
+from repro.circuit import ParameterSweep, ghz_state, hardware_efficient_ansatz
 from repro.devices import build_qpu
 from repro.vqa import heisenberg_vqe_problem, sampled_parameter_shift_gradient
 from repro.vqa.gradient import exact_full_gradient, parameter_shift_batch
 
 
+BOTH_BACKENDS = pytest.mark.parametrize(
+    "backend",
+    [StatevectorBackend(), NoisyBackend(build_qpu("Belem"))],
+    ids=["statevector", "noisy"],
+)
+
+
 class TestProtocol:
-    @pytest.mark.parametrize(
-        "backend",
-        [StatevectorBackend(), BatchedStatevectorBackend(), NoisyBackend(build_qpu("Belem"))],
-        ids=["statevector", "batched", "noisy"],
-    )
+    @BOTH_BACKENDS
     def test_implementations_satisfy_protocol(self, backend):
         assert isinstance(backend, ExecutionBackend)
         assert isinstance(backend.name, str)
 
-    @pytest.mark.parametrize(
-        "backend", [StatevectorBackend(), BatchedStatevectorBackend()]
-    )
+    @BOTH_BACKENDS
     def test_run_returns_one_result_per_circuit(self, backend):
-        circuits = [ghz_state(3), ghz_state(3), ghz_state(4)]
+        circuits = [ghz_state(4), ghz_state(3), ghz_state(3)]
         results = backend.run(circuits, shots=128, seed=1)
         assert len(results) == 3
         assert all(r.shots == 128 for r in results)
         assert all(sum(r.counts.values()) == 128 for r in results)
 
     def test_seed_determinism(self):
-        backend = BatchedStatevectorBackend()
+        backend = StatevectorBackend()
         a = backend.run(ghz_state(4), shots=512, seed=42)
         b = backend.run(ghz_state(4), shots=512, seed=42)
         c = backend.run(ghz_state(4), shots=512, seed=43)
@@ -48,27 +48,14 @@ class TestProtocol:
 
 
 class TestNormalizeBatch:
-    def test_broadcasts_template_over_bindings(self):
+    def test_single_circuit_becomes_a_batch_of_one(self):
+        circuit = ghz_state(3)
+        assert normalize_batch(circuit) == [circuit]
+
+    def test_sweep_passes_through(self):
         template = hardware_efficient_ansatz(4)
-        bound = normalize_batch(template, [[0.1] * 16, [0.2] * 16, [0.3] * 16])
-        assert len(bound) == 3
-        assert all(c.is_bound for c in bound)
-
-    def test_pairwise_binding(self):
-        t = hardware_efficient_ansatz(4)
-        bound = normalize_batch([t, t], [[0.1] * 16, [0.2] * 16])
-        assert len(bound) == 2
-
-    def test_mapping_bindings(self):
-        template = hardware_efficient_ansatz(4)
-        mapping = {p: 0.5 for p in template.ordered_parameters()}
-        bound = normalize_batch(template, [mapping])
-        assert bound[0].is_bound
-
-    def test_rejects_mismatched_lengths(self):
-        t = hardware_efficient_ansatz(4)
-        with pytest.raises(ValueError, match="align"):
-            normalize_batch([t, t, t], [[0.1] * 16, [0.2] * 16])
+        sweep = ParameterSweep([template], [[0.1] * 16, [0.2] * 16])
+        assert normalize_batch(sweep) is sweep
 
     def test_rejects_unbound_leftovers(self):
         with pytest.raises(ValueError, match="unbound"):
@@ -79,15 +66,37 @@ class TestNormalizeBatch:
             normalize_batch([])
 
 
-class TestStructureSignature:
-    def test_bindings_share_signature(self):
-        template = hardware_efficient_ansatz(4)
-        a = template.assign_by_order([0.1] * 16)
-        b = template.assign_by_order([0.9] * 16)
-        assert structure_signature(a) == structure_signature(b)
+class TestShotsValidation:
+    """``shots < 1`` is a typed failure on every path, before any RNG moves
+    (the ideal backend used to return empty counts, the gradient came back
+    all zero and the ideal trainer "trained" without moving theta)."""
 
-    def test_different_structures_differ(self):
-        assert structure_signature(ghz_state(4)) != structure_signature(ghz_state(5))
+    @BOTH_BACKENDS
+    @pytest.mark.parametrize("shots", [0, -3])
+    def test_backends_reject_before_touching_the_rng(self, backend, shots):
+        template = hardware_efficient_ansatz(4)
+        sweep = ParameterSweep([template], [[0.1] * 16, [0.2] * 16])
+        for batch in (ghz_state(3), [ghz_state(3)], sweep):
+            rng = np.random.default_rng(5)
+            before = rng.bit_generator.state
+            with pytest.raises(ValueError, match="shots must be >= 1"):
+                backend.run(batch, shots=shots, rng=rng)
+            assert rng.bit_generator.state == before
+
+    def test_sampled_gradient_rejects(self, vqe_problem):
+        theta = np.zeros(vqe_problem.estimator.num_parameters)
+        with pytest.raises(ValueError, match="shots must be >= 1"):
+            sampled_parameter_shift_gradient(
+                vqe_problem.estimator, theta, StatevectorBackend(), shots=0, seed=1
+            )
+
+    def test_ideal_trainer_rejects(self, vqe_problem):
+        theta = np.zeros(vqe_problem.estimator.num_parameters)
+        trainer = IdealTrainer(vqe_problem.estimator, shots=0, seed=1)
+        before = trainer.rng.bit_generator.state
+        with pytest.raises(ValueError, match="shots must be >= 1"):
+            trainer.train(theta, num_epochs=1)
+        assert trainer.rng.bit_generator.state == before
 
 
 class TestTranspileCache:
@@ -177,7 +186,7 @@ class TestBackendGradient:
         sampled = sampled_parameter_shift_gradient(
             problem.estimator,
             theta,
-            backend=BatchedStatevectorBackend(),
+            backend=StatevectorBackend(),
             shots=16384,
             seed=2,
         )
@@ -190,7 +199,7 @@ class TestBackendGradient:
         circuits = parameter_shift_batch(problem.estimator, theta)
         groups = problem.estimator.num_groups
         assert len(circuits) == 2 * len(theta) * groups
-        signatures = {structure_signature(c) for c in circuits}
+        signatures = {c.structure_key for c in circuits}
         # one signature per measurement group: the whole sweep vectorizes
         # into `groups` stacked passes regardless of parameter count
         assert len(signatures) == groups

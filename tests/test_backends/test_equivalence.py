@@ -1,23 +1,19 @@
-"""Batched-vs-sequential execution equivalence suite.
+"""Compiled-vs-looped execution equivalence suite.
 
-The batched statevector engine must agree with the looped reference to
-better than 1e-10 on probabilities for every circuit family the paper uses
-(GHZ, QAOA, VQE hardware-efficient ansatz), and the noisy backend must be
+The ideal backend must agree with the looped reference simulator to better
+than 1e-10 on probabilities for every circuit family the paper uses (GHZ,
+QAOA, VQE hardware-efficient ansatz), and the noisy backend must be
 bit-exact with the legacy per-circuit device path for fixed seeds.
 """
 
 import numpy as np
 import pytest
 
-from repro.backends import (
-    BatchedStatevectorBackend,
-    NoisyBackend,
-    StatevectorBackend,
-    simulate_statevector_batch,
-)
+from repro.backends import NoisyBackend, StatevectorBackend
 from repro.circuit import ghz_state, hardware_efficient_ansatz, qaoa_maxcut_ansatz
 from repro.devices import build_qpu
 from repro.devices.qpu import CircuitFootprint
+from repro.engine import execute_program, lower_batch
 from repro.simulator.statevector import simulate_statevector
 
 TOLERANCE = 1e-10
@@ -44,36 +40,27 @@ class TestBatchedIdealEquivalence:
             circuit_family.assign_by_order(values)
             for values in _random_bindings(circuit_family, 12, seed=7)
         ]
-        states = simulate_statevector_batch(bound)
-        for row, circuit in zip(states, bound):
+        ((program, thetas, _, positions),) = lower_batch(bound)
+        assert positions == list(range(len(bound)))
+        for row, circuit in zip(execute_program(program, thetas), bound):
             reference = simulate_statevector(circuit).data
             assert np.max(np.abs(row - reference)) < TOLERANCE
 
-    def test_probabilities_match_sequential_backend(self, circuit_family):
+    def test_probabilities_match_looped_simulator(self, circuit_family):
         bound = [
             circuit_family.assign_by_order(values)
             for values in _random_bindings(circuit_family, 16, seed=11)
         ]
-        batched = BatchedStatevectorBackend().probabilities(bound)
-        sequential = StatevectorBackend().probabilities(bound)
-        for b, s in zip(batched, sequential):
-            assert np.max(np.abs(b - s)) < TOLERANCE
-
-    def test_template_with_bindings_equals_prebound(self, circuit_family):
-        bindings = _random_bindings(circuit_family, 6, seed=3)
-        via_template = BatchedStatevectorBackend().run(
-            circuit_family, parameter_bindings=bindings, shots=512, seed=5
-        )
-        prebound = BatchedStatevectorBackend().run(
-            [circuit_family.assign_by_order(v) for v in bindings], shots=512, seed=5
-        )
-        for a, b in zip(via_template, prebound):
-            assert dict(a.counts) == dict(b.counts)
+        for probs, circuit in zip(StatevectorBackend().probabilities(bound), bound):
+            reference = simulate_statevector(circuit).probabilities(
+                list(circuit.measured_qubits or range(circuit.num_qubits))
+            )
+            assert np.max(np.abs(probs - reference)) < TOLERANCE
 
     def test_mixed_structure_batch_is_partitioned(self):
         ghz = ghz_state(4)
         vqe = hardware_efficient_ansatz(4).assign_by_order([0.3] * 16)
-        results = BatchedStatevectorBackend().run([ghz, vqe, ghz], shots=256, seed=0)
+        results = StatevectorBackend().run([ghz, vqe, ghz], shots=256, seed=0)
         assert len(results) == 3
         assert results[0].metadata["structure_groups"] == 2
         # GHZ only ever measures all-zeros / all-ones ideally.
@@ -87,7 +74,7 @@ class TestBatchedIdealEquivalence:
         base = np.array([0.4, -0.9])
         bindings = [base, base, base + [0.0, 0.5], base + [-0.3, 0.0]]
         bound = [template.assign_by_order(v) for v in bindings]
-        batched = BatchedStatevectorBackend().probabilities(bound)
+        batched = StatevectorBackend().probabilities(bound)
         for probs, circuit in zip(batched, bound):
             reference = simulate_statevector(circuit).probabilities(
                 list(circuit.measured_qubits)

@@ -4,7 +4,13 @@ import math
 
 import pytest
 
-from repro.circuit import Parameter, ParameterVector, QuantumCircuit
+from repro.circuit import (
+    Parameter,
+    ParameterVector,
+    QuantumCircuit,
+    ghz_state,
+    hardware_efficient_ansatz,
+)
 from repro.circuit.gates import Instruction
 
 
@@ -113,6 +119,17 @@ class TestMetrics:
         qc.barrier()
         qc.h(1)
         assert qc.depth() == 2  # barrier synchronizes, h(1) starts a new layer
+
+
+class TestStructureKey:
+    def test_bindings_share_a_structure_key(self):
+        template = hardware_efficient_ansatz(4)
+        a = template.assign_by_order([0.1] * 16)
+        b = template.assign_by_order([0.9] * 16)
+        assert a.structure_key == b.structure_key
+
+    def test_different_structures_differ(self):
+        assert ghz_state(4).structure_key != ghz_state(5).structure_key
 
 
 class TestTransformations:

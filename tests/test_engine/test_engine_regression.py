@@ -10,18 +10,14 @@ RNG consumption is unchanged.
 
 import numpy as np
 
-from repro.backends import BatchedStatevectorBackend, StatevectorBackend
+from repro.backends import StatevectorBackend
 from repro.baselines.ideal import IdealTrainer
 from repro.vqa import heisenberg_vqe_problem
-from repro.vqa.gradient import (
-    parameter_shift_batch,
-    sampled_parameter_shift_gradient,
-    shifted_theta_matrix,
-)
+from repro.vqa.gradient import sampled_parameter_shift_gradient
 
 #: sampled_parameter_shift_gradient(heisenberg estimator,
 #: linspace(0.2, 1.1, 16), shots=256, seed=11) — captured from the PR-1 code
-#: for both the sequential and the batched backend (they agreed bit-exactly).
+#: (its sequential and its batched backend agreed bit-exactly).
 GOLDEN_GRADIENT_HEX = [
     "-0x1.2200000000000p-1",
     "-0x1.0a00000000000p+0",
@@ -55,7 +51,7 @@ def _theta(estimator):
 
 
 class TestGradientRngConsumption:
-    def test_sequential_backend_gradient_is_bit_exact(self, vqe_problem):
+    def test_backend_gradient_is_bit_exact(self, vqe_problem):
         grad = sampled_parameter_shift_gradient(
             vqe_problem.estimator,
             _theta(vqe_problem.estimator),
@@ -64,35 +60,6 @@ class TestGradientRngConsumption:
             seed=11,
         )
         assert [v.hex() for v in grad] == GOLDEN_GRADIENT_HEX
-
-    def test_batched_backend_gradient_is_bit_exact(self, vqe_problem):
-        grad = sampled_parameter_shift_gradient(
-            vqe_problem.estimator,
-            _theta(vqe_problem.estimator),
-            BatchedStatevectorBackend(),
-            shots=256,
-            seed=11,
-        )
-        assert [v.hex() for v in grad] == GOLDEN_GRADIENT_HEX
-
-    def test_run_sweep_consumes_rng_like_bound_run(self, vqe_problem):
-        """Zero-rebind sweeps draw the same samples, in the same order, as
-        submitting the pre-bound circuit batch — the RNG-stream contract."""
-        estimator = vqe_problem.estimator
-        theta = _theta(estimator)
-        matrix = shifted_theta_matrix(theta, [0, 3, 5])
-        backend = BatchedStatevectorBackend()
-        swept = backend.run_sweep(
-            estimator.template_circuits(),
-            matrix,
-            shots=512,
-            rng=np.random.default_rng(77),
-        )
-        circuits = parameter_shift_batch(estimator, theta, [0, 3, 5])
-        bound = backend.run(circuits, shots=512, rng=np.random.default_rng(77))
-        assert len(swept) == len(bound)
-        for a, b in zip(swept, bound):
-            assert dict(a.counts) == dict(b.counts)
 
 
 class TestTrainerHistoryRegression:

@@ -3,7 +3,7 @@
 Three contracts are pinned here:
 
 1. **Batched-vs-sequential equivalence** — ``noisy_probabilities_batch`` (and
-   the QPU batch/sweep entry points built on it) agree with the per-circuit
+   the QPU batch entry point built on it) agree with the per-circuit
    sequential path to <= 1e-10 on probabilities, across randomized circuits,
    noise specs, and mixed-structure batches.
 2. **Seeded sampling order** — the batched paths consume a shared RNG stream
@@ -17,7 +17,6 @@ Three contracts are pinned here:
 import numpy as np
 import pytest
 
-from repro.backends.noisy import NoisyBackend
 from repro.circuit import (
     Parameter,
     ParameterSweep,
@@ -32,7 +31,6 @@ from repro.simulator.mixing import (
     MixingNoiseSpec,
     noisy_probabilities,
     noisy_probabilities_batch,
-    noisy_sweep_probabilities,
 )
 from repro.simulator.sampler import (
     apply_readout_error,
@@ -45,7 +43,7 @@ from repro.simulator.trajectory import (
     TrajectoryNoiseSpec,
     density_matrix_probabilities,
 )
-from repro.vqa.gradient import shifted_parameter_vectors, shifted_theta_matrix
+from repro.vqa.gradient import shifted_parameter_vectors
 
 TOLERANCE = 1e-10
 
@@ -134,21 +132,6 @@ class TestNoisyProbabilitiesBatch:
         qc = QuantumCircuit(2).ry(Parameter("a"), 0).measure_all()
         with pytest.raises(ValueError):
             noisy_probabilities_batch([qc], [MixingNoiseSpec(1.0)])
-
-
-class TestSweepProbabilities:
-    def test_flat_order_matches_bound_batch(self):
-        template = hardware_efficient_ansatz(4).measure_all()
-        rng = np.random.default_rng(3)
-        theta = rng.uniform(-np.pi, np.pi, len(template.ordered_parameters()))
-        matrix = shifted_theta_matrix(theta)
-        specs = [_random_spec(rng, 4) for _ in range(matrix.shape[0])]
-        swept = noisy_sweep_probabilities([template], matrix, specs)
-        bound = [template.assign_by_order(row) for row in matrix]
-        batched = noisy_probabilities_batch(bound, specs)
-        assert len(swept) == len(batched)
-        for left, right in zip(swept, batched):
-            assert np.max(np.abs(left - right)) <= TOLERANCE
 
 
 def _measurement_family(measure_subset: bool = False) -> list[QuantumCircuit]:
@@ -326,39 +309,6 @@ class TestSeededSamplingOrder:
             assert left.duration_seconds == right.duration_seconds
             assert left.metadata == right.metadata
         assert batch_rng.bit_generator.state == seq_rng.bit_generator.state
-
-    def test_run_sweep_matches_bound_submission(self):
-        template = hardware_efficient_ansatz(4).measure_all()
-        theta = np.random.default_rng(2).uniform(
-            -np.pi, np.pi, len(template.ordered_parameters())
-        )
-        matrix = shifted_theta_matrix(theta, [0, 3])
-        footprint = CircuitFootprint.from_circuit(template)
-
-        sweep_backend = NoisyBackend(build_qpu("Bogota"))
-        swept = sweep_backend.run_sweep(
-            [template],
-            matrix,
-            shots=128,
-            rng=np.random.default_rng(5),
-            footprint=footprint,
-            now=250.0,
-        )
-
-        run_backend = NoisyBackend(build_qpu("Bogota"))
-        bound = [template.assign_by_order(row) for row in matrix]
-        submitted = run_backend.run(
-            bound,
-            shots=128,
-            rng=np.random.default_rng(5),
-            footprint=footprint,
-            now=250.0,
-        )
-
-        assert len(swept) == len(submitted) == matrix.shape[0]
-        for left, right in zip(swept, submitted):
-            assert dict(left.counts) == dict(right.counts)
-            assert left.metadata == right.metadata
 
     def test_golden_rng_consumption_pin(self):
         """Golden draws for the seeded batched path (captured at PR 4)."""

@@ -1,0 +1,40 @@
+"""The size of the public surface, pinned.
+
+ROADMAP standard 2 asks for the least code and the fewest options; these
+asserts turn growth of the execution protocol, the backends package and the
+ensemble configuration into a deliberate one-line edit made in review.
+"""
+
+import dataclasses
+
+import repro.backends
+from repro.backends import ExecutionBackend
+from repro.core.ensemble import EQCConfig
+
+
+def test_execution_backend_has_one_method():
+    public = {
+        name
+        for name, member in vars(ExecutionBackend).items()
+        if callable(member) and not name.startswith("_")
+    }
+    assert public == {"run"}
+
+
+def test_backends_package_exports():
+    assert set(repro.backends.__all__) == {
+        "ExecutionBackend",
+        "StatevectorBackend",
+        "NoisyBackend",
+        "TranspileCache",
+        "ProgramCache",
+        "shared_program_cache",
+        "normalize_batch",
+        "measured_register",
+        "template_structure_key",
+    }
+    assert len(repro.backends.__all__) == len(set(repro.backends.__all__))
+
+
+def test_eqc_config_field_count():
+    assert len(dataclasses.fields(EQCConfig)) == 20
