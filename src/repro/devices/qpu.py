@@ -289,8 +289,23 @@ class QPU:
         The base device speed is slowed down by the drift model (noisy windows
         come with retries and maintenance) — this is what makes Toronto-style
         devices swing between 6.5 and 0.03 epochs/hour.
+
+        The duration is continuous in ``now`` (the drift factor carries a
+        sinusoid of the calibration age), so it is evaluated per start time and
+        never tabulated per calibration step: a table would move every seeded
+        timeline.  The scheduler prices each tenant job through this call, so
+        it spells out :meth:`_drift_at` and :meth:`_slot_seconds` in one frame
+        (same float operations, same order).
         """
-        return self._slot_seconds(self._drift_at(now)[2])
+        spec = self.spec
+        period = spec.calibration_period_hours * SECONDS_PER_HOUR
+        now = float(now)
+        cycle = int(now // period)
+        factor = self._drift.drift_factor(
+            (now % period) / SECONDS_PER_HOUR, cycle if cycle > 0 else 0
+        )
+        speed = 1.0 / factor
+        return spec.base_job_seconds / (speed if speed > 1e-6 else 1e-6)
 
     # ------------------------------------------------------------------
     # noisy execution

@@ -29,6 +29,8 @@ import numpy as np
 
 __all__ = ["DriftProfile", "DriftModel"]
 
+_TWO_PI = 2.0 * math.pi
+
 
 @dataclass(frozen=True)
 class DriftProfile:
@@ -94,12 +96,18 @@ class DriftModel:
             A factor >= 1 applied to all reported error rates to obtain the
             device's *effective* error rates.
         """
-        hours = max(0.0, float(hours_since_calibration))
+        hours = float(hours_since_calibration)
+        if not hours > 0.0:  # negative (or NaN) ages clamp to the calibration
+            hours = 0.0
         p = self.profile
-        phase, _roll, burst_start = self._params_for(cycle)
+        # Every tenant job start lands here: the memo hit stays in this frame.
+        params = self._cycle_params.get(cycle)
+        if params is None:
+            params = self._params_for(cycle)
+        phase, _roll, burst_start = params
         linear = p.drift_rate * hours
         oscillation = p.oscillation_amplitude * (
-            1.0 + math.sin(2.0 * math.pi * hours / p.oscillation_period_hours + phase)
+            1.0 + math.sin(_TWO_PI * hours / p.oscillation_period_hours + phase)
         ) / 2.0
         factor = 1.0 + linear + oscillation
 
@@ -109,20 +117,17 @@ class DriftModel:
         return factor
 
     def _params_for(self, cycle: int) -> tuple[float, float, float | None]:
-        """The cycle's (phase, burst roll, burst start) draws, memoized."""
+        """Draw and memoize the cycle's (phase, burst roll, burst start)."""
         cycle = int(cycle)
-        params = self._cycle_params.get(cycle)
-        if params is None:
-            rng = self._cycle_rng(cycle)
-            phase = rng.uniform(0.0, 2.0 * math.pi)
-            burst_roll = rng.uniform(0.0, 1.0)
-            burst_start = (
-                rng.uniform(1.0, 20.0)
-                if burst_roll < self.profile.burst_probability
-                else None
-            )
-            params = (phase, burst_roll, burst_start)
-            self._cycle_params[cycle] = params
+        rng = self._cycle_rng(cycle)
+        phase = rng.uniform(0.0, _TWO_PI)
+        burst_roll = rng.uniform(0.0, 1.0)
+        burst_start = (
+            rng.uniform(1.0, 20.0)
+            if burst_roll < self.profile.burst_probability
+            else None
+        )
+        params = self._cycle_params[cycle] = (phase, burst_roll, burst_start)
         return params
 
     def speed_factor(self, hours_since_calibration: float, cycle: int = 0) -> float:

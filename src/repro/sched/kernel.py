@@ -52,6 +52,8 @@ from __future__ import annotations
 
 import heapq
 import zlib
+from math import inf, isfinite
+from operator import le
 from typing import Callable
 
 import numpy as np
@@ -65,6 +67,10 @@ EventAction = Callable[[float], None]
 
 #: Below this many heap entries a compaction sweep is not worth the heapify.
 _COMPACTION_MIN_HEAP = 64
+
+#: Up to this many timestamps one pass over the list validates a batch faster
+#: than three numpy reductions do (≈30 ns an element against ≈6 us a batch).
+_SMALL_BATCH = 256
 
 
 class Event:
@@ -228,14 +234,18 @@ class EventKernel:
         kind: str = "event",
     ) -> Event:
         """Add one event to the heap and return it (for cancellation)."""
-        if time < 0:
+        if not 0.0 <= time < inf:  # one chained comparison; false on NaN too
+            if not isfinite(time):
+                raise ValueError("event timestamps must be finite")
             raise ValueError("events cannot be scheduled before t=0")
+        time = float(time)
+        priority = int(priority)
         seq = self._seq
         self._seq = seq + 1
-        event = Event(float(time), int(priority), seq, kind, action)
+        event = Event(time, priority, seq, kind, action)
         event._kernel = self
         event._pending = True
-        heapq.heappush(self._heap, (event.time, event.priority, seq, action, event))
+        heapq.heappush(self._heap, (time, priority, seq, action, event))
         self._live += 1
         return event
 
@@ -268,16 +278,26 @@ class EventKernel:
         n = int(arr.size)
         if n == 0:
             return 0
-        if not np.isfinite(arr).all():
-            raise ValueError("batch timestamps must be finite")
-        if float(arr.min()) < 0.0:
-            raise ValueError("events cannot be scheduled before t=0")
-        if n > 1 and bool((np.diff(arr) < 0).any()):
-            arr = np.sort(arr)
+        stamps = arr.tolist()
+        # A non-decreasing chain is false on any NaN, so with both ends in
+        # [0, inf) it proves every stamp finite, non-negative and in order;
+        # whatever it cannot prove gets the array checks and the sort.
+        if n > _SMALL_BATCH or not (
+            0.0 <= stamps[0]
+            and stamps[-1] < inf
+            and all(map(le, stamps, stamps[1:]))
+        ):
+            if not np.isfinite(arr).all():
+                raise ValueError("event timestamps must be finite")
+            if float(arr.min()) < 0.0:
+                raise ValueError("events cannot be scheduled before t=0")
+            if n > 1 and bool((np.diff(arr) < 0).any()):
+                stamps = np.sort(arr).tolist()
+        priority = int(priority)
         seq0 = self._seq
         self._seq = seq0 + n
-        run = _Run(arr.tolist(), int(priority), seq0, kind, action)
-        heapq.heappush(self._heap, (run.times[0], run.priority, seq0, action, run))
+        run = _Run(stamps, priority, seq0, kind, action)
+        heapq.heappush(self._heap, (stamps[0], priority, seq0, action, run))
         self._live += n
         return n
 

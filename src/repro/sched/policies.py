@@ -82,7 +82,7 @@ class SchedulingPolicy:
         return (
             job.foreground
             or queue.max_queue_length is None
-            or queue.queue_length < queue.max_queue_length
+            or len(queue.waiting) < queue.max_queue_length
         )
 
     def next_job(
@@ -206,7 +206,7 @@ class BackpressurePolicy(SchedulingPolicy):
     def admit(self, job, queue, now):
         if job.foreground:
             return True
-        depth = queue.queue_length
+        depth = len(queue.waiting)
         cap = queue.max_queue_length
         if cap is not None and depth >= cap:
             return False
@@ -249,12 +249,18 @@ class DeadlinePolicy(SchedulingPolicy):
             raise ValueError("deadline slacks must be positive")
         self.foreground_slack = float(foreground_slack)
         self.tier_slacks = tuple(float(s) for s in tier_slacks)
+        #: tenant name -> its tier's slack (the hash is stable, so memoized).
+        self._tenant_slack: dict[str, float] = {}
 
     def slack_for(self, job: SchedJob) -> float:
         if job.foreground:
             return self.foreground_slack
-        tier = zlib.crc32(job.tenant.encode()) % len(self.tier_slacks)
-        return self.tier_slacks[tier]
+        tenant = job.tenant
+        slack = self._tenant_slack.get(tenant)
+        if slack is None:
+            tier = zlib.crc32(tenant.encode()) % len(self.tier_slacks)
+            slack = self._tenant_slack[tenant] = self.tier_slacks[tier]
+        return slack
 
     def admit(self, job, queue, now):
         if not super().admit(job, queue, now):

@@ -46,13 +46,14 @@ EVENT_PRIORITY = {
 ServiceFn = Callable[[float], float]
 
 
-@dataclass
+@dataclass(eq=False, slots=True)
 class SchedJob:
     """One unit of device work inside the scheduler (EQC or tenant).
 
     The job doubles as the *handle* callers hold: ``start_time`` and
     ``finish_time`` are populated as the kernel simulates it, and ``done``
-    flips once the completion event has fired.
+    flips once the completion event has fired.  Handles compare (and hash)
+    by identity: two jobs with equal fields are still two jobs.
 
     Attributes:
         job_id: scheduler-assigned id (monotone, deterministic).
@@ -87,7 +88,7 @@ class SchedJob:
     service_seconds: float = 0.0
     rejected: bool = False
     deadline: float | None = None
-    arrival_event: Event | None = field(default=None, repr=False, compare=False)
+    arrival_event: Event | None = field(default=None, repr=False)
 
     @property
     def done(self) -> bool:
@@ -133,6 +134,7 @@ class DeviceServiceQueue:
     ) -> None:
         self.kernel = kernel
         self.qpu = qpu
+        self.name = qpu.name
         self.queue_model = queue_model
         self.policy = policy
         self.downtime_base_seconds = float(downtime_base_seconds)
@@ -172,10 +174,6 @@ class DeviceServiceQueue:
         self._service_event: Event | None = None
 
     # ------------------------------------------------------------------
-    @property
-    def name(self) -> str:
-        return self.qpu.name
-
     @property
     def queue_length(self) -> int:
         return len(self.waiting)
@@ -331,7 +329,8 @@ class DeviceServiceQueue:
         if self.in_service is None:
             # A late-replayed submission (arrival behind the device's local
             # timeline) cannot rewind committed work: it queues from free_at.
-            self._try_start(max(now, self.free_at))
+            free_at = self.free_at
+            self._try_start(now if now >= free_at else free_at)
 
     def withdraw(self, job: SchedJob) -> None:
         """Drop a job from the waiting list (its submitter gave up on it)."""
@@ -340,38 +339,49 @@ class DeviceServiceQueue:
             self._waiting_circuits -= job.num_circuits
 
     def _try_start(self, now: float) -> None:
-        if self.in_service is not None or not self.waiting:
+        waiting = self.waiting
+        if self.in_service is not None or not waiting:
             return
-        if now < self.downtime_until:
-            if math.isfinite(self.downtime_until):
-                self._ensure_wakeup(self.downtime_until)
+        downtime_until = self.downtime_until
+        if now < downtime_until:
+            if math.isfinite(downtime_until):
+                self._ensure_wakeup(downtime_until)
             return
-        index = self.policy.next_job(self.waiting, self, now)
-        job = self.waiting.pop(index)
-        self._waiting_circuits -= job.num_circuits
+        job = waiting.pop(self.policy.next_job(waiting, self, now))
+        circuits = job.num_circuits
+        self._waiting_circuits -= circuits
         self.in_service = job
         job.start_time = now
-        duration = self._service_duration(job, now)
+        if job.service is not None:
+            duration = float(job.service(now))
+        else:
+            # Default tenant physics: the device's drift-aware job clock, one
+            # half-slot per circuit (a full slot covers a forward/backward pair).
+            slot = job_slot_circuit_seconds(self.qpu.job_duration_seconds(now))
+            duration = slot * (circuits if circuits > 1 else 1)
         job.service_seconds = duration
-        self.free_at = now + duration
+        self.free_at = free_at = now + duration
+        # The completion reads ``in_service``: one job runs at a time, and an
+        # outage that preempts it cancels this event before clearing the slot.
         self._service_event = self.kernel.schedule(
-            self.free_at,
-            lambda t, job=job: self._complete(job, t),
-            priority=EVENT_PRIORITY["service_complete"],
-            kind="service_complete",
+            free_at,
+            self._complete,
+            EVENT_PRIORITY["service_complete"],
+            "service_complete",
         )
 
-    def _complete(self, job: SchedJob, now: float) -> None:
+    def _complete(self, now: float) -> None:
+        job = self.in_service
         job.finish_time = now
         # The physics ran; completed handles must not pin the caller's closure.
         job.service = None
         self.in_service = None
         self._service_event = None
         self.completed.append(job)
-        self.busy_seconds += job.service_seconds
-        self.service_given[job.tenant] = (
-            self.service_given.get(job.tenant, 0.0) + job.service_seconds
-        )
+        seconds = job.service_seconds
+        self.busy_seconds += seconds
+        given = self.service_given
+        given[job.tenant] = given.get(job.tenant, 0.0) + seconds
         if _telemetry.enabled:
             self._record_completion(job)
         self._try_start(now)
@@ -402,14 +412,6 @@ class DeviceServiceQueue:
                 "circuits": job.num_circuits,
             },
         )
-
-    def _service_duration(self, job: SchedJob, start: float) -> float:
-        if job.service is not None:
-            return float(job.service(start))
-        # Default tenant physics: the device's drift-aware job clock, one
-        # half-slot per circuit (a full slot covers a forward/backward pair).
-        slot = job_slot_circuit_seconds(self.qpu.job_duration_seconds(start))
-        return slot * max(1, job.num_circuits)
 
     # ------------------------------------------------------------------
     def _ensure_wakeup(self, when: float) -> None:

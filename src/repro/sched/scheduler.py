@@ -58,7 +58,9 @@ class CloudScheduler:
         self.downtime_seconds = float(downtime_seconds)
         self.max_queue_length = max_queue_length
         self.queues: dict[str, DeviceServiceQueue] = {}
-        self._job_ids = itertools.count()
+        #: Next job id (monotone, deterministic); a plain C callable, since
+        #: every tenant arrival draws one.
+        self.next_job_id = itertools.count().__next__
         self._started = False
 
     # ------------------------------------------------------------------
@@ -69,9 +71,6 @@ class CloudScheduler:
     @property
     def device_names(self) -> tuple[str, ...]:
         return tuple(self.queues.keys())
-
-    def next_job_id(self) -> int:
-        return next(self._job_ids)
 
     # ------------------------------------------------------------------
     def register_device(self, qpu: QPU, queue_model: QueueModel) -> DeviceServiceQueue:

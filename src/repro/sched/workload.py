@@ -16,7 +16,8 @@ approximation of the non-homogeneous Poisson process, generated in
 **vectorized chunks**: the rate is frozen at the chunk's start time, a whole
 block of inter-arrival gaps is drawn with one ``numpy`` call and accumulated
 into absolute timestamps, and the tenant/batch-size/priority marks of the
-chunk are drawn as three array calls from a second per-device stream.  The
+chunk are drawn as three array calls from a second per-device stream (two
+when ``max_priority`` is 0: that draw has no entropy and no effect).  The
 chunk spans roughly ``chunk_refresh_seconds`` of simulated time (clamped to
 ``max_chunk`` arrivals), so the rate still tracks the multi-hour diurnal
 curve while the kernel admits arrivals thousands at a time through
@@ -84,7 +85,9 @@ class _DeviceArrivalStream:
         self.queue = queue
         self.gaps_rng = gaps_rng
         self.marks_rng = marks_rng
-        self.times: list[float] = []
+        #: The chunk's timestamps, kept as the float64 array they were drawn
+        #: into: ``schedule_batch`` takes it as is.
+        self.times = np.empty(0)
         self.tenants: list[int] = []
         self.circuits: list[int] = []
         self.priorities: list[int] = []
@@ -99,6 +102,8 @@ class _DeviceArrivalStream:
         ``t0 + cumsum(gaps / rate)``.  From the marks stream, exactly three
         calls — ``integers(num_tenants, size=K)``, ``integers(lo, hi+1,
         size=K)``, ``integers(max_priority+1, size=K)`` — in that order.
+        The last is skipped when ``max_priority == 0``: a draw over a range
+        of one consumes no bits, so the stream cannot tell.
         """
         workload = self.workload
         rate = workload.arrival_rate(self.queue.queue_model, t0)
@@ -107,16 +112,15 @@ class _DeviceArrivalStream:
         size = int(rate * workload.chunk_refresh_seconds)
         size = max(1, min(workload.max_chunk, size))
         gaps = self.gaps_rng.standard_exponential(size)
-        times = t0 + np.cumsum(gaps / rate)
+        self.times = t0 + (gaps / rate).cumsum()
+        integers = self.marks_rng.integers
         lo, hi = workload.circuit_range
-        self.times = times.tolist()
-        self.tenants = self.marks_rng.integers(
-            workload.num_tenants, size=size
-        ).tolist()
-        self.circuits = self.marks_rng.integers(lo, hi + 1, size=size).tolist()
-        self.priorities = self.marks_rng.integers(
-            workload.max_priority + 1, size=size
-        ).tolist()
+        self.tenants = integers(workload.num_tenants, size=size).tolist()
+        self.circuits = integers(lo, hi + 1, size=size).tolist()
+        if workload.max_priority:
+            self.priorities = integers(workload.max_priority + 1, size=size).tolist()
+        else:
+            self.priorities = [0] * size
         self.cursor = 0
         return True
 
@@ -125,7 +129,7 @@ class _DeviceArrivalStream:
         kernel = self.scheduler.kernel
         if self.workload.batch_arrivals:
             kernel.schedule_batch(
-                np.asarray(self.times),
+                self.times,
                 self.fire,
                 priority=EVENT_PRIORITY["arrival"],
                 kind="tenant_arrival",
@@ -144,19 +148,21 @@ class _DeviceArrivalStream:
     def fire(self, now: float) -> None:
         """One arrival: build the job from precomputed marks, inject, refill."""
         workload = self.workload
+        queue = self.queue
+        tenants = self.tenants
         i = self.cursor
         self.cursor = i + 1
         job = SchedJob(
-            job_id=self.scheduler.next_job_id(),
-            tenant=workload.tenant_name(self.tenants[i]),
-            device_name=self.queue.name,
-            arrival_time=now,
-            num_circuits=self.circuits[i],
-            priority=self.priorities[i],
+            self.scheduler.next_job_id(),
+            workload._tenant_names[tenants[i]],
+            queue.name,
+            now,
+            self.circuits[i],
+            self.priorities[i],
         )
         workload.jobs_injected += 1
-        self.queue.on_arrival(job, now)
-        if self.cursor >= len(self.times):
+        queue.on_arrival(job, now)
+        if i + 1 >= len(tenants):
             # Chunk exhausted: refill with the rate in force at this arrival.
             if self.generate_chunk(now):
                 self.admit_chunk()
@@ -167,6 +173,14 @@ class _DeviceArrivalStream:
                 priority=EVENT_PRIORITY["arrival"],
                 kind="tenant_arrival",
             )
+
+
+class _TenantNames(dict):
+    """Interned ``tenant<i>`` strings by index, built on first use."""
+
+    def __missing__(self, index: int) -> str:
+        name = self[index] = f"tenant{index}"
+        return name
 
 
 class WorkloadGenerator:
@@ -229,16 +243,13 @@ class WorkloadGenerator:
         self.batch_arrivals = bool(batch_arrivals)
         self.jobs_injected = 0
         self._popularity_scale = 1.0
-        self._tenant_names: dict[int, str] = {}
+        #: Read with a plain dict lookup once per arrival.
+        self._tenant_names = _TenantNames()
 
     # ------------------------------------------------------------------
     def tenant_name(self, index: int) -> str:
         """Interned ``tenant<i>`` string (10k tenants → 10k cached names)."""
-        name = self._tenant_names.get(index)
-        if name is None:
-            name = f"tenant{index}"
-            self._tenant_names[index] = name
-        return name
+        return self._tenant_names[index]
 
     def arrival_rate(self, model: QueueModel, now: float) -> float:
         """Instantaneous arrivals/second on one device at time ``now``."""

@@ -38,7 +38,7 @@ def percentile(values: Sequence[float], q: float) -> float:
     """
     if not values:
         return 0.0
-    ordered = sorted(float(v) for v in values)
+    ordered = sorted(map(float, values))
     if len(ordered) == 1:
         return ordered[0]
     rank = (q / 100.0) * (len(ordered) - 1)

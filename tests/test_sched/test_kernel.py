@@ -1,5 +1,6 @@
 """Tests for the discrete-event kernel: ordering, determinism, clock contract."""
 
+import numpy as np
 import pytest
 
 from repro.cloud.clock import VirtualClock
@@ -89,6 +90,17 @@ class TestClockIntegration:
         with pytest.raises(ValueError):
             EventKernel().schedule(-1.0, lambda t: None)
 
+    @pytest.mark.parametrize("time", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_time_rejected(self, time):
+        """A NaN key would make heap order undefined: refuse it, as the
+        batch path does, and leave the kernel untouched."""
+        kernel = EventKernel()
+        with pytest.raises(ValueError, match="finite"):
+            kernel.schedule(time, lambda t: None)
+        with pytest.raises(ValueError, match="finite"):
+            kernel.schedule_batch([1.0, time], lambda t: None)
+        assert kernel.pending == 0 and kernel.heap_size == 0
+
 
 class TestScheduleBatch:
     def test_batch_returns_count_and_tracks_pending(self):
@@ -113,6 +125,32 @@ class TestScheduleBatch:
             kernel.schedule_batch([[1.0, 2.0]], lambda t: None)
         with pytest.raises(ValueError):
             kernel.schedule_batch([1.0], None)
+
+    @pytest.mark.parametrize("size", [1, 2, 13, 256, 257, 2000])
+    def test_validation_does_not_depend_on_batch_size(self, size):
+        """Small batches are validated by one pass over the list, large ones
+        by array reductions: both accept and reject exactly the same input."""
+        base = np.cumsum(np.random.default_rng(size).standard_exponential(size))
+        for position in {0, size // 2, size - 1}:
+            for bad, message in (
+                (float("nan"), "finite"),
+                (float("inf"), "finite"),
+                (float("-inf"), "finite"),
+                (-1.0, "before t=0"),
+            ):
+                times = base.copy()
+                times[position] = bad
+                kernel = EventKernel()
+                with pytest.raises(ValueError, match=message):
+                    kernel.schedule_batch(times, lambda t: None)
+                assert kernel.pending == 0 and kernel.heap_size == 0
+        kernel = EventKernel()
+        fired = []
+        shuffled = np.random.default_rng(1).permutation(base)
+        shuffled[0] = -0.0  # not negative: accepted, sorts first
+        assert kernel.schedule_batch(shuffled, fired.append) == size
+        kernel.run_until_time(float(base[-1]))
+        assert fired == np.sort(shuffled).tolist()
 
     def test_unsorted_batch_fires_in_time_order(self):
         kernel = EventKernel()

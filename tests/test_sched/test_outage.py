@@ -26,6 +26,16 @@ class TestOutageWindows:
         assert job.start_time == pytest.approx(150.0)
         assert job.finish_time == pytest.approx(160.0)
 
+    def test_non_finite_outage_start_or_arrival_rejected(self):
+        """Both reach ``EventKernel.schedule``, which refuses a NaN heap key."""
+        scheduler = make_scheduler()
+        for start in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                scheduler.inject_outage("Belem", start=start, duration=50.0)
+        with pytest.raises(ValueError, match="finite"):
+            scheduler.submit(device_name="Belem", arrival=float("nan"), duration=1.0)
+        assert scheduler.kernel.pending == 0
+
     def test_job_before_outage_unaffected(self):
         scheduler = make_scheduler()
         scheduler.inject_outage("Belem", start=100.0, duration=50.0)

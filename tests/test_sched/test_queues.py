@@ -5,7 +5,7 @@ import pytest
 from repro.cloud.clock import SECONDS_PER_HOUR
 from repro.cloud.queueing import queue_model_for
 from repro.devices.catalog import build_qpu
-from repro.sched import CloudScheduler
+from repro.sched import CloudScheduler, SchedJob
 
 
 def make_scheduler(device="Belem", **kwargs):
@@ -82,6 +82,39 @@ class TestAdmissionControl:
         scheduler.run_until_complete(jobs[-1])
         assert scheduler.queues["Belem"].jobs_rejected == 0
         assert all(job.done for job in jobs)
+
+
+class TestHandleIdentity:
+    def test_withdraw_removes_exactly_the_handle_passed(self):
+        """Two jobs with equal fields are still two jobs."""
+        scheduler = make_scheduler()
+        queue = scheduler.queues["Belem"]
+        blocker = scheduler.submit(device_name="Belem", arrival=0.0, duration=100.0)
+        scheduler.run_until_time(1.0)
+        assert queue.in_service is blocker
+        twins = [
+            SchedJob(job_id=7, tenant="t", arrival_time=1.0, foreground=True)
+            for _ in range(2)
+        ]
+        for twin in twins:
+            queue.on_arrival(twin, 1.0)
+        assert twins[0] != twins[1]
+        queue.withdraw(twins[1])
+        assert len(queue.waiting) == 1 and queue.waiting[0] is twins[0]
+        queue.withdraw(twins[1])  # already gone: a no-op, not the other twin
+        assert queue.waiting == [twins[0]]
+
+    def test_handle_is_hashable(self):
+        scheduler = make_scheduler()
+        job = scheduler.submit(device_name="Belem", arrival=0.0, duration=10.0)
+        notes = {job: "mine"}
+        scheduler.run_until_complete(job)
+        assert notes[job] == "mine"
+
+    def test_handle_has_no_instance_dict(self):
+        job = SchedJob(job_id=0, tenant="t")
+        with pytest.raises(AttributeError):
+            job.colour = "red"
 
 
 class TestCalibrationDowntime:

@@ -106,6 +106,17 @@ class TestBatchedSequentialEquivalence:
         tenants_scalar = [int(scalar_marks.integers(100)) for _ in range(size)]
         assert tenants_vec == tenants_scalar
 
+    def test_draw_over_a_range_of_one_consumes_no_bits(self):
+        """What licenses skipping the priority draw when ``max_priority == 0``:
+        ``integers(1, size=K)`` returns zeros and leaves the stream where it
+        was, so the next chunk's marks cannot tell whether it was made."""
+        marks = EventKernel(seed=0).rng_stream("workload/Belem/marks")
+        marks.integers(100, size=7)  # leave an odd number of 32-bit halves buffered
+        before = marks.bit_generator.state
+        drawn = marks.integers(1, size=4096)  # max_priority + 1 == 1
+        assert not drawn.any()
+        assert marks.bit_generator.state == before
+
 
 class TestSpreadLoad:
     def test_spread_load_dilutes_per_device_traffic(self):
