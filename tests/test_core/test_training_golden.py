@@ -128,8 +128,26 @@ def test_the_contended_outage_really_cuts_a_training_job(
     assert len(starts) == history.total_jobs + 1
 
 
+#: sha256 of what the chaos run leaves on disk (retention keeps the last three
+#: checkpoint containers), from the parent commit.
+GOLDEN_RUN_FILES = {
+    "ckpt-000006.eqc": "66cf41439ae77ba4acf6ed849763839dcd332e3c6f9219353447adb1c3bea8cf",
+    "ckpt-000007.eqc": "0543958a0665c8d7000266e21b8a7b8a7ac5b73485ec9cee7d47d95e8c72eed3",
+    "ckpt-000008.eqc": "f861a8b5f2ccc074a935f9566c041ca6244437f441bff483a1305081ddf3ff1c",
+    "journal.jsonl": "d4333985f30a914d248552d433f69339d6ccb684087368b56e2c5561409ce6bb",
+}
+
+
 def test_the_chaos_run_retires_bogota_and_checkpoints(vqe_problem, qaoa_problem, tmp_path):
     _, history = run_workload("qaoa10_chaos_durable", vqe_problem, qaoa_problem, tmp_path)
     assert "Bogota" not in history.metadata["live_devices"]
     assert history.metadata["provider_faults"]["retries"] > 0
     assert history.metadata["persist"]["checkpoints_written"] == 8
+    # Container and journal bytes: in-flight outcomes, endpoint streams and
+    # clocks are captured exactly as the parent commit captured them.
+    written = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in tmp_path.rglob("*")
+        if path.name in GOLDEN_RUN_FILES
+    }
+    assert written == GOLDEN_RUN_FILES
