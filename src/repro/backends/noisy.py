@@ -5,19 +5,19 @@
 analytic mixing semantics — per-circuit noise is evaluated at that circuit's
 position on the device clock and samples are drawn from the device's RNG
 stream in batch order, so seeded results are bit-exact with the pre-backend
-execution code — while the whole batch underneath runs through the
-vectorized mixing pipeline
-(:func:`~repro.simulator.mixing.noisy_probabilities_batch`): the batch is
-lowered by :func:`repro.engine.lower_batch` — the lowering the ideal backend
-executes from too — and each group is one compiled program execution over
-its angle matrix (with per-circuit coherent biases applied by scaling
-rotation slots), a broadcast depolarizing mix, and one batched
-readout-confusion pass.  A batch is either bound circuits or an unbound
+execution code.  A batch is either bound circuits or an unbound
 :class:`~repro.circuit.sweep.ParameterSweep` — a parameter-shift job
 executes straight off its ``(points, P)`` shift matrix without binding a
-single circuit, its measurement templates merged into one program: one
-engine pass and one noise tail per job.  The cloud layer owns one backend
-per device endpoint.
+single circuit.
+
+A job executes **clock at submit, physics per wave**
+(:meth:`~repro.devices.qpu.QPU.execute_batch`): ``run`` returns results
+carrying the job's durations and metadata; its physics — the batch lowered
+by :func:`repro.engine.lower_batch`, one compiled program execution with
+per-circuit coherent biases, a depolarizing mix, one readout-confusion pass,
+the shots — runs before ``run`` returns unless the caller parks it, as the
+cloud provider does (:meth:`repro.cloud.provider.CloudProvider.resolve`).
+The cloud layer owns one backend per device endpoint.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 
 from ..circuit.circuit import QuantumCircuit
 from ..circuit.sweep import ParameterSweep
-from ..devices.qpu import QPU, CircuitFootprint
+from ..devices.qpu import QPU, CircuitFootprint, DeferredBatch
 from ..simulator.result import ExecutionResult
 from .base import check_shots, normalize_batch
 
@@ -51,6 +51,7 @@ class NoisyBackend:
         footprint: CircuitFootprint | None = None,
         now: float = 0.0,
         rng: np.random.Generator | None = None,
+        park: list[DeferredBatch] | None = None,
     ) -> list[ExecutionResult]:
         """Execute a batch with this device's current (drifting) noise.
 
@@ -65,6 +66,8 @@ class NoisyBackend:
                 defaults to the logical footprint of the first circuit.
             now: simulation time the batch starts executing.
             rng: externally-owned RNG (the cloud endpoint's stream).
+            park: when given, the physics half is appended here instead of
+                running now (``counts`` stay ``None`` until its owner resolves).
         """
         check_shots(shots)
         batch = normalize_batch(batch)
@@ -73,4 +76,4 @@ class NoisyBackend:
             footprint = CircuitFootprint.from_circuit(first)
         if rng is None and seed is not None:
             rng = np.random.default_rng(seed)
-        return self.qpu.execute_batch(batch, footprint, shots, now=now, rng=rng)
+        return self.qpu.execute_batch(batch, footprint, shots, now, rng, park)

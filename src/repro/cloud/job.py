@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Sequence
+from typing import Callable
 
 from ..simulator.result import ExecutionResult
 
@@ -32,8 +32,10 @@ class CloudJob:
         submit_time: simulation time the job entered the queue.
         start_time: simulation time execution began.
         finish_time: simulation time all results were available.
-        results: one :class:`ExecutionResult` per circuit (populated on
-            completion).
+        results: one :class:`ExecutionResult` per circuit.  Timing and
+            metadata are final at submit; the counts belong to the physics
+            half the provider may still hold parked — reading ``results``
+            resolves it first, so no reader sees a result without counts.
         attempts: service attempts consumed (1 without fault injection).
         error: short failure description when ``status`` is ``FAILED``.
     """
@@ -46,9 +48,19 @@ class CloudJob:
     start_time: float = 0.0
     finish_time: float = 0.0
     status: JobStatus = JobStatus.QUEUED
-    results: list[ExecutionResult] = field(default_factory=list)
     attempts: int = 1
     error: str = ""
+    #: The provider's resolve hook and the result objects it fills in place.
+    resolve: Callable[[], None] | None = field(default=None, repr=False)
+    parked_results: list[ExecutionResult] = field(default_factory=list, repr=False)
+
+    @property
+    def results(self) -> list[ExecutionResult]:
+        results = self.parked_results
+        if results and results[-1].counts is None:
+            # Still parked (counts fill in batch order): resolve the wave.
+            self.resolve()
+        return results
 
     @property
     def queue_seconds(self) -> float:

@@ -37,7 +37,13 @@ from ..backends.base import ExecutionBackend
 from ..backends.noisy import NoisyBackend
 from ..circuit.circuit import QuantumCircuit
 from ..circuit.sweep import ParameterSweep
-from ..devices.qpu import QPU, CircuitFootprint, job_slot_circuit_seconds
+from ..devices.qpu import (
+    QPU,
+    CircuitFootprint,
+    DeferredBatch,
+    job_slot_circuit_seconds,
+    resolve_batches,
+)
 from ..faults.errors import (
     DeviceOutageError,
     FaultError,
@@ -140,6 +146,8 @@ class CloudProvider:
         #: Next job id (a plain int rather than itertools.count so checkpoint
         #: snapshots can capture and restore the counter).
         self._next_job_id = 0
+        #: Physics halves not simulated yet, in submit order (:meth:`resolve`).
+        self._parked: list[DeferredBatch] = []
         self.scheduler = scheduler
         #: Fault injection: None (the default) leaves the submit loop a
         #: single attempt that consumes no injector stream.
@@ -204,8 +212,9 @@ class CloudProvider:
         of the statistical clock; on the kernel clock the queues and pending
         events live inside the event kernel, which is not checkpointable
         (config validation rejects checkpointing with a scheduler before a
-        snapshot is ever taken).
+        snapshot is ever taken).  Parked physics is resolved first.
         """
+        self.resolve()
         return {
             "next_job_id": self._next_job_id,
             "dead_devices": sorted(self.dead_devices),
@@ -242,6 +251,39 @@ class CloudProvider:
             endpoint.record.queued_seconds = float(record["queued_seconds"])
             endpoint.record.last_finish_time = float(record["last_finish_time"])
 
+    def resolve(self) -> None:
+        """Run the physics of every parked job, as one stacked pass.
+
+        A job executes **clock at submit, physics per wave**: all the service
+        loop needs (start, durations, finish, fault draws, deadlines,
+        utilization) is arithmetic, final when ``submit`` returns; simulation
+        and shots are parked, and everything parked fleet-wide resolves
+
+        * the first time a parked result is read (``CloudJob.results``);
+        * when an endpoint with parked physics is submitted to again, so its
+          stream is drawn in the wait -> shots -> wait order of one-at-a-time
+          execution and a job nobody reads (a straggler, a kernel service cut
+          by an outage and re-entered) still draws its shots, in submit order;
+        * before :meth:`snapshot_state` (so before every checkpoint), and by
+          the master at the end of ``train``.
+
+        Jobs sharing templates run as one engine pass with per-row noise
+        specs, each drawing its shots from its own endpoint's stream
+        (:func:`~repro.devices.qpu.resolve_batches`); a pass that raises
+        reaches the reader with every job still parked.
+        """
+        parked = self._parked
+        if not parked:
+            return
+        if _telemetry.enabled:
+            # How wide the wave is (``qpu.batch_size`` is circuits per job).
+            registry = _telemetry.registry
+            registry.histogram(
+                "cloud.resolve_jobs", bounds=(1, 2, 4, 8, 16, 32, 64)
+            ).observe(len(parked))
+            registry.counter("cloud.resolve_rows").inc(sum(len(b.specs) for b in parked))
+        resolve_batches(parked)
+
     # ------------------------------------------------------------------
     def submit(
         self,
@@ -252,7 +294,7 @@ class CloudProvider:
         shots: int | None = None,
         priority: int = 0,
     ) -> CloudJob:
-        """Submit a batch of circuits and simulate it to completion.
+        """Submit a batch of circuits and serve it to completion on the clock.
 
         The batch is either bound circuits (the baselines) or an unbound
         :class:`~repro.circuit.sweep.ParameterSweep` (an EQC gradient job:
@@ -261,17 +303,18 @@ class CloudProvider:
         without a single circuit being bound, and either form of the same
         job yields identical results, timing and RNG state.
 
-        The returned job is already in the ``DONE`` state with its results
-        and timing populated; callers (EQC client nodes, baselines) treat
+        The returned job is already in the ``DONE`` state with its timing
+        populated; callers (EQC client nodes, baselines) treat
         ``job.finish_time`` as the moment the results become visible, which is
-        how asynchrony is realized on the virtual clock.
+        how asynchrony is realized on the virtual clock.  Its physics is
+        parked: ``job.results`` resolves it on first read (:meth:`resolve`).
 
         Every job runs the same attempt loop: fail fast on a dead device,
         get a service start from the clock (:meth:`_serve` — the event
         kernel when a scheduler is attached, where the job competes with
         tenant traffic and ``priority`` can matter to the policy; the
         closed-form statistical queue otherwise), draw the plan's transient
-        failure at the device head, run the physics, add any injected result
+        failure at the device head, park the physics, add any injected result
         delay, enforce the per-job deadline, book the device time.  A bombed
         attempt holds the device for zero seconds, backs off (exponential,
         deterministically jittered) and re-arrives; without fault injection
@@ -279,7 +322,7 @@ class CloudProvider:
         :class:`~repro.faults.errors.FaultError` raised here carries the time
         the caller learns about it and the job, ``FAILED`` with its ``error``.
 
-        The endpoint's physics RNG is only touched by an attempt that
+        The endpoint's physics RNG is only drawn for an attempt that
         actually executes, so a chaos run's successful measurements come from
         the same stream positions as a fault-free run with the same seed
         (fault decisions draw from injector streams exclusively).
@@ -302,21 +345,28 @@ class CloudProvider:
             num_circuits=len(circuits),
             shots=shots,
             submit_time=now,
+            resolve=self.resolve,
         )
         if device_name in self.dead_devices:
             raise self._fail(
                 job, DeviceOutageError, "device permanently down", now, permanent=True
             )
+        if any(batch.rng is endpoint.rng for batch in self._parked):
+            # This endpoint's stream still owes an earlier job its shots.
+            self.resolve()
 
         faults = self._faults
         retry = self._retry_policy
         counters = self.fault_counters
+        results = job.parked_results
 
         def service(start_time: float) -> float:
             # One service start; returns the device-seconds held.  A service
             # cut by an outage re-enters with a fresh start time: the partial
-            # results are dropped and the failure draw is made afresh.
-            job.results.clear()
+            # results are dropped (the cut run stays parked ahead of the rerun,
+            # so its shots are still drawn first) and the failure draw is made
+            # afresh.
+            results.clear()
             if faults is not None and faults.transient_failure(device_name):
                 return 0.0
             job.status = JobStatus.RUNNING
@@ -334,7 +384,7 @@ class CloudProvider:
             start_time, elapsed = self._serve(
                 endpoint, job, attempt_now, priority, service
             )
-            if not job.results:
+            if not results:
                 # The attempt bombed at the device head.
                 if first_failure is None:
                     first_failure = start_time
@@ -389,7 +439,7 @@ class CloudProvider:
                     f"(finish {finish_time:.0f}s > {deadline:.0f}s)",
                     deadline,
                 )
-            for result in job.results:
+            for result in results:
                 result.queue_seconds = queue_seconds
             job.finish_time = finish_time
             job.status = JobStatus.DONE
@@ -516,18 +566,15 @@ class CloudProvider:
         start_time: float,
         shots: int,
     ) -> float:
-        """Run one multi-circuit job on an endpoint; returns elapsed seconds.
+        """Start one multi-circuit job on an endpoint; returns elapsed seconds.
 
         The whole job is one backend batch; the backend owns the in-batch
         device clock and the physics, the provider owns queueing and
-        per-batch utilization accounting.  On a noisy endpoint the batch
-        flows through :meth:`QPU.execute_batch` — the vectorized mixing
-        pipeline: per-circuit clock offsets and noise specs are computed up
-        front, the whole job simulates as one ``(batch, 2**n)`` matrix, and
-        shots are drawn from the endpoint's RNG stream in batch order, so
-        seeded histories are bit-exact with sequential execution.  Both
-        clocks reach the physics through this one call, so the physics can
-        never diverge between them.
+        per-batch utilization accounting.  A noisy endpoint computes the
+        clock half here (:meth:`QPU.execute_batch`) and parks the physics on
+        ``self._parked`` for :meth:`resolve`; a backend that cannot defer
+        (the ideal one) ignores ``park`` and returns finished results.  Both
+        clocks reach the device through this one call.
         """
         results = endpoint.backend.run(
             circuits,
@@ -535,6 +582,7 @@ class CloudProvider:
             footprint=footprint,
             now=start_time,
             rng=endpoint.rng,
+            park=self._parked,
         )
         elapsed = 0.0
         for result in results:
@@ -546,7 +594,7 @@ class CloudProvider:
             _, durations, elapsed = endpoint.qpu.batch_clock(len(results), start_time)
             for result, duration in zip(results, durations):
                 result.duration_seconds = duration
-        job.results.extend(results)
+        job.parked_results.extend(results)
         return elapsed
 
     def _record_job(self, job: CloudJob, first_failure: float | None) -> None:

@@ -16,10 +16,16 @@ gradient task, it
    scalar gradient,
 4. hands the gradient and its ``PCorrect`` back to the master.
 
-In the discrete-event reproduction the submit-and-wait is collapsed into a
-single call that returns a :class:`GradientOutcome` stamped with the job's
-simulated finish time; the master's event loop replays those stamps in order,
-which realizes the asynchrony of the real Ray-based system.
+In the discrete-event reproduction the submit-and-wait is two halves.  The
+**dispatch half** (:meth:`EQCClientNode.dispatch_task`, up to the submit)
+returns a :class:`DispatchedTask` stamped with the job's simulated finish
+time: a device job's clock is read at submit while its physics stays parked.
+The **collect half** (:meth:`DispatchedTask.collect`) reads the counts —
+resolving every job the fleet has parked by then in one stacked pass
+(:meth:`repro.cloud.provider.CloudProvider.resolve`) — into the
+:class:`GradientOutcome`.  The master's event loop replays the finish stamps
+in order, collecting each task as its event pops, which realizes the real
+Ray-based system's asynchrony; ``execute_task`` is both halves back to back.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ from dataclasses import dataclass, field
 from typing import Hashable, Mapping, Sequence
 
 from ..backends.cache import TranspileCache
+from ..cloud.job import CloudJob
 from ..cloud.provider import CloudProvider
 from ..devices.qpu import QPU, CircuitFootprint
 from ..transpiler.transpile import TranspileResult
@@ -35,7 +42,7 @@ from ..vqa.tasks import GradientTask
 from .objective import GradientJobSpec, VQAObjective
 from .weighting import estimate_p_correct
 
-__all__ = ["GradientOutcome", "EQCClientNode"]
+__all__ = ["GradientOutcome", "DispatchedTask", "EQCClientNode"]
 
 
 @dataclass(frozen=True)
@@ -56,6 +63,39 @@ class GradientOutcome:
     @property
     def turnaround_seconds(self) -> float:
         return max(0.0, self.finish_time - self.submit_time)
+
+
+@dataclass(frozen=True)
+class DispatchedTask:
+    """A task whose job is submitted and timed but whose counts are unread."""
+
+    client: "EQCClientNode"
+    task: GradientTask
+    p_correct: float
+    submit_time: float
+    theta_version: int
+    cloud_job: CloudJob
+
+    def collect(self) -> GradientOutcome:
+        """The collect half: counts (resolved on this read) to gradient."""
+        client, job = self.client, self.cloud_job
+        results = job.results
+        gradient = client.objective.gradient_from_counts(
+            self.task, [result.counts for result in results]
+        )
+        truth = results[0].metadata.get("success_probability", float("nan"))
+        return GradientOutcome(
+            client_name=client.name,
+            device_name=client.qpu.name,
+            task=self.task,
+            gradient=float(gradient),
+            p_correct=self.p_correct,
+            submit_time=self.submit_time,
+            finish_time=float(job.finish_time),
+            theta_version=self.theta_version,
+            num_circuits=job.num_circuits,
+            success_probability_truth=float(truth),
+        )
 
 
 class EQCClientNode:
@@ -82,6 +122,7 @@ class EQCClientNode:
         #: Per-client view keyed by the objective's template keys (kept so
         #: ``representative_footprint`` can summarize what *this* client ran).
         self._transpile_cache: dict[Hashable, TranspileResult] = {}
+        self._footprints: dict[tuple[Hashable, ...], CircuitFootprint] = {}
         self.jobs_completed = 0
 
     # ------------------------------------------------------------------
@@ -103,18 +144,24 @@ class EQCClientNode:
         The per-group footprints of one loss evaluation are averaged into a
         single representative footprint: ``PCorrect`` is computed once per
         circuit induction in the paper, and our devices scale their noise
-        from the same structure.
+        from the same structure.  A client's transpiled footprints never
+        change, so the average is kept per template-key tuple.
         """
-        if job is not None:
-            keys = list(dict.fromkeys(zip(job.template_keys, job.templates)))
-        else:
-            keys = list(self._transpile_cache.items())
-            if not keys:
+        if job is None:
+            if not self._transpile_cache:
                 raise ValueError("client has no transpiled templates yet")
-            results = [value.footprint for _, value in keys]
-            return _average_footprints(results)
-        results = [self._transpiled(key, template).footprint for key, template in keys]
-        return _average_footprints(results)
+            return _average_footprints(
+                [result.footprint for result in self._transpile_cache.values()]
+            )
+        footprint = self._footprints.get(job.template_keys)
+        if footprint is None:
+            # Transpile every distinct template once (cached across tasks).
+            distinct = dict.fromkeys(zip(job.template_keys, job.templates))
+            footprint = _average_footprints(
+                [self._transpiled(key, template).footprint for key, template in distinct]
+            )
+            self._footprints[job.template_keys] = footprint
+        return footprint
 
     # ------------------------------------------------------------------
     def current_p_correct(
@@ -144,15 +191,15 @@ class EQCClientNode:
             footprint = self.representative_footprint(job)
         return estimate_p_correct(calibration, footprint)
 
-    def execute_task(
+    def dispatch_task(
         self,
         task: GradientTask,
         theta: Sequence[float],
         submit_time: float,
         theta_version: int = 0,
         job_spec: GradientJobSpec | None = None,
-    ) -> GradientOutcome:
-        """Serve one gradient task end to end (Algorithm 2 body).
+    ) -> DispatchedTask:
+        """The dispatch half of Algorithm 2's body: build, weigh, submit.
 
         ``job_spec`` lets a caller that already built the task's job (the
         parallel worker) hand it in instead of rebuilding; building it here
@@ -160,14 +207,8 @@ class EQCClientNode:
         """
         if job_spec is None:
             job_spec = self.objective.build_job(task, theta)
-
-        # Transpile every distinct template once (cached across tasks).
-        for key, template in zip(job_spec.template_keys, job_spec.templates):
-            self._transpiled(key, template)
-
         footprint = self.representative_footprint(job_spec)
         p_correct = self.current_p_correct(job_spec, submit_time, footprint)
-
         cloud_job = self.provider.submit(
             device_name=self.qpu.name,
             circuits=job_spec.batch,
@@ -175,28 +216,14 @@ class EQCClientNode:
             now=submit_time,
             shots=self.shots,
         )
-        counts = [result.counts for result in cloud_job.results]
-        gradient = self.objective.gradient_from_counts(task, counts)
-
-        truth = float("nan")
-        if cloud_job.results:
-            truth = float(
-                cloud_job.results[0].metadata.get("success_probability", float("nan"))
-            )
-
         self.jobs_completed += 1
-        return GradientOutcome(
-            client_name=self.name,
-            device_name=self.qpu.name,
-            task=task,
-            gradient=float(gradient),
-            p_correct=float(p_correct),
-            submit_time=float(submit_time),
-            finish_time=float(cloud_job.finish_time),
-            theta_version=int(theta_version),
-            num_circuits=job_spec.num_circuits,
-            success_probability_truth=truth,
+        return DispatchedTask(
+            self, task, float(p_correct), float(submit_time), int(theta_version), cloud_job
         )
+
+    def execute_task(self, *args, **kwargs) -> GradientOutcome:
+        """Serve one task end to end: :meth:`dispatch_task`, then collect."""
+        return self.dispatch_task(*args, **kwargs).collect()
 
 
 def _average_footprints(footprints: Sequence[CircuitFootprint]) -> CircuitFootprint:

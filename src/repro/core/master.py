@@ -16,6 +16,7 @@ epochs/hour.
 from __future__ import annotations
 
 import heapq
+import itertools
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -29,7 +30,7 @@ from ..faults.health import DeviceHealthTracker
 from ..telemetry import TELEMETRY as _telemetry
 from ..vqa.optimizer import AsgdRule, ParameterVectorState
 from ..vqa.tasks import CyclicTaskQueue, GradientTask
-from .client import EQCClientNode, GradientOutcome
+from .client import DispatchedTask, EQCClientNode, GradientOutcome
 from .history import EpochRecord, TrainingHistory
 from .objective import VQAObjective
 from .weighting import WeightingConfig, normalize_weights
@@ -63,9 +64,10 @@ class MasterTelemetry:
 class _InFlight:
     """One outstanding event, ordered by its time on the master's heap.
 
-    Sequential dispatch carries the finished ``outcome`` directly; parallel
-    dispatch carries ``outcome=None`` plus the executor ``job_id`` to collect
-    it from once this entry reaches the front of the event heap.
+    A job is on the heap as soon as its *clock* is known, with ``outcome=None``
+    plus the executor ``job_id`` to collect it from (:meth:`EQCMasterNode.gather`)
+    once the entry reaches the front: from a worker process or, in process, from
+    the provider, which then runs every job parked so far as one stacked pass.
 
     With fault tolerance active, three more event kinds share the heap:
     ``failure`` (a dispatch raised a :class:`FaultError`; ``finish_time`` is
@@ -83,6 +85,28 @@ class _InFlight:
     kind: str = field(compare=False, default="job")
     task: GradientTask | None = field(compare=False, default=None)
     failure: FaultError | None = field(compare=False, default=None)
+
+
+class _InProcessExecutor:
+    """The executor seam over this process's clients: ``submit`` is the
+    dispatch half, ``collect`` the collect half (see :mod:`repro.core.client`)."""
+
+    def __init__(self, clients: Sequence[EQCClientNode]) -> None:
+        self._clients = {client.device_name: client for client in clients}
+        self._dispatched: dict[int, DispatchedTask] = {}
+        self._job_ids = itertools.count()
+
+    def submit(self, device_name, task, theta, submit_time, theta_version):
+        dispatched = self._clients[device_name].dispatch_task(
+            task, theta, submit_time, theta_version
+        )
+        job_id = next(self._job_ids)
+        self._dispatched[job_id] = dispatched
+        job = dispatched.cloud_job
+        return job_id, job.finish_time, job.num_circuits
+
+    def collect(self, job_id: int) -> GradientOutcome:
+        return self._dispatched.pop(job_id).collect()
 
 
 class EQCMasterNode:
@@ -122,8 +146,8 @@ class EQCMasterNode:
         self.label = label
         self.state = ParameterVectorState(np.asarray(initial_parameters, dtype=float))
         self.telemetry = MasterTelemetry()
-        #: Optional multiprocess executor; None keeps the in-process path.
-        self._executor = executor
+        #: Where client steps run: worker processes, or (None) this one.
+        self._executor = executor or _InProcessExecutor(self.clients)
         self._start_time = float(start_time)
         self._p_correct: dict[str, float] = {}
         self._weights: dict[str, float] = {client.name: 1.0 for client in clients}
@@ -243,14 +267,7 @@ class EQCMasterNode:
                 # on; the update path below never sees it.
                 sequence = self._absorb_fault(item, now, sequence, pending)
                 continue
-            # Parallel dispatches park outcome=None; the gather happens here,
-            # exactly where the sequential loop consumes the gradient, so the
-            # update/weight/epoch bookkeeping below is shared verbatim.
-            outcome = (
-                item.outcome
-                if item.outcome is not None
-                else self._executor.collect(item.job_id)
-            )
+            outcome = self.gather(item)
             client = item.client
             if self._health is not None:
                 self._health.record_success(client.device_name, now)
@@ -322,6 +339,10 @@ class EQCMasterNode:
                     epoch_sim_start,
                 )
 
+        # Jobs still in flight at the budget ran all the same: draw their shots.
+        for client in self.clients:
+            client.provider.resolve()
+
         # Tail updates past the last full epoch boundary: record them as a
         # final partial epoch so truncated update budgets stay visible.
         tail_updates = self.telemetry.updates_applied - epoch_completed * self.cycle_length
@@ -346,6 +367,12 @@ class EQCMasterNode:
         if telemetry_on:
             self.publish()
         return history
+
+    def gather(self, item: _InFlight) -> GradientOutcome:
+        """The outcome of a job event, collected from the executor once."""
+        if item.outcome is None:
+            item.outcome = self._executor.collect(item.job_id)
+        return item.outcome
 
     def _epoch_record(self, epoch: int, now: float) -> EpochRecord:
         """The history row for the parameter state at time ``now``."""
@@ -402,29 +429,17 @@ class EQCMasterNode:
             # retry becomes the breaker's probe job.
             self._fault_stats["probes"] += 1
             return parked("probe", max(now, self._health.retry_at(device)))
-        if self._executor is not None:
-            # The worker answers with the previewed finish time (and circuit
-            # count, so dispatch-time telemetry matches the sequential path)
-            # and simulates the job in the background; the outcome is
-            # collected when this entry reaches the front of the heap.
+        try:
+            # The executor answers once the job's clock is known; the physics
+            # runs later and is collected when this entry reaches the front.
             job_id, finish_time, num_circuits = self._executor.submit(
                 device, task, self.state.snapshot(), now, self.state.version
             )
-            outcome = None
-        else:
-            try:
-                outcome = client.execute_task(
-                    task,
-                    theta=self.state.snapshot(),
-                    submit_time=now,
-                    theta_version=self.state.version,
-                )
-            except FaultError as exc:
-                # The failure is only *known* at its virtual detection time;
-                # park it on the heap so breaker/retire bookkeeping happens in
-                # event order, interleaved correctly with other completions.
-                return parked("failure", max(now, exc.detect_time), failure=exc)
-            job_id, finish_time, num_circuits = -1, outcome.finish_time, outcome.num_circuits
+        except FaultError as exc:
+            # The failure is only *known* at its virtual detection time;
+            # park it on the heap so breaker/retire bookkeeping happens in
+            # event order, interleaved correctly with other completions.
+            return parked("failure", max(now, exc.detect_time), failure=exc)
         self.telemetry.jobs_dispatched += 1
         self.telemetry.circuits_executed += num_circuits
         if (
@@ -432,14 +447,14 @@ class EQCMasterNode:
             and finish_time - now > self.dispatch_deadline
         ):
             # Straggler: the turnaround blows the deadline, so the master
-            # cuts the job at the cutoff instead of waiting (a worker's
-            # outcome is still collected there, then discarded, to keep the
-            # per-device worker protocol serialized).
+            # cuts the job at the cutoff instead of waiting (its outcome is
+            # still collected there, then discarded, to keep the per-device
+            # executor protocol serialized).
             return parked("straggler", now + self.dispatch_deadline, job_id=job_id)
         return _InFlight(
             finish_time=finish_time,
             sequence=sequence,
-            outcome=outcome,
+            outcome=None,
             client=client,
             job_id=job_id,
         )
@@ -467,7 +482,7 @@ class EQCMasterNode:
         elif item.kind == "straggler":
             stat, event = "stragglers_cut", "straggler_cut"
             if item.job_id >= 0:
-                # Drain the worker's outcome (and discard it) so the next
+                # Drain the job's outcome (and discard it) so the next
                 # submit to this device stays strictly serialized.
                 self._executor.collect(item.job_id)
         else:

@@ -39,7 +39,7 @@ from ..simulator.mixing import (
     noisy_probabilities,
     noisy_probabilities_batch,
 )
-from ..simulator.result import Counts, ExecutionResult
+from ..simulator.result import ExecutionResult
 from ..simulator.sampler import sample_distribution_batch
 from .topology import Topology
 
@@ -47,6 +47,8 @@ __all__ = [
     "CircuitFootprint",
     "QPUSpec",
     "QPU",
+    "DeferredBatch",
+    "resolve_batches",
     "SECONDS_PER_HOUR",
     "job_slot_circuit_seconds",
     "success_probability",
@@ -523,49 +525,68 @@ class QPU:
         shots: int,
         now: float,
         rng: np.random.Generator | None = None,
+        park: "list[DeferredBatch] | None" = None,
     ) -> list[ExecutionResult]:
         """Run a batch of circuits back to back on this device.
 
-        This is the device-side batch entry point the cloud layer submits
-        multi-circuit jobs through; the batch is either bound circuits or an
-        unbound :class:`~repro.circuit.sweep.ParameterSweep` (same job slots,
-        same results, nothing bound).  The per-circuit clock offsets and
-        noise specs are computed up front (:meth:`noise_timeline`), the whole
-        batch flows through the vectorized mixing pipeline
-        (:func:`~repro.simulator.mixing.noisy_probabilities_batch`) as one
-        ``(batch, 2**n)`` matrix, and shots are sampled from the device RNG
-        stream in batch order — so noise, drift, and the RNG stream evolve
-        exactly as they would for the equivalent sequence of single
-        executions (:meth:`execute`, the sequential reference).  Batching
-        changes the wall-clock cost, never the physics.  It is the only batch
-        entry point: templates plus a parameter matrix arrive wrapped in a
-        ``ParameterSweep``, not through a second method.
+        The only batch entry point: bound circuits or an unbound
+        :class:`~repro.circuit.sweep.ParameterSweep` (same job slots, same
+        results, nothing bound).  The job's **clock half** always runs here
+        — per-circuit offsets, durations, noise specs, metadata
+        (:meth:`noise_timeline`): arithmetic, no simulation, no RNG — and
+        comes back as results whose ``counts`` are still ``None``.  Its
+        **physics half** (lowering, engine, mix/confuse, shots drawn from
+        ``rng`` in batch order) is a :class:`DeferredBatch`: with
+        ``park=None`` it runs before this call returns, the one-job case of
+        :func:`resolve_batches`; a caller's ``park`` list gets it appended
+        instead, to be resolved later in one stacked pass that fills
+        ``counts`` into these same results.  Who resolves changes the
+        wall-clock cost, never the physics: noise, drift and the RNG stream
+        evolve as for single executions (:meth:`execute`, the reference).
         """
         if not len(circuits):
             raise ValueError("a batch needs at least one circuit")
         if shots < 1:
             raise ValueError("shots must be >= 1")
-        rng = rng if rng is not None else self._rng
         _, durations, specs, metadata = self._timeline_with_metadata(
             len(circuits), footprint, now
         )
-        probabilities = noisy_probabilities_batch(circuits, specs)
-        return self._sampled_results(probabilities, durations, metadata, shots, rng)
+        results = [
+            ExecutionResult(None, shots, self.name, duration, metadata=meta)
+            for duration, meta in zip(durations, metadata)
+        ]
+        rng = rng if rng is not None else self._rng
+        batch = DeferredBatch(circuits, specs, shots, rng, results)
+        if park is None:
+            resolve_batches([batch])
+        else:
+            park.append(batch)
+        return results
 
-    def _sampled_results(
-        self,
-        probabilities: np.ndarray | Sequence[np.ndarray],
-        durations: Sequence[float],
-        metadata: Sequence[dict],
-        shots: int,
-        rng: np.random.Generator,
-    ) -> list[ExecutionResult]:
-        """Sample a batch's distributions in batch order from one RNG stream.
+    def noisy_distribution(
+        self, circuit: QuantumCircuit, footprint: CircuitFootprint, now: float
+    ) -> np.ndarray:
+        """The exact (un-sampled) noisy outcome distribution at time ``now``."""
+        return noisy_probabilities(circuit, self.execution_noise(footprint, now))
 
-        Consecutive distributions of equal length (equal measured-register
-        widths) draw their shots through one batched multinomial call; NumPy
-        consumes the bit stream row by row, so draws and the final generator
-        state are identical to per-circuit :func:`sample_distribution` calls.
+
+@dataclass(eq=False, slots=True)
+class DeferredBatch:
+    """The physics half of one device job: ``results`` carry the clock half,
+    :meth:`sample` fills their ``counts`` from the job's own ``rng``."""
+
+    circuits: Sequence[QuantumCircuit] | ParameterSweep
+    specs: list[MixingNoiseSpec]
+    shots: int
+    rng: np.random.Generator
+    results: list[ExecutionResult]
+
+    def sample(self, probabilities: np.ndarray | Sequence[np.ndarray]) -> None:
+        """Draw every circuit's shots, in batch order, from this job's stream.
+
+        Consecutive distributions of equal length draw through one batched
+        multinomial call; NumPy consumes the bit stream row by row, so draws
+        and final generator state equal per-circuit ``sample_distribution``.
         """
         if isinstance(probabilities, np.ndarray):
             # A uniform job arrives as one (batch, 2**m) matrix.
@@ -574,30 +595,50 @@ class QPU:
             runs = [
                 np.stack(list(run)) for _, run in groupby(probabilities, key=np.size)
             ]
-        counts_list: list[Counts] = []
-        for run in runs:
-            counts_list.extend(
-                sample_distribution_batch(
-                    run, shots, rng, num_bits=run.shape[1].bit_length() - 1
-                )
+        drawn = [
+            counts
+            for run in runs
+            for counts in sample_distribution_batch(
+                run, self.shots, self.rng, num_bits=run.shape[1].bit_length() - 1
             )
-
-        return [
-            ExecutionResult(
-                counts=counts,
-                shots=shots,
-                backend_name=self.name,
-                duration_seconds=duration,
-                metadata=meta,
-            )
-            for counts, duration, meta in zip(counts_list, durations, metadata)
         ]
+        for result, counts in zip(self.results, drawn):
+            result.counts = counts
 
-    def noisy_distribution(
-        self, circuit: QuantumCircuit, footprint: CircuitFootprint, now: float
-    ) -> np.ndarray:
-        """The exact (un-sampled) noisy outcome distribution at time ``now``."""
-        return noisy_probabilities(circuit, self.execution_noise(footprint, now))
+
+def resolve_batches(parked: list[DeferredBatch]) -> None:
+    """Simulate and sample a wave of device jobs, emptying ``parked``.
+
+    Jobs whose sweeps run the same templates (an ensemble's gradient jobs,
+    whatever their devices) become **one** sweep over the ``vstack`` of their
+    parameter matrices with their per-row noise specs: one
+    :func:`~repro.simulator.mixing.noisy_probabilities_batch` pass, rows
+    bit-equal to the per-job pass any other batch — or a lone job — runs.
+    Every distribution exists before any stream moves and a job leaves
+    ``parked`` only with its counts in: a pass that raises parks them all.
+    """
+    waves: dict[object, list[DeferredBatch]] = {}
+    for batch in parked:
+        sweep = isinstance(batch.circuits, ParameterSweep)
+        key = tuple(map(id, batch.circuits.templates)) if sweep else id(batch)
+        waves.setdefault(key, []).append(batch)
+    distributions = {}
+    for wave in waves.values():
+        circuits = wave[0].circuits
+        if len(wave) > 1:
+            circuits = ParameterSweep(
+                circuits.templates, np.vstack([b.circuits.theta for b in wave])
+            )
+        rows = noisy_probabilities_batch(
+            circuits, [spec for batch in wave for spec in batch.specs]
+        )
+        offset = 0
+        for batch in wave:
+            distributions[id(batch)] = rows[offset : offset + len(batch.specs)]
+            offset += len(batch.specs)
+    while parked:
+        parked[0].sample(distributions[id(parked[0])])
+        del parked[0]
 
 
 # ---------------------------------------------------------------------------

@@ -311,6 +311,9 @@ class TrainingCheckpointer:
         telemetry_on = _telemetry.enabled
         start = time.perf_counter()
         state = master.state
+        for entry in pending:
+            if entry.kind == "job":
+                master.gather(entry)  # the container stores finished outcomes
         sections = {
             "meta": {
                 "updates_applied": master.telemetry.updates_applied,

@@ -172,9 +172,9 @@ def _restore_failure(data: Mapping | None) -> FaultError | None:
 def snapshot_inflight(entry) -> dict:
     """One master heap event (``repro.core.master._InFlight``) as plain data.
 
-    Parallel dispatches (``job_id >= 0`` with no outcome) are rejected at
-    configuration time — a checkpointed run is sequential, so every ``job``
-    event carries its completed outcome.
+    Every ``job`` event carries its completed outcome: the checkpointer
+    gathers in-flight outcomes before it snapshots (a checkpointed run is
+    in-process — parallel dispatch is rejected at configuration time).
     """
     return {
         "finish_time": entry.finish_time,

@@ -129,7 +129,8 @@ class ExecutionResult:
     """The full result of executing one circuit on a backend.
 
     Attributes:
-        counts: measurement histogram.
+        counts: measurement histogram (``None`` only while the device job's
+            physics half is still parked — see :meth:`QPU.execute_batch`).
         shots: number of shots requested.
         backend_name: device (or simulator) the job ran on.
         duration_seconds: simulated wall-clock execution time (queue excluded).
@@ -137,7 +138,7 @@ class ExecutionResult:
         metadata: free-form extras (calibration age, success probability, ...).
     """
 
-    counts: Counts
+    counts: Counts | None
     shots: int
     backend_name: str = "ideal"
     duration_seconds: float = 0.0

@@ -69,6 +69,47 @@ class TestClientExecution:
         client.execute_task(GradientTask(1, 1), theta, submit_time=100.0)
         assert len(calls) == 1
 
+    def test_job_footprint_is_memoized_per_template_keys(self, client, vqe_problem, monkeypatch):
+        import repro.core.client as client_module
+
+        theta = vqe_problem.random_initial_parameters()
+        averaged = []
+        average = client_module._average_footprints
+        monkeypatch.setattr(
+            client_module,
+            "_average_footprints",
+            lambda footprints: averaged.append(len(footprints)) or average(footprints),
+        )
+        jobs = [client.objective.build_job(GradientTask(i, i), theta) for i in range(3)]
+        footprints = [client.representative_footprint(job) for job in jobs]
+        # Three jobs over the same three templates: averaged once, shared after.
+        assert averaged == [3]
+        assert footprints[0] is footprints[1] is footprints[2]
+        assert footprints[0] == average(
+            [result.footprint for result in client._transpile_cache.values()]
+        )
+
+    def test_dispatch_and_collect_are_the_two_halves_of_execute(self, vqe_problem):
+        theta = vqe_problem.random_initial_parameters()
+
+        def fresh():
+            qpu = build_qpu("Belem")
+            provider = CloudProvider([qpu], seed=0, shots=512)
+            node = EQCClientNode(EnergyObjective(vqe_problem.estimator), qpu, provider, shots=512)
+            return node, provider
+
+        whole, _ = fresh()
+        halves, provider = fresh()
+        outcome = whole.execute_task(GradientTask(0, 4), theta, submit_time=0.0, theta_version=2)
+        dispatched = halves.dispatch_task(GradientTask(0, 4), theta, submit_time=0.0, theta_version=2)
+        # Timing is final at dispatch; the counts are not there yet.
+        assert dispatched.cloud_job.finish_time == outcome.finish_time
+        assert halves.jobs_completed == 1
+        assert all(r.counts is None for r in dispatched.cloud_job.parked_results)
+        assert len(provider._parked) == 1
+        assert dispatched.collect() == outcome
+        assert not provider._parked
+
     def test_representative_footprint_requires_templates(self, vqe_problem):
         qpu = build_qpu("Quito")
         provider = CloudProvider([qpu], seed=0)

@@ -70,6 +70,7 @@ def submit_expecting(exc_type, provider, inputs, now=0.0, executed=False):
     wait per attempt that reaches the queue; the kernel draws nothing).
     """
     endpoint = provider._endpoint("Belem")
+    provider.resolve()  # earlier jobs' parked shots are drawn before we look
     expected_rng = copy.deepcopy(endpoint.rng)
     before = dict(provider.fault_counters)
     with pytest.raises(exc_type) as excinfo:
@@ -343,6 +344,7 @@ class TestInjectorWithScheduler:
         fresh = make_provider(clock="kernel")
         submit_one(fresh, belem_job_inputs)
         submit_one(fresh, belem_job_inputs, now=cut + 500.0)
+        fresh.resolve()
         assert (
             provider._endpoint("Belem").rng.bit_generator.state
             == fresh._endpoint("Belem").rng.bit_generator.state

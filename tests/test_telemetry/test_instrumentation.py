@@ -92,6 +92,20 @@ class TestInstrumentedRun:
         assert "sched.slo.tenant_fairness_jain" in report["gauges"]
         assert history.metadata["scheduler"]["slo"]["jobs_completed"] > 0
 
+    def test_resolve_waves_say_how_wide_they_were(self, vqe_problem):
+        with telemetry_session():
+            history = _train(vqe_problem)
+            report = run_report()
+        counters, waves = report["counters"], report["histograms"]["cloud.resolve_jobs"]
+        jobs = sum(v for k, v in counters.items() if k.startswith("qpu.jobs"))
+        circuits = sum(v for k, v in counters.items() if k.startswith("qpu.circuits"))
+        # Every job's physics ran in exactly one wave, every circuit as one row,
+        # and each wave was one engine pass.
+        assert jobs == history.total_jobs
+        assert waves["sum"] == jobs
+        assert counters["cloud.resolve_rows"] == circuits == counters["engine.points_executed"]
+        assert waves["count"] == counters["engine.executions"] < jobs
+
     def test_disabled_mode_records_nothing(self, vqe_problem):
         assert not TELEMETRY.enabled
         _train(vqe_problem)
