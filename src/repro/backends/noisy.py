@@ -12,12 +12,11 @@ single circuit.
 
 A job executes **clock at submit, physics per wave**
 (:meth:`~repro.devices.qpu.QPU.execute_batch`): ``run`` returns results
-carrying the job's durations and metadata; its physics — the batch lowered
-by :func:`repro.engine.lower_batch`, one compiled program execution with
-per-circuit coherent biases, a depolarizing mix, one readout-confusion pass,
-the shots — runs before ``run`` returns unless the caller parks it, as the
-cloud provider does (:meth:`repro.cloud.provider.CloudProvider.resolve`).
-The cloud layer owns one backend per device endpoint.
+carrying the job's durations and metadata; its physics (lowering by
+:func:`repro.engine.lower_batch`, one program execution with per-circuit
+coherent biases, depolarizing mix, readout confusion, shots) runs before
+``run`` returns unless the caller parks it, as the cloud provider — which owns
+one backend per endpoint — does (:meth:`~repro.cloud.provider.CloudProvider.resolve`).
 """
 
 from __future__ import annotations

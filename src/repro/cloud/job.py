@@ -33,9 +33,8 @@ class CloudJob:
         start_time: simulation time execution began.
         finish_time: simulation time all results were available.
         results: one :class:`ExecutionResult` per circuit.  Timing and
-            metadata are final at submit; the counts belong to the physics
-            half the provider may still hold parked — reading ``results``
-            resolves it first, so no reader sees a result without counts.
+            metadata are final at submit; reading ``results`` first resolves
+            the physics half the provider may still hold parked (the counts).
         attempts: service attempts consumed (1 without fault injection).
         error: short failure description when ``status`` is ``FAILED``.
     """

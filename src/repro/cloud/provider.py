@@ -261,21 +261,18 @@ class CloudProvider:
 
         * the first time a parked result is read (``CloudJob.results``);
         * when an endpoint with parked physics is submitted to again, so its
-          stream is drawn in the wait -> shots -> wait order of one-at-a-time
-          execution and a job nobody reads (a straggler, a kernel service cut
+          stream is drawn wait -> shots -> wait as one-at-a-time execution
+          draws it, and a job nobody reads (a straggler, a kernel service cut
           by an outage and re-entered) still draws its shots, in submit order;
-        * before :meth:`snapshot_state` (so before every checkpoint), and by
-          the master at the end of ``train``.
+        * before :meth:`snapshot_state` (so every checkpoint) and by the
+          master at the end of ``train``.
 
-        Jobs sharing templates run as one engine pass with per-row noise
-        specs, each drawing its shots from its own endpoint's stream
-        (:func:`~repro.devices.qpu.resolve_batches`); a pass that raises
-        reaches the reader with every job still parked.
+        Jobs sharing templates run as one engine pass, each drawing its shots
+        from its own endpoint's stream (:func:`~repro.devices.qpu.resolve_batches`);
+        a pass that raises reaches the reader with every job still parked.
         """
         parked = self._parked
-        if not parked:
-            return
-        if _telemetry.enabled:
+        if parked and _telemetry.enabled:
             # How wide the wave is (``qpu.batch_size`` is circuits per job).
             registry = _telemetry.registry
             registry.histogram(
@@ -303,11 +300,11 @@ class CloudProvider:
         without a single circuit being bound, and either form of the same
         job yields identical results, timing and RNG state.
 
-        The returned job is already in the ``DONE`` state with its timing
-        populated; callers (EQC client nodes, baselines) treat
-        ``job.finish_time`` as the moment the results become visible, which is
-        how asynchrony is realized on the virtual clock.  Its physics is
-        parked: ``job.results`` resolves it on first read (:meth:`resolve`).
+        The returned job is already ``DONE`` with its timing populated and its
+        physics parked (``job.results`` resolves it, see :meth:`resolve`);
+        callers (EQC client nodes, baselines) treat ``job.finish_time`` as the
+        moment the results become visible, which is how asynchrony is realized
+        on the virtual clock.
 
         Every job runs the same attempt loop: fail fast on a dead device,
         get a service start from the clock (:meth:`_serve` — the event
@@ -363,9 +360,8 @@ class CloudProvider:
         def service(start_time: float) -> float:
             # One service start; returns the device-seconds held.  A service
             # cut by an outage re-enters with a fresh start time: the partial
-            # results are dropped (the cut run stays parked ahead of the rerun,
-            # so its shots are still drawn first) and the failure draw is made
-            # afresh.
+            # results are dropped (the cut run stays parked, so its shots are
+            # still drawn first) and the failure draw is made afresh.
             results.clear()
             if faults is not None and faults.transient_failure(device_name):
                 return 0.0

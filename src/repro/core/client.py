@@ -19,13 +19,13 @@ gradient task, it
 In the discrete-event reproduction the submit-and-wait is two halves.  The
 **dispatch half** (:meth:`EQCClientNode.dispatch_task`, up to the submit)
 returns a :class:`DispatchedTask` stamped with the job's simulated finish
-time: a device job's clock is read at submit while its physics stays parked.
-The **collect half** (:meth:`DispatchedTask.collect`) reads the counts —
-resolving every job the fleet has parked by then in one stacked pass
+time: a job's clock is read at submit while its physics stays parked.  The
+**collect half** (:meth:`DispatchedTask.collect`) reads the counts — which
+resolves every job the fleet has parked by then in one stacked pass
 (:meth:`repro.cloud.provider.CloudProvider.resolve`) — into the
-:class:`GradientOutcome`.  The master's event loop replays the finish stamps
-in order, collecting each task as its event pops, which realizes the real
-Ray-based system's asynchrony; ``execute_task`` is both halves back to back.
+:class:`GradientOutcome`.  The master replays the finish stamps in order and
+collects each task as its event pops, which realizes the real Ray-based
+system's asynchrony; ``execute_task`` is both halves back to back.
 """
 
 from __future__ import annotations
@@ -153,15 +153,14 @@ class EQCClientNode:
             return _average_footprints(
                 [result.footprint for result in self._transpile_cache.values()]
             )
-        footprint = self._footprints.get(job.template_keys)
-        if footprint is None:
+        keys = job.template_keys
+        if keys not in self._footprints:
             # Transpile every distinct template once (cached across tasks).
-            distinct = dict.fromkeys(zip(job.template_keys, job.templates))
-            footprint = _average_footprints(
+            distinct = dict.fromkeys(zip(keys, job.templates))
+            self._footprints[keys] = _average_footprints(
                 [self._transpiled(key, template).footprint for key, template in distinct]
             )
-            self._footprints[job.template_keys] = footprint
-        return footprint
+        return self._footprints[keys]
 
     # ------------------------------------------------------------------
     def current_p_correct(
@@ -221,9 +220,16 @@ class EQCClientNode:
             self, task, float(p_correct), float(submit_time), int(theta_version), cloud_job
         )
 
-    def execute_task(self, *args, **kwargs) -> GradientOutcome:
+    def execute_task(
+        self,
+        task: GradientTask,
+        theta: Sequence[float],
+        submit_time: float,
+        theta_version: int = 0,
+        job_spec: GradientJobSpec | None = None,
+    ) -> GradientOutcome:
         """Serve one task end to end: :meth:`dispatch_task`, then collect."""
-        return self.dispatch_task(*args, **kwargs).collect()
+        return self.dispatch_task(task, theta, submit_time, theta_version, job_spec).collect()
 
 
 def _average_footprints(footprints: Sequence[CircuitFootprint]) -> CircuitFootprint:

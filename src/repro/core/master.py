@@ -65,9 +65,8 @@ class _InFlight:
     """One outstanding event, ordered by its time on the master's heap.
 
     A job is on the heap as soon as its *clock* is known, with ``outcome=None``
-    plus the executor ``job_id`` to collect it from (:meth:`EQCMasterNode.gather`)
-    once the entry reaches the front: from a worker process or, in process, from
-    the provider, which then runs every job parked so far as one stacked pass.
+    and the executor ``job_id`` :meth:`EQCMasterNode.gather` collects it from at
+    the front: a worker process or, in process, the provider's next stacked pass.
 
     With fault tolerance active, three more event kinds share the heap:
     ``failure`` (a dispatch raised a :class:`FaultError`; ``finish_time`` is
@@ -97,9 +96,8 @@ class _InProcessExecutor:
         self._job_ids = itertools.count()
 
     def submit(self, device_name, task, theta, submit_time, theta_version):
-        dispatched = self._clients[device_name].dispatch_task(
-            task, theta, submit_time, theta_version
-        )
+        client = self._clients[device_name]
+        dispatched = client.dispatch_task(task, theta, submit_time, theta_version)
         job_id = next(self._job_ids)
         self._dispatched[job_id] = dispatched
         job = dispatched.cloud_job
@@ -451,13 +449,7 @@ class EQCMasterNode:
             # still collected there, then discarded, to keep the per-device
             # executor protocol serialized).
             return parked("straggler", now + self.dispatch_deadline, job_id=job_id)
-        return _InFlight(
-            finish_time=finish_time,
-            sequence=sequence,
-            outcome=None,
-            client=client,
-            job_id=job_id,
-        )
+        return _InFlight(finish_time, sequence, outcome=None, client=client, job_id=job_id)
 
     # ------------------------------------------------------------------
     # graceful degradation

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import groupby
+from itertools import accumulate, groupby
 from typing import Sequence
 
 import numpy as np
@@ -531,18 +531,15 @@ class QPU:
 
         The only batch entry point: bound circuits or an unbound
         :class:`~repro.circuit.sweep.ParameterSweep` (same job slots, same
-        results, nothing bound).  The job's **clock half** always runs here
-        — per-circuit offsets, durations, noise specs, metadata
-        (:meth:`noise_timeline`): arithmetic, no simulation, no RNG — and
-        comes back as results whose ``counts`` are still ``None``.  Its
-        **physics half** (lowering, engine, mix/confuse, shots drawn from
-        ``rng`` in batch order) is a :class:`DeferredBatch`: with
-        ``park=None`` it runs before this call returns, the one-job case of
-        :func:`resolve_batches`; a caller's ``park`` list gets it appended
-        instead, to be resolved later in one stacked pass that fills
-        ``counts`` into these same results.  Who resolves changes the
-        wall-clock cost, never the physics: noise, drift and the RNG stream
-        evolve as for single executions (:meth:`execute`, the reference).
+        results, nothing bound).  The job's **clock half** runs here —
+        offsets, durations, noise specs, metadata (:meth:`noise_timeline`):
+        arithmetic, no RNG — and comes back as results whose ``counts`` are
+        ``None``.  Its **physics half** (lowering, engine, mix/confuse, shots
+        from ``rng`` in batch order) is a :class:`DeferredBatch`: run before
+        returning (``park=None``, the one-job case of :func:`resolve_batches`)
+        or appended to the caller's ``park`` list, to be resolved later in one
+        stacked pass that fills these same results.  Who resolves changes the
+        wall-clock cost, never the physics (:meth:`execute` is the reference).
         """
         if not len(circuits):
             raise ValueError("a batch needs at least one circuit")
@@ -582,19 +579,14 @@ class DeferredBatch:
     results: list[ExecutionResult]
 
     def sample(self, probabilities: np.ndarray | Sequence[np.ndarray]) -> None:
-        """Draw every circuit's shots, in batch order, from this job's stream.
-
-        Consecutive distributions of equal length draw through one batched
-        multinomial call; NumPy consumes the bit stream row by row, so draws
-        and final generator state equal per-circuit ``sample_distribution``.
-        """
+        """Draw every circuit's shots, in batch order, from this job's stream
+        (equal-length runs through one multinomial call: NumPy consumes the
+        bit stream row by row, as per-circuit ``sample_distribution`` would)."""
         if isinstance(probabilities, np.ndarray):
             # A uniform job arrives as one (batch, 2**m) matrix.
             runs = [probabilities]
         else:
-            runs = [
-                np.stack(list(run)) for _, run in groupby(probabilities, key=np.size)
-            ]
+            runs = [np.stack(list(run)) for _, run in groupby(probabilities, key=np.size)]
         drawn = [
             counts
             for run in runs
@@ -612,10 +604,11 @@ def resolve_batches(parked: list[DeferredBatch]) -> None:
     Jobs whose sweeps run the same templates (an ensemble's gradient jobs,
     whatever their devices) become **one** sweep over the ``vstack`` of their
     parameter matrices with their per-row noise specs: one
-    :func:`~repro.simulator.mixing.noisy_probabilities_batch` pass, rows
-    bit-equal to the per-job pass any other batch — or a lone job — runs.
-    Every distribution exists before any stream moves and a job leaves
-    ``parked`` only with its counts in: a pass that raises parks them all.
+    :func:`~repro.simulator.mixing.noisy_probabilities_batch` pass whose
+    ``blocks`` keep each job's rows bit-equal to that job passed alone, as
+    any other batch — or a lone job — is.  Every distribution exists before
+    any stream moves and a job leaves ``parked`` only with its counts in: a
+    pass that raises parks them all.
     """
     waves: dict[object, list[DeferredBatch]] = {}
     for batch in parked:
@@ -626,16 +619,13 @@ def resolve_batches(parked: list[DeferredBatch]) -> None:
     for wave in waves.values():
         circuits = wave[0].circuits
         if len(wave) > 1:
-            circuits = ParameterSweep(
-                circuits.templates, np.vstack([b.circuits.theta for b in wave])
-            )
-        rows = noisy_probabilities_batch(
-            circuits, [spec for batch in wave for spec in batch.specs]
-        )
-        offset = 0
-        for batch in wave:
-            distributions[id(batch)] = rows[offset : offset + len(batch.specs)]
-            offset += len(batch.specs)
+            theta = np.vstack([batch.circuits.theta for batch in wave])
+            circuits = ParameterSweep(circuits.templates, theta)
+        specs = [spec for batch in wave for spec in batch.specs]
+        blocks = [len(batch.specs) for batch in wave]
+        rows = noisy_probabilities_batch(circuits, specs, blocks=blocks)
+        for batch, stop in zip(wave, accumulate(blocks)):
+            distributions[id(batch)] = rows[stop - len(batch.specs) : stop]
     while parked:
         parked[0].sample(distributions[id(parked[0])])
         del parked[0]

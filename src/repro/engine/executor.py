@@ -34,6 +34,7 @@ qubit 0 is the most significant bit of a basis-state index.
 from __future__ import annotations
 
 import time
+from itertools import accumulate, pairwise
 from typing import Sequence
 
 import numpy as np
@@ -144,7 +145,7 @@ def _apply_ops(
     ops: tuple,
     state: np.ndarray,
     thetas: np.ndarray,
-    stride: int,
+    segments: Sequence[slice],
     num_qubits: int,
     cdtype: np.dtype,
 ) -> np.ndarray:
@@ -156,8 +157,8 @@ def _apply_ops(
     diagonal multiplies use ``'same_kind'`` casting and need no special
     handling.  The one step whose rounding can depend on the row count is the
     slot-angle GEMM of a diagonal op (BLAS picks its reduction order by
-    shape), so over rows that interleave ``stride`` templates it runs once
-    per template, at the shape that template's rows have when run alone.
+    shape), so it runs once per entry of ``segments`` — one template's rows
+    of one stacked job — at the shape those rows have when run alone.
     """
     size = thetas.shape[0]
     shape = (size,) + (2,) * num_qubits
@@ -172,13 +173,13 @@ def _apply_ops(
         if type(op) is DiagonalOp:
             if op.slots:
                 columns = list(op.slots)
-                if stride == 1:
+                if len(segments) == 1:
                     angles = thetas[:, columns] @ op.coeffs
                 else:
                     angles = np.empty((size, ping.shape[1]))
-                    for offset in range(stride):
-                        rows = np.ascontiguousarray(thetas[offset::stride])
-                        angles[offset::stride] = rows[:, columns] @ op.coeffs
+                    for rows in segments:
+                        part = np.ascontiguousarray(thetas[rows])
+                        angles[rows] = part[:, columns] @ op.coeffs
                 if single:
                     phase = np.exp(np.complex64(1j) * angles.astype(np.float32))
                 else:
@@ -213,29 +214,34 @@ def _apply_ops(
 
 
 def _execute_block(
-    program: GateProgram, thetas: np.ndarray, cdtype: np.dtype
+    program: GateProgram,
+    thetas: np.ndarray,
+    cdtype: np.dtype,
+    blocks: Sequence[int] | None = None,
 ) -> np.ndarray:
     """Run a program over a (sub-)batch of points, from ``|0...0>``.
 
     The program's ``ops`` run over every row; a merged program then runs each
     template's tail on that template's rows (``t::stride``), gathered into
     contiguous buffers so every tail op sees exactly the arrays it sees when
-    the template executes alone.  A tiled caller slicing ``thetas`` gets rows
-    matching the untiled pass to <=1e-10 (exactly, up to BLAS reduction order
-    in the diagonal slot matmul).
+    the template executes alone — of its own job alone, when ``blocks`` stacks
+    several jobs.  See :func:`execute_program` for ``tile`` and ``blocks``.
     """
     stride = program.stride
     n = program.num_qubits
+    edges = [0, *accumulate(blocks or (thetas.shape[0],))]
     states = np.zeros((thetas.shape[0], program.dim), dtype=cdtype)
     states[:, 0] = 1.0
-    states = _apply_ops(program.ops, states, thetas, stride, n, cdtype)
+    shared = [slice(a + t, b, stride) for a, b in pairwise(edges) for t in range(stride)]
+    states = _apply_ops(program.ops, states, thetas, shared, n, cdtype)
+    alone = [slice(a // stride, b // stride) for a, b in pairwise(edges)]
     for offset, tail in enumerate(program.tails):
         if tail:
             states[offset::stride] = _apply_ops(
                 tail,
                 np.ascontiguousarray(states[offset::stride]),
                 np.ascontiguousarray(thetas[offset::stride]),
-                1,
+                alone,
                 n,
                 cdtype,
             )
@@ -249,6 +255,7 @@ def execute_program(
     batch: int | None = None,
     dtype=None,
     tile: int | None = None,
+    blocks: Sequence[int] | None = None,
 ) -> np.ndarray:
     """Run a compiled program over a batch of parameter points.
 
@@ -271,6 +278,9 @@ def execute_program(
             independently, so tiled rows match the untiled pass to <=1e-10
             (BLAS reduction order in the diagonal slot matmul is the only
             divergence source).
+        blocks: row counts of the independent jobs stacked in ``thetas``
+            (whole points each, untiled only): the diagonal slot matmul runs
+            per job, so every job's rows are bit-equal to that job run alone.
 
     Returns:
         A ``(batch, 2**n)`` complex array of final statevectors.
@@ -292,6 +302,8 @@ def execute_program(
             f"a program merged from {stride} templates runs whole points: "
             f"{size} rows is not a multiple of {stride}"
         )
+    if blocks is not None and (tile or sum(blocks) != size or any(b % stride for b in blocks)):
+        raise ValueError(f"blocks {blocks} must split {size} untiled rows into whole points")
 
     # Telemetry rides on one enabled-check per *program execution*, never
     # per op or per sweep point — the disabled path costs a single branch
@@ -314,7 +326,7 @@ def execute_program(
             if _telemetry.enabled:
                 _record_execution(program, size, tiles, start_ns)
             return out
-    result = _execute_block(program, thetas, cdtype)
+    result = _execute_block(program, thetas, cdtype, blocks)
     if _telemetry.enabled:
         _record_execution(program, size, tiles, start_ns)
     return result

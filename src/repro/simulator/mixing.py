@@ -152,6 +152,7 @@ def noisy_probabilities(
 def noisy_probabilities_batch(
     circuits: Sequence[QuantumCircuit] | ParameterSweep,
     noises: Sequence[MixingNoiseSpec],
+    blocks: Sequence[int] | None = None,
 ) -> np.ndarray | list[np.ndarray]:
     """Analytic noisy outcome distributions for a whole device batch at once.
 
@@ -178,6 +179,8 @@ def noisy_probabilities_batch(
         circuits: fully-bound circuits (any mix of structures), or a sweep.
         noises: one :class:`MixingNoiseSpec` per flat batch position — each
             evaluated at that position on the device clock by the caller.
+        blocks: flat row counts of the independent jobs stacked in the batch;
+            each job's rows are then bit-equal to that job passed alone.
 
     Returns:
         One measured-register distribution per position, in flat order: the
@@ -195,7 +198,11 @@ def noisy_probabilities_batch(
     for program, thetas, circuit, indices in groups:
         specs = [noises[i] for i in indices]
         thetas = _bias_scaled(thetas, program.slot_gates, specs)
-        states = execute_program(program, thetas)
+        if blocks is None:
+            states = execute_program(program, thetas)
+        else:  # how many of this group's (ascending) positions each job owns
+            edges = np.searchsorted(indices, np.cumsum([0, *blocks]))
+            states = execute_program(program, thetas, blocks=np.diff(edges).tolist())
         measured = circuit.measured_qubits or tuple(range(circuit.num_qubits))
         ideal = marginal_probabilities(states, measured, circuit.num_qubits)
         mixed = _mix_and_confuse(ideal, specs, len(measured))

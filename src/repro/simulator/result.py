@@ -129,8 +129,7 @@ class ExecutionResult:
     """The full result of executing one circuit on a backend.
 
     Attributes:
-        counts: measurement histogram (``None`` only while the device job's
-            physics half is still parked — see :meth:`QPU.execute_batch`).
+        counts: measurement histogram (``None`` while the job's physics is parked).
         shots: number of shots requested.
         backend_name: device (or simulator) the job ran on.
         duration_seconds: simulated wall-clock execution time (queue excluded).

@@ -127,6 +127,38 @@ class TestMergedExecution:
                 alone = execute_program(program, thetas[offset::3])
                 assert states[offset::3].tobytes() == alone.tobytes()
 
+    def test_blocks_keep_stacked_jobs_bitwise(self):
+        """Several jobs stacked into one pass: with their row counts given as
+        ``blocks`` the wide GEMM runs at each job's own shape, whatever the
+        width of the stack."""
+        cache = ProgramCache()
+        programs = [cache.get_or_compile(t) for t in _basis_family()]
+        merged = merge_programs(programs)
+        rng = np.random.default_rng(13)
+        for _ in range(60):
+            blocks = [3 * int(points) for points in rng.integers(1, 4, rng.integers(2, 11))]
+            thetas = rng.uniform(-np.pi, np.pi, (sum(blocks), merged.num_slots))
+            stacked = execute_program(merged, thetas, blocks=blocks)
+            stop = 0
+            for rows in blocks:
+                start, stop = stop, stop + rows
+                alone = execute_program(merged, thetas[start:stop])
+                assert stacked[start:stop].tobytes() == alone.tobytes()
+            # A single (untemplated) program stacks the same way.
+            single = execute_program(programs[0], thetas, blocks=blocks)
+            assert single[:blocks[0]].tobytes() == execute_program(
+                programs[0], thetas[: blocks[0]]
+            ).tobytes()
+
+    @pytest.mark.parametrize(
+        "blocks, tile", [([3, 4], None), ([3, 3], None), ([6, 3], 3), ([6, 6], None)]
+    )
+    def test_blocks_must_split_untiled_rows_into_whole_points(self, vqe_programs, blocks, tile):
+        _, programs = vqe_programs
+        merged = merge_programs(programs)
+        with pytest.raises(ValueError, match="whole points"):
+            execute_program(merged, np.zeros((9, merged.num_slots)), blocks=blocks, tile=tile)
+
 
 class TestMergedTelemetry:
     def test_counters_equal_the_separate_executions_sums(self, vqe_programs):

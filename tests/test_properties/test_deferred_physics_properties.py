@@ -21,7 +21,7 @@ from repro.backends import NoisyBackend, StatevectorBackend
 from repro.circuit import Parameter, QuantumCircuit, ghz_state
 from repro.circuit.sweep import ParameterSweep
 from repro.cloud.provider import CloudProvider
-from repro.devices.catalog import build_qpu
+from repro.devices.catalog import build_fleet, build_qpu
 from repro.devices.qpu import CircuitFootprint
 from repro.sched import CloudScheduler
 from repro.vqa import heisenberg_vqe_problem, ring_maxcut_qaoa_problem
@@ -49,19 +49,49 @@ def _split_register_templates():
     return (narrow, wide)
 
 
+def _wide_diagonal_templates(num_edges=8):
+    """One 8-slot diagonal cost layer, then a different basis change each.
+
+    The slot-angle GEMM of such a layer rounds by its row count (BLAS picks
+    the reduction order by shape, visibly from ~6 slots up), so these are the
+    jobs a stacked pass could get wrong.
+    """
+    parameters = [Parameter(f"g{i}") for i in range(num_edges)]
+    templates = []
+    for basis in ("z", "x", "y"):
+        circuit = QuantumCircuit(4)
+        for qubit in range(4):
+            circuit.h(qubit)
+        for index, parameter in enumerate(parameters):
+            circuit.rzz(parameter, index % 4, (index + 1 + index // 4) % 4)
+        for qubit in range(4):
+            circuit.rx(parameters[qubit], qubit)
+            if basis == "y":
+                circuit.sdg(qubit)
+            if basis != "z":
+                circuit.h(qubit)
+        templates.append(circuit.measure_all())
+    return tuple(templates)
+
+
 VQE_TEMPLATES = tuple(heisenberg_vqe_problem().estimator.template_circuits())
 QAOA_TEMPLATES = tuple(ring_maxcut_qaoa_problem().estimator.template_circuits())
 SPLIT_TEMPLATES = _split_register_templates()
-BATCH_KINDS = ("vqe", "qaoa", "split", "bound", "ghz")
+WIDE_TEMPLATES = _wide_diagonal_templates()
+SWEEP_TEMPLATES = {
+    "vqe": VQE_TEMPLATES,
+    "qaoa": QAOA_TEMPLATES,
+    "split": SPLIT_TEMPLATES,
+    "wide": WIDE_TEMPLATES,
+}
+BATCH_KINDS = ("vqe", "qaoa", "split", "bound", "ghz", "wide")
 
 
 def make_batch(kind, rng):
     """A batch of the named kind; sweeps of one kind share template objects."""
     if kind == "ghz":
         return [ghz_state(4), ghz_state(3)]
-    templates = {"vqe": VQE_TEMPLATES, "qaoa": QAOA_TEMPLATES, "split": SPLIT_TEMPLATES}.get(
-        kind, QAOA_TEMPLATES
-    )
+    templates = SWEEP_TEMPLATES.get(kind, QAOA_TEMPLATES)
     points = int(rng.integers(1, 4))
     sweep = ParameterSweep(
         templates, rng.uniform(-np.pi, np.pi, (points, len(templates[0].parameters)))
@@ -131,7 +161,7 @@ def test_deferred_physics_equals_one_job_at_a_time(
     for burst, cut in rounds:
         for device in burst:
             now += float(rng.uniform(0.0, 120.0))
-            batch = make_batch(rng.choice(BATCH_KINDS, p=(0.15, 0.45, 0.1, 0.15, 0.15)), rng)
+            batch = make_batch(rng.choice(BATCH_KINDS, p=(0.15, 0.3, 0.1, 0.1, 0.1, 0.25)), rng)
             shots = int(rng.choice((16, 64, 200)))
             jobs.append(
                 tuple(
@@ -154,14 +184,46 @@ def test_deferred_physics_equals_one_job_at_a_time(
         assert job_facts(ours) == job_facts(reference)
 
 
-def _parked_wave(kinds, shots):
-    provider = CloudProvider([build_qpu(name) for name in FLEET[: len(kinds)]], seed=1)
-    rng = np.random.default_rng(7)
+def _parked_wave(kinds, shots, backend=NoisyBackend, seed=7):
+    fleet = build_fleet()[: len(kinds)]
+    provider = CloudProvider(fleet, seed=1, backend_factory=backend)
+    rng = np.random.default_rng(seed)
     jobs = [
-        provider.submit(name, make_batch(kind, rng), FOOTPRINT, now=0.0, shots=n)
-        for name, kind, n in zip(FLEET, kinds, shots)
+        provider.submit(qpu.name, make_batch(kind, rng), FOOTPRINT, now=0.0, shots=n)
+        for qpu, kind, n in zip(fleet, kinds, shots)
     ]
     return provider, jobs
+
+
+@pytest.mark.parametrize("width", range(2, 11))
+def test_wide_diagonal_layers_stack_bit_equal_at_any_wave_width(width, monkeypatch):
+    """Not only the counts: the distributions themselves, to the last bit.
+
+    Shots cannot see a 1e-16 slip, so the rows each job samples from are
+    compared as bytes — up to the whole ten-device fleet in one pass.
+    """
+    from repro.devices.qpu import DeferredBatch
+
+    sampled = []
+    sample = DeferredBatch.sample
+
+    def recording(batch, probabilities):
+        sampled.append(np.asarray(probabilities).tobytes())
+        sample(batch, probabilities)
+
+    monkeypatch.setattr(DeferredBatch, "sample", recording)
+    kinds, shots = ("wide",) * width, (256,) * width
+    for seed in range(12):
+        deferred, jobs = _parked_wave(kinds, shots, seed=seed)
+        assert len(deferred._parked) == width and not sampled
+        deferred.resolve()
+        stacked = sampled[:]
+        del sampled[:]
+        eager, reference = _parked_wave(kinds, shots, EagerNoisyBackend, seed)
+        assert stacked == sampled
+        del sampled[:]
+        assert [job_facts(j) for j in jobs] == [job_facts(j) for j in reference]
+        assert deferred.snapshot_state() == eager.snapshot_state()
 
 
 def _count_passes(monkeypatch):
@@ -170,9 +232,9 @@ def _count_passes(monkeypatch):
     calls = []
     real = qpu_module.noisy_probabilities_batch
 
-    def counting(circuits, noises):
+    def counting(circuits, noises, **blocks):
         calls.append(len(noises))
-        return real(circuits, noises)
+        return real(circuits, noises, **blocks)
 
     monkeypatch.setattr(qpu_module, "noisy_probabilities_batch", counting)
     return calls
@@ -205,11 +267,11 @@ def test_a_failing_pass_leaves_every_job_parked(monkeypatch):
     real = qpu_module.noisy_probabilities_batch
     passes = []
 
-    def failing_second_pass(circuits, noises):
+    def failing_second_pass(circuits, noises, **blocks):
         passes.append(len(noises))
         if len(passes) == 2:
             raise FloatingPointError("engine pass failed")
-        return real(circuits, noises)
+        return real(circuits, noises, **blocks)
 
     monkeypatch.setattr(qpu_module, "noisy_probabilities_batch", failing_second_pass)
     with pytest.raises(FloatingPointError, match="engine pass failed"):

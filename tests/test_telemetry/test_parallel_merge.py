@@ -10,10 +10,15 @@ from repro.hamiltonian.expectation import EnergyEstimator
 from repro.telemetry import TELEMETRY, run_report, telemetry_session, validate_chrome_trace
 
 #: Counters whose fleet-wide totals must not depend on where the work ran.
-#: (``engine.executions`` and the per-pass op counters do: a worker resolves
-#: its jobs one at a time, while in process the provider stacks every parked
-#: job of the fleet into one engine pass.)
-MERGED_COUNTERS = ("engine.points_executed",)
+#: Points and op applications are counted per row, so one stacked pass adds
+#: what the separate per-job passes add.  (``engine.executions`` does depend
+#: on it: a worker resolves its jobs one at a time, while in process the
+#: provider stacks every parked job of the fleet into one engine pass.)
+MERGED_COUNTERS = (
+    "engine.points_executed",
+    "engine.matrix_ops_applied",
+    "engine.diagonal_ops_applied",
+)
 
 
 def _train(problem, *, workers, start_method=None):
