@@ -24,12 +24,31 @@ Because the whole simulation is deterministic given the captured state
 (every random draw comes from a restored RNG stream), re-execution after
 restore is bit-exact with the uninterrupted run — the property the
 resume-exactness goldens pin.
+
+**Cost model.**  A generation is O(state + history) *bytes* (a whole
+container, never a delta) but O(changed) *encoding*: its payloads are
+assembled from **fragments** — the JSON text of one epoch record, heap entry,
+endpoint, injector stream or breaker entry, held with the ``marshal`` bytes
+of the value it encoded.  Text is reused only while the source is *exactly*
+that value (same types and key order; ``-0.0`` is not ``0.0``, ``1`` not
+``1.0`` not ``True``; a NaN matches only its own bits; what ``marshal``
+refuses is never reused), so every payload is byte for byte ``json.dumps`` of
+its ``snapshot_*`` value, the oracle the tests keep.  Epoch records are
+immutable and append-only: encoded once, by position.  A heap entry is final
+once gathered; its fragment goes when it leaves the heap.  ``meta``,
+``master``, the history head and the provider and client counters move with
+every update and are encoded afresh every time.  A resumed checkpointer
+starts with no fragments and pays one full encode.
 """
 
 from __future__ import annotations
 
+import marshal
+import os
 import time
 from collections import deque
+from dataclasses import replace
+from operator import is_
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -37,6 +56,7 @@ from ..telemetry import TELEMETRY as _telemetry
 from .format import (
     CheckpointCorruptError,
     atomic_write_json,
+    encode_json,
     read_checkpoint_file,
     write_checkpoint_file,
 )
@@ -49,6 +69,7 @@ from .state import (
     snapshot_environment,
     snapshot_history,
     snapshot_inflight,
+    snapshot_record,
     snapshot_task,
 )
 
@@ -68,6 +89,63 @@ class JournalDivergenceError(RuntimeError):
 
 def _checkpoint_name(epoch: int) -> str:
     return f"ckpt-{epoch:06d}.eqc"
+
+
+#: What a generation holds; restore refuses one that lacks any of them.
+_SECTIONS = frozenset({"meta", "master", "pending", "history", "environment"})
+
+#: The maps of the environment snapshot whose members are one fragment each.
+_ENVIRONMENT_FRAGMENTS = {
+    "provider": {"endpoints": ...}, "injector": ..., "health": {"devices": ...},
+}
+
+
+class _Fragments:
+    """Encoded text per source, reused while the source is exactly unchanged."""
+
+    def __init__(self) -> None:
+        self._held, self._asked = {}, {}
+
+    def text(self, key, value) -> str:
+        """``encode_json(value)``, from the held text when that is provably it."""
+        try:
+            signature = marshal.dumps(value, 2)  # version 2: no refcount-dependent refs
+        except ValueError:  # JSON takes int/float subclasses, marshal does not
+            signature = None
+        held = self._held.get(key)
+        if held is None or signature is None or held[0] != signature:
+            held = (signature, encode_json(value))
+        self._asked[key] = held
+        return held[1]
+
+    def sweep(self) -> None:
+        """End of a generation: what it did not ask for is dropped."""
+        self._held, self._asked = self._asked, {}
+
+    def splice(self, value, split, path: tuple = ()) -> str:
+        """``encode_json(value)``; ``split`` maps a (string) key to ``...`` (a map
+        of fragments under it), to its text, or to the split of that member."""
+        if not isinstance(value, dict):  # no injector, no tracker: null
+            return encode_json(value)
+        if split is ...:
+            text = self.text
+            members = [f"{encode_json(k)}:{text((path, k), v)}" for k, v in value.items()]
+            return "{" + ",".join(members) + "}"
+        parts, plain = [], {}
+        for key, member in value.items():
+            inner = split.get(key)
+            if inner is None:
+                plain[key] = member
+                continue
+            if plain:  # a run of ordinary members costs one encoder call
+                parts.append(encode_json(plain)[1:-1])
+                plain = {}
+            if not isinstance(inner, str):
+                inner = self.splice(member, inner, path + (key,))
+            parts.append(f"{encode_json(key)}:{inner}")
+        if plain:
+            parts.append(encode_json(plain)[1:-1])
+        return "{" + ",".join(parts) + "}"
 
 
 class TrainingCheckpointer:
@@ -96,12 +174,8 @@ class TrainingCheckpointer:
         #: Checkpoint generations skipped as corrupt during restore (paths).
         self.fallbacks: list[str] = []
         self.checkpoints_written = 0
-        #: Wall time spent inside the durability hooks (journal appends,
-        #: checkpoint assembly + write, retention).  This is the directly
-        #: attributed cost of ``checkpoint_every`` — the number the
-        #: overhead benchmark pins, because on shared hosts differencing
-        #: two whole-run wall times measures scheduler noise, not this.
-        self.persist_seconds = 0.0
+        for stale in self.run.checkpoints_dir.glob(".ckpt-*.tmp"):
+            stale.unlink(missing_ok=True)  # a killed writer's temp sibling
         #: Generations on disk, oldest first (seeded from the directory so a
         #: resumed checkpointer keeps applying retention to pre-crash files;
         #: maintained in memory afterwards — retention must not pay a
@@ -112,6 +186,9 @@ class TrainingCheckpointer:
         self._last_checkpoint_epoch = 0
         self._restore_sections: dict | None = None
         self._verify: deque[dict] = deque()
+        self._fragments = _Fragments()
+        #: The epoch records encoded so far and their texts, by position.
+        self._records, self._record_texts = [], []
         if resume:
             self._prepare_restore()
         self.journal = JournalWriter(self.run.journal_path)
@@ -132,7 +209,10 @@ class TrainingCheckpointer:
         """
         for path in sorted(self.run.checkpoint_paths(), reverse=True):
             try:
-                self._restore_sections = read_checkpoint_file(path)
+                sections = read_checkpoint_file(path)
+                if not _SECTIONS <= sections.keys():  # a damaged name in the header
+                    raise CheckpointCorruptError(f"{path}: a section is missing")
+                self._restore_sections = sections
                 break
             except CheckpointCorruptError:
                 self.fallbacks.append(str(path))
@@ -145,6 +225,8 @@ class TrainingCheckpointer:
                 self._restore_sections["meta"]["epoch_completed"]
             )
         journal = read_journal(self.run.journal_path)
+        if journal.torn_tail_bytes:  # or the writer would append behind the tear
+            os.truncate(self.run.journal_path, journal.valid_bytes)
         self._verify = deque(
             record
             for record in journal.records
@@ -243,7 +325,6 @@ class TrainingCheckpointer:
     # ------------------------------------------------------------------
     def record_update(self, master: "EQCMasterNode", outcome, weight, new_value) -> None:
         """Journal one committed weight update (or verify it on replay)."""
-        start = time.perf_counter()
         record = {
             "update": master.telemetry.updates_applied,
             "task_id": outcome.task.task_id,
@@ -268,10 +349,8 @@ class TrainingCheckpointer:
                     f"replayed={record!r} — the resumed environment does not "
                     f"match the one that wrote this run"
                 )
-            self.persist_seconds += time.perf_counter() - start
             return  # already journaled before the crash
         self.journal.append(record)
-        self.persist_seconds += time.perf_counter() - start
 
     def after_iteration(
         self,
@@ -309,8 +388,9 @@ class TrainingCheckpointer:
         epoch_sim_start: float,
     ) -> None:
         telemetry_on = _telemetry.enabled
-        start = time.perf_counter()
+        start = time.perf_counter() if telemetry_on else 0.0
         state = master.state
+        fragments = self._fragments
         for entry in pending:
             if entry.kind == "job":
                 master.gather(entry)  # the container stores finished outcomes
@@ -343,15 +423,21 @@ class TrainingCheckpointer:
                 "live": [client.name for client in master._live],
                 "tasks_issued": master.task_queue.tasks_issued,
             },
-            "pending": [snapshot_inflight(entry) for entry in pending],
-            "history": snapshot_history(history),
-            "environment": snapshot_environment(
-                self._provider,
-                master.clients,
-                injector=self._injector,
-                health=master.health,
-            ),
+            "pending": ("[" + ",".join([  # heap order, a fragment per event
+                fragments.text(("pending", e.sequence), snapshot_inflight(e)) for e in pending
+            ]) + "]").encode(),
+            "history": self._history_payload(history),
+            "environment": fragments.splice(
+                snapshot_environment(
+                    self._provider,
+                    master.clients,
+                    injector=self._injector,
+                    health=master.health,
+                ),
+                _ENVIRONMENT_FRAGMENTS,
+            ).encode(),
         }
+        fragments.sweep()
         # The journal must be durable before the checkpoint that supersedes
         # its prefix commits — a checkpoint may never point past its journal.
         self.journal.sync()
@@ -368,7 +454,18 @@ class TrainingCheckpointer:
                 time.perf_counter() - start
             )
         self._apply_retention()
-        self.persist_seconds += time.perf_counter() - start
+
+    def _history_payload(self, history: "TrainingHistory") -> bytes:
+        """The history head encoded afresh around the held record texts."""
+        records, held, texts = history.records, self._records, self._record_texts
+        if len(held) > len(records) or not all(map(is_, held, records)):
+            del held[:], texts[:]  # not the list these were encoded from, grown
+        for record in records[len(held):]:
+            held.append(record)
+            texts.append(encode_json(snapshot_record(record)))
+        head = snapshot_history(replace(history, records=[]))
+        spliced = self._fragments.splice(head, {"records": "[" + ",".join(texts) + "]"})
+        return spliced.encode()
 
     def _apply_retention(self) -> None:
         """Keep the newest ``retention`` generations, delete the rest."""
@@ -390,7 +487,6 @@ class TrainingCheckpointer:
             "journal_fsyncs": self.journal.fsyncs,
             "checkpoints_written": self.checkpoints_written,
             "fallbacks": len(self.fallbacks),
-            "persist_seconds": self.persist_seconds,
         }
         atomic_write_json(self.run.history_path, snapshot_history(history))
         if _telemetry.enabled:

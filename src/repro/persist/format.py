@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
+import time
 import zlib
 from pathlib import Path
 
@@ -41,6 +41,7 @@ __all__ = [
     "CheckpointCorruptError",
     "atomic_write_bytes",
     "atomic_write_json",
+    "encode_json",
     "write_checkpoint_file",
     "read_checkpoint_file",
 ]
@@ -51,6 +52,11 @@ CHECKPOINT_MAGIC = b"EQCCKPT\n"
 #: Current checkpoint schema.  Bump on any incompatible layout change; the
 #: reader rejects unknown schemas loudly instead of misinterpreting bytes.
 CHECKPOINT_SCHEMA = 1
+
+
+#: ``json.dumps(value, separators=(",", ":"))`` without building an encoder per
+#: call: section payloads, the container header, journal frames.
+encode_json = json.JSONEncoder(separators=(",", ":")).encode
 
 
 class CheckpointCorruptError(RuntimeError):
@@ -71,16 +77,19 @@ def atomic_write_bytes(
     a power cut can then leave the newest file unreadable, never a torn
     half-state, and never losing anything the fsynced journal holds.
     """
-    path = Path(path)
-    fd, tmp_name = tempfile.mkstemp(
-        dir=path.parent, prefix=f".{path.name}.", suffix=".tmp"
-    )
+    directory, name = os.path.split(os.fspath(path))
+    tmp_name = os.path.join(directory, f".{name}.{os.getpid()}-{time.monotonic_ns():x}.tmp")
+    # O_EXCL: fail rather than write through a file someone else left there.
+    fd = os.open(tmp_name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
     try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(payload)
-            handle.flush()
+        try:
+            remaining = memoryview(payload)
+            while remaining:
+                remaining = remaining[os.write(fd, remaining):]
             if fsync:
-                os.fsync(handle.fileno())
+                os.fsync(fd)
+        finally:
+            os.close(fd)
         os.replace(tmp_name, path)
     except BaseException:
         try:
@@ -100,19 +109,22 @@ def write_checkpoint_file(
 ) -> int:
     """Assemble and atomically write one checkpoint container.
 
-    ``sections`` maps section names to JSON-serializable values.  Returns the
-    container size in bytes (telemetry records it as the checkpoint payload).
+    ``sections`` maps section names to JSON-serializable values, or to the
+    ``bytes`` of a payload already encoded (the checkpointer's, assembled
+    from fragments; no JSON value is ``bytes``).  Returns the container size
+    in bytes (telemetry records it as the checkpoint payload).
 
     Checkpoints default to ``fsync=False``: the run journal — fsynced before
     every checkpoint commits — is the durability anchor, and a generation
     that a power cut leaves unreadable is exactly what CRC verification and
     retention fallback recover from.  Skipping the sync keeps per-epoch
-    checkpointing inside the overhead budget that ``bench_checkpoint`` pins.
+    checkpointing cheap (the ``qaoa10_chaos_durable`` workload of
+    ``benchmarks/e2e`` measures it).
     """
-    payloads: list[tuple[str, bytes]] = []
-    for name, value in sections.items():
-        body = json.dumps(value, separators=(",", ":")).encode()
-        payloads.append((name, body))
+    payloads = [
+        (name, value if isinstance(value, bytes) else encode_json(value).encode())
+        for name, value in sections.items()
+    ]
     header = {
         "schema": CHECKPOINT_SCHEMA,
         "sections": [
@@ -120,12 +132,10 @@ def write_checkpoint_file(
             for name, body in payloads
         ],
     }
-    blob = bytearray()
-    blob += CHECKPOINT_MAGIC
-    blob += (json.dumps(header, separators=(",", ":")) + "\n").encode()
-    for _, body in payloads:
-        blob += body
-    atomic_write_bytes(path, bytes(blob), fsync=fsync)
+    blob = b"".join(
+        (CHECKPOINT_MAGIC, encode_json(header).encode(), b"\n", *(b for _, b in payloads))
+    )
+    atomic_write_bytes(path, blob, fsync=fsync)
     return len(blob)
 
 
@@ -163,7 +173,10 @@ def read_checkpoint_file(path: str | os.PathLike) -> dict[str, object]:
     sections: dict[str, object] = {}
     offset = newline + 1
     for entry in directory:
-        name, length, crc = entry["name"], int(entry["length"]), int(entry["crc32"])
+        try:
+            name, length, crc = entry["name"], int(entry["length"]), int(entry["crc32"])
+        except (KeyError, TypeError, ValueError) as exc:  # the header has no CRC
+            raise CheckpointCorruptError(f"{path}: malformed section directory") from exc
         payload = body[offset : offset + length]
         if len(payload) != length:
             raise CheckpointCorruptError(

@@ -28,12 +28,13 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from ..telemetry import TELEMETRY as _telemetry
+from .format import encode_json
 
 __all__ = ["JournalWriter", "JournalReadResult", "read_journal"]
 
 
 def _frame(record: dict) -> bytes:
-    body = json.dumps(record, separators=(",", ":")).encode()
+    body = encode_json(record).encode()
     return b"%08x " % zlib.crc32(body) + body + b"\n"
 
 
@@ -44,6 +45,9 @@ class JournalReadResult:
     records: tuple[dict, ...]
     torn_tail_bytes: int
     path: str
+    #: Length of the verified prefix; recovery truncates the file to it, or
+    #: the tear would hide every later append from the next reader.
+    valid_bytes: int = 0
 
     @property
     def committed_updates(self) -> int:
@@ -141,4 +145,5 @@ def read_journal(path: str | os.PathLike) -> JournalReadResult:
         records=tuple(records),
         torn_tail_bytes=len(raw) - offset,
         path=str(path),
+        valid_bytes=offset,
     )

@@ -54,6 +54,7 @@ __all__ = [
     "restore_outcome",
     "snapshot_inflight",
     "restore_inflight",
+    "snapshot_record",
     "snapshot_history",
     "restore_history",
     "snapshot_environment",
@@ -205,6 +206,18 @@ def restore_inflight(data: Mapping, clients_by_name: Mapping[str, EQCClientNode]
 # history
 # ---------------------------------------------------------------------------
 
+def snapshot_record(record: EpochRecord) -> dict:
+    """One epoch record as plain data (NaN ``noisy_loss`` becomes ``None``)."""
+    return {
+        "epoch": record.epoch,
+        "sim_time_hours": record.sim_time_hours,
+        "loss": record.loss,
+        "parameters": list(record.parameters),
+        "weights": dict(record.weights),
+        "noisy_loss": None if math.isnan(record.noisy_loss) else record.noisy_loss,
+    }
+
+
 def snapshot_history(history: TrainingHistory) -> dict:
     """A ``TrainingHistory`` as plain data (shared with the run store)."""
     return {
@@ -216,17 +229,7 @@ def snapshot_history(history: TrainingHistory) -> dict:
         "termination_reason": history.termination_reason,
         "final_epoch_fraction": history.final_epoch_fraction,
         "metadata": history.metadata,
-        "records": [
-            {
-                "epoch": r.epoch,
-                "sim_time_hours": r.sim_time_hours,
-                "loss": r.loss,
-                "parameters": list(r.parameters),
-                "weights": dict(r.weights),
-                "noisy_loss": None if math.isnan(r.noisy_loss) else r.noisy_loss,
-            }
-            for r in history.records
-        ],
+        "records": [snapshot_record(r) for r in history.records],
     }
 
 

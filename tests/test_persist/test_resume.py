@@ -282,6 +282,46 @@ class TestCorruptionFallback:
             fh.write(b'deadbeef {"update": 999, "gra')
         history = resume(run, objective)
         assert history_key(history) == history_key(plain_history)
+        # The resumed writer appended where the verified prefix ended, not
+        # after the tear: the journal reads back whole.
+        journal = read_journal(run.journal_path)
+        assert journal.torn_tail_bytes == 0
+        assert [r["update"] for r in journal.records] == list(
+            range(1, history.total_updates + 1)
+        )
+
+    def test_crash_tear_resume_crash_resume(
+        self, objective, theta0, plain_history, tmp_path
+    ):
+        run = self._crashed_run(objective, theta0, tmp_path)
+        with open(run.journal_path, "ab") as fh:
+            fh.write(b'deadbeef {"update": 999, "gra')
+        # The first recovery dies too, one checkpoint further on.  It must
+        # leave a journal the second recovery can verify its replay against.
+        original = TrainingCheckpointer.after_iteration
+
+        def crashing(self, *args, **kwargs):
+            original(self, *args, **kwargs)
+            if self.checkpoints_written >= 1:
+                raise _Crash()
+
+        TrainingCheckpointer.after_iteration = crashing
+        try:
+            with pytest.raises(_Crash):
+                resume(run, objective)
+        finally:
+            TrainingCheckpointer.after_iteration = original
+        journal = read_journal(run.journal_path)
+        assert journal.torn_tail_bytes == 0
+        assert journal.committed_updates == 4 * objective.num_parameters
+
+        history = resume(run, objective)
+        assert history_key(history) == history_key(plain_history)
+        journal = read_journal(run.journal_path)
+        assert journal.torn_tail_bytes == 0
+        assert [r["update"] for r in journal.records] == list(
+            range(1, history.total_updates + 1)
+        )
 
 
 class TestJournalDivergence:
