@@ -26,24 +26,18 @@ restore is bit-exact with the uninterrupted run — the property the
 resume-exactness goldens pin.
 
 **Cost model.**  A generation is O(state + history) *bytes* (a whole
-container, never a delta) but O(changed) *encoding*: its payloads are
-assembled from **fragments** — the JSON text of one epoch record, heap entry,
-endpoint, injector stream or breaker entry, held with the ``marshal`` bytes
-of the value it encoded.  Text is reused only while the source is *exactly*
-that value (same types and key order; ``-0.0`` is not ``0.0``, ``1`` not
-``1.0`` not ``True``; a NaN matches only its own bits; what ``marshal``
-refuses is never reused), so every payload is byte for byte ``json.dumps`` of
-its ``snapshot_*`` value, the oracle the tests keep.  Epoch records are
-immutable and append-only: encoded once, by position.  A heap entry is final
-once gathered; its fragment goes when it leaves the heap.  ``meta``,
-``master``, the history head and the provider and client counters move with
-every update and are encoded afresh every time.  A resumed checkpointer
-starts with no fragments and pays one full encode.
+container, never a delta), but the history, its largest section, costs
+O(new records) *encoding*: an epoch record is immutable once appended, so its
+JSON text is encoded once and held by position, and the section is the head
+encoded afresh around those texts — byte for byte ``json.dumps`` of
+``snapshot_history``, the oracle the tests keep.  Everything else (``meta``,
+``master``, ``pending``, ``environment``) moves between checkpoints and is
+small at the fleet sizes trained here, so it is encoded whole every time.  A
+resumed checkpointer holds no texts and pays one full encode.
 """
 
 from __future__ import annotations
 
-import marshal
 import os
 import time
 from collections import deque
@@ -84,7 +78,8 @@ __all__ = ["JournalDivergenceError", "TrainingCheckpointer"]
 
 
 class JournalDivergenceError(RuntimeError):
-    """A replayed update does not match its journal record bit-for-bit."""
+    """A replayed update does not match its journal record bit-for-bit, or
+    the verified journal ends short of the checkpoint being restored."""
 
 
 def _checkpoint_name(epoch: int) -> str:
@@ -93,59 +88,6 @@ def _checkpoint_name(epoch: int) -> str:
 
 #: What a generation holds; restore refuses one that lacks any of them.
 _SECTIONS = frozenset({"meta", "master", "pending", "history", "environment"})
-
-#: The maps of the environment snapshot whose members are one fragment each.
-_ENVIRONMENT_FRAGMENTS = {
-    "provider": {"endpoints": ...}, "injector": ..., "health": {"devices": ...},
-}
-
-
-class _Fragments:
-    """Encoded text per source, reused while the source is exactly unchanged."""
-
-    def __init__(self) -> None:
-        self._held, self._asked = {}, {}
-
-    def text(self, key, value) -> str:
-        """``encode_json(value)``, from the held text when that is provably it."""
-        try:
-            signature = marshal.dumps(value, 2)  # version 2: no refcount-dependent refs
-        except ValueError:  # JSON takes int/float subclasses, marshal does not
-            signature = None
-        held = self._held.get(key)
-        if held is None or signature is None or held[0] != signature:
-            held = (signature, encode_json(value))
-        self._asked[key] = held
-        return held[1]
-
-    def sweep(self) -> None:
-        """End of a generation: what it did not ask for is dropped."""
-        self._held, self._asked = self._asked, {}
-
-    def splice(self, value, split, path: tuple = ()) -> str:
-        """``encode_json(value)``; ``split`` maps a (string) key to ``...`` (a map
-        of fragments under it), to its text, or to the split of that member."""
-        if not isinstance(value, dict):  # no injector, no tracker: null
-            return encode_json(value)
-        if split is ...:
-            text = self.text
-            members = [f"{encode_json(k)}:{text((path, k), v)}" for k, v in value.items()]
-            return "{" + ",".join(members) + "}"
-        parts, plain = [], {}
-        for key, member in value.items():
-            inner = split.get(key)
-            if inner is None:
-                plain[key] = member
-                continue
-            if plain:  # a run of ordinary members costs one encoder call
-                parts.append(encode_json(plain)[1:-1])
-                plain = {}
-            if not isinstance(inner, str):
-                inner = self.splice(member, inner, path + (key,))
-            parts.append(f"{encode_json(key)}:{inner}")
-        if plain:
-            parts.append(encode_json(plain)[1:-1])
-        return "{" + ",".join(parts) + "}"
 
 
 class TrainingCheckpointer:
@@ -186,7 +128,6 @@ class TrainingCheckpointer:
         self._last_checkpoint_epoch = 0
         self._restore_sections: dict | None = None
         self._verify: deque[dict] = deque()
-        self._fragments = _Fragments()
         #: The epoch records encoded so far and their texts, by position.
         self._records, self._record_texts = [], []
         if resume:
@@ -225,6 +166,14 @@ class TrainingCheckpointer:
                 self._restore_sections["meta"]["epoch_completed"]
             )
         journal = read_journal(self.run.journal_path)
+        if journal.committed_updates < restored_updates:
+            # Synced before every commit, the journal can only end short of a
+            # checkpoint if a frame inside it is damaged; appending there
+            # would leave a silent gap in the ledger.
+            raise JournalDivergenceError(
+                f"{journal.path}: verified up to update {journal.committed_updates}, "
+                f"but the restored checkpoint holds {restored_updates}"
+            )
         if journal.torn_tail_bytes:  # or the writer would append behind the tear
             os.truncate(self.run.journal_path, journal.valid_bytes)
         self._verify = deque(
@@ -390,7 +339,6 @@ class TrainingCheckpointer:
         telemetry_on = _telemetry.enabled
         start = time.perf_counter() if telemetry_on else 0.0
         state = master.state
-        fragments = self._fragments
         for entry in pending:
             if entry.kind == "job":
                 master.gather(entry)  # the container stores finished outcomes
@@ -423,21 +371,15 @@ class TrainingCheckpointer:
                 "live": [client.name for client in master._live],
                 "tasks_issued": master.task_queue.tasks_issued,
             },
-            "pending": ("[" + ",".join([  # heap order, a fragment per event
-                fragments.text(("pending", e.sequence), snapshot_inflight(e)) for e in pending
-            ]) + "]").encode(),
+            "pending": [snapshot_inflight(entry) for entry in pending],
             "history": self._history_payload(history),
-            "environment": fragments.splice(
-                snapshot_environment(
-                    self._provider,
-                    master.clients,
-                    injector=self._injector,
-                    health=master.health,
-                ),
-                _ENVIRONMENT_FRAGMENTS,
-            ).encode(),
+            "environment": snapshot_environment(
+                self._provider,
+                master.clients,
+                injector=self._injector,
+                health=master.health,
+            ),
         }
-        fragments.sweep()
         # The journal must be durable before the checkpoint that supersedes
         # its prefix commits — a checkpoint may never point past its journal.
         self.journal.sync()
@@ -463,9 +405,9 @@ class TrainingCheckpointer:
         for record in records[len(held):]:
             held.append(record)
             texts.append(encode_json(snapshot_record(record)))
-        head = snapshot_history(replace(history, records=[]))
-        spliced = self._fragments.splice(head, {"records": "[" + ",".join(texts) + "]"})
-        return spliced.encode()
+        head = encode_json(snapshot_history(replace(history, records=[])))
+        # ``records`` is the last member: ``..."records":[]}`` opens up at -2.
+        return (head[:-2] + ",".join(texts) + "]}").encode()
 
     def _apply_retention(self) -> None:
         """Keep the newest ``retention`` generations, delete the rest."""

@@ -110,8 +110,8 @@ def write_checkpoint_file(
     """Assemble and atomically write one checkpoint container.
 
     ``sections`` maps section names to JSON-serializable values, or to the
-    ``bytes`` of a payload already encoded (the checkpointer's, assembled
-    from fragments; no JSON value is ``bytes``).  Returns the container size
+    ``bytes`` of a payload already encoded (the checkpointer's history, built
+    around held record texts; no JSON value is ``bytes``).  Returns the container size
     in bytes (telemetry records it as the checkpoint payload).
 
     Checkpoints default to ``fsync=False``: the run journal — fsynced before

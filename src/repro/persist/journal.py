@@ -47,7 +47,7 @@ class JournalReadResult:
     path: str
     #: Length of the verified prefix; recovery truncates the file to it, or
     #: the tear would hide every later append from the next reader.
-    valid_bytes: int = 0
+    valid_bytes: int
 
     @property
     def committed_updates(self) -> int:
@@ -118,7 +118,7 @@ def read_journal(path: str | os.PathLike) -> JournalReadResult:
     try:
         raw = path.read_bytes()
     except OSError:
-        return JournalReadResult(records=(), torn_tail_bytes=0, path=str(path))
+        return JournalReadResult(records=(), torn_tail_bytes=0, path=str(path), valid_bytes=0)
 
     records: list[dict] = []
     offset = 0

@@ -84,9 +84,11 @@ def test_one_damage_never_yields_a_different_history(
     torn = read_journal(run.journal_path).torn_tail_bytes
 
     try:
-        history = resume(run, objective)
-    except (CheckpointCorruptError, JournalDivergenceError):
-        return
+        try:
+            history = resume(run, objective)
+        except (CheckpointCorruptError, JournalDivergenceError):
+            return
+        journal = read_journal(run.journal_path)
     finally:
         shutil.rmtree(run.path.parent, ignore_errors=True)
     assert history_key(history) == history_key(plain_history)
@@ -95,6 +97,23 @@ def test_one_damage_never_yields_a_different_history(
         assert history.metadata["persist"]["fallbacks"] == 1
     elif kind == "flip":
         assert torn > 0
+    # Whatever was cut off, the ledger is left whole: no update is missing
+    # between the verified prefix and what the resumed run appended.
+    assert journal.torn_tail_bytes == 0
+    assert [r["update"] for r in journal.records] == list(range(1, history.total_updates + 1))
+
+
+def test_a_journal_cut_short_of_its_checkpoint_is_refused(crashed, objective, tmp_path):
+    # A flip in an early frame: everything after it is unreachable, and the
+    # writer would otherwise append the next update straight after the gap.
+    run = RunDirectory(tmp_path / "run")
+    shutil.copytree(crashed.path, run.path)
+    blob = bytearray(run.journal_path.read_bytes())
+    blob[blob.index(b"\n") + 12] ^= 1  # inside the second record
+    run.journal_path.write_bytes(bytes(blob))
+    with pytest.raises(JournalDivergenceError, match="verified up to update 1,"):
+        resume(run, objective)
+    assert run.journal_path.read_bytes() == bytes(blob)  # refused, not truncated
 
 
 def test_a_killed_writers_temp_sibling_is_ignored_and_removed(

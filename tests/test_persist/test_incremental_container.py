@@ -1,19 +1,16 @@
 """The incrementally assembled container equals the from-scratch one.
 
-``TrainingCheckpointer`` builds every generation from encoded fragments that
-it reuses while their source is unchanged.  The oracle is the encode it
-replaced: ``json.dumps`` of the ``snapshot_*`` values, section by section, and
-the from-values ``write_checkpoint_file`` for the whole file — checked at
-*every* checkpoint of three runs whose state churns differently, plus a
-property test of the reuse rule on its own.
+``TrainingCheckpointer`` encodes an epoch record once and builds the history
+payload around the held texts.  The oracle is the encode it replaced:
+``json.dumps`` of the ``snapshot_*`` values, section by section, and the
+from-values ``write_checkpoint_file`` for the whole file — checked at *every*
+checkpoint of three runs whose state churns differently.
 """
 
 import json
-import math
+from operator import is_
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import repro.persist.checkpoint as checkpoint_module
 from repro import (
@@ -25,7 +22,7 @@ from repro import (
     OutageWindow,
     resume,
 )
-from repro.persist.checkpoint import TrainingCheckpointer, _Fragments
+from repro.persist.checkpoint import TrainingCheckpointer
 from repro.persist.format import write_checkpoint_file
 from repro.persist.state import snapshot_environment, snapshot_history, snapshot_inflight
 from repro.persist.store import RunStore
@@ -40,7 +37,7 @@ def oracle(value) -> bytes:
 def checked(monkeypatch, tmp_path):
     """Compare every checkpoint written with its from-scratch encode.
 
-    Yields the list of generations checked (epoch, reused fragment count).
+    Returns the list of generations checked: (epoch, record texts reused).
     """
     generations = []
     committed = {}
@@ -52,7 +49,7 @@ def checked(monkeypatch, tmp_path):
         return real_write(path, sections, **kwargs)
 
     def checking_checkpoint(self, master, history, pending, *rest):
-        held_before = dict(self._fragments._held)
+        held_before = list(self._record_texts)
         real_checkpoint(self, master, history, pending, *rest)
         sections = committed["sections"]
         reference = dict(
@@ -63,14 +60,14 @@ def checked(monkeypatch, tmp_path):
                 self._provider, master.clients, injector=self._injector, health=master.health
             ),
         )
-        for name in ("pending", "history", "environment"):
-            assert sections[name] == oracle(reference[name]), name
+        assert sections["history"] == oracle(reference["history"])
+        for name in ("pending", "environment"):  # handed over as values
+            assert oracle(sections[name]) == oracle(reference[name]), name
         whole = tmp_path / "oracle.eqc"
         write_checkpoint_file(whole, reference)
         assert committed["path"].read_bytes() == whole.read_bytes()
-        held = self._fragments._held
-        reused = sum(held_before.get(key) is item for key, item in held.items())
-        generations.append((sections["meta"]["epoch_completed"], reused, len(held)))
+        reused = sum(map(is_, held_before, self._record_texts))
+        generations.append((sections["meta"]["epoch_completed"], reused))
 
     monkeypatch.setattr(checkpoint_module, "write_checkpoint_file", capturing_write)
     monkeypatch.setattr(TrainingCheckpointer, "_write_checkpoint", checking_checkpoint)
@@ -94,9 +91,8 @@ def test_golden_durable_configuration(checked, qaoa_problem, tmp_path):
     )
     ensemble = EQCEnsemble(EnergyObjective(qaoa_problem.estimator), config)
     history = ensemble.train(qaoa_problem.random_initial_parameters(seed=5), num_epochs=8)
-    assert [epoch for epoch, _, _ in checked] == list(range(1, len(history.records) + 1))
-    # The point of the fragments: after the first generation most are reused.
-    assert all(2 * reused > total for _, reused, total in checked[1:])
+    # Generation n encodes record n alone and reuses the n - 1 texts it holds.
+    assert checked == [(n, n - 1) for n in range(1, len(history.records) + 1)]
 
 
 #: test_resume's chaos (an outage window, retries, result timeouts) plus a
@@ -127,91 +123,10 @@ def test_run_resumed_from_a_generation(checked, vqe_problem, tmp_path):
     theta0 = vqe_problem.random_initial_parameters(seed=7)
     train_until_crash(objective, config, theta0, 2)
     resume(RunStore(tmp_path).load_run("run-000001"), objective)
-    # Generations 1-2 before the crash; the resumed checkpointer starts with
-    # no fragments (nothing reused in generation 3) and reuses from 4 on.
-    assert [epoch for epoch, _, _ in checked] == list(range(1, NUM_EPOCHS + 1))
-    assert checked[2][1] == 0 and checked[3][1] > 0
-
-
-# ---------------------------------------------------------------------------
-# the reuse rule alone
-# ---------------------------------------------------------------------------
-
-#: Values ``==`` cannot tell apart (or, NaN, can never match) but JSON can.
-TWINS = {
-    "one": (1, 1.0, True),
-    "zero": (0, 0.0, -0.0, False),
-    "nan": (math.nan, -math.nan, float("nan")),
-    "wide": (2**127, float(2**127), 2**127 + 1),
-    "text": ("x", "\u00e9", ""),
-    "null": (None,),
-}
-#: What a fragment's source looks like; each generation renders it afresh.
-SHAPES = st.recursive(
-    st.sampled_from(sorted(TWINS)),
-    lambda inner: st.lists(inner, max_size=3)
-    | st.dictionaries(st.sampled_from(["a", "b", "state", "\u00e9"]), inner, max_size=3),
-    max_leaves=8,
-)
-
-
-def renderings(shape):
-    """Values of one shape: any twin per leaf, keys in any order, lists cut short."""
-    if isinstance(shape, str):
-        return st.sampled_from(TWINS[shape])
-    if isinstance(shape, list):
-        items = st.tuples(*[renderings(inner) for inner in shape])
-        return st.builds(lambda values, n: list(values[:n]), items, st.integers(0, len(shape)))
-    return st.permutations(list(shape)).flatmap(
-        lambda keys: st.tuples(*[renderings(shape[key]) for key in keys]).map(
-            lambda values: dict(zip(keys, values))
-        )
-    )
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.lists(SHAPES, min_size=1, max_size=3), st.data())
-def test_reused_text_is_what_a_fresh_encode_produces(shapes, data):
-    fragments = _Fragments()
-    for _ in range(data.draw(st.integers(2, 6))):
-        for key, shape in enumerate(shapes):
-            if data.draw(st.booleans()) or key == 0:  # a fragment skipped is swept
-                value = data.draw(renderings(shape))
-                assert fragments.text(key, value) == oracle(value).decode()
-        fragments.sweep()
-
-
-def test_the_rule_reuses_only_the_exact_value():
-    fragments = _Fragments()
-    encodes = []
-    real = checkpoint_module.encode_json
-
-    def counting(value):
-        encodes.append(value)
-        return real(value)
-
-    checkpoint_module.encode_json = counting
-    try:
-        for value in (
-            {"n": 1, "x": 0.0},
-            {"n": 1, "x": 0.0},  # the only reuse
-            {"n": 1.0, "x": 0.0},
-            {"n": True, "x": 0.0},
-            {"n": True, "x": -0.0},
-            {"x": -0.0, "n": True},
-            [1, 2, 3],
-            [1, 2],
-            [1, 2, 3],
-        ):
-            assert fragments.text("k", value) == json.dumps(value, separators=(",", ":"))
-            fragments.sweep()
-    finally:
-        checkpoint_module.encode_json = real
-    assert len(encodes) == 8
-    # A fragment nobody asked for in a generation is gone in the next.
-    fragments.text("other", 1)
-    fragments.sweep()
-    assert list(fragments._held) == ["other"]
+    # Generations 1-2 before the crash; the resumed checkpointer holds no
+    # texts (nothing reused in generation 3) and reuses from 4 on.
+    assert [epoch for epoch, _ in checked] == list(range(1, NUM_EPOCHS + 1))
+    assert checked[2][1] == 0 and checked[3][1] == 3
 
 
 def test_same_seed_runs_write_identical_artifacts(vqe_problem, tmp_path):
