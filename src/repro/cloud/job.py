@@ -54,12 +54,17 @@ class CloudJob:
     parked_results: list[ExecutionResult] = field(default_factory=list, repr=False)
 
     @property
-    def results(self) -> list[ExecutionResult]:
+    def parked(self) -> bool:
+        """True while the provider still holds the physics half (counts fill
+        in batch order, so the last result tells)."""
         results = self.parked_results
-        if results and results[-1].counts is None:
-            # Still parked (counts fill in batch order): resolve the wave.
-            self.resolve()
-        return results
+        return bool(results) and results[-1].counts is None
+
+    @property
+    def results(self) -> list[ExecutionResult]:
+        if self.parked:
+            self.resolve()  # the whole wave
+        return self.parked_results
 
     @property
     def queue_seconds(self) -> float:

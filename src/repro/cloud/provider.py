@@ -71,6 +71,11 @@ _STATISTICAL_CLOCK = StatisticalQueuePolicy()
 #: Without fault injection nothing can bomb or be delayed: one attempt.
 _SINGLE_ATTEMPT = RetryPolicy(max_attempts=1)
 
+#: What a checkpoint keeps of a job whose physics is parked (``CloudJob`` fields).
+_PARKED_JOB_FIELDS = (
+    "job_id", "device_name", "shots", "submit_time", "start_time", "finish_time", "attempts"
+)
+
 
 @dataclass
 class UtilizationRecord:
@@ -212,9 +217,10 @@ class CloudProvider:
         of the statistical clock; on the kernel clock the queues and pending
         events live inside the event kernel, which is not checkpointable
         (config validation rejects checkpointing with a scheduler before a
-        snapshot is ever taken).  Parked physics is resolved first.
+        snapshot is ever taken).  Parked physics stays parked (its shots are
+        still undrawn in these streams) and is captured per job by
+        :meth:`snapshot_job`.
         """
-        self.resolve()
         return {
             "next_job_id": self._next_job_id,
             "dead_devices": sorted(self.dead_devices),
@@ -251,6 +257,45 @@ class CloudProvider:
             endpoint.record.queued_seconds = float(record["queued_seconds"])
             endpoint.record.last_finish_time = float(record["last_finish_time"])
 
+    def snapshot_job(self, job: CloudJob) -> dict:
+        """A served job whose physics is still parked, as plain values.
+
+        No spec, result or stream is serialized: the clock half is arithmetic
+        on the device and ``start_time``, the circuits are the submitter's to
+        rebuild, and the shots are still undrawn in the endpoint's stream.
+        """
+        data = {name: getattr(job, name) for name in _PARKED_JOB_FIELDS}
+        parked = [id(batch.results[-1]) for batch in self._parked]
+        data["position"] = parked.index(id(job.parked_results[-1]))
+        return data
+
+    def restore_job(
+        self,
+        data: Mapping,
+        circuits: Sequence[QuantumCircuit] | ParameterSweep,
+        footprint: CircuitFootprint,
+    ) -> CloudJob:
+        """Re-park a :meth:`snapshot_job` job (jobs go back in ``position`` order).
+
+        Its clock half re-runs at the captured start time through the call a
+        submit makes — no RNG — so the parked batch equals the captured one
+        field for field and draws the same counts from the restored stream.
+        """
+        fields = {name: data[name] for name in _PARKED_JOB_FIELDS}
+        if len(self._parked) != data["position"]:
+            raise ValueError(
+                f"job {fields['job_id']} was parked at {data['position']}: it cannot "
+                f"be restored at {len(self._parked)}"
+            )
+        job = CloudJob(
+            num_circuits=len(circuits), status=JobStatus.DONE, resolve=self.resolve, **fields
+        )
+        endpoint = self._endpoint(job.device_name)
+        self._execute_batch(endpoint, job, circuits, footprint, job.start_time, job.shots)
+        for result in job.parked_results:
+            result.queue_seconds = job.queue_seconds
+        return job
+
     def resolve(self) -> None:
         """Run the physics of every parked job, as one stacked pass.
 
@@ -264,8 +309,10 @@ class CloudProvider:
           stream is drawn wait -> shots -> wait as one-at-a-time execution
           draws it, and a job nobody reads (a straggler, a kernel service cut
           by an outage and re-entered) still draws its shots, in submit order;
-        * before :meth:`snapshot_state` (so every checkpoint) and by the
-          master at the end of ``train``.
+        * by the master at the end of ``train``.
+
+        Nothing resolves because a checkpoint is due: a job still parked is
+        stored parked (:meth:`snapshot_job`).
 
         Jobs sharing templates run as one engine pass, each drawing its shots
         from its own endpoint's stream (:func:`~repro.devices.qpu.resolve_batches`);
@@ -428,6 +475,10 @@ class CloudProvider:
             record.last_finish_time = finish_time
 
             if deadline is not None and finish_time > deadline:
+                if job.parked:
+                    # Nobody will read this job: draw its shots now, so that
+                    # whatever stays parked has an owner to checkpoint it.
+                    self.resolve()
                 raise self._fail(
                     job,
                     JobDeadlineExceeded,

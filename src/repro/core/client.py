@@ -71,6 +71,9 @@ class DispatchedTask:
 
     client: "EQCClientNode"
     task: GradientTask
+    #: The dispatch-time parameters (a checkpoint rebuilds a parked job's
+    #: circuits from ``(task, theta)``).
+    theta: tuple[float, ...]
     p_correct: float
     submit_time: float
     theta_version: int
@@ -217,7 +220,13 @@ class EQCClientNode:
         )
         self.jobs_completed += 1
         return DispatchedTask(
-            self, task, float(p_correct), float(submit_time), int(theta_version), cloud_job
+            self,
+            task,
+            tuple(theta),
+            float(p_correct),
+            float(submit_time),
+            int(theta_version),
+            cloud_job,
         )
 
     def execute_task(

@@ -98,10 +98,15 @@ class _InProcessExecutor:
     def submit(self, device_name, task, theta, submit_time, theta_version):
         client = self._clients[device_name]
         dispatched = client.dispatch_task(task, theta, submit_time, theta_version)
+        job = dispatched.cloud_job
+        return self.register(dispatched), job.finish_time, job.num_circuits
+
+    def register(self, dispatched: DispatchedTask) -> int:
+        """Hold a dispatched task until it is collected; returns its job id
+        (a restored checkpoint re-enters its parked tasks here)."""
         job_id = next(self._job_ids)
         self._dispatched[job_id] = dispatched
-        job = dispatched.cloud_job
-        return job_id, job.finish_time, job.num_circuits
+        return job_id
 
     def collect(self, job_id: int) -> GradientOutcome:
         return self._dispatched.pop(job_id).collect()
@@ -371,6 +376,17 @@ class EQCMasterNode:
         if item.outcome is None:
             item.outcome = self._executor.collect(item.job_id)
         return item.outcome
+
+    def parked_task(self, item: _InFlight) -> DispatchedTask | None:
+        """The task behind a heap entry whose physics is still parked, which a
+        checkpoint stores as it is; once the counts are in, ``None`` — and a
+        ``job`` entry is collected into its outcome (arithmetic, no RNG)."""
+        dispatched = self._executor._dispatched.get(item.job_id)
+        if dispatched is None or dispatched.cloud_job.parked:
+            return dispatched
+        if item.kind == "job":
+            self.gather(item)
+        return None
 
     def _epoch_record(self, epoch: int, now: float) -> EpochRecord:
         """The history row for the parameter state at time ``now``."""

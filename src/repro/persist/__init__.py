@@ -26,6 +26,7 @@ from .format import (
     CHECKPOINT_MAGIC,
     CHECKPOINT_SCHEMA,
     CheckpointCorruptError,
+    CheckpointSchemaError,
     atomic_write_bytes,
     atomic_write_json,
     read_checkpoint_file,
@@ -48,6 +49,7 @@ __all__ = [
     "CHECKPOINT_MAGIC",
     "CHECKPOINT_SCHEMA",
     "CheckpointCorruptError",
+    "CheckpointSchemaError",
     "JournalDivergenceError",
     "JournalReadResult",
     "JournalWriter",

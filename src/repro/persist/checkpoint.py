@@ -4,51 +4,53 @@ The :class:`TrainingCheckpointer` is the hook object the master's training
 loop drives.  It owns the run's write-ahead journal and its checkpoint
 generations, and implements the recovery contract:
 
-* **record** — every committed weight update appends one journal record
-  (task, client, gradient, new value, weight, version), so the run's
-  committed progress survives a process kill between checkpoints;
+* **record** — every committed weight update appends one journal frame
+  (task, client, gradient, new value, weight, version) and every epoch record
+  the history gains appends one more, so the run's committed progress and its
+  history survive a process kill between checkpoints;
 * **checkpoint** — at every ``checkpoint_every``-th epoch boundary the
-  complete training state (master loop, event heap, history, environment)
-  is written as one atomic checkpoint generation, with the journal fsynced
+  training state (master loop, event heap, history head, environment) is
+  written as one atomic checkpoint generation, with the journal fsynced
   first so no checkpoint ever points past its own journal;
 * **restore** — recovery loads the newest checkpoint that passes
   verification (a corrupted generation falls back to the previous one,
-  counted in :attr:`fallbacks`), restores every captured state surface, and
-  re-executes the deterministic loop from there.  Each replayed update is
-  compared bit-for-bit against its journal record — the journal *is* the
-  committed-progress ledger, and a wrong seed, drifted config, or changed
-  physics surfaces as :class:`JournalDivergenceError` on the first replayed
-  update instead of silently diverging.
+  counted in :attr:`fallbacks`; a store of another schema is refused),
+  rebuilds the history from the journal's epoch frames, restores every
+  captured state surface, and re-executes the deterministic loop from there.
+  Each replayed update and epoch record is compared bit-for-bit against its
+  journal frame — the journal *is* the committed-progress ledger, and a wrong
+  seed, drifted config, or changed physics surfaces as
+  :class:`JournalDivergenceError` on the first replayed update instead of
+  silently diverging.
 
 Because the whole simulation is deterministic given the captured state
 (every random draw comes from a restored RNG stream), re-execution after
 restore is bit-exact with the uninterrupted run — the property the
 resume-exactness goldens pin.
 
-**Cost model.**  A generation is O(state + history) *bytes* (a whole
-container, never a delta), but the history, its largest section, costs
-O(new records) *encoding*: an epoch record is immutable once appended, so its
-JSON text is encoded once and held by position, and the section is the head
-encoded afresh around those texts — byte for byte ``json.dumps`` of
-``snapshot_history``, the oracle the tests keep.  Everything else (``meta``,
-``master``, ``pending``, ``environment``) moves between checkpoints and is
-small at the fleet sizes trained here, so it is encoded whole every time.  A
-resumed checkpointer holds no texts and pays one full encode.
+**Cost model.**  A checkpoint forces nothing to happen and repeats nothing
+already durable: a job whose physics is still parked is stored parked (waves
+are as wide with a checkpoint every epoch as with none), and an epoch record
+is written once, to the journal — a generation carries their *count* and a
+running digest of their frames, which restore checks the journal against.  A
+generation is therefore O(state) bytes, small at the fleet sizes trained here
+and encoded whole every time.
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
 import time
 from collections import deque
-from dataclasses import replace
-from operator import is_
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from ..telemetry import TELEMETRY as _telemetry
 from .format import (
     CheckpointCorruptError,
+    CheckpointSchemaError,
     atomic_write_json,
     encode_json,
     read_checkpoint_file,
@@ -59,6 +61,7 @@ from .state import (
     restore_environment,
     restore_history,
     restore_inflight,
+    restore_parked,
     restore_task,
     snapshot_environment,
     snapshot_history,
@@ -78,12 +81,8 @@ __all__ = ["JournalDivergenceError", "TrainingCheckpointer"]
 
 
 class JournalDivergenceError(RuntimeError):
-    """A replayed update does not match its journal record bit-for-bit, or
-    the verified journal ends short of the checkpoint being restored."""
-
-
-def _checkpoint_name(epoch: int) -> str:
-    return f"ckpt-{epoch:06d}.eqc"
+    """A replayed frame does not match the journal bit-for-bit, or the verified
+    journal ends short of, or differs from, the one its checkpoint was written over."""
 
 
 #: What a generation holds; restore refuses one that lacks any of them.
@@ -118,18 +117,19 @@ class TrainingCheckpointer:
         self.checkpoints_written = 0
         for stale in self.run.checkpoints_dir.glob(".ckpt-*.tmp"):
             stale.unlink(missing_ok=True)  # a killed writer's temp sibling
-        #: Generations on disk, oldest first (seeded from the directory so a
-        #: resumed checkpointer keeps applying retention to pre-crash files;
-        #: maintained in memory afterwards — retention must not pay a
-        #: directory scan on every checkpoint).
-        self._generations: list[Path] = [
-            Path(p) for p in self.run.checkpoint_paths()
-        ]
+        #: Generations on disk, oldest first and each once (seeded from the
+        #: directory so a resumed checkpointer keeps applying retention to
+        #: pre-crash files; in memory afterwards — no scan per checkpoint).
+        self._generations: list[Path] = [Path(p) for p in self.run.checkpoint_paths()]
         self._last_checkpoint_epoch = 0
         self._restore_sections: dict | None = None
+        #: Journal frames past the restored checkpoint: the replay is verified
+        #: against them before anything new is appended.
         self._verify: deque[dict] = deque()
-        #: The epoch records encoded so far and their texts, by position.
-        self._records, self._record_texts = [], []
+        #: The history's epoch frames as the journal holds them, and the
+        #: running digest of their bytes.
+        self._epoch_frames: list[dict] = []
+        self._digest = hashlib.sha256()
         if resume:
             self._prepare_restore()
         self.journal = JournalWriter(self.run.journal_path)
@@ -138,15 +138,16 @@ class TrainingCheckpointer:
     # restore
     # ------------------------------------------------------------------
     def _prepare_restore(self) -> None:
-        """Pick the newest verifiable checkpoint and the journal suffix.
+        """Pick the newest verifiable checkpoint and split the journal at it.
 
-        Generations are tried newest-first; a generation that fails any
-        integrity check (truncation, bit flip, bad schema, missing file) is
-        recorded in :attr:`fallbacks` and the previous one is tried — the
-        retention policy guarantees older generations exist.  With no valid
-        checkpoint at all (e.g. the process died before the first epoch) the
-        run restarts from scratch, with the *entire* journal as the replay
-        verification suffix.
+        Generations are tried newest-first; one that fails any integrity check
+        (truncation, bit flip, missing file) is recorded in :attr:`fallbacks`
+        and the previous one is tried — retention guarantees older ones exist.
+        With no valid checkpoint at all (the process died before the first
+        epoch) the run restarts from scratch, with the *entire* journal as the
+        replay verification suffix.  A generation of another schema is not
+        damage: it is re-raised, or that restart would append this schema's
+        frames behind the other store's journal.
         """
         for path in sorted(self.run.checkpoint_paths(), reverse=True):
             try:
@@ -155,32 +156,43 @@ class TrainingCheckpointer:
                     raise CheckpointCorruptError(f"{path}: a section is missing")
                 self._restore_sections = sections
                 break
+            except CheckpointSchemaError:
+                raise
             except CheckpointCorruptError:
                 self.fallbacks.append(str(path))
                 if _telemetry.enabled:
                     _telemetry.registry.counter("persist.checkpoint_fallbacks").inc()
-        restored_updates = 0
+        updates = epochs = 0  # what the restored checkpoint holds
+        digest = self._digest.hexdigest()
         if self._restore_sections is not None:
-            restored_updates = int(self._restore_sections["meta"]["updates_applied"])
-            self._last_checkpoint_epoch = int(
-                self._restore_sections["meta"]["epoch_completed"]
-            )
+            meta, head = self._restore_sections["meta"], self._restore_sections["history"]
+            updates, epochs, digest = meta["updates_applied"], head["record_count"], head["digest"]
+            self._last_checkpoint_epoch = int(meta["epoch_completed"])
         journal = read_journal(self.run.journal_path)
-        if journal.committed_updates < restored_updates:
-            # Synced before every commit, the journal can only end short of a
+        for frame in journal.records:
+            if "update" in frame:
+                covered = frame["update"] <= updates
+            else:
+                covered = len(self._epoch_frames) < epochs
+                if covered:
+                    self._count_epoch(frame)
+            if not covered:
+                self._verify.append(frame)
+        held = (len(self._epoch_frames), self._digest.hexdigest())
+        if journal.committed_updates < updates or held != (epochs, digest):
+            # Synced before every commit, the journal can only disagree with a
             # checkpoint if a frame inside it is damaged; appending there
             # would leave a silent gap in the ledger.
             raise JournalDivergenceError(
-                f"{journal.path}: verified up to update {journal.committed_updates}, "
-                f"but the restored checkpoint holds {restored_updates}"
+                f"{journal.path}: verified up to update {journal.committed_updates}, epoch "
+                f"records {held}; the restored checkpoint holds {updates}, {(epochs, digest)}"
             )
         if journal.torn_tail_bytes:  # or the writer would append behind the tear
             os.truncate(self.run.journal_path, journal.valid_bytes)
-        self._verify = deque(
-            record
-            for record in journal.records
-            if int(record["update"]) > restored_updates
-        )
+
+    def _count_epoch(self, frame: dict) -> None:
+        self._epoch_frames.append(frame)
+        self._digest.update(encode_json(frame).encode())
 
     @property
     def has_restore(self) -> bool:
@@ -211,12 +223,8 @@ class TrainingCheckpointer:
         state.update_counts[:] = [int(c) for c in ms["update_counts"]]
         state.version = int(ms["version"])
 
-        counters = ms["telemetry"]
-        master.telemetry.updates_applied = int(counters["updates_applied"])
-        master.telemetry.jobs_dispatched = int(counters["jobs_dispatched"])
-        master.telemetry.circuits_executed = int(counters["circuits_executed"])
-        master.telemetry.total_staleness = int(counters["total_staleness"])
-        master.telemetry.max_staleness = int(counters["max_staleness"])
+        for counter, value in ms["telemetry"].items():
+            setattr(master.telemetry, counter, int(value))
 
         master._p_correct = {k: float(v) for k, v in ms["p_correct"].items()}
         master._weights = {k: float(v) for k, v in ms["weights"].items()}
@@ -228,16 +236,10 @@ class TrainingCheckpointer:
         master.task_queue._issued = int(ms["tasks_issued"])
         master._start_time = float(meta["start_time"])
 
-        restored = restore_history(sections["history"])
-        history.records[:] = restored.records
-        history.device_names = restored.device_names
-        history.total_updates = restored.total_updates
-        history.total_jobs = restored.total_jobs
-        history.terminated_early = restored.terminated_early
-        history.termination_reason = restored.termination_reason
-        history.final_epoch_fraction = restored.final_epoch_fraction
-        history.metadata.clear()
-        history.metadata.update(restored.metadata)
+        # The head from the container, the records from the journal prefix.
+        restored = restore_history({**sections["history"], "records": self._epoch_frames})
+        for field in fields(history):
+            setattr(history, field.name, getattr(restored, field.name))
 
         restore_environment(
             sections["environment"],
@@ -246,8 +248,20 @@ class TrainingCheckpointer:
             injector=self._injector,
             health=master.health,
         )
+        # Parked jobs re-park in the order the provider held them (not the
+        # heap's), each back with the executor under a fresh job id.
+        entries = sections["pending"]
+        parked = [entry for entry in entries if entry["parked"] is not None]
+        parked.sort(key=lambda entry: entry["parked"]["job"]["position"])
+        job_ids = {
+            entry["sequence"]: master._executor.register(
+                restore_parked(entry["parked"], clients_by_name[entry["client"]])
+            )
+            for entry in parked
+        }
         pending = [
-            restore_inflight(entry, clients_by_name) for entry in sections["pending"]
+            restore_inflight(entry, clients_by_name, job_ids.get(entry["sequence"], -1))
+            for entry in entries
         ]
         if _telemetry.enabled:
             _telemetry.tracer.add_span(
@@ -284,22 +298,26 @@ class TrainingCheckpointer:
             "new_value": float(new_value),
             "version": master.state.version,
         }
-        if self._verify:
-            expected = self._verify.popleft()
-            if expected != record:
-                mismatched = sorted(
-                    key
-                    for key in set(expected) | set(record)
-                    if expected.get(key) != record.get(key)
-                )
-                raise JournalDivergenceError(
-                    f"replayed update {record['update']} diverges from the "
-                    f"journal in {mismatched}: journal={expected!r}, "
-                    f"replayed={record!r} — the resumed environment does not "
-                    f"match the one that wrote this run"
-                )
-            return  # already journaled before the crash
-        self.journal.append(record)
+        self._commit(record)
+
+    def _commit(self, frame: dict) -> None:
+        """Append one frame to the journal — or, while replaying, verify it
+        bit-for-bit against the frame the interrupted run already left there."""
+        if not self._verify:
+            self.journal.append(frame)
+            return
+        expected = self._verify.popleft()
+        if expected != frame:
+            kind = "update" if "update" in frame else "epoch"
+            mismatched = sorted(
+                key for key in set(expected) | set(frame) if expected.get(key) != frame.get(key)
+            )
+            raise JournalDivergenceError(
+                f"replayed {kind} {frame[kind]} diverges from the "
+                f"journal in {mismatched}: journal={expected!r}, "
+                f"replayed={frame!r} — the resumed environment does not "
+                f"match the one that wrote this run"
+            )
 
     def after_iteration(
         self,
@@ -311,37 +329,25 @@ class TrainingCheckpointer:
         epoch_completed: int,
         epoch_sim_start: float,
     ) -> None:
-        """Checkpoint at configured epoch boundaries (end-of-iteration hook).
+        """Journal new epoch records; checkpoint at configured epoch boundaries.
 
         The hook fires at the end of every job iteration; a checkpoint is
         written only in the iteration whose update completed a
         ``checkpoint_every``-multiple epoch — the loop state is then exactly
         "about to pop the next event", which is where restore re-enters.
         """
-        if epoch_completed <= self._last_checkpoint_epoch:
+        for record in history.records[len(self._epoch_frames) :]:
+            frame = snapshot_record(record)
+            self._commit(frame)
+            self._count_epoch(frame)
+        if (
+            epoch_completed <= self._last_checkpoint_epoch
+            or epoch_completed % self.checkpoint_every != 0
+        ):
             return
-        if epoch_completed % self.checkpoint_every != 0:
-            return
-        self._write_checkpoint(
-            master, history, pending, sequence, now, epoch_completed, epoch_sim_start
-        )
-
-    def _write_checkpoint(
-        self,
-        master: "EQCMasterNode",
-        history: "TrainingHistory",
-        pending: list,
-        sequence: int,
-        now: float,
-        epoch_completed: int,
-        epoch_sim_start: float,
-    ) -> None:
         telemetry_on = _telemetry.enabled
         start = time.perf_counter() if telemetry_on else 0.0
         state = master.state
-        for entry in pending:
-            if entry.kind == "job":
-                master.gather(entry)  # the container stores finished outcomes
         sections = {
             "meta": {
                 "updates_applied": master.telemetry.updates_applied,
@@ -356,13 +362,7 @@ class TrainingCheckpointer:
                 "values": [float(v) for v in state.values],
                 "update_counts": [int(c) for c in state.update_counts],
                 "version": state.version,
-                "telemetry": {
-                    "updates_applied": master.telemetry.updates_applied,
-                    "jobs_dispatched": master.telemetry.jobs_dispatched,
-                    "circuits_executed": master.telemetry.circuits_executed,
-                    "total_staleness": master.telemetry.total_staleness,
-                    "max_staleness": master.telemetry.max_staleness,
-                },
+                "telemetry": asdict(master.telemetry),
                 "p_correct": dict(master._p_correct),
                 "weights": dict(master._weights),
                 "orphans": [snapshot_task(t) for t in master._orphans],
@@ -371,8 +371,14 @@ class TrainingCheckpointer:
                 "live": [client.name for client in master._live],
                 "tasks_issued": master.task_queue.tasks_issued,
             },
-            "pending": [snapshot_inflight(entry) for entry in pending],
-            "history": self._history_payload(history),
+            "pending": [snapshot_inflight(entry, master) for entry in pending],
+            # The head only: the records are the journal's first ``record_count``
+            # epoch frames, whose bytes hash to ``digest``.
+            "history": {
+                **snapshot_history(replace(history, records=[])),
+                "record_count": len(self._epoch_frames),
+                "digest": self._digest.hexdigest(),
+            },
             "environment": snapshot_environment(
                 self._provider,
                 master.clients,
@@ -383,9 +389,10 @@ class TrainingCheckpointer:
         # The journal must be durable before the checkpoint that supersedes
         # its prefix commits — a checkpoint may never point past its journal.
         self.journal.sync()
-        path = self.run.checkpoints_dir / _checkpoint_name(epoch_completed)
+        path = self.run.checkpoints_dir / f"ckpt-{epoch_completed:06d}.eqc"
         size = write_checkpoint_file(path, sections)
-        self._generations.append(path)
+        if path not in self._generations:  # a fallback resume re-writes one
+            self._generations.append(path)
         self._last_checkpoint_epoch = int(epoch_completed)
         self.checkpoints_written += 1
         if telemetry_on:
@@ -396,18 +403,6 @@ class TrainingCheckpointer:
                 time.perf_counter() - start
             )
         self._apply_retention()
-
-    def _history_payload(self, history: "TrainingHistory") -> bytes:
-        """The history head encoded afresh around the held record texts."""
-        records, held, texts = history.records, self._records, self._record_texts
-        if len(held) > len(records) or not all(map(is_, held, records)):
-            del held[:], texts[:]  # not the list these were encoded from, grown
-        for record in records[len(held):]:
-            held.append(record)
-            texts.append(encode_json(snapshot_record(record)))
-        head = encode_json(snapshot_history(replace(history, records=[])))
-        # ``records`` is the last member: ``..."records":[]}`` opens up at -2.
-        return (head[:-2] + ",".join(texts) + "]}").encode()
 
     def _apply_retention(self) -> None:
         """Keep the newest ``retention`` generations, delete the rest."""

@@ -39,6 +39,7 @@ __all__ = [
     "CHECKPOINT_MAGIC",
     "CHECKPOINT_SCHEMA",
     "CheckpointCorruptError",
+    "CheckpointSchemaError",
     "atomic_write_bytes",
     "atomic_write_json",
     "encode_json",
@@ -51,7 +52,9 @@ CHECKPOINT_MAGIC = b"EQCCKPT\n"
 
 #: Current checkpoint schema.  Bump on any incompatible layout change; the
 #: reader rejects unknown schemas loudly instead of misinterpreting bytes.
-CHECKPOINT_SCHEMA = 1
+#: Schema 2: in-flight jobs are stored parked and epoch records live in the
+#: journal, so a schema-1 run store cannot be continued by this code.
+CHECKPOINT_SCHEMA = 2
 
 
 #: ``json.dumps(value, separators=(",", ":"))`` without building an encoder per
@@ -61,6 +64,11 @@ encode_json = json.JSONEncoder(separators=(",", ":")).encode
 
 class CheckpointCorruptError(RuntimeError):
     """The checkpoint file is truncated, bit-flipped, or schema-incompatible."""
+
+
+class CheckpointSchemaError(CheckpointCorruptError):
+    """An intact container of another schema: the store was written by other
+    code, so recovery refuses it instead of falling back a generation."""
 
 
 def atomic_write_bytes(
@@ -109,10 +117,8 @@ def write_checkpoint_file(
 ) -> int:
     """Assemble and atomically write one checkpoint container.
 
-    ``sections`` maps section names to JSON-serializable values, or to the
-    ``bytes`` of a payload already encoded (the checkpointer's history, built
-    around held record texts; no JSON value is ``bytes``).  Returns the container size
-    in bytes (telemetry records it as the checkpoint payload).
+    ``sections`` maps section names to JSON-serializable values.  Returns the
+    container size in bytes (telemetry records it as the checkpoint payload).
 
     Checkpoints default to ``fsync=False``: the run journal — fsynced before
     every checkpoint commits — is the durability anchor, and a generation
@@ -121,10 +127,7 @@ def write_checkpoint_file(
     checkpointing cheap (the ``qaoa10_chaos_durable`` workload of
     ``benchmarks/e2e`` measures it).
     """
-    payloads = [
-        (name, value if isinstance(value, bytes) else encode_json(value).encode())
-        for name, value in sections.items()
-    ]
+    payloads = [(name, encode_json(value).encode()) for name, value in sections.items()]
     header = {
         "schema": CHECKPOINT_SCHEMA,
         "sections": [
@@ -162,7 +165,9 @@ def read_checkpoint_file(path: str | os.PathLike) -> dict[str, object]:
         raise CheckpointCorruptError(f"{path}: unreadable header: {exc}") from exc
     schema = header.get("schema")
     if schema != CHECKPOINT_SCHEMA:
-        raise CheckpointCorruptError(
+        # A readable number names other code's layout; anything else is damage.
+        error = CheckpointSchemaError if isinstance(schema, int) else CheckpointCorruptError
+        raise error(
             f"{path}: unsupported checkpoint schema {schema!r} "
             f"(this reader supports {CHECKPOINT_SCHEMA})"
         )

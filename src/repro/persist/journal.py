@@ -1,19 +1,23 @@
 """The write-ahead run journal: CRC-framed, append-only, torn-tail tolerant.
 
-Every committed weight update appends one record line::
+Every committed weight update appends one frame, and so does every epoch
+record the history gains (right after the update frame that completed it)::
 
     <crc32 hex8> <compact JSON>\\n
 
-The CRC covers the JSON bytes, so a reader can verify each record
-independently.  Because appends are sequential, a host crash can only damage
-the *tail* of the file — a partial last line, a line whose CRC does not
-match, or a line cut before its newline.  :func:`read_journal` therefore
-reads records until the first frame that fails verification and reports how
-many bytes of tail it discarded; everything before the tear is trusted.
+An *update* frame's object carries ``"update"`` (its index); an *epoch* frame's
+is ``snapshot_record`` of the record and carries ``"epoch"``.  The CRC covers
+the JSON bytes, so a reader can verify each frame independently.  Because
+appends are sequential, a host crash can only damage the *tail* of the file —
+a partial last line, a line whose CRC does not match, or a line cut before its
+newline.  :func:`read_journal` therefore reads frames until the first that
+fails verification and reports how many bytes of tail it discarded; everything
+before the tear is trusted.
 
-Recovery uses the journal as the run's committed-progress record: the
+Recovery uses the journal as the run's committed-progress record: a restored
+history is rebuilt from the epoch frames (no checkpoint repeats them), the
 deterministic training loop re-executes from the last checkpoint, and every
-regenerated update is verified bit-for-bit against its journal record (see
+regenerated frame is verified bit-for-bit against the one on disk (see
 :class:`~repro.persist.checkpoint.TrainingCheckpointer`), so a corrupted
 environment — wrong seed, drifted config, changed physics — is detected on
 the first replayed update instead of silently diverging.
@@ -42,6 +46,7 @@ def _frame(record: dict) -> bytes:
 class JournalReadResult:
     """Verified journal content plus what the torn-tail scan discarded."""
 
+    #: Every verified frame in file order, update and epoch frames alike.
     records: tuple[dict, ...]
     torn_tail_bytes: int
     path: str
@@ -52,9 +57,7 @@ class JournalReadResult:
     @property
     def committed_updates(self) -> int:
         """Highest update index the journal vouches for."""
-        if not self.records:
-            return 0
-        return int(self.records[-1]["update"])
+        return max((int(r["update"]) for r in self.records if "update" in r), default=0)
 
 
 class JournalWriter:

@@ -5,9 +5,10 @@ snapshotted into JSON-friendly structures and restored symmetrically:
 
 * the master's parameter vector, per-parameter update counts and version,
   run counters, ``PCorrect`` map, weights, orphaned tasks, fleet events;
-* the master's in-flight event heap — completed-but-unconsumed outcomes,
-  parked failures, stragglers and breaker probes, preserved in heap order;
-* the epoch records and metadata accumulated so far;
+* the master's in-flight event heap — completed-but-unconsumed outcomes, jobs
+  whose physics is still parked (stored parked, re-parked on restore), parked
+  failures, stragglers and breaker probes, preserved in heap order;
+* the history head (the epoch records themselves live in the journal);
 * the cyclic task queue's issue position;
 * the cloud environment: every endpoint's RNG bit-generator state, virtual
   clock (``free_at``), and utilization record, the provider's job-id counter,
@@ -25,11 +26,12 @@ goldens pin.
 from __future__ import annotations
 
 import math
+from dataclasses import asdict
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from ..core.client import EQCClientNode, GradientOutcome
+from ..core.client import DispatchedTask, EQCClientNode, GradientOutcome
 from ..core.history import EpochRecord, TrainingHistory
 from ..faults.errors import (
     DeviceOutageError,
@@ -54,6 +56,7 @@ __all__ = [
     "restore_outcome",
     "snapshot_inflight",
     "restore_inflight",
+    "restore_parked",
     "snapshot_record",
     "snapshot_history",
     "restore_history",
@@ -81,49 +84,19 @@ def restore_generator(rng: np.random.Generator, state: Mapping) -> None:
 # ---------------------------------------------------------------------------
 
 def snapshot_task(task: GradientTask) -> dict:
-    return {
-        "task_id": task.task_id,
-        "parameter_index": task.parameter_index,
-        "data_index": task.data_index,
-    }
+    return asdict(task)
 
 
 def restore_task(data: Mapping) -> GradientTask:
-    return GradientTask(
-        task_id=int(data["task_id"]),
-        parameter_index=int(data["parameter_index"]),
-        data_index=None if data["data_index"] is None else int(data["data_index"]),
-    )
+    return GradientTask(**data)
 
 
 def snapshot_outcome(outcome: GradientOutcome) -> dict:
-    return {
-        "client_name": outcome.client_name,
-        "device_name": outcome.device_name,
-        "task": snapshot_task(outcome.task),
-        "gradient": outcome.gradient,
-        "p_correct": outcome.p_correct,
-        "submit_time": outcome.submit_time,
-        "finish_time": outcome.finish_time,
-        "theta_version": outcome.theta_version,
-        "num_circuits": outcome.num_circuits,
-        "success_probability_truth": outcome.success_probability_truth,
-    }
+    return asdict(outcome)  # its task nests as ``snapshot_task`` gives it
 
 
 def restore_outcome(data: Mapping) -> GradientOutcome:
-    return GradientOutcome(
-        client_name=str(data["client_name"]),
-        device_name=str(data["device_name"]),
-        task=restore_task(data["task"]),
-        gradient=float(data["gradient"]),
-        p_correct=float(data["p_correct"]),
-        submit_time=float(data["submit_time"]),
-        finish_time=float(data["finish_time"]),
-        theta_version=int(data["theta_version"]),
-        num_circuits=int(data["num_circuits"]),
-        success_probability_truth=float(data["success_probability_truth"]),
-    )
+    return GradientOutcome(**{**data, "task": restore_task(data["task"])})
 
 
 #: Fault classes that can be parked on the master's heap, by wire name.
@@ -170,13 +143,13 @@ def _restore_failure(data: Mapping | None) -> FaultError | None:
     return cls(str(data["message"]), **kwargs)
 
 
-def snapshot_inflight(entry) -> dict:
+def snapshot_inflight(entry, master) -> dict:
     """One master heap event (``repro.core.master._InFlight``) as plain data.
 
-    Every ``job`` event carries its completed outcome: the checkpointer
-    gathers in-flight outcomes before it snapshots (a checkpointed run is
-    in-process — parallel dispatch is rejected at configuration time).
+    A job (or straggler) whose physics is still parked is stored ``parked``,
+    unresolved; one whose counts are in carries its collected outcome.
     """
+    dispatched = master.parked_task(entry)
     return {
         "finish_time": entry.finish_time,
         "sequence": entry.sequence,
@@ -185,10 +158,31 @@ def snapshot_inflight(entry) -> dict:
         "outcome": None if entry.outcome is None else snapshot_outcome(entry.outcome),
         "task": None if entry.task is None else snapshot_task(entry.task),
         "failure": _snapshot_failure(entry.failure),
+        "parked": None if dispatched is None else {
+            "task": snapshot_task(dispatched.task),
+            "theta": dispatched.theta,
+            "p_correct": dispatched.p_correct,
+            "theta_version": dispatched.theta_version,
+            "job": dispatched.client.provider.snapshot_job(dispatched.cloud_job),
+        },
     }
 
 
-def restore_inflight(data: Mapping, clients_by_name: Mapping[str, EQCClientNode]):
+def restore_parked(data: Mapping, client: EQCClientNode) -> DispatchedTask:
+    """Rebuild a parked job's circuits as its dispatch built them and re-park it."""
+    task = restore_task(data["task"])
+    theta = tuple(float(v) for v in data["theta"])
+    spec = client.objective.build_job(task, theta)
+    footprint = client.representative_footprint(spec)
+    job = client.provider.restore_job(data["job"], spec.batch, footprint)
+    p_correct, version = float(data["p_correct"]), int(data["theta_version"])
+    return DispatchedTask(client, task, theta, p_correct, job.submit_time, version, job)
+
+
+def restore_inflight(
+    data: Mapping, clients_by_name: Mapping[str, EQCClientNode], job_id: int = -1
+):
+    """``job_id``: where the executor holds the entry's re-parked task, if any."""
     from ..core.master import _InFlight  # local: persist must not import core.master at module load
 
     return _InFlight(
@@ -196,6 +190,7 @@ def restore_inflight(data: Mapping, clients_by_name: Mapping[str, EQCClientNode]
         sequence=int(data["sequence"]),
         outcome=None if data["outcome"] is None else restore_outcome(data["outcome"]),
         client=clients_by_name[str(data["client"])],
+        job_id=job_id,
         kind=str(data["kind"]),
         task=None if data["task"] is None else restore_task(data["task"]),
         failure=_restore_failure(data["failure"]),

@@ -10,6 +10,7 @@ from repro.persist.format import (
     CHECKPOINT_MAGIC,
     CHECKPOINT_SCHEMA,
     CheckpointCorruptError,
+    CheckpointSchemaError,
     atomic_write_bytes,
     atomic_write_json,
     read_checkpoint_file,
@@ -86,6 +87,34 @@ class TestCorruption:
             fh.write(b"extra")
         with pytest.raises(CheckpointCorruptError):
             read_checkpoint_file(path)
+
+
+class TestSchema:
+    @staticmethod
+    def container(header: dict, payload: bytes = b"") -> bytes:
+        return CHECKPOINT_MAGIC + json.dumps(header).encode() + b"\n" + payload
+
+    def test_a_schema_1_container_is_refused_as_another_schema(self, tmp_path):
+        # Hand-built, exactly as the schema-1 writer laid it out: intact, and
+        # not this code's to interpret.
+        payload = b'{"updates_applied":12}'
+        directory = [{"name": "meta", "length": len(payload), "crc32": zlib.crc32(payload)}]
+        path = tmp_path / "ckpt-000001.eqc"
+        path.write_bytes(self.container({"schema": 1, "sections": directory}, payload))
+        assert CHECKPOINT_SCHEMA == 2
+        with pytest.raises(CheckpointSchemaError, match="unsupported checkpoint schema 1"):
+            read_checkpoint_file(path)
+        # The same bytes under this schema's number read back.
+        path.write_bytes(self.container({"schema": 2, "sections": directory}, payload))
+        assert read_checkpoint_file(path) == {"meta": {"updates_applied": 12}}
+
+    @pytest.mark.parametrize("schema", [None, "2", 2.5, [2]])
+    def test_an_unreadable_schema_is_damage_not_another_schema(self, tmp_path, schema):
+        path = tmp_path / "c.eqc"
+        path.write_bytes(self.container({"schema": schema, "sections": []}))
+        with pytest.raises(CheckpointCorruptError) as caught:
+            read_checkpoint_file(path)
+        assert not isinstance(caught.value, CheckpointSchemaError)
 
 
 class TestAtomicWrite:

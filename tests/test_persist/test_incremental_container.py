@@ -1,14 +1,17 @@
-"""The incrementally assembled container equals the from-scratch one.
+"""A generation holds no epoch record; the journal holds each exactly once.
 
-``TrainingCheckpointer`` encodes an epoch record once and builds the history
-payload around the held texts.  The oracle is the encode it replaced:
-``json.dumps`` of the ``snapshot_*`` values, section by section, and the
-from-values ``write_checkpoint_file`` for the whole file — checked at *every*
-checkpoint of three runs whose state churns differently.
+Schema 1 re-wrote the append-only ``history.records`` into every container.
+Schema 2 journals a record when the history gains it and a container carries
+the history head, the record *count* and a running digest.  The oracle, at
+*every* checkpoint of three runs whose state churns differently: the container
+holds no record; each epoch frame's body is ``encode_json(snapshot_record(r))``
+of the record at its position; count and digest match the frames; and the
+whole file equals the from-values ``write_checkpoint_file`` of the
+``snapshot_*`` functions.
 """
 
+import hashlib
 import json
-from operator import is_
 
 import pytest
 
@@ -23,54 +26,69 @@ from repro import (
     resume,
 )
 from repro.persist.checkpoint import TrainingCheckpointer
-from repro.persist.format import write_checkpoint_file
-from repro.persist.state import snapshot_environment, snapshot_history, snapshot_inflight
+from repro.persist.format import encode_json, write_checkpoint_file
+from repro.persist.state import (
+    snapshot_environment,
+    snapshot_history,
+    snapshot_inflight,
+    snapshot_record,
+)
 from repro.persist.store import RunStore
 from test_resume import FAULT_PLAN, NUM_EPOCHS, make_config, train_until_crash
 
 
-def oracle(value) -> bytes:
-    return json.dumps(value, separators=(",", ":")).encode()
+def epoch_frame_bodies(path):
+    lines = path.read_bytes().splitlines()
+    return [line[9:] for line in lines if line[9:].startswith(b'{"epoch"')]
 
 
 @pytest.fixture
 def checked(monkeypatch, tmp_path):
-    """Compare every checkpoint written with its from-scratch encode.
+    """Check every checkpoint written against the oracle above.
 
-    Returns the list of generations checked: (epoch, record texts reused).
+    Returns the list of generations checked: (epoch, parked jobs stored).
     """
     generations = []
-    committed = {}
     real_write = checkpoint_module.write_checkpoint_file
-    real_checkpoint = TrainingCheckpointer._write_checkpoint
 
-    def capturing_write(path, sections, **kwargs):
-        committed.update(path=path, sections=sections)
-        return real_write(path, sections, **kwargs)
-
-    def checking_checkpoint(self, master, history, pending, *rest):
-        held_before = list(self._record_texts)
-        real_checkpoint(self, master, history, pending, *rest)
-        sections = committed["sections"]
+    def checking_write(path, sections, **kwargs):
+        size = real_write(path, sections, **kwargs)
+        checkpointer, master, history, pending = context
+        bodies = epoch_frame_bodies(checkpointer.run.journal_path)
+        assert bodies == [encode_json(snapshot_record(r)).encode() for r in history.records]
+        held = sections["history"]
+        assert held["records"] == [] and held["record_count"] == len(bodies)
+        assert held["digest"] == hashlib.sha256(b"".join(bodies)).hexdigest()
+        head = snapshot_history(history)
+        assert all(held[name] == head[name] for name in head if name != "records")
         reference = dict(
             sections,
-            pending=[snapshot_inflight(entry) for entry in pending],
-            history=snapshot_history(history),
+            pending=[snapshot_inflight(entry, master) for entry in pending],
             environment=snapshot_environment(
-                self._provider, master.clients, injector=self._injector, health=master.health
+                checkpointer._provider,
+                master.clients,
+                injector=checkpointer._injector,
+                health=master.health,
             ),
         )
-        assert sections["history"] == oracle(reference["history"])
-        for name in ("pending", "environment"):  # handed over as values
-            assert oracle(sections[name]) == oracle(reference[name]), name
         whole = tmp_path / "oracle.eqc"
         write_checkpoint_file(whole, reference)
-        assert committed["path"].read_bytes() == whole.read_bytes()
-        reused = sum(map(is_, held_before, self._record_texts))
-        generations.append((sections["meta"]["epoch_completed"], reused))
+        assert path.read_bytes() == whole.read_bytes()
+        parked = sum(entry["parked"] is not None for entry in sections["pending"])
+        assert parked == len(checkpointer._provider._parked)
+        generations.append((sections["meta"]["epoch_completed"], parked))
+        return size
 
-    monkeypatch.setattr(checkpoint_module, "write_checkpoint_file", capturing_write)
-    monkeypatch.setattr(TrainingCheckpointer, "_write_checkpoint", checking_checkpoint)
+    context = ()
+    real_hook = TrainingCheckpointer.after_iteration
+
+    def remembering_hook(self, master, history, pending, *rest):
+        nonlocal context
+        context = (self, master, history, pending)
+        real_hook(self, master, history, pending, *rest)
+
+    monkeypatch.setattr(checkpoint_module, "write_checkpoint_file", checking_write)
+    monkeypatch.setattr(TrainingCheckpointer, "after_iteration", remembering_hook)
     return generations
 
 
@@ -91,8 +109,9 @@ def test_golden_durable_configuration(checked, qaoa_problem, tmp_path):
     )
     ensemble = EQCEnsemble(EnergyObjective(qaoa_problem.estimator), config)
     history = ensemble.train(qaoa_problem.random_initial_parameters(seed=5), num_epochs=8)
-    # Generation n encodes record n alone and reuses the n - 1 texts it holds.
-    assert checked == [(n, n - 1) for n in range(1, len(history.records) + 1)]
+    assert [epoch for epoch, _ in checked] == list(range(1, len(history.records) + 1))
+    # Every parked job is owned by a heap entry, and several generations store some.
+    assert sum(parked > 0 for _, parked in checked) >= 4
 
 
 #: test_resume's chaos (an outage window, retries, result timeouts) plus a
@@ -123,10 +142,9 @@ def test_run_resumed_from_a_generation(checked, vqe_problem, tmp_path):
     theta0 = vqe_problem.random_initial_parameters(seed=7)
     train_until_crash(objective, config, theta0, 2)
     resume(RunStore(tmp_path).load_run("run-000001"), objective)
-    # Generations 1-2 before the crash; the resumed checkpointer holds no
-    # texts (nothing reused in generation 3) and reuses from 4 on.
+    # Generations 1-2 before the crash; the resumed checkpointer rebuilt its
+    # count and digest from the journal and carries them on from generation 3.
     assert [epoch for epoch, _ in checked] == list(range(1, NUM_EPOCHS + 1))
-    assert checked[2][1] == 0 and checked[3][1] == 3
 
 
 def test_same_seed_runs_write_identical_artifacts(vqe_problem, tmp_path):

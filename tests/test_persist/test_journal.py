@@ -27,6 +27,16 @@ class TestRoundTrip:
         assert result.torn_tail_bytes == 0
         assert result.committed_updates == 3
 
+    def test_epoch_frames_interleave_and_do_not_count_as_updates(self, tmp_path):
+        path = tmp_path / "journal.jsonl"
+        epoch = {"epoch": 1, "loss": -0.5, "parameters": [0.25, -0.5], "noisy_loss": None}
+        write_records(path, RECORDS + [epoch])
+        result = read_journal(path)
+        assert list(result.records) == RECORDS + [epoch]
+        assert result.committed_updates == 3
+        write_records(tmp_path / "epochs-only.jsonl", [epoch])
+        assert read_journal(tmp_path / "epochs-only.jsonl").committed_updates == 0
+
     def test_missing_file_is_empty_journal(self, tmp_path):
         result = read_journal(tmp_path / "absent.jsonl")
         assert result.records == ()

@@ -3,7 +3,9 @@
 ``test_resume.py`` crashes the run with an exception inside the process;
 here a real training subprocess is killed without warning as soon as its
 first checkpoint generation lands, so nothing in it gets to flush, close or
-clean up, and what recovery finds is what the OS was left holding.  The same
+clean up, and what recovery finds is what the OS was left holding — a
+generation whose in-flight jobs are stored with their physics still parked,
+and a history that exists only as the journal's epoch frames.  The same
 store, damaged the way crashes damage stores (a torn journal tail, a
 bit-flipped newest generation), must fall back exactly one generation and
 still reproduce the never-killed run.
@@ -21,6 +23,7 @@ import numpy as np
 import pytest
 
 from repro import EQCConfig, EQCEnsemble, EnergyObjective, heisenberg_vqe_problem, resume
+from repro.persist.format import CheckpointCorruptError, read_checkpoint_file
 from repro.persist.journal import read_journal
 from repro.persist.store import RunDirectory
 
@@ -78,10 +81,24 @@ def killed(tmp_path_factory):
     return run, RunDirectory(copy)
 
 
+def newest_readable_generation(run):
+    for path in reversed(run.checkpoint_paths()):
+        try:
+            return read_checkpoint_file(path)
+        except CheckpointCorruptError:
+            continue
+    raise AssertionError("the kill left no readable generation")
+
+
 def test_killed_process_resumes_bit_exact(killed, baseline):
     run, _ = killed
     assert run.status() == "running"
     assert run.checkpoint_paths()
+    # The generation recovery restores from holds jobs still parked (the one
+    # dispatched in the iteration that wrote it, at least) and no epoch record.
+    sections = newest_readable_generation(run)
+    assert any(entry["parked"] is not None for entry in sections["pending"])
+    assert sections["history"]["records"] == [] and sections["history"]["record_count"] >= 1
     history = resume(run, EnergyObjective(heisenberg_vqe_problem().estimator))
     assert history_key(history) == history_key(baseline)
     assert run.status() == "complete"

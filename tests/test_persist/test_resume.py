@@ -21,6 +21,7 @@ from repro import (
     resume,
 )
 from repro.persist.checkpoint import JournalDivergenceError, TrainingCheckpointer
+from repro.persist.format import CHECKPOINT_MAGIC, CheckpointSchemaError
 from repro.persist.journal import read_journal
 from repro.persist.store import RunDirectory, RunStore
 
@@ -82,7 +83,17 @@ class _Crash(Exception):
     pass
 
 
-def train_until_crash(objective, config, theta0, crash_after_checkpoints):
+def journal_ledger(path):
+    """(update indices, epoch numbers) of a journal that must read back whole."""
+    journal = read_journal(path)
+    assert journal.torn_tail_bytes == 0
+    return (
+        [r["update"] for r in journal.records if "update" in r],
+        [r["epoch"] for r in journal.records if "epoch" in r],
+    )
+
+
+def train_until_crash(objective, config, theta0, crash_after_checkpoints, num_epochs=NUM_EPOCHS):
     """Run a checkpointed training and kill it after N checkpoints."""
     original = TrainingCheckpointer.after_iteration
 
@@ -94,7 +105,7 @@ def train_until_crash(objective, config, theta0, crash_after_checkpoints):
     TrainingCheckpointer.after_iteration = crashing
     try:
         with pytest.raises(_Crash):
-            EQCEnsemble(objective, config).train(theta0, num_epochs=NUM_EPOCHS)
+            EQCEnsemble(objective, config).train(theta0, num_epochs=num_epochs)
     finally:
         TrainingCheckpointer.after_iteration = original
 
@@ -141,6 +152,11 @@ class TestUninterrupted:
         journal = read_journal(run.journal_path)
         assert journal.committed_updates == history.total_updates
         assert journal.torn_tail_bytes == 0
+        # One frame per update and one per epoch record, the epoch's right
+        # after the update that completed it.
+        kinds = ["update" if "update" in r else "epoch" for r in journal.records]
+        cycle = objective.num_parameters
+        assert kinds == (["update"] * cycle + ["epoch"]) * NUM_EPOCHS
         # Stored history round-trips exactly.
         assert history_key(run.history()) == history_key(history)
         assert run.history().metadata == history.metadata
@@ -265,6 +281,57 @@ class TestCorruptionFallback:
         finally:
             checkpointer.close()
 
+    def test_retention_counts_a_rewritten_generation_once(
+        self, objective, theta0, plain_history, tmp_path
+    ):
+        # The replay after a fallback writes ``ckpt-000003`` again; counted
+        # twice, it pushed the generation just restored from out at once.
+        config = make_config(tmp_path, checkpoint_retention=2)
+        train_until_crash(objective, config, theta0, 3)
+        run = RunStore(tmp_path).load_run("run-000001")
+        newest = run.checkpoint_paths()[-1]
+        assert newest.name == "ckpt-000003.eqc"
+        newest.write_bytes(b"EQCCKPT\ngarbage")
+
+        kept = []
+        original = TrainingCheckpointer.after_iteration
+
+        def counting(self, *args, **kwargs):
+            before = self.checkpoints_written
+            original(self, *args, **kwargs)
+            if self.checkpoints_written > before:
+                kept.append([p.name for p in run.checkpoint_paths()])
+
+        TrainingCheckpointer.after_iteration = counting
+        try:
+            history = resume(run, objective)
+        finally:
+            TrainingCheckpointer.after_iteration = original
+        assert history_key(history) == history_key(plain_history)
+        assert history.metadata["persist"]["fallbacks"] == 1
+        assert kept == [
+            ["ckpt-000002.eqc", "ckpt-000003.eqc"],
+            ["ckpt-000003.eqc", "ckpt-000004.eqc"],
+            ["ckpt-000004.eqc", "ckpt-000005.eqc"],
+        ]
+
+    def test_a_schema_1_store_is_refused_not_restarted(self, objective, theta0, tmp_path):
+        # Every generation of an older store reads as "unsupported schema".
+        # Treated as damage, they would all fall back, the run would restart
+        # from scratch and append epoch frames behind a schema-1 journal.
+        run = self._crashed_run(objective, theta0, tmp_path)
+        for path in run.checkpoint_paths():
+            magic, header, payload = path.read_bytes().split(b"\n", 2)
+            header = json.loads(header)
+            assert magic + b"\n" == CHECKPOINT_MAGIC and header["schema"] == 2
+            header["schema"] = 1
+            path.write_bytes(b"\n".join((magic, json.dumps(header).encode(), payload)))
+        journal = run.journal_path.read_bytes()
+        with pytest.raises(CheckpointSchemaError, match="unsupported checkpoint schema 1"):
+            resume(run, objective)
+        assert run.journal_path.read_bytes() == journal
+        assert run.status() == "running"
+
     def test_all_generations_corrupt_restarts_from_scratch(
         self, objective, theta0, plain_history, tmp_path
     ):
@@ -284,10 +351,9 @@ class TestCorruptionFallback:
         assert history_key(history) == history_key(plain_history)
         # The resumed writer appended where the verified prefix ended, not
         # after the tear: the journal reads back whole.
-        journal = read_journal(run.journal_path)
-        assert journal.torn_tail_bytes == 0
-        assert [r["update"] for r in journal.records] == list(
-            range(1, history.total_updates + 1)
+        assert journal_ledger(run.journal_path) == (
+            list(range(1, history.total_updates + 1)),
+            list(range(1, NUM_EPOCHS + 1)),
         )
 
     def test_crash_tear_resume_crash_resume(
@@ -317,10 +383,9 @@ class TestCorruptionFallback:
 
         history = resume(run, objective)
         assert history_key(history) == history_key(plain_history)
-        journal = read_journal(run.journal_path)
-        assert journal.torn_tail_bytes == 0
-        assert [r["update"] for r in journal.records] == list(
-            range(1, history.total_updates + 1)
+        assert journal_ledger(run.journal_path) == (
+            list(range(1, history.total_updates + 1)),
+            list(range(1, NUM_EPOCHS + 1)),
         )
 
 

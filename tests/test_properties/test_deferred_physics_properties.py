@@ -6,8 +6,9 @@ stacked engine pass per set of shared templates).  The claim checked here is
 that *when* and *with whom* a job's physics runs never shows: over arbitrary
 interleavings of submits (2-5 endpoints, repeat submits to an endpoint that
 is still parked, batches that can and cannot stack), result reads and
-``snapshot_state()`` calls, every job's counts, timing and metadata and every
-endpoint's RNG state equal those of a provider whose backends cannot defer —
+``snapshot_state()`` calls (which resolve nothing: a checkpoint stores parked
+jobs parked), every job's counts, timing and metadata and every endpoint's
+RNG state equal those of a provider whose backends cannot defer —
 each job simulated and sampled alone, inside its own submit, by
 ``QPU.execute_batch``.
 """
@@ -176,9 +177,15 @@ def test_deferred_physics_equals_one_job_at_a_time(
             ours, reference = jobs[int(rng.integers(len(jobs)))]
             assert job_facts(ours) == job_facts(reference)
         elif cut == "snapshot":
-            assert deferred.snapshot_state() == eager.snapshot_state()
-            assert not deferred._parked
-    # Jobs nobody read (stragglers) drew their shots all the same.
+            # A snapshot cuts nothing: whatever is parked stays parked, and
+            # the streams it captures are those of the last resolved wave.
+            parked = list(deferred._parked)
+            streams = deferred.snapshot_state()
+            assert deferred._parked == parked
+            if not parked:
+                assert streams == eager.snapshot_state()
+    # Jobs nobody read (stragglers) draw their shots all the same.
+    deferred.resolve()
     assert deferred.snapshot_state() == eager.snapshot_state()
     for ours, reference in jobs:
         assert job_facts(ours) == job_facts(reference)
