@@ -129,12 +129,14 @@ def test_the_contended_outage_really_cuts_a_training_job(
 
 
 #: sha256 of what the chaos run leaves on disk (retention keeps the last three
-#: checkpoint containers), from the parent commit.
+#: checkpoint containers).  Re-captured once, for checkpoint schema 2 (parked
+#: jobs stored parked, epoch records in the journal); CHANGES.md has the old
+#: -> new table.  The run digests above did not move.
 GOLDEN_RUN_FILES = {
-    "ckpt-000006.eqc": "66cf41439ae77ba4acf6ed849763839dcd332e3c6f9219353447adb1c3bea8cf",
-    "ckpt-000007.eqc": "0543958a0665c8d7000266e21b8a7b8a7ac5b73485ec9cee7d47d95e8c72eed3",
-    "ckpt-000008.eqc": "f861a8b5f2ccc074a935f9566c041ca6244437f441bff483a1305081ddf3ff1c",
-    "journal.jsonl": "d4333985f30a914d248552d433f69339d6ccb684087368b56e2c5561409ce6bb",
+    "ckpt-000006.eqc": "d06e902a926dc2bee95d37d526e79b073c78ab2ab4c70784b788936424abf26a",
+    "ckpt-000007.eqc": "da62208e54d82c9e6719d5c068162894ba18fd3c483a96a5d7efa2cf26771bc1",
+    "ckpt-000008.eqc": "461fe99709a6c4b7a908e776ffd7312155940c1b9b5b7d96d1a028141e3a4467",
+    "journal.jsonl": "12ae5a23f1ae1ed78a2a871a6862d1785d45c994d0ba711b49c0e0092674cb9c",
 }
 
 
@@ -143,8 +145,8 @@ def test_the_chaos_run_retires_bogota_and_checkpoints(vqe_problem, qaoa_problem,
     assert "Bogota" not in history.metadata["live_devices"]
     assert history.metadata["provider_faults"]["retries"] > 0
     assert history.metadata["persist"]["checkpoints_written"] == 8
-    # Container and journal bytes: in-flight outcomes, endpoint streams and
-    # clocks are captured exactly as the parent commit captured them.
+    # Container and journal bytes: in-flight outcomes and parked jobs, endpoint
+    # streams and clocks, epoch frames.
     written = {
         path.name: hashlib.sha256(path.read_bytes()).hexdigest()
         for path in tmp_path.rglob("*")
