@@ -24,6 +24,7 @@ from test_resume import (  # noqa: F401  (fixtures)
     NUM_EPOCHS,
     _Crash,
     history_key,
+    is_epoch_frame,
     journal_ledger,
     make_config,
     objective,
@@ -68,7 +69,7 @@ def epoch_frame_offsets(blob: bytes) -> list[int]:
     """Every byte offset of the journal that lies inside an epoch frame."""
     offsets, start = [], 0
     for line in blob.splitlines(keepends=True):
-        if line[9:].startswith(b'{"epoch"'):
+        if is_epoch_frame(line):
             offsets.extend(range(start, start + len(line)))
         start += len(line)
     return offsets
@@ -158,7 +159,7 @@ def test_a_swapped_epoch_frame_fails_the_digest(crashed, objective, tmp_path):
     run = RunDirectory(tmp_path / "run")
     shutil.copytree(crashed.path, run.path)
     lines = run.journal_path.read_bytes().splitlines(keepends=True)
-    epochs = [i for i, line in enumerate(lines) if line[9:].startswith(b'{"epoch"')]
+    epochs = [i for i, line in enumerate(lines) if is_epoch_frame(line)]
     lines[epochs[1]] = lines[epochs[0]]
     run.journal_path.write_bytes(b"".join(lines))
     with pytest.raises(JournalDivergenceError, match="epoch records"):

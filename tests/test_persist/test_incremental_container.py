@@ -16,15 +16,7 @@ import json
 import pytest
 
 import repro.persist.checkpoint as checkpoint_module
-from repro import (
-    DEFAULT_VQE_FLEET,
-    EQCConfig,
-    EQCEnsemble,
-    EnergyObjective,
-    FaultPlan,
-    OutageWindow,
-    resume,
-)
+from repro import EQCEnsemble, EnergyObjective, FaultPlan, OutageWindow, resume
 from repro.persist.checkpoint import TrainingCheckpointer
 from repro.persist.format import encode_json, write_checkpoint_file
 from repro.persist.state import (
@@ -34,12 +26,12 @@ from repro.persist.state import (
     snapshot_record,
 )
 from repro.persist.store import RunStore
-from test_resume import FAULT_PLAN, NUM_EPOCHS, make_config, train_until_crash
+from test_parked_checkpoints import golden_config
+from test_resume import FAULT_PLAN, NUM_EPOCHS, is_epoch_frame, make_config, train_until_crash
 
 
 def epoch_frame_bodies(path):
-    lines = path.read_bytes().splitlines()
-    return [line[9:] for line in lines if line[9:].startswith(b'{"epoch"')]
+    return [line[9:] for line in path.read_bytes().splitlines() if is_epoch_frame(line)]
 
 
 @pytest.fixture
@@ -94,19 +86,7 @@ def checked(monkeypatch, tmp_path):
 
 def test_golden_durable_configuration(checked, qaoa_problem, tmp_path):
     # test_training_golden.py's ``qaoa10_chaos_durable``, whose bytes it pins.
-    plan = FaultPlan(
-        seed=5,
-        transient_failure_rate=0.15,
-        outages=(OutageWindow("Bogota", 0.0, permanent=True),),
-    )
-    config = EQCConfig(
-        device_names=DEFAULT_VQE_FLEET,
-        seed=5,
-        shots=1024,
-        fault_plan=plan,
-        run_store=str(tmp_path / "store"),
-        checkpoint_every=1,
-    )
+    config = golden_config(tmp_path / "store")
     ensemble = EQCEnsemble(EnergyObjective(qaoa_problem.estimator), config)
     history = ensemble.train(qaoa_problem.random_initial_parameters(seed=5), num_epochs=8)
     assert [epoch for epoch, _ in checked] == list(range(1, len(history.records) + 1))

@@ -83,6 +83,11 @@ class _Crash(Exception):
     pass
 
 
+def is_epoch_frame(line: bytes) -> bool:
+    """One raw journal line (``<crc32 hex8> <json>``): is it an epoch frame?"""
+    return line[9:].startswith(b'{"epoch"')
+
+
 def journal_ledger(path):
     """(update indices, epoch numbers) of a journal that must read back whole."""
     journal = read_journal(path)
