@@ -43,7 +43,7 @@ import hashlib
 import os
 import time
 from collections import deque
-from dataclasses import asdict, fields, replace
+from dataclasses import fields, replace
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -362,7 +362,7 @@ class TrainingCheckpointer:
                 "values": [float(v) for v in state.values],
                 "update_counts": [int(c) for c in state.update_counts],
                 "version": state.version,
-                "telemetry": asdict(master.telemetry),
+                "telemetry": dict(vars(master.telemetry)),
                 "p_correct": dict(master._p_correct),
                 "weights": dict(master._weights),
                 "orphans": [snapshot_task(t) for t in master._orphans],

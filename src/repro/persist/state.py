@@ -26,7 +26,6 @@ goldens pin.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
@@ -84,7 +83,7 @@ def restore_generator(rng: np.random.Generator, state: Mapping) -> None:
 # ---------------------------------------------------------------------------
 
 def snapshot_task(task: GradientTask) -> dict:
-    return asdict(task)
+    return dict(vars(task))  # the dataclass fields in order (``asdict`` is 10x the cost)
 
 
 def restore_task(data: Mapping) -> GradientTask:
@@ -92,7 +91,7 @@ def restore_task(data: Mapping) -> GradientTask:
 
 
 def snapshot_outcome(outcome: GradientOutcome) -> dict:
-    return asdict(outcome)  # its task nests as ``snapshot_task`` gives it
+    return {**vars(outcome), "task": snapshot_task(outcome.task)}
 
 
 def restore_outcome(data: Mapping) -> GradientOutcome:
