@@ -1,6 +1,6 @@
-"""Chaos benchmark — fault injection, graceful degradation, and recovery.
+"""Chaos benchmark — fault injection and graceful degradation.
 
-Three resilience workloads, recorded in ``BENCH_faults.json`` at the
+Two resilience workloads, recorded in ``BENCH_faults.json`` at the
 repository root so the fault-tolerance guarantees are tracked across PRs:
 
 * **graceful degradation** — a 4-device VQE fleet trained under a chaos plan
@@ -13,9 +13,6 @@ repository root so the fault-tolerance guarantees are tracked across PRs:
   and a *disabled* ``FaultPlan()`` must reproduce the fault-free history
   exactly (fault decisions draw from injector streams only, so the gate
   costs zero RNG).
-* **crash recovery** — a parallel run whose worker 0 is killed mid-epoch
-  (``os._exit`` before the outcome ships) must respawn, replay its job log,
-  and still match the sequential fault-free history bit for bit.
 """
 
 from __future__ import annotations
@@ -25,7 +22,7 @@ import numpy as np
 from _common import bench_json_path, bench_main, write_bench_json
 
 from repro.core import EQCConfig, EQCEnsemble
-from repro.faults import FaultPlan, OutageWindow, WorkerCrash
+from repro.faults import FaultPlan, OutageWindow
 from repro.hamiltonian.expectation import EnergyEstimator
 from repro.vqa.vqe import heisenberg_vqe_problem
 
@@ -47,8 +44,6 @@ CHAOS_PLAN = FaultPlan(
     transient_failure_rate=TRANSIENT_RATE,
     outages=(OutageWindow(device=DEAD_DEVICE, start=0.0, permanent=True),),
 )
-
-CRASH_PLAN = FaultPlan(worker_crashes=(WorkerCrash(0, 3),))
 
 
 def _train_once(epochs: int, **config_kwargs):
@@ -118,25 +113,11 @@ def run_determinism(epochs: int) -> dict:
     }
 
 
-def run_crash_recovery(epochs: int) -> dict:
-    """Worker 0 dies after 3 jobs; recovery must be invisible in the history."""
-    reference = _train_once(epochs)
-    recovered = _train_once(
-        epochs, parallel_workers=2, fault_plan=CRASH_PLAN
-    )
-    return {
-        "crash_events": recovered.metadata.get("worker_crashes", []),
-        "histories_bit_exact": _histories_bit_exact(reference, recovered)
-        and recovered.metadata["utilization"] == reference.metadata["utilization"],
-    }
-
-
 def run_faults_benchmark(epochs: int = EPOCHS) -> dict:
     return {
         "benchmark": "faults",
         "degradation": run_degradation(epochs),
         "determinism": run_determinism(epochs),
-        "crash_recovery": run_crash_recovery(epochs),
     }
 
 
@@ -149,7 +130,6 @@ def check_and_record(result: dict) -> None:
     write_bench_json(BENCH_PATH, result)
     degradation = result["degradation"]
     determinism = result["determinism"]
-    crash = result["crash_recovery"]
 
     assert degradation["epochs_completed"] == degradation["config"]["epochs"], (
         "chaos training did not complete every epoch"
@@ -176,18 +156,11 @@ def check_and_record(result: dict) -> None:
     assert determinism["disabled_plan_bit_exact"], (
         "a disabled FaultPlan shifted the fault-free history"
     )
-    assert crash["histories_bit_exact"], (
-        "crash recovery diverged from the sequential history"
-    )
-    assert crash["crash_events"] == [{"worker_id": 0, "after_jobs": 3}], (
-        f"expected exactly one injected crash, got {crash['crash_events']}"
-    )
 
 
 def _report(result: dict) -> None:
     degradation = result["degradation"]
     determinism = result["determinism"]
-    crash = result["crash_recovery"]
     stats = degradation["fault_stats"]
     faults = degradation["provider_faults"]
     print(
@@ -211,11 +184,6 @@ def _report(result: dict) -> None:
     print(
         f"chaos repeatable: {determinism['chaos_deterministic']} | "
         f"disabled plan bit-exact: {determinism['disabled_plan_bit_exact']}"
-    )
-    print("=== Faults: worker-crash recovery ===")
-    print(
-        f"crash events {crash['crash_events']} | "
-        f"bit-exact after respawn: {crash['histories_bit_exact']}"
     )
 
 

@@ -77,7 +77,6 @@ from .faults import (
     JobRetriesExhausted,
     OutageWindow,
     RetryPolicy,
-    WorkerCrash,
 )
 from .hamiltonian import (
     EnergyEstimator,
@@ -216,7 +215,6 @@ __all__ = [
     # fault injection and resilience
     "FaultPlan",
     "OutageWindow",
-    "WorkerCrash",
     "FaultInjector",
     "RetryPolicy",
     "DeviceHealthTracker",

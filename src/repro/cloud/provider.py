@@ -26,7 +26,6 @@ imbalance the paper motivates EQC with can be quantified (see
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
@@ -577,17 +576,6 @@ class CloudProvider:
         return self._fail(
             job, DeviceOutageError, "permanent outage", detect_time, permanent=True
         )
-
-    def preview_start_time(self, device_name: str, now: float) -> float:
-        """The service start a submit at ``now`` would get on the statistical clock.
-
-        The queue-wait draw is made against a *copy* of the endpoint's
-        stream, so the real stream is left for the actual submit (parallel
-        workers preview job timings ahead of executing them).
-        """
-        preview = copy.copy(self._endpoint(device_name))
-        preview.rng = copy.deepcopy(preview.rng)
-        return _STATISTICAL_CLOCK.start_time(preview, now)
 
     def properties_view_time(self, device_name: str, now: float) -> float:
         """The calibration timestamp the provider *publishes* at ``now``.

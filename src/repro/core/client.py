@@ -199,16 +199,9 @@ class EQCClientNode:
         theta: Sequence[float],
         submit_time: float,
         theta_version: int = 0,
-        job_spec: GradientJobSpec | None = None,
     ) -> DispatchedTask:
-        """The dispatch half of Algorithm 2's body: build, weigh, submit.
-
-        ``job_spec`` lets a caller that already built the task's job (the
-        parallel worker) hand it in instead of rebuilding; building it here
-        from the same ``(task, theta)`` pair produces an identical job.
-        """
-        if job_spec is None:
-            job_spec = self.objective.build_job(task, theta)
+        """The dispatch half of Algorithm 2's body: build, weigh, submit."""
+        job_spec = self.objective.build_job(task, theta)
         footprint = self.representative_footprint(job_spec)
         p_correct = self.current_p_correct(job_spec, submit_time, footprint)
         cloud_job = self.provider.submit(
@@ -235,10 +228,9 @@ class EQCClientNode:
         theta: Sequence[float],
         submit_time: float,
         theta_version: int = 0,
-        job_spec: GradientJobSpec | None = None,
     ) -> GradientOutcome:
         """Serve one task end to end: :meth:`dispatch_task`, then collect."""
-        return self.dispatch_task(task, theta, submit_time, theta_version, job_spec).collect()
+        return self.dispatch_task(task, theta, submit_time, theta_version).collect()
 
 
 def _average_footprints(footprints: Sequence[CircuitFootprint]) -> CircuitFootprint:

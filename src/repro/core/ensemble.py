@@ -63,24 +63,13 @@ class EQCConfig:
             set).
         tenant_jobs_per_hour: per-tenant submission rate for the background
             workload.
-        parallel_workers: number of worker processes executing client steps;
-            0 or 1 (the default) keeps the sequential in-process path, which
-            is bit-exact with every pinned golden history.  Parallel runs
-            produce the same histories — the workers replay each device's
-            seeded streams exactly — but incompatible with the discrete-event
-            scheduler (its event kernel is shared across devices).
-        parallel_start_method: multiprocessing start method for the worker
-            pool (``"fork"``/``"spawn"``/``"forkserver"``; None uses the
-            platform default).
         fault_plan: deterministic chaos scenario (see
             :class:`~repro.faults.FaultPlan`); ``None`` or an empty plan
             keeps the fault-free path bit-exact.  Device-level faults run on
             either clock — with a scheduler the plan's outage windows are
             armed in the event kernel (preempting and holding the device
             queue under tenant contention) while retries, result delays and
-            deadlines stay in the provider's one submit loop — but are
-            incompatible with ``parallel_workers > 1`` (use
-            ``worker_crashes`` for parallel chaos).
+            deadlines stay in the provider's one submit loop.
         retry_policy: provider retry/backoff/deadline policy for transient
             failures; ``None`` uses the default when faults are enabled.
         dispatch_deadline: master-side straggler cutoff — a dispatched job
@@ -92,8 +81,8 @@ class EQCConfig:
             completed epochs (requires ``run_store``); ``None`` (the
             default) disables durability entirely — no journal, no run
             directory, trajectories bit-identical to the seed.  Incompatible
-            with the discrete-event scheduler and ``parallel_workers > 1``
-            (kernel/worker state lives outside the checkpointable surface).
+            with the discrete-event scheduler (kernel state lives outside the
+            checkpointable surface).
         run_store: root directory of the persistent run store
             (:class:`repro.persist.RunStore`) this run registers into.
         checkpoint_retention: checkpoint generations to keep on disk; older
@@ -112,8 +101,6 @@ class EQCConfig:
     scheduling_policy: SchedulingPolicy | str | None = None
     background_tenants: int = 0
     tenant_jobs_per_hour: float = 1.0
-    parallel_workers: int = 0
-    parallel_start_method: str | None = None
     fault_plan: FaultPlan | None = None
     retry_policy: RetryPolicy | None = None
     dispatch_deadline: float | None = None
@@ -133,19 +120,6 @@ class EQCConfig:
             raise ValueError("background_tenants must be non-negative")
         if self.tenant_jobs_per_hour <= 0:
             raise ValueError("tenant_jobs_per_hour must be positive")
-        if self.parallel_workers < 0:
-            raise ValueError("parallel_workers must be non-negative")
-        if self.parallel_start_method not in (None, "fork", "spawn", "forkserver"):
-            raise ValueError(
-                "parallel_start_method must be one of "
-                "None, 'fork', 'spawn', 'forkserver'"
-            )
-        if self.parallel_workers > 1 and self.uses_scheduler:
-            raise ValueError(
-                "parallel_workers > 1 is incompatible with the discrete-event "
-                "scheduler: its event kernel is shared across devices and "
-                "cannot be partitioned over worker processes"
-            )
         if self.dispatch_deadline is not None and self.dispatch_deadline <= 0:
             raise ValueError("dispatch_deadline must be positive")
         if not 1 <= self.min_live_devices <= len(self.device_names):
@@ -168,32 +142,12 @@ class EQCConfig:
                 f"(got checkpoint_every={self.checkpoint_every!r}, "
                 f"run_store={self.run_store!r})"
             )
-        if self.checkpointing_enabled:
-            if self.uses_scheduler:
-                raise ValueError(
-                    "checkpointing is incompatible with the discrete-event "
-                    "scheduler: the shared event kernel's state lives outside "
-                    "the checkpointable surface"
-                )
-            if self.parallel_workers > 1:
-                raise ValueError(
-                    "checkpointing is incompatible with parallel_workers > 1: "
-                    "worker-process state cannot be captured mid-run (use the "
-                    "sequential path for durable runs)"
-                )
-        if self.faults_enabled:
-            plan = self.fault_plan
-            if plan.has_device_faults and self.parallel_workers > 1:
-                raise ValueError(
-                    "device-level fault injection is incompatible with "
-                    "parallel_workers > 1 (the timing preview cannot replay "
-                    "injector streams); use worker_crashes for parallel chaos"
-                )
-            if plan.worker_crashes and self.parallel_workers <= 1:
-                raise ValueError(
-                    "worker_crashes require parallel_workers > 1 "
-                    "(there are no worker processes to crash otherwise)"
-                )
+        if self.checkpointing_enabled and self.uses_scheduler:
+            raise ValueError(
+                "checkpointing is incompatible with the discrete-event "
+                "scheduler: the shared event kernel's state lives outside "
+                "the checkpointable surface"
+            )
 
     @property
     def faults_enabled(self) -> bool:
@@ -242,13 +196,10 @@ class EQCEnsemble:
                 workload=workload,
                 seed=self.config.seed,
             )
-        #: Fault injection: the injector exists only when the plan carries
-        #: device-level faults, so the fault-free provider path is untouched.
+        #: Fault injection: the injector exists only when the plan injects
+        #: anything, so the fault-free provider path is untouched.
         self.fault_injector: FaultInjector | None = None
-        if (
-            self.config.fault_plan is not None
-            and self.config.fault_plan.has_device_faults
-        ):
+        if self.config.faults_enabled:
             self.fault_injector = FaultInjector(
                 self.config.fault_plan, seed=self.config.seed
             )
@@ -303,11 +254,6 @@ class EQCEnsemble:
     ) -> TrainingHistory:
         """Run asynchronous ensemble training and return its history.
 
-        With ``config.parallel_workers > 1`` the per-device client steps run
-        in a multiprocessing pool (lazily constructed here, torn down before
-        returning); histories are bit-exact with the sequential path either
-        way.
-
         With ``config.checkpoint_every`` set the run registers into the
         configured run store, journals every update, and checkpoints at the
         configured epoch cadence — so a killed process can be finished
@@ -323,8 +269,7 @@ class EQCEnsemble:
         run = None
         if checkpointer is None and self.config.checkpointing_enabled:
             # Imported lazily: persist builds on core's master/history, so a
-            # module-level import would be circular (same pattern as the
-            # parallel executor below).
+            # module-level import would be circular.
             from ..persist.store import RunStore
 
             run = RunStore(self.config.run_store).create_run(
@@ -332,23 +277,6 @@ class EQCEnsemble:
                 initial_parameters=[float(v) for v in initial_parameters],
                 num_epochs=num_epochs,
                 record_every=record_every,
-            )
-        executor = None
-        if self.config.parallel_workers > 1:
-            # Imported lazily: execution builds on core's client node, so a
-            # module-level import would be circular.
-            from ..execution.parallel import ParallelEnsembleExecutor
-
-            executor = ParallelEnsembleExecutor(
-                objective=self.objective,
-                qpus=self.fleet,
-                num_workers=self.config.parallel_workers,
-                queue_models=self.config.queue_models,
-                seed=self.config.seed,
-                shots=self.config.shots,
-                client_names=[client.name for client in self.clients],
-                start_method=self.config.parallel_start_method,
-                fault_plan=self.config.fault_plan,
             )
         try:
             health = DeviceHealthTracker() if self.config.fault_tolerant else None
@@ -373,7 +301,6 @@ class EQCEnsemble:
                 ),
                 initial_parameters=np.asarray(initial_parameters, dtype=float),
                 label=self.config.describe(),
-                executor=executor,
                 health=health,
                 dispatch_deadline=self.config.dispatch_deadline,
                 min_live_devices=self.config.min_live_devices,
@@ -389,24 +316,10 @@ class EQCEnsemble:
                 history.metadata["provider_faults"] = dict(
                     self.provider.fault_counters
                 )
-                if executor is not None and executor.crash_events:
-                    history.metadata["worker_crashes"] = list(executor.crash_events)
                 if health is not None and _telemetry.enabled:
                     health.publish()
-            if executor is not None:
-                # This ensemble's own provider never ran a job; the workers'
-                # merged per-device records are numerically identical to the
-                # sequential single-provider report.
-                history.metadata["utilization"] = executor.utilization_report()
-                history.metadata["parallel_workers"] = executor.num_workers
-                # Worker processes collected their own metrics and spans;
-                # fold them into the master's telemetry before teardown.
-                executor.collect_telemetry()
-            else:
-                history.metadata["utilization"] = self.provider.utilization_report()
+            history.metadata["utilization"] = self.provider.utilization_report()
         finally:
-            if executor is not None:
-                executor.shutdown()
             if checkpointer is not None:
                 # Crash-path safety: the journal is flushed/closed even when
                 # training raises (the run stays resumable).

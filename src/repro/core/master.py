@@ -35,8 +35,7 @@ from .history import EpochRecord, TrainingHistory
 from .objective import VQAObjective
 from .weighting import WeightingConfig, normalize_weights
 
-if TYPE_CHECKING:  # pragma: no cover - core never imports execution at runtime
-    from ..execution.parallel import ParallelEnsembleExecutor
+if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..persist.checkpoint import TrainingCheckpointer
 
 __all__ = ["EQCMasterNode", "MasterTelemetry"]
@@ -65,8 +64,8 @@ class _InFlight:
     """One outstanding event, ordered by its time on the master's heap.
 
     A job is on the heap as soon as its *clock* is known, with ``outcome=None``
-    and the executor ``job_id`` :meth:`EQCMasterNode.gather` collects it from at
-    the front: a worker process or, in process, the provider's next stacked pass.
+    and the ``job_id`` :meth:`EQCMasterNode.gather` collects it by at the
+    front, where the provider's next stacked pass runs its physics.
 
     With fault tolerance active, three more event kinds share the heap:
     ``failure`` (a dispatch raised a :class:`FaultError`; ``finish_time`` is
@@ -86,32 +85,6 @@ class _InFlight:
     failure: FaultError | None = field(compare=False, default=None)
 
 
-class _InProcessExecutor:
-    """The executor seam over this process's clients: ``submit`` is the
-    dispatch half, ``collect`` the collect half (see :mod:`repro.core.client`)."""
-
-    def __init__(self, clients: Sequence[EQCClientNode]) -> None:
-        self._clients = {client.device_name: client for client in clients}
-        self._dispatched: dict[int, DispatchedTask] = {}
-        self._job_ids = itertools.count()
-
-    def submit(self, device_name, task, theta, submit_time, theta_version):
-        client = self._clients[device_name]
-        dispatched = client.dispatch_task(task, theta, submit_time, theta_version)
-        job = dispatched.cloud_job
-        return self.register(dispatched), job.finish_time, job.num_circuits
-
-    def register(self, dispatched: DispatchedTask) -> int:
-        """Hold a dispatched task until it is collected; returns its job id
-        (a restored checkpoint re-enters its parked tasks here)."""
-        job_id = next(self._job_ids)
-        self._dispatched[job_id] = dispatched
-        return job_id
-
-    def collect(self, job_id: int) -> GradientOutcome:
-        return self._dispatched.pop(job_id).collect()
-
-
 class EQCMasterNode:
     """Coordinates asynchronous VQA training over a quantum ensemble."""
 
@@ -125,7 +98,6 @@ class EQCMasterNode:
         initial_parameters: Sequence[float],
         label: str = "EQC",
         start_time: float = 0.0,
-        executor: "ParallelEnsembleExecutor | None" = None,
         health: DeviceHealthTracker | None = None,
         dispatch_deadline: float | None = None,
         min_live_devices: int = 1,
@@ -149,8 +121,9 @@ class EQCMasterNode:
         self.label = label
         self.state = ParameterVectorState(np.asarray(initial_parameters, dtype=float))
         self.telemetry = MasterTelemetry()
-        #: Where client steps run: worker processes, or (None) this one.
-        self._executor = executor or _InProcessExecutor(self.clients)
+        #: Dispatched tasks by ``job_id``, held until their outcome is collected.
+        self._dispatched: dict[int, DispatchedTask] = {}
+        self._job_ids = itertools.count()
         self._start_time = float(start_time)
         self._p_correct: dict[str, float] = {}
         self._weights: dict[str, float] = {client.name: 1.0 for client in clients}
@@ -372,16 +345,23 @@ class EQCMasterNode:
         return history
 
     def gather(self, item: _InFlight) -> GradientOutcome:
-        """The outcome of a job event, collected from the executor once."""
+        """The outcome of a job event, collected from its dispatched task once."""
         if item.outcome is None:
-            item.outcome = self._executor.collect(item.job_id)
+            item.outcome = self._dispatched.pop(item.job_id).collect()
         return item.outcome
+
+    def register(self, dispatched: DispatchedTask) -> int:
+        """Hold a dispatched task until it is collected; returns its job id
+        (a restored checkpoint re-enters its parked tasks here)."""
+        job_id = next(self._job_ids)
+        self._dispatched[job_id] = dispatched
+        return job_id
 
     def parked_task(self, item: _InFlight) -> DispatchedTask | None:
         """The task behind a heap entry whose physics is still parked, which a
         checkpoint stores as it is; once the counts are in, ``None`` — and a
         ``job`` entry is collected into its outcome (arithmetic, no RNG)."""
-        dispatched = self._executor._dispatched.get(item.job_id)
+        dispatched = self._dispatched.get(item.job_id)
         if dispatched is None or dispatched.cloud_job.parked:
             return dispatched
         if item.kind == "job":
@@ -444,28 +424,29 @@ class EQCMasterNode:
             self._fault_stats["probes"] += 1
             return parked("probe", max(now, self._health.retry_at(device)))
         try:
-            # The executor answers once the job's clock is known; the physics
+            # The dispatch returns once the job's clock is known; the physics
             # runs later and is collected when this entry reaches the front.
-            job_id, finish_time, num_circuits = self._executor.submit(
-                device, task, self.state.snapshot(), now, self.state.version
+            dispatched = client.dispatch_task(
+                task, self.state.snapshot(), now, self.state.version
             )
         except FaultError as exc:
             # The failure is only *known* at its virtual detection time;
             # park it on the heap so breaker/retire bookkeeping happens in
             # event order, interleaved correctly with other completions.
             return parked("failure", max(now, exc.detect_time), failure=exc)
+        job = dispatched.cloud_job
+        job_id = self.register(dispatched)
         self.telemetry.jobs_dispatched += 1
-        self.telemetry.circuits_executed += num_circuits
+        self.telemetry.circuits_executed += job.num_circuits
         if (
             self.dispatch_deadline is not None
-            and finish_time - now > self.dispatch_deadline
+            and job.finish_time - now > self.dispatch_deadline
         ):
             # Straggler: the turnaround blows the deadline, so the master
             # cuts the job at the cutoff instead of waiting (its outcome is
-            # still collected there, then discarded, to keep the per-device
-            # executor protocol serialized).
+            # still collected there, then discarded).
             return parked("straggler", now + self.dispatch_deadline, job_id=job_id)
-        return _InFlight(finish_time, sequence, outcome=None, client=client, job_id=job_id)
+        return _InFlight(job.finish_time, sequence, outcome=None, client=client, job_id=job_id)
 
     # ------------------------------------------------------------------
     # graceful degradation
@@ -490,9 +471,9 @@ class EQCMasterNode:
         elif item.kind == "straggler":
             stat, event = "stragglers_cut", "straggler_cut"
             if item.job_id >= 0:
-                # Drain the job's outcome (and discard it) so the next
-                # submit to this device stays strictly serialized.
-                self._executor.collect(item.job_id)
+                # Drain the job's outcome (and discard it): the cut job
+                # ran all the same, and leaves the dispatched registry here.
+                self._dispatched.pop(item.job_id).collect()
         else:
             raise RuntimeError(f"unknown in-flight event kind {item.kind!r}")
         # One tail for both: record the failure, recover the task, then

@@ -81,16 +81,6 @@ class VQAObjective(ABC):
     def build_job(self, task: GradientTask, theta: Sequence[float]) -> GradientJobSpec:
         """The unbound batch needed to differentiate ``task`` at ``theta``."""
 
-    def circuits_per_job(self, task: GradientTask) -> int:
-        """How many circuits :meth:`build_job` will produce for ``task``.
-
-        Queue timing depends only on the circuit *count*, never on the bound
-        angles, so the parallel executor answers finish-time previews from
-        this without building a job.  Subclasses with a cheaper answer than
-        actually building the job should override.
-        """
-        return self.build_job(task, [0.0] * self.num_parameters).num_circuits
-
     @abstractmethod
     def gradient_from_counts(self, task: GradientTask, counts: Sequence[Counts]) -> float:
         """Recombine the measured counts (same order as the job) into d loss/d theta."""
@@ -128,9 +118,6 @@ class EnergyObjective(VQAObjective):
             ),
             self._template_keys,
         )
-
-    def circuits_per_job(self, task: GradientTask) -> int:
-        return 2 * self.estimator.num_groups
 
     def gradient_from_counts(self, task: GradientTask, counts: Sequence[Counts]) -> float:
         groups = self.estimator.num_groups
@@ -176,9 +163,6 @@ class QnnObjective(VQAObjective):
             ),
             keys,
         )
-
-    def circuits_per_job(self, task: GradientTask) -> int:
-        return 3 * self._estimator(task).num_groups
 
     def gradient_from_counts(self, task: GradientTask, counts: Sequence[Counts]) -> float:
         estimator = self._estimator(task)

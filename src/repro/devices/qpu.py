@@ -189,20 +189,6 @@ class QPU:
             f"QV={self.spec.quantum_volume}, topology={self.topology.name!r})"
         )
 
-    def __getstate__(self) -> dict:
-        """Pickle support (spawn-started worker processes).
-
-        The per-cycle memo caches are pure functions of the spec and rebuild
-        on demand with identical values; dropping them keeps the payload
-        lean.  The device RNG state transfers as-is so a pickled device
-        resumes its stream exactly.
-        """
-        state = self.__dict__.copy()
-        state["_reported_cache"] = {}
-        state["_cycle_stats"] = {}
-        state["_estimated_cache"] = {}
-        return state
-
     # ------------------------------------------------------------------
     # calibration lifecycle
     # ------------------------------------------------------------------
@@ -471,9 +457,8 @@ class QPU:
         seconds the whole batch occupies.  This is the one place the clock
         advances within a batch — circuit ``i`` starts half a job slot
         (:func:`job_slot_circuit_seconds`) per predecessor after ``now``, at
-        the drift-aware speed of its own start time — so the noise timeline,
-        the provider's ideal-backend timing and the parallel workers' finish
-        preview cannot drift apart.
+        the drift-aware speed of its own start time — so the noise timeline
+        and the provider's ideal-backend timing cannot drift apart.
         """
         starts, durations, elapsed, _ = self._walk_clock(num_circuits, now)
         return starts, durations, elapsed

@@ -135,26 +135,6 @@ class ProgramCache:
         self._merged.clear()
         self._plans.clear()
 
-    # ------------------------------------------------------------------
-    def __getstate__(self) -> dict:
-        """Pickle support (worker processes): plans are identity-keyed.
-
-        The WeakKeyDictionary of parameter plans cannot cross a process
-        boundary, and its entries would be useless anyway — they are keyed by
-        template *object identity*, which pickling does not preserve; the
-        merged programs are keyed by program identity and stay behind for the
-        same reason.  The compiled entries themselves transfer; plans and
-        merges re-memoize on first use.
-        """
-        state = self.__dict__.copy()
-        state["_plans"] = None
-        state["_merged"] = {}
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._plans = weakref.WeakKeyDictionary()
-
 
 _SHARED = ProgramCache()
 

@@ -4,7 +4,7 @@ The paper's core claim is that an *ensemble* of cloud QPUs makes VQA training
 robust to the unreliability of any single device.  This package supplies the
 failure model that makes the claim testable: a declarative
 :class:`FaultPlan` (outage windows, transient job-failure rates, result
-timeouts, calibration blackouts, worker crashes) injected through seeded
+timeouts, calibration blackouts) injected through seeded
 per-label RNG streams, plus the mechanisms that survive it — a
 :class:`RetryPolicy` with exponential backoff and deadlines, a
 :class:`DeviceHealthTracker` circuit breaker, and graceful fleet-shrink
@@ -25,13 +25,12 @@ from .errors import (
 )
 from .health import BreakerState, BreakerTransition, DeviceHealthTracker
 from .injector import FaultInjector
-from .plan import FaultPlan, OutageWindow, WorkerCrash
+from .plan import FaultPlan, OutageWindow
 from .retry import DEFAULT_RETRY_POLICY, RetryPolicy
 
 __all__ = [
     "FaultPlan",
     "OutageWindow",
-    "WorkerCrash",
     "FaultInjector",
     "RetryPolicy",
     "DEFAULT_RETRY_POLICY",

@@ -2,13 +2,10 @@
 
 The injector is the only component that *draws* fault randomness.  Every
 stream is derived from ``(run seed, plan seed, crc32(label))`` — the same
-idiom as :meth:`repro.sched.kernel.EventKernel.rng_stream` — so
-
-* one device's fault draws never depend on how many draws another device
-  consumed (scheduling/partitioning order cannot leak into the chaos), and
-* a worker process that rebuilds its injector from ``(plan, seed)`` and
-  replays its own devices' jobs reproduces exactly the faults of the
-  sequential run.
+idiom as :meth:`repro.sched.kernel.EventKernel.rng_stream` — so one
+device's fault draws never depend on how many draws another device consumed:
+scheduling order cannot leak into the chaos, and a run is reproducible from
+``(plan, seed)`` alone.
 
 The injector never touches device endpoint RNG streams: with a disabled
 plan no stream is ever created and no draw is ever made, which is what

@@ -6,7 +6,7 @@ scenario.  Together with a run seed it fully determines every injected fault
 streams from ``(seed, plan.seed, crc32(label))``, the same idiom as the sched
 kernel), so any chaos run is bit-reproducible from ``(plan, seed)``.
 
-Five fault families cover the failure modes a real quantum cloud exhibits:
+Four fault families cover the failure modes a real quantum cloud exhibits:
 
 * **outages** — a device goes offline for a window (or forever);
 * **transient job failures** — a job reaches the device head and bombs with
@@ -14,9 +14,7 @@ Five fault families cover the failure modes a real quantum cloud exhibits:
 * **result timeouts** — the job executes but its results are delayed past
   the caller's deadline;
 * **calibration blackouts** — the provider stops republishing device
-  properties for a window, so ``PCorrect`` estimates go stale;
-* **worker crashes** — a parallel worker process dies after N jobs
-  (the ensemble executor respawns it and replays its seeded streams).
+  properties for a window, so ``PCorrect`` estimates go stale.
 """
 
 from __future__ import annotations
@@ -24,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-__all__ = ["OutageWindow", "WorkerCrash", "FaultPlan"]
+__all__ = ["OutageWindow", "FaultPlan"]
 
 
 @dataclass(frozen=True)
@@ -63,25 +61,6 @@ class OutageWindow:
 
 
 @dataclass(frozen=True)
-class WorkerCrash:
-    """Kill parallel worker ``worker_id`` once it has executed ``after_jobs`` jobs.
-
-    The crash fires *before* the outcome of the ``after_jobs``-th job is
-    shipped back, so the executor's respawn-and-replay recovery is always
-    exercised, never just the happy path.
-    """
-
-    worker_id: int
-    after_jobs: int
-
-    def __post_init__(self) -> None:
-        if self.worker_id < 0:
-            raise ValueError("worker_id must be non-negative")
-        if self.after_jobs < 1:
-            raise ValueError("after_jobs must be >= 1")
-
-
-@dataclass(frozen=True)
 class FaultPlan:
     """A complete, deterministic chaos scenario.
 
@@ -98,7 +77,6 @@ class FaultPlan:
         calibration_blackouts: windows during which a device's published
             properties freeze at their window-start values, so client
             ``PCorrect`` estimates go stale.
-        worker_crashes: parallel-worker kill points (see :class:`WorkerCrash`).
     """
 
     seed: int = 0
@@ -107,49 +85,29 @@ class FaultPlan:
     result_timeout_rate: float = 0.0
     result_delay_seconds: float = 600.0
     calibration_blackouts: tuple[OutageWindow, ...] = ()
-    worker_crashes: tuple[WorkerCrash, ...] = ()
 
     def __post_init__(self) -> None:
-        # Accept any iterable for the window/crash collections.
+        # Accept any iterable for the window collections.
         object.__setattr__(self, "outages", tuple(self.outages))
         object.__setattr__(
             self, "calibration_blackouts", tuple(self.calibration_blackouts)
         )
-        object.__setattr__(self, "worker_crashes", tuple(self.worker_crashes))
         if not 0.0 <= self.transient_failure_rate < 1.0:
             raise ValueError("transient_failure_rate must be within [0, 1)")
         if not 0.0 <= self.result_timeout_rate < 1.0:
             raise ValueError("result_timeout_rate must be within [0, 1)")
         if self.result_delay_seconds <= 0:
             raise ValueError("result_delay_seconds must be positive")
-        crash_points = [(c.worker_id, c.after_jobs) for c in self.worker_crashes]
-        if len(set(crash_points)) != len(crash_points):
-            raise ValueError("duplicate (worker_id, after_jobs) crash points")
 
     # ------------------------------------------------------------------
     @property
-    def has_device_faults(self) -> bool:
-        """True when any fault targets the device/provider layer."""
+    def enabled(self) -> bool:
+        """True when the plan injects anything at all."""
         return bool(
             self.outages
             or self.transient_failure_rate > 0.0
             or self.result_timeout_rate > 0.0
             or self.calibration_blackouts
-        )
-
-    @property
-    def enabled(self) -> bool:
-        """True when the plan injects anything at all."""
-        return self.has_device_faults or bool(self.worker_crashes)
-
-    def crash_points_for(self, worker_id: int) -> tuple[int, ...]:
-        """Sorted job-count thresholds at which one worker crashes."""
-        return tuple(
-            sorted(
-                crash.after_jobs
-                for crash in self.worker_crashes
-                if crash.worker_id == worker_id
-            )
         )
 
     def describe(self) -> dict:
@@ -171,9 +129,5 @@ class FaultPlan:
             "calibration_blackouts": [
                 {"device": w.device, "start": w.start, "duration": w.duration}
                 for w in self.calibration_blackouts
-            ],
-            "worker_crashes": [
-                {"worker_id": c.worker_id, "after_jobs": c.after_jobs}
-                for c in self.worker_crashes
             ],
         }

@@ -249,12 +249,12 @@ class TrainingCheckpointer:
             health=master.health,
         )
         # Parked jobs re-park in the order the provider held them (not the
-        # heap's), each back with the executor under a fresh job id.
+        # heap's), each back with the master under a fresh job id.
         entries = sections["pending"]
         parked = [entry for entry in entries if entry["parked"] is not None]
         parked.sort(key=lambda entry: entry["parked"]["job"]["position"])
         job_ids = {
-            entry["sequence"]: master._executor.register(
+            entry["sequence"]: master.register(
                 restore_parked(entry["parked"], clients_by_name[entry["client"]])
             )
             for entry in parked

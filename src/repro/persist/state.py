@@ -181,7 +181,7 @@ def restore_parked(data: Mapping, client: EQCClientNode) -> DispatchedTask:
 def restore_inflight(
     data: Mapping, clients_by_name: Mapping[str, EQCClientNode], job_id: int = -1
 ):
-    """``job_id``: where the executor holds the entry's re-parked task, if any."""
+    """``job_id``: where the master holds the entry's re-parked task, if any."""
     from ..core.master import _InFlight  # local: persist must not import core.master at module load
 
     return _InFlight(

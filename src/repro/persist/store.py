@@ -99,8 +99,6 @@ def config_to_dict(config: "EQCConfig") -> dict:
         ),
         "background_tenants": config.background_tenants,
         "tenant_jobs_per_hour": config.tenant_jobs_per_hour,
-        "parallel_workers": config.parallel_workers,
-        "parallel_start_method": config.parallel_start_method,
         "fault_plan": (
             None if config.fault_plan is None else _plan_to_dict(config.fault_plan)
         ),
@@ -116,10 +114,9 @@ def config_to_dict(config: "EQCConfig") -> dict:
 
 
 def _plan_to_dict(plan) -> dict:
-    data = plan.describe()
-    # describe() flattens worker crashes and windows already; it is the
-    # canonical JSON form (infinite durations survive via JSON Infinity).
-    return data
+    # describe() flattens the windows already; it is the canonical JSON form
+    # (infinite durations survive via JSON Infinity).
+    return plan.describe()
 
 
 def config_from_dict(data: Mapping) -> "EQCConfig":
@@ -127,7 +124,7 @@ def config_from_dict(data: Mapping) -> "EQCConfig":
     from ..cloud.queueing import QueueModel
     from ..core.ensemble import EQCConfig
     from ..core.weighting import WeightBounds
-    from ..faults.plan import FaultPlan, OutageWindow, WorkerCrash
+    from ..faults.plan import FaultPlan, OutageWindow
     from ..faults.retry import RetryPolicy
 
     bounds = data["weight_bounds"]
@@ -155,8 +152,6 @@ def config_from_dict(data: Mapping) -> "EQCConfig":
         ),
         background_tenants=int(data["background_tenants"]),
         tenant_jobs_per_hour=float(data["tenant_jobs_per_hour"]),
-        parallel_workers=int(data["parallel_workers"]),
-        parallel_start_method=data["parallel_start_method"],
         fault_plan=(
             None
             if plan is None
@@ -168,9 +163,6 @@ def config_from_dict(data: Mapping) -> "EQCConfig":
                 result_delay_seconds=float(plan["result_delay_seconds"]),
                 calibration_blackouts=tuple(
                     OutageWindow(**w) for w in plan["calibration_blackouts"]
-                ),
-                worker_crashes=tuple(
-                    WorkerCrash(**c) for c in plan["worker_crashes"]
                 ),
             )
         ),

@@ -6,12 +6,10 @@ training — one shared, dependency-free substrate for quantitative
 visibility:
 
 * :class:`MetricsRegistry` — counters, gauges, and fixed-bucket histograms
-  (with p50/p95/p99 extraction) whose snapshots are plain dicts, so worker
-  processes ship their metrics back through a queue and the master merges
-  them deterministically in fleet order;
-* :class:`Tracer` — wall-clock spans (per-process Chrome pids) plus
-  simulated-clock spans (per-device lanes), exported as Chrome trace-event
-  JSON loadable in Perfetto or ``chrome://tracing``;
+  (with p50/p95/p99 extraction) whose snapshots are plain dicts;
+* :class:`Tracer` — wall-clock spans plus simulated-clock spans (per-device
+  lanes), exported as Chrome trace-event JSON loadable in Perfetto or
+  ``chrome://tracing``;
 * :mod:`repro.telemetry.report` — text/JSON run summaries and the
   percentile/fairness arithmetic behind the scheduler's SLO metrics.
 

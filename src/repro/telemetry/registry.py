@@ -1,16 +1,11 @@
-"""Process-mergeable metrics: counters, gauges, fixed-bucket histograms.
+"""Metrics: counters, gauges, fixed-bucket histograms.
 
 The registry is the numeric half of the observability layer (spans live in
-:mod:`repro.telemetry.trace`).  Three design constraints shape it:
+:mod:`repro.telemetry.trace`).  Two design constraints shape it:
 
-* **dependency-free and picklable** — metrics are plain Python objects and
-  :meth:`MetricsRegistry.snapshot` is a plain dict of floats/lists, so a
-  worker process can ship its metrics through a multiprocessing queue and
-  the master can merge them without importing anything;
-* **deterministic merges** — counters and histograms are commutative sums;
-  gauges are explicitly *order-dependent* (an incoming gauge that was ever
-  set overwrites the local value), so callers merge worker snapshots in
-  fleet order and two identical runs produce identical merged registries;
+* **dependency-free** — metrics are plain Python objects and
+  :meth:`MetricsRegistry.snapshot` is a plain dict of floats/lists, ready to
+  JSON-encode without importing anything;
 * **fixed buckets** — histograms never store samples, only per-bucket
   counts plus exact count/sum/min/max, so memory is bounded no matter how
   hot the instrumented path is, and p50/p95/p99 come from linear
@@ -66,7 +61,7 @@ def metric_key(name: str, labels: Mapping[str, object] | None = None) -> str:
 
 
 class Counter:
-    """A monotone accumulator (merge = sum)."""
+    """A monotone accumulator."""
 
     __slots__ = ("value",)
 
@@ -78,7 +73,7 @@ class Counter:
 
 
 class Gauge:
-    """A point-in-time value (merge = incoming overwrites, if ever set)."""
+    """A point-in-time value."""
 
     __slots__ = ("value", "updates")
 
@@ -95,8 +90,7 @@ class Histogram:
     """A fixed-bucket histogram with exact count/sum/min/max sidecars.
 
     ``bounds`` are strictly increasing *upper* bucket edges; one overflow
-    bucket catches everything above the last edge.  Two histograms merge
-    only when their bounds are identical.
+    bucket catches everything above the last edge.
     """
 
     __slots__ = ("bounds", "counts", "count", "total", "min_value", "max_value")
@@ -168,21 +162,6 @@ class Histogram:
             **quantiles,
         }
 
-    def merge_dict(self, data: Mapping) -> None:
-        if tuple(data["bounds"]) != self.bounds:
-            raise ValueError(
-                "cannot merge histograms with different bucket bounds: "
-                f"{tuple(data['bounds'])} vs {self.bounds}"
-            )
-        for index, bucket_count in enumerate(data["counts"]):
-            self.counts[index] += bucket_count
-        incoming = int(data["count"])
-        self.count += incoming
-        self.total += float(data["sum"])
-        if incoming:
-            self.min_value = min(self.min_value, float(data["min"]))
-            self.max_value = max(self.max_value, float(data["max"]))
-
 
 class MetricsRegistry:
     """A named collection of counters, gauges, and histograms.
@@ -242,7 +221,7 @@ class MetricsRegistry:
 
     # ------------------------------------------------------------------
     def snapshot(self) -> dict:
-        """A plain-dict copy safe to pickle, JSON-encode, and merge."""
+        """A plain-dict copy safe to pickle and JSON-encode."""
         return {
             "counters": {k: c.value for k, c in sorted(self._counters.items())},
             "gauges": {
@@ -253,26 +232,6 @@ class MetricsRegistry:
                 k: h.to_dict() for k, h in sorted(self._histograms.items())
             },
         }
-
-    def merge_snapshot(self, snapshot: Mapping) -> None:
-        """Fold one :meth:`snapshot` into this registry.
-
-        Counters and histogram contents add; a gauge that was ever set in
-        the incoming snapshot overwrites the local value — merging worker
-        snapshots in fleet order therefore yields one deterministic result.
-        """
-        for key, value in snapshot.get("counters", {}).items():
-            self.counter(key).inc(value)
-        for key, payload in snapshot.get("gauges", {}).items():
-            if payload["updates"]:
-                gauge = self.gauge(key)
-                gauge.value = float(payload["value"])
-                gauge.updates += int(payload["updates"])
-        for key, payload in snapshot.get("histograms", {}).items():
-            self.histogram(key, bounds=payload["bounds"]).merge_dict(payload)
-
-    def merge(self, other: "MetricsRegistry") -> None:
-        self.merge_snapshot(other.snapshot())
 
     def reset(self) -> None:
         self._counters.clear()

@@ -121,7 +121,7 @@ def run_report(
     histograms = {}
     for key, histogram in registry.histograms():
         data = histogram.to_dict()
-        # The bucket vectors are merge plumbing, not summary material.
+        # The bucket vectors are quantile plumbing, not summary material.
         del data["bounds"], data["counts"]
         histograms[key] = data
     spans: dict[str, dict] = {}

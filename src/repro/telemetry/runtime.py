@@ -58,11 +58,6 @@ class Telemetry:
         """Shorthand for ``TELEMETRY.tracer.span`` (call only when enabled)."""
         return self.tracer.span(name, cat, args)
 
-    def set_process(self, pid: int, name: str) -> None:
-        """Label this process's wall-clock track (workers call this)."""
-        self.tracer.pid = int(pid)
-        self.tracer.process_name = str(name)
-
 
 #: The process-wide telemetry instance every instrumentation site shares.
 TELEMETRY = Telemetry()

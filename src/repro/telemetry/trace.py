@@ -2,11 +2,8 @@
 
 The tracer records two clock domains into one trace file:
 
-* **wall spans** — real compute time, stamped with ``time.time_ns()`` so
-  spans recorded in different *processes* share one time base; the master
-  and every :class:`~repro.execution.parallel.ParallelEnsembleExecutor`
-  worker get their own Chrome ``pid`` (with ``process_name`` metadata), so
-  a parallel EQC epoch renders as one aligned multi-process timeline.
+* **wall spans** — real compute time, stamped with ``time.time_ns()``, on
+  one Chrome process track (:data:`WALL_PID`, named ``main``).
 * **sim spans** — events on the *simulated* clock (scheduler service
   windows, calibration downtime, EQC epochs).  They live under a dedicated
   ``pid`` (:data:`SIM_PID`) with one named lane (``tid``) per device, so
@@ -30,6 +27,9 @@ import time
 from typing import Mapping, Sequence
 
 __all__ = ["Tracer", "SIM_PID", "validate_chrome_trace"]
+
+#: Chrome pid hosting the wall-clock spans.
+WALL_PID = 0
 
 #: Chrome pid hosting all simulated-clock lanes.
 SIM_PID = 9999
@@ -63,13 +63,8 @@ class Tracer:
 
     def __init__(self, max_events: int = 200_000) -> None:
         self.max_events = int(max_events)
-        #: This process's Chrome pid (workers set their worker id + 1).
-        self.pid = 0
-        self.process_name = "main"
         self.dropped = 0
         self._events: list[dict] = []
-        #: pid -> display name, accumulated across ingested worker payloads.
-        self._process_names: dict[int, str] = {}
 
     def __len__(self) -> int:
         return len(self._events)
@@ -95,7 +90,7 @@ class Tracer:
                 "name": name,
                 "cat": cat,
                 "domain": "wall",
-                "pid": self.pid,
+                "pid": WALL_PID,
                 "tid": 0,
                 "ts_ns": int(start_ns),
                 "dur_ns": max(0, int(end_ns) - int(start_ns)),
@@ -133,7 +128,7 @@ class Tracer:
                 "name": name,
                 "cat": cat,
                 "domain": "wall",
-                "pid": self.pid,
+                "pid": WALL_PID,
                 "tid": 0,
                 "ts_ns": time.time_ns(),
                 "dur_ns": None,
@@ -148,24 +143,12 @@ class Tracer:
         self._events.append(event)
 
     # ------------------------------------------------------------------
-    # cross-process shipping
-    # ------------------------------------------------------------------
-    def export_payload(self) -> dict:
-        """Everything a worker ships back: events plus pid display names."""
-        names = dict(self._process_names)
-        names[self.pid] = self.process_name
-        return {"process_names": names, "events": list(self._events)}
-
-    def ingest(self, payload: Mapping) -> None:
-        """Fold a worker's :meth:`export_payload` into this tracer."""
-        for pid, name in payload.get("process_names", {}).items():
-            self._process_names[int(pid)] = str(name)
-        for event in payload.get("events", ()):
-            self._append(event)
-
-    # ------------------------------------------------------------------
     # export
     # ------------------------------------------------------------------
+    def export_payload(self) -> dict:
+        """The recorded events as plain dicts, before Chrome formatting."""
+        return {"events": list(self._events)}
+
     def to_chrome(self) -> dict:
         """The trace as a Chrome trace-event JSON object."""
         wall_origin = min(
@@ -175,17 +158,14 @@ class Tracer:
         lane_tids: dict[str, int] = {}
         events: list[dict] = []
 
-        process_names = dict(self._process_names)
-        process_names.setdefault(self.pid, self.process_name)
-        used_pids = {e["pid"] for e in self._events if e["domain"] == "wall"}
-        for pid in sorted(used_pids):
+        if any(e["domain"] == "wall" for e in self._events):
             events.append(
                 {
                     "name": "process_name",
                     "ph": "M",
-                    "pid": pid,
+                    "pid": WALL_PID,
                     "tid": 0,
-                    "args": {"name": process_names.get(pid, f"process-{pid}")},
+                    "args": {"name": "main"},
                 }
             )
         if any(e["domain"] == "sim" for e in self._events):
@@ -250,7 +230,6 @@ class Tracer:
 
     def reset(self) -> None:
         self._events.clear()
-        self._process_names.clear()
         self.dropped = 0
 
 

@@ -1,5 +1,7 @@
 """Protocol-level tests for the execution-backend layer."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -158,6 +160,7 @@ class TestBackendSwap:
         """Same seed, same first job: the timing is identical whichever
         backend does the physics, and it is the device's own batch clock."""
         from repro.cloud.provider import CloudProvider
+        from repro.cloud.queueing import StatisticalQueuePolicy
         from repro.transpiler import transpile
 
         circuit = ghz_state(4)
@@ -169,7 +172,9 @@ class TestBackendSwap:
             backend_factory=lambda qpu: StatevectorBackend(),
         )
         noisy = CloudProvider([build_qpu("Belem")], seed=4, shots=64)
-        start = noisy.preview_start_time("Belem", 7000.0)
+        start = StatisticalQueuePolicy().start_time(
+            copy.deepcopy(noisy._endpoint("Belem")), 7000.0
+        )
         _, durations, elapsed = noisy.qpu("Belem").batch_clock(3, start)
         for provider in (ideal, noisy):
             job = provider.submit("Belem", [circuit] * 3, footprint, now=7000.0)

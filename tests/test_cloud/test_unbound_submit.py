@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro import EQCConfig, EQCEnsemble
-from repro.circuit import ParameterSweep, QuantumCircuit
+from repro.circuit import QuantumCircuit
 from repro.cloud.provider import CloudProvider
 from repro.core.objective import EnergyObjective, QnnObjective
 from repro.devices.catalog import build_qpu
@@ -170,50 +170,6 @@ def test_three_point_qnn_job_matches_bound_circuits():
             == objective.gradient_from_counts(task, plain).hex()
         )
     assert _endpoint_view(unbound) == _endpoint_view(bound)
-
-
-def _bind_before_submit(monkeypatch):
-    """Make every provider submit bound circuits instead of the sweep."""
-    original = CloudProvider.submit
-
-    def submit(self, device_name, circuits, *args, **kwargs):
-        if isinstance(circuits, ParameterSweep):
-            circuits = circuits.bound_circuits()
-        return original(self, device_name, circuits, *args, **kwargs)
-
-    monkeypatch.setattr(CloudProvider, "submit", submit)
-
-
-def _history_view(history):
-    return (
-        [r.loss.hex() for r in history.records],
-        [r.sim_time_hours.hex() for r in history.records],
-        [r.parameters for r in history.records],
-        [sorted(r.weights.items()) for r in history.records],
-        history.metadata["utilization"],
-    )
-
-
-def test_parallel_workers_match_bound_submission(vqe_problem, monkeypatch):
-    """Fork-started workers inherit the patched provider, so the second run
-    pushes bound circuits through both worker processes."""
-
-    def train():
-        config = EQCConfig(
-            device_names=("x2", "Belem", "Bogota"),
-            shots=256,
-            seed=11,
-            parallel_workers=2,
-            parallel_start_method="fork",
-        )
-        ensemble = EQCEnsemble(EnergyObjective(vqe_problem.estimator), config)
-        return ensemble.train(np.linspace(0.1, 1.6, 16), num_epochs=1)
-
-    unbound = train()
-    with monkeypatch.context() as patch:
-        _bind_before_submit(patch)
-        bound = train()
-    assert _history_view(unbound) == _history_view(bound)
 
 
 class _BindCounter:

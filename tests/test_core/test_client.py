@@ -55,7 +55,7 @@ class TestClientExecution:
     def test_job_footprint_is_averaged_once_per_task(self, client, vqe_problem, monkeypatch):
         theta = vqe_problem.random_initial_parameters()
         job = client.objective.build_job(GradientTask(0, 0), theta)
-        client.execute_task(GradientTask(0, 0), theta, submit_time=0.0, job_spec=job)
+        client.execute_task(GradientTask(0, 0), theta, submit_time=0.0)
         footprint = client.representative_footprint(job)
         assert client.current_p_correct(job, 50.0, footprint) == client.current_p_correct(job, 50.0)
 

@@ -23,6 +23,12 @@ class TestEQCConfig:
         with pytest.raises(ValueError):
             EQCConfig(learning_rate=0.0)
 
+    def test_tenant_rate_must_be_positive(self):
+        with pytest.raises(ValueError, match="tenant_jobs_per_hour"):
+            EQCConfig(tenant_jobs_per_hour=0.0)
+        with pytest.raises(ValueError, match="tenant_jobs_per_hour"):
+            EQCConfig(tenant_jobs_per_hour=-2.0)
+
     def test_describe(self):
         assert "unweighted" in EQCConfig(weight_bounds=None).describe()
         assert "3 devices" in EQCConfig(device_names=("x2", "Belem", "Quito")).describe()
@@ -56,6 +62,16 @@ class TestEQCEnsemble:
         assert len(history) == 2
         assert set(history.metadata["utilization"].keys()) == {"x2", "Belem", "Bogota"}
         assert history.metadata["num_clients"] == 3
+
+    def test_record_every_validated_in_train(self, vqe_problem):
+        ensemble = EQCEnsemble.for_estimator(
+            vqe_problem.estimator,
+            EQCConfig(device_names=("x2",), shots=64, seed=0),
+        )
+        with pytest.raises(ValueError, match="record_every"):
+            ensemble.train(
+                np.zeros(vqe_problem.estimator.num_parameters), num_epochs=1, record_every=0
+            )
 
     def test_parallelism_beats_single_device_wall_clock(self, vqe_problem):
         """The 3-device ensemble must finish the same number of epochs in less

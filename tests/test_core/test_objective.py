@@ -39,7 +39,7 @@ class TestEnergyObjective:
         expected[0, 3] += np.pi / 2
         expected[1, 3] -= np.pi / 2
         assert np.array_equal(job.batch.theta, expected)
-        assert job.num_circuits == objective.circuits_per_job(task) == 6
+        assert job.num_circuits == 6
         # The lazily bound inspection view, in execution order.
         circuits = job.circuits
         assert len(circuits) == 6

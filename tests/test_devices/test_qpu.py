@@ -1,7 +1,5 @@
 """Tests for the simulated QPU model."""
 
-import pickle
-
 import numpy as np
 import pytest
 
@@ -81,8 +79,6 @@ class TestCalibrationLifecycle:
         # per calibration cycle,
         period = qpu.spec.calibration_period_hours * 3600.0
         assert qpu.estimated_calibration(period + 5.1 * refresh) is not first
-        # and the memo does not travel with a pickled device.
-        assert pickle.loads(pickle.dumps(qpu))._estimated_cache == {}
 
     def test_drift_factor_at_least_one(self, bogota):
         for hour in (0, 5, 12, 23):

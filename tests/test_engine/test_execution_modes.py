@@ -4,8 +4,11 @@ Tiling must be *bit-exact* against the untiled pass (every op acts on batch
 rows independently), while complex64 execution trades ~1e-6 amplitude error
 for half the memory.  Both are checked across the same structure space as
 the compiler equivalence suite: fused, unfused, diagonal-disabled, and
-parameterless programs.
+parameterless programs; a 15-qubit sweep checks the tiled pass's memory
+budget.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -123,6 +126,45 @@ class TestComplex64Execution:
     def test_default_dtype_unchanged(self):
         program, slots = _random_sweep(11, points=2)
         assert execute_program(program, slots).dtype == np.complex128
+
+
+class TestTiledMemoryBudget:
+    """A tiled complex64 sweep holds one output stack plus two tile rows.
+
+    The budget is three full complex64 stacks: the tiled single-precision
+    pass fits it, the untiled complex128 pass (two double-precision stacks
+    plus the phase stack) cannot.
+    """
+
+    QUBITS = 15
+    POINTS = 6
+
+    @staticmethod
+    def _peak_bytes(fn):
+        tracemalloc.start()
+        try:
+            result = fn()
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_tiled_complex64_fits_where_untiled_complex128_does_not(self):
+        template = hardware_efficient_ansatz(self.QUBITS, num_layers=1, measure=False)
+        program = compile_circuit(template)
+        theta = np.random.default_rng(20260807).uniform(
+            -np.pi, np.pi, (self.POINTS, len(template.ordered_parameters()))
+        )
+        slots = plan_slot_values(parameter_plan(template, program), theta)
+        budget = 3 * self.POINTS * 2**self.QUBITS * np.dtype(np.complex64).itemsize
+
+        base, untiled_peak = self._peak_bytes(lambda: execute_program(program, slots))
+        single, tiled_peak = self._peak_bytes(
+            lambda: execute_program(program, slots, dtype=np.complex64, tile=1)
+        )
+        assert untiled_peak > budget
+        assert tiled_peak <= budget
+        assert np.max(np.abs(base - execute_program(program, slots, tile=1))) <= TILE_TOLERANCE
+        assert np.max(np.abs(base - single)) <= C64_TOLERANCE
 
 
 class TestScratchDeferral:

@@ -13,7 +13,6 @@ from repro.faults import (
     FleetExhaustedError,
     OutageWindow,
     RetryPolicy,
-    WorkerCrash,
 )
 
 DEVICES = ("x2", "Belem", "Bogota")
@@ -63,16 +62,6 @@ class TestConfigValidation:
         devices = history.metadata["scheduler"]["devices"]
         assert devices["Bogota"]["outage_windows"] == 1
         assert devices["Bogota"]["waiting"] == 0
-
-    def test_device_faults_with_parallel_workers_rejected(self):
-        with pytest.raises(ValueError, match="worker_crashes"):
-            make_config(
-                fault_plan=FaultPlan(transient_failure_rate=0.1), parallel_workers=2
-            )
-
-    def test_worker_crashes_require_parallel_workers(self):
-        with pytest.raises(ValueError, match="parallel_workers"):
-            make_config(fault_plan=FaultPlan(worker_crashes=(WorkerCrash(0, 3),)))
 
     def test_retry_policy_requires_fault_plan(self):
         with pytest.raises(ValueError, match="retry_policy"):

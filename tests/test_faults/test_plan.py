@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.faults import FaultPlan, OutageWindow, WorkerCrash
+from repro.faults import FaultPlan, OutageWindow
 
 
 class TestOutageWindow:
@@ -33,19 +33,10 @@ class TestOutageWindow:
             OutageWindow(device="Belem", duration=0.0)
 
 
-class TestWorkerCrash:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            WorkerCrash(worker_id=-1, after_jobs=1)
-        with pytest.raises(ValueError):
-            WorkerCrash(worker_id=0, after_jobs=0)
-
-
 class TestFaultPlan:
     def test_empty_plan_is_disabled(self):
         plan = FaultPlan()
         assert not plan.enabled
-        assert not plan.has_device_faults
 
     def test_any_device_fault_enables(self):
         assert FaultPlan(transient_failure_rate=0.1).enabled
@@ -55,11 +46,6 @@ class TestFaultPlan:
             calibration_blackouts=(OutageWindow(device="Belem", duration=10.0),)
         ).enabled
 
-    def test_worker_crashes_enable_without_device_faults(self):
-        plan = FaultPlan(worker_crashes=(WorkerCrash(0, 3),))
-        assert plan.enabled
-        assert not plan.has_device_faults
-
     def test_rates_validated(self):
         with pytest.raises(ValueError):
             FaultPlan(transient_failure_rate=1.0)
@@ -68,18 +54,6 @@ class TestFaultPlan:
         with pytest.raises(ValueError):
             FaultPlan(result_delay_seconds=0.0)
 
-    def test_duplicate_crash_points_rejected(self):
-        with pytest.raises(ValueError):
-            FaultPlan(worker_crashes=(WorkerCrash(0, 3), WorkerCrash(0, 3)))
-
-    def test_crash_points_for_sorted_per_worker(self):
-        plan = FaultPlan(
-            worker_crashes=(WorkerCrash(1, 7), WorkerCrash(0, 5), WorkerCrash(1, 2))
-        )
-        assert plan.crash_points_for(0) == (5,)
-        assert plan.crash_points_for(1) == (2, 7)
-        assert plan.crash_points_for(2) == ()
-
     def test_describe_round_trips_to_json_types(self):
         import json
 
@@ -87,7 +61,6 @@ class TestFaultPlan:
             seed=3,
             outages=(OutageWindow(device="Belem", start=5.0, duration=10.0),),
             transient_failure_rate=0.2,
-            worker_crashes=(WorkerCrash(0, 3),),
         )
         described = plan.describe()
         assert described["transient_failure_rate"] == 0.2

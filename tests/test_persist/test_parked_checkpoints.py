@@ -28,7 +28,7 @@ from repro import (
     RetryPolicy,
     resume,
 )
-from repro.core.master import EQCMasterNode, _InFlight
+from repro.core.master import EQCMasterNode
 from repro.core.weighting import WeightingConfig
 from repro.persist.format import read_checkpoint_file
 from repro.persist.state import restore_parked, snapshot_inflight
@@ -214,9 +214,10 @@ def test_a_parked_job_round_trips_through_json(objective, seed, jobs):
     original, master = make_master(objective, seed)
     entries = []
     for number, (client, (index, theta, now)) in enumerate(zip(original.clients, jobs)):
+        master.state.values[:] = theta
+        master.state.version = number
         task = GradientTask(task_id=number, parameter_index=index)
-        job_id, finish, _ = master._executor.submit(client.device_name, task, theta, now, number)
-        entries.append(_InFlight(finish, number, None, client, job_id))
+        entries.append(master._dispatch_task(client, task, now, number))
     assert len(original.provider._parked) == len(jobs)
 
     # Heap order is not park order: snapshot (and restore) the entries reversed.
@@ -238,7 +239,7 @@ def test_a_parked_job_round_trips_through_json(objective, seed, jobs):
         ]
 
     for entry, dispatched in zip(entries, restored):
-        expected_job = master._executor._dispatched[entry.job_id].cloud_job
+        expected_job = master._dispatched[entry.job_id].cloud_job
         assert dispatched.collect() == master.gather(entry)
         assert counts_of(dispatched.cloud_job) == counts_of(expected_job)
     assert not fresh.provider._parked and not original.provider._parked

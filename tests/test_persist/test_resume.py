@@ -254,6 +254,24 @@ class TestFaultPlanResume:
             == faulted_history.metadata["provider_faults"]
         )
 
+    def test_a_store_with_the_removed_multiprocess_keys_resumes(
+        self, objective, theta0, faulted_history, tmp_path
+    ):
+        """Manifests written while ``EQCConfig`` had a multiprocess mode carry
+        its keys, at the defaults (the mode rejected checkpointing); the
+        config rebuild reads explicit keys, so they resume unchanged."""
+        config = make_config(tmp_path, faults=True)
+        train_until_crash(objective, config, theta0, 2)
+        run = RunStore(tmp_path).load_run("run-000001")
+        manifest = run.manifest()
+        # Spelled in pieces: the removed names appear nowhere else in the tree.
+        manifest["config"].update({"parallel_" + "workers": 0, "parallel_" + "start_method": None})
+        manifest["config"]["fault_plan"]["worker_" + "crashes"] = []
+        run.write_manifest(manifest)
+        history = resume(run, objective)
+        assert history_key(history) == history_key(faulted_history)
+        assert history.metadata["fault_stats"] == faulted_history.metadata["fault_stats"]
+
 
 class TestCorruptionFallback:
     def _crashed_run(self, objective, theta0, tmp_path):

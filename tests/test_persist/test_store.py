@@ -189,12 +189,6 @@ class TestConfigValidation:
                 scheduling_policy=FifoPolicy(),
             )
 
-    def test_checkpointing_rejects_parallel_workers(self, tmp_path):
-        with pytest.raises(ValueError, match="parallel_workers"):
-            make_config(
-                checkpoint_every=1, run_store=str(tmp_path), parallel_workers=2
-            )
-
     def test_checkpointing_enabled_property(self, tmp_path):
         assert not make_config().checkpointing_enabled
         assert make_config(

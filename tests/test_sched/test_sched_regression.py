@@ -42,7 +42,6 @@ class TestStatisticalFallbackRegression:
         assert provider.scheduler is None
         endpoint = copy.deepcopy(provider._endpoint("Belem"))
         expected_start = StatisticalQueuePolicy().start_time(endpoint, 120.0)
-        assert provider.preview_start_time("Belem", 120.0) == expected_start
         circuit = ghz_state(4)
         footprint = transpile(circuit, provider.qpu("Belem").topology).footprint
         job = provider.submit("Belem", [circuit], footprint, now=120.0)

@@ -37,4 +37,4 @@ def test_backends_package_exports():
 
 
 def test_eqc_config_field_count():
-    assert len(dataclasses.fields(EQCConfig)) == 20
+    assert len(dataclasses.fields(EQCConfig)) == 18

@@ -15,4 +15,3 @@ def clean_telemetry():
     yield
     TELEMETRY.disable()
     TELEMETRY.reset()
-    TELEMETRY.set_process(0, "main")

@@ -1,4 +1,4 @@
-"""Metrics registry: counters, gauges, histograms, and merge determinism."""
+"""Metrics registry: counters, gauges, histograms, and snapshots."""
 
 from __future__ import annotations
 
@@ -94,14 +94,8 @@ class TestHistogram:
         with pytest.raises(ValueError, match="other bounds"):
             registry.histogram("lat", bounds=(1.0, 3.0))
 
-    def test_merge_requires_identical_bounds(self):
-        a = Histogram(bounds=(1.0, 2.0))
-        b = Histogram(bounds=(1.0, 3.0)).to_dict()
-        with pytest.raises(ValueError, match="bucket bounds"):
-            a.merge_dict(b)
 
-
-class TestSnapshotAndMerge:
+class TestSnapshot:
     def _populated(self) -> MetricsRegistry:
         registry = MetricsRegistry()
         registry.counter("jobs", device="a").inc(3)
@@ -126,42 +120,6 @@ class TestSnapshotAndMerge:
                 for value in node:
                     check(value)
         check(snapshot)
-
-    def test_merge_doubles_counters_and_histograms(self):
-        registry = self._populated()
-        registry.merge_snapshot(self._populated().snapshot())
-        assert dict(registry.counters())["jobs{device=a}"] == 6.0
-        merged = registry.histogram("wait")
-        assert merged.count == 6
-        assert merged.total == pytest.approx(2 * 0.111)
-
-    def test_gauge_merge_overwrites_only_if_set(self):
-        registry = self._populated()
-        incoming = MetricsRegistry()
-        incoming.gauge("depth")  # created but never set
-        registry.merge_snapshot(incoming.snapshot())
-        assert dict(registry.gauges())["depth"] == 2.0
-        incoming.gauge("depth").set(9)
-        registry.merge_snapshot(incoming.snapshot())
-        assert dict(registry.gauges())["depth"] == 9.0
-
-    def test_merge_order_determinism(self):
-        """Merging the same snapshots in fleet order is reproducible."""
-        snapshots = []
-        for worker in range(3):
-            registry = MetricsRegistry()
-            registry.counter("n").inc(worker + 1)
-            registry.gauge("g").set(worker)
-            registry.histogram("h", bounds=(1.0,)).observe(worker)
-            snapshots.append(registry.snapshot())
-        merged_a = MetricsRegistry()
-        merged_b = MetricsRegistry()
-        for snapshot in snapshots:
-            merged_a.merge_snapshot(snapshot)
-            merged_b.merge_snapshot(snapshot)
-        assert merged_a.snapshot() == merged_b.snapshot()
-        assert dict(merged_a.counters())["n"] == 6.0
-        assert dict(merged_a.gauges())["g"] == 2.0  # last worker wins
 
     def test_reset_empties_the_registry(self):
         registry = self._populated()

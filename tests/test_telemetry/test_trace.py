@@ -57,23 +57,6 @@ class TestTracerExport:
         assert tracer.dropped == 3
         assert _chrome(tracer)["otherData"]["dropped_events"] == 3
 
-    def test_ingest_merges_worker_payloads(self):
-        worker = Tracer()
-        worker.pid = 2
-        worker.process_name = "worker 1"
-        worker.add_span("w", "test", 100, 200)
-        master = Tracer()
-        master.add_span("m", "test", 0, 300)
-        master.ingest(worker.export_payload())
-        trace = _chrome(master)
-        names = {
-            e["pid"]: e["args"]["name"]
-            for e in trace["traceEvents"]
-            if e["ph"] == "M" and e["name"] == "process_name"
-        }
-        assert names[0] == "main" and names[2] == "worker 1"
-        assert len([e for e in trace["traceEvents"] if e["ph"] == "X"]) == 2
-
     def test_write_produces_loadable_json(self, tmp_path):
         tracer = Tracer()
         tracer.add_span("a", "test", 0, 10)
