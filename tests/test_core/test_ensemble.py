@@ -3,9 +3,27 @@
 import numpy as np
 import pytest
 
+from repro.cloud.queueing import QueueModel
 from repro.core.ensemble import EQCConfig, EQCEnsemble
 from repro.core.objective import EnergyObjective
 from repro.core.weighting import BOUNDS_MODERATE
+from repro.faults import FaultPlan, OutageWindow, RetryPolicy
+
+#: A plan that injects something on every run of the small fleets below.
+CHAOS = FaultPlan(seed=11, transient_failure_rate=0.3)
+
+
+def assert_histories_identical(reference, candidate):
+    """Bit-equal records, totals and run metadata."""
+    assert len(candidate.records) == len(reference.records)
+    for expected, actual in zip(reference.records, candidate.records):
+        assert actual.loss == expected.loss
+        assert np.array_equal(actual.parameters, expected.parameters)
+        assert actual.sim_time_hours == expected.sim_time_hours
+        assert actual.weights == expected.weights
+    assert candidate.total_updates == reference.total_updates
+    assert candidate.total_jobs == reference.total_jobs
+    assert candidate.metadata == reference.metadata
 
 
 class TestEQCConfig:
@@ -33,6 +51,69 @@ class TestEQCConfig:
         assert "unweighted" in EQCConfig(weight_bounds=None).describe()
         assert "3 devices" in EQCConfig(device_names=("x2", "Belem", "Quito")).describe()
         assert EQCConfig(label="custom").describe() == "custom"
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"device_names": ()}, "at least one device"),
+            ({"shots": 0}, "shots"),
+            ({"learning_rate": -0.1}, "learning_rate"),
+            ({"background_tenants": -1}, "background_tenants"),
+            ({"dispatch_deadline": -5.0}, "dispatch_deadline"),
+            ({"min_live_devices": 4}, "min_live_devices"),
+            ({"retry_policy": RetryPolicy()}, "retry_policy"),
+        ],
+        ids=[
+            "device_names",
+            "shots",
+            "learning_rate",
+            "background_tenants",
+            "dispatch_deadline",
+            "min_live_devices",
+            "retry_policy",
+        ],
+    )
+    def test_invalid_field_names_itself(self, overrides, message):
+        kwargs = {"device_names": ("x2", "Belem", "Bogota"), **overrides}
+        with pytest.raises(ValueError, match=message):
+            EQCConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"scheduling_policy": "fifo"}, {"background_tenants": 4}],
+        ids=["policy", "tenants"],
+    )
+    def test_checkpointing_with_the_scheduler_is_rejected(self, tmp_path, overrides):
+        with pytest.raises(ValueError, match="checkpointing is incompatible"):
+            EQCConfig(checkpoint_every=1, run_store=str(tmp_path), **overrides)
+
+    @pytest.mark.parametrize(
+        "overrides, checkpointing, scheduler, tolerant",
+        [
+            ({"checkpoint_every": 1, "fault_plan": CHAOS}, True, False, True),
+            ({"checkpoint_every": 1, "dispatch_deadline": 600.0}, True, False, True),
+            ({"scheduling_policy": "fifo", "fault_plan": CHAOS}, False, True, True),
+            ({"background_tenants": 4, "dispatch_deadline": 600.0}, False, True, True),
+            ({"fault_plan": CHAOS, "dispatch_deadline": 600.0}, False, False, True),
+        ],
+        ids=[
+            "checkpointing-faults",
+            "checkpointing-deadline",
+            "scheduler-faults",
+            "tenants-deadline",
+            "faults-deadline",
+        ],
+    )
+    def test_every_other_pairing_is_accepted(
+        self, tmp_path, overrides, checkpointing, scheduler, tolerant
+    ):
+        kwargs = dict(overrides)
+        if checkpointing:
+            kwargs["run_store"] = str(tmp_path)
+        config = EQCConfig(device_names=("x2", "Belem"), **kwargs)
+        assert config.checkpointing_enabled is checkpointing
+        assert config.uses_scheduler is scheduler
+        assert config.fault_tolerant is tolerant
 
 
 class TestEQCEnsemble:
@@ -94,3 +175,62 @@ class TestEQCEnsemble:
         a = EQCEnsemble(EnergyObjective(vqe_problem.estimator), small_config).train(theta, 2)
         b = EQCEnsemble(EnergyObjective(vqe_problem.estimator), small_config).train(theta, 2)
         assert np.allclose(a.losses, b.losses)
+
+    @pytest.mark.parametrize(
+        "plan, injects",
+        [
+            (None, False),
+            (FaultPlan(), False),
+            (FaultPlan(seed=4, result_delay_seconds=30.0), False),
+            (FaultPlan(transient_failure_rate=0.1), True),
+            (FaultPlan(result_timeout_rate=0.1), True),
+            (FaultPlan(outages=[OutageWindow(device="Belem", duration=60.0)]), True),
+            (FaultPlan(calibration_blackouts=[OutageWindow(device="x2", duration=60.0)]), True),
+        ],
+        ids=["none", "empty", "inert", "transient", "timeout", "outage", "blackout"],
+    )
+    def test_fault_injector_exists_only_when_the_plan_injects(self, vqe_problem, plan, injects):
+        config = EQCConfig(device_names=("x2", "Belem"), shots=64, fault_plan=plan)
+        ensemble = EQCEnsemble(EnergyObjective(vqe_problem.estimator), config)
+        assert config.faults_enabled is injects
+        assert (ensemble.fault_injector is not None) is injects
+        assert ensemble.provider._faults is ensemble.fault_injector
+
+
+class TestSeededReplay:
+    """The same seeded configuration trains to a bit-equal history, in every
+    mode the ensemble runs: its one in-process loop replays each device's
+    streams exactly."""
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {},
+            {"weight_bounds": None},
+            {"refresh_weights": True},
+            {"queue_models": {"x2": QueueModel(mean_wait_seconds=180.0, popularity=0.8)}},
+            {"fault_plan": CHAOS},
+            {"dispatch_deadline": 120.0},
+            {"scheduling_policy": "fifo"},
+            {"background_tenants": 20},
+        ],
+        ids=[
+            "statistical",
+            "unweighted",
+            "refresh_weights",
+            "queue_models",
+            "faults",
+            "deadline",
+            "fifo",
+            "tenants",
+        ],
+    )
+    def test_repeat_run_is_bit_equal(self, vqe_problem, overrides):
+        def run():
+            config = EQCConfig(
+                device_names=("x2", "Belem", "Bogota"), shots=256, seed=1, **overrides
+            )
+            ensemble = EQCEnsemble(EnergyObjective(vqe_problem.estimator), config)
+            return ensemble.train(vqe_problem.random_initial_parameters(seed=1), num_epochs=2)
+
+        assert_histories_identical(run(), run())

@@ -5,16 +5,16 @@ import pytest
 
 from repro.cloud.provider import CloudProvider
 from repro.core.client import EQCClientNode
-from repro.core.master import EQCMasterNode
+from repro.core.master import EQCMasterNode, _InFlight
 from repro.core.objective import EnergyObjective
 from repro.core.weighting import BOUNDS_MODERATE, WeightingConfig
 from repro.devices.catalog import build_fleet
 from repro.vqa.optimizer import AsgdRule
-from repro.vqa.tasks import vqe_task_cycle
+from repro.vqa.tasks import GradientTask, vqe_task_cycle
 
 
 def build_master(problem, device_names=("x2", "Belem", "Bogota"), bounds=BOUNDS_MODERATE,
-                 shots=512, seed=0, label="EQC-test"):
+                 shots=512, seed=0, label="EQC-test", **options):
     objective = EnergyObjective(problem.estimator)
     fleet = build_fleet(device_names)
     provider = CloudProvider(fleet, seed=seed, shots=shots)
@@ -27,6 +27,7 @@ def build_master(problem, device_names=("x2", "Belem", "Bogota"), bounds=BOUNDS_
         weighting=WeightingConfig(bounds=bounds),
         initial_parameters=problem.random_initial_parameters(seed=seed),
         label=label,
+        **options,
     )
 
 
@@ -159,3 +160,132 @@ class TestMasterTraining:
         a = build_master(vqe_problem, seed=1).train(num_epochs=2)
         b = build_master(vqe_problem, seed=2).train(num_epochs=2)
         assert not np.allclose(a.losses, b.losses)
+
+
+#: A deadline inside the 4-qubit VQE's spread of job turnarounds (roughly
+#: 80-210 s on this fleet), so some jobs are cut and most are not.
+STRAGGLER_DEADLINE = 150.0
+
+
+class TestDispatchRegistry:
+    """The master holds each dispatched task by job id until it collects it."""
+
+    def test_dispatches_register_consecutive_job_ids(self, vqe_problem):
+        master = build_master(vqe_problem)
+        entries = [
+            master._dispatch_task(client, GradientTask(i, i), 0.0, i)
+            for i, client in enumerate(master.clients)
+        ]
+        assert [entry.job_id for entry in entries] == [0, 1, 2]
+        assert sorted(master._dispatched) == [0, 1, 2]
+        assert all(entry.kind == "job" and entry.outcome is None for entry in entries)
+        assert master.telemetry.jobs_dispatched == 3
+
+    def test_register_continues_the_dispatch_ids(self, vqe_problem):
+        master = build_master(vqe_problem)
+        client = master.clients[0]
+        entry = master._dispatch_task(client, GradientTask(0, 0), 0.0, 1)
+        extra = client.dispatch_task(GradientTask(1, 1), master.state.snapshot(), 0.0)
+        job_id = master.register(extra)
+        assert job_id == entry.job_id + 1
+        assert master._dispatched[job_id] is extra
+
+    def test_gather_collects_once_and_forgets_the_task(self, vqe_problem):
+        master = build_master(vqe_problem)
+        entry = master._dispatch_task(master.clients[1], GradientTask(0, 3), 0.0, 1)
+        outcome = master.gather(entry)
+        assert entry.job_id not in master._dispatched
+        # A second gather reads the stored outcome; the task is not collected twice.
+        assert master.gather(entry) is outcome
+        assert outcome.task.parameter_index == 3
+        assert outcome.finish_time == entry.finish_time
+
+    def test_gathered_outcome_equals_the_clients_own_execute(self, vqe_problem):
+        master = build_master(vqe_problem)
+        entry = master._dispatch_task(master.clients[2], GradientTask(0, 5), 0.0, 1)
+        # Same seed, same fleet: the reference provider replays the same streams.
+        reference = build_master(vqe_problem)
+        outcome = reference.clients[2].execute_task(
+            GradientTask(0, 5), reference.state.snapshot(), 0.0, reference.state.version
+        )
+        assert master.gather(entry) == outcome
+
+    def test_parked_task_is_held_until_its_counts_are_drawn(self, vqe_problem):
+        master = build_master(vqe_problem)
+        client = master.clients[0]
+        entry = master._dispatch_task(client, GradientTask(0, 0), 0.0, 1)
+        dispatched = master._dispatched[entry.job_id]
+        assert dispatched.cloud_job.parked
+        assert master.parked_task(entry) is dispatched
+        client.provider.resolve()
+        assert master.parked_task(entry) is None
+        # A job entry whose counts are in is collected on the spot.
+        assert entry.outcome is not None
+        assert entry.job_id not in master._dispatched
+
+    def test_parked_task_of_an_event_without_a_job_is_none(self, vqe_problem):
+        master = build_master(vqe_problem)
+        probe = _InFlight(
+            10.0, 1, outcome=None, client=master.clients[0], kind="probe",
+            task=GradientTask(0, 0),
+        )
+        assert master.parked_task(probe) is None
+
+    def test_every_dispatch_goes_to_the_client(self, vqe_problem, monkeypatch):
+        master = build_master(vqe_problem)
+        calls = []
+        for client in master.clients:
+            def spy(*args, _client=client, _dispatch=client.dispatch_task, **kwargs):
+                calls.append(_client.device_name)
+                return _dispatch(*args, **kwargs)
+
+            monkeypatch.setattr(client, "dispatch_task", spy)
+        master.train(num_epochs=1)
+        assert len(calls) == master.telemetry.jobs_dispatched
+        assert set(calls) == {"x2", "Belem", "Bogota"}
+
+    def test_circuits_executed_sums_the_registered_jobs(self, vqe_problem, monkeypatch):
+        master = build_master(vqe_problem)
+        registered = []
+        register = master.register
+        monkeypatch.setattr(
+            master, "register", lambda dispatched: registered.append(dispatched) or register(dispatched)
+        )
+        master.train(num_epochs=1)
+        assert len(registered) == master.telemetry.jobs_dispatched
+        assert sum(d.cloud_job.num_circuits for d in registered) == (
+            master.telemetry.circuits_executed
+        )
+
+    @pytest.mark.parametrize("deadline", [None, STRAGGLER_DEADLINE])
+    def test_every_job_is_applied_cut_or_still_in_flight(self, vqe_problem, deadline):
+        master = build_master(vqe_problem, dispatch_deadline=deadline)
+        master.train(num_epochs=2)
+        telemetry, cut = master.telemetry, master._fault_stats["stragglers_cut"]
+        assert next(master._job_ids) == telemetry.jobs_dispatched
+        assert telemetry.jobs_dispatched == (
+            telemetry.updates_applied + cut + len(master._dispatched)
+        )
+        assert (cut > 0) == (deadline is not None)
+        # The jobs in flight at the budget had their shots drawn all the same.
+        assert master._dispatched
+        assert not any(d.cloud_job.parked for d in master._dispatched.values())
+
+    def test_a_cut_straggler_is_drained_and_its_task_redispatched(self, vqe_problem):
+        master = build_master(vqe_problem, dispatch_deadline=STRAGGLER_DEADLINE)
+        client = master.clients[0]
+        entry = None
+        for index in range(master.cycle_length):
+            candidate = master._dispatch_task(client, GradientTask(index, index), 0.0, index)
+            if candidate.kind == "straggler":
+                entry = candidate
+                break
+            master.gather(candidate)
+        assert entry is not None
+        assert entry.finish_time == STRAGGLER_DEADLINE
+        pending = []
+        master._absorb_fault(entry, entry.finish_time, 100, pending)
+        assert entry.job_id not in master._dispatched
+        assert master._fault_stats["stragglers_cut"] == 1
+        (retry,) = pending
+        assert master._dispatched[retry.job_id].task is entry.task

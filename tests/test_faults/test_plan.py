@@ -70,3 +70,21 @@ class TestFaultPlan:
     def test_collections_accept_lists(self):
         plan = FaultPlan(outages=[OutageWindow(device="Belem")])
         assert isinstance(plan.outages, tuple)
+
+    def test_blackouts_accept_lists(self):
+        window = OutageWindow(device="x2", start=3.0, duration=4.0)
+        plan = FaultPlan(calibration_blackouts=[window])
+        assert plan.calibration_blackouts == (window,)
+        assert plan.enabled
+
+    def test_describe_lists_the_four_fault_families(self):
+        described = FaultPlan(seed=2).describe()
+        assert set(described) == {
+            "seed",
+            "outages",
+            "transient_failure_rate",
+            "result_timeout_rate",
+            "result_delay_seconds",
+            "calibration_blackouts",
+        }
+        assert described["outages"] == described["calibration_blackouts"] == []

@@ -71,6 +71,16 @@ class TestConfigSerialization:
         config = make_config(background_tenants=2, tenant_jobs_per_hour=4.0)
         assert config_from_dict(config_to_dict(config)) == config
 
+    @pytest.mark.parametrize("config", [make_config(), FULL_CONFIG], ids=["minimal", "full"])
+    def test_rebuild_reads_only_the_keys_it_knows(self, config):
+        # A manifest may carry keys this version no longer has (stores written
+        # when the config had a multiprocess mode do); the rebuild skips them.
+        data = config_to_dict(config)
+        data["obsolete_setting"] = 3
+        if data["fault_plan"] is not None:
+            data["fault_plan"]["obsolete_family"] = []
+        assert config_from_dict(data) == config
+
     def test_scheduler_config_rejected(self):
         from repro.sched import FifoPolicy
 

@@ -11,8 +11,15 @@ from repro.circuit import hardware_efficient_ansatz
 from repro.core import EQCConfig, EQCEnsemble
 from repro.devices import build_qpu
 from repro.engine import ProgramCache
+from repro.faults import FaultPlan
 from repro.hamiltonian.expectation import EnergyEstimator
-from repro.telemetry import TELEMETRY, run_report, telemetry_session, validate_chrome_trace
+from repro.telemetry import (
+    SIM_PID,
+    TELEMETRY,
+    run_report,
+    telemetry_session,
+    validate_chrome_trace,
+)
 
 
 def _train(problem, **overrides):
@@ -48,6 +55,26 @@ class TestGoldenBitExactness:
         with telemetry_session():
             traced = _train(vqe_problem, **kwargs)
         _assert_identical(reference, traced)
+
+    def test_fault_path(self, vqe_problem):
+        kwargs = {"fault_plan": FaultPlan(seed=11, transient_failure_rate=0.3)}
+        reference = _train(vqe_problem, **kwargs)
+        with telemetry_session():
+            traced = _train(vqe_problem, **kwargs)
+        _assert_identical(reference, traced)
+        assert reference.metadata["provider_faults"]["transient_failures"] > 0
+        assert traced.metadata["provider_faults"] == reference.metadata["provider_faults"]
+        assert traced.metadata["fleet_events"] == reference.metadata["fleet_events"]
+
+    def test_dispatch_deadline_path(self, vqe_problem):
+        kwargs = {"dispatch_deadline": 120.0}
+        reference = _train(vqe_problem, **kwargs)
+        with telemetry_session():
+            traced = _train(vqe_problem, **kwargs)
+        _assert_identical(reference, traced)
+        assert reference.metadata["fault_stats"]["stragglers_cut"] > 0
+        assert traced.metadata["fault_stats"] == reference.metadata["fault_stats"]
+        assert traced.metadata["fleet_events"] == reference.metadata["fleet_events"]
 
     def test_noisy_backend_counts(self):
         """Seeded measurement counts are bit-exact with telemetry on."""
@@ -105,6 +132,48 @@ class TestInstrumentedRun:
         assert waves["sum"] == jobs
         assert counters["cloud.resolve_rows"] == circuits == counters["engine.points_executed"]
         assert waves["count"] == counters["engine.executions"] < jobs
+
+    def test_master_gauges_match_the_history(self, vqe_problem):
+        with telemetry_session():
+            history = _train(vqe_problem)
+            gauges = dict(TELEMETRY.registry.gauges())
+        assert gauges["eqc.jobs_dispatched"] == history.total_jobs
+        assert gauges["eqc.updates_applied"] == history.total_updates
+        assert gauges["eqc.circuits_executed"] == history.metadata["circuits_executed"]
+        assert gauges["eqc.max_staleness"] == history.metadata["max_staleness"]
+
+    def test_repeated_runs_publish_identical_job_counters(self, vqe_problem):
+        def job_counters():
+            with telemetry_session():
+                _train(vqe_problem)
+                counters = dict(TELEMETRY.registry.counters())
+                gauges = dict(TELEMETRY.registry.gauges())
+            # Cache counters depend on what earlier runs left warm; the job,
+            # wave and master counts depend only on the seeded run.
+            keep = ("qpu.", "cloud.", "engine.points_executed", "eqc.")
+            return (
+                {k: v for k, v in counters.items() if k.startswith(keep)},
+                {k: v for k, v in gauges.items() if k.startswith("eqc.")},
+            )
+
+        first = job_counters()
+        assert first[0] and first[1]
+        assert job_counters() == first
+
+    def test_wall_spans_share_one_main_process_track(self, vqe_problem):
+        with telemetry_session():
+            _train(vqe_problem)
+            trace = TELEMETRY.tracer.to_chrome()
+        events = trace["traceEvents"]
+        processes = {
+            e["pid"]: e["args"]["name"]
+            for e in events
+            if e["ph"] == "M" and e["name"] == "process_name"
+        }
+        assert processes == {0: "main", SIM_PID: "simulated timeline"}
+        spans = [e for e in events if e["ph"] == "X"]
+        assert {e["pid"] for e in spans} == {0, SIM_PID}
+        assert {e["tid"] for e in spans if e["pid"] == 0} == {0}
 
     def test_disabled_mode_records_nothing(self, vqe_problem):
         assert not TELEMETRY.enabled

@@ -57,6 +57,51 @@ class TestTracerExport:
         assert tracer.dropped == 3
         assert _chrome(tracer)["otherData"]["dropped_events"] == 3
 
+    @pytest.mark.parametrize(
+        "record, names",
+        [
+            (lambda t: t.add_span("a", "test", 0, 10), {0: "main"}),
+            (lambda t: t.add_sim_span("job", "sched", "Belem", 0.0, 1.0), {SIM_PID: "simulated timeline"}),
+        ],
+        ids=["wall-only", "sim-only"],
+    )
+    def test_a_process_is_named_only_when_it_has_events(self, record, names):
+        tracer = Tracer()
+        record(tracer)
+        trace = _chrome(tracer)
+        processes = {
+            e["pid"]: e["args"]["name"]
+            for e in trace["traceEvents"]
+            if e["ph"] == "M" and e["name"] == "process_name"
+        }
+        assert processes == names
+
+    def test_instant_exports_as_a_thread_scoped_marker(self):
+        tracer = Tracer()
+        tracer.instant("mark", "test", args={"n": 2})
+        (marker,) = [e for e in _chrome(tracer)["traceEvents"] if e["ph"] != "M"]
+        assert marker["ph"] == "i" and marker["s"] == "t"
+        assert marker["pid"] == 0 and "dur" not in marker
+        assert marker["args"] == {"n": 2}
+
+    def test_export_payload_is_a_copy_of_the_events(self):
+        tracer = Tracer()
+        tracer.add_span("a", "test", 0, 10)
+        payload = tracer.export_payload()
+        payload["events"].clear()
+        assert len(tracer) == 1
+        assert tracer.export_payload()["events"][0]["name"] == "a"
+
+    def test_reset_clears_events_and_the_drop_count(self):
+        tracer = Tracer(max_events=1)
+        tracer.add_span("a", "test", 0, 1)
+        tracer.add_span("b", "test", 0, 1)
+        assert tracer.dropped == 1
+        tracer.reset()
+        assert len(tracer) == 0 and tracer.dropped == 0
+        tracer.add_span("c", "test", 0, 1)
+        assert len(tracer) == 1
+
     def test_write_produces_loadable_json(self, tmp_path):
         tracer = Tracer()
         tracer.add_span("a", "test", 0, 10)
