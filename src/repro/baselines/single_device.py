@@ -6,30 +6,25 @@ Its history shows both pathologies the paper documents — wall-clock times of
 days to months on slow or congested devices, and device-specific bias/drift
 pulling the learned parameters away from the ideal solution.
 
+A single-device run *is* a one-client, unweighted EQC master: with one job
+in flight every gradient is fresh (staleness 0) and every weight is 1.0, so
+the baseline and the ensemble it is compared against run the same loop.
 Runs are terminated (like the paper's Manhattan/Santiago/Toronto experiments)
-when the virtual wall clock exceeds ``max_wall_hours``.
+at the first epoch boundary past ``max_wall_hours`` of simulated time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
-
-import numpy as np
-
-from ..cloud.clock import SECONDS_PER_HOUR
 from ..cloud.provider import BackendFactory, CloudProvider
 from ..cloud.queueing import QueueModel
 from ..devices.catalog import build_qpu
-from ..devices.qpu import QPU
-
-if TYPE_CHECKING:  # pragma: no cover
-    from ..sched.scheduler import CloudScheduler
 from ..vqa.optimizer import AsgdRule
 from ..vqa.tasks import CyclicTaskQueue, vqe_task_cycle
 from ..core.client import EQCClientNode
-from ..core.history import EpochRecord, TrainingHistory
+from ..core.history import TrainingHistory
+from ..core.master import EQCMasterNode
 from ..core.objective import VQAObjective
+from ..core.weighting import WeightingConfig
 
 __all__ = ["SingleDeviceTrainer", "DEFAULT_TERMINATION_HOURS"]
 
@@ -49,23 +44,19 @@ class SingleDeviceTrainer:
         seed: int = 0,
         max_wall_hours: float = DEFAULT_TERMINATION_HOURS,
         queue_model: QueueModel | None = None,
-        qpu: QPU | None = None,
         backend_factory: BackendFactory | None = None,
-        scheduler: "CloudScheduler | None" = None,
     ) -> None:
         self.objective = objective
-        self.qpu = qpu if qpu is not None else build_qpu(device_name)
+        self.qpu = build_qpu(device_name)
         queue_models = {self.qpu.name: queue_model} if queue_model is not None else None
         # Execution flows through the device endpoint's ExecutionBackend
-        # (NoisyBackend unless overridden), like every other trainer; an
-        # optional scheduler makes the device a contended shared resource.
+        # (NoisyBackend unless overridden), like every other trainer.
         self.provider = CloudProvider(
             [self.qpu],
             queue_models=queue_models,
             seed=seed,
             shots=shots,
             backend_factory=backend_factory,
-            scheduler=scheduler,
         )
         self.client = EQCClientNode(
             objective=objective, qpu=self.qpu, provider=self.provider, shots=shots
@@ -83,47 +74,17 @@ class SingleDeviceTrainer:
         record_every: int = 1,
     ) -> TrainingHistory:
         """Run sequential single-device SGD for up to ``num_epochs`` epochs."""
-        if num_epochs < 1:
-            raise ValueError("num_epochs must be >= 1")
-        theta = np.asarray(initial_parameters, dtype=float).copy()
-        queue = task_queue or vqe_task_cycle(self.objective.num_parameters)
-
-        history = TrainingHistory(
+        master = EQCMasterNode(
+            objective=self.objective,
+            clients=[self.client],
+            task_queue=task_queue or vqe_task_cycle(self.objective.num_parameters),
+            rule=self.rule,
+            weighting=WeightingConfig(bounds=None),
+            initial_parameters=initial_parameters,
             label=self.label,
-            device_names=(self.qpu.name,),
-            metadata={"learning_rate": self.rule.learning_rate},
         )
-
-        now = 0.0
-        jobs = 0
-        for epoch in range(1, num_epochs + 1):
-            for _ in range(queue.cycle_length):
-                task = queue.next_task()
-                outcome = self.client.execute_task(
-                    task, theta=tuple(theta), submit_time=now, theta_version=jobs
-                )
-                jobs += 1
-                now = outcome.finish_time
-                index = task.parameter_index
-                theta[index] = self.rule.step(theta[index], outcome.gradient, weight=1.0)
-
-            if epoch % record_every == 0 or epoch == num_epochs:
-                history.add(
-                    EpochRecord(
-                        epoch=epoch,
-                        sim_time_hours=now / SECONDS_PER_HOUR,
-                        loss=self.objective.exact_loss(tuple(theta)),
-                        parameters=tuple(float(v) for v in theta),
-                    )
-                )
-            if now / SECONDS_PER_HOUR > self.max_wall_hours:
-                history.terminated_early = True
-                history.termination_reason = (
-                    f"exceeded {self.max_wall_hours:.0f} simulated hours "
-                    f"after {epoch} epochs"
-                )
-                break
-
-        history.total_updates = jobs
-        history.total_jobs = jobs
-        return history
+        return master.train(
+            num_epochs=num_epochs,
+            record_every=record_every,
+            max_sim_hours=self.max_wall_hours,
+        )

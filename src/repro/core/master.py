@@ -179,6 +179,7 @@ class EQCMasterNode:
         record_every: int = 1,
         target_updates: int | None = None,
         checkpointer: "TrainingCheckpointer | None" = None,
+        max_sim_hours: float | None = None,
     ) -> TrainingHistory:
         """Run the asynchronous optimization for ``num_epochs`` epochs.
 
@@ -187,6 +188,12 @@ class EQCMasterNode:
         updates beyond the last full epoch are recorded as a final *partial*
         epoch (flagged in ``history.metadata['final_epoch_partial_updates']``)
         rather than silently dropped.
+
+        ``max_sim_hours`` is the paper's cutoff for crawling devices: at the
+        first epoch boundary past that much simulated time the run stops
+        before handing out another task, always records that epoch, and
+        flags ``history.terminated_early``.  Jobs still in flight are
+        resolved but never applied.
 
         ``checkpointer`` (see :class:`repro.persist.TrainingCheckpointer`)
         journals every committed update, writes checkpoint generations at
@@ -297,6 +304,18 @@ class EQCMasterNode:
                     )
                     epoch_wall_start = end_ns
                     epoch_sim_start = now
+                if (
+                    max_sim_hours is not None
+                    and (now - self._start_time) / SECONDS_PER_HOUR > max_sim_hours
+                ):
+                    # Out of simulated time: this epoch is the last, so the
+                    # update budget shrinks to what has been applied.
+                    history.terminated_early = True
+                    history.termination_reason = (
+                        f"exceeded {max_sim_hours:.0f} simulated hours "
+                        f"after {epoch_completed} epochs"
+                    )
+                    target_updates = self.telemetry.updates_applied
                 if epoch_completed % record_every == 0 or (
                     self.telemetry.updates_applied >= target_updates
                 ):

@@ -1,11 +1,6 @@
 """Experiment drivers: one module per paper table/figure plus ablations."""
 
-from .ablations import (
-    SynchronousEnsembleTrainer,
-    run_async_vs_sync,
-    run_ensemble_size_sweep,
-    run_weight_refresh_ablation,
-)
+from .ablations import run_ensemble_size_sweep, run_weight_refresh_ablation
 from .fig1_overview import Fig1Row, fig1_overview, render_fig1
 from .fig3_transpile import TranspilationRow, fig3_transpilation, render_fig3
 from .fig4_ghz import GhzPoint, GhzValidationResult, fig4_ghz_validation, render_fig4
@@ -79,8 +74,6 @@ __all__ = [
     "ContentionResult",
     "run_sched_contention",
     "render_contention",
-    "SynchronousEnsembleTrainer",
-    "run_async_vs_sync",
     "run_weight_refresh_ablation",
     "run_ensemble_size_sweep",
 ]

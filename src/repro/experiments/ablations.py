@@ -1,10 +1,7 @@
-"""Ablation studies for the design choices DESIGN.md calls out.
+"""Ablation studies of EQC's design choices.
 
 These are not paper figures; they probe the EQC design decisions:
 
-* **Asynchrony** — asynchronous (ASGD) EQC vs a synchronous variant that
-  barriers every cycle (all clients compute gradients from the same
-  parameter snapshot and the slowest device gates the epoch).
 * **Weight refresh** — recomputing ``PCorrect`` at every job vs freezing the
   values captured at ensemble-formation time.
 * **Ensemble size** — throughput and converged error as the fleet grows.
@@ -12,129 +9,17 @@ These are not paper figures; they probe the EQC design decisions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
-from ..analysis.reporting import format_table
-from ..cloud.clock import SECONDS_PER_HOUR
-from ..cloud.provider import CloudProvider
-from ..core.client import EQCClientNode
 from ..core.ensemble import EQCConfig, EQCEnsemble
-from ..core.history import EpochRecord, TrainingHistory
-from ..core.objective import EnergyObjective, VQAObjective
-from ..core.weighting import BOUNDS_MODERATE, WeightBounds, normalize_weights
-from ..devices.catalog import DEFAULT_VQE_FLEET, build_fleet
-from ..vqa.optimizer import AsgdRule
-from ..vqa.tasks import vqe_task_cycle
+from ..core.objective import EnergyObjective
+from ..devices.catalog import DEFAULT_VQE_FLEET
 from ..vqa.vqe import heisenberg_vqe_problem
 
 __all__ = [
-    "SynchronousEnsembleTrainer",
-    "run_async_vs_sync",
     "run_weight_refresh_ablation",
     "run_ensemble_size_sweep",
 ]
-
-
-class SynchronousEnsembleTrainer:
-    """A barrier-synchronized variant of EQC (the ablation baseline).
-
-    Every cycle, the master snapshots the parameters, hands each task in the
-    cycle to a client round-robin, waits for *all* of them to finish (the
-    barrier — so the slowest device's queue gates the epoch), and only then
-    applies the accumulated updates.
-    """
-
-    def __init__(
-        self,
-        objective: VQAObjective,
-        device_names: Sequence[str],
-        shots: int = 8192,
-        learning_rate: float = 0.1,
-        weight_bounds: WeightBounds | None = BOUNDS_MODERATE,
-        seed: int = 0,
-    ) -> None:
-        self.objective = objective
-        self.fleet = build_fleet(device_names)
-        self.provider = CloudProvider(self.fleet, seed=seed, shots=shots)
-        self.clients = [
-            EQCClientNode(objective, qpu, self.provider, shots=shots) for qpu in self.fleet
-        ]
-        self.rule = AsgdRule(learning_rate=learning_rate)
-        self.weight_bounds = weight_bounds
-        self.label = f"sync[{len(self.fleet)} devices]"
-
-    def train(self, initial_parameters, num_epochs: int, record_every: int = 1) -> TrainingHistory:
-        theta = np.asarray(initial_parameters, dtype=float).copy()
-        queue = vqe_task_cycle(self.objective.num_parameters)
-        history = TrainingHistory(
-            label=self.label,
-            device_names=tuple(qpu.name for qpu in self.fleet),
-            metadata={"mode": "synchronous"},
-        )
-        now = 0.0
-        for epoch in range(1, num_epochs + 1):
-            snapshot = tuple(float(v) for v in theta)
-            outcomes = []
-            for offset in range(queue.cycle_length):
-                client = self.clients[offset % len(self.clients)]
-                task = queue.next_task()
-                outcomes.append(client.execute_task(task, snapshot, submit_time=now))
-            # The barrier: the epoch ends when the slowest job returns.
-            now = max(outcome.finish_time for outcome in outcomes)
-            p_values = {o.client_name: o.p_correct for o in outcomes}
-            weights = normalize_weights(p_values, self.weight_bounds)
-            for outcome in outcomes:
-                index = outcome.task.parameter_index
-                theta[index] = self.rule.step(
-                    theta[index], outcome.gradient, weights.get(outcome.client_name, 1.0)
-                )
-            if epoch % record_every == 0 or epoch == num_epochs:
-                history.add(
-                    EpochRecord(
-                        epoch=epoch,
-                        sim_time_hours=now / SECONDS_PER_HOUR,
-                        loss=self.objective.exact_loss(tuple(theta)),
-                        parameters=tuple(float(v) for v in theta),
-                        weights=weights,
-                    )
-                )
-        history.total_updates = num_epochs * queue.cycle_length
-        return history
-
-
-def run_async_vs_sync(
-    epochs: int = 60,
-    device_names: Sequence[str] = DEFAULT_VQE_FLEET,
-    shots: int = 4096,
-    seed: int = 7,
-) -> list[dict[str, object]]:
-    """Compare asynchronous EQC with the barrier-synchronized variant."""
-    problem = heisenberg_vqe_problem()
-    theta0 = problem.random_initial_parameters(seed=seed)
-
-    async_history = EQCEnsemble(
-        EnergyObjective(problem.estimator),
-        EQCConfig(device_names=tuple(device_names), shots=shots, seed=seed, label="async"),
-    ).train(theta0, num_epochs=epochs)
-
-    sync_history = SynchronousEnsembleTrainer(
-        EnergyObjective(problem.estimator), device_names, shots=shots, seed=seed
-    ).train(theta0, num_epochs=epochs)
-
-    rows = []
-    for history in (async_history, sync_history):
-        rows.append(
-            {
-                "mode": history.label,
-                "final_energy": history.final_loss(),
-                "hours": history.total_hours(),
-                "epochs_per_hour": history.epochs_per_hour(),
-            }
-        )
-    return rows
 
 
 def run_weight_refresh_ablation(

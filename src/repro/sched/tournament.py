@@ -8,11 +8,20 @@ or more QPUs — under a spread-load Poisson community of up to tens of
 thousands of tenants, and drives a foreground **proxy EQC master** through
 ``num_epochs`` training epochs: one fixed-cost foreground job per client
 device per epoch, the epoch completing when the last client finishes, the
-next epoch submitted at that instant.  That is exactly the master-loop shape
-of :class:`~repro.core.ensemble.EQCEnsemble` with the circuit physics
-replaced by a fixed device-seconds price, which keeps a 16-cell grid at 10k
-tenants affordable while preserving the quantity the paper cares about:
-epochs per simulated hour under contention.
+next epoch submitted at that instant.  The circuit physics is replaced by a
+fixed device-seconds price, which keeps a 16-cell grid at 10k tenants
+affordable.
+
+The proxy is *not* the loop of :class:`~repro.core.master.EQCMasterNode`:
+it is barrier-synchronous (the slowest client gates every epoch), while the
+real master has no barrier and hands each client its next task the moment
+its job returns.  The two disagree under contention: on the 25-device x
+1000-tenant cell of :data:`SMOKE_CONFIG`, a prototype driving the real
+master read 0.99 epochs/hour under ``backpressure`` and 2.60 under
+``deadline``, against the proxy's 3.66 and 4.49.  Moving :func:`run_cell`
+onto the master therefore changes the recorded policy claim
+(backpressure/deadline above 3 epochs/hour at 1000 tenants) and needs its
+own re-record.
 
 Each cell records the foreground throughput (``epochs_per_hour``), the
 fleet SLOs (p50/p99 queue wait, Jain fairness over per-tenant device

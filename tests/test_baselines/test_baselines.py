@@ -6,6 +6,7 @@ import pytest
 from repro.baselines.ideal import IdealTrainer
 from repro.baselines.single_device import DEFAULT_TERMINATION_HOURS, SingleDeviceTrainer
 from repro.cloud.queueing import QueueModel
+from repro.core.ensemble import EQCConfig, EQCEnsemble
 from repro.core.objective import EnergyObjective
 
 
@@ -71,6 +72,24 @@ class TestSingleDeviceTrainer:
         assert len(history) < 50
         assert "20" in history.termination_reason
 
+    def test_stopped_run_records_its_stopping_epoch(self, vqe_problem):
+        """The cutoff epoch is recorded even off the ``record_every`` cadence,
+        so a stopped run still reports a throughput and a final loss."""
+        trainer = SingleDeviceTrainer(
+            EnergyObjective(vqe_problem.estimator),
+            "Belem",
+            shots=128,
+            seed=0,
+            max_wall_hours=20.0,
+            queue_model=QueueModel(30000.0, 0.1, 0.9),
+        )
+        history = trainer.train(vqe_problem.random_initial_parameters(), 50, record_every=5)
+        assert history.terminated_early
+        assert list(history.epochs) == [1]
+        assert history.total_hours() > 20.0
+        assert np.isfinite(history.epochs_per_hour())
+        assert np.isfinite(history.final_loss())
+
     def test_default_termination_matches_paper(self):
         assert DEFAULT_TERMINATION_HOURS == pytest.approx(336.0)
 
@@ -86,3 +105,55 @@ class TestSingleDeviceTrainer:
         trainer = SingleDeviceTrainer(EnergyObjective(vqe_problem.estimator), "Belem")
         with pytest.raises(ValueError):
             trainer.train([0.0] * 16, num_epochs=0)
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+class TestSingleDeviceIsAnUnweightedEnsembleOfOne:
+    """The baseline and a one-device unweighted ``EQCEnsemble`` run the same
+    master loop, so their seeded histories agree bit for bit."""
+
+    @pytest.mark.parametrize(
+        "device, seed, queue_model",
+        [
+            ("Belem", 0, None),
+            ("Bogota", 3, None),
+            ("x2", 5, None),
+            ("Quito", 11, QueueModel(30000.0, 0.1, 0.9)),
+        ],
+    )
+    def test_histories_match_bit_for_bit(self, vqe_problem, device, seed, queue_model):
+        objective = EnergyObjective(vqe_problem.estimator)
+        theta = vqe_problem.random_initial_parameters(seed=seed)
+        single = SingleDeviceTrainer(
+            objective,
+            device,
+            shots=128,
+            learning_rate=0.15,
+            seed=seed,
+            max_wall_hours=1e9,
+            queue_model=queue_model,
+        ).train(theta, num_epochs=2)
+        ensemble = EQCEnsemble(
+            objective,
+            EQCConfig(
+                device_names=(device,),
+                shots=128,
+                learning_rate=0.15,
+                weight_bounds=None,
+                seed=seed,
+                queue_models={device: queue_model} if queue_model is not None else None,
+            ),
+        ).train(theta, num_epochs=2)
+        assert _hex(single.losses) == _hex(ensemble.losses)
+        assert _hex(single.times_hours) == _hex(ensemble.times_hours)
+        assert [_hex(r.parameters) for r in single.records] == [
+            _hex(r.parameters) for r in ensemble.records
+        ]
+        assert [r.weights for r in single.records] == [
+            {f"client_{device}": 1.0}
+        ] * 2
+        assert single.total_jobs == single.total_updates == 2 * 16
+        assert single.metadata["max_staleness"] == 0

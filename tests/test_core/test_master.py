@@ -162,6 +162,58 @@ class TestMasterTraining:
         assert not np.allclose(a.losses, b.losses)
 
 
+#: ``build_master(vqe_problem).train(num_epochs=3)`` captured before the
+#: master had a simulated-time stop: losses and epoch times as float hex.
+GOLDEN_UNSTOPPED_LOSSES_HEX = [
+    "0x1.f24679eb16382p+2",
+    "0x1.e6b12c41a7061p+2",
+    "0x1.d55dd0665d279p+2",
+]
+GOLDEN_UNSTOPPED_HOURS_HEX = [
+    "0x1.7cf07809e04dcp-3",
+    "0x1.6e8a488995440p-2",
+    "0x1.0c0300720b1e9p-1",
+]
+
+
+class TestMaxSimHours:
+    """The simulated-time stop: at the first epoch boundary past the budget
+    the master records that epoch and hands out no further task."""
+
+    @pytest.mark.parametrize("max_sim_hours", [None, 1e9])
+    def test_unreached_budget_leaves_the_history_unchanged(self, vqe_problem, max_sim_hours):
+        history = build_master(vqe_problem).train(num_epochs=3, max_sim_hours=max_sim_hours)
+        assert [float(l).hex() for l in history.losses] == GOLDEN_UNSTOPPED_LOSSES_HEX
+        assert [
+            float(r.sim_time_hours).hex() for r in history.records
+        ] == GOLDEN_UNSTOPPED_HOURS_HEX
+        assert not history.terminated_early
+        assert history.termination_reason == ""
+
+    @pytest.mark.parametrize("record_every, recorded", [(1, [1, 2]), (3, [2])])
+    def test_stops_at_the_first_epoch_boundary_past_the_budget(
+        self, vqe_problem, record_every, recorded
+    ):
+        full = build_master(vqe_problem).train(num_epochs=4)
+        budget = 0.5 * sum(full.times_hours[:2])
+        master = build_master(vqe_problem)
+        history = master.train(num_epochs=4, record_every=record_every, max_sim_hours=budget)
+        # The stopping epoch (2) is recorded even off the record cadence.
+        assert history.records == [full.records[epoch - 1] for epoch in recorded]
+        assert history.epochs_per_hour() == pytest.approx(2 / full.times_hours[1])
+        assert history.terminated_early
+        assert history.termination_reason == (
+            f"exceeded {budget:.0f} simulated hours after 2 epochs"
+        )
+        assert history.total_updates == 2 * master.cycle_length
+        assert "final_epoch_partial_updates" not in history.metadata
+        # The other clients' jobs were in flight at the stop: dispatched, never
+        # applied, and their shots drawn all the same.
+        in_flight = master._dispatched
+        assert history.total_jobs - history.total_updates == len(in_flight) == 2
+        assert not any(d.cloud_job.parked for d in in_flight.values())
+
+
 #: A deadline inside the 4-qubit VQE's spread of job turnarounds (roughly
 #: 80-210 s on this fleet), so some jobs are cut and most are not.
 STRAGGLER_DEADLINE = 150.0
