@@ -3,8 +3,8 @@
 Two properties gate the ``telemetry`` subsystem:
 
 * **disabled overhead** — with collection off, every instrumentation site
-  costs one branch on the outermost hot call.  The engine micro workload
-  (the 5-qubit HEA parameter-shift sweep of ``bench_engine_batch``) run
+  costs one branch on the outermost hot call.  An engine micro workload
+  (a 5-qubit hardware-efficient-ansatz parameter-shift sweep) run
   through the instrumented :func:`~repro.engine.executor.execute_program`
   must stay within 2% of an uninstrumented replica of the same code path.
 * **enabled-mode validity** — an instrumented mini-experiment (EQC training

@@ -6,11 +6,13 @@ partition by gate structure, an unbound
 its raw parameter matrix), each group runs as one compiled-program pass over
 a ``(rows, 2**n)`` state stack, and counts are sampled in the batch's flat
 order off a single RNG stream — so a sweep and its bound circuits consume a
-seeded stream identically.  Gate semantics are those of the looped
-:func:`~repro.simulator.statevector.simulate_statevector`, the bit-level
-reference the engine is validated against (same bit ordering, same tensor
-contraction; probabilities agree to ~1e-15, the equivalence suite asserts
-<=1e-10).
+seeded stream identically.  Gate semantics are those of the gate-by-gate
+:func:`~repro.simulator.statevector.simulate_statevector`, the reference the
+engine is validated against: the same bit ordering, with each gate there a
+gather of the amplitudes into a ``(2**k, rest)`` block, one product with the
+unitary and a scatter back (the engine instead fuses gates and runs
+precompiled contractions over the whole state stack; probabilities agree to
+~1e-15, the equivalence suite asserts <=1e-10).
 """
 
 from __future__ import annotations

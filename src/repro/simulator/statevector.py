@@ -2,8 +2,10 @@
 
 This is the ideal (noise-free) execution engine.  Circuits in this library
 are small (4–5 qubits for every experiment in the paper), so a dense
-``2**n`` complex vector with gate application via tensor reshaping is both
-simple and fast.
+``2**n`` complex vector is both simple and fast.  A gate on ``k`` qubits
+gathers the amplitudes into a contiguous ``(2**k, 2**(n-k))`` block with the
+target qubits as rows, multiplies by the ``2**k`` unitary, and scatters the
+product back; the index vectors of each ``(n, qubits)`` pair are built once.
 
 Bit-ordering convention
 -----------------------
@@ -15,15 +17,47 @@ bitstrings produced by the samplers follow the same convention.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from ..circuit.circuit import QuantumCircuit
 from ..circuit.gates import gate_matrix
-from ..circuit.parameters import Parameter
+from ..circuit.parameters import Parameter, bind_value
 
 __all__ = ["Statevector", "simulate_statevector"]
+
+
+@lru_cache(maxsize=256)
+def _gather_scatter(num_qubits: int, qubits: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, int]:
+    """Read-only ``(gather, scatter, 2**k)`` index vectors for a gate on ``qubits``.
+
+    ``vec[gather].reshape(2**k, -1)`` holds the amplitudes with ``qubits``
+    (in the given order) as the row index, in the C order the other qubits
+    keep; ``out.reshape(-1)[scatter]`` restores the register order.  The
+    gathered block is the C-contiguous operand an axis move plus reshape
+    would build, so the product is the same GEMM over the same bytes: the
+    seeded histories pinned in the tests depend on that.
+    """
+    for q in qubits:
+        if not 0 <= q < num_qubits:
+            raise ValueError(f"qubit {q} out of range")
+    if len(set(qubits)) != len(qubits):
+        raise ValueError("duplicate qubits in gate application")
+    rest = [q for q in range(num_qubits) if q not in qubits]
+    register = np.arange(1 << num_qubits).reshape([2] * num_qubits)
+    gather = register.transpose(list(qubits) + rest).reshape(-1)
+    scatter = np.empty_like(gather)
+    scatter[gather] = np.arange(gather.size)
+    gather.setflags(write=False)
+    scatter.setflags(write=False)
+    return gather, scatter, 1 << len(qubits)
+
+
+def _apply(vec: np.ndarray, matrix: np.ndarray, num_qubits: int, qubits: tuple[int, ...]) -> np.ndarray:
+    gather, scatter, rows = _gather_scatter(num_qubits, qubits)
+    return (matrix @ vec[gather].reshape(rows, -1)).reshape(-1)[scatter]
 
 
 class Statevector:
@@ -72,25 +106,7 @@ class Statevector:
             raise ValueError(
                 f"matrix of shape {matrix.shape} does not act on {k} qubits"
             )
-        for q in qubits:
-            if not 0 <= q < self.num_qubits:
-                raise ValueError(f"qubit {q} out of range")
-        if len(set(qubits)) != k:
-            raise ValueError("duplicate qubits in gate application")
-
-        n = self.num_qubits
-        # Reshape the state into an n-dimensional tensor, one axis per qubit;
-        # axis i corresponds to qubit i because qubit 0 is most significant.
-        tensor = self._vec.reshape([2] * n)
-        # Move target axes to the front, in order.
-        src = list(qubits)
-        dest = list(range(k))
-        tensor = np.moveaxis(tensor, src, dest)
-        tensor = tensor.reshape(1 << k, -1)
-        tensor = matrix @ tensor
-        tensor = tensor.reshape([2] * k + [2] * (n - k))
-        tensor = np.moveaxis(tensor, dest, src)
-        self._vec = np.ascontiguousarray(tensor.reshape(-1))
+        self._vec = _apply(self._vec, matrix, self.num_qubits, tuple(qubits))
 
     def apply_gate(self, name: str, qubits: Sequence[int], params: Sequence[float] = ()) -> None:
         """Apply a named gate (parameters must be bound floats)."""
@@ -139,20 +155,13 @@ class Statevector:
             "Y": gate_matrix("y"),
             "Z": gate_matrix("z"),
         }
-        vec = self._vec
-        tensor = vec.reshape([2] * self.num_qubits)
+        vec = transformed = self._vec
         for qubit, label in enumerate(pauli_label.upper()):
             if label == "I":
                 continue
             if label not in single:
                 raise ValueError(f"invalid Pauli character {label!r}")
-            mat = single[label]
-            tensor = np.moveaxis(tensor, qubit, 0)
-            shape = tensor.shape
-            tensor = mat @ tensor.reshape(2, -1)
-            tensor = tensor.reshape(shape)
-            tensor = np.moveaxis(tensor, 0, qubit)
-        transformed = tensor.reshape(-1)
+            transformed = _apply(transformed, single[label], self.num_qubits, (qubit,))
         value = np.vdot(vec, transformed)
         return float(np.real(value))
 
@@ -170,7 +179,9 @@ def simulate_statevector(
     """Run a circuit on the ideal statevector simulator.
 
     Measurement directives are ignored (the full final state is returned);
-    use :mod:`repro.simulator.sampler` to draw shots from it.
+    use :mod:`repro.simulator.sampler` to draw shots from it.  Each gate's
+    angles are resolved against ``parameter_values`` as it is applied; no
+    bound copy of the circuit is built.
 
     Args:
         circuit: the circuit to simulate.
@@ -179,14 +190,12 @@ def simulate_statevector(
     Raises:
         ValueError: if free parameters remain unbound.
     """
-    bound = circuit if circuit.is_bound else circuit.bind_parameters(parameter_values or {})
-    if not bound.is_bound:
-        missing = ", ".join(p.name for p in bound.parameters)
-        raise ValueError(f"unbound parameters remain: {missing}")
-    state = Statevector(bound.num_qubits)
-    for inst in bound:
-        if not inst.is_unitary:
-            continue
-        params = tuple(float(p) for p in inst.params)
-        state.apply_gate(inst.name, inst.qubits, params)
+    values = parameter_values or {}
+    missing = circuit.parameters - values.keys()
+    if missing:
+        raise ValueError(f"unbound parameters remain: {', '.join(p.name for p in missing)}")
+    state = Statevector(circuit.num_qubits)
+    for inst in circuit.instructions:
+        if inst.is_unitary:
+            state.apply_gate(inst.name, inst.qubits, tuple(bind_value(p, values) for p in inst.params))
     return state

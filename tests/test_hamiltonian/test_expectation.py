@@ -67,6 +67,20 @@ class TestEnergyEstimator:
         estimator = EnergyEstimator(hardware_efficient_ansatz(4), heisenberg_h)
         assert estimator.exact_energy([0.0] * 16) == pytest.approx(8.0)
 
+    @pytest.mark.parametrize("problem", ["vqe_problem", "qaoa_problem"])
+    def test_exact_energy_binds_no_circuit(self, problem, request, monkeypatch):
+        """The per-epoch exact loss resolves its angles inside the simulator
+        and binds no circuit."""
+        estimator = request.getfixturevalue(problem).estimator
+        theta = np.linspace(-1.2, 0.9, estimator.num_parameters)
+        expected = estimator.exact_energy(theta)
+
+        def refuse(self, values):
+            raise AssertionError("exact_energy bound a circuit")
+
+        monkeypatch.setattr(QuantumCircuit, "bind_parameters", refuse)
+        assert estimator.exact_energy(theta).hex() == expected.hex()
+
     def test_sampled_energy_matches_exact(self, heisenberg_h, rng):
         """Sampling each measurement group with many shots reproduces the
         exact energy to within statistical error."""

@@ -3,17 +3,30 @@
 import math
 
 import numpy as np
+import pytest
+from _reference import statevector as reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.circuit import QuantumCircuit
+from repro.circuit import Parameter, ParameterExpression, QuantumCircuit
+from repro.circuit.gates import GATE_SPECS, gate_matrix
 from repro.simulator.channels import readout_confusion_matrix
 from repro.simulator.mixing import MixingNoiseSpec, noisy_probabilities
 from repro.simulator.sampler import apply_readout_error, sample_distribution
 from repro.simulator.statevector import Statevector, simulate_statevector
+from repro.vqa import heisenberg_vqe_problem, ring_maxcut_qaoa_problem
+from repro.vqa.qnn import QNNProblem, make_synthetic_dataset
 
 angles = st.floats(min_value=-2 * math.pi, max_value=2 * math.pi, allow_nan=False)
 probabilities = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+
+UNITARY_GATES = sorted(name for name, spec in GATE_SPECS.items() if not spec.is_directive)
+SYMBOLS = [Parameter(f"p{i}") for i in range(3)]
+ESTIMATORS = {
+    "qaoa_ring": ring_maxcut_qaoa_problem().estimator,
+    "heisenberg": heisenberg_vqe_problem().estimator,
+    "qnn": QNNProblem("qnn", make_synthetic_dataset(4)).estimator_for(1),
+}
 
 
 def random_circuit(num_qubits: int, moves: list[tuple[int, int, float]]) -> QuantumCircuit:
@@ -42,6 +55,39 @@ moves_strategy = st.lists(
 )
 
 
+@st.composite
+def gate_angles(draw):
+    """A float, a free Parameter, or ``coeff * parameter + offset``."""
+    kind = draw(st.sampled_from(["float", "parameter", "expression"]))
+    if kind == "float":
+        return draw(angles)
+    symbol = draw(st.sampled_from(SYMBOLS))
+    if kind == "parameter":
+        return symbol
+    coeff = draw(st.floats(min_value=-3.0, max_value=3.0, allow_nan=False))
+    return ParameterExpression(symbol, coeff, draw(angles))
+
+
+@st.composite
+def drawn_circuits(draw):
+    """1-5 qubit circuits over every unitary gate, qubits in any order, plus
+    measurement and barrier directives the simulator must skip."""
+    num_qubits = draw(st.integers(1, 5))
+    gates = [g for g in UNITARY_GATES if GATE_SPECS[g].num_qubits <= num_qubits]
+    circuit = QuantumCircuit(num_qubits)
+    for _ in range(draw(st.integers(1, 24))):
+        name = draw(st.sampled_from(gates + ["measure", "barrier"]))
+        if name == "barrier":
+            circuit.barrier()
+            continue
+        spec = GATE_SPECS[name]
+        qubits = draw(st.permutations(range(num_qubits)))[: spec.num_qubits]
+        params = [draw(gate_angles()) for _ in range(spec.num_params)]
+        circuit.add_gate(name, qubits, params)
+    values = {symbol: draw(angles) for symbol in SYMBOLS}
+    return circuit, values
+
+
 class TestStatevectorInvariants:
     @given(moves=moves_strategy)
     @settings(max_examples=40, deadline=None)
@@ -66,6 +112,42 @@ class TestStatevectorInvariants:
         state.apply_gate("ry", [0], [theta])
         probs = state.probabilities()
         assert np.isclose(probs[1], math.sin(theta / 2.0) ** 2, atol=1e-9)
+
+
+class TestLoopedReferenceDifferential:
+    """The gather/scatter simulator is byte-equal to binding the circuit and
+    moving axes gate by gate (``tests/_reference/statevector.py``)."""
+
+    @given(drawn=drawn_circuits())
+    @settings(max_examples=150, deadline=None)
+    def test_amplitudes_are_byte_equal(self, drawn):
+        circuit, values = drawn
+        got = simulate_statevector(circuit, values).data
+        assert got.tobytes() == reference.simulate(circuit, values).tobytes()
+
+    @given(drawn=drawn_circuits(), labels=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_pauli_expectation_is_byte_equal(self, drawn, labels):
+        circuit, values = drawn
+        n = circuit.num_qubits
+        label = labels.draw(st.text("IXYZ", min_size=n, max_size=n))
+        vec = transformed = reference.simulate(circuit, values)
+        for qubit, char in enumerate(label):
+            if char != "I":
+                transformed = reference.apply_matrix(transformed, gate_matrix(char.lower()), (qubit,), n)
+        expected = float(np.real(np.vdot(vec, transformed)))
+        state = simulate_statevector(circuit, values)
+        assert state.expectation_pauli(label).hex() == expected.hex()
+
+    @pytest.mark.parametrize("name", sorted(ESTIMATORS))
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_exact_energy_is_byte_equal(self, name, data):
+        estimator = ESTIMATORS[name]
+        theta = data.draw(
+            st.lists(angles, min_size=estimator.num_parameters, max_size=estimator.num_parameters)
+        )
+        assert estimator.exact_energy(theta).hex() == reference.exact_energy(estimator, theta).hex()
 
 
 class TestSamplingInvariants:

@@ -74,18 +74,23 @@ class TestGateApplication:
 
     def test_invalid_matrix_shape_rejected(self):
         sv = Statevector(2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"matrix of shape \(2, 2\) does not act on 2 qubits"):
             sv.apply_matrix(np.eye(2), [0, 1])
 
+    # The range and duplicate checks live in the memoized index builder: a
+    # rejected key is never cached, so asking again raises again.
     def test_duplicate_qubits_rejected(self):
         sv = Statevector(2)
-        with pytest.raises(ValueError):
-            sv.apply_matrix(np.eye(4), [0, 0])
+        for _ in range(2):
+            with pytest.raises(ValueError, match="duplicate qubits in gate application"):
+                sv.apply_matrix(np.eye(4), [0, 0])
 
     def test_out_of_range_qubit_rejected(self):
         sv = Statevector(2)
-        with pytest.raises(ValueError):
-            sv.apply_gate("x", [5])
+        for qubit in (5, 2, -1, 5):
+            with pytest.raises(ValueError, match=f"qubit {qubit} out of range"):
+                sv.apply_gate("x", [qubit])
+        assert sv.data.tobytes() == Statevector(2).data.tobytes()
 
 
 class TestProbabilities:
@@ -175,5 +180,11 @@ class TestSimulateCircuit:
 
     def test_unbound_parameters_rejected(self):
         qc = QuantumCircuit(1).ry(Parameter("a"), 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unbound parameters remain: a"):
             simulate_statevector(qc)
+
+    def test_partially_bound_parameters_name_the_missing_one(self):
+        a, b = Parameter("a"), Parameter("b")
+        qc = QuantumCircuit(2).ry(a, 0).rz(0.5 * b + 0.1, 1)
+        with pytest.raises(ValueError, match=r"unbound parameters remain: b$"):
+            simulate_statevector(qc, {a: 0.3})
