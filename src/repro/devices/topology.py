@@ -12,11 +12,9 @@ Topology drives two things in EQC:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
-
-import networkx as nx
+from typing import Sequence
 
 __all__ = [
     "Topology",
@@ -32,7 +30,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Topology:
-    """An undirected coupling map over ``num_qubits`` physical qubits."""
+    """An undirected coupling map over ``num_qubits`` physical qubits.
+
+    ``edges`` is normalized to unique ``(a, b)`` pairs with ``a < b``, sorted.
+    Every graph query (neighbours, degree, connectivity, paths, distances)
+    reads the cached :attr:`adjacency`.
+    """
 
     name: str
     num_qubits: int
@@ -58,12 +61,17 @@ class Topology:
 
     # ------------------------------------------------------------------
     @cached_property
-    def graph(self) -> nx.Graph:
-        """The coupling map as a networkx graph (cached)."""
-        g = nx.Graph()
-        g.add_nodes_from(range(self.num_qubits))
-        g.add_edges_from(self.edges)
-        return g
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Each qubit's neighbours in ascending order (cached).
+
+        ``edges`` is sorted, so appending both ends of every edge in order
+        leaves each list ascending.
+        """
+        adjacency: list[list[int]] = [[] for _ in range(self.num_qubits)]
+        for a, b in self.edges:
+            adjacency[a].append(b)
+            adjacency[b].append(a)
+        return tuple(tuple(neighbors) for neighbors in adjacency)
 
     @property
     def directed_couplings(self) -> tuple[tuple[int, int], ...]:
@@ -76,13 +84,13 @@ class Topology:
 
     def are_connected(self, a: int, b: int) -> bool:
         """True when qubits ``a`` and ``b`` share a physical coupling."""
-        return (min(a, b), max(a, b)) in set(self.edges)
+        return 0 <= a < self.num_qubits and b in self.adjacency[a]
 
     def neighbors(self, qubit: int) -> tuple[int, ...]:
-        return tuple(sorted(self.graph.neighbors(qubit)))
+        return self.adjacency[self._qubit(qubit)]
 
     def degree(self, qubit: int) -> int:
-        return self.graph.degree[qubit]
+        return len(self.adjacency[self._qubit(qubit)])
 
     @cached_property
     def average_degree(self) -> float:
@@ -92,25 +100,84 @@ class Topology:
 
     @cached_property
     def is_connected(self) -> bool:
-        return nx.is_connected(self.graph)
+        return len(self._depths(0)) == self.num_qubits
 
     def shortest_path(self, a: int, b: int) -> list[int]:
-        """Shortest physical path between two qubits (inclusive)."""
-        return nx.shortest_path(self.graph, a, b)
+        """Shortest physical path between two qubits (inclusive).
+
+        A bidirectional BFS over :attr:`adjacency` that expands the smaller
+        fringe (the forward one on a tie) and stops at the first qubit both
+        sides have reached.  Among equally short paths it returns the one
+        networkx's ``shortest_path`` returns, so routing inserts the same SWAPs.
+        """
+        if not (0 <= a < self.num_qubits and 0 <= b < self.num_qubits):
+            raise ValueError(f"qubit pair ({a}, {b}) is not on {self.num_qubits}-qubit {self.name!r}")
+        if a == b:
+            return [a]
+        pred: dict[int, int | None] = {a: None}
+        succ: dict[int, int | None] = {b: None}
+        forward, reverse, meet = [a], [b], None
+        while forward and reverse and meet is None:
+            if len(forward) <= len(reverse):
+                forward, meet = self._expand(forward, pred, succ)
+            else:
+                reverse, meet = self._expand(reverse, succ, pred)
+        if meet is None:
+            raise ValueError(f"no path between qubits {a} and {b} on {self.name!r}")
+        path, node = [], meet
+        while node is not None:
+            path.append(node)
+            node = pred[node]
+        path.reverse()
+        node = succ[meet]
+        while node is not None:
+            path.append(node)
+            node = succ[node]
+        return path
 
     def distance(self, a: int, b: int) -> int:
         """Shortest-path distance between two qubits."""
-        return nx.shortest_path_length(self.graph, a, b)
+        return len(self.shortest_path(a, b)) - 1
 
     @cached_property
     def distance_matrix(self) -> dict[tuple[int, int], int]:
-        """All-pairs shortest-path distances."""
-        lengths = dict(nx.all_pairs_shortest_path_length(self.graph))
+        """All-pairs shortest-path distances (connected pairs only)."""
         return {
-            (a, b): int(d)
-            for a, targets in lengths.items()
-            for b, d in targets.items()
+            (a, b): d for a in range(self.num_qubits) for b, d in self._depths(a).items()
         }
+
+    def _qubit(self, qubit: int) -> int:
+        if not 0 <= qubit < self.num_qubits:
+            raise ValueError(f"qubit {qubit} is not on {self.num_qubits}-qubit {self.name!r}")
+        return qubit
+
+    def _expand(
+        self, fringe: list[int], seen: dict[int, int | None], other: dict[int, int | None]
+    ) -> tuple[list[int], int | None]:
+        """Advance one BFS side a level; also return the first qubit ``other`` holds."""
+        level = []
+        for v in fringe:
+            for w in self.adjacency[v]:
+                if w not in seen:
+                    seen[w] = v
+                    level.append(w)
+                if w in other:
+                    return level, w
+        return level, None
+
+    def _depths(self, source: int) -> dict[int, int]:
+        """BFS depth of every qubit reachable from ``source``, in visit order."""
+        depths = {source: 0}
+        frontier = [source]
+        while frontier:
+            level = []
+            for v in frontier:
+                for w in self.adjacency[v]:
+                    if w not in depths:
+                        depths[w] = depths[v] + 1
+                        level.append(w)
+            frontier = level
+        return depths
 
     def subgraph_connectivity(self, qubits: Sequence[int]) -> float:
         """Fraction of pairs among ``qubits`` that are directly coupled."""

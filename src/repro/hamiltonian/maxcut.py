@@ -7,14 +7,14 @@ the expectation of ``H`` equals minus the expected cut weight.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
-
-import networkx as nx
+from dataclasses import dataclass
+from typing import Iterable, Mapping
 
 from .pauli import PauliString, PauliSum
 
 __all__ = [
     "RING_GRAPH_EDGES",
+    "MaxCutGraph",
     "maxcut_hamiltonian",
     "ring_maxcut_hamiltonian",
     "cut_value",
@@ -26,36 +26,55 @@ __all__ = [
 RING_GRAPH_EDGES: tuple[tuple[int, int], ...] = ((0, 1), (1, 2), (2, 3), (0, 3))
 
 
+@dataclass(frozen=True)
+class MaxCutGraph:
+    """A weighted undirected MaxCut instance over nodes ``0 .. num_nodes - 1``.
+
+    ``edges`` holds one ``(a, b, weight)`` per node pair, with ``a < b``.
+    """
+
+    num_nodes: int
+    edges: tuple[tuple[int, int, float], ...]
+
+
 def maxcut_graph(
     num_nodes: int,
     edges: Iterable[tuple[int, int]],
     weights: Mapping[tuple[int, int], float] | None = None,
-) -> nx.Graph:
-    """Build a weighted undirected graph for a MaxCut instance."""
-    graph = nx.Graph()
-    graph.add_nodes_from(range(num_nodes))
+) -> MaxCutGraph:
+    """Build a weighted undirected graph for a MaxCut instance.
+
+    A pair listed twice (in either orientation) keeps its first position and
+    its last weight.  Edges are ordered by their smaller endpoint, ties in
+    listing order: the order networkx's ``Graph.edges`` used, which fixes the
+    term order of :func:`maxcut_hamiltonian` and the summation order of
+    :func:`cut_value`.
+    """
+    pair_weights: dict[tuple[int, int], float] = {}
     for a, b in edges:
         a, b = int(a), int(b)
         if a == b:
             raise ValueError("MaxCut graphs must not contain self-loops")
+        if not (0 <= a < num_nodes and 0 <= b < num_nodes):
+            raise ValueError(f"edge ({a}, {b}) has an endpoint outside [0, num_nodes={num_nodes})")
         weight = 1.0
         if weights is not None:
             weight = float(weights.get((a, b), weights.get((b, a), 1.0)))
         if weight <= 0:
             raise ValueError("edge weights must be positive")
-        graph.add_edge(a, b, weight=weight)
-    return graph
+        pair_weights[(min(a, b), max(a, b))] = weight
+    ordered = sorted(pair_weights.items(), key=lambda item: item[0][0])
+    return MaxCutGraph(num_nodes, tuple((a, b, weight) for (a, b), weight in ordered))
 
 
-def maxcut_hamiltonian(graph: nx.Graph) -> PauliSum:
+def maxcut_hamiltonian(graph: MaxCutGraph) -> PauliSum:
     """The diagonal MaxCut Hamiltonian ``-1/2 sum w_jk (1 - Z_j Z_k)``."""
-    num_qubits = graph.number_of_nodes()
+    num_qubits = graph.num_nodes
     if num_qubits < 2:
         raise ValueError("MaxCut needs at least two nodes")
     terms: list[PauliString] = []
     identity = "I" * num_qubits
-    for a, b, data in graph.edges(data=True):
-        weight = float(data.get("weight", 1.0))
+    for a, b, weight in graph.edges:
         label = "".join(
             "Z" if q in (a, b) else "I" for q in range(num_qubits)
         )
@@ -69,20 +88,20 @@ def ring_maxcut_hamiltonian() -> PauliSum:
     return maxcut_hamiltonian(maxcut_graph(4, RING_GRAPH_EDGES))
 
 
-def cut_value(graph: nx.Graph, bitstring: str) -> float:
+def cut_value(graph: MaxCutGraph, bitstring: str) -> float:
     """Cut weight of a partition encoded as a bitstring (node i -> bit i)."""
-    if len(bitstring) != graph.number_of_nodes():
+    if len(bitstring) != graph.num_nodes:
         raise ValueError("bitstring length does not match the number of nodes")
     total = 0.0
-    for a, b, data in graph.edges(data=True):
+    for a, b, weight in graph.edges:
         if bitstring[a] != bitstring[b]:
-            total += float(data.get("weight", 1.0))
+            total += weight
     return total
 
 
-def best_cut(graph: nx.Graph) -> tuple[str, float]:
+def best_cut(graph: MaxCutGraph) -> tuple[str, float]:
     """Brute-force optimal cut (feasible for the small graphs used here)."""
-    n = graph.number_of_nodes()
+    n = graph.num_nodes
     if n > 20:
         raise ValueError("brute-force best_cut limited to 20 nodes")
     best_bits = "0" * n

@@ -10,13 +10,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-import networkx as nx
 import numpy as np
 
 from ..circuit.circuit import QuantumCircuit
 from ..circuit.library import qaoa_maxcut_ansatz
 from ..hamiltonian.expectation import EnergyEstimator
-from ..hamiltonian.maxcut import RING_GRAPH_EDGES, best_cut, cut_value, maxcut_graph, maxcut_hamiltonian
+from ..hamiltonian.maxcut import RING_GRAPH_EDGES, MaxCutGraph, best_cut, cut_value, maxcut_graph, maxcut_hamiltonian
 from ..hamiltonian.pauli import PauliSum
 
 __all__ = ["QAOAProblem", "ring_maxcut_qaoa_problem"]
@@ -24,10 +23,14 @@ __all__ = ["QAOAProblem", "ring_maxcut_qaoa_problem"]
 
 @dataclass
 class QAOAProblem:
-    """A QAOA MaxCut instance: graph + Hamiltonian + ansatz + references."""
+    """A QAOA MaxCut instance: graph + Hamiltonian + ansatz + references.
+
+    ``graph`` is the :class:`MaxCutGraph` from :func:`maxcut_graph`; the
+    optimal cut and every bitstring's cut weight are read from it.
+    """
 
     name: str
-    graph: nx.Graph
+    graph: MaxCutGraph
     hamiltonian: PauliSum
     ansatz: QuantumCircuit
     estimator: EnergyEstimator = field(init=False)
@@ -51,7 +54,7 @@ class QAOAProblem:
 
     @property
     def num_edges(self) -> int:
-        return self.graph.number_of_edges()
+        return len(self.graph.edges)
 
     def energy(self, values: Sequence[float]) -> float:
         """Exact expectation of the MaxCut Hamiltonian at a parameter vector."""

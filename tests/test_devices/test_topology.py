@@ -47,6 +47,38 @@ class TestTopologyBasics:
         assert topo.distance(0, 4) == 4
         assert topo.shortest_path(0, 2) == [0, 1, 2]
 
+    def test_shortest_path_breaks_ties_like_networkx(self):
+        """A hexagon has two 3-hop paths from 0 to 5.  Expanding the forward
+        fringe on equal sizes (networkx's rule, which routing's SWAPs follow)
+        meets at 4; expanding the reverse one first would meet at 3."""
+        hexagon = Topology("hexagon", 6, ((0, 1), (0, 2), (1, 4), (2, 3), (3, 5), (4, 5)))
+        assert hexagon.shortest_path(0, 5) == [0, 1, 4, 5]
+
+    def test_are_connected_off_the_device_is_false(self):
+        topo = line_topology(3)
+        assert not topo.are_connected(2, 3)
+        assert not topo.are_connected(3, 2)
+        assert not topo.are_connected(-1, 0)
+
+    @pytest.mark.parametrize("query", ["shortest_path", "distance"])
+    @pytest.mark.parametrize("pair", [(0, 7), (7, 0), (-1, 2)])
+    def test_unknown_qubit_raises_value_error(self, query, pair):
+        with pytest.raises(ValueError, match=rf"qubit pair \({pair[0]}, {pair[1]}\) is not on 5-qubit"):
+            getattr(line_topology(5), query)(*pair)
+
+    @pytest.mark.parametrize("query", ["shortest_path", "distance"])
+    def test_disconnected_pair_raises_value_error(self, query):
+        topo = Topology("split", 4, ((0, 1), (2, 3)))
+        with pytest.raises(ValueError, match=r"no path between qubits 1 and 2 on 'split'"):
+            getattr(topo, query)(1, 2)
+        assert not topo.is_connected
+        assert (1, 2) not in topo.distance_matrix
+
+    @pytest.mark.parametrize("query", ["neighbors", "degree"])
+    def test_neighbors_of_unknown_qubit_raise_value_error(self, query):
+        with pytest.raises(ValueError, match=r"qubit -1 is not on 5-qubit"):
+            getattr(t_shape_topology(), query)(-1)
+
     def test_distance_matrix_symmetric(self):
         topo = t_shape_topology()
         dm = topo.distance_matrix

@@ -53,12 +53,20 @@ class TestHeisenberg:
 class TestMaxCut:
     def test_graph_construction(self):
         graph = maxcut_graph(4, RING_GRAPH_EDGES)
-        assert graph.number_of_nodes() == 4
-        assert graph.number_of_edges() == 4
+        assert graph.num_nodes == 4
+        assert graph.edges == ((0, 1, 1.0), (0, 3, 1.0), (1, 2, 1.0), (2, 3, 1.0))
 
     def test_self_loop_rejected(self):
         with pytest.raises(ValueError):
             maxcut_graph(3, [(1, 1)])
+
+    @pytest.mark.parametrize("edge", [(1, 5), (5, 1), (-1, 2), (0, 3)])
+    def test_endpoint_outside_the_nodes_rejected(self, edge):
+        """An out-of-range endpoint used to add a node silently: (1, 5) on 3
+        nodes gave a 4-qubit Hamiltonian whose edge became a lone Z term."""
+        a, b = edge
+        with pytest.raises(ValueError, match=rf"edge \({a}, {b}\).*num_nodes=3"):
+            maxcut_graph(3, [(0, 1), edge])
 
     def test_nonpositive_weight_rejected(self):
         with pytest.raises(ValueError):
@@ -106,8 +114,6 @@ class TestMaxCut:
             assert energy == pytest.approx(-cut_value(graph, bits))
 
     def test_best_cut_size_limit(self):
-        import networkx as nx
-
-        big = nx.path_graph(25)
+        big = maxcut_graph(25, [(i, i + 1) for i in range(24)])
         with pytest.raises(ValueError):
             best_cut(big)
