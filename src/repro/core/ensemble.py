@@ -9,6 +9,7 @@ sweeps (fleet composition, shots, learning rate, weight bounds, seeds).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -114,8 +115,15 @@ class EQCConfig:
             raise ValueError("the ensemble needs at least one device")
         if self.shots < 1:
             raise ValueError("shots must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(
+                f"learning_rate must be finite and positive (got {self.learning_rate!r})"
+            )
+        if self.weight_bounds is not None and not isinstance(self.weight_bounds, WeightBounds):
+            raise ValueError(
+                "weight_bounds must be None or a WeightBounds "
+                f"(got {type(self.weight_bounds).__name__})"
+            )
         if self.background_tenants < 0:
             raise ValueError("background_tenants must be non-negative")
         if self.tenant_jobs_per_hour <= 0:

@@ -12,6 +12,7 @@ dampened.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -51,10 +52,10 @@ class WeightBounds:
     high: float
 
     def __post_init__(self) -> None:
-        if self.low < 0:
-            raise ValueError("weight lower bound must be non-negative")
-        if self.high < self.low:
-            raise ValueError("weight upper bound must be >= lower bound")
+        if not (math.isfinite(self.low) and self.low >= 0):
+            raise ValueError(f"low must be finite and non-negative (got {self.low!r})")
+        if not (math.isfinite(self.high) and self.high >= self.low):
+            raise ValueError(f"high must be finite and >= low (got {self.high!r})")
 
     @property
     def midpoint(self) -> float:

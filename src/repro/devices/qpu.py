@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import accumulate, groupby
+from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
@@ -160,9 +161,12 @@ class QPU:
         #: regenerating one costs ~150us of lognormal draws, so the batched
         #: execution path memoizes them per cycle (values are identical).
         self._reported_cache: dict[int, CalibrationSnapshot] = {}
-        #: Raw per-cycle calibration value lists consumed by the fast
-        #: execution-noise path (see :meth:`execution_noise`).
-        self._cycle_stats: dict[int, tuple] = {}
+        #: The reported calibration of each cycle as one zero-padded array
+        #: (rows t1, t2, 2*t1, p01, p10, 1q errors, CX errors), with the row
+        #: lengths and the gate times: every noise spec of the cycle is
+        #: scaled from it in one array pass and summed row by row with the
+        #: builtin ``sum`` (see :meth:`_noise_specs`).
+        self._cycle_tables: dict[int, tuple] = {}
         #: Estimated snapshots per (cycle, properties-refresh step): the
         #: republished properties only change at a refresh, so every job in
         #: between reads one shared, read-only snapshot.
@@ -323,78 +327,99 @@ class QPU:
         parameters device-biased and what produces Casablanca-style
         post-convergence divergence in the Fig. 6 reproduction.
 
-        This is the hot call of a device batch (one spec per circuit on the
-        clock), so it scales the raw per-cycle calibration values directly —
-        element for element the arithmetic of
-        :meth:`CalibrationSnapshot.scale_errors` followed by the snapshot's
-        ``average_*`` sums, without constructing the intermediate snapshot —
-        and feeds the scalar averages straight into the Eq. 2 core.  The
-        resulting spec is bit-identical to the snapshot-based construction
-        (pinned by the test suite against :meth:`true_success_probability`).
+        The one-circuit case of a device job's array pass
+        (:meth:`_noise_specs`): the spec is bit-identical to the one built
+        from the drifted snapshot (pinned by the test suite against
+        :meth:`true_success_probability` and :meth:`effective_calibration`).
         """
-        _, cycle, factor = self._drift_at(now)
-        return self._noise_spec(footprint, cycle, factor)
+        return self._noise_specs(footprint, [self._drift_at(now)])[0]
 
-    def _noise_spec(
-        self, footprint: CircuitFootprint, cycle: int, factor: float
-    ) -> MixingNoiseSpec:
-        """:meth:`execution_noise` at a known calibration cycle and drift factor."""
-        t1s, t2s, p01s, p10s, sq_errors, cx_errors, mu_g1, mu_g2 = self._stats_for(
-            cycle
-        )
-        n = len(t1s)
-        t1_avg = sum(t1 / factor for t1 in t1s) / n
-        t2_avg = sum(min(t2 / factor, 2 * t1 / factor) for t1, t2 in zip(t1s, t2s)) / n
-        scaled_p01 = [min(1.0, max(0.0, p * factor)) for p in p01s]
-        scaled_p10 = [min(1.0, max(0.0, p * factor)) for p in p10s]
-        omega = sum(
-            0.5 * (p01 + p10) for p01, p10 in zip(scaled_p01, scaled_p10)
-        ) / n
-        gamma = sum(min(1.0, max(0.0, e * factor)) for e in sq_errors) / n
-        beta = (
-            sum(min(1.0, max(0.0, e * factor)) for e in cx_errors) / len(cx_errors)
-            if cx_errors
-            else 0.0
-        )
-        success = _success_from_averages(
-            footprint,
-            mu_g1=mu_g1,
-            mu_g2=mu_g2 or mu_g1,
-            t1=t1_avg,
-            t2=t2_avg,
-            gamma=gamma,
-            beta=beta,
-            omega=omega,
-            crosstalk=self.spec.noise_profile.crosstalk,
-            connectivity=self.topology.average_degree,
-        )
-        per_qubit = tuple(
-            zip(scaled_p01, scaled_p10)
-        )[: max(1, footprint.num_measurements)]
-        return MixingNoiseSpec(
-            success_probability=success,
-            per_qubit_readout=per_qubit,
-            coherent_bias=self.spec.noise_profile.coherent_bias * factor,
-        )
+    def _noise_specs(
+        self, footprint: CircuitFootprint, drifts: Sequence[tuple[float, int, float]]
+    ) -> list[MixingNoiseSpec]:
+        """One noise spec per drift triple ``(age, cycle, factor)`` of a job.
 
-    def _stats_for(self, cycle: int) -> tuple:
-        """Raw calibration value lists of one cycle, extracted once."""
-        stats = self._cycle_stats.get(cycle)
-        if stats is None:
+        Element for element this is :meth:`CalibrationSnapshot.scale_errors`
+        followed by the snapshot's ``average_*`` sums, without building the
+        snapshot: per calibration cycle the job's drift factors form one
+        column that divides the cycle table's times and scales (then clips
+        to ``[0, 1]``) its error rows in a fixed number of array calls.  Each
+        scaled row, cut to its length, is then summed by the builtin ``sum``,
+        as the snapshot sums it: ``np.sum`` adds pairwise from 8 entries on
+        and a plain ``np.add.accumulate`` adds left to right, while ``sum``
+        compensates its float sums from Python 3.12 on, so only ``sum``
+        itself gives the snapshot's last bit on every supported Python.  The
+        Eq. 2 core stays per circuit on Python floats, because NumPy's
+        ``exp`` and ``**`` need not round as libm's do.
+        """
+        noise = self.spec.noise_profile
+        connectivity = self.topology.average_degree
+        readout = min(self.num_qubits, max(1, footprint.num_measurements))
+        specs: list[MixingNoiseSpec] = []
+        for cycle, run in groupby(drifts, key=itemgetter(1)):
+            factors = [factor for _, _, factor in run]
+            table, n, n_cx, mu_g1, mu_g2 = self._cycle_table(cycle)
+            column = np.array(factors)[:, None]
+            t1, t2, t1x2 = table[:3] / column
+            p01, p10, gammas, betas = np.minimum(np.maximum(table[3:] * column, 0.0), 1.0)
+            rows = np.array((t1, np.minimum(t2, t1x2), 0.5 * (p01 + p10), gammas))[..., :n]
+            for qubit_rows, cx_row, p01s, p10s, factor in zip(
+                rows.transpose(1, 0, 2).tolist(),
+                betas[:, :n_cx].tolist(),
+                p01[:, :readout].tolist(),
+                p10[:, :readout].tolist(),
+                factors,
+            ):
+                t1_avg, t2_avg, omega, gamma = [sum(row) / n for row in qubit_rows]
+                # An empty CX row sums to 0, so beta is 0.0 without couplings.
+                beta = sum(cx_row) / max(1, n_cx)
+                success = _success_from_averages(
+                    footprint,
+                    mu_g1=mu_g1,
+                    mu_g2=mu_g2,
+                    t1=t1_avg,
+                    t2=t2_avg,
+                    gamma=gamma,
+                    beta=beta,
+                    omega=omega,
+                    crosstalk=noise.crosstalk,
+                    connectivity=connectivity,
+                )
+                specs.append(
+                    MixingNoiseSpec(
+                        success_probability=success,
+                        per_qubit_readout=tuple(zip(p01s, p10s)),
+                        coherent_bias=noise.coherent_bias * factor,
+                    )
+                )
+        return specs
+
+    def _cycle_table(self, cycle: int) -> tuple[np.ndarray, int, int, float, float]:
+        """The ``(7, 1, width)`` calibration table of one cycle, built once,
+        with its qubit and CX counts and the two gate times."""
+        entry = self._cycle_tables.get(cycle)
+        if entry is None:
             period = self.spec.calibration_period_hours * SECONDS_PER_HOUR
             snapshot = self.reported_calibration(cycle * period)
-            stats = (
-                [q.t1 for q in snapshot.qubits],
+            t1s = [q.t1 for q in snapshot.qubits]
+            cx_errors = [g.error for g in snapshot.two_qubit_gates.values()]
+            rows = (
+                t1s,
                 [q.t2 for q in snapshot.qubits],
+                [2 * t1 for t1 in t1s],
                 [q.readout_p01 for q in snapshot.qubits],
                 [q.readout_p10 for q in snapshot.qubits],
                 [g.error for g in snapshot.single_qubit_gates],
-                [g.error for g in snapshot.two_qubit_gates.values()],
-                snapshot.average_single_qubit_gate_time,
-                snapshot.average_cx_gate_time,
+                cx_errors,
             )
-            self._cycle_stats[cycle] = stats
-        return stats
+            table = np.zeros((len(rows), 1, max(map(len, rows))))
+            for target, row in zip(table, rows):
+                target[0, : len(row)] = row
+            mu_g1 = snapshot.average_single_qubit_gate_time
+            mu_g2 = snapshot.average_cx_gate_time or mu_g1
+            entry = (table, len(t1s), len(cx_errors), mu_g1, mu_g2)
+            self._cycle_tables[cycle] = entry
+        return entry
 
     def execute(
         self,
@@ -430,23 +455,6 @@ class QPU:
                 "drift_factor": self.drift_factor(now),
             },
         )
-
-    def noise_timeline(
-        self, num_circuits: int, footprint: CircuitFootprint, now: float
-    ) -> tuple[list[float], list[float], list[MixingNoiseSpec]]:
-        """Per-circuit (start time, duration, noise spec) for one batch.
-
-        The device clock advances *within* a batch: circuit ``i`` starts at
-        ``now`` plus half the accumulated job durations of its predecessors
-        (one device job slot covers a forward/backward pair), and its noise
-        spec is evaluated at that start time.  Pure clock/calibration
-        arithmetic — no simulation, no RNG consumption — so the whole
-        timeline can be computed up front and handed to the batched pipeline.
-        """
-        starts, durations, specs, _ = self._timeline_with_metadata(
-            num_circuits, footprint, now
-        )
-        return starts, durations, specs
 
     def batch_clock(
         self, num_circuits: int, now: float
@@ -484,15 +492,21 @@ class QPU:
     def _timeline_with_metadata(
         self, num_circuits: int, footprint: CircuitFootprint, now: float
     ) -> tuple[list[float], list[float], list[MixingNoiseSpec], list[dict]]:
-        """:meth:`noise_timeline` plus the per-result metadata dicts.
+        """Per-circuit start time, duration, noise spec and result metadata.
 
-        The drift model is evaluated once per circuit start; the clock, the
-        noise spec and the metadata all read that one evaluation.
+        The device clock advances *within* a batch: circuit ``i`` starts at
+        ``now`` plus half the accumulated job durations of its predecessors
+        (:meth:`batch_clock`), and its noise spec is evaluated at that start
+        time.  The drift model is evaluated once per circuit start; the
+        clock, the noise spec and the metadata all read that one evaluation.
+        The specs of the whole job come from one array pass per calibration
+        cycle the job touches (:meth:`_noise_specs`): a fixed number of NumPy
+        calls whatever the circuit or qubit count, then per circuit the row
+        sums and the scalar Eq. 2 core.  Pure clock/calibration arithmetic,
+        no RNG.
         """
         starts, durations, _, drifts = self._walk_clock(num_circuits, now)
-        specs = [
-            self._noise_spec(footprint, cycle, factor) for _, cycle, factor in drifts
-        ]
+        specs = self._noise_specs(footprint, drifts)
         metadata = [
             {
                 "success_probability": spec.success_probability,
@@ -517,7 +531,7 @@ class QPU:
         The only batch entry point: bound circuits or an unbound
         :class:`~repro.circuit.sweep.ParameterSweep` (same job slots, same
         results, nothing bound).  The job's **clock half** runs here —
-        offsets, durations, noise specs, metadata (:meth:`noise_timeline`):
+        offsets, durations, noise specs, metadata (:meth:`_timeline_with_metadata`):
         arithmetic, no RNG — and comes back as results whose ``counts`` are
         ``None``.  Its **physics half** (lowering, engine, mix/confuse, shots
         from ``rng`` in batch order) is a :class:`DeferredBatch`: run before

@@ -14,11 +14,10 @@ one quadratic-form contraction against the precomputed ``K^dag K`` stack,
 one uniform draw per trajectory picks the operators, and each selected
 operator is applied to its group of trajectories in a single pass.  This
 turned the validation engine from minutes into seconds, which is what makes
-trajectory-vs-mixing agreement checks viable at experiment scale (see
-``benchmarks/bench_noisy_batch.py``).
+trajectory-vs-mixing agreement checks viable at experiment scale.
 
-A per-trajectory sequential path is retained as the benchmark baseline and
-statistical cross-check (:meth:`MonteCarloSimulator.average_probabilities_sequential`),
+A per-trajectory sequential path is retained as a statistical cross-check
+(:meth:`MonteCarloSimulator.average_probabilities_sequential`),
 and :func:`density_matrix_probabilities` computes the *exact* noisy
 distribution by evolving the density matrix — the ground truth the batched
 trajectories are tested against.
@@ -180,9 +179,9 @@ class MonteCarloSimulator:
     ) -> np.ndarray:
         """One-trajectory-at-a-time reference for the batched engine.
 
-        Retained as the benchmark baseline (``bench_noisy_batch.py``) and as
-        an independent statistical cross-check: it shares no vectorized code
-        with :meth:`average_probabilities`, only the channel definitions.
+        Retained as an independent statistical cross-check: it shares no
+        vectorized code with :meth:`average_probabilities`, only the channel
+        definitions.
         """
         if not circuit.is_bound:
             raise ValueError("circuit has unbound parameters")

@@ -58,6 +58,9 @@ class TestEQCConfig:
             ({"device_names": ()}, "at least one device"),
             ({"shots": 0}, "shots"),
             ({"learning_rate": -0.1}, "learning_rate"),
+            ({"learning_rate": float("nan")}, "learning_rate"),
+            ({"learning_rate": float("inf")}, "learning_rate"),
+            ({"weight_bounds": (0.5, 1.5)}, "weight_bounds"),
             ({"background_tenants": -1}, "background_tenants"),
             ({"dispatch_deadline": -5.0}, "dispatch_deadline"),
             ({"min_live_devices": 4}, "min_live_devices"),
@@ -67,6 +70,9 @@ class TestEQCConfig:
             "device_names",
             "shots",
             "learning_rate",
+            "learning_rate-nan",
+            "learning_rate-inf",
+            "weight_bounds-tuple",
             "background_tenants",
             "dispatch_deadline",
             "min_live_devices",

@@ -52,11 +52,21 @@ class TestEstimatePCorrect:
 
 
 class TestWeightBounds:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            WeightBounds(-0.1, 1.0)
-        with pytest.raises(ValueError):
-            WeightBounds(1.0, 0.5)
+    @pytest.mark.parametrize(
+        "low, high, field",
+        [
+            (-0.1, 1.0, "low"),
+            (float("nan"), 1.5, "low"),
+            (float("inf"), float("inf"), "low"),
+            (1.0, 0.5, "high"),
+            (0.5, float("inf"), "high"),
+            (0.5, float("nan"), "high"),
+        ],
+        ids=["low-negative", "low-nan", "low-inf", "high-below-low", "high-inf", "high-nan"],
+    )
+    def test_invalid_bound_names_itself(self, low, high, field):
+        with pytest.raises(ValueError, match=rf"^{field} must be finite"):
+            WeightBounds(low, high)
 
     def test_midpoint_and_width(self):
         bounds = WeightBounds(0.5, 1.5)

@@ -144,7 +144,8 @@ class TestExecution:
             assert durations[i] == bogota.job_duration_seconds(starts[i])
         # Half a job slot per circuit.
         assert elapsed == pytest.approx(sum(durations) / 2.0)
-        assert bogota.noise_timeline(4, ghz_footprint, now)[:2] == (starts, durations)
+        timeline = bogota._timeline_with_metadata(4, ghz_footprint, now)
+        assert timeline[:2] == bogota.batch_clock(4, now)[:2] == (starts, durations)
         results = bogota.execute_batch(
             [ghz_state(4)] * 4, ghz_footprint, shots=64, now=now, rng=rng
         )
