@@ -394,8 +394,7 @@ def marginal_distribution(
     """Marginalize a ``(batch, 2**n)`` probability stack onto ``qubits``.
 
     The single home of the trace-axes + measured-order permutation logic;
-    :func:`marginal_probabilities` (amplitude stacks) and the density-matrix
-    validator (diagonal probability vectors) both route through it.  A
+    :func:`marginal_probabilities` (amplitude stacks) routes through it.  A
     float32 stack (the complex64 execution mode) marginalizes in float32 —
     no silent doubling of the working set.
     """

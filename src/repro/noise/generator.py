@@ -12,6 +12,7 @@ fingerprint, just like real recalibrations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -59,16 +60,22 @@ class NoiseProfile:
     coherent_bias: float = 0.0
 
     def __post_init__(self) -> None:
-        if min(self.t1, self.t2) <= 0:
-            raise ValueError("T1/T2 must be positive")
+        for name in ("t1", "t2", "single_qubit_gate_time", "cx_gate_time"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive (got {value!r})")
         for name in ("single_qubit_error", "cx_error", "readout_error"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name}={value} outside [0, 1]")
-        if self.relative_spread < 0:
-            raise ValueError("relative_spread must be non-negative")
+        if not (math.isfinite(self.relative_spread) and self.relative_spread >= 0):
+            raise ValueError(
+                f"relative_spread must be finite and non-negative (got {self.relative_spread!r})"
+            )
         if not 0.0 <= self.crosstalk <= 1.0:
             raise ValueError("crosstalk must be within [0, 1]")
+        if not math.isfinite(self.coherent_bias):
+            raise ValueError(f"coherent_bias must be finite (got {self.coherent_bias!r})")
 
 
 class CalibrationGenerator:

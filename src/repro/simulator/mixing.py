@@ -1,12 +1,13 @@
 """Fast analytic noisy execution: global depolarizing mixing + SPAM.
 
 The EQC experiments replay hundreds of thousands of circuit executions
-(Section V reports ~500k on IBMQ), so the large-scale harness cannot afford a
-full Kraus trajectory per shot.  This module provides the standard
-approximation used for such studies:
+(Section V reports ~500k on IBMQ), so the large-scale harness cannot afford
+per-gate noise channels on a density matrix.  This module provides the
+standard approximation used for such studies:
 
-1. simulate the circuit ideally (optionally with a *coherent* per-device
-   over-rotation bias applied to every rotation angle),
+1. simulate the circuit ideally, with a *coherent* per-device over-rotation
+   bias applied to every rotation angle (``theta -> theta * (1 + bias)`` on
+   ``rx``/``ry``/``rz``/``rzz``; discrete gates are untouched),
 2. mix the ideal outcome distribution with the maximally-mixed (uniform)
    distribution, weighted by the device's probability of error-free execution
    for this transpiled circuit,
@@ -17,18 +18,20 @@ Step 2's weight is exactly the quantity the paper's ``PCorrect`` model
 (Eq. 2) estimates; the *ground-truth* value used here is computed by the
 device model from its private calibration state (including latent cross-talk
 and drift the estimator cannot see), which is what gives the Fig. 4
-calculated-vs-observed scatter its spread.
+calculated-vs-observed scatter its spread.  The whole map is stated a second
+time, as dense density-matrix evolution of full gate unitaries, in
+``tests/_reference/density_matrix.py``; the two agree to 1e-12.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from ..circuit.circuit import QuantumCircuit
-from ..circuit.gates import Instruction
 from ..circuit.sweep import ParameterSweep
 from ..engine import (
     execute_program,
@@ -37,13 +40,16 @@ from ..engine import (
     slot_values_from_circuits,
 )
 from ..engine.cache import shared_program_cache
-from .channels import readout_confusion_matrix
 from .result import Counts
-from .sampler import apply_readout_error, apply_readout_error_batch, sample_distribution
+from .sampler import (
+    apply_readout_error,
+    apply_readout_error_batch,
+    readout_confusion_matrix,
+    sample_distribution,
+)
 
 __all__ = [
     "MixingNoiseSpec",
-    "apply_coherent_bias",
     "execute_with_mixing",
     "noisy_probabilities",
     "noisy_probabilities_batch",
@@ -85,28 +91,9 @@ class MixingNoiseSpec:
                 raise ValueError(f"{name}={value} outside [0, 1]")
         for p01, p10 in self.per_qubit_readout:
             if not (0.0 <= p01 <= 1.0 and 0.0 <= p10 <= 1.0):
-                raise ValueError("per-qubit readout probabilities outside [0, 1]")
-
-
-def apply_coherent_bias(circuit: QuantumCircuit, bias: float) -> QuantumCircuit:
-    """Return a copy of a bound circuit with over-rotated rotation angles.
-
-    Only rotation gates are affected; discrete gates (H, X, CNOT, ...) are
-    assumed to be implemented by calibrated pulses whose systematic error is
-    already captured in the depolarizing budget.
-    """
-    if bias == 0.0:
-        return circuit
-    if not circuit.is_bound:
-        raise ValueError("coherent bias can only be applied to a bound circuit")
-    biased = QuantumCircuit(circuit.num_qubits, circuit.name)
-    for inst in circuit:
-        if inst.name in _ROTATION_GATES:
-            params = tuple(float(p) * (1.0 + bias) for p in inst.params)
-            biased.append(Instruction(inst.name, inst.qubits, params))
-        else:
-            biased.append(inst)
-    return biased
+                raise ValueError("per_qubit_readout probabilities outside [0, 1]")
+        if not math.isfinite(self.coherent_bias):
+            raise ValueError(f"coherent_bias must be finite (got {self.coherent_bias!r})")
 
 
 def _ideal_probabilities(circuit: QuantumCircuit, bias: float) -> np.ndarray:
@@ -114,9 +101,8 @@ def _ideal_probabilities(circuit: QuantumCircuit, bias: float) -> np.ndarray:
 
     The circuit's structure compiles once (shared, structure-keyed cache);
     the coherent over-rotation bias is applied by scaling the rotation slots
-    of the extracted angle vector — the same ``theta * (1 + bias)`` floats
-    :func:`apply_coherent_bias` would have bound, with zero circuit
-    rebuilding.
+    of the extracted angle vector (``theta * (1 + bias)`` at every ``rx``,
+    ``ry``, ``rz`` and ``rzz`` slot), with zero circuit rebuilding.
     """
     program = shared_program_cache().get_or_compile(circuit)
     thetas = slot_values_from_circuits(program, [circuit])

@@ -16,6 +16,7 @@ __all__ = [
     "sample_distribution_batch",
     "sample_statevector",
     "sample_circuit_ideal",
+    "readout_confusion_matrix",
     "apply_readout_error",
     "apply_readout_error_batch",
     "distribution_to_counts",
@@ -156,6 +157,35 @@ def sample_circuit_ideal(
     state = simulate_statevector(circuit)
     measured = circuit.measured_qubits or tuple(range(circuit.num_qubits))
     return sample_statevector(state, shots, rng, qubits=measured)
+
+
+def readout_confusion_matrix(p01: float, p10: float) -> np.ndarray:
+    """Per-qubit readout confusion matrix.
+
+    ``p01`` is the probability of reading 1 when the state was 0 and ``p10``
+    the probability of reading 0 when the state was 1.  The returned 2x2
+    matrix ``C`` maps true probabilities to observed probabilities via
+    ``observed = C @ true`` with rows indexed by the observed bit.
+
+    Matrices are memoized per ``(p01, p10)`` — the mixing path asks for one
+    per measured bit of every circuit whose readout it confuses row-wise —
+    and returned as **shared read-only** arrays; copy before mutating.
+    """
+    return _cached_confusion_matrix(_check_probability(p01), _check_probability(p10))
+
+
+@lru_cache(maxsize=4096)
+def _cached_confusion_matrix(p01: float, p10: float) -> np.ndarray:
+    matrix = np.array([[1 - p01, p10], [p01, 1 - p10]], dtype=float)
+    matrix.flags.writeable = False
+    return matrix
+
+
+def _check_probability(p: float) -> float:
+    p = float(p)
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"probability {p} outside [0, 1]")
+    return p
 
 
 def apply_readout_error(

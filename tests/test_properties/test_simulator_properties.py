@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from repro.circuit import Parameter, ParameterExpression, QuantumCircuit
 from repro.circuit.gates import GATE_SPECS, gate_matrix
-from repro.simulator.channels import readout_confusion_matrix
+from repro.simulator import readout_confusion_matrix
 from repro.simulator.mixing import MixingNoiseSpec, noisy_probabilities
 from repro.simulator.sampler import apply_readout_error, sample_distribution
 from repro.simulator.statevector import Statevector, simulate_statevector

@@ -1,6 +1,6 @@
 """Tests for the vectorized noisy execution pipeline (PR 4).
 
-Three contracts are pinned here:
+Two contracts are pinned here:
 
 1. **Batched-vs-sequential equivalence** — ``noisy_probabilities_batch`` (and
    the QPU batch entry point built on it) agree with the per-circuit
@@ -9,9 +9,6 @@ Three contracts are pinned here:
 2. **Seeded sampling order** — the batched paths consume a shared RNG stream
    exactly like the sequential loop: identical counts, identical final
    generator state, golden-pinned draws.
-3. **Trajectory correctness** — the batched ``(trajectories, 2**n)`` engine
-   converges to the exact density-matrix evolution and matches the retained
-   sequential reference statistically.
 """
 
 import numpy as np
@@ -37,11 +34,6 @@ from repro.simulator.sampler import (
     apply_readout_error_batch,
     sample_distribution,
     sample_distribution_batch,
-)
-from repro.simulator.trajectory import (
-    MonteCarloSimulator,
-    TrajectoryNoiseSpec,
-    density_matrix_probabilities,
 )
 from repro.vqa.gradient import shifted_parameter_vectors
 
@@ -349,50 +341,3 @@ class TestFastNoiseSpecPath:
         )
         assert spec.per_qubit_readout == expected
 
-
-class TestBatchedTrajectories:
-    def test_agrees_with_density_matrix_evolution(self):
-        spec = TrajectoryNoiseSpec(single_qubit_error=0.01, two_qubit_error=0.05)
-        sim = MonteCarloSimulator(spec, seed=17)
-        circuit = ghz_state(3)
-        exact = density_matrix_probabilities(circuit, spec)
-        assert exact.sum() == pytest.approx(1.0, abs=1e-9)
-        averaged = sim.average_probabilities(circuit, trajectories=3000)
-        # 3000 trajectories: statistical error ~1/sqrt(3000) per outcome.
-        assert np.max(np.abs(averaged - exact)) < 0.03
-
-    def test_batched_and_sequential_engines_agree_statistically(self):
-        spec = TrajectoryNoiseSpec(single_qubit_error=0.02, two_qubit_error=0.08)
-        sim = MonteCarloSimulator(spec, seed=23)
-        circuit = ghz_state(3)
-        batched = sim.average_probabilities(circuit, trajectories=1500)
-        sequential = sim.average_probabilities_sequential(circuit, trajectories=1500)
-        assert np.max(np.abs(batched - sequential)) < 0.05
-
-    def test_noiseless_spec_is_deterministic_and_ideal(self):
-        spec = TrajectoryNoiseSpec(
-            single_qubit_error=0.0,
-            two_qubit_error=0.0,
-            t1=1.0,
-            t2=1.0,
-            single_qubit_gate_time=0.0,
-            two_qubit_gate_time=0.0,
-            readout_p01=0.0,
-            readout_p10=0.0,
-        )
-        sim = MonteCarloSimulator(spec, seed=0)
-        states = sim.trajectory_states(ghz_state(2), trajectories=8)
-        reference = np.zeros(4, dtype=complex)
-        reference[0] = reference[-1] = 1 / np.sqrt(2)
-        assert np.max(np.abs(states - reference)) < 1e-12
-
-    def test_trajectory_states_are_normalized(self):
-        sim = MonteCarloSimulator(TrajectoryNoiseSpec(), seed=3)
-        states = sim.trajectory_states(ghz_state(3), trajectories=32)
-        norms = np.linalg.norm(states, axis=1)
-        assert np.allclose(norms, 1.0, atol=1e-9)
-
-    def test_run_preserves_shot_totals(self):
-        sim = MonteCarloSimulator(TrajectoryNoiseSpec(), seed=4)
-        counts = sim.run(ghz_state(2), shots=123, trajectories=7)
-        assert sum(counts.values()) == 123

@@ -6,7 +6,6 @@ import pytest
 from repro.circuit import QuantumCircuit, ghz_state
 from repro.simulator.mixing import (
     MixingNoiseSpec,
-    apply_coherent_bias,
     execute_with_mixing,
     noisy_probabilities,
 )
@@ -29,29 +28,19 @@ class TestMixingNoiseSpec:
         with pytest.raises(ValueError):
             MixingNoiseSpec(success_probability=0.9, per_qubit_readout=((1.5, 0.0),))
 
-
-class TestCoherentBias:
-    def test_zero_bias_returns_same_circuit(self):
-        qc = QuantumCircuit(1).ry(0.5, 0)
-        assert apply_coherent_bias(qc, 0.0) is qc
-
-    def test_rotation_angles_scaled(self):
-        qc = QuantumCircuit(1).ry(1.0, 0).rz(2.0, 0)
-        biased = apply_coherent_bias(qc, 0.1)
-        assert biased.instructions[0].params == (pytest.approx(1.1),)
-        assert biased.instructions[1].params == (pytest.approx(2.2),)
-
-    def test_discrete_gates_untouched(self):
-        qc = QuantumCircuit(2).h(0).cx(0, 1)
-        biased = apply_coherent_bias(qc, 0.5)
-        assert [i.name for i in biased] == ["h", "cx"]
-
-    def test_unbound_circuit_rejected(self):
-        from repro.circuit import Parameter
-
-        qc = QuantumCircuit(1).ry(Parameter("a"), 0)
-        with pytest.raises(ValueError):
-            apply_coherent_bias(qc, 0.1)
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("coherent_bias", float("nan")),
+            ("coherent_bias", float("inf")),
+            ("coherent_bias", float("-inf")),
+            pytest.param("per_qubit_readout", ((1.5, 0.0),), id="per_qubit_readout-1.5"),
+            pytest.param("per_qubit_readout", ((0.01, float("nan")),), id="per_qubit_readout-nan"),
+        ],
+    )
+    def test_invalid_value_names_its_field(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} "):
+            MixingNoiseSpec(success_probability=0.9, **{field: value})
 
 
 class TestNoisyProbabilities:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.circuit import ghz_state
-from repro.simulator.channels import readout_confusion_matrix
+from repro.simulator import readout_confusion_matrix
 from repro.simulator.result import Counts
 from repro.simulator.sampler import (
     apply_readout_error,
@@ -77,6 +77,24 @@ class TestStatevectorSampling:
         counts = sample_circuit_ideal(ghz_state(4), 200, rng)
         assert all(len(k) == 4 for k in counts)
         assert set(counts.keys()) <= {"0000", "1111"}
+
+
+class TestReadoutConfusion:
+    def test_columns_are_stochastic(self):
+        conf = readout_confusion_matrix(0.03, 0.07)
+        assert np.allclose(conf.sum(axis=0), [1.0, 1.0])
+
+    def test_perfect_readout_is_identity(self):
+        assert np.allclose(readout_confusion_matrix(0.0, 0.0), np.eye(2))
+
+    def test_probabilities_validated(self):
+        with pytest.raises(ValueError):
+            readout_confusion_matrix(1.2, 0.0)
+
+    def test_asymmetric_entries(self):
+        conf = readout_confusion_matrix(0.1, 0.2)
+        assert conf[1, 0] == pytest.approx(0.1)  # read 1 given true 0
+        assert conf[0, 1] == pytest.approx(0.2)  # read 0 given true 1
 
 
 class TestReadoutError:
