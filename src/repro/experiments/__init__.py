@@ -24,13 +24,6 @@ from .fig12_weighted_qaoa import (
     render_fig12,
     run_fig12_weighted_qaoa,
 )
-from .sched_contention import (
-    ContentionCell,
-    ContentionConfig,
-    ContentionResult,
-    render_contention,
-    run_sched_contention,
-)
 from .speedup import render_speedup, run_speedup_summary, speedup_from_result
 from .table1 import render_table1, table1_rows
 
@@ -69,11 +62,6 @@ __all__ = [
     "speedup_from_result",
     "run_speedup_summary",
     "render_speedup",
-    "ContentionConfig",
-    "ContentionCell",
-    "ContentionResult",
-    "run_sched_contention",
-    "render_contention",
     "run_weight_refresh_ablation",
     "run_ensemble_size_sweep",
 ]

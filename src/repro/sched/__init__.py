@@ -34,6 +34,7 @@ from .policies import (
 from .queues import DeviceServiceQueue, SchedJob
 from .scheduler import DEFAULT_DOWNTIME_SECONDS, CloudScheduler
 from .tournament import (
+    CONTENTION_CONFIG,
     FULL_CONFIG,
     SMOKE_CONFIG,
     TournamentConfig,
@@ -64,6 +65,7 @@ __all__ = [
     "TournamentConfig",
     "SMOKE_CONFIG",
     "FULL_CONFIG",
+    "CONTENTION_CONFIG",
     "run_tournament",
     "publish_tournament",
 ]

@@ -1,39 +1,26 @@
 """Policy tournament: sweep (devices x tenants x policy) at fleet scale.
 
-The contention sweep in ``benchmarks/bench_sched.py`` shows *that* EQC
-training collapses under community load; the tournament shows *which policy
-survives it*.  Each cell of a (device count x tenant level x policy) grid
-simulates a synthetic fleet — the fast Table I devices cloned out to 25, 100
-or more QPUs — under a spread-load Poisson community of up to tens of
-thousands of tenants, and drives a foreground **proxy EQC master** through
-``num_epochs`` training epochs: one fixed-cost foreground job per client
-device per epoch, the epoch completing when the last client finishes, the
-next epoch submitted at that instant.  The circuit physics is replaced by a
-fixed device-seconds price, which keeps a 16-cell grid at 10k tenants
-affordable.
-
-The proxy is *not* the loop of :class:`~repro.core.master.EQCMasterNode`:
-it is barrier-synchronous (the slowest client gates every epoch), while the
-real master has no barrier and hands each client its next task the moment
-its job returns.  The two disagree under contention: on the 25-device x
-1000-tenant cell of :data:`SMOKE_CONFIG`, a prototype driving the real
-master read 0.99 epochs/hour under ``backpressure`` and 2.60 under
-``deadline``, against the proxy's 3.66 and 4.49.  Moving :func:`run_cell`
-onto the master therefore changes the recorded policy claim
-(backpressure/deadline above 3 epochs/hour at 1000 tenants) and needs its
-own re-record.
+The tournament shows *which scheduling policy* lets EQC training survive
+community load.  Each cell of a (device count x tenant level x policy) grid
+clones the fast Table I devices out to a synthetic fleet, runs a spread-load
+Poisson community of up to tens of thousands of tenants on it, and trains
+the paper's 4-qubit Heisenberg VQE on the first ``clients`` devices with the
+real asynchronous :class:`~repro.core.master.EQCMasterNode`: every gradient
+job queues behind its device's tenant traffic in the event kernel, and each
+client gets its next task the moment its job returns.
 
 Each cell records the foreground throughput (``epochs_per_hour``), the
-fleet SLOs (p50/p99 queue wait, Jain fairness over per-tenant device
-seconds, rejected fraction) and the kernel's wall-clock event rate, so the
-throughput-vs-fairness tradeoff is a tracked curve in ``BENCH_sched.json``
-rather than an anecdote.  :func:`publish_tournament` mirrors every cell into
-``sched.tournament.*`` gauges so :func:`repro.telemetry.report.run_report`
-can render the grid as a table.
+master's update count and mean gradient staleness, the fleet SLOs (p50/p99
+queue wait, Jain fairness over per-tenant device seconds, rejected
+fraction) and the kernel's wall-clock event rate.
+:func:`publish_tournament` mirrors every cell into ``sched.tournament.*``
+gauges for :func:`repro.telemetry.report.run_report`;
+``python -m repro.sched.tournament [--smoke]`` prints the grid as JSON.
 
 Determinism: the whole grid is a pure function of
-:class:`TournamentConfig` — cloned device seeds, workload streams and
-policy decisions all derive from the config seed and device names.
+:class:`TournamentConfig` — device seeds, workload streams, policy
+decisions and the device physics all derive from the config seed and
+device names.
 """
 
 from __future__ import annotations
@@ -41,10 +28,19 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, replace as _dc_replace
 
+import numpy as np
+
+from ..cloud.provider import CloudProvider
 from ..cloud.queueing import QueueModel, queue_model_for
+from ..core.client import EQCClientNode
+from ..core.master import EQCMasterNode
+from ..core.objective import EnergyObjective
+from ..core.weighting import BOUNDS_MODERATE, WeightingConfig
 from ..devices.catalog import TABLE_I
 from ..devices.qpu import QPU
 from ..telemetry import TELEMETRY as _telemetry
+from ..vqa import AsgdRule, heisenberg_vqe_problem, vqe_task_cycle
+from .policies import POLICY_REGISTRY
 from .scheduler import DEFAULT_MAX_QUEUE_LENGTH, CloudScheduler
 from .workload import WorkloadGenerator
 
@@ -53,6 +49,7 @@ __all__ = [
     "TournamentConfig",
     "SMOKE_CONFIG",
     "FULL_CONFIG",
+    "CONTENTION_CONFIG",
     "clone_fleet",
     "run_cell",
     "run_tournament",
@@ -74,6 +71,10 @@ FLEET_TEMPLATES: tuple[str, ...] = (
 )
 
 
+#: Measurement shots per circuit of every foreground gradient job.
+SHOTS = 128
+
+
 @dataclass(frozen=True)
 class TournamentConfig:
     """One tournament grid: the axes plus the fixed per-cell knobs.
@@ -82,14 +83,11 @@ class TournamentConfig:
         device_counts: fleet sizes to sweep (clones of FLEET_TEMPLATES).
         tenant_levels: background community sizes to sweep.
         policies: policy registry names to race.
-        num_epochs: foreground proxy epochs per cell.
-        clients: devices the proxy EQC master trains on (first N of fleet).
-        epoch_job_seconds: device seconds of one client's epoch job — the
-            fixed stand-in for a full gradient batch, sized like a heavy
-            EQC step so epochs/hour is comparable to the real-EQC
-            contention sweep.
+        num_epochs: EQC training epochs per cell.
+        clients: devices the EQC master trains on (first N of the fleet).
         jobs_per_tenant_hour: community submission rate per tenant.
-        seed: kernel seed for every cell (cells differ by their axes only).
+        seed: kernel and provider seed for every cell (cells differ by their
+            axes only).
         downtime_seconds: base calibration outage per device per cycle.
         max_queue_length: admission cap per device queue.
     """
@@ -99,14 +97,29 @@ class TournamentConfig:
     policies: tuple[str, ...] = ("fifo", "fair_share", "backpressure", "deadline")
     num_epochs: int = 4
     clients: int = 8
-    epoch_job_seconds: float = 600.0
     jobs_per_tenant_hour: float = 1.0
     seed: int = 7
     downtime_seconds: float = 20.0 * 60.0
     max_queue_length: int = DEFAULT_MAX_QUEUE_LENGTH
 
+    def __post_init__(self) -> None:
+        for axis in ("device_counts", "tenant_levels", "policies"):
+            if not getattr(self, axis):
+                raise ValueError(f"{axis} must not be empty")
+        if min(self.device_counts) < 1:
+            raise ValueError(f"device_counts must be >= 1 (got {self.device_counts!r})")
+        if min(self.tenant_levels) < 0:
+            raise ValueError(f"tenant_levels must be >= 0 (got {self.tenant_levels!r})")
+        unknown = [name for name in self.policies if name not in POLICY_REGISTRY]
+        if unknown:
+            raise ValueError(f"policies must be in {sorted(POLICY_REGISTRY)} (got {unknown!r})")
+        if self.num_epochs < 1:
+            raise ValueError(f"num_epochs must be >= 1 (got {self.num_epochs!r})")
+        if not 1 <= self.clients <= min(self.device_counts):
+            raise ValueError(f"clients must be in [1, min(device_counts)] (got {self.clients!r})")
 
-#: The CI grid: 2 policies x 2 tenant loads on one fleet size, 2 epochs.
+
+#: The quick grid: 2 policies x 2 tenant loads on one fleet size, 2 epochs.
 SMOKE_CONFIG = TournamentConfig(
     device_counts=(25,),
     tenant_levels=(1000, 10_000),
@@ -116,6 +129,16 @@ SMOKE_CONFIG = TournamentConfig(
 
 #: The tracked grid: 2 fleet sizes x {1k, 10k} tenants x 4 policies.
 FULL_CONFIG = TournamentConfig()
+
+#: The contention curve: all three devices of a small fleet train under a
+#: quiet, a busy and a storming community.
+CONTENTION_CONFIG = TournamentConfig(
+    device_counts=(3,),
+    tenant_levels=(0, 100, 1000),
+    policies=("fifo", "fair_share"),
+    num_epochs=2,
+    clients=3,
+)
 
 
 def clone_fleet(count: int) -> list[tuple[QPU, QueueModel]]:
@@ -143,12 +166,13 @@ def run_cell(
     num_tenants: int,
     config: TournamentConfig = FULL_CONFIG,
 ) -> dict:
-    """Simulate one (policy, devices, tenants) cell; returns its record.
+    """Train EQC on one (policy, devices, tenants) cell; returns its record.
 
-    The background community uses ``spread_load=True`` — a fixed tenant
-    population spreads across the fleet by popularity share, so adding
-    devices dilutes per-device load (the fleet-scaling question the
-    tournament exists to answer).
+    Wired like an :class:`~repro.core.ensemble.EQCEnsemble` on the event
+    kernel: the first ``config.clients`` clones train (``BOUNDS_MODERATE``
+    weights, ASGD at 0.1), the rest serve tenants only.  The community uses
+    ``spread_load=True``: a fixed tenant population spreads across the fleet
+    by popularity share, so adding devices dilutes per-device load.
     """
     workload = None
     if num_tenants > 0:
@@ -164,53 +188,50 @@ def run_cell(
         downtime_seconds=config.downtime_seconds,
         max_queue_length=config.max_queue_length,
     )
-    for qpu, model in clone_fleet(num_devices):
+    fleet = clone_fleet(num_devices)
+    members = fleet[: config.clients]
+    provider = CloudProvider(
+        [qpu for qpu, _ in members],
+        queue_models={qpu.name: model for qpu, model in members},
+        seed=config.seed,
+        shots=SHOTS,
+        scheduler=scheduler,
+    )
+    for qpu, model in fleet[config.clients :]:
         scheduler.register_device(qpu, model)
-    clients = list(scheduler.device_names)[: config.clients]
 
+    problem = heisenberg_vqe_problem()
+    objective = EnergyObjective(problem.estimator)
+    master = EQCMasterNode(
+        objective=objective,
+        clients=[EQCClientNode(objective, qpu, provider, shots=SHOTS) for qpu, _ in members],
+        task_queue=vqe_task_cycle(problem.num_parameters),
+        rule=AsgdRule(learning_rate=0.1),
+        weighting=WeightingConfig(bounds=BOUNDS_MODERATE),
+        initial_parameters=np.linspace(0.1, 1.6, problem.num_parameters),
+        label=f"EQC[{policy}, {num_devices} devices, {num_tenants} tenants]",
+    )
     wall_start = time.perf_counter()
-    epoch_end = 0.0
-    foreground_waits: list[float] = []
-    for _epoch in range(config.num_epochs):
-        jobs = [
-            scheduler.submit(
-                device_name=name,
-                arrival=epoch_end,
-                tenant="eqc",
-                num_circuits=4,
-                duration=config.epoch_job_seconds,
-                foreground=True,
-            )
-            for name in clients
-        ]
-        for job in jobs:
-            scheduler.run_until_complete(job)
-        epoch_end = max(job.finish_time for job in jobs)
-        foreground_waits.extend(job.wait_seconds for job in jobs)
+    history = master.train(num_epochs=config.num_epochs)
     wall_seconds = time.perf_counter() - wall_start
 
-    simulated_hours = epoch_end / 3600.0
-    slo = scheduler.slo_metrics()
+    waits = [job.wait_seconds for job in scheduler.completed_jobs() if job.tenant == "eqc"]
     events = scheduler.kernel.events_processed
     return {
         "policy": policy,
         "devices": num_devices,
         "tenants": num_tenants,
         "epochs": config.num_epochs,
-        "simulated_hours": simulated_hours,
-        "epochs_per_hour": (
-            config.num_epochs / simulated_hours if simulated_hours > 0 else 0.0
-        ),
-        "foreground_wait_mean": (
-            sum(foreground_waits) / len(foreground_waits)
-            if foreground_waits
-            else 0.0
-        ),
-        "foreground_wait_max": max(foreground_waits) if foreground_waits else 0.0,
+        "simulated_hours": history.total_hours(),
+        "epochs_per_hour": history.epochs_per_hour(),
+        "updates": history.total_updates,
+        "mean_staleness": history.metadata["mean_staleness"],
+        "foreground_wait_mean": sum(waits) / len(waits),
+        "foreground_wait_max": max(waits),
         "events_processed": events,
         "wall_seconds": wall_seconds,
         "events_per_sec_wall": events / wall_seconds if wall_seconds > 0 else 0.0,
-        **{f"slo_{key}": value for key, value in slo.items()},
+        **{f"slo_{key}": value for key, value in scheduler.slo_metrics().items()},
     }
 
 
@@ -228,7 +249,7 @@ def run_tournament(config: TournamentConfig = FULL_CONFIG) -> dict:
             "policies": list(config.policies),
             "num_epochs": config.num_epochs,
             "clients": config.clients,
-            "epoch_job_seconds": config.epoch_job_seconds,
+            "shots": SHOTS,
             "jobs_per_tenant_hour": config.jobs_per_tenant_hour,
             "seed": config.seed,
         },
@@ -273,7 +294,7 @@ def _main() -> None:  # pragma: no cover - CLI convenience
     import json
 
     parser = argparse.ArgumentParser(description="Run the scheduler policy tournament")
-    parser.add_argument("--smoke", action="store_true", help="run the reduced CI grid")
+    parser.add_argument("--smoke", action="store_true", help="run the reduced 2 x 2 grid")
     args = parser.parse_args()
     result = run_tournament(SMOKE_CONFIG if args.smoke else FULL_CONFIG)
     print(json.dumps(result, indent=2))

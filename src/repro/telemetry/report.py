@@ -5,8 +5,8 @@ counters, gauges, histogram quantiles, and a per-category span summary —
 and :func:`render_text` formats it for a terminal.  The SLO helpers at the
 bottom (:func:`percentile`, :func:`jains_index`) are the single home of the
 percentile/fairness arithmetic: :meth:`CloudScheduler.metrics` uses them to
-compute p50/p99 queue wait and the per-tenant fairness index that
-``benchmarks/bench_sched.py`` records in ``BENCH_sched.json``.
+compute p50/p99 queue wait and the per-tenant fairness index that every
+cell of the policy tournament (:mod:`repro.sched.tournament`) records.
 
 Everything here is dependency-free (stdlib only) so the report can run in
 any process, including CI smoke jobs with no numpy import cost.

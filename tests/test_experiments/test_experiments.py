@@ -29,12 +29,10 @@ from repro.experiments import (
     speedup_from_result,
     table1_rows,
 )
-from repro.experiments import render_contention, run_sched_contention
 from repro.experiments.fig6_vqe import VQEExperimentConfig
 from repro.experiments.fig9_weighted_vqe import WeightedVQEConfig
 from repro.experiments.fig11_qaoa import QAOAExperimentConfig
 from repro.experiments.fig12_weighted_qaoa import WeightedQAOAConfig
-from repro.experiments.sched_contention import ContentionConfig
 
 
 class TestTable1AndFig3:
@@ -192,39 +190,3 @@ class TestFig11AndFig12:
         costs = [row["best_cost"] for row in ranking]
         assert costs == sorted(costs)
         assert "ranking" in render_fig12(result).lower()
-
-
-class TestSchedContention:
-    @pytest.fixture(scope="class")
-    def tiny_contention(self):
-        return run_sched_contention(
-            ContentionConfig(
-                tenant_levels=(0, 200),
-                policies=("fifo", "fair_share"),
-                num_epochs=1,
-                shots=128,
-                seed=7,
-            )
-        )
-
-    def test_grid_structure(self, tiny_contention):
-        assert len(tiny_contention.cells) == 4
-        cell = tiny_contention.cell("fifo", 200)
-        assert cell.tenant_jobs_completed > 0
-        assert cell.history.total_updates == 16
-
-    def test_contention_slows_training(self, tiny_contention):
-        for policy in ("fifo", "fair_share"):
-            curve = tiny_contention.epochs_per_hour_curve(policy)
-            assert curve[0][1] > curve[-1][1]
-
-    def test_render(self, tiny_contention):
-        text = render_contention(tiny_contention)
-        assert "epochs_per_hour" in text
-        assert "fair_share" in text
-
-    def test_invalid_config_rejected(self):
-        with pytest.raises(ValueError):
-            ContentionConfig(tenant_levels=())
-        with pytest.raises(ValueError):
-            ContentionConfig(num_epochs=0)
