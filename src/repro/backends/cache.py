@@ -1,13 +1,10 @@
-"""The shared, structure-keyed caches owned by the backend layer.
+"""The process-wide, structure-keyed caches owned by the backend layer.
 
-Every EQC client used to keep a private ``dict`` of transpiled templates.
-That worked, but it re-transpiled the same ansatz for every client whose
-device shares a topology, and it gave the rest of the stack (baselines,
-benchmarks, experiments) no way to reuse the work.  :class:`TranspileCache`
-centralizes it: entries are keyed by the *structure* of the template circuit
-(gate sequence + symbolic parameter slots) and the target topology, so any
-two callers transpiling the same template for the same topology share one
-entry regardless of which naming scheme they use for their templates.
+Transpiling is deterministic, so one template is transpiled once per topology
+per process.  :class:`TranspileCache` keys its entries by the template's
+structure plus its parameter objects (see :func:`template_structure_key`) and
+by the target topology; the process-wide instance behind
+:func:`shared_transpile_cache` is the one every EQC client and ensemble reads.
 
 The compiled execution engine follows the same pattern one layer down:
 :class:`~repro.engine.cache.ProgramCache` (re-exported here, with the
@@ -22,6 +19,7 @@ from __future__ import annotations
 import time
 
 from ..circuit.circuit import QuantumCircuit
+from ..circuit.parameters import Parameter, ParameterExpression
 from ..devices.topology import Topology
 from ..engine.cache import ProgramCache, shared_program_cache
 from ..telemetry import TELEMETRY as _telemetry
@@ -30,6 +28,7 @@ from ..transpiler.transpile import TranspileResult, transpile
 __all__ = [
     "template_structure_key",
     "TranspileCache",
+    "shared_transpile_cache",
     "ProgramCache",
     "shared_program_cache",
 ]
@@ -38,26 +37,28 @@ __all__ = [
 def template_structure_key(circuit: QuantumCircuit):
     """A hashable key capturing a template's full gate content.
 
-    Unlike the batch engine's signature (which deliberately ignores parameter
-    values so bindings can be stacked), the transpile key includes parameter
-    content — symbolic parameters by name, bound angles by value — because
-    transpilation output depends on nothing else about the circuit.
+    The circuit's cached ``structure_key`` plus every gate angle as its
+    parameter object: a :class:`Parameter` (equal by identity, not by display
+    name), a :class:`ParameterExpression` (equal by parameter, coefficient and
+    offset), or ``float(value)`` for a bound angle.  Two templates share a key
+    only when they apply the same gates at equal angles, so a hit always
+    returns the transpilation of an equal template.
     """
-    body = []
-    for inst in circuit.instructions:
-        params = tuple(
-            ("sym", p.name) if hasattr(p, "name") else ("val", float(p))
+    return (
+        circuit.structure_key,
+        tuple(
+            p if isinstance(p, (Parameter, ParameterExpression)) else float(p)
+            for inst in circuit.instructions
             for p in inst.params
-        )
-        body.append((inst.name, inst.qubits, params))
-    return (circuit.num_qubits, tuple(body))
+        ),
+    )
 
 
 class TranspileCache:
     """Structure-keyed cache of :class:`TranspileResult` objects.
 
-    One instance is shared across every client of an ensemble (and may be
-    shared wider — the key includes the topology, so mixing devices is safe).
+    The key includes the topology, so one instance serves every device; the
+    process-wide one is :func:`shared_transpile_cache`.
     """
 
     def __init__(self) -> None:
@@ -125,3 +126,11 @@ class TranspileCache:
     def clear(self) -> None:
         """Drop every entry (hit/miss counters are kept)."""
         self._entries.clear()
+
+
+_SHARED = TranspileCache()
+
+
+def shared_transpile_cache() -> TranspileCache:
+    """The process-wide transpile cache."""
+    return _SHARED

@@ -30,14 +30,13 @@ system's asynchrony; ``execute_task`` is both halves back to back.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Hashable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Hashable, Sequence
 
-from ..backends.cache import TranspileCache
+from ..backends.cache import shared_transpile_cache
 from ..cloud.job import CloudJob
 from ..cloud.provider import CloudProvider
 from ..devices.qpu import QPU, CircuitFootprint
-from ..transpiler.transpile import TranspileResult
 from ..vqa.tasks import GradientTask
 from .objective import GradientJobSpec, VQAObjective
 from .weighting import estimate_p_correct
@@ -111,20 +110,12 @@ class EQCClientNode:
         provider: CloudProvider,
         shots: int = 8192,
         name: str | None = None,
-        transpile_cache: TranspileCache | None = None,
     ) -> None:
         self.objective = objective
         self.qpu = qpu
         self.provider = provider
         self.shots = int(shots)
         self.name = name or f"client_{qpu.name}"
-        #: Shared structure-keyed cache (backend layer); clients of one
-        #: ensemble hand the same instance around so a template transpiled
-        #: for a topology is transpiled exactly once fleet-wide.
-        self.transpile_cache = transpile_cache if transpile_cache is not None else TranspileCache()
-        #: Per-client view keyed by the objective's template keys (kept so
-        #: ``representative_footprint`` can summarize what *this* client ran).
-        self._transpile_cache: dict[Hashable, TranspileResult] = {}
         self._footprints: dict[tuple[Hashable, ...], CircuitFootprint] = {}
         self.jobs_completed = 0
 
@@ -133,35 +124,22 @@ class EQCClientNode:
     def device_name(self) -> str:
         return self.qpu.name
 
-    def _transpiled(self, key: Hashable, template) -> TranspileResult:
-        """Transpile a template once per device via the shared cache."""
-        if key not in self._transpile_cache:
-            self._transpile_cache[key] = self.transpile_cache.get_or_transpile(
-                template, self.qpu.topology
-            )
-        return self._transpile_cache[key]
-
-    def representative_footprint(self, job: GradientJobSpec | None = None) -> CircuitFootprint:
+    def representative_footprint(self, job: GradientJobSpec) -> CircuitFootprint:
         """The footprint used for weighting and execution-noise scaling.
 
         The per-group footprints of one loss evaluation are averaged into a
         single representative footprint: ``PCorrect`` is computed once per
         circuit induction in the paper, and our devices scale their noise
         from the same structure.  A client's transpiled footprints never
-        change, so the average is kept per template-key tuple.
+        change, so the average is kept per template-key tuple; on a miss each
+        distinct template is looked up in the process-wide transpile cache.
         """
-        if job is None:
-            if not self._transpile_cache:
-                raise ValueError("client has no transpiled templates yet")
-            return _average_footprints(
-                [result.footprint for result in self._transpile_cache.values()]
-            )
         keys = job.template_keys
         if keys not in self._footprints:
-            # Transpile every distinct template once (cached across tasks).
-            distinct = dict.fromkeys(zip(keys, job.templates))
+            cache = shared_transpile_cache()
+            distinct = dict(zip(keys, job.templates)).values()
             self._footprints[keys] = _average_footprints(
-                [self._transpiled(key, template).footprint for key, template in distinct]
+                [cache.get_or_transpile(t, self.qpu.topology).footprint for t in distinct]
             )
         return self._footprints[keys]
 

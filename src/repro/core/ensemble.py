@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ..backends.cache import TranspileCache
+from ..backends.cache import shared_transpile_cache
 from ..cloud.provider import CloudProvider
 from ..cloud.queueing import QueueModel
 from ..devices.catalog import DEFAULT_VQE_FLEET, build_fleet
@@ -225,16 +225,15 @@ class EQCEnsemble:
             # requeue at head); everything else in the plan is drawn by the
             # provider's submit loop exactly as on the statistical clock.
             self.scheduler.apply_fault_plan(self.config.fault_plan)
-        #: One structure-keyed transpile cache shared by every client: devices
-        #: with a common topology reuse each other's transpilations.
-        self.transpile_cache = TranspileCache()
+        #: The process-wide transpile cache the clients read (its counters
+        #: are process-lifetime counters, like the program cache's).
+        self.transpile_cache = shared_transpile_cache()
         self.clients = [
             EQCClientNode(
                 objective=objective,
                 qpu=qpu,
                 provider=self.provider,
                 shots=self.config.shots,
-                transpile_cache=self.transpile_cache,
             )
             for qpu in self.fleet
         ]

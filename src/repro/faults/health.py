@@ -9,7 +9,7 @@ a permanent outage — is marked *dead* and retired from the fleet.
 
 Every transition is recorded with its virtual timestamp, so two identical
 chaos runs can be compared transition-for-transition (the determinism pin of
-``bench_faults``).
+``tests/test_faults/test_degradation.py``).
 """
 
 from __future__ import annotations

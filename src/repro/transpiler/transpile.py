@@ -22,7 +22,7 @@ from .routing import RoutingResult, route_circuit
 __all__ = ["TranspileResult", "transpile"]
 
 
-@dataclass
+@dataclass(frozen=True)
 class TranspileResult:
     """Everything produced by transpiling one logical circuit for one device.
 

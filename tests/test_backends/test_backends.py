@@ -1,6 +1,7 @@
 """Protocol-level tests for the execution-backend layer."""
 
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
@@ -12,8 +13,15 @@ from repro.backends import (
     TranspileCache,
     normalize_batch,
 )
+from repro.backends.cache import shared_transpile_cache
 from repro.baselines.ideal import IdealTrainer
-from repro.circuit import ParameterSweep, ghz_state, hardware_efficient_ansatz
+from repro.circuit import (
+    Parameter,
+    ParameterSweep,
+    QuantumCircuit,
+    ghz_state,
+    hardware_efficient_ansatz,
+)
 from repro.devices import build_qpu
 from repro.vqa import heisenberg_vqe_problem, sampled_parameter_shift_gradient
 from repro.vqa.gradient import exact_full_gradient, parameter_shift_batch
@@ -121,19 +129,47 @@ class TestTranspileCache:
         assert len(cache) == 2
         assert cache.misses == 2
 
-    def test_ensemble_clients_share_one_cache(self):
+    def test_second_ensemble_over_same_objective_misses_nothing(self):
         from repro.core.ensemble import EQCConfig, EQCEnsemble
         from repro.core.objective import EnergyObjective
 
         problem = heisenberg_vqe_problem()
-        ensemble = EQCEnsemble(
-            EnergyObjective(problem.estimator),
-            EQCConfig(device_names=("x2", "Belem", "Bogota"), shots=128, seed=0),
+        objective = EnergyObjective(problem.estimator)
+        config = EQCConfig(device_names=("x2", "Belem", "Bogota"), shots=128, seed=0)
+        theta = problem.random_initial_parameters(seed=0)
+        first = EQCEnsemble(objective, config)
+        first.train(theta, num_epochs=1)
+        misses = first.transpile_cache.misses
+        second = EQCEnsemble(objective, config)
+        assert second.transpile_cache is first.transpile_cache is shared_transpile_cache()
+        second.train(theta, num_epochs=1)
+        assert shared_transpile_cache().misses == misses
+
+    def test_hit_returns_a_transpilation_of_its_own_template(self):
+        def template():
+            theta = Parameter("t")
+            circuit = QuantumCircuit(3)
+            circuit.ry(theta, 0)
+            circuit.cx(0, 2)
+            circuit.rz(theta, 2)
+            return circuit
+
+        cache = TranspileCache()
+        topology = build_qpu("Belem").topology
+        templates = [template(), template()]
+        results = [cache.get_or_transpile(t, topology) for t in templates]
+        for circuit, result in zip(templates, results):
+            assert result.physical_circuit.parameters <= circuit.parameters
+            assert result.logical_circuit is circuit
+        assert cache.misses == 2
+
+    def test_results_are_read_only(self):
+        result = TranspileCache().get_or_transpile(
+            hardware_efficient_ansatz(4), build_qpu("Belem").topology
         )
-        assert all(
-            client.transpile_cache is ensemble.transpile_cache
-            for client in ensemble.clients
-        )
+        for field in dataclasses.fields(result):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(result, field.name, getattr(result, field.name))
 
 
 class TestBackendSwap:

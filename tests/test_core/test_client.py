@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.backends.cache import shared_transpile_cache
 from repro.cloud.provider import CloudProvider
 from repro.core.client import EQCClientNode
 from repro.core.objective import EnergyObjective
@@ -40,11 +41,19 @@ class TestClientExecution:
         assert abs(outcome.gradient) < 50.0
 
     def test_transpilation_is_cached_across_tasks(self, client, vqe_problem):
+        cache = shared_transpile_cache()
         theta = vqe_problem.random_initial_parameters()
         client.execute_task(GradientTask(0, 0), theta, submit_time=0.0)
-        cached = len(client._transpile_cache)
+        counters = (cache.hits, cache.misses)
+        # The second task reads the client's footprint memo: no lookup at all.
         client.execute_task(GradientTask(1, 1), theta, submit_time=100.0)
-        assert len(client._transpile_cache) == cached == 3
+        assert (cache.hits, cache.misses) == counters
+        # The first task left one entry per group template for this topology.
+        templates = client.objective.build_job(GradientTask(0, 0), theta).templates
+        assert len(templates) == 3
+        for template in templates:
+            cache.get_or_transpile(template, client.qpu.topology)
+        assert cache.misses == counters[1]
 
     def test_jobs_completed_counter(self, client, vqe_problem):
         theta = vqe_problem.random_initial_parameters()
@@ -64,7 +73,7 @@ class TestClientExecution:
         monkeypatch.setattr(
             client,
             "representative_footprint",
-            lambda job=None: calls.append(job) or original(job),
+            lambda job: calls.append(job) or original(job),
         )
         client.execute_task(GradientTask(1, 1), theta, submit_time=100.0)
         assert len(calls) == 1
@@ -85,8 +94,12 @@ class TestClientExecution:
         # Three jobs over the same three templates: averaged once, shared after.
         assert averaged == [3]
         assert footprints[0] is footprints[1] is footprints[2]
+        cache = shared_transpile_cache()
         assert footprints[0] == average(
-            [result.footprint for result in client._transpile_cache.values()]
+            [
+                cache.get_or_transpile(template, client.qpu.topology).footprint
+                for template in jobs[0].templates
+            ]
         )
 
     def test_dispatch_and_collect_are_the_two_halves_of_execute(self, vqe_problem):
@@ -109,13 +122,6 @@ class TestClientExecution:
         assert len(provider._parked) == 1
         assert dispatched.collect() == outcome
         assert not provider._parked
-
-    def test_representative_footprint_requires_templates(self, vqe_problem):
-        qpu = build_qpu("Quito")
-        provider = CloudProvider([qpu], seed=0)
-        fresh = EQCClientNode(EnergyObjective(vqe_problem.estimator), qpu, provider)
-        with pytest.raises(ValueError):
-            fresh.representative_footprint()
 
     def test_p_correct_tracks_device_quality(self, vqe_problem):
         """The estimate on x2 must be lower than on Bogota for the same job."""

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.circuit import Parameter, QuantumCircuit
 from repro.cloud.queueing import QueueModel
 from repro.core.ensemble import EQCConfig, EQCEnsemble
 from repro.core.objective import EnergyObjective
 from repro.core.weighting import BOUNDS_MODERATE
 from repro.faults import FaultPlan, OutageWindow, RetryPolicy
+from repro.hamiltonian.expectation import EnergyEstimator
 
 #: A plan that injects something on every run of the small fleets below.
 CHAOS = FaultPlan(seed=11, transient_failure_rate=0.3)
@@ -175,6 +177,23 @@ class TestEQCEnsemble:
             EnergyObjective(vqe_problem.estimator), "Bogota", shots=256, seed=2
         ).train(theta, num_epochs=2)
         assert eqc_history.total_hours() < single.total_hours()
+
+    def test_trains_an_ansatz_with_affine_angles(self, heisenberg_h):
+        """``ry(2 * t)`` angles are ParameterExpressions: the transpile cache
+        keys them as such instead of failing to convert them to floats."""
+        theta = [Parameter(f"t{i}") for i in range(4)]
+        ansatz = QuantumCircuit(4)
+        for qubit, angle in enumerate(theta):
+            ansatz.ry(2 * angle, qubit)
+        for qubit in range(3):
+            ansatz.cx(qubit, qubit + 1)
+        ensemble = EQCEnsemble.for_estimator(
+            EnergyEstimator(ansatz, heisenberg_h),
+            EQCConfig(device_names=("x2", "Belem"), shots=128, seed=0),
+        )
+        history = ensemble.train(np.full(4, 0.3), num_epochs=1)
+        assert len(history) == 1
+        assert np.isfinite(history.losses).all()
 
     def test_deterministic_given_seed(self, vqe_problem, small_config):
         theta = vqe_problem.random_initial_parameters()
