@@ -69,6 +69,14 @@ class TestFig4AndFig5:
             assert 0.0 <= point.observed_error <= 1.0
         assert result.correlation.pearson_r > 0.3
         assert "r=" in render_fig4(result)
+        # Sampled bits pinned: the driver's device call may change spelling,
+        # never the counts it draws from the shared seed-1 stream.
+        assert [p.observed_error.hex() for p in result.points] == [
+            "0x1.2880000000000p-1", "0x1.6a40000000000p-1",
+            "0x1.6b80000000000p-2", "0x1.aa00000000000p-2",
+            "0x1.c600000000000p-3", "0x1.0000000000000p-2",
+            "0x1.5780000000000p-2", "0x1.8b00000000000p-2",
+        ]
 
     def test_weight_trace(self):
         result = fig5_weight_trace(
