@@ -115,7 +115,6 @@ from .sched import (
 from .simulator import (
     Counts,
     MixingNoiseSpec,
-    noisy_probabilities,
     noisy_probabilities_batch,
     simulate_statevector,
 )
@@ -145,7 +144,6 @@ __all__ = [
     "simulate_statevector",
     "Counts",
     "MixingNoiseSpec",
-    "noisy_probabilities",
     "noisy_probabilities_batch",
     # compiled execution engine
     "GateProgram",

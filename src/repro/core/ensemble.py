@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from ..backends.cache import shared_transpile_cache
 from ..cloud.provider import CloudProvider
 from ..cloud.queueing import QueueModel
@@ -33,7 +31,7 @@ from ..vqa.optimizer import AsgdRule
 from ..vqa.tasks import CyclicTaskQueue, vqe_task_cycle
 from .client import EQCClientNode
 from .history import TrainingHistory
-from .master import EQCMasterNode
+from .master import EQCMasterNode, checked_initial_parameters
 from .objective import EnergyObjective, VQAObjective
 from .weighting import BOUNDS_MODERATE, WeightBounds, WeightingConfig
 
@@ -271,6 +269,7 @@ class EQCEnsemble:
         """
         if record_every < 1:
             raise ValueError("record_every must be >= 1")
+        theta = checked_initial_parameters(self.objective, initial_parameters)
         queue = task_queue or vqe_task_cycle(self.objective.num_parameters)
         checkpointer = _checkpointer
         run = None
@@ -281,7 +280,7 @@ class EQCEnsemble:
 
             run = RunStore(self.config.run_store).create_run(
                 config=self.config,
-                initial_parameters=[float(v) for v in initial_parameters],
+                initial_parameters=theta.tolist(),
                 num_epochs=num_epochs,
                 record_every=record_every,
             )
@@ -306,7 +305,7 @@ class EQCEnsemble:
                     bounds=self.config.weight_bounds,
                     refresh_on_every_update=self.config.refresh_weights,
                 ),
-                initial_parameters=np.asarray(initial_parameters, dtype=float),
+                initial_parameters=theta,
                 label=self.config.describe(),
                 health=health,
                 dispatch_deadline=self.config.dispatch_deadline,

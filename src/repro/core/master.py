@@ -85,6 +85,25 @@ class _InFlight:
     failure: FaultError | None = field(compare=False, default=None)
 
 
+def checked_initial_parameters(
+    objective: VQAObjective, initial_parameters: Sequence[float]
+) -> np.ndarray:
+    """The float vector training starts from: one finite value per parameter
+    of ``objective``, or a ``ValueError`` naming ``initial_parameters``."""
+    theta = np.asarray(initial_parameters, dtype=float)
+    if theta.shape != (objective.num_parameters,):
+        raise ValueError(
+            f"initial_parameters must hold the objective's {objective.num_parameters} "
+            f"values (got shape {theta.shape})"
+        )
+    bad = np.flatnonzero(~np.isfinite(theta))
+    if bad.size:
+        raise ValueError(
+            f"initial_parameters must be finite (got {theta[bad[0]]} at index {bad[0]})"
+        )
+    return theta
+
+
 class EQCMasterNode:
     """Coordinates asynchronous VQA training over a quantum ensemble."""
 
@@ -119,7 +138,9 @@ class EQCMasterNode:
         self.rule = rule
         self.weighting = weighting
         self.label = label
-        self.state = ParameterVectorState(np.asarray(initial_parameters, dtype=float))
+        self.state = ParameterVectorState(
+            checked_initial_parameters(objective, initial_parameters)
+        )
         self.telemetry = MasterTelemetry()
         #: Dispatched tasks by ``job_id``, held until their outcome is collected.
         self._dispatched: dict[int, DispatchedTask] = {}

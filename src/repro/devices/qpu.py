@@ -34,12 +34,7 @@ from ..circuit.sweep import ParameterSweep
 from ..noise.calibration import CalibrationSnapshot
 from ..noise.drift import DriftModel, DriftProfile
 from ..noise.generator import CalibrationGenerator, NoiseProfile
-from ..simulator.mixing import (
-    MixingNoiseSpec,
-    execute_with_mixing,
-    noisy_probabilities,
-    noisy_probabilities_batch,
-)
+from ..simulator.mixing import MixingNoiseSpec, noisy_probabilities_batch
 from ..simulator.result import ExecutionResult
 from ..simulator.sampler import sample_distribution_batch
 from .topology import Topology
@@ -421,41 +416,6 @@ class QPU:
             self._cycle_tables[cycle] = entry
         return entry
 
-    def execute(
-        self,
-        circuit: QuantumCircuit,
-        footprint: CircuitFootprint,
-        shots: int,
-        now: float,
-        rng: np.random.Generator | None = None,
-    ) -> ExecutionResult:
-        """Run a bound logical circuit with this device's current noise.
-
-        Args:
-            circuit: the fully-bound *logical* circuit (4–5 qubits); the
-                statevector is simulated at this width.
-            footprint: structural cost of the circuit's transpiled form on
-                this device (drives the error magnitude).
-            shots: number of measurement shots.
-            now: simulation time (seconds) the job starts executing.
-            rng: randomness source; defaults to the device's own stream.
-        """
-        rng = rng if rng is not None else self._rng
-        noise = self.execution_noise(footprint, now)
-        counts = execute_with_mixing(circuit, noise, shots, rng)
-        duration = self.job_duration_seconds(now)
-        return ExecutionResult(
-            counts=counts,
-            shots=shots,
-            backend_name=self.name,
-            duration_seconds=duration,
-            metadata={
-                "success_probability": noise.success_probability,
-                "calibration_age_hours": self.hours_since_calibration(now),
-                "drift_factor": self.drift_factor(now),
-            },
-        )
-
     def batch_clock(
         self, num_circuits: int, now: float
     ) -> tuple[list[float], list[float], float]:
@@ -528,7 +488,8 @@ class QPU:
     ) -> list[ExecutionResult]:
         """Run a batch of circuits back to back on this device.
 
-        The only batch entry point: bound circuits or an unbound
+        The only execution entry point (one circuit is a one-circuit batch):
+        bound circuits or an unbound
         :class:`~repro.circuit.sweep.ParameterSweep` (same job slots, same
         results, nothing bound).  The job's **clock half** runs here —
         offsets, durations, noise specs, metadata (:meth:`_timeline_with_metadata`):
@@ -538,7 +499,10 @@ class QPU:
         returning (``park=None``, the one-job case of :func:`resolve_batches`)
         or appended to the caller's ``park`` list, to be resolved later in one
         stacked pass that fills these same results.  Who resolves changes the
-        wall-clock cost, never the physics (:meth:`execute` is the reference).
+        wall-clock cost, never the physics.  A ``k``-circuit job equals ``k``
+        one-circuit jobs submitted back to back on the walked clock
+        (:func:`job_slot_circuit_seconds` apart) in counts, durations,
+        metadata and the stream's end state.
         """
         if not len(circuits):
             raise ValueError("a batch needs at least one circuit")
@@ -558,12 +522,6 @@ class QPU:
         else:
             park.append(batch)
         return results
-
-    def noisy_distribution(
-        self, circuit: QuantumCircuit, footprint: CircuitFootprint, now: float
-    ) -> np.ndarray:
-        """The exact (un-sampled) noisy outcome distribution at time ``now``."""
-        return noisy_probabilities(circuit, self.execution_noise(footprint, now))
 
 
 @dataclass(eq=False, slots=True)

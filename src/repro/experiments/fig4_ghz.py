@@ -103,7 +103,9 @@ def fig4_ghz_validation(
             # Observed error: actual noisy executions at that age (drifted).
             observed_values = []
             for _ in range(repeats):
-                result = qpu.execute(circuit, transpiled.footprint, shots, now=now, rng=rng)
+                (result,) = qpu.execute_batch(
+                    [circuit], transpiled.footprint, shots, now=now, rng=rng
+                )
                 observed_values.append(ghz_observed_error(result.counts))
             points.append(
                 GhzPoint(

@@ -28,10 +28,10 @@ Determinism: every device draws from two kernel RNG streams of its own
 (``workload/<device>`` for gaps, ``workload/<device>/marks`` for job marks),
 so the traffic on one device is a pure function of the kernel seed —
 independent of fleet composition order or of how far other devices have been
-simulated.  Batched and sequential admission (``batch_arrivals``) share the
-same chunk generator, so they consume the RNG identically and agree
-bit-for-bit on every arrival timestamp and job mark — a property pinned by
-``tests/test_sched/test_workload.py``.
+simulated.  A chunk enters the kernel as one ``schedule_batch`` run, which
+fires exactly as the same timestamps scheduled one at a time would
+(``tests/test_sched/test_kernel.py``); the chunk RNG protocol itself is
+hex-pinned in ``tests/test_sched/test_workload.py``.
 """
 
 from __future__ import annotations
@@ -125,24 +125,13 @@ class _DeviceArrivalStream:
         return True
 
     def admit_chunk(self) -> None:
-        """Hand the current chunk's timestamps to the kernel."""
-        kernel = self.scheduler.kernel
-        if self.workload.batch_arrivals:
-            kernel.schedule_batch(
-                self.times,
-                self.fire,
-                priority=EVENT_PRIORITY["arrival"],
-                kind="tenant_arrival",
-            )
-        else:
-            # Sequential reference path: one event at a time, next armed by
-            # the previous one's firing.  Same chunks, same RNG, same times.
-            kernel.schedule(
-                self.times[0],
-                self.fire,
-                priority=EVENT_PRIORITY["arrival"],
-                kind="tenant_arrival",
-            )
+        """Hand the current chunk's timestamps to the kernel as one run."""
+        self.scheduler.kernel.schedule_batch(
+            self.times,
+            self.fire,
+            priority=EVENT_PRIORITY["arrival"],
+            kind="tenant_arrival",
+        )
 
     # ------------------------------------------------------------------
     def fire(self, now: float) -> None:
@@ -166,13 +155,6 @@ class _DeviceArrivalStream:
             # Chunk exhausted: refill with the rate in force at this arrival.
             if self.generate_chunk(now):
                 self.admit_chunk()
-        elif not workload.batch_arrivals:
-            self.scheduler.kernel.schedule(
-                self.times[self.cursor],
-                self.fire,
-                priority=EVENT_PRIORITY["arrival"],
-                kind="tenant_arrival",
-            )
 
 
 class _TenantNames(dict):
@@ -204,9 +186,6 @@ class WorkloadGenerator:
             the full community load to every device independently.  This is
             the fleet-scaling mode the tournament sweeps; the default False
             keeps the historical per-device semantics.
-        batch_arrivals: admit chunks via ``schedule_batch`` (fast path).
-            False replays the identical chunks one kernel event at a time —
-            the reference mode the bit-exactness tests compare against.
     """
 
     def __init__(
@@ -218,7 +197,6 @@ class WorkloadGenerator:
         chunk_refresh_seconds: float = 900.0,
         max_chunk: int = 4096,
         spread_load: bool = False,
-        batch_arrivals: bool = True,
     ) -> None:
         if num_tenants < 0:
             raise ValueError("num_tenants must be non-negative")
@@ -240,7 +218,6 @@ class WorkloadGenerator:
         self.chunk_refresh_seconds = float(chunk_refresh_seconds)
         self.max_chunk = int(max_chunk)
         self.spread_load = bool(spread_load)
-        self.batch_arrivals = bool(batch_arrivals)
         self.jobs_injected = 0
         self._popularity_scale = 1.0
         #: Read with a plain dict lookup once per arrival.

@@ -33,27 +33,14 @@ import numpy as np
 
 from ..circuit.circuit import QuantumCircuit
 from ..circuit.sweep import ParameterSweep
-from ..engine import (
-    execute_program,
-    lower_batch,
-    marginal_probabilities,
-    slot_values_from_circuits,
-)
-from ..engine.cache import shared_program_cache
-from .result import Counts
+from ..engine import execute_program, lower_batch, marginal_probabilities
 from .sampler import (
     apply_readout_error,
     apply_readout_error_batch,
     readout_confusion_matrix,
-    sample_distribution,
 )
 
-__all__ = [
-    "MixingNoiseSpec",
-    "execute_with_mixing",
-    "noisy_probabilities",
-    "noisy_probabilities_batch",
-]
+__all__ = ["MixingNoiseSpec", "noisy_probabilities_batch"]
 
 _ROTATION_GATES = frozenset({"rx", "ry", "rz", "rzz"})
 
@@ -96,45 +83,6 @@ class MixingNoiseSpec:
             raise ValueError(f"coherent_bias must be finite (got {self.coherent_bias!r})")
 
 
-def _ideal_probabilities(circuit: QuantumCircuit, bias: float) -> np.ndarray:
-    """Ideal measured-register distribution via the compiled engine.
-
-    The circuit's structure compiles once (shared, structure-keyed cache);
-    the coherent over-rotation bias is applied by scaling the rotation slots
-    of the extracted angle vector (``theta * (1 + bias)`` at every ``rx``,
-    ``ry``, ``rz`` and ``rzz`` slot), with zero circuit rebuilding.
-    """
-    program = shared_program_cache().get_or_compile(circuit)
-    thetas = slot_values_from_circuits(program, [circuit])
-    if bias != 0.0:
-        scale = np.array(
-            [1.0 + bias if g in _ROTATION_GATES else 1.0 for g in program.slot_gates]
-        )
-        thetas = thetas * scale
-    states = execute_program(program, thetas)
-    measured = circuit.measured_qubits or tuple(range(circuit.num_qubits))
-    return marginal_probabilities(states, measured, circuit.num_qubits)[0]
-
-
-def noisy_probabilities(
-    circuit: QuantumCircuit,
-    noise: MixingNoiseSpec,
-) -> np.ndarray:
-    """The analytic noisy outcome distribution over the measured qubits."""
-    if not circuit.is_bound:
-        raise ValueError("circuit has unbound parameters")
-    measured = circuit.measured_qubits or tuple(range(circuit.num_qubits))
-    ideal = _ideal_probabilities(circuit, noise.coherent_bias)
-
-    uniform = np.full_like(ideal, 1.0 / ideal.size)
-    mixed = noise.success_probability * ideal + (1.0 - noise.success_probability) * uniform
-
-    confusions = _confusion_matrices(noise, len(measured))
-    if confusions:
-        mixed = apply_readout_error(mixed, confusions)
-    return mixed
-
-
 def noisy_probabilities_batch(
     circuits: Sequence[QuantumCircuit] | ParameterSweep,
     noises: Sequence[MixingNoiseSpec],
@@ -142,24 +90,22 @@ def noisy_probabilities_batch(
 ) -> np.ndarray | list[np.ndarray]:
     """Analytic noisy outcome distributions for a whole device batch at once.
 
-    The vectorized counterpart of :func:`noisy_probabilities`.  The batch is
-    first *lowered* (:func:`repro.engine.lower_batch`, the lowering the ideal
-    backend shares) to ``(program, slot-angle matrix, representative, flat
-    positions)`` groups — bound circuits partition by gate structure; a
-    :class:`~repro.circuit.sweep.ParameterSweep` becomes **one** group, its
-    templates merged into one program over all ``points x templates`` rows
-    straight from the ``(points, P)`` matrix, binding nothing — and from
-    there one tail serves both: a group is **one** bias scaling (per-circuit
-    coherent biases scale rotation slots row-wise), **one** compiled program
-    execution, one marginal, a single broadcast depolarizing mix against the
-    uniform distribution, and one batched per-bit readout contraction.
-    Every arithmetic step performs the identical per-row operations the
-    sequential path performs, so row ``i`` of the result matches
-    ``noisy_probabilities(circuits[i], noises[i])`` to within ~1e-16 (the
-    only difference is the GEMM batch shape inside the compiled engine) —
-    far below the multinomial sampler's decision thresholds, which is why
-    the seeded golden histories stay bit-exact; a sweep and its bound
-    circuits agree to the same tolerance.
+    The batch is first *lowered* (:func:`repro.engine.lower_batch`, the
+    lowering the ideal backend shares) to ``(program, slot-angle matrix,
+    representative, flat positions)`` groups — bound circuits partition by
+    gate structure; a :class:`~repro.circuit.sweep.ParameterSweep` becomes
+    **one** group, its templates merged into one program over all ``points x
+    templates`` rows straight from the ``(points, P)`` matrix, binding
+    nothing — and from there one tail serves both: a group is **one** bias
+    scaling (per-circuit coherent biases scale rotation slots row-wise),
+    **one** compiled program execution, one marginal, a single broadcast
+    depolarizing mix against the uniform distribution, and one batched
+    per-bit readout contraction.  Every step is row-wise, so row ``i`` of
+    the result matches ``circuits[i]`` passed alone as a one-row batch to
+    within ~1e-16 (the only difference is the GEMM batch shape inside the
+    compiled engine) — far below the multinomial sampler's decision
+    thresholds, which is why the seeded golden histories stay bit-exact; a
+    sweep and its bound circuits agree to the same tolerance.
 
     Args:
         circuits: fully-bound circuits (any mix of structures), or a sweep.
@@ -207,9 +153,8 @@ def _bias_scaled(
 ) -> np.ndarray:
     """Apply per-circuit coherent over-rotation biases to a slot-angle matrix.
 
-    Row ``i`` is multiplied by the same ``(1 + bias)``-at-rotation-slots
-    vector :func:`_ideal_probabilities` builds for one circuit, so the scaled
-    angles are bitwise identical to the sequential path's.
+    Row ``i`` is multiplied by ``(1 + bias_i)`` at every rotation slot and by
+    1 elsewhere, so a row's scaled angles do not depend on the other rows.
     """
     biases = np.array([spec.coherent_bias for spec in noises], dtype=float)
     if not np.any(biases != 0.0):
@@ -248,28 +193,14 @@ def _mix_and_confuse(
         confusion[:, :, 1, 1] = 1 - p10
         return apply_readout_error_batch(mixed, confusion)
     # Mixed batch (some circuits noiseless on readout): fall back row-wise so
-    # the no-confusion rows keep the sequential path's skip-renormalize
-    # behaviour exactly.
+    # a row with exact readout is left unrenormalized, the bits it gets in a
+    # batch of its own.
     return np.stack(
         [
             apply_readout_error(row, _confusion_matrices(spec, num_bits)) if noisy else row
             for row, spec, noisy in zip(mixed, noises, with_readout)
         ]
     )
-
-
-def execute_with_mixing(
-    circuit: QuantumCircuit,
-    noise: MixingNoiseSpec,
-    shots: int,
-    rng: np.random.Generator,
-) -> Counts:
-    """Execute a bound circuit under the analytic mixing noise model."""
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
-    measured = circuit.measured_qubits or tuple(range(circuit.num_qubits))
-    probs = noisy_probabilities(circuit, noise)
-    return sample_distribution(probs, shots, rng, num_bits=len(measured))
 
 
 def _readout_pairs(

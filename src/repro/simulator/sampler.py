@@ -19,7 +19,6 @@ __all__ = [
     "readout_confusion_matrix",
     "apply_readout_error",
     "apply_readout_error_batch",
-    "distribution_to_counts",
 ]
 
 #: Widths for which the full bitstring-label table is precomputed; wider
@@ -261,7 +260,7 @@ def apply_readout_error_batch(
             raise ValueError("each confusion stack must be (batch, 2, 2) or (2, 2)")
         tensor = np.moveaxis(tensor, bit + 1, 1)
         shape = tensor.shape
-        # Stacked matmul runs the same 2-D GEMM per row the sequential path
+        # Stacked matmul runs the same 2-D GEMM per row apply_readout_error
         # runs per circuit, keeping the contraction bitwise identical.
         tensor = stack @ np.ascontiguousarray(tensor.reshape(batch, 2, -1))
         tensor = tensor.reshape(shape)
@@ -272,31 +271,3 @@ def apply_readout_error_batch(
     out[positive] /= totals[positive, None]
     return out
 
-
-def distribution_to_counts(probabilities: np.ndarray, shots: int) -> Counts:
-    """Deterministically round a distribution into integer counts.
-
-    Used by tests and analytic baselines where sampling noise is unwanted.
-    The largest remainders absorb the rounding difference so the counts sum
-    exactly to ``shots``.
-    """
-    probs = np.asarray(probabilities, dtype=float)
-    probs = np.clip(probs, 0.0, None)
-    total = probs.sum()
-    if total <= 0:
-        raise ValueError("probability vector sums to zero")
-    probs = probs / total
-    raw = probs * shots
-    floors = np.floor(raw).astype(int)
-    remainder = shots - int(floors.sum())
-    if remainder > 0:
-        order = np.argsort(-(raw - floors))
-        for index in order[:remainder]:
-            floors[index] += 1
-    num_bits = max(1, int(np.round(np.log2(probs.size))))
-    data = {
-        format(index, f"0{num_bits}b"): int(count)
-        for index, count in enumerate(floors)
-        if count
-    }
-    return Counts(data, shots=shots)

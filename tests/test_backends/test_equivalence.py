@@ -3,7 +3,8 @@
 The ideal backend must agree with the looped reference simulator to better
 than 1e-10 on probabilities for every circuit family the paper uses (GHZ,
 QAOA, VQE hardware-efficient ansatz), and the noisy backend must be
-bit-exact with the legacy per-circuit device path for fixed seeds.
+bit-exact with the same circuits run as one-circuit device jobs back to back
+for fixed seeds.
 """
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 from repro.backends import NoisyBackend, StatevectorBackend
 from repro.circuit import ghz_state, hardware_efficient_ansatz, qaoa_maxcut_ansatz
 from repro.devices import build_qpu
-from repro.devices.qpu import CircuitFootprint
+from repro.devices.qpu import CircuitFootprint, job_slot_circuit_seconds
 from repro.engine import execute_program, lower_batch
 from repro.simulator.statevector import simulate_statevector
 
@@ -85,7 +86,7 @@ class TestBatchedIdealEquivalence:
 class TestNoisyEquivalence:
     @pytest.mark.parametrize("device_name", ["Belem", "Toronto"])
     def test_noisy_batch_matches_legacy_sequential_loop(self, device_name):
-        """NoisyBackend.run == the pre-refactor provider loop, bit for bit."""
+        """NoisyBackend.run == one-circuit jobs back to back, bit for bit."""
         template = hardware_efficient_ansatz(4)
         bound = [
             template.assign_by_order(values)
@@ -100,26 +101,28 @@ class TestNoisyEquivalence:
         legacy = []
         elapsed = 0.0
         for circuit in bound:
-            result = legacy_qpu.execute(
-                circuit, footprint, shots, now=now + elapsed, rng=legacy_rng
+            (result,) = legacy_qpu.execute_batch(
+                [circuit], footprint, shots, now=now + elapsed, rng=legacy_rng
             )
             legacy.append(result)
-            elapsed += result.duration_seconds / 2.0
+            elapsed += job_slot_circuit_seconds(result.duration_seconds)
 
         backend = NoisyBackend(build_qpu(device_name))
+        batched_rng = np.random.default_rng(99)
         batched = backend.run(
             bound,
             shots=shots,
             footprint=footprint,
             now=now,
-            rng=np.random.default_rng(99),
+            rng=batched_rng,
         )
 
         assert len(batched) == len(legacy)
         for new, old in zip(batched, legacy):
             assert dict(new.counts) == dict(old.counts)
             assert new.duration_seconds == old.duration_seconds
-            assert new.metadata["success_probability"] == old.metadata["success_probability"]
+            assert new.metadata == old.metadata
+        assert batched_rng.bit_generator.state == legacy_rng.bit_generator.state
 
     def test_seeded_run_is_reproducible(self):
         backend = NoisyBackend(build_qpu("Belem"))

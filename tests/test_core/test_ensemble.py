@@ -6,10 +6,13 @@ import pytest
 from repro.circuit import Parameter, QuantumCircuit
 from repro.cloud.queueing import QueueModel
 from repro.core.ensemble import EQCConfig, EQCEnsemble
+from repro.core.master import EQCMasterNode
 from repro.core.objective import EnergyObjective
-from repro.core.weighting import BOUNDS_MODERATE
+from repro.core.weighting import BOUNDS_MODERATE, WeightingConfig
 from repro.faults import FaultPlan, OutageWindow, RetryPolicy
 from repro.hamiltonian.expectation import EnergyEstimator
+from repro.vqa.optimizer import AsgdRule
+from repro.vqa.tasks import vqe_task_cycle
 
 #: A plan that injects something on every run of the small fleets below.
 CHAOS = FaultPlan(seed=11, transient_failure_rate=0.3)
@@ -122,6 +125,54 @@ class TestEQCConfig:
         assert config.checkpointing_enabled is checkpointing
         assert config.uses_scheduler is scheduler
         assert config.fault_tolerant is tolerant
+
+
+#: Each entry maps the objective's parameter count to a bad starting vector.
+BAD_INITIAL_PARAMETERS = {
+    "nan": lambda n: [float("nan")] + [0.0] * (n - 1),
+    "inf": lambda n: [0.0] * (n - 1) + [float("inf")],
+    "-inf": lambda n: [0.0, float("-inf")] + [0.0] * (n - 2),
+    "short": lambda n: [0.0] * (n - 1),
+    "long": lambda n: [0.0] * (n + 1),
+    "matrix": lambda n: [[0.0] * n],
+}
+
+
+class TestInitialParameters:
+    """A bad starting vector is refused at the entry point, naming itself."""
+
+    @pytest.mark.parametrize("case", sorted(BAD_INITIAL_PARAMETERS))
+    def test_train_refuses_before_creating_a_run(self, vqe_problem, tmp_path, case):
+        ensemble = EQCEnsemble.for_estimator(
+            vqe_problem.estimator,
+            EQCConfig(
+                device_names=("x2",),
+                shots=64,
+                seed=0,
+                checkpoint_every=1,
+                run_store=str(tmp_path / "runs"),
+            ),
+        )
+        theta = BAD_INITIAL_PARAMETERS[case](vqe_problem.estimator.num_parameters)
+        with pytest.raises(ValueError, match="^initial_parameters "):
+            ensemble.train(theta, num_epochs=1)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("case", sorted(BAD_INITIAL_PARAMETERS))
+    def test_master_refuses_at_construction(self, vqe_problem, case):
+        ensemble = EQCEnsemble.for_estimator(
+            vqe_problem.estimator, EQCConfig(device_names=("x2",), shots=64, seed=0)
+        )
+        theta = BAD_INITIAL_PARAMETERS[case](vqe_problem.estimator.num_parameters)
+        with pytest.raises(ValueError, match="^initial_parameters "):
+            EQCMasterNode(
+                objective=ensemble.objective,
+                clients=ensemble.clients,
+                task_queue=vqe_task_cycle(vqe_problem.estimator.num_parameters),
+                rule=AsgdRule(0.1),
+                weighting=WeightingConfig(),
+                initial_parameters=theta,
+            )
 
 
 class TestEQCEnsemble:

@@ -8,6 +8,7 @@ from repro.devices.catalog import build_qpu
 from repro.devices.qpu import CircuitFootprint, success_probability
 from repro.devices.topology import line_topology
 from repro.noise.calibration import CalibrationSnapshot
+from repro.simulator.mixing import noisy_probabilities_batch
 from repro.transpiler import transpile
 
 
@@ -113,18 +114,23 @@ class TestSuccessProbability:
 
 class TestExecution:
     def test_execute_returns_counts_with_correct_shots(self, bogota, ghz_footprint, rng):
-        result = bogota.execute(ghz_state(4), ghz_footprint, shots=512, now=3600.0, rng=rng)
+        (result,) = bogota.execute_batch(
+            [ghz_state(4)], ghz_footprint, shots=512, now=3600.0, rng=rng
+        )
         assert result.counts.shots == 512
         assert result.backend_name == "Bogota"
         assert result.duration_seconds > 0
 
     def test_execution_metadata(self, bogota, ghz_footprint, rng):
-        result = bogota.execute(ghz_state(4), ghz_footprint, shots=128, now=7200.0, rng=rng)
+        (result,) = bogota.execute_batch(
+            [ghz_state(4)], ghz_footprint, shots=128, now=7200.0, rng=rng
+        )
         assert 0.0 <= result.metadata["success_probability"] <= 1.0
         assert result.metadata["calibration_age_hours"] == pytest.approx(2.0)
 
-    def test_noisy_distribution_normalized(self, bogota, ghz_footprint):
-        probs = bogota.noisy_distribution(ghz_state(4), ghz_footprint, now=3600.0)
+    def test_execution_noise_map_normalized(self, bogota, ghz_footprint):
+        spec = bogota.execution_noise(ghz_footprint, 3600.0)
+        (probs,) = noisy_probabilities_batch([ghz_state(4)], [spec])
         assert probs.sum() == pytest.approx(1.0)
 
     def test_noisier_device_has_lower_success(self, ghz_footprint, rng):

@@ -15,11 +15,7 @@ from hypothesis import strategies as st
 from repro.circuit import Parameter, QuantumCircuit
 from repro.circuit.sweep import ParameterSweep
 from repro.engine import execute_program, merge_programs, shared_program_cache
-from repro.simulator.mixing import (
-    MixingNoiseSpec,
-    noisy_probabilities,
-    noisy_probabilities_batch,
-)
+from repro.simulator.mixing import MixingNoiseSpec, noisy_probabilities_batch
 
 NUM_QUBITS = 3
 CONSTANT_1Q = ("h", "x", "s", "sdg", "t", "sx")
@@ -160,5 +156,5 @@ class TestJobWideNoiseTail:
         batched = noisy_probabilities_batch(sweep, specs)
         assert len(batched) == len(sweep)
         for circuit, spec, row in zip(sweep.bound_circuits(), specs, batched):
-            reference = noisy_probabilities(circuit, spec)
+            (reference,) = noisy_probabilities_batch([circuit], [spec])
             assert np.max(np.abs(row - reference)) <= 1e-12

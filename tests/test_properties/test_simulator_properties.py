@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from repro.circuit import Parameter, ParameterExpression, QuantumCircuit
 from repro.circuit.gates import GATE_SPECS, gate_matrix
 from repro.simulator import readout_confusion_matrix
-from repro.simulator.mixing import MixingNoiseSpec, noisy_probabilities
+from repro.simulator.mixing import MixingNoiseSpec, noisy_probabilities_batch
 from repro.simulator.sampler import apply_readout_error, sample_distribution
 from repro.simulator.statevector import Statevector, simulate_statevector
 from repro.vqa import heisenberg_vqe_problem, ring_maxcut_qaoa_problem
@@ -176,7 +176,7 @@ class TestSamplingInvariants:
 class TestMixingInvariants:
     @given(success=probabilities, p01=st.floats(0, 0.3), p10=st.floats(0, 0.3))
     @settings(max_examples=40, deadline=None)
-    def test_noisy_distribution_is_a_distribution(self, success, p01, p10):
+    def test_noisy_row_is_a_distribution(self, success, p01, p10):
         circuit = QuantumCircuit(3)
         circuit.h(0)
         circuit.cx(0, 1)
@@ -185,7 +185,7 @@ class TestMixingInvariants:
         spec = MixingNoiseSpec(
             success_probability=success, readout_p01=p01, readout_p10=p10
         )
-        probs = noisy_probabilities(circuit, spec)
+        (probs,) = noisy_probabilities_batch([circuit], [spec])
         assert np.isclose(probs.sum(), 1.0, atol=1e-9)
         assert np.all(probs >= -1e-12)
 
@@ -197,7 +197,9 @@ class TestMixingInvariants:
         circuit.cx(0, 1)
         circuit.cx(1, 2)
         circuit.measure_all()
-        probs = noisy_probabilities(circuit, MixingNoiseSpec(success_probability=success))
+        (probs,) = noisy_probabilities_batch(
+            [circuit], [MixingNoiseSpec(success_probability=success)]
+        )
         error_mass = 1.0 - probs[0] - probs[-1]
         expected = (1.0 - success) * (6.0 / 8.0)
         assert np.isclose(error_mass, expected, atol=1e-9)

@@ -35,7 +35,7 @@ FOREGROUND_ARRIVALS = (0.0, 1200.0, 2400.0)
 HORIZON = 3600.0
 
 
-def fleet_digest(policy: str, batch_arrivals: bool = True) -> str:
+def fleet_digest(policy: str) -> str:
     # Only the priority policy reads job priorities; giving it a non-trivial
     # range also covers the third marks draw, which is zero-entropy at 0.
     workload = WorkloadGenerator(
@@ -43,7 +43,6 @@ def fleet_digest(policy: str, batch_arrivals: bool = True) -> str:
         jobs_per_tenant_hour=1.0,
         spread_load=True,
         max_priority=3 if policy == "priority" else 0,
-        batch_arrivals=batch_arrivals,
     )
     scheduler = CloudScheduler(policy=policy, workload=workload, seed=1001)
     for qpu, model in clone_fleet(DEVICES):
@@ -72,8 +71,3 @@ def fleet_digest(policy: str, batch_arrivals: bool = True) -> str:
 @pytest.mark.parametrize("policy", sorted(GOLDEN))
 def test_fleet_cell_matches_parent_commit(policy):
     assert fleet_digest(policy) == GOLDEN[policy]
-
-
-@pytest.mark.parametrize("policy", sorted(GOLDEN))
-def test_sequential_arrivals_give_the_same_digest(policy):
-    assert fleet_digest(policy, batch_arrivals=False) == GOLDEN[policy]

@@ -2,13 +2,14 @@
 
 Two contracts are pinned here:
 
-1. **Batched-vs-sequential equivalence** — ``noisy_probabilities_batch`` (and
-   the QPU batch entry point built on it) agree with the per-circuit
-   sequential path to <= 1e-10 on probabilities, across randomized circuits,
-   noise specs, and mixed-structure batches.
-2. **Seeded sampling order** — the batched paths consume a shared RNG stream
-   exactly like the sequential loop: identical counts, identical final
-   generator state, golden-pinned draws.
+1. **A row is its circuit alone** — every row of ``noisy_probabilities_batch``
+   agrees to <= 1e-10 with that circuit passed alone as a one-row batch,
+   across randomized circuits, noise specs, and mixed-structure batches.  The
+   map itself is pinned to an independent density-matrix statement in
+   ``test_noise_map_oracle.py``.
+2. **Seeded sampling order** — a ``k``-circuit device job consumes a shared
+   RNG stream exactly like ``k`` one-circuit jobs back to back: identical
+   counts, identical final generator state, golden-pinned draws.
 """
 
 import numpy as np
@@ -24,11 +25,7 @@ from repro.circuit import (
 from repro.devices.catalog import build_qpu
 from repro.devices.qpu import CircuitFootprint, job_slot_circuit_seconds
 from repro.simulator import mixing
-from repro.simulator.mixing import (
-    MixingNoiseSpec,
-    noisy_probabilities,
-    noisy_probabilities_batch,
-)
+from repro.simulator.mixing import MixingNoiseSpec, noisy_probabilities_batch
 from repro.simulator.sampler import (
     apply_readout_error,
     apply_readout_error_batch,
@@ -52,6 +49,12 @@ def _random_spec(rng: np.random.Generator, num_bits: int) -> MixingNoiseSpec:
     )
 
 
+def alone(circuit: QuantumCircuit, spec: MixingNoiseSpec) -> np.ndarray:
+    """``circuit``'s noisy distribution as a one-row batch of its own."""
+    (row,) = noisy_probabilities_batch([circuit], [spec])
+    return row
+
+
 def _shift_batch(num_qubits: int, num_params: int, seed: int) -> list[QuantumCircuit]:
     template = hardware_efficient_ansatz(num_qubits).measure_all()
     rng = np.random.default_rng(seed)
@@ -72,7 +75,7 @@ class TestNoisyProbabilitiesBatch:
         specs = [_random_spec(rng, 4) for _ in circuits]
         batched = noisy_probabilities_batch(circuits, specs)
         for circuit, spec, probs in zip(circuits, specs, batched):
-            reference = noisy_probabilities(circuit, spec)
+            reference = alone(circuit, spec)
             assert np.max(np.abs(probs - reference)) <= TOLERANCE
 
     def test_mixed_structure_batch_preserves_input_order(self):
@@ -86,7 +89,7 @@ class TestNoisyProbabilitiesBatch:
         specs = [_random_spec(rng, 3) for _ in batch]
         batched = noisy_probabilities_batch(batch, specs)
         for circuit, spec, probs in zip(batch, specs, batched):
-            reference = noisy_probabilities(circuit, spec)
+            reference = alone(circuit, spec)
             assert np.max(np.abs(probs - reference)) <= TOLERANCE
 
     def test_coherent_bias_rows_are_scaled_independently(self):
@@ -98,7 +101,7 @@ class TestNoisyProbabilitiesBatch:
         ]
         batched = noisy_probabilities_batch(circuits, specs)
         for circuit, spec, probs in zip(circuits, specs, batched):
-            reference = noisy_probabilities(circuit, spec)
+            reference = alone(circuit, spec)
             assert np.max(np.abs(probs - reference)) <= TOLERANCE
 
     def test_mixed_readout_presence_falls_back_row_wise(self):
@@ -112,7 +115,7 @@ class TestNoisyProbabilitiesBatch:
                 specs.append(_random_spec(rng, 3))
         batched = noisy_probabilities_batch(circuits, specs)
         for circuit, spec, probs in zip(circuits, specs, batched):
-            reference = noisy_probabilities(circuit, spec)
+            reference = alone(circuit, spec)
             assert np.max(np.abs(probs - reference)) <= TOLERANCE
 
     def test_rejects_misaligned_specs(self):
@@ -168,7 +171,7 @@ class TestJobWideTail:
         assert calls == [(6, 12)]  # all rows x the ansatz's 12 slots
         assert isinstance(batched, np.ndarray) and batched.shape == (6, 8)
         for circuit, spec, row in zip(sweep.bound_circuits(), specs, batched):
-            assert np.max(np.abs(row - noisy_probabilities(circuit, spec))) <= TOLERANCE
+            assert np.max(np.abs(row - alone(circuit, spec))) <= TOLERANCE
 
     def test_templates_measuring_different_registers_split_into_uniform_jobs(self):
         sweep, rng = self._sweep(seed=4, measure_subset=True)
@@ -176,7 +179,7 @@ class TestJobWideTail:
         batched = noisy_probabilities_batch(sweep, specs)
         assert [row.size for row in batched] == [8, 4, 8, 8, 4, 8]
         for circuit, spec, row in zip(sweep.bound_circuits(), specs, batched):
-            assert np.max(np.abs(row - noisy_probabilities(circuit, spec))) <= TOLERANCE
+            assert np.max(np.abs(row - alone(circuit, spec))) <= TOLERANCE
 
     def test_mixed_readout_presence_falls_back_row_wise(self):
         sweep, rng = self._sweep(seed=6)
@@ -186,7 +189,7 @@ class TestJobWideTail:
         ]
         batched = noisy_probabilities_batch(sweep, specs)
         for circuit, spec, row in zip(sweep.bound_circuits(), specs, batched):
-            assert np.max(np.abs(row - noisy_probabilities(circuit, spec))) <= TOLERANCE
+            assert np.max(np.abs(row - alone(circuit, spec))) <= TOLERANCE
 
     def test_scalar_readout_matches_sequential(self):
         sweep, _ = self._sweep(seed=8)
@@ -196,7 +199,7 @@ class TestJobWideTail:
         ]
         batched = noisy_probabilities_batch(sweep, specs)
         for circuit, spec, row in zip(sweep.bound_circuits(), specs, batched):
-            assert np.max(np.abs(row - noisy_probabilities(circuit, spec))) <= TOLERANCE
+            assert np.max(np.abs(row - alone(circuit, spec))) <= TOLERANCE
 
     def test_rejects_misaligned_spec_count(self):
         sweep, _ = self._sweep()
@@ -290,8 +293,8 @@ class TestSeededSamplingOrder:
         elapsed = 0.0
         sequential = []
         for circuit in circuits:
-            result = seq_qpu.execute(
-                circuit, footprint, 256, now=5000.0 + elapsed, rng=seq_rng
+            (result,) = seq_qpu.execute_batch(
+                [circuit], footprint, 256, now=5000.0 + elapsed, rng=seq_rng
             )
             sequential.append(result)
             elapsed += job_slot_circuit_seconds(result.duration_seconds)

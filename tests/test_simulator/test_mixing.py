@@ -1,14 +1,26 @@
-"""Tests for the analytic mixing (fast noisy) executor."""
+"""Tests for the analytic mixing (fast noisy) executor, one circuit at a time."""
 
 import numpy as np
 import pytest
 
 from repro.circuit import QuantumCircuit, ghz_state
-from repro.simulator.mixing import (
-    MixingNoiseSpec,
-    execute_with_mixing,
-    noisy_probabilities,
-)
+from repro.devices.catalog import build_qpu
+from repro.devices.qpu import CircuitFootprint, DeferredBatch, resolve_batches
+from repro.simulator.mixing import MixingNoiseSpec, noisy_probabilities_batch
+from repro.simulator.result import ExecutionResult
+
+
+def noisy_row(circuit, spec):
+    """``circuit``'s noisy distribution as a one-row batch."""
+    (row,) = noisy_probabilities_batch([circuit], [spec])
+    return row
+
+
+def sampled(circuit, spec, shots, rng):
+    """One circuit's counts, drawn as a device job's physics half draws them."""
+    results = [ExecutionResult(None, shots, "test", 0.0)]
+    resolve_batches([DeferredBatch([circuit], [spec], shots, rng, results)])
+    return results[0].counts
 
 
 class TestMixingNoiseSpec:
@@ -46,32 +58,32 @@ class TestMixingNoiseSpec:
 class TestNoisyProbabilities:
     def test_perfect_execution_matches_ideal(self):
         circuit = ghz_state(3)
-        probs = noisy_probabilities(circuit, MixingNoiseSpec(success_probability=1.0))
+        probs = noisy_row(circuit, MixingNoiseSpec(success_probability=1.0))
         assert probs[0] == pytest.approx(0.5)
         assert probs[-1] == pytest.approx(0.5)
 
     def test_zero_success_gives_uniform(self):
         circuit = ghz_state(3)
-        probs = noisy_probabilities(circuit, MixingNoiseSpec(success_probability=0.0))
+        probs = noisy_row(circuit, MixingNoiseSpec(success_probability=0.0))
         assert np.allclose(probs, 1.0 / 8.0)
 
     def test_mixing_interpolates(self):
         circuit = ghz_state(2)
-        probs = noisy_probabilities(circuit, MixingNoiseSpec(success_probability=0.5))
+        probs = noisy_row(circuit, MixingNoiseSpec(success_probability=0.5))
         # 0.5 * [0.5, 0, 0, 0.5] + 0.5 * uniform(0.25)
         assert probs[0] == pytest.approx(0.375)
         assert probs[1] == pytest.approx(0.125)
 
     def test_readout_error_spreads_mass(self):
         circuit = QuantumCircuit(1).measure_all()
-        probs = noisy_probabilities(
+        probs = noisy_row(
             circuit, MixingNoiseSpec(success_probability=1.0, readout_p01=0.1, readout_p10=0.0)
         )
         assert probs[1] == pytest.approx(0.1)
 
     def test_distribution_normalized(self):
         circuit = ghz_state(4)
-        probs = noisy_probabilities(
+        probs = noisy_row(
             circuit,
             MixingNoiseSpec(success_probability=0.7, readout_p01=0.05, readout_p10=0.08),
         )
@@ -82,24 +94,22 @@ class TestNoisyProbabilities:
 
         qc = QuantumCircuit(1).ry(Parameter("a"), 0).measure_all()
         with pytest.raises(ValueError):
-            noisy_probabilities(qc, MixingNoiseSpec(success_probability=1.0))
+            noisy_row(qc, MixingNoiseSpec(success_probability=1.0))
 
 
 class TestExecuteWithMixing:
     def test_counts_total(self, rng):
-        counts = execute_with_mixing(
-            ghz_state(3), MixingNoiseSpec(success_probability=0.8), 512, rng
-        )
+        counts = sampled(ghz_state(3), MixingNoiseSpec(success_probability=0.8), 512, rng)
         assert counts.shots == 512
         assert sum(counts.values()) == 512
 
     def test_noise_introduces_non_ghz_outcomes(self, rng):
-        counts = execute_with_mixing(
-            ghz_state(3), MixingNoiseSpec(success_probability=0.3), 5000, rng
-        )
+        counts = sampled(ghz_state(3), MixingNoiseSpec(success_probability=0.3), 5000, rng)
         bad = {k for k in counts if k not in ("000", "111")}
         assert bad
 
     def test_zero_shots_rejected(self, rng):
-        with pytest.raises(ValueError):
-            execute_with_mixing(ghz_state(2), MixingNoiseSpec(success_probability=1.0), 0, rng)
+        circuit = ghz_state(2)
+        footprint = CircuitFootprint.from_circuit(circuit)
+        with pytest.raises(ValueError, match="shots must be >= 1"):
+            build_qpu("Belem").execute_batch([circuit], footprint, 0, now=0.0, rng=rng)

@@ -10,9 +10,9 @@ The two must agree to 1e-12 on drawn circuits of up to six qubits over every
 unitary gate, with random measured registers, under noise specs of real
 catalog devices (``QPU._timeline_with_metadata``) and random ones with and
 without readout error, in the three shapes the library calls: one job, a
-stacked wave of jobs (``blocks=``, as ``resolve_batches`` passes it) and the
-one-circuit ``noisy_probabilities``.  Parametrized twins pin, whatever
-hypothesis draws, each unitary gate once and each catalog device once.
+stacked wave of jobs (``blocks=``, as ``resolve_batches`` passes it) and a
+one-circuit job.  Parametrized cases pin, whatever hypothesis draws, each
+unitary gate once and each catalog device once.
 """
 
 import dataclasses
@@ -29,11 +29,7 @@ from repro.circuit import Parameter, ParameterSweep, QuantumCircuit
 from repro.circuit.gates import GATE_SPECS
 from repro.devices.catalog import available_devices, build_qpu
 from repro.devices.qpu import SECONDS_PER_HOUR, CircuitFootprint
-from repro.simulator.mixing import (
-    MixingNoiseSpec,
-    noisy_probabilities,
-    noisy_probabilities_batch,
-)
+from repro.simulator.mixing import MixingNoiseSpec, noisy_probabilities_batch
 
 TOLERANCE = 1e-12
 UNITARY_GATES = sorted(name for name, spec in GATE_SPECS.items() if not spec.is_directive)
@@ -180,12 +176,12 @@ def test_a_stacked_wave_matches_the_density_matrix(wave):
 def test_one_circuit_matches_the_density_matrix(data):
     circuit = data.draw(bound_circuits())
     (spec,) = data.draw(job_specs(circuit, 1))
-    assert_matches_oracle([noisy_probabilities(circuit, spec)], [circuit], [spec])
+    assert_matches_oracle(noisy_probabilities_batch([circuit], [spec]), [circuit], [spec])
 
 
 @pytest.mark.parametrize("name", UNITARY_GATES)
 def test_each_gate_matches_the_density_matrix(name):
-    """Every unitary gate, on reversed qubits of a generic state, in both paths."""
+    """Every unitary gate, on reversed qubits of a generic state."""
     gate = GATE_SPECS[name]
     circuit = QuantumCircuit(3)
     for qubit in range(3):
@@ -194,8 +190,7 @@ def test_each_gate_matches_the_density_matrix(name):
     circuit.measure(2).measure(0)
     readout = ((0.02, 0.05), (0.08, 0.01))
     spec = MixingNoiseSpec(0.85, coherent_bias=0.15, per_qubit_readout=readout)
-    (row,) = noisy_probabilities_batch([circuit], [spec])
-    assert_matches_oracle([row, noisy_probabilities(circuit, spec)], [circuit] * 2, [spec] * 2)
+    assert_matches_oracle(noisy_probabilities_batch([circuit], [spec]), [circuit], [spec])
 
 
 @pytest.mark.parametrize("qpu", DEVICES, ids=available_devices())

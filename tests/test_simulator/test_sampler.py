@@ -8,7 +8,6 @@ from repro.simulator import readout_confusion_matrix
 from repro.simulator.result import Counts
 from repro.simulator.sampler import (
     apply_readout_error,
-    distribution_to_counts,
     sample_circuit_ideal,
     sample_distribution,
     sample_statevector,
@@ -118,17 +117,3 @@ class TestReadoutError:
         with pytest.raises(ValueError):
             apply_readout_error(np.array([0.5, 0.5]), [readout_confusion_matrix(0, 0)] * 2)
 
-
-class TestDistributionToCounts:
-    def test_exact_total(self):
-        counts = distribution_to_counts(np.array([0.3, 0.3, 0.4]+ [0.0]*5) / 1.0, 1000)
-        assert sum(counts.values()) == 1000
-
-    def test_rounding_goes_to_largest_remainders(self):
-        counts = distribution_to_counts(np.array([1.0, 1.0, 1.0, 0.0]) / 3.0, 10)
-        assert sum(counts.values()) == 10
-        assert max(counts.values()) - min(counts.values()) <= 1
-
-    def test_zero_distribution_rejected(self):
-        with pytest.raises(ValueError):
-            distribution_to_counts(np.zeros(4), 10)

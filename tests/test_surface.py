@@ -1,12 +1,14 @@
 """The size of the public surface, pinned.
 
 ROADMAP standard 2 asks for the least code and the fewest options; these
-asserts turn growth of the execution protocol, the backends package and the
-ensemble configuration into a deliberate one-line edit made in review.
+asserts turn growth of the execution protocol, the top-level and backends
+packages and the ensemble configuration into a deliberate one-line edit made
+in review.
 """
 
 import dataclasses
 
+import repro
 import repro.backends
 from repro.backends import ExecutionBackend
 from repro.core.ensemble import EQCConfig
@@ -38,3 +40,8 @@ def test_backends_package_exports():
 
 def test_eqc_config_field_count():
     assert len(dataclasses.fields(EQCConfig)) == 18
+
+
+def test_top_level_export_count():
+    assert len(repro.__all__) == 89
+    assert len(set(repro.__all__)) == len(repro.__all__)
