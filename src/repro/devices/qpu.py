@@ -34,7 +34,7 @@ from ..circuit.sweep import ParameterSweep
 from ..noise.calibration import CalibrationSnapshot
 from ..noise.drift import DriftModel, DriftProfile
 from ..noise.generator import CalibrationGenerator, NoiseProfile
-from ..simulator.mixing import MixingNoiseSpec, noisy_probabilities_batch
+from ..simulator.mixing import MixingNoiseSpec, NoiseRecord, noisy_probabilities_batch
 from ..simulator.result import ExecutionResult
 from ..simulator.sampler import sample_distribution_batch
 from .topology import Topology
@@ -158,9 +158,9 @@ class QPU:
         self._reported_cache: dict[int, CalibrationSnapshot] = {}
         #: The reported calibration of each cycle as one zero-padded array
         #: (rows t1, t2, 2*t1, p01, p10, 1q errors, CX errors), with the row
-        #: lengths and the gate times: every noise spec of the cycle is
-        #: scaled from it in one array pass and summed row by row with the
-        #: builtin ``sum`` (see :meth:`_noise_specs`).
+        #: lengths and the gate times: every job's noise record of the cycle
+        #: is scaled from it in one array pass and summed row by row with the
+        #: builtin ``sum`` (see :meth:`_noise_record`).
         self._cycle_tables: dict[int, tuple] = {}
         #: Estimated snapshots per (cycle, properties-refresh step): the
         #: republished properties only change at a refresh, so every job in
@@ -322,17 +322,20 @@ class QPU:
         parameters device-biased and what produces Casablanca-style
         post-convergence divergence in the Fig. 6 reproduction.
 
-        The one-circuit case of a device job's array pass
-        (:meth:`_noise_specs`): the spec is bit-identical to the one built
+        The one-row record of a device job's array pass
+        (:meth:`_noise_record`): the spec is bit-identical to the one built
         from the drifted snapshot (pinned by the test suite against
         :meth:`true_success_probability` and :meth:`effective_calibration`).
         """
-        return self._noise_specs(footprint, [self._drift_at(now)])[0]
+        return self._noise_record(footprint, [self._drift_at(now)]).specs()[0]
 
-    def _noise_specs(
-        self, footprint: CircuitFootprint, drifts: Sequence[tuple[float, int, float]]
-    ) -> list[MixingNoiseSpec]:
-        """One noise spec per drift triple ``(age, cycle, factor)`` of a job.
+    def _noise_record(
+        self,
+        footprint: CircuitFootprint,
+        drifts: Sequence[tuple[float, int, float]],
+        register: int = 1,
+    ) -> NoiseRecord:
+        """A job's noise record, one row per drift triple ``(age, cycle, factor)``.
 
         Element for element this is :meth:`CalibrationSnapshot.scale_errors`
         followed by the snapshot's ``average_*`` sums, without building the
@@ -345,30 +348,31 @@ class QPU:
         compensates its float sums from Python 3.12 on, so only ``sum``
         itself gives the snapshot's last bit on every supported Python.  The
         Eq. 2 core stays per circuit on Python floats, because NumPy's
-        ``exp`` and ``**`` need not round as libm's do.
+        ``exp`` and ``**`` need not round as libm's do.  The readout rows
+        are the scaled ``(p01, p10)`` of the first ``num_measurements``
+        qubits, or of ``register`` qubits — the width the mixer samples —
+        when the footprint measures nothing.
         """
         noise = self.spec.noise_profile
         connectivity = self.topology.average_degree
-        readout = min(self.num_qubits, max(1, footprint.num_measurements))
-        specs: list[MixingNoiseSpec] = []
+        width = min(self.num_qubits, footprint.num_measurements or register)
+        success: list[float] = []
+        readouts: list[np.ndarray] = []
         for cycle, run in groupby(drifts, key=itemgetter(1)):
-            factors = [factor for _, _, factor in run]
+            column = np.array([factor for _, _, factor in run])[:, None]
             table, n, n_cx, mu_g1, mu_g2 = self._cycle_table(cycle)
-            column = np.array(factors)[:, None]
             t1, t2, t1x2 = table[:3] / column
-            p01, p10, gammas, betas = np.minimum(np.maximum(table[3:] * column, 0.0), 1.0)
+            errors = np.minimum(np.maximum(table[3:] * column, 0.0), 1.0)
+            p01, p10, gammas, betas = errors
             rows = np.array((t1, np.minimum(t2, t1x2), 0.5 * (p01 + p10), gammas))[..., :n]
-            for qubit_rows, cx_row, p01s, p10s, factor in zip(
-                rows.transpose(1, 0, 2).tolist(),
-                betas[:, :n_cx].tolist(),
-                p01[:, :readout].tolist(),
-                p10[:, :readout].tolist(),
-                factors,
+            readouts.append(errors[:2, :, :width].transpose(1, 2, 0))  # (p01, p10) last
+            for qubit_rows, cx_row in zip(
+                rows.transpose(1, 0, 2).tolist(), betas[:, :n_cx].tolist()
             ):
                 t1_avg, t2_avg, omega, gamma = [sum(row) / n for row in qubit_rows]
                 # An empty CX row sums to 0, so beta is 0.0 without couplings.
                 beta = sum(cx_row) / max(1, n_cx)
-                success = _success_from_averages(
+                probability = _success_from_averages(
                     footprint,
                     mu_g1=mu_g1,
                     mu_g2=mu_g2,
@@ -380,14 +384,14 @@ class QPU:
                     crosstalk=noise.crosstalk,
                     connectivity=connectivity,
                 )
-                specs.append(
-                    MixingNoiseSpec(
-                        success_probability=success,
-                        per_qubit_readout=tuple(zip(p01s, p10s)),
-                        coherent_bias=noise.coherent_bias * factor,
-                    )
-                )
-        return specs
+                success.append(probability)
+        factors = np.array([factor for _, _, factor in drifts])
+        return NoiseRecord(
+            np.array(success),
+            noise.coherent_bias * factors,
+            readouts[0] if len(readouts) == 1 else np.concatenate(readouts),
+            np.zeros(len(success), dtype=bool),
+        )
 
     def _cycle_table(self, cycle: int) -> tuple[np.ndarray, int, int, float, float]:
         """The ``(7, 1, width)`` calibration table of one cycle, built once,
@@ -450,32 +454,36 @@ class QPU:
         return starts, durations, elapsed, drifts
 
     def _timeline_with_metadata(
-        self, num_circuits: int, footprint: CircuitFootprint, now: float
-    ) -> tuple[list[float], list[float], list[MixingNoiseSpec], list[dict]]:
-        """Per-circuit start time, duration, noise spec and result metadata.
+        self,
+        num_circuits: int,
+        footprint: CircuitFootprint,
+        now: float,
+        register: int = 1,
+    ) -> tuple[list[float], list[float], NoiseRecord, list[dict]]:
+        """Per-circuit start time, duration, noise row and result metadata.
 
         The device clock advances *within* a batch: circuit ``i`` starts at
         ``now`` plus half the accumulated job durations of its predecessors
-        (:meth:`batch_clock`), and its noise spec is evaluated at that start
+        (:meth:`batch_clock`), and its noise row is evaluated at that start
         time.  The drift model is evaluated once per circuit start; the
-        clock, the noise spec and the metadata all read that one evaluation.
-        The specs of the whole job come from one array pass per calibration
-        cycle the job touches (:meth:`_noise_specs`): a fixed number of NumPy
-        calls whatever the circuit or qubit count, then per circuit the row
-        sums and the scalar Eq. 2 core.  Pure clock/calibration arithmetic,
-        no RNG.
+        clock, the noise record and the metadata all read that one
+        evaluation.  The record of the whole job comes from one array pass
+        per calibration cycle the job touches (:meth:`_noise_record`): a
+        fixed number of NumPy calls whatever the circuit or qubit count,
+        then per circuit the row sums and the scalar Eq. 2 core.  Pure
+        clock/calibration arithmetic, no RNG.
         """
         starts, durations, _, drifts = self._walk_clock(num_circuits, now)
-        specs = self._noise_specs(footprint, drifts)
+        record = self._noise_record(footprint, drifts, register)
         metadata = [
             {
-                "success_probability": spec.success_probability,
+                "success_probability": success,
                 "calibration_age_hours": age,
                 "drift_factor": factor,
             }
-            for spec, (age, _, factor) in zip(specs, drifts)
+            for success, (age, _, factor) in zip(record.success.tolist(), drifts)
         ]
-        return starts, durations, specs, metadata
+        return starts, durations, record, metadata
 
     def execute_batch(
         self,
@@ -492,15 +500,19 @@ class QPU:
         bound circuits or an unbound
         :class:`~repro.circuit.sweep.ParameterSweep` (same job slots, same
         results, nothing bound).  The job's **clock half** runs here —
-        offsets, durations, noise specs, metadata (:meth:`_timeline_with_metadata`):
-        arithmetic, no RNG — and comes back as results whose ``counts`` are
-        ``None``.  Its **physics half** (lowering, engine, mix/confuse, shots
-        from ``rng`` in batch order) is a :class:`DeferredBatch`: run before
-        returning (``park=None``, the one-job case of :func:`resolve_batches`)
-        or appended to the caller's ``park`` list, to be resolved later in one
-        stacked pass that fills these same results.  Who resolves changes the
-        wall-clock cost, never the physics.  A ``k``-circuit job equals ``k``
-        one-circuit jobs submitted back to back on the walked clock
+        offsets, durations, the job's one
+        :class:`~repro.simulator.mixing.NoiseRecord`, metadata
+        (:meth:`_timeline_with_metadata`): arithmetic, no RNG — and comes
+        back as results whose ``counts`` are ``None``.  Its readout rows
+        cover the footprint's measurements, or the measured register when
+        the footprint measures nothing.  Its **physics half** (lowering,
+        engine, mix/confuse, shots from ``rng`` in batch order) is a
+        :class:`DeferredBatch`: run before returning (``park=None``, the
+        one-job case of :func:`resolve_batches`) or appended to the caller's
+        ``park`` list, to be resolved later in one stacked pass that fills
+        these same results.  Who resolves changes the wall-clock cost, never
+        the physics.  A ``k``-circuit job equals ``k`` one-circuit jobs
+        submitted back to back on the walked clock
         (:func:`job_slot_circuit_seconds` apart) in counts, durations,
         metadata and the stream's end state.
         """
@@ -508,15 +520,20 @@ class QPU:
             raise ValueError("a batch needs at least one circuit")
         if shots < 1:
             raise ValueError("shots must be >= 1")
-        _, durations, specs, metadata = self._timeline_with_metadata(
-            len(circuits), footprint, now
+        templates = circuits.templates if isinstance(circuits, ParameterSweep) else circuits
+        # The widest register the mixer samples (backends.measured_register).
+        register = footprint.num_measurements or max(
+            len(circuit.measured_qubits) or circuit.num_qubits for circuit in templates
+        )
+        _, durations, record, metadata = self._timeline_with_metadata(
+            len(circuits), footprint, now, register
         )
         results = [
             ExecutionResult(None, shots, self.name, duration, metadata=meta)
             for duration, meta in zip(durations, metadata)
         ]
         rng = rng if rng is not None else self._rng
-        batch = DeferredBatch(circuits, specs, shots, rng, results)
+        batch = DeferredBatch(circuits, record, shots, rng, results)
         if park is None:
             resolve_batches([batch])
         else:
@@ -527,10 +544,12 @@ class QPU:
 @dataclass(eq=False, slots=True)
 class DeferredBatch:
     """The physics half of one device job: ``results`` carry the clock half,
-    :meth:`sample` fills their ``counts`` from the job's own ``rng``."""
+    ``noise`` is the job's :class:`~repro.simulator.mixing.NoiseRecord` (one
+    row per circuit, in batch order), :meth:`sample` fills the results'
+    ``counts`` from the job's own ``rng``."""
 
     circuits: Sequence[QuantumCircuit] | ParameterSweep
-    specs: list[MixingNoiseSpec]
+    noise: NoiseRecord
     shots: int
     rng: np.random.Generator
     results: list[ExecutionResult]
@@ -560,7 +579,7 @@ def resolve_batches(parked: list[DeferredBatch]) -> None:
 
     Jobs whose sweeps run the same templates (an ensemble's gradient jobs,
     whatever their devices) become **one** sweep over the ``vstack`` of their
-    parameter matrices with their per-row noise specs: one
+    parameter matrices with the concatenation of their noise records: one
     :func:`~repro.simulator.mixing.noisy_probabilities_batch` pass whose
     ``blocks`` keep each job's rows bit-equal to that job passed alone, as
     any other batch — or a lone job — is.  Every distribution exists before
@@ -578,11 +597,11 @@ def resolve_batches(parked: list[DeferredBatch]) -> None:
         if len(wave) > 1:
             theta = np.vstack([batch.circuits.theta for batch in wave])
             circuits = ParameterSweep(circuits.templates, theta)
-        specs = [spec for batch in wave for spec in batch.specs]
-        blocks = [len(batch.specs) for batch in wave]
-        rows = noisy_probabilities_batch(circuits, specs, blocks=blocks)
+        noise = NoiseRecord.concatenate([batch.noise for batch in wave])
+        blocks = [len(batch.noise) for batch in wave]
+        rows = noisy_probabilities_batch(circuits, noise, blocks=blocks)
         for batch, stop in zip(wave, accumulate(blocks)):
-            distributions[id(batch)] = rows[stop - len(batch.specs) : stop]
+            distributions[id(batch)] = rows[stop - len(batch.noise) : stop]
     while parked:
         parked[0].sample(distributions[id(parked[0])])
         del parked[0]

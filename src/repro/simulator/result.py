@@ -3,11 +3,22 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from typing import Iterator, Mapping
 
 import numpy as np
 
 __all__ = ["Counts", "ExecutionResult"]
+
+#: Widths for which the full bitstring-label table is precomputed; wider
+#: registers format labels on demand (the table would hold 2**n strings).
+_MAX_CACHED_LABEL_BITS = 12
+
+
+@lru_cache(maxsize=_MAX_CACHED_LABEL_BITS + 1)
+def _bitstring_labels(num_bits: int) -> tuple[str, ...]:
+    """All ``2**num_bits`` outcome labels, built once per register width."""
+    return tuple(format(index, f"0{num_bits}b") for index in range(1 << num_bits))
 
 
 class Counts(Mapping[str, int]):
@@ -20,7 +31,8 @@ class Counts(Mapping[str, int]):
     were drawn in — :attr:`hits`, the ``(outcome indices, counts)`` pair in
     the same order the mapping iterates — so array consumers
     (:meth:`~repro.hamiltonian.grouping.MeasurementGroup.expectation_from_counts`)
-    skip the bitstring round trip.
+    skip the bitstring round trip.  Such a histogram builds its label dict
+    only when first read as a mapping.
     """
 
     #: ``(outcome indices, counts)`` as the sampler drew them; ``None`` for
@@ -38,30 +50,32 @@ class Counts(Mapping[str, int]):
         if len(widths) > 1:
             raise ValueError("all bitstrings in a Counts object must share one width")
         self._data = clean
+        self._num_bits = len(next(iter(clean))) if clean else 0
         self._shots = int(shots) if shots is not None else sum(clean.values())
         if self._shots < sum(clean.values()):
             raise ValueError("shots is smaller than the sum of counts")
 
     @classmethod
-    def _from_clean(
-        cls,
-        data: dict[str, int],
-        shots: int,
-        hits: tuple[np.ndarray, np.ndarray] | None = None,
-    ) -> "Counts":
-        """Trusted constructor for internal samplers.
+    def _from_draws(cls, draws: np.ndarray, num_bits: int, shots: int) -> "Counts":
+        """Trusted constructor for the samplers: a multinomial draw vector
+        over the ``2**num_bits`` outcomes, kept as its hit outcomes only."""
+        (indices,) = np.nonzero(draws)
+        histogram = cls.__new__(cls)
+        histogram._num_bits = num_bits if len(indices) else 0
+        histogram._shots = shots
+        histogram.hits = (indices, draws[indices])
+        return histogram
 
-        Skips the per-entry validation of ``__init__`` — callers guarantee
-        string keys of one width and positive integer values (the multinomial
-        samplers build exactly that), which keeps the per-circuit sampling
-        hot path free of redundant re-validation.  ``hits`` must list the
-        same outcomes as ``data``, in the same order.
-        """
-        counts = cls.__new__(cls)
-        counts._data = data
-        counts._shots = shots
-        counts.hits = hits
-        return counts
+    @cached_property
+    def _data(self) -> dict[str, int]:
+        # Only a sampler-built histogram gets here (__init__ sets _data).
+        indices, counts = self.hits  # type: ignore[misc]
+        pairs = zip(indices.tolist(), counts.tolist())
+        if self._num_bits <= _MAX_CACHED_LABEL_BITS:
+            labels = _bitstring_labels(self._num_bits)
+            return {labels[index]: count for index, count in pairs}
+        width = f"0{self._num_bits}b"
+        return {format(index, width): count for index, count in pairs}
 
     # Mapping protocol -----------------------------------------------------
     def __getitem__(self, key: str) -> int:
@@ -85,7 +99,7 @@ class Counts(Mapping[str, int]):
     @property
     def num_bits(self) -> int:
         """Width of the measured register (0 for an empty histogram)."""
-        return len(next(iter(self._data))) if self._data else 0
+        return self._num_bits
 
     def probability(self, bitstring: str) -> float:
         """Empirical probability of one outcome."""

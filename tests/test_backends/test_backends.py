@@ -5,6 +5,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from _reference import density_matrix as reference
 
 from repro.backends import (
     ExecutionBackend,
@@ -23,6 +24,8 @@ from repro.circuit import (
     hardware_efficient_ansatz,
 )
 from repro.devices import build_qpu
+from repro.devices.qpu import CircuitFootprint, resolve_batches
+from repro.simulator.mixing import noisy_probabilities_batch
 from repro.vqa import heisenberg_vqe_problem, sampled_parameter_shift_gradient
 from repro.vqa.gradient import exact_full_gradient, parameter_shift_batch
 
@@ -244,3 +247,30 @@ class TestBackendGradient:
         # one signature per measurement group: the whole sweep vectorizes
         # into `groups` stacked passes regardless of parameter count
         assert len(signatures) == groups
+
+
+class TestUnmeasuredCircuitOnADevice:
+    """A circuit without a measure instruction is read out on every qubit — by
+    a device as by the statevector backend — while Eq. 2 still charges the
+    footprint's zero measurements."""
+
+    def test_device_reads_the_register_the_mixer_samples(self):
+        ghz3 = ghz_state(3, measure=False)
+        qpu = build_qpu("Bogota")
+        (result,) = NoisyBackend(qpu).run(ghz3, shots=2048, seed=5, now=900.0)
+        assert result.counts.num_bits == 3 and sum(result.counts.values()) == 2048
+        (ideal,) = StatevectorBackend().run(ghz3, shots=2048, seed=5)
+        assert ideal.counts.num_bits == 3
+
+        parked = []
+        (again,) = NoisyBackend(qpu).run(ghz3, shots=2048, seed=5, now=900.0, park=parked)
+        (job,) = parked
+        (spec,) = job.noise.specs()
+        assert len(spec.per_qubit_readout) == 3
+        footprint = CircuitFootprint.from_circuit(ghz3)
+        assert spec.success_probability == qpu.true_success_probability(footprint, 900.0)
+        (row,) = noisy_probabilities_batch(job.circuits, job.noise)
+        expected = reference.noisy_probabilities(ghz3, spec)
+        assert np.max(np.abs(row - expected)) <= 1e-12
+        resolve_batches(parked)
+        assert dict(again.counts) == dict(result.counts)

@@ -170,9 +170,10 @@ class TestExecution:
             "drift_factor",
             lambda hours, cycle=0: calls.append(hours) or original(hours, cycle),
         )
-        starts, durations, specs, metadata = bogota._timeline_with_metadata(
+        starts, durations, record, metadata = bogota._timeline_with_metadata(
             24, ghz_footprint, now
         )
+        specs = record.specs()
         assert len(calls) == 24
         assert bogota.calibration_cycle(starts[0]) != bogota.calibration_cycle(starts[-1])
         for start, duration, spec, meta in zip(starts, durations, specs, metadata):

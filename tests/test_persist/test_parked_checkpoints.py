@@ -233,7 +233,7 @@ def test_a_parked_job_round_trips_through_json(objective, seed, jobs):
     restored = [restore_parked(entry["parked"], clients[entry["client"]]) for entry in stored]
     for ours, theirs in zip(fresh.provider._parked, original.provider._parked):
         assert ours.circuits.theta.tobytes() == theirs.circuits.theta.tobytes()
-        assert (ours.specs, ours.shots) == (theirs.specs, theirs.shots)
+        assert (ours.noise.specs(), ours.shots) == (theirs.noise.specs(), theirs.shots)
         assert [(r.duration_seconds, r.metadata, r.queue_seconds) for r in ours.results] == [
             (r.duration_seconds, r.metadata, r.queue_seconds) for r in theirs.results
         ]

@@ -15,7 +15,7 @@ from repro.hamiltonian import grouping
 from repro.hamiltonian.grouping import MeasurementGroup
 from repro.hamiltonian.pauli import PauliString
 from repro.simulator.result import Counts
-from repro.simulator.sampler import _counts_from_draws, sample_distribution
+from repro.simulator.sampler import sample_distribution
 
 
 @st.composite
@@ -70,7 +70,7 @@ class TestArrayDecodeMatchesLoop:
     def test_bit_identical(self, case):
         group, row = case
         # Exactly what a sampler builds from one multinomial draw vector.
-        counts = _counts_from_draws(row, group.num_qubits, int(row.sum()))
+        counts = Counts._from_draws(row, group.num_qubits, int(row.sum()))
         assert counts.hits is not None
         as_dict = dict(counts)
         loop = group._expectation_from_mapping(as_dict)

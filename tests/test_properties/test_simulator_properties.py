@@ -10,9 +10,8 @@ from hypothesis import strategies as st
 
 from repro.circuit import Parameter, ParameterExpression, QuantumCircuit
 from repro.circuit.gates import GATE_SPECS, gate_matrix
-from repro.simulator import readout_confusion_matrix
 from repro.simulator.mixing import MixingNoiseSpec, noisy_probabilities_batch
-from repro.simulator.sampler import apply_readout_error, sample_distribution
+from repro.simulator.sampler import apply_readout_error_batch, sample_distribution
 from repro.simulator.statevector import Statevector, simulate_statevector
 from repro.vqa import heisenberg_vqe_problem, ring_maxcut_qaoa_problem
 from repro.vqa.qnn import QNNProblem, make_synthetic_dataset
@@ -166,9 +165,9 @@ class TestSamplingInvariants:
     @given(p01=probabilities, p10=probabilities)
     @settings(max_examples=40, deadline=None)
     def test_readout_error_preserves_total_probability(self, p01, p10):
-        probs = np.array([0.4, 0.1, 0.2, 0.3])
-        matrices = [readout_confusion_matrix(p01, p10)] * 2
-        out = apply_readout_error(probs, matrices)
+        probs = np.array([[0.4, 0.1, 0.2, 0.3]])
+        matrices = [np.array([[1 - p01, p10], [p01, 1 - p10]])] * 2
+        (out,) = apply_readout_error_batch(probs, matrices)
         assert np.isclose(out.sum(), 1.0, atol=1e-9)
         assert np.all(out >= -1e-12)
 

@@ -14,6 +14,7 @@ Two contracts are pinned here:
 
 import numpy as np
 import pytest
+from _reference import readout as readout_reference
 
 from repro.circuit import (
     Parameter,
@@ -27,7 +28,6 @@ from repro.devices.qpu import CircuitFootprint, job_slot_circuit_seconds
 from repro.simulator import mixing
 from repro.simulator.mixing import MixingNoiseSpec, noisy_probabilities_batch
 from repro.simulator.sampler import (
-    apply_readout_error,
     apply_readout_error_batch,
     sample_distribution,
     sample_distribution_batch,
@@ -260,8 +260,8 @@ class TestBatchedReadoutError:
         ]
         batched = apply_readout_error_batch(probs, stacks)
         for row in range(batch):
-            reference = apply_readout_error(probs[row], confusions[row])
-            assert np.array_equal(batched[row], reference)
+            expected = readout_reference.apply_readout_error(probs[row], confusions[row])
+            assert np.array_equal(batched[row], expected)
 
 
 class TestSeededSamplingOrder:

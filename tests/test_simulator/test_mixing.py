@@ -6,7 +6,7 @@ import pytest
 from repro.circuit import QuantumCircuit, ghz_state
 from repro.devices.catalog import build_qpu
 from repro.devices.qpu import CircuitFootprint, DeferredBatch, resolve_batches
-from repro.simulator.mixing import MixingNoiseSpec, noisy_probabilities_batch
+from repro.simulator.mixing import MixingNoiseSpec, NoiseRecord, noisy_probabilities_batch
 from repro.simulator.result import ExecutionResult
 
 
@@ -19,7 +19,8 @@ def noisy_row(circuit, spec):
 def sampled(circuit, spec, shots, rng):
     """One circuit's counts, drawn as a device job's physics half draws them."""
     results = [ExecutionResult(None, shots, "test", 0.0)]
-    resolve_batches([DeferredBatch([circuit], [spec], shots, rng, results)])
+    noise = NoiseRecord.from_specs([spec], circuit.num_qubits)
+    resolve_batches([DeferredBatch([circuit], noise, shots, rng, results)])
     return results[0].counts
 
 

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.circuit import ghz_state
-from repro.simulator import readout_confusion_matrix
+from repro.circuit import QuantumCircuit, ghz_state
+from repro.simulator.mixing import NoiseRecord, noisy_probabilities_batch
 from repro.simulator.result import Counts
 from repro.simulator.sampler import (
-    apply_readout_error,
+    apply_readout_error_batch,
     sample_circuit_ideal,
     sample_distribution,
     sample_statevector,
@@ -78,42 +78,68 @@ class TestStatevectorSampling:
         assert set(counts.keys()) <= {"0000", "1111"}
 
 
+def confusion(p01, p10):
+    return np.array([[1 - p01, p10], [p01, 1 - p10]])
+
+
+def contracted(probs, matrices):
+    """One vector through the readout contraction, as a one-row batch."""
+    (row,) = apply_readout_error_batch(np.asarray(probs, dtype=float)[None], matrices)
+    return row
+
+
+def read_out(circuit, pairs):
+    """``circuit``'s noise-free distribution read out with ``(p01, p10)`` per bit."""
+    readout = np.array([pairs], dtype=float)
+    (row,) = noisy_probabilities_batch(
+        [circuit], NoiseRecord(np.ones(1), np.zeros(1), readout, np.zeros(1, bool))
+    )
+    return row
+
+
+ZERO = QuantumCircuit(1).measure_all()
+ONE = QuantumCircuit(1).x(0).measure_all()
+
+
 class TestReadoutConfusion:
+    """The mixer reads bit ``b`` through ``[[1 - p01, p10], [p01, 1 - p10]]``."""
+
     def test_columns_are_stochastic(self):
-        conf = readout_confusion_matrix(0.03, 0.07)
-        assert np.allclose(conf.sum(axis=0), [1.0, 1.0])
+        for prepared in (ZERO, ONE):
+            assert read_out(prepared, [(0.03, 0.07)]).sum() == pytest.approx(1.0)
 
     def test_perfect_readout_is_identity(self):
-        assert np.allclose(readout_confusion_matrix(0.0, 0.0), np.eye(2))
+        exact = NoiseRecord(np.ones(1), np.zeros(1), np.zeros((1, 2, 2)), np.ones(1, bool))
+        (ideal,) = noisy_probabilities_batch([ghz_state(2)], exact)
+        assert np.allclose(read_out(ghz_state(2), [(0.0, 0.0)] * 2), ideal)
 
     def test_probabilities_validated(self):
-        with pytest.raises(ValueError):
-            readout_confusion_matrix(1.2, 0.0)
+        with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+            read_out(ZERO, [(1.2, 0.0)])
 
     def test_asymmetric_entries(self):
-        conf = readout_confusion_matrix(0.1, 0.2)
-        assert conf[1, 0] == pytest.approx(0.1)  # read 1 given true 0
-        assert conf[0, 1] == pytest.approx(0.2)  # read 0 given true 1
+        assert read_out(ZERO, [(0.1, 0.2)])[1] == pytest.approx(0.1)  # read 1 given true 0
+        assert read_out(ONE, [(0.1, 0.2)])[0] == pytest.approx(0.2)  # read 0 given true 1
 
 
 class TestReadoutError:
     def test_identity_confusion_is_noop(self):
         probs = np.array([0.25, 0.25, 0.25, 0.25])
-        matrices = [readout_confusion_matrix(0.0, 0.0)] * 2
-        assert np.allclose(apply_readout_error(probs, matrices), probs)
+        matrices = [confusion(0.0, 0.0)] * 2
+        assert np.allclose(contracted(probs, matrices), probs)
 
     def test_full_flip_swaps_outcomes(self):
         probs = np.array([1.0, 0.0])
-        flipped = apply_readout_error(probs, [readout_confusion_matrix(1.0, 1.0)])
+        flipped = contracted(probs, [confusion(1.0, 1.0)])
         assert flipped[1] == pytest.approx(1.0)
 
     def test_output_is_normalized(self):
         probs = np.array([0.7, 0.1, 0.1, 0.1])
-        matrices = [readout_confusion_matrix(0.05, 0.1)] * 2
-        out = apply_readout_error(probs, matrices)
+        matrices = [confusion(0.05, 0.1)] * 2
+        out = contracted(probs, matrices)
         assert out.sum() == pytest.approx(1.0)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            apply_readout_error(np.array([0.5, 0.5]), [readout_confusion_matrix(0, 0)] * 2)
+            contracted(np.array([0.5, 0.5]), [confusion(0, 0)] * 2)
 
