@@ -326,14 +326,18 @@ class QPU:
         (:meth:`_noise_record`): the spec is bit-identical to the one built
         from the drifted snapshot (pinned by the test suite against
         :meth:`true_success_probability` and :meth:`effective_calibration`).
+        A footprint that measures nothing has no register width, so its spec
+        reads out every device qubit: it serves any register the device
+        holds, and its first pairs are the readout of a job's record.
         """
-        return self._noise_record(footprint, [self._drift_at(now)]).specs()[0]
+        width = min(self.num_qubits, footprint.num_measurements or self.num_qubits)
+        return self._noise_record(footprint, [self._drift_at(now)], width).specs()[0]
 
     def _noise_record(
         self,
         footprint: CircuitFootprint,
         drifts: Sequence[tuple[float, int, float]],
-        register: int = 1,
+        width: int,
     ) -> NoiseRecord:
         """A job's noise record, one row per drift triple ``(age, cycle, factor)``.
 
@@ -349,13 +353,10 @@ class QPU:
         itself gives the snapshot's last bit on every supported Python.  The
         Eq. 2 core stays per circuit on Python floats, because NumPy's
         ``exp`` and ``**`` need not round as libm's do.  The readout rows
-        are the scaled ``(p01, p10)`` of the first ``num_measurements``
-        qubits, or of ``register`` qubits — the width the mixer samples —
-        when the footprint measures nothing.
+        are the scaled ``(p01, p10)`` of the first ``width`` qubits.
         """
         noise = self.spec.noise_profile
         connectivity = self.topology.average_degree
-        width = min(self.num_qubits, footprint.num_measurements or register)
         success: list[float] = []
         readouts: list[np.ndarray] = []
         for cycle, run in groupby(drifts, key=itemgetter(1)):
@@ -458,23 +459,23 @@ class QPU:
         num_circuits: int,
         footprint: CircuitFootprint,
         now: float,
-        register: int = 1,
+        width: int,
     ) -> tuple[list[float], list[float], NoiseRecord, list[dict]]:
         """Per-circuit start time, duration, noise row and result metadata.
 
         The device clock advances *within* a batch: circuit ``i`` starts at
         ``now`` plus half the accumulated job durations of its predecessors
         (:meth:`batch_clock`), and its noise row is evaluated at that start
-        time.  The drift model is evaluated once per circuit start; the
-        clock, the noise record and the metadata all read that one
-        evaluation.  The record of the whole job comes from one array pass
-        per calibration cycle the job touches (:meth:`_noise_record`): a
-        fixed number of NumPy calls whatever the circuit or qubit count,
-        then per circuit the row sums and the scalar Eq. 2 core.  Pure
-        clock/calibration arithmetic, no RNG.
+        time, with ``width`` readout pairs.  The drift model is evaluated
+        once per circuit start; the clock, the noise record and the metadata
+        all read that one evaluation.  The record of the whole job comes
+        from one array pass per calibration cycle the job touches
+        (:meth:`_noise_record`): a fixed number of NumPy calls whatever the
+        circuit or qubit count, then per circuit the row sums and the scalar
+        Eq. 2 core.  Pure clock/calibration arithmetic, no RNG.
         """
         starts, durations, _, drifts = self._walk_clock(num_circuits, now)
-        record = self._noise_record(footprint, drifts, register)
+        record = self._noise_record(footprint, drifts, width)
         metadata = [
             {
                 "success_probability": success,
@@ -521,12 +522,14 @@ class QPU:
         if shots < 1:
             raise ValueError("shots must be >= 1")
         templates = circuits.templates if isinstance(circuits, ParameterSweep) else circuits
-        # The widest register the mixer samples (backends.measured_register).
-        register = footprint.num_measurements or max(
-            len(circuit.measured_qubits) or circuit.num_qubits for circuit in templates
+        # Unmeasured: the widest register the mixer samples (measured_register).
+        width = min(
+            self.num_qubits,
+            footprint.num_measurements
+            or max(len(circuit.measured_qubits) or circuit.num_qubits for circuit in templates),
         )
         _, durations, record, metadata = self._timeline_with_metadata(
-            len(circuits), footprint, now, register
+            len(circuits), footprint, now, width
         )
         results = [
             ExecutionResult(None, shots, self.name, duration, metadata=meta)

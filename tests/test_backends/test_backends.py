@@ -272,5 +272,16 @@ class TestUnmeasuredCircuitOnADevice:
         (row,) = noisy_probabilities_batch(job.circuits, job.noise)
         expected = reference.noisy_probabilities(ghz3, spec)
         assert np.max(np.abs(row - expected)) <= 1e-12
+        # The one-circuit spec reads out the whole device; its first pairs
+        # are the job's, and the mixer reads the same row through either.
+        single = qpu.execution_noise(footprint, 900.0)
+        assert len(single.per_qubit_readout) == qpu.num_qubits
+        assert single.per_qubit_readout[:3] == spec.per_qubit_readout
+        assert (single.success_probability, single.coherent_bias) == (
+            spec.success_probability,
+            spec.coherent_bias,
+        )
+        (again_row,) = noisy_probabilities_batch(job.circuits, [single])
+        assert again_row.tobytes() == row.tobytes()
         resolve_batches(parked)
         assert dict(again.counts) == dict(result.counts)

@@ -41,7 +41,8 @@ def period_seconds(qpu):
 
 def assert_matches_loop(qpu, num_circuits, footprint, now):
     """The job's specs and metadata equal the loop's at each circuit start."""
-    starts, _, record, metadata = qpu._timeline_with_metadata(num_circuits, footprint, now)
+    width = max(1, footprint.num_measurements)  # the reference's readout width
+    starts, _, record, metadata = qpu._timeline_with_metadata(num_circuits, footprint, now, width)
     specs = record.specs()
     drifts = qpu._walk_clock(num_circuits, now)[3]
     expected = [reference.noise_spec(qpu, footprint, cycle, factor) for _, cycle, factor in drifts]

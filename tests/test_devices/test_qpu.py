@@ -150,7 +150,9 @@ class TestExecution:
             assert durations[i] == bogota.job_duration_seconds(starts[i])
         # Half a job slot per circuit.
         assert elapsed == pytest.approx(sum(durations) / 2.0)
-        timeline = bogota._timeline_with_metadata(4, ghz_footprint, now)
+        timeline = bogota._timeline_with_metadata(
+            4, ghz_footprint, now, ghz_footprint.num_measurements
+        )
         assert timeline[:2] == bogota.batch_clock(4, now)[:2] == (starts, durations)
         results = bogota.execute_batch(
             [ghz_state(4)] * 4, ghz_footprint, shots=64, now=now, rng=rng
@@ -171,7 +173,7 @@ class TestExecution:
             lambda hours, cycle=0: calls.append(hours) or original(hours, cycle),
         )
         starts, durations, record, metadata = bogota._timeline_with_metadata(
-            24, ghz_footprint, now
+            24, ghz_footprint, now, ghz_footprint.num_measurements
         )
         specs = record.specs()
         assert len(calls) == 24

@@ -120,7 +120,7 @@ def job_specs(draw, circuit, count):
         footprint = dataclasses.replace(
             CircuitFootprint.from_circuit(circuit), num_measurements=width
         )
-        return qpu._timeline_with_metadata(count, footprint, now)[2].specs()
+        return qpu._timeline_with_metadata(count, footprint, now, width)[2].specs()
     return [draw(random_specs(width)) for _ in range(count)]
 
 
@@ -206,7 +206,7 @@ def test_each_catalog_device_matches_the_density_matrix(qpu):
         circuit.ry(1.1, qubit).measure(qubit)
     period = qpu.spec.calibration_period_hours * SECONDS_PER_HOUR
     footprint = CircuitFootprint.from_circuit(circuit)
-    specs = qpu._timeline_with_metadata(4, footprint, period - 1.0)[2].specs()
+    specs = qpu._timeline_with_metadata(4, footprint, period - 1.0, width)[2].specs()
     circuits = [circuit] * len(specs)
     assert_matches_oracle(noisy_probabilities_batch(circuits, specs), circuits, specs)
 

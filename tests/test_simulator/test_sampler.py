@@ -105,8 +105,10 @@ class TestReadoutConfusion:
     """The mixer reads bit ``b`` through ``[[1 - p01, p10], [p01, 1 - p10]]``."""
 
     def test_columns_are_stochastic(self):
-        for prepared in (ZERO, ONE):
-            assert read_out(prepared, [(0.03, 0.07)]).sum() == pytest.approx(1.0)
+        # An even superposition keeps the ratio of the two outcomes: a column
+        # that does not sum to 1 would shift it even after renormalization.
+        row = read_out(QuantumCircuit(1).h(0).measure_all(), [(0.03, 0.07)])
+        assert row == pytest.approx([0.5 * (0.97 + 0.07), 0.5 * (0.03 + 0.93)], abs=1e-15)
 
     def test_perfect_readout_is_identity(self):
         exact = NoiseRecord(np.ones(1), np.zeros(1), np.zeros((1, 2, 2)), np.ones(1, bool))
