@@ -40,7 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from ..telemetry import TELEMETRY as _telemetry
-from .program import DiagonalOp, GateProgram, MatrixOp, RunElement
+from .program import DiagonalOp, GateProgram, MatrixOp, PassPlan
 
 __all__ = [
     "batched_gate_matrices",
@@ -49,8 +49,8 @@ __all__ = [
     "marginal_probabilities",
 ]
 
-_EYE2 = np.eye(2, dtype=complex)
-_EYE2_C64 = np.eye(2, dtype=np.complex64)
+#: Lift a factor stack onto a pair's wire 0 (``kron(m, I)``) or wire 1.
+_LIFTS = ("sbij,kl->sbikjl", "sbij,kl->sbkilj")
 
 
 def _resolve_dtype(dtype) -> np.dtype:
@@ -109,49 +109,40 @@ def batched_gate_matrices(name: str, thetas: np.ndarray, dtype=complex) -> np.nd
     raise ValueError(f"no batched matrix rule for gate {name!r}")
 
 
-def _element_factor(
-    element: RunElement, thetas: np.ndarray, cdtype: np.dtype
-) -> np.ndarray:
-    """One factor of a fused op: a constant or a ``(batch, k, k)`` stack."""
-    single = cdtype == np.dtype(np.complex64)
-    if element.matrix is not None:
-        return element.matrix.astype(cdtype) if single else element.matrix
-    mats = batched_gate_matrices(element.gate, thetas[:, element.slot], dtype=cdtype)
-    eye = _EYE2_C64 if single else _EYE2
-    if element.lift == 0:
-        # kron(m, I): the factor acts on the pair's most significant wire.
-        return np.einsum("bij,kl->bikjl", mats, eye).reshape(-1, 4, 4)
-    if element.lift == 1:
-        return np.einsum("bij,kl->bkilj", mats, eye).reshape(-1, 4, 4)
-    return mats
-
-
-def _combined_matrices(
-    op: MatrixOp, thetas: np.ndarray, cdtype: np.dtype
-) -> np.ndarray:
-    """Multiply an op's factors into one ``(batch, k, k)`` stack.
-
-    The first element acts first, so the combined unitary is
-    ``e_n @ ... @ e_1``; broadcasting handles constant factors.
-    """
-    combined: np.ndarray | None = None
-    for element in op.elements:
-        factor = _element_factor(element, thetas, cdtype)
-        combined = factor if combined is None else factor @ combined
-    return combined
+def _runtime_factors(plan: PassPlan, thetas: np.ndarray, cdtype: np.dtype) -> list[list]:
+    """The factors of a pass's matrix ops, per table of ``plan``: a gate kind is
+    one :func:`batched_gate_matrices` call over its fresh C-contiguous ``(S, B)``
+    angle block plus one lift ``einsum`` per lift side used, its factors the
+    C-contiguous ``(B, k, k)`` sub-blocks; constants are cast for complex64."""
+    size, eye = thetas.shape[0], np.eye(2, dtype=cdtype)
+    tables = []
+    for gate, slots, plain, lifted0 in plan.kinds:
+        mats = batched_gate_matrices(gate, thetas.T[slots].reshape(-1), dtype=cdtype)
+        mats = mats.reshape((len(slots), size) + mats.shape[1:])
+        factors = list(mats[:plain])
+        for subscripts, run in zip(_LIFTS, (mats[plain:lifted0], mats[lifted0:])):
+            if len(run):
+                lifted = np.einsum(subscripts, run, eye, order="C")
+                factors.extend(lifted.reshape(len(run), size, 4, 4))
+        tables.append(factors)
+    tables.append([matrix.astype(cdtype, copy=False) for matrix in plan.constants])
+    return tables
 
 
 def _apply_ops(
-    ops: tuple,
+    plan: PassPlan,
     state: np.ndarray,
     thetas: np.ndarray,
     segments: Sequence[slice],
     num_qubits: int,
     cdtype: np.dtype,
 ) -> np.ndarray:
-    """One ping-pong pass of ``ops`` over a state stack; returns the live buffer.
+    """One ping-pong pass of ``plan.ops`` over a state stack; returns the live buffer.
 
-    Contractions and phase multiplies act on each batch row independently.
+    Matrix-op factors are built first, one array per gate kind
+    (:func:`_runtime_factors`), and an op chains its own with ``@`` in
+    application order (``e_n @ ... @ e_1``).  Contractions and phase
+    multiplies act on each batch row independently.
     ``np.einsum(out=...)`` casts under the ``'safe'`` rule, so in complex64
     mode every einsum input is materialized at complex64 up front; in-place
     diagonal multiplies use ``'same_kind'`` casting and need no special
@@ -168,8 +159,9 @@ def _apply_ops(
     # Scratch allocation is deferred to the first MatrixOp: diagonal-only
     # programs mutate ping in place and never need a second buffer.
     pong: np.ndarray | None = None
+    tables = _runtime_factors(plan, thetas, cdtype) if plan.kinds or plan.constants else []
 
-    for op in ops:
+    for op, factors in zip(plan.ops, plan.factors):
         if type(op) is DiagonalOp:
             if op.slots:
                 columns = list(op.slots)
@@ -202,7 +194,10 @@ def _apply_ops(
                 out=pong.reshape(shape),
             )
         else:
-            mats = _combined_matrices(op, thetas, cdtype)
+            mats = None
+            for table, position in factors:
+                factor = tables[table][position]
+                mats = factor if mats is None else factor @ mats
             np.einsum(
                 op.subscripts_batched,
                 mats.reshape((size,) + (2,) * (2 * k)),
@@ -233,12 +228,12 @@ def _execute_block(
     states = np.zeros((thetas.shape[0], program.dim), dtype=cdtype)
     states[:, 0] = 1.0
     shared = [slice(a + t, b, stride) for a, b in pairwise(edges) for t in range(stride)]
-    states = _apply_ops(program.ops, states, thetas, shared, n, cdtype)
+    states = _apply_ops(program.pass_plans[0], states, thetas, shared, n, cdtype)
     alone = [slice(a // stride, b // stride) for a, b in pairwise(edges)]
-    for offset, tail in enumerate(program.tails):
-        if tail:
+    for offset, plan in enumerate(program.pass_plans[1]):
+        if plan.ops:
             states[offset::stride] = _apply_ops(
-                tail,
+                plan,
                 np.ascontiguousarray(states[offset::stride]),
                 np.ascontiguousarray(thetas[offset::stride]),
                 alone,

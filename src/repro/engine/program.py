@@ -29,6 +29,7 @@ agreeing ops once over every row of the job (``GateProgram.tails``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -130,6 +131,41 @@ class GateProgram:
     @property
     def num_ops(self) -> int:
         return len(self.ops)
+
+    @cached_property
+    def pass_plans(self) -> tuple["PassPlan", tuple["PassPlan", ...]]:
+        """The :class:`PassPlan` of ``ops`` and of each tail (built once)."""
+        return PassPlan.of(self.ops), tuple(PassPlan.of(tail) for tail in self.tails)
+
+
+@dataclass(frozen=True)
+class PassPlan:
+    """An op tuple with its runtime factors by gate kind: ``kinds[g] = (gate, slots,
+    plain, lifted0)`` holds the gate's slots (unlifted, onto wire 0, onto wire 1)
+    and where the first two runs end; op ``i``'s factors are ``factors[i]``, as
+    ``(table, position)`` — table ``g`` is kind ``g``, the last ``constants``."""
+
+    ops: tuple
+    kinds: tuple[tuple[str, np.ndarray, int, int], ...]
+    constants: tuple[np.ndarray, ...]
+    factors: tuple[tuple[tuple[int, int], ...], ...]
+
+    @classmethod
+    def of(cls, ops: tuple) -> "PassPlan":
+        rows = [op.elements if type(op) is MatrixOp and op.tensor is None else () for op in ops]
+        elements = [element for row in rows for element in row]
+        gates = list(dict.fromkeys(e.gate for e in elements if e.matrix is None))
+        tables = [sorted((e for e in elements if e.matrix is None and e.gate == gate),
+                         key=lambda e: e.lift) for gate in gates]
+        tables.append([e for e in elements if e.matrix is not None])
+        where = {id(e): (t, p) for t, table in enumerate(tables) for p, e in enumerate(table)}
+        kinds = []
+        for gate, table in zip(gates, tables):
+            lifts = [e.lift for e in table]
+            slots = np.array([e.slot for e in table], dtype=np.intp)
+            kinds.append((gate, slots, lifts.count(-1), lifts.count(-1) + lifts.count(0)))
+        return cls(ops, tuple(kinds), tuple(e.matrix for e in tables[-1]),
+                   tuple(tuple(where[id(e)] for e in row) for row in rows))
 
 
 def _same_array(a: np.ndarray | None, b: np.ndarray | None) -> bool:

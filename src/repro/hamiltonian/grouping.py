@@ -20,7 +20,6 @@ from functools import cached_property
 import numpy as np
 
 from ..circuit.circuit import QuantumCircuit
-from ..simulator.result import Counts
 from .pauli import PauliString, PauliSum
 
 __all__ = ["MeasurementGroup", "group_qubitwise_commuting", "measurement_basis_circuit"]
@@ -78,29 +77,14 @@ class MeasurementGroup:
 
         ``counts`` is a mapping from bitstrings (measured after the basis
         rotation) to frequencies.  A sampler-built
-        :class:`~repro.simulator.result.Counts` decodes from its hit arrays:
-        one gather from the signed-coefficient table and one sequential
-        ``np.add.accumulate`` in the loop's (outcome-major, term-inner)
-        order.  ``weight * (coefficient * ±1)`` equals the loop's
-        ``(weight * coefficient) * ±1`` exactly, so both decoders return the
-        same bits; the loop remains for plain mappings and for registers too
-        wide to tabulate.
+        :class:`~repro.simulator.result.Counts` is the one-row case of
+        :func:`_expectations_from_draws`; plain mappings and registers too
+        wide to tabulate take the per-outcome loop, to the same bits.
         """
-        hits = counts.hits if isinstance(counts, Counts) else None
-        if hits is None or self.num_qubits > _MAX_TABLE_QUBITS:
+        draws = _tabled_draws([counts], self.num_qubits)
+        if draws is None:
             return self._expectation_from_mapping(counts)
-        indices, hit_counts = hits
-        total_shots = int(hit_counts.sum())
-        if total_shots == 0:
-            return 0.0
-        if counts.num_bits != self.num_qubits:
-            raise ValueError("bitstring width does not match the Pauli width")
-        contributions = np.empty(1 + indices.size * len(self.terms))
-        contributions[0] = 0.0
-        contributions[1:] = (
-            (hit_counts / total_shots)[:, None] * self._signed_coefficients[indices]
-        ).reshape(-1)
-        return float(np.add.accumulate(contributions)[-1])
+        return float(_expectations_from_draws(draws, self._signed_coefficients[None])[0])
 
     def _expectation_from_mapping(self, counts) -> float:
         total_shots = sum(counts.values())
@@ -112,6 +96,35 @@ class MeasurementGroup:
             for term in self.terms:
                 value += weight * term.coefficient * term.eigenvalue_of_bitstring(bitstring)
         return value
+
+
+def _tabled_draws(histograms, num_qubits: int) -> np.ndarray | None:
+    """The draw rows behind ``histograms`` if consecutive rows of one draw matrix
+    ``2**num_qubits`` wide (``num_qubits <= _MAX_TABLE_QUBITS``), else None."""
+    first = histograms[0] if len(histograms) and num_qubits <= _MAX_TABLE_QUBITS else None
+    draws = getattr(first, "_draws", None)
+    if draws is None or draws.shape[1] != 1 << num_qubits:
+        return None
+    for offset, histogram in enumerate(histograms, first._row):
+        if getattr(histogram, "_draws", None) is not draws or histogram._row != offset:
+            return None
+    return draws[first._row : first._row + len(histograms)]
+
+
+def _expectations_from_draws(draws: np.ndarray, tables: np.ndarray) -> np.ndarray:
+    """Decode row ``r`` of a ``(rows, 2**n)`` draw block against its zero-padded
+    ``(2**n, terms)`` signed-coefficient table ``tables[r]`` (0.0 if shotless).
+
+    Each row sums ``weight * (coefficient * ±1)`` from ``+0.0`` in the per-
+    outcome loop's outcome-major, term-inner order, bit-equal to the loop: the
+    products equal its ``(weight * coefficient) * ±1``, and a zero-count
+    outcome or a padded term adds ``±0.0``.  A running sum that starts at
+    ``+0.0`` never becomes ``-0.0`` under round-to-nearest, and ``±0.0``
+    leaves any other value unchanged, so every partial sum keeps its bits."""
+    weights = draws / np.maximum(draws.sum(axis=1), 1)[:, None]
+    contributions = np.zeros((len(draws), 1 + tables[0].size))
+    contributions[:, 1:] = (weights[:, :, None] * tables).reshape(len(draws), -1)
+    return np.add.accumulate(contributions, axis=1)[:, -1]
 
 
 def group_qubitwise_commuting(hamiltonian: PauliSum) -> list[MeasurementGroup]:

@@ -25,25 +25,26 @@ class Counts(Mapping[str, int]):
     """Measurement outcome histogram keyed by bitstring.
 
     Bitstrings follow the library convention: character ``i`` is the outcome
-    of measured qubit ``i`` (qubit 0 leftmost).
+    of measured qubit ``i`` (qubit 0 leftmost).  A histogram built from a
+    mapping takes integral, non-negative counts under ``0``/``1`` labels of
+    one width (``ValueError`` otherwise).
 
-    Histograms built by the samplers also keep the sparse array form they
-    were drawn in — :attr:`hits`, the ``(outcome indices, counts)`` pair in
-    the same order the mapping iterates — so array consumers
-    (:meth:`~repro.hamiltonian.grouping.MeasurementGroup.expectation_from_counts`)
-    skip the bitstring round trip.  Such a histogram builds its label dict
-    only when first read as a mapping.
+    A sampler-built histogram is a row view of the multinomial draw matrix,
+    which :meth:`~repro.hamiltonian.expectation.EnergyEstimator.energy_from_counts`
+    decodes a point's rows of in one call; its :attr:`hits` and label dict
+    are built from the row only when first read.
     """
 
-    #: ``(outcome indices, counts)`` as the sampler drew them; ``None`` for
-    #: histograms built from a plain mapping.
-    hits: tuple[np.ndarray, np.ndarray] | None = None
+    #: Sampler-built only: the draw matrix and this histogram's row of it.
+    _draws: np.ndarray | None = None
 
     def __init__(self, data: Mapping[str, int], shots: int | None = None) -> None:
         clean: dict[str, int] = {}
         for key, value in data.items():
-            if value < 0:
-                raise ValueError(f"negative count for outcome {key!r}")
+            if str(key).strip("01"):
+                raise ValueError(f"outcome {key!r} is not a bitstring of 0s and 1s")
+            if value < 0 or not float(value).is_integer():
+                raise ValueError(f"count {value!r} of outcome {key!r} is not an integer >= 0")
             if value:
                 clean[str(key)] = int(value)
         widths = {len(k) for k in clean}
@@ -56,15 +57,24 @@ class Counts(Mapping[str, int]):
             raise ValueError("shots is smaller than the sum of counts")
 
     @classmethod
-    def _from_draws(cls, draws: np.ndarray, num_bits: int, shots: int) -> "Counts":
-        """Trusted constructor for the samplers: a multinomial draw vector
-        over the ``2**num_bits`` outcomes, kept as its hit outcomes only."""
-        (indices,) = np.nonzero(draws)
-        histogram = cls.__new__(cls)
-        histogram._num_bits = num_bits if len(indices) else 0
-        histogram._shots = shots
-        histogram.hits = (indices, draws[indices])
-        return histogram
+    def _rows(cls, draws: np.ndarray, num_bits: int, shots: int) -> list["Counts"]:
+        """Trusted constructor for the samplers: a view of each row of a multinomial
+        draw matrix (each row holds ``shots`` shots, so only zero shots are empty)."""
+        width, histograms = (num_bits if shots else 0), []
+        for row in range(len(draws)):
+            histogram = cls.__new__(cls)
+            vars(histogram).update(_draws=draws, _row=row, _shots=shots, _num_bits=width)
+            histograms.append(histogram)
+        return histograms
+
+    @cached_property
+    def hits(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """Drawn ``(outcome indices, counts)`` in mapping order (sampler-built only)."""
+        if self._draws is None:
+            return None
+        row = self._draws[self._row]
+        (indices,) = np.nonzero(row)
+        return indices, row[indices]
 
     @cached_property
     def _data(self) -> dict[str, int]:

@@ -25,7 +25,8 @@ def sample_distribution(
     rng: np.random.Generator,
     num_bits: int | None = None,
 ) -> Counts:
-    """Draw ``shots`` multinomial samples from a probability vector.
+    """Draw ``shots`` multinomial samples from a probability vector (the
+    one-row case of :func:`sample_distribution_batch`).
 
     Args:
         probabilities: vector of length ``2**num_bits``; it is re-normalized
@@ -38,28 +39,9 @@ def sample_distribution(
     probs = np.asarray(probabilities, dtype=float)
     if probs.ndim != 1:
         raise ValueError("probabilities must be a 1-D vector")
-    if np.any(probs < -1e-9):
-        raise ValueError("probabilities must be non-negative")
-    probs = np.clip(probs, 0.0, None)
-    total = probs.sum()
-    if total <= 0:
-        raise ValueError("probability vector sums to zero")
-    probs = probs / total
-    if shots < 0:
-        raise ValueError("shots must be non-negative")
     if num_bits is None:
-        num_bits = max(1, int(np.round(np.log2(probs.size))))
-    if probs.size != (1 << num_bits):
-        raise ValueError(
-            f"probability vector of length {probs.size} does not match "
-            f"{num_bits} bits"
-        )
-    if shots == 0:
-        return Counts({}, shots=0)
-    draws = rng.multinomial(shots, probs)
-    # Shots are sparse over the 2**n outcomes for n >= 10: only the hit
-    # indices are kept, and labelled on first mapping access.
-    return Counts._from_draws(draws, num_bits, shots)
+        num_bits = max(1, int(np.round(np.log2(max(probs.size, 1)))))
+    return sample_distribution_batch(probs[None], shots, rng, num_bits)[0]
 
 
 def sample_distribution_batch(
@@ -71,11 +53,13 @@ def sample_distribution_batch(
     """Draw shots for a whole stack of distributions in one multinomial call.
 
     NumPy's ``Generator.multinomial`` consumes the bit stream row by row in
-    order, so the draws — and the generator's final state — are **identical**
-    to calling :func:`sample_distribution` once per row with the same RNG
-    (the equivalence is pinned by the test suite).  The per-row validation
-    and renormalization are replicated exactly; only the Python call
-    overhead is batched away.
+    order, so the draws — and the generator's final state — are those of one
+    call per row with the same RNG (the equivalence is pinned by the test
+    suite).  Each row is validated, clipped and renormalized on its own.
+
+    The ``(batch, 2**num_bits)`` draw matrix is kept: every returned
+    :class:`~repro.simulator.result.Counts` is a view of its row, so a job's
+    consecutive rows decode to energies as one block.
 
     Args:
         probabilities: ``(batch, 2**num_bits)`` stack of distributions.
@@ -100,10 +84,8 @@ def sample_distribution_batch(
             f"probability vectors of length {probs.shape[1]} do not match "
             f"{num_bits} bits"
         )
-    if shots == 0:
-        return [Counts({}, shots=0) for _ in range(probs.shape[0])]
-    draws = rng.multinomial(shots, probs)
-    return [Counts._from_draws(row, num_bits, shots) for row in draws]
+    # Zero shots draw zeros and leave the stream where it was.
+    return Counts._rows(rng.multinomial(shots, probs), num_bits, shots)
 
 
 def sample_statevector(

@@ -1,5 +1,7 @@
 """Tests for Counts and ExecutionResult."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,32 @@ class TestCounts:
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
             Counts({"0": -1})
+
+    @pytest.mark.parametrize("count", [1.7, 0.5, 2.25, float("nan"), float("inf")])
+    def test_fractional_count_rejected_naming_the_outcome(self, count):
+        with pytest.raises(ValueError, match="'01'"):
+            Counts({"01": count, "10": 2})
+
+    def test_integral_counts_of_any_numeric_type_accepted(self):
+        counts = Counts({"01": np.int64(3), "10": np.uint8(2), "11": 4.0})
+        assert dict(counts) == {"01": 3, "10": 2, "11": 4}
+        assert all(type(value) is int for value in counts.values())
+
+    @pytest.mark.parametrize("label", ["0x", "0020", "1 0", "ab", "+1"])
+    def test_non_binary_label_rejected(self, label):
+        with pytest.raises(ValueError, match=re.escape(repr(label))):
+            Counts({label: 3})
+
+    def test_non_binary_label_rejected_even_with_zero_count(self):
+        with pytest.raises(ValueError, match="'2'"):
+            Counts({"1": 3, "2": 0})
+
+    def test_non_binary_label_cannot_reach_the_energy(self):
+        from repro import heisenberg_vqe_problem
+
+        group = heisenberg_vqe_problem().estimator.groups[2]
+        with pytest.raises(ValueError, match="0020"):
+            group.expectation_from_counts(Counts({"0020": 4}))
 
     def test_zero_counts_dropped(self):
         counts = Counts({"0": 0, "1": 5})

@@ -10,6 +10,7 @@ from repro.simulator.sampler import (
     apply_readout_error_batch,
     sample_circuit_ideal,
     sample_distribution,
+    sample_distribution_batch,
     sample_statevector,
 )
 from repro.simulator.statevector import Statevector
@@ -26,9 +27,14 @@ class TestSampleDistribution:
         assert counts["1"] == 100
 
     def test_zero_shots(self, rng):
+        state = rng.bit_generator.state
         counts = sample_distribution(np.array([0.5, 0.5]), 0, rng)
         assert counts.shots == 0
         assert len(counts) == 0
+        assert counts == Counts({}, shots=0) and counts.num_bits == 0
+        batch = sample_distribution_batch(np.full((3, 4), 0.25), 0, rng, num_bits=2)
+        assert all(c == Counts({}, shots=0) and c.num_bits == 0 for c in batch)
+        assert rng.bit_generator.state == state  # zero shots consume no bits
 
     def test_negative_probabilities_rejected(self, rng):
         with pytest.raises(ValueError):
