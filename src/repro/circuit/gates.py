@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -172,7 +171,7 @@ def is_parameterized_gate(name: str) -> bool:
 
 _SQRT2_INV = 1.0 / math.sqrt(2.0)
 
-_FIXED_1Q: dict[str, np.ndarray] = {
+_FIXED: dict[str, np.ndarray] = {
     "id": np.eye(2, dtype=complex),
     "x": np.array([[0, 1], [1, 0]], dtype=complex),
     "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
@@ -182,9 +181,6 @@ _FIXED_1Q: dict[str, np.ndarray] = {
     "sdg": np.array([[1, 0], [0, -1j]], dtype=complex),
     "t": np.array([[1, 0], [0, np.exp(1j * math.pi / 4)]], dtype=complex),
     "sx": 0.5 * np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]], dtype=complex),
-}
-
-_FIXED_2Q: dict[str, np.ndarray] = {
     # Qubit ordering convention: for cx, qubits = (control, target); the
     # matrix is written in the basis |control, target>.
     "cx": np.array(
@@ -195,6 +191,8 @@ _FIXED_2Q: dict[str, np.ndarray] = {
         [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
     ),
 }
+for _matrix in _FIXED.values():
+    _matrix.setflags(write=False)
 
 
 def _rx(theta: float) -> np.ndarray:
@@ -223,41 +221,17 @@ def _cp(theta: float) -> np.ndarray:
     return np.diag([1.0, 1.0, 1.0, np.exp(1j * theta)]).astype(complex)
 
 
-@lru_cache(maxsize=4096)
-def _cached_gate_matrix(name: str, params: tuple[float, ...]) -> np.ndarray:
-    """Build (once) the read-only unitary for a (name, params) pair.
-
-    Simulation re-applies the same few unitaries thousands of times per
-    training run; memoizing the built matrices removes that rebuild cost.
-    The cached arrays are marked read-only so sharing them is safe.
-    """
-    if name in _FIXED_1Q:
-        matrix = _FIXED_1Q[name].copy()
-    elif name in _FIXED_2Q:
-        matrix = _FIXED_2Q[name].copy()
-    else:
-        theta = params[0]
-        if name == "rx":
-            matrix = _rx(theta)
-        elif name == "ry":
-            matrix = _ry(theta)
-        elif name == "rz":
-            matrix = _rz(theta)
-        elif name == "rzz":
-            matrix = _rzz(theta)
-        elif name == "cp":
-            matrix = _cp(theta)
-        else:
-            raise ValueError(f"no matrix rule for gate {name!r}")
-    matrix.setflags(write=False)
-    return matrix
+#: The one-angle gates: ``_ROTATIONS[name](theta)`` is the unitary at a
+#: float angle, a fresh array every call.
+_ROTATIONS = {"rx": _rx, "ry": _ry, "rz": _rz, "rzz": _rzz, "cp": _cp}
 
 
 def gate_matrix(name: str, params: Sequence[float] = ()) -> np.ndarray:
     """Return the unitary matrix for a gate with bound (float) parameters.
 
-    The returned array is a shared, memoized, **read-only** matrix; copy it
-    before mutating.
+    The returned array is **read-only**; copy it before mutating.  A fixed
+    gate returns its one shared matrix; a rotation is built on every call
+    (nothing is cached per angle).
 
     Args:
         name: gate name from :data:`GATE_SPECS`.
@@ -275,4 +249,8 @@ def gate_matrix(name: str, params: Sequence[float] = ()) -> np.ndarray:
         raise ValueError(
             f"gate {name!r} expects {spec.num_params} parameters, got {len(params)}"
         )
-    return _cached_gate_matrix(name, tuple(float(p) for p in params))
+    matrix = _FIXED.get(name)
+    if matrix is None:
+        matrix = _ROTATIONS[name](float(params[0]))
+        matrix.setflags(write=False)
+    return matrix

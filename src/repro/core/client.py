@@ -117,6 +117,8 @@ class EQCClientNode:
         self.shots = int(shots)
         self.name = name or f"client_{qpu.name}"
         self._footprints: dict[tuple[Hashable, ...], CircuitFootprint] = {}
+        #: The last ``(calibration, footprint, estimate)`` (see current_p_correct).
+        self._last_p_correct: tuple = (None, None, 0.0)
         self.jobs_completed = 0
 
     # ------------------------------------------------------------------
@@ -164,12 +166,20 @@ class EQCClientNode:
         injected calibration blackout the published view freezes at the
         window start, so the estimate goes stale exactly as against a real
         provider whose properties endpoint lags.
+
+        Eq. 2 is re-evaluated only when the snapshot or the footprint is not
+        the last call's object: within a refresh step it returns the last
+        estimate (the snapshot is still looked up on every call).
         """
         view_time = self.provider.properties_view_time(self.qpu.name, now)
         calibration = self.qpu.estimated_calibration(view_time)
         if footprint is None:
             footprint = self.representative_footprint(job)
-        return estimate_p_correct(calibration, footprint)
+        last = self._last_p_correct
+        if last[0] is not calibration or last[1] is not footprint:
+            last = (calibration, footprint, estimate_p_correct(calibration, footprint))
+            self._last_p_correct = last
+        return last[2]
 
     def dispatch_task(
         self,

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from itertools import accumulate, groupby
 from operator import itemgetter
 from typing import Sequence
@@ -138,34 +139,50 @@ class QPUSpec:
                 f"{self.name}: num_qubits={self.num_qubits} does not match "
                 f"topology width {self.topology.num_qubits}"
             )
-        if self.base_job_seconds <= 0:
-            raise ValueError("base_job_seconds must be positive")
-        if self.calibration_period_hours <= 0:
-            raise ValueError("calibration_period_hours must be positive")
+        for name in ("base_job_seconds", "calibration_period_hours", "properties_refresh_hours"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{self.name}: {name} must be finite and positive (got {value!r})")
+
+
+class _CalibrationRecord:
+    """What one spec determines: its generator, its drift model (with the
+    per-cycle parameters), each cycle's reported snapshot and table
+    (:meth:`QPU._cycle_table`), each ``(cycle, refresh step)``'s estimated
+    snapshot.  Pure functions of the spec, built on first use: no RNG
+    state, frozen snapshots, read-only tables."""
+
+    def __init__(self, spec: QPUSpec) -> None:
+        self.generator = CalibrationGenerator(spec.noise_profile, spec.seed)
+        self.drift = DriftModel(spec.drift_profile, spec.seed)
+        self.reported: dict[int, CalibrationSnapshot] = {}
+        self.tables: dict[int, tuple[np.ndarray, int, int, float, float]] = {}
+        self.estimated: dict[tuple[int, int], CalibrationSnapshot] = {}
+
+    def __deepcopy__(self, memo: dict) -> "_CalibrationRecord":
+        return self  # a copied device still reads its spec's one record
+
+
+#: The one calibration record of each spec value in this process.
+_calibration_record = lru_cache(maxsize=None)(_CalibrationRecord)
 
 
 class QPU:
-    """A stateful simulated quantum backend."""
+    """A stateful simulated quantum backend.
+
+    Every ``QPU`` of an equal spec reads that spec's one calibration record
+    (:data:`_calibration_record`); a device's own state is only its default
+    shot stream ``_rng``, built on first read."""
 
     def __init__(self, spec: QPUSpec) -> None:
         self.spec = spec
-        self._generator = CalibrationGenerator(spec.noise_profile, spec.seed)
-        self._drift = DriftModel(spec.drift_profile, spec.seed)
-        self._rng = np.random.default_rng((spec.seed, 0xD1CE))
-        #: Reported snapshots are a pure function of the calibration cycle;
-        #: regenerating one costs ~150us of lognormal draws, so the batched
-        #: execution path memoizes them per cycle (values are identical).
-        self._reported_cache: dict[int, CalibrationSnapshot] = {}
-        #: The reported calibration of each cycle as one zero-padded array
-        #: (rows t1, t2, 2*t1, p01, p10, 1q errors, CX errors), with the row
-        #: lengths and the gate times: every job's noise record of the cycle
-        #: is scaled from it in one array pass and summed row by row with the
-        #: builtin ``sum`` (see :meth:`_noise_record`).
-        self._cycle_tables: dict[int, tuple] = {}
-        #: Estimated snapshots per (cycle, properties-refresh step): the
-        #: republished properties only change at a refresh, so every job in
-        #: between reads one shared, read-only snapshot.
-        self._estimated_cache: dict[tuple[int, int], CalibrationSnapshot] = {}
+        self._record = _calibration_record(spec)
+        self._drift = self._record.drift
+
+    @cached_property
+    def _rng(self) -> np.random.Generator:
+        """The stream of jobs run with no ``rng`` (the provider checkpoints it)."""
+        return np.random.default_rng((self.spec.seed, 0xD1CE))
 
     # ------------------------------------------------------------------
     # identity / convenience
@@ -205,20 +222,22 @@ class QPU:
         """The calibration snapshot the provider publishes at time ``now``.
 
         This is what EQC client nodes see; it does not change between
-        calibration events no matter how far the hardware drifts.
+        calibration events no matter how far the hardware drifts.  Generated
+        once per cycle per spec value in the process (the spec's record),
+        so every device of the spec returns the same object.
         """
         cycle = self.calibration_cycle(now)
-        snapshot = self._reported_cache.get(cycle)
+        reported = self._record.reported
+        snapshot = reported.get(cycle)
         if snapshot is None:
             period = self.spec.calibration_period_hours * SECONDS_PER_HOUR
-            snapshot = self._generator.generate(
+            snapshot = reported[cycle] = self._record.generator.generate(
                 device_name=self.name,
                 num_qubits=self.num_qubits,
                 couplings=self.topology.directed_couplings,
                 timestamp=cycle * period,
                 cycle=cycle,
             )
-            self._reported_cache[cycle] = snapshot
         return snapshot
 
     def effective_calibration(self, now: float) -> CalibrationSnapshot:
@@ -234,16 +253,18 @@ class QPU:
         properties every ``properties_refresh_hours``; the estimate therefore
         tracks the true drift with a bounded lag, but it never sees latent
         cross-talk or a burst that started after the last refresh — which is
-        the gap the Fig. 4 scatter quantifies.
+        the gap the Fig. 4 scatter quantifies.  One snapshot per (cycle,
+        refresh step) per spec value in the process: every call in between,
+        on any device of the spec, returns the same object.
         """
-        refresh = max(self.spec.properties_refresh_hours, 1e-6)
+        refresh = self.spec.properties_refresh_hours
         cycle = self.calibration_cycle(now)
         step = math.floor(self.hours_since_calibration(now) / refresh)
-        snapshot = self._estimated_cache.get((cycle, step))
+        estimated = self._record.estimated
+        snapshot = estimated.get((cycle, step))
         if snapshot is None:
             factor = self._drift.drift_factor(step * refresh, cycle)
-            snapshot = self.reported_calibration(now).scale_errors(factor)
-            self._estimated_cache[(cycle, step)] = snapshot
+            snapshot = estimated[cycle, step] = self.reported_calibration(now).scale_errors(factor)
         return snapshot
 
     def drift_factor(self, now: float) -> float:
@@ -395,9 +416,9 @@ class QPU:
         )
 
     def _cycle_table(self, cycle: int) -> tuple[np.ndarray, int, int, float, float]:
-        """The ``(7, 1, width)`` calibration table of one cycle, built once,
-        with its qubit and CX counts and the two gate times."""
-        entry = self._cycle_tables.get(cycle)
+        """The ``(7, 1, width)`` calibration table of one cycle, built once
+        per spec value, with its qubit and CX counts and the two gate times."""
+        entry = self._record.tables.get(cycle)
         if entry is None:
             period = self.spec.calibration_period_hours * SECONDS_PER_HOUR
             snapshot = self.reported_calibration(cycle * period)
@@ -415,10 +436,10 @@ class QPU:
             table = np.zeros((len(rows), 1, max(map(len, rows))))
             for target, row in zip(table, rows):
                 target[0, : len(row)] = row
+            table.setflags(write=False)
             mu_g1 = snapshot.average_single_qubit_gate_time
             mu_g2 = snapshot.average_cx_gate_time or mu_g1
-            entry = (table, len(t1s), len(cx_errors), mu_g1, mu_g2)
-            self._cycle_tables[cycle] = entry
+            entry = self._record.tables[cycle] = (table, len(t1s), len(cx_errors), mu_g1, mu_g2)
         return entry
 
     def batch_clock(

@@ -6,6 +6,7 @@ are small (4–5 qubits for every experiment in the paper), so a dense
 gathers the amplitudes into a contiguous ``(2**k, 2**(n-k))`` block with the
 target qubits as rows, multiplies by the ``2**k`` unitary, and scatters the
 product back; the index vectors of each ``(n, qubits)`` pair are built once.
+:func:`simulate_statevector` compiles each circuit once into a dense plan.
 
 Bit-ordering convention
 -----------------------
@@ -17,13 +18,14 @@ bitstrings produced by the samplers follow the same convention.
 
 from __future__ import annotations
 
+import weakref
 from functools import lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from ..circuit.circuit import QuantumCircuit
-from ..circuit.gates import gate_matrix
+from ..circuit.gates import _ROTATIONS, gate_matrix
 from ..circuit.parameters import Parameter, bind_value
 
 __all__ = ["Statevector", "simulate_statevector"]
@@ -172,6 +174,36 @@ class Statevector:
         return float(np.abs(np.vdot(self._vec, other._vec)) ** 2)
 
 
+#: Dense plans by circuit identity, valid while the circuit's structure key
+#: is the object they were built against (as ``ProgramCache.plan_for``'s).
+_PLANS: "weakref.WeakKeyDictionary[QuantumCircuit, tuple]" = weakref.WeakKeyDictionary()
+
+
+def _dense_plan(circuit: QuantumCircuit) -> tuple[np.ndarray, tuple]:
+    """``(prefix, steps)``: the read-only state after the leading gates with
+    no free parameter, then one ``(gather, scatter, rows, build, angle)`` per
+    later gate (a fixed gate: ``build=None`` and its matrix as ``angle``)."""
+    key = circuit.structure_key
+    entry = _PLANS.get(circuit)
+    if entry is not None and entry[0] is key:
+        return entry[1], entry[2]
+    n = circuit.num_qubits
+    prefix = Statevector(n)._vec
+    steps = []
+    for inst in circuit.instructions:
+        if not inst.is_unitary:
+            continue
+        if not steps and not inst.free_parameters:
+            prefix = _apply(prefix, gate_matrix(inst.name, inst.params), n, inst.qubits)
+            continue
+        build = _ROTATIONS.get(inst.name)
+        angle = inst.params[0] if build else gate_matrix(inst.name)
+        steps.append((*_gather_scatter(n, inst.qubits), build, angle))
+    prefix.setflags(write=False)
+    entry = _PLANS[circuit] = (key, prefix, tuple(steps))
+    return entry[1], entry[2]
+
+
 def simulate_statevector(
     circuit: QuantumCircuit,
     parameter_values: Mapping[Parameter, float] | None = None,
@@ -179,9 +211,11 @@ def simulate_statevector(
     """Run a circuit on the ideal statevector simulator.
 
     Measurement directives are ignored (the full final state is returned);
-    use :mod:`repro.simulator.sampler` to draw shots from it.  Each gate's
-    angles are resolved against ``parameter_values`` as it is applied; no
-    bound copy of the circuit is built.
+    use :mod:`repro.simulator.sampler` to draw shots from it.  The circuit's
+    dense plan (:func:`_dense_plan`) is compiled once; each run resolves a
+    gate's angle against ``parameter_values``, builds its matrix (no bound
+    circuit, no per-angle cache) and applies it by gather/scatter, the float
+    operations of applying the gates one by one.  The state owns its data.
 
     Args:
         circuit: the circuit to simulate.
@@ -194,8 +228,10 @@ def simulate_statevector(
     missing = circuit.parameters - values.keys()
     if missing:
         raise ValueError(f"unbound parameters remain: {', '.join(p.name for p in missing)}")
+    vec, steps = _dense_plan(circuit)
+    for gather, scatter, rows, build, angle in steps:
+        matrix = angle if build is None else build(float(bind_value(angle, values)))
+        vec = (matrix @ vec[gather].reshape(rows, -1)).reshape(-1)[scatter]
     state = Statevector(circuit.num_qubits)
-    for inst in circuit.instructions:
-        if inst.is_unitary:
-            state.apply_gate(inst.name, inst.qubits, tuple(bind_value(p, values) for p in inst.params))
+    state._vec = vec if steps else vec.copy()
     return state

@@ -1,13 +1,18 @@
-"""The looped statevector simulator: bind the circuit, then moveaxis per gate.
+"""The looped statevector simulators ``repro.simulator.statevector`` must
+reproduce byte for byte.
 
-Every gate moves its target axes to the front of the ``[2] * n`` tensor,
-multiplies by the unitary and moves them back.  ``repro.simulator.statevector``
-must reproduce it byte for byte (tests/test_properties/test_simulator_properties.py).
+``simulate`` binds the circuit, then moves each gate's target axes to the
+front of the ``[2] * n`` tensor, multiplies by the unitary and moves them back
+(tests/test_properties/test_simulator_properties.py).  ``run_gate_by_gate``
+is the loop ``simulate_statevector`` ran before its dense plan: one
+``Statevector.apply_gate`` per unitary, each angle resolved as it is applied
+(tests/test_simulator/test_dense_plan.py).
 """
 
 import numpy as np
 
 from repro.circuit.gates import gate_matrix
+from repro.circuit.parameters import bind_value
 
 
 def apply_matrix(vec, matrix, qubits, num_qubits):
@@ -36,3 +41,13 @@ def exact_energy(estimator, values):
     """``<psi|H|psi>`` of an ``EnergyEstimator``'s ansatz at ``values``."""
     vec = simulate(estimator.ansatz.without_measurements(), estimator.bindings(values))
     return float(np.real(np.vdot(vec, estimator.hamiltonian.to_matrix() @ vec)))
+
+
+def run_gate_by_gate(state, circuit, parameter_values=None):
+    """Apply ``circuit``'s unitaries to the ``Statevector`` ``state`` in place,
+    one ``apply_gate`` each (measurements and barriers skipped)."""
+    values = parameter_values or {}
+    for inst in circuit.instructions:
+        if inst.is_unitary:
+            state.apply_gate(inst.name, inst.qubits, tuple(bind_value(p, values) for p in inst.params))
+    return state

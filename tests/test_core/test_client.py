@@ -1,5 +1,7 @@
 """Tests for the EQC client node (Algorithm 2)."""
 
+import dataclasses
+
 import pytest
 
 from repro.backends.cache import shared_transpile_cache
@@ -77,6 +79,38 @@ class TestClientExecution:
         )
         client.execute_task(GradientTask(1, 1), theta, submit_time=100.0)
         assert len(calls) == 1
+
+    def test_p_correct_is_recomputed_only_for_a_new_snapshot_or_footprint(
+        self, client, vqe_problem, monkeypatch
+    ):
+        import repro.core.client as client_module
+
+        theta = vqe_problem.random_initial_parameters()
+        job = client.objective.build_job(GradientTask(0, 0), theta)
+        footprint = client.representative_footprint(job)
+        estimates, lookups = [], []
+        estimate = client_module.estimate_p_correct
+        monkeypatch.setattr(
+            client_module,
+            "estimate_p_correct",
+            lambda calibration, fp: estimates.append(fp) or estimate(calibration, fp),
+        )
+        lookup = client.qpu.estimated_calibration
+        monkeypatch.setattr(
+            client.qpu, "estimated_calibration", lambda now: lookups.append(now) or lookup(now)
+        )
+        refresh = client.qpu.spec.properties_refresh_hours * 3600.0
+        within = [client.current_p_correct(job, t, footprint) for t in (10.0, 20.0, refresh - 1)]
+        # One Eq. 2 evaluation for the whole refresh step, one lookup per call,
+        assert len(estimates) == 1 and len(lookups) == 3
+        assert within == [estimate(lookup(10.0), footprint)] * 3
+        # a new step re-evaluates,
+        after = client.current_p_correct(job, refresh + 1, footprint)
+        assert len(estimates) == 2
+        assert after == estimate(lookup(refresh + 1), footprint)
+        # and so does a different footprint object, even an equal one.
+        client.current_p_correct(job, refresh + 2, dataclasses.replace(footprint))
+        assert len(estimates) == 3
 
     def test_job_footprint_is_memoized_per_template_keys(self, client, vqe_problem, monkeypatch):
         import repro.core.client as client_module

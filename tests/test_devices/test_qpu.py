@@ -1,13 +1,18 @@
 """Tests for the simulated QPU model."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
 from repro.circuit import ghz_state
-from repro.devices.catalog import build_qpu
+from repro.devices.catalog import build_qpu, device_spec
 from repro.devices.qpu import CircuitFootprint, success_probability
 from repro.devices.topology import line_topology
 from repro.noise.calibration import CalibrationSnapshot
+from repro.noise.drift import DriftModel
+from repro.noise.generator import CalibrationGenerator
 from repro.simulator.mixing import noisy_probabilities_batch
 from repro.transpiler import transpile
 
@@ -73,10 +78,20 @@ class TestCalibrationLifecycle:
         # Every job until the next republish reads the same object ...
         assert qpu.estimated_calibration(5.9 * refresh) is first
         assert qpu.estimated_calibration(6.1 * refresh) is not first
-        # ... which is what a fresh device computes from scratch,
-        factor = qpu._drift.drift_factor(5 * qpu.spec.properties_refresh_hours, 0)
-        assert first == qpu.reported_calibration(5.1 * refresh).scale_errors(factor)
-        assert first == build_qpu("Bogota").estimated_calibration(5.5 * refresh)
+        # ... which is what a fresh generator and drift model give,
+        spec = qpu.spec
+        reported = CalibrationGenerator(spec.noise_profile, spec.seed).generate(
+            device_name=spec.name,
+            num_qubits=spec.num_qubits,
+            couplings=spec.topology.directed_couplings,
+            timestamp=0.0,
+            cycle=0,
+        )
+        drift = DriftModel(spec.drift_profile, spec.seed)
+        factor = drift.drift_factor(5 * spec.properties_refresh_hours, 0)
+        assert first == reported.scale_errors(factor)
+        # and what every other device of the spec reads,
+        assert build_qpu("Bogota").estimated_calibration(5.5 * refresh) is first
         # per calibration cycle,
         period = qpu.spec.calibration_period_hours * 3600.0
         assert qpu.estimated_calibration(period + 5.1 * refresh) is not first
@@ -204,3 +219,22 @@ class TestQPUSpecValidation:
                 quantum_volume=8,
                 topology=line_topology(5),
             )
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("properties_refresh_hours", 0.0),
+            ("properties_refresh_hours", -2.0),
+            ("properties_refresh_hours", math.nan),
+            ("calibration_period_hours", math.nan),
+            ("calibration_period_hours", math.inf),
+            ("base_job_seconds", math.nan),
+            ("base_job_seconds", math.inf),
+        ],
+    )
+    def test_timing_fields_must_be_finite_and_positive(self, field, value):
+        """A zero or negative refresh made every call a new refresh step (one
+        snapshot per call, kept for the process); NaN periods failed at first
+        use and NaN/inf job seconds gave NaN/inf durations."""
+        with pytest.raises(ValueError, match=field):
+            dataclasses.replace(device_spec("Bogota"), **{field: value})

