@@ -37,7 +37,7 @@ from ..noise.drift import DriftModel, DriftProfile
 from ..noise.generator import CalibrationGenerator, NoiseProfile
 from ..simulator.mixing import MixingNoiseSpec, NoiseRecord, noisy_probabilities_batch
 from ..simulator.result import ExecutionResult
-from ..simulator.sampler import sample_distribution_batch
+from ..simulator.sampler import _checked_distributions, sample_distribution_batch
 from .topology import Topology
 
 __all__ = [
@@ -569,8 +569,8 @@ class QPU:
 class DeferredBatch:
     """The physics half of one device job: ``results`` carry the clock half,
     ``noise`` is the job's :class:`~repro.simulator.mixing.NoiseRecord` (one
-    row per circuit, in batch order), :meth:`sample` fills the results'
-    ``counts`` from the job's own ``rng``."""
+    row per circuit, in batch order); :func:`resolve_batches` fills the
+    results' ``counts``, ``shots`` each, from the job's own ``rng``."""
 
     circuits: Sequence[QuantumCircuit] | ParameterSweep
     noise: NoiseRecord
@@ -578,24 +578,10 @@ class DeferredBatch:
     rng: np.random.Generator
     results: list[ExecutionResult]
 
-    def sample(self, probabilities: np.ndarray | Sequence[np.ndarray]) -> None:
-        """Draw every circuit's shots, in batch order, from this job's stream
-        (equal-length runs through one multinomial call: NumPy consumes the
-        bit stream row by row, as per-circuit ``sample_distribution`` would)."""
-        if isinstance(probabilities, np.ndarray):
-            # A uniform job arrives as one (batch, 2**m) matrix.
-            runs = [probabilities]
-        else:
-            runs = [np.stack(list(run)) for _, run in groupby(probabilities, key=np.size)]
-        drawn = [
-            counts
-            for run in runs
-            for counts in sample_distribution_batch(
-                run, self.shots, self.rng, num_bits=run.shape[1].bit_length() - 1
-            )
-        ]
-        for result, counts in zip(self.results, drawn):
-            result.counts = counts
+
+#: One sampler call: the jobs, their ``(rows, 2**m)`` distributions, each
+#: job's row count, and the results those rows fill.
+_Draw = tuple[list[DeferredBatch], np.ndarray, list[int], list[ExecutionResult]]
 
 
 def resolve_batches(parked: list[DeferredBatch]) -> None:
@@ -606,16 +592,25 @@ def resolve_batches(parked: list[DeferredBatch]) -> None:
     parameter matrices with the concatenation of their noise records: one
     :func:`~repro.simulator.mixing.noisy_probabilities_batch` pass whose
     ``blocks`` keep each job's rows bit-equal to that job passed alone, as
-    any other batch — or a lone job — is.  Every distribution exists before
-    any stream moves and a job leaves ``parked`` only with its counts in: a
-    pass that raises parks them all.
+    any other batch — or a lone job — is.  A uniform wave (one ``(rows,
+    2**m)`` matrix) then draws in **one**
+    :func:`~repro.simulator.sampler.sample_distribution_batch` call: checked
+    once, each job's rows one multinomial draw from its own stream; a job
+    that lowered to several structures draws each equal-width run of its
+    rows in a call of its own.
+
+    Every stream draws its jobs in parked order: waves draw in the order of
+    their first job, unless some stream's jobs alternate between waves —
+    then every job draws alone, in parked order.  Every distribution exists
+    and is checked before any stream moves, and the jobs leave ``parked``
+    only with their counts in: a pass or a check that raises parks them all.
     """
     waves: dict[object, list[DeferredBatch]] = {}
     for batch in parked:
         sweep = isinstance(batch.circuits, ParameterSweep)
         key = tuple(map(id, batch.circuits.templates)) if sweep else id(batch)
         waves.setdefault(key, []).append(batch)
-    distributions = {}
+    draws: list[_Draw] = []
     for wave in waves.values():
         circuits = wave[0].circuits
         if len(wave) > 1:
@@ -624,11 +619,48 @@ def resolve_batches(parked: list[DeferredBatch]) -> None:
         noise = NoiseRecord.concatenate([batch.noise for batch in wave])
         blocks = [len(batch.noise) for batch in wave]
         rows = noisy_probabilities_batch(circuits, noise, blocks=blocks)
+        if isinstance(rows, np.ndarray):
+            results = [result for batch in wave for result in batch.results]
+            draws.append((wave, rows, blocks, results))
+            continue
         for batch, stop in zip(wave, accumulate(blocks)):
-            distributions[id(batch)] = rows[stop - len(batch.noise) : stop]
-    while parked:
-        parked[0].sample(distributions[id(parked[0])])
-        del parked[0]
+            done = 0
+            for _, run in groupby(rows[stop - len(batch.noise) : stop], key=np.size):
+                run = np.stack(list(run))
+                draws.append(([batch], run, [len(run)], batch.results[done : done + len(run)]))
+                done += len(run)
+    if len(waves) > 1:
+        draws = _in_stream_order(draws, parked)
+    for _, rows, _, _ in draws[1:]:  # the first call checks its own rows
+        _checked_distributions(rows, rows.shape[1].bit_length() - 1)
+    for jobs, rows, blocks, results in draws:
+        shots, streams = [batch.shots for batch in jobs], [batch.rng for batch in jobs]
+        drawn = sample_distribution_batch(
+            rows, shots, streams, rows.shape[1].bit_length() - 1, blocks=blocks
+        )
+        for result, counts in zip(results, drawn):
+            result.counts = counts
+    parked.clear()
+
+
+def _in_stream_order(draws: list[_Draw], parked: list[DeferredBatch]) -> list[_Draw]:
+    """``draws`` if they take every stream's jobs in parked order, otherwise
+    one draw per job, in parked order."""
+    position = {id(batch): index for index, batch in enumerate(parked)}
+    last: dict[int, int] = {}
+    for jobs, _, _, _ in draws:
+        for batch in jobs:
+            if last.get(id(batch.rng), -1) > position[id(batch)]:
+                return sorted(_job_by_job(draws), key=lambda draw: position[id(draw[0][0])])
+            last[id(batch.rng)] = position[id(batch)]
+    return draws
+
+
+def _job_by_job(draws: list[_Draw]):
+    """Every draw split into one draw per job."""
+    for jobs, rows, blocks, results in draws:
+        for batch, size, stop in zip(jobs, blocks, accumulate(blocks)):
+            yield [batch], rows[stop - size : stop], [size], results[stop - size : stop]
 
 
 # ---------------------------------------------------------------------------

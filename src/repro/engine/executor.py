@@ -19,6 +19,9 @@ matrix it produces the ``(batch, 2**n)`` final statevectors with
   buffer,
 * **in-place diagonal ops** — phase multiplies mutate the live buffer
   directly; a fused QAOA cost layer is a single elementwise multiply,
+* **a memoized lead state** — the leading ops that read no angle (a QAOA
+  ``h`` layer) run once per program and dtype, not once per row: every row
+  starts as a copy of the state they reach (``GateProgram.lead_states``),
 * **big-``n`` execution modes** — ``tile`` processes the batch in row chunks
   so peak memory is one output stack plus two tile-sized working buffers
   (instead of three full ``(batch, 2**n)`` stacks), and ``dtype=complex64``
@@ -208,25 +211,41 @@ def _apply_ops(
     return ping
 
 
+def _lead_state(program: GateProgram, cdtype: np.dtype) -> np.ndarray:
+    """The program's read-only state after ``ops[:lead]``, built once per dtype
+    as a one-row pass from ``|0...0>`` (those ops read no angle)."""
+    state = program.lead_states.get(cdtype)
+    if state is None:
+        start = np.zeros((1, program.dim), dtype=cdtype)
+        start[0, 0] = 1.0
+        lead = PassPlan.of(program.ops[: program.lead])
+        thetas = np.zeros((1, program.num_slots))
+        state = _apply_ops(lead, start, thetas, [slice(0, 1)], program.num_qubits, cdtype)[0]
+        state.setflags(write=False)
+        program.lead_states[cdtype] = state
+    return state
+
+
 def _execute_block(
     program: GateProgram,
     thetas: np.ndarray,
     cdtype: np.dtype,
     blocks: Sequence[int] | None = None,
 ) -> np.ndarray:
-    """Run a program over a (sub-)batch of points, from ``|0...0>``.
+    """Run a program over a (sub-)batch of points.
 
-    The program's ``ops`` run over every row; a merged program then runs each
-    template's tail on that template's rows (``t::stride``), gathered into
-    contiguous buffers so every tail op sees exactly the arrays it sees when
-    the template executes alone — of its own job alone, when ``blocks`` stacks
-    several jobs.  See :func:`execute_program` for ``tile`` and ``blocks``.
+    Every row starts as a copy of the program's lead state (:func:`_lead_state`:
+    ``|0...0>`` when the program opens with an angle), the rest of ``ops``
+    runs over every row, then a merged program runs each template's tail on
+    that template's rows (``t::stride``), gathered into contiguous buffers
+    so every tail op sees exactly the arrays it sees when the template
+    executes alone — of its own job alone, when ``blocks`` stacks several
+    jobs.  See :func:`execute_program` for ``tile`` and ``blocks``.
     """
     stride = program.stride
     n = program.num_qubits
     edges = [0, *accumulate(blocks or (thetas.shape[0],))]
-    states = np.zeros((thetas.shape[0], program.dim), dtype=cdtype)
-    states[:, 0] = 1.0
+    states = np.repeat(_lead_state(program, cdtype)[None], thetas.shape[0], axis=0)
     shared = [slice(a + t, b, stride) for a, b in pairwise(edges) for t in range(stride)]
     states = _apply_ops(program.pass_plans[0], states, thetas, shared, n, cdtype)
     alone = [slice(a // stride, b // stride) for a, b in pairwise(edges)]
@@ -253,6 +272,11 @@ def execute_program(
     blocks: Sequence[int] | None = None,
 ) -> np.ndarray:
     """Run a compiled program over a batch of parameter points.
+
+    Every row starts from the program's lead state — the read-only state its
+    leading angle-free ops reach from ``|0...0>``, memoized per dtype — and
+    runs the remaining ops; the states are byte-equal to running every op on
+    every row.
 
     Args:
         program: the compiled gate program — one circuit structure, or a

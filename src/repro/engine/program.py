@@ -133,9 +133,24 @@ class GateProgram:
         return len(self.ops)
 
     @cached_property
+    def lead(self) -> int:
+        """How many leading ``ops`` read no slot angle (folded matrix ops,
+        slotless diagonal ops): every row reaches the same state after them."""
+        for count, op in enumerate(self.ops):
+            if (op.tensor is None) if type(op) is MatrixOp else op.slots:
+                return count
+        return len(self.ops)
+
+    @cached_property
+    def lead_states(self) -> dict[np.dtype, np.ndarray]:
+        """The read-only state ``ops[:lead]`` reach from ``|0...0>``, per
+        execution dtype (filled on first use by the executor)."""
+        return {}
+
+    @cached_property
     def pass_plans(self) -> tuple["PassPlan", tuple["PassPlan", ...]]:
-        """The :class:`PassPlan` of ``ops`` and of each tail (built once)."""
-        return PassPlan.of(self.ops), tuple(PassPlan.of(tail) for tail in self.tails)
+        """The :class:`PassPlan` of ``ops[lead:]`` and of each tail (built once)."""
+        return PassPlan.of(self.ops[self.lead :]), tuple(PassPlan.of(tail) for tail in self.tails)
 
 
 @dataclass(frozen=True)

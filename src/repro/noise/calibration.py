@@ -75,6 +75,21 @@ class GateCalibration:
         return 1.0 - self.error
 
 
+class _ReadOnlyDict(dict):
+    """A dict whose mutators raise: a snapshot is shared process-wide, so no
+    caller may change its table.  Reads run at dict speed; copies and pickles
+    rebuild it from its items."""
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("a calibration snapshot's CX table is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _refuse
+    clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):
+        return type(self), (dict(self),)
+
+
 @dataclass(frozen=True)
 class CalibrationSnapshot:
     """A complete calibration report for one device at one instant.
@@ -86,6 +101,8 @@ class CalibrationSnapshot:
         single_qubit_gates: per-qubit 1-qubit (SX/X/RZ) gate calibration.
         two_qubit_gates: per-coupling CNOT calibration keyed by the ordered
             physical pair ``(control, target)``; both directions are present.
+            Stored read-only (a copy of the mapping passed in): one snapshot
+            serves every device of a spec.
     """
 
     device_name: str
@@ -99,6 +116,8 @@ class CalibrationSnapshot:
             raise ValueError("a snapshot needs at least one qubit")
         if len(self.single_qubit_gates) != len(self.qubits):
             raise ValueError("need one single-qubit gate calibration per qubit")
+        if type(self.two_qubit_gates) is not _ReadOnlyDict:
+            object.__setattr__(self, "two_qubit_gates", _ReadOnlyDict(self.two_qubit_gates))
         n = len(self.qubits)
         for (a, b) in self.two_qubit_gates:
             if not (0 <= a < n and 0 <= b < n) or a == b:

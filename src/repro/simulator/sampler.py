@@ -46,46 +46,89 @@ def sample_distribution(
 
 def sample_distribution_batch(
     probabilities: np.ndarray,
-    shots: int,
-    rng: np.random.Generator,
+    shots: int | Sequence[int],
+    rng: np.random.Generator | Sequence[np.random.Generator],
     num_bits: int,
+    blocks: Sequence[int] | None = None,
 ) -> list[Counts]:
-    """Draw shots for a whole stack of distributions in one multinomial call.
+    """Draw shots for a whole stack of distributions.
 
-    NumPy's ``Generator.multinomial`` consumes the bit stream row by row in
-    order, so the draws — and the generator's final state — are those of one
-    call per row with the same RNG (the equivalence is pinned by the test
-    suite).  Each row is validated, clipped and renormalized on its own.
+    The matrix is checked, clipped and renormalized once, row-wise
+    (:func:`_checked_distributions`), so every row has the bytes it has when
+    checked alone; nothing is drawn unless every row passes.  Without
+    ``blocks`` all rows draw ``shots`` from ``rng`` in one multinomial call.
+    With ``blocks`` the matrix stacks independent jobs (a device wave): job
+    ``j`` owns the next ``blocks[j]`` rows and draws them in one multinomial
+    call of ``shots[j]`` from its own stream ``rng[j]``, jobs in order.
+    NumPy's ``Generator.multinomial`` consumes the bit stream row by row, so
+    the draws — and each stream's final state — are those of one call per
+    row (the equivalence is pinned by the test suite).
 
-    The ``(batch, 2**num_bits)`` draw matrix is kept: every returned
+    Each job's ``(rows, 2**num_bits)`` draw matrix is kept: every returned
     :class:`~repro.simulator.result.Counts` is a view of its row, so a job's
     consecutive rows decode to energies as one block.
 
     Args:
         probabilities: ``(batch, 2**num_bits)`` stack of distributions.
-        shots: shots per row (every row draws the same number).
-        rng: the shared RNG stream, consumed in row order.
+        shots: shots per row — one count, or one per block.
+        rng: the stream the rows consume in order — one, or one per block.
         num_bits: width of the output bitstrings.
+        blocks: row counts of the jobs stacked in ``probabilities``.
+
+    Returns:
+        One histogram per row, in row order.
+    """
+    probs = _checked_distributions(probabilities, num_bits)
+    if blocks is None:
+        blocks, shots, rng = (len(probs),), (shots,), (rng,)
+    if not (len(blocks) == len(shots) == len(rng) and sum(blocks) == len(probs)):
+        raise ValueError(
+            f"blocks {list(blocks)} must split {len(probs)} rows, with one "
+            "shot count and one stream per block"
+        )
+    if min(shots) < 0:
+        raise ValueError("shots must be non-negative")
+    counts: list[Counts] = []
+    stop = 0
+    for size, count, stream in zip(blocks, shots, rng):
+        # Zero shots draw zeros and leave the stream where it was.
+        draws = stream.multinomial(count, probs[stop : stop + size])
+        counts += Counts._rows(draws, num_bits, count)
+        stop += size
+    return counts
+
+
+def _checked_distributions(probabilities: np.ndarray, num_bits: int) -> np.ndarray:
+    """A ``(batch, 2**num_bits)`` stack clipped at zero and renormalized row by row.
+
+    Raises:
+        ValueError: naming the first row that is not finite, has an entry
+            below ``-1e-9`` or sums to zero — or if the width is not
+            ``2**num_bits``.
     """
     probs = np.asarray(probabilities, dtype=float)
     if probs.ndim != 2:
         raise ValueError("probabilities must be a (batch, 2**n) matrix")
-    if (probs < -1e-9).any():
-        raise ValueError("probabilities must be non-negative")
-    probs = np.clip(probs, 0.0, None)
-    totals = probs.sum(axis=1)
-    if (totals <= 0).any():
-        raise ValueError("probability vector sums to zero")
-    probs = probs / totals[:, None]
-    if shots < 0:
-        raise ValueError("shots must be non-negative")
     if probs.shape[1] != (1 << num_bits):
         raise ValueError(
             f"probability vectors of length {probs.shape[1]} do not match "
             f"{num_bits} bits"
         )
-    # Zero shots draw zeros and leave the stream where it was.
-    return Counts._rows(rng.multinomial(shots, probs), num_bits, shots)
+    clipped = np.clip(probs, 0.0, None)
+    totals = clipped.sum(axis=1)
+    # A NaN or +inf entry makes its row total NaN or inf; -inf clips to 0
+    # but lies below -1e-9.
+    if not ((totals > 0).all() and (totals < np.inf).all()) or (probs < -1e-9).any():
+        finite = np.isfinite(probs).all(axis=1)
+        negative = (probs < -1e-9).any(axis=1)
+        row = int(np.flatnonzero(~finite | negative | ~(totals > 0))[0])
+        problem = (
+            "is not finite" if not finite[row]
+            else "has a negative probability" if negative[row]
+            else "sums to zero"
+        )
+        raise ValueError(f"probability row {row} {problem}")
+    return clipped / totals[:, None]
 
 
 def sample_statevector(

@@ -179,16 +179,24 @@ class Statevector:
 _PLANS: "weakref.WeakKeyDictionary[QuantumCircuit, tuple]" = weakref.WeakKeyDictionary()
 
 
-def _dense_plan(circuit: QuantumCircuit) -> tuple[np.ndarray, tuple]:
-    """``(prefix, steps)``: the read-only state after the leading gates with
-    no free parameter, then one ``(gather, scatter, rows, build, angle)`` per
-    later gate (a fixed gate: ``build=None`` and its matrix as ``angle``)."""
+def _dense_plan(circuit: QuantumCircuit) -> tuple[np.ndarray, tuple, tuple]:
+    """``(prefix, pairs, steps)``: the read-only state after the leading
+    gates with no free parameter; the distinct ``(build, angle)`` pairs of
+    the later gates (a fixed gate: ``build=None`` and its matrix as
+    ``angle``); one ``(gather, scatter, rows, pair index)`` per later gate.
+
+    Pairs are told apart by the angle's *identity*, never its value: ring
+    QAOA's cost gates share one angle object and build one matrix per run,
+    while ``0.0`` and ``-0.0`` are equal floats that build different bytes.
+    """
     key = circuit.structure_key
     entry = _PLANS.get(circuit)
     if entry is not None and entry[0] is key:
-        return entry[1], entry[2]
+        return entry[1:]
     n = circuit.num_qubits
     prefix = Statevector(n)._vec
+    pairs: list[tuple[object, object]] = []
+    index: dict[tuple[object, int], int] = {}
     steps = []
     for inst in circuit.instructions:
         if not inst.is_unitary:
@@ -198,10 +206,13 @@ def _dense_plan(circuit: QuantumCircuit) -> tuple[np.ndarray, tuple]:
             continue
         build = _ROTATIONS.get(inst.name)
         angle = inst.params[0] if build else gate_matrix(inst.name)
-        steps.append((*_gather_scatter(n, inst.qubits), build, angle))
+        position = index.setdefault((build, id(angle)), len(pairs))
+        if position == len(pairs):
+            pairs.append((build, angle))
+        steps.append((*_gather_scatter(n, inst.qubits), position))
     prefix.setflags(write=False)
-    entry = _PLANS[circuit] = (key, prefix, tuple(steps))
-    return entry[1], entry[2]
+    entry = _PLANS[circuit] = (key, prefix, tuple(pairs), tuple(steps))
+    return entry[1:]
 
 
 def simulate_statevector(
@@ -212,10 +223,12 @@ def simulate_statevector(
 
     Measurement directives are ignored (the full final state is returned);
     use :mod:`repro.simulator.sampler` to draw shots from it.  The circuit's
-    dense plan (:func:`_dense_plan`) is compiled once; each run resolves a
-    gate's angle against ``parameter_values``, builds its matrix (no bound
-    circuit, no per-angle cache) and applies it by gather/scatter, the float
-    operations of applying the gates one by one.  The state owns its data.
+    dense plan (:func:`_dense_plan`) is compiled once; each run resolves
+    every distinct ``(gate, angle object)`` pair of the plan against
+    ``parameter_values`` and builds its matrix once (no bound circuit, no
+    per-angle cache across runs), then applies the gates by gather/scatter:
+    the float operations of applying the gates one by one.  The state owns
+    its data.
 
     Args:
         circuit: the circuit to simulate.
@@ -228,10 +241,13 @@ def simulate_statevector(
     missing = circuit.parameters - values.keys()
     if missing:
         raise ValueError(f"unbound parameters remain: {', '.join(p.name for p in missing)}")
-    vec, steps = _dense_plan(circuit)
-    for gather, scatter, rows, build, angle in steps:
-        matrix = angle if build is None else build(float(bind_value(angle, values)))
-        vec = (matrix @ vec[gather].reshape(rows, -1)).reshape(-1)[scatter]
+    vec, pairs, steps = _dense_plan(circuit)
+    matrices = [
+        angle if build is None else build(float(bind_value(angle, values)))
+        for build, angle in pairs
+    ]
+    for gather, scatter, rows, index in steps:
+        vec = (matrices[index] @ vec[gather].reshape(rows, -1)).reshape(-1)[scatter]
     state = Statevector(circuit.num_qubits)
     state._vec = vec if steps else vec.copy()
     return state

@@ -7,9 +7,11 @@ The record must equal an independent computation, must differ per spec field,
 and must hold no RNG state: a device's shot stream stays its own.
 """
 
+import copy
 import dataclasses
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from repro.cloud.provider import CloudProvider
 from repro.devices.catalog import available_devices, build_qpu, device_spec
 from repro.devices.qpu import QPU, SECONDS_PER_HOUR, _calibration_record
 from repro.devices.topology import line_topology
+from repro.noise.calibration import GateCalibration
 from repro.noise.drift import DriftModel
 from repro.noise.generator import CalibrationGenerator
 from repro.sched.tournament import clone_fleet
@@ -139,3 +142,56 @@ def test_a_second_fleet_of_the_same_clones_adds_no_records():
     fleet = clone_fleet(100)
     assert _calibration_record.cache_info().currsize == records
     assert len({id(qpu._record) for qpu, _ in fleet}) == 100
+
+
+def _refuses_every_change(table):
+    pair = next(iter(table))
+    for change in (
+        lambda: table.__setitem__(pair, GateCalibration(error=0.5, duration=1e-7)),
+        lambda: table.__delitem__(pair),
+        lambda: table.update({pair: table[pair]}),
+        lambda: table.setdefault((9, 9), None),
+        lambda: table.pop(pair),
+        lambda: table.popitem(),
+        lambda: table.clear(),
+        lambda: table.__ior__({}),
+    ):
+        with pytest.raises(TypeError, match="read-only"):
+            change()
+
+
+def test_no_device_can_change_a_shared_cx_table():
+    """Before: replacing one entry on one Belem moved every other Belem's
+    ``average_cx_error`` (0.01405 -> 0.12484) behind its cycle table."""
+    first, second = build_qpu("Belem"), build_qpu("Belem")
+    now = 5 * SECONDS_PER_HOUR
+    for snapshot in (
+        first.reported_calibration(now),
+        first.estimated_calibration(now),
+        first.effective_calibration(now),
+    ):
+        _refuses_every_change(snapshot.two_qubit_gates)
+    expected = fresh_snapshot(device_spec("Belem"), 0)
+    assert second.reported_calibration(now) == expected
+    assert second.reported_calibration(now).average_cx_error == expected.average_cx_error
+
+
+def test_a_read_only_snapshot_copies_and_pickles():
+    snapshot = build_qpu("Belem").reported_calibration(0.0)
+    for clone in (
+        copy.copy(snapshot),
+        copy.deepcopy(snapshot),
+        pickle.loads(pickle.dumps(snapshot)),
+        dataclasses.replace(snapshot, timestamp=1.0),
+    ):
+        assert clone.two_qubit_gates == snapshot.two_qubit_gates
+        _refuses_every_change(clone.two_qubit_gates)
+    assert copy.deepcopy(snapshot) == snapshot
+
+
+def test_a_snapshot_keeps_a_copy_of_the_table_it_is_given():
+    snapshot = fresh_snapshot(device_spec("Belem"), 0)
+    table = dict(snapshot.two_qubit_gates)
+    built = dataclasses.replace(snapshot, two_qubit_gates=table)
+    table.clear()
+    assert built == snapshot and len(built.two_qubit_gates) == len(snapshot.two_qubit_gates)

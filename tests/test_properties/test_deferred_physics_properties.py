@@ -13,6 +13,8 @@ each job simulated and sampled alone, inside its own submit, by
 ``QPU.execute_batch``.
 """
 
+from itertools import accumulate
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -209,16 +211,17 @@ def test_wide_diagonal_layers_stack_bit_equal_at_any_wave_width(width, monkeypat
     Shots cannot see a 1e-16 slip, so the rows each job samples from are
     compared as bytes — up to the whole ten-device fleet in one pass.
     """
-    from repro.devices.qpu import DeferredBatch
+    from repro.devices import qpu as qpu_module
 
     sampled = []
-    sample = DeferredBatch.sample
+    sample = qpu_module.sample_distribution_batch
 
-    def recording(batch, probabilities):
-        sampled.append(np.asarray(probabilities).tobytes())
-        sample(batch, probabilities)
+    def recording(probabilities, shots, rng, num_bits, blocks):
+        for stop, size in zip(accumulate(blocks), blocks):
+            sampled.append(probabilities[stop - size : stop].tobytes())
+        return sample(probabilities, shots, rng, num_bits, blocks)
 
-    monkeypatch.setattr(DeferredBatch, "sample", recording)
+    monkeypatch.setattr(qpu_module, "sample_distribution_batch", recording)
     kinds, shots = ("wide",) * width, (256,) * width
     for seed in range(12):
         deferred, jobs = _parked_wave(kinds, shots, seed=seed)

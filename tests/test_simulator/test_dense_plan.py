@@ -2,7 +2,8 @@
 gate-by-gate loop it replaced (``tests/_reference/statevector.py``).
 
 The plan is compiled once per circuit: the state after the leading gates with
-no free parameter, then one gather/scatter step per later gate.  Amplitudes
+no free parameter, the distinct ``(gate, angle object)`` pairs of the later
+gates (one matrix each per run), then one gather/scatter step per later gate.  Amplitudes
 must be byte-equal to one ``Statevector.apply_gate`` per unitary, whatever the
 prefix length (0 to the whole circuit), the angle kind, the interleaved
 directives, or a circuit that grew after its first run; ``exact_expectation``
@@ -105,7 +106,7 @@ class TestDensePlanDifferential:
     def test_amplitudes_are_byte_equal_for_every_prefix_length(self, drawn, data):
         circuit, prefix = drawn
         values = bindings(data.draw)
-        _, steps = _dense_plan(circuit)
+        _, _, steps = _dense_plan(circuit)
         unitaries = sum(inst.is_unitary for inst in circuit.instructions)
         assert len(steps) == unitaries - prefix
         got = simulate_statevector(circuit, values).data
@@ -146,8 +147,8 @@ class TestDensePlanDifferential:
 
     def test_parameter_free_circuit_is_all_prefix_and_its_state_is_a_copy(self):
         circuit = QuantumCircuit(2).h(0).cx(0, 1).rz(0.3, 1).measure_all()
-        prefix, steps = _dense_plan(circuit)
-        assert steps == () and not prefix.flags.writeable
+        prefix, pairs, steps = _dense_plan(circuit)
+        assert pairs == steps == () and not prefix.flags.writeable
         state = simulate_statevector(circuit)
         assert not np.shares_memory(state._vec, prefix)
         assert state.data.tobytes() == gate_by_gate(circuit, {}).tobytes()
@@ -157,8 +158,31 @@ class TestDensePlanDifferential:
         circuit = QuantumCircuit(2).h(0).h(1).rzz(theta, 0, 1).rx(theta, 0)
         plan = _dense_plan(circuit)
         simulate_statevector(circuit, {theta: 0.4})
-        assert _dense_plan(circuit)[1] is plan[1]
-        assert len(plan[1]) == 2
+        assert _dense_plan(circuit)[2] is plan[2]
+        assert len(plan[2]) == 2
+
+    def test_shared_angles_build_once_and_signed_zeros_stay_apart(self):
+        """A run builds one matrix per distinct ``(gate, angle object)``: the
+        two ``rx(theta)`` steps share one.  ``0.0 == -0.0``, but ``rz(0.0)``
+        and ``rz(-0.0)`` build different bytes and, at ``theta = 0``, leave
+        different final states, so a pair is keyed by identity, not value."""
+        theta = Parameter("theta")
+
+        def circuit(last):
+            qc = QuantumCircuit(2).rx(theta, 0).rx(theta, 1).rz(0.0, 1).s(1).x(0).z(0)
+            return qc.rx(0.3, 1).h(1).rz(last, 0)
+
+        negative = circuit(-0.0)
+        _, pairs, steps = _dense_plan(negative)
+        index = [step[3] for step in steps]
+        assert len(steps) == 9 and len(pairs) == 8
+        assert index[0] == index[1] and pairs[index[0]][1] is theta
+        assert index[2] != index[8] and pairs[index[2]][1] == pairs[index[8]][1] == 0.0
+        for value in (0.0, 0.4, -1.2):
+            expected = gate_by_gate(negative, {theta: value}).tobytes()
+            assert simulate_statevector(negative, {theta: value}).data.tobytes() == expected
+        positive = gate_by_gate(circuit(0.0), {theta: 0.0}).tobytes()
+        assert positive != gate_by_gate(negative, {theta: 0.0}).tobytes()
 
     @pytest.mark.parametrize("name", sorted(ESTIMATORS))
     @given(data=st.data())
