@@ -37,7 +37,7 @@ from ..noise.drift import DriftModel, DriftProfile
 from ..noise.generator import CalibrationGenerator, NoiseProfile
 from ..simulator.mixing import MixingNoiseSpec, NoiseRecord, noisy_probabilities_batch
 from ..simulator.result import ExecutionResult
-from ..simulator.sampler import _checked_distributions, sample_distribution_batch
+from ..simulator.sampler import checked_distributions, sample_distribution_batch
 from .topology import Topology
 
 __all__ = [
@@ -592,18 +592,19 @@ def resolve_batches(parked: list[DeferredBatch]) -> None:
     parameter matrices with the concatenation of their noise records: one
     :func:`~repro.simulator.mixing.noisy_probabilities_batch` pass whose
     ``blocks`` keep each job's rows bit-equal to that job passed alone, as
-    any other batch — or a lone job — is.  A uniform wave (one ``(rows,
-    2**m)`` matrix) then draws in **one**
+    any other batch — or a lone job — is.  When ``parked`` is one uniform
+    wave (one ``(rows, 2**m)`` matrix), it draws in **one**
     :func:`~repro.simulator.sampler.sample_distribution_batch` call: checked
     once, each job's rows one multinomial draw from its own stream; a job
     that lowered to several structures draws each equal-width run of its
     rows in a call of its own.
 
-    Every stream draws its jobs in parked order: waves draw in the order of
-    their first job, unless some stream's jobs alternate between waves —
-    then every job draws alone, in parked order.  Every distribution exists
-    and is checked before any stream moves, and the jobs leave ``parked``
-    only with their counts in: a pass or a check that raises parks them all.
+    A resolve with several template waves draws job by job, in parked
+    order, so every stream draws its jobs in parked order.  Every
+    distribution exists and is checked
+    (:func:`~repro.simulator.sampler.checked_distributions`) before any
+    stream moves, and the jobs leave ``parked`` only with their counts in: a
+    pass or a check that raises parks them all.
     """
     waves: dict[object, list[DeferredBatch]] = {}
     for batch in parked:
@@ -630,9 +631,10 @@ def resolve_batches(parked: list[DeferredBatch]) -> None:
                 draws.append(([batch], run, [len(run)], batch.results[done : done + len(run)]))
                 done += len(run)
     if len(waves) > 1:
-        draws = _in_stream_order(draws, parked)
+        position = {id(batch): index for index, batch in enumerate(parked)}
+        draws = sorted(_job_by_job(draws), key=lambda draw: position[id(draw[0][0])])
     for _, rows, _, _ in draws[1:]:  # the first call checks its own rows
-        _checked_distributions(rows, rows.shape[1].bit_length() - 1)
+        checked_distributions(rows, rows.shape[1].bit_length() - 1)
     for jobs, rows, blocks, results in draws:
         shots, streams = [batch.shots for batch in jobs], [batch.rng for batch in jobs]
         drawn = sample_distribution_batch(
@@ -641,19 +643,6 @@ def resolve_batches(parked: list[DeferredBatch]) -> None:
         for result, counts in zip(results, drawn):
             result.counts = counts
     parked.clear()
-
-
-def _in_stream_order(draws: list[_Draw], parked: list[DeferredBatch]) -> list[_Draw]:
-    """``draws`` if they take every stream's jobs in parked order, otherwise
-    one draw per job, in parked order."""
-    position = {id(batch): index for index, batch in enumerate(parked)}
-    last: dict[int, int] = {}
-    for jobs, _, _, _ in draws:
-        for batch in jobs:
-            if last.get(id(batch.rng), -1) > position[id(batch)]:
-                return sorted(_job_by_job(draws), key=lambda draw: position[id(draw[0][0])])
-            last[id(batch.rng)] = position[id(batch)]
-    return draws
 
 
 def _job_by_job(draws: list[_Draw]):

@@ -13,6 +13,7 @@ from .statevector import Statevector, _gather_scatter, simulate_statevector
 __all__ = [
     "sample_distribution",
     "sample_distribution_batch",
+    "checked_distributions",
     "sample_statevector",
     "sample_circuit_ideal",
     "apply_readout_error_batch",
@@ -54,7 +55,7 @@ def sample_distribution_batch(
     """Draw shots for a whole stack of distributions.
 
     The matrix is checked, clipped and renormalized once, row-wise
-    (:func:`_checked_distributions`), so every row has the bytes it has when
+    (:func:`checked_distributions`), so every row has the bytes it has when
     checked alone; nothing is drawn unless every row passes.  Without
     ``blocks`` all rows draw ``shots`` from ``rng`` in one multinomial call.
     With ``blocks`` the matrix stacks independent jobs (a device wave): job
@@ -78,7 +79,7 @@ def sample_distribution_batch(
     Returns:
         One histogram per row, in row order.
     """
-    probs = _checked_distributions(probabilities, num_bits)
+    probs = checked_distributions(probabilities, num_bits)
     if blocks is None:
         blocks, shots, rng = (len(probs),), (shots,), (rng,)
     if not (len(blocks) == len(shots) == len(rng) and sum(blocks) == len(probs)):
@@ -98,13 +99,19 @@ def sample_distribution_batch(
     return counts
 
 
-def _checked_distributions(probabilities: np.ndarray, num_bits: int) -> np.ndarray:
+def checked_distributions(probabilities: np.ndarray, num_bits: int) -> np.ndarray:
     """A ``(batch, 2**num_bits)`` stack clipped at zero and renormalized row by row.
 
+    This is the check :func:`sample_distribution_batch` runs on its matrix
+    before it draws.  :func:`~repro.devices.qpu.resolve_batches` also runs it
+    on every matrix of a resolve that needs several sampler calls, before
+    the first call, so that no stream moves unless every row passes; those
+    calls then check their own rows again.
+
     Raises:
-        ValueError: naming the first row that is not finite, has an entry
-            below ``-1e-9`` or sums to zero — or if the width is not
-            ``2**num_bits``.
+        ValueError: naming the first row that is not finite (an entry or the
+            row's sum), has an entry below ``-1e-9`` or sums to zero — or if
+            the width is not ``2**num_bits``.
     """
     probs = np.asarray(probabilities, dtype=float)
     if probs.ndim != 2:
@@ -116,10 +123,10 @@ def _checked_distributions(probabilities: np.ndarray, num_bits: int) -> np.ndarr
         )
     clipped = np.clip(probs, 0.0, None)
     totals = clipped.sum(axis=1)
-    # A NaN or +inf entry makes its row total NaN or inf; -inf clips to 0
-    # but lies below -1e-9.
+    # A NaN or +inf entry, or finite entries whose sum overflows, make the
+    # row total NaN or inf; -inf clips to 0 but lies below -1e-9.
     if not ((totals > 0).all() and (totals < np.inf).all()) or (probs < -1e-9).any():
-        finite = np.isfinite(probs).all(axis=1)
+        finite = np.isfinite(probs).all(axis=1) & (totals < np.inf)
         negative = (probs < -1e-9).any(axis=1)
         row = int(np.flatnonzero(~finite | negative | ~(totals > 0))[0])
         problem = (

@@ -7,7 +7,8 @@ rows in one multinomial call from its own stream.  Against the job-by-job
 loop it replaced (``tests/_reference/sampler.py``) the draws and every
 stream's end state are equal; a bad row anywhere in a wave is refused before
 any stream moves, with every job still parked; a stream shared by jobs of
-different template waves still draws them in parked order.
+different template waves still draws them in parked order (such a resolve
+draws job by job).
 """
 
 import copy
@@ -92,15 +93,19 @@ BAD_ROWS = [
     (-np.inf, "is not finite"),
     (-0.5, "has a negative probability"),
     (None, "sums to zero"),
+    ("overflow", "is not finite"),
 ]
 
 
 class TestBadRows:
     @pytest.mark.parametrize("value, problem", BAD_ROWS)
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_a_bad_row_is_named_and_no_stream_moves(self, value, problem):
         probs = np.full((6, 4), 0.25)
         if value is None:
             probs[4] = 0.0
+        elif value == "overflow":  # finite entries whose sum is inf
+            probs[4, :2] = 1e308
         else:
             probs[4, 1] = value
         streams = [np.random.default_rng(index) for index in range(3)]
