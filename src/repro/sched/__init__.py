@@ -4,8 +4,9 @@ The ``sched`` layer replaces the closed-form queue-delay draws of
 :mod:`repro.cloud.queueing` with an actual simulation of contention: one
 event kernel (sorted-run batched admission; end to end, with queues,
 policies and the tenant workload around it, ``benchmarks/e2e``'s
-``sched_fleet`` runs 160k-200k events/s per policy on the 2-core reference
-sandbox, not the bare loop's millions), capacity-1 device queues with
+``sched_fleet`` runs 165k-340k events/s per policy on a 2-vCPU host, not
+the bare loop's millions; the three policies that replay the first one's
+tenant traffic run fastest), capacity-1 device queues with
 calibration-window downtime, pluggable scheduling policies (including
 backpressure shedding and EDF deadlines), a chunk-vectorized Poisson
 background-tenant workload, and a policy tournament harness

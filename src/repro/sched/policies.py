@@ -28,6 +28,7 @@ family.)
 
 from __future__ import annotations
 
+import math
 import zlib
 from typing import Mapping, Sequence
 
@@ -245,10 +246,16 @@ class DeadlinePolicy(SchedulingPolicy):
         foreground_slack: float = 600.0,
         tier_slacks: Sequence[float] = (900.0, 3600.0, 7200.0),
     ) -> None:
-        if foreground_slack <= 0 or any(s <= 0 for s in tier_slacks):
-            raise ValueError("deadline slacks must be positive")
+        tier_slacks = tuple(float(s) for s in tier_slacks)
+        if not tier_slacks:
+            raise ValueError("tier_slacks must name at least one tier")
+        slacks = [("foreground_slack", float(foreground_slack))]
+        slacks += [(f"tier_slacks[{i}]", s) for i, s in enumerate(tier_slacks)]
+        for name, value in slacks:
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive (got {value!r})")
         self.foreground_slack = float(foreground_slack)
-        self.tier_slacks = tuple(float(s) for s in tier_slacks)
+        self.tier_slacks = tier_slacks
         #: tenant name -> its tier's slack (the hash is stable, so memoized).
         self._tenant_slack: dict[str, float] = {}
 

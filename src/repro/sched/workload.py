@@ -26,17 +26,28 @@ push and one RNG scalar draw per job.
 
 Determinism: every device draws from two kernel RNG streams of its own
 (``workload/<device>`` for gaps, ``workload/<device>/marks`` for job marks),
-so the traffic on one device is a pure function of the kernel seed —
-independent of fleet composition order or of how far other devices have been
-simulated.  A chunk enters the kernel as one ``schedule_batch`` run, which
-fires exactly as the same timestamps scheduled one at a time would
-(``tests/test_sched/test_kernel.py``); the chunk RNG protocol itself is
-hex-pinned in ``tests/test_sched/test_workload.py``.
+so the traffic on one device is a pure function of the kernel seed, the
+device and the workload — independent of fleet composition order, of how far
+other devices have been simulated and of the scheduling policy.  That makes
+it worth drawing once: the streams belong to an :class:`_ArrivalRecording`
+keyed by everything a chunk depends on (kernel seed, device label and queue
+model, the workload's type and fields, its popularity scale and the attach
+time), which keeps every chunk drawn so far.  The first scheduler to need
+chunk ``i`` draws it; any other scheduler with the same inputs — another
+policy under common random numbers, another tournament cell — replays it,
+byte for byte, without seeding a ``Generator``.  The table holds recordings
+of one kernel seed only: the first attach under a new seed drops the rest,
+so memory stays that of one seed's traffic.  A chunk enters the kernel as one
+``schedule_batch`` run, which fires exactly as the same timestamps scheduled
+one at a time would (``tests/test_sched/test_kernel.py``); the chunk RNG
+protocol itself is hex-pinned in ``tests/test_sched/test_workload.py``.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+import copy
+import math
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -45,26 +56,174 @@ from ..cloud.queueing import QueueModel
 from .queues import EVENT_PRIORITY, DeviceServiceQueue, SchedJob
 
 if TYPE_CHECKING:  # pragma: no cover
+    from .kernel import EventKernel
     from .scheduler import CloudScheduler
 
 __all__ = ["WorkloadGenerator"]
 
+#: The timestamps of an empty chunk (and of a stream before its first).
+_NO_TIMES = np.empty(0)
+_NO_TIMES.flags.writeable = False
+
+
+class _Chunk(NamedTuple):
+    """One frozen-rate block of arrivals, read-only once drawn.
+
+    ``times`` is the presorted float64 timestamp array (not writeable);
+    the marks are tuples with one entry per arrival.  An empty chunk records
+    that the device was idle (zero rate) at ``t0``.
+    """
+
+    t0: float
+    times: np.ndarray
+    tenants: tuple[str, ...]
+    circuits: tuple[int, ...]
+    priorities: tuple[int, ...]
+
+
+class _ArrivalRecording:
+    """One device's tenant traffic for one input set, drawn once.
+
+    Owns the device's two RNG streams and the append-only list of chunks
+    drawn from them so far.  Chunk ``i`` starts at the last timestamp of
+    chunk ``i - 1`` (at the attach time for ``i == 0``), so every scheduler
+    with the same inputs asks for the same chunks at the same ``t0``.
+    """
+
+    __slots__ = ("workload", "model", "gaps_rng", "marks_rng", "chunks")
+
+    def __init__(
+        self,
+        workload: "WorkloadGenerator",
+        model: QueueModel,
+        kernel: "EventKernel",
+        label: str,
+    ) -> None:
+        #: A snapshot, so a later attach of the same generator to another
+        #: fleet (a new popularity scale) cannot reach chunks still to draw.
+        self.workload = copy.copy(workload)
+        self.model = model
+        self.gaps_rng = kernel.rng_stream(f"workload/{label}")
+        self.marks_rng = kernel.rng_stream(f"workload/{label}/marks")
+        self.chunks: list[_Chunk] = []
+
+    def chunk(self, index: int, t0: float) -> _Chunk:
+        """Chunk ``index``, drawn at ``t0`` now unless already recorded."""
+        chunks = self.chunks
+        if index < len(chunks):
+            chunk = chunks[index]
+            if chunk.t0 != t0:
+                raise RuntimeError(
+                    f"arrival chunk {index} was drawn at t0={chunk.t0!r}, "
+                    f"replayed at t0={t0!r}: the recording's inputs do not "
+                    "determine its traffic"
+                )
+            return chunk
+        chunk = self._draw(t0)
+        chunks.append(chunk)
+        return chunk
+
+    def _draw(self, t0: float) -> _Chunk:
+        """Draw the next chunk from the streams (the RNG protocol).
+
+        From the gaps stream, one ``standard_exponential(size=K)`` call;
+        timestamps are ``t0 + cumsum(gaps / rate)``.  From the marks stream,
+        exactly three calls — ``integers(num_tenants, size=K)``,
+        ``integers(lo, hi+1, size=K)``, ``integers(max_priority+1, size=K)``
+        — in that order.  The last is skipped when ``max_priority == 0``: a
+        draw over a range of one consumes no bits, so the stream cannot tell.
+        """
+        workload = self.workload
+        rate = workload.arrival_rate(self.model, t0)
+        if rate <= 0.0:
+            return _Chunk(t0, _NO_TIMES, (), (), ())
+        size = int(rate * workload.chunk_refresh_seconds)
+        size = max(1, min(workload.max_chunk, size))
+        gaps = self.gaps_rng.standard_exponential(size)
+        times = t0 + (gaps / rate).cumsum()
+        times.flags.writeable = False
+        integers = self.marks_rng.integers
+        lo, hi = workload.circuit_range
+        tenants = tuple(
+            map(
+                workload._tenant_names.__getitem__,
+                integers(workload.num_tenants, size=size).tolist(),
+            )
+        )
+        circuits = tuple(integers(lo, hi + 1, size=size).tolist())
+        if workload.max_priority:
+            priorities = tuple(
+                integers(workload.max_priority + 1, size=size).tolist()
+            )
+        else:
+            priorities = (0,) * size
+        return _Chunk(t0, times, tenants, circuits, priorities)
+
+
+class _RecordingTable:
+    """The arrival recordings of one kernel seed, by the rest of their inputs."""
+
+    __slots__ = ("seed", "recordings")
+
+    def __init__(self) -> None:
+        self.seed: int | None = None
+        self.recordings: dict[tuple, _ArrivalRecording] = {}
+
+    def lookup(
+        self,
+        kernel: "EventKernel",
+        workload: "WorkloadGenerator",
+        queue: DeviceServiceQueue,
+    ) -> _ArrivalRecording:
+        """The recording for one device of one attach; made on first use.
+
+        The first lookup under a new kernel seed drops every recording of
+        the old one (schedulers still replaying them keep their reference).
+        """
+        if kernel.seed != self.seed:
+            self.seed = kernel.seed
+            self.recordings.clear()
+        key = (
+            queue.name,
+            queue.queue_model,
+            type(workload),
+            workload.num_tenants,
+            workload.jobs_per_tenant_hour,
+            workload.circuit_range,
+            workload.max_priority,
+            workload.chunk_refresh_seconds,
+            workload.max_chunk,
+            workload.spread_load,
+            workload._popularity_scale,
+            kernel.now,
+        )
+        recording = self.recordings.get(key)
+        if recording is None:
+            recording = self.recordings[key] = _ArrivalRecording(
+                workload, queue.queue_model, kernel, queue.name
+            )
+        return recording
+
+
+#: Process-wide: schedulers that share a seed share their traffic.
+_RECORDINGS = _RecordingTable()
+
 
 class _DeviceArrivalStream:
-    """Chunked arrival state for one device: timestamps, marks, a cursor.
+    """One scheduler's position in a device's arrival recording.
 
-    One chunk = one frozen-rate block of presorted arrival timestamps plus
-    the per-arrival marks (tenant, circuits, priority) drawn up front.  The
-    stream refills itself: firing the last arrival of a chunk generates and
-    admits the next one, with the rate re-evaluated at that arrival's time.
+    The current chunk's timestamps and marks, a cursor into them, and the
+    index of the next chunk.  The stream refills itself: firing the last
+    arrival of a chunk fetches and admits the next one, with the rate
+    re-evaluated at that arrival's time.
     """
 
     __slots__ = (
         "workload",
         "scheduler",
         "queue",
-        "gaps_rng",
-        "marks_rng",
+        "recording",
+        "index",
         "times",
         "tenants",
         "circuits",
@@ -77,52 +236,39 @@ class _DeviceArrivalStream:
         workload: "WorkloadGenerator",
         scheduler: "CloudScheduler",
         queue: DeviceServiceQueue,
-        gaps_rng: np.random.Generator,
-        marks_rng: np.random.Generator,
+        recording: _ArrivalRecording,
     ) -> None:
         self.workload = workload
         self.scheduler = scheduler
         self.queue = queue
-        self.gaps_rng = gaps_rng
-        self.marks_rng = marks_rng
+        self.recording = recording
+        self.index = 0
         #: The chunk's timestamps, kept as the float64 array they were drawn
         #: into: ``schedule_batch`` takes it as is.
-        self.times = np.empty(0)
-        self.tenants: list[int] = []
-        self.circuits: list[int] = []
-        self.priorities: list[int] = []
+        self.times = _NO_TIMES
+        self.tenants: tuple[str, ...] = ()
+        self.circuits: tuple[int, ...] = ()
+        self.priorities: tuple[int, ...] = ()
         self.cursor = 0
 
     # ------------------------------------------------------------------
     def generate_chunk(self, t0: float) -> bool:
-        """Draw the next chunk starting from time ``t0``; False when idle.
+        """Make the next chunk, starting at ``t0``, current; False when idle.
 
-        RNG protocol (the bit-exactness contract): from the gaps stream, one
-        ``standard_exponential(size=K)`` call; timestamps are
-        ``t0 + cumsum(gaps / rate)``.  From the marks stream, exactly three
-        calls — ``integers(num_tenants, size=K)``, ``integers(lo, hi+1,
-        size=K)``, ``integers(max_priority+1, size=K)`` — in that order.
-        The last is skipped when ``max_priority == 0``: a draw over a range
-        of one consumes no bits, so the stream cannot tell.
+        The chunk comes from the recording: drawn there first if no
+        scheduler with the same inputs has reached it yet (see
+        :meth:`_ArrivalRecording._draw` for the RNG protocol), replayed
+        otherwise.  Raises ``RuntimeError`` if a recorded chunk was drawn at
+        another ``t0``.
         """
-        workload = self.workload
-        rate = workload.arrival_rate(self.queue.queue_model, t0)
-        if rate <= 0.0:
-            return False
-        size = int(rate * workload.chunk_refresh_seconds)
-        size = max(1, min(workload.max_chunk, size))
-        gaps = self.gaps_rng.standard_exponential(size)
-        self.times = t0 + (gaps / rate).cumsum()
-        integers = self.marks_rng.integers
-        lo, hi = workload.circuit_range
-        self.tenants = integers(workload.num_tenants, size=size).tolist()
-        self.circuits = integers(lo, hi + 1, size=size).tolist()
-        if workload.max_priority:
-            self.priorities = integers(workload.max_priority + 1, size=size).tolist()
-        else:
-            self.priorities = [0] * size
+        chunk = self.recording.chunk(self.index, t0)
+        self.index += 1
+        self.times = chunk.times
+        self.tenants = chunk.tenants
+        self.circuits = chunk.circuits
+        self.priorities = chunk.priorities
         self.cursor = 0
-        return True
+        return bool(chunk.tenants)
 
     def admit_chunk(self) -> None:
         """Hand the current chunk's timestamps to the kernel as one run."""
@@ -135,21 +281,20 @@ class _DeviceArrivalStream:
 
     # ------------------------------------------------------------------
     def fire(self, now: float) -> None:
-        """One arrival: build the job from precomputed marks, inject, refill."""
-        workload = self.workload
+        """One arrival: build the job from the chunk's marks, inject, refill."""
         queue = self.queue
         tenants = self.tenants
         i = self.cursor
         self.cursor = i + 1
         job = SchedJob(
             self.scheduler.next_job_id(),
-            workload._tenant_names[tenants[i]],
+            tenants[i],
             queue.name,
             now,
             self.circuits[i],
             self.priorities[i],
         )
-        workload.jobs_injected += 1
+        self.workload.jobs_injected += 1
         queue.on_arrival(job, now)
         if i + 1 >= len(tenants):
             # Chunk exhausted: refill with the rate in force at this arrival.
@@ -200,15 +345,17 @@ class WorkloadGenerator:
     ) -> None:
         if num_tenants < 0:
             raise ValueError("num_tenants must be non-negative")
-        if jobs_per_tenant_hour <= 0:
-            raise ValueError("jobs_per_tenant_hour must be positive")
+        for name, value in (
+            ("jobs_per_tenant_hour", jobs_per_tenant_hour),
+            ("chunk_refresh_seconds", chunk_refresh_seconds),
+        ):
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive (got {value!r})")
         lo, hi = circuit_range
         if not 1 <= lo <= hi:
             raise ValueError("circuit_range must satisfy 1 <= lo <= hi")
         if max_priority < 0:
             raise ValueError("max_priority must be non-negative")
-        if chunk_refresh_seconds <= 0:
-            raise ValueError("chunk_refresh_seconds must be positive")
         if max_chunk < 1:
             raise ValueError("max_chunk must be at least 1")
         self.num_tenants = int(num_tenants)
@@ -242,7 +389,12 @@ class WorkloadGenerator:
 
     # ------------------------------------------------------------------
     def attach(self, scheduler: "CloudScheduler") -> None:
-        """Arm the first arrival chunk on every registered device."""
+        """Arm the first arrival chunk on every registered device.
+
+        Each device's stream reads the process-wide recording for this
+        attach's inputs: the first scheduler to attach with them seeds the
+        device's two RNG streams, every later one replays what was drawn.
+        """
         if self.num_tenants == 0:
             return
         if self.spread_load:
@@ -250,16 +402,14 @@ class WorkloadGenerator:
                 q.queue_model.popularity for q in scheduler.queues.values()
             )
             self._popularity_scale = 1.0 / total if total > 0 else 1.0
-        now = scheduler.kernel.now
+        kernel = scheduler.kernel
+        now = kernel.now
         for queue in scheduler.queues.values():
             stream = _DeviceArrivalStream(
                 workload=self,
                 scheduler=scheduler,
                 queue=queue,
-                gaps_rng=scheduler.kernel.rng_stream(f"workload/{queue.name}"),
-                marks_rng=scheduler.kernel.rng_stream(
-                    f"workload/{queue.name}/marks"
-                ),
+                recording=_RECORDINGS.lookup(kernel, self, queue),
             )
             if stream.generate_chunk(now):
                 stream.admit_chunk()

@@ -230,6 +230,23 @@ class TestDeadlinePolicy:
         with pytest.raises(ValueError):
             DeadlinePolicy(tier_slacks=(100.0, -1.0))
 
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            ({"tier_slacks": ()}, "tier_slacks"),
+            ({"tier_slacks": (900.0, float("nan"))}, r"tier_slacks\[1\]"),
+            ({"tier_slacks": (float("inf"),)}, r"tier_slacks\[0\]"),
+            ({"foreground_slack": float("nan")}, "foreground_slack"),
+            ({"foreground_slack": float("inf")}, "foreground_slack"),
+        ],
+    )
+    def test_rejects_an_empty_or_non_finite_tier_table_by_name(self, kwargs, field):
+        """An empty table divided by zero at the first tenant arrival, and a
+        NaN deadline never wins ``d < best`` so EDF order degraded silently:
+        both are refused at construction, naming the field."""
+        with pytest.raises(ValueError, match=field):
+            DeadlinePolicy(**kwargs)
+
     @staticmethod
     def tenants_in_different_tiers():
         """Two tenant names hashing into the tightest and loosest tiers."""

@@ -3,24 +3,36 @@
 import numpy as np
 import pytest
 
+from repro.cloud.clock import VirtualClock
 from repro.cloud.queueing import QueueModel, queue_model_for
 from repro.devices.catalog import build_qpu
 from repro.sched import CloudScheduler, EventKernel, WorkloadGenerator
+from repro.sched import workload as workload_module
 
 
-def scheduler_with_traffic(num_tenants, devices=("Belem",), seed=0, **workload_kwargs):
-    workload = WorkloadGenerator(num_tenants=num_tenants, **workload_kwargs)
+def scheduler_with_traffic(
+    num_tenants,
+    devices=("Belem",),
+    seed=0,
+    policy="fifo",
+    clock=None,
+    queue_models=None,
+    workload_type=WorkloadGenerator,
+    **workload_kwargs,
+):
+    workload = workload_type(num_tenants=num_tenants, **workload_kwargs)
     scheduler = CloudScheduler(
-        policy="fifo", workload=workload, seed=seed, downtime_seconds=0.0
+        policy=policy, workload=workload, seed=seed, clock=clock, downtime_seconds=0.0
     )
     for name in devices:
-        scheduler.register_device(build_qpu(name), queue_model_for(name))
+        model = (queue_models or {}).get(name) or queue_model_for(name)
+        scheduler.register_device(build_qpu(name), model)
     return scheduler, workload
 
 
-def record_arrivals(horizon, num_tenants=100, devices=("Belem", "Bogota"), **kwargs):
-    """Every injected arrival as (device, time, tenant, circuits, priority)."""
-    scheduler, _ = scheduler_with_traffic(num_tenants, devices=devices, **kwargs)
+def recorded(scheduler):
+    """A list that fills with every arrival as (device, time, tenant,
+    circuits, priority) while ``scheduler`` runs."""
     records = []
     for name, queue in scheduler.queues.items():
         original = queue.on_arrival
@@ -32,6 +44,13 @@ def record_arrivals(horizon, num_tenants=100, devices=("Belem", "Bogota"), **kwa
             original(job, now)
 
         queue.on_arrival = recorder
+    return records
+
+
+def record_arrivals(horizon, num_tenants=100, devices=("Belem", "Bogota"), **kwargs):
+    """Every injected arrival as (device, time, tenant, circuits, priority)."""
+    scheduler, _ = scheduler_with_traffic(num_tenants, devices=devices, **kwargs)
+    records = recorded(scheduler)
     scheduler.run_until_time(horizon)
     return records
 
@@ -50,6 +69,14 @@ class TestValidation:
             WorkloadGenerator(num_tenants=1, chunk_refresh_seconds=0.0)
         with pytest.raises(ValueError):
             WorkloadGenerator(num_tenants=1, max_chunk=0)
+
+    @pytest.mark.parametrize("field", ["jobs_per_tenant_hour", "chunk_refresh_seconds"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite_rates_by_name(self, field, value):
+        """NaN used to fail only at the first chunk (cannot convert NaN to
+        integer) and inf with an OverflowError; both are refused up front."""
+        with pytest.raises(ValueError, match=field):
+            WorkloadGenerator(num_tenants=1, **{field: value})
 
 
 class TestChunkRngProtocol:
@@ -200,3 +227,160 @@ class TestInjection:
             assert stats["jobs_completed"] >= 1
             assert stats["mean_wait_seconds"] >= 0.0
             assert stats["mean_turnaround_seconds"] > 0.0
+
+
+@pytest.fixture
+def fresh_recordings(monkeypatch):
+    """An empty recording table; yields every ``rng_stream`` label drawn."""
+    monkeypatch.setattr(workload_module, "_RECORDINGS", workload_module._RecordingTable())
+    labels = []
+    original = EventKernel.rng_stream
+
+    def counting(self, label):
+        labels.append(label)
+        return original(self, label)
+
+    monkeypatch.setattr(EventKernel, "rng_stream", counting)
+    return labels
+
+
+def hex_records(records):
+    return [
+        (device, t.hex(), tenant, circuits, priority)
+        for device, t, tenant, circuits, priority in records
+    ]
+
+
+class TestArrivalRecording:
+    """Schedulers with one seed, device and workload replay one recording."""
+
+    DEVICES = ("Belem", "Bogota", "Lagos")
+    HORIZON = 2 * 3600.0
+
+    def arrivals(self, seed, policy="fifo", **kwargs):
+        return hex_records(
+            record_arrivals(
+                self.HORIZON,
+                num_tenants=300,
+                devices=self.DEVICES,
+                seed=seed,
+                policy=policy,
+                max_priority=3,
+                **kwargs,
+            )
+        )
+
+    def test_a_replay_matches_a_fresh_draw(self, fresh_recordings):
+        """Seed 11 draws, a second seed-11 policy replays, seed 12 evicts,
+        and seed 11 then draws afresh: all three seed-11 runs see the same
+        arrivals, down to the timestamp bits."""
+        streams = 2 * len(self.DEVICES)
+        drawn = self.arrivals(11, policy="fifo")
+        assert len(fresh_recordings) == streams
+        replayed = self.arrivals(11, policy="deadline")
+        assert len(fresh_recordings) == streams  # no Generator seeded
+        other = self.arrivals(12)
+        assert len(fresh_recordings) == 2 * streams
+        redrawn = self.arrivals(11, policy="priority")
+        assert len(fresh_recordings) == 3 * streams
+        assert drawn and replayed == drawn and redrawn == drawn
+        assert other != drawn
+        assert {priority for *_, priority in drawn} == {0, 1, 2, 3}
+
+    def test_rng_streams_are_seeded_once_per_seed_not_per_scheduler(
+        self, fresh_recordings
+    ):
+        for policy in ("fifo", "backpressure", "deadline", "fair_share"):
+            scheduler, _ = scheduler_with_traffic(
+                300, devices=self.DEVICES, seed=5, policy=policy
+            )
+            scheduler.run_until_time(self.HORIZON)
+        assert sorted(fresh_recordings) == sorted(
+            label
+            for name in self.DEVICES
+            for label in (f"workload/{name}", f"workload/{name}/marks")
+        )
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"seed": 4},
+            {"devices": ("Bogota",)},
+            {"num_tenants": 201},
+            {"jobs_per_tenant_hour": 1.5},
+            {"circuit_range": (2, 9)},
+            {"max_priority": 2},
+            {"chunk_refresh_seconds": 600.0},
+            {"max_chunk": 4095},
+            {"spread_load": True},
+            {"queue_models": {"Belem": QueueModel(popularity=0.3)}},
+            {"workload_type": type("Subclass", (WorkloadGenerator,), {})},
+            {"clock": VirtualClock(start=60.0)},
+        ],
+        ids=lambda change: next(iter(change)),
+    )
+    def test_changing_any_key_field_draws_a_new_recording(
+        self, fresh_recordings, change
+    ):
+        base = {"num_tenants": 200, "devices": ("Belem",), "seed": 3}
+        for _ in range(2):  # the second run replays
+            scheduler, _ = scheduler_with_traffic(**base)
+            scheduler.run_until_time(600.0)
+        assert fresh_recordings == ["workload/Belem", "workload/Belem/marks"]
+        scheduler, _ = scheduler_with_traffic(**{**base, **change})
+        scheduler.run_until_time(600.0)
+        assert len(fresh_recordings) == 4
+
+    def test_a_spread_load_fleet_change_draws_a_new_recording(self, fresh_recordings):
+        """Belem's rate under spread load depends on the whole fleet's
+        popularity, so the same device in a larger fleet records anew."""
+        for devices in (("Belem",), ("Belem",), ("Belem", "Bogota")):
+            scheduler, _ = scheduler_with_traffic(
+                200, devices=devices, seed=3, spread_load=True
+            )
+            scheduler.run_until_time(600.0)
+        assert fresh_recordings.count("workload/Belem") == 2
+
+    @staticmethod
+    def recording(seed=8):
+        scheduler, _ = scheduler_with_traffic(200, devices=("Belem",), seed=seed)
+        scheduler.run_until_time(3600.0)
+        (recording,) = workload_module._RECORDINGS.recordings.values()
+        return recording
+
+    def test_chunks_are_read_only(self, fresh_recordings):
+        chunk = self.recording().chunks[0]
+        assert len(chunk.times) == len(chunk.tenants) > 0
+        assert not chunk.times.flags.writeable
+        with pytest.raises(ValueError):
+            chunk.times[0] = 0.0
+        with pytest.raises(AttributeError):
+            chunk.t0 = 1.0
+        for marks in (chunk.tenants, chunk.circuits, chunk.priorities):
+            assert isinstance(marks, tuple)
+
+    def test_a_replay_at_another_t0_raises(self, fresh_recordings):
+        recording = self.recording()
+        first, second = recording.chunks[:2]
+        assert second.t0 == first.times[-1]
+        assert recording.chunk(1, second.t0) is second
+        with pytest.raises(RuntimeError, match="chunk 1"):
+            recording.chunk(1, second.t0 + 1.0)
+
+    def test_a_reused_generator_keeps_its_first_fleet_rates(self, fresh_recordings):
+        """The recording snapshots the generator, so attaching the same
+        object to a smaller spread-load fleet (a new popularity scale)
+        cannot reach chunks the first fleet's recording has still to draw."""
+        expected = self.arrivals(6, spread_load=True)
+        workload_module._RECORDINGS.recordings.clear()
+        workload = WorkloadGenerator(300, max_priority=3, spread_load=True)
+        first = CloudScheduler(workload=workload, seed=6, downtime_seconds=0.0)
+        second = CloudScheduler(workload=workload, seed=6, downtime_seconds=0.0)
+        for scheduler, devices in ((first, self.DEVICES), (second, ("Belem",))):
+            for name in devices:
+                scheduler.register_device(build_qpu(name), queue_model_for(name))
+        records = recorded(first)
+        first.run_until_time(60.0)
+        second.run_until_time(60.0)  # re-scales the shared generator
+        first.run_until_time(self.HORIZON)
+        assert hex_records(records) == expected
