@@ -31,13 +31,17 @@ device and the workload — independent of fleet composition order, of how far
 other devices have been simulated and of the scheduling policy.  That makes
 it worth drawing once: the streams belong to an :class:`_ArrivalRecording`
 keyed by everything a chunk depends on (kernel seed, device label and queue
-model, the workload's type and fields, its popularity scale and the attach
-time), which keeps every chunk drawn so far.  The first scheduler to need
-chunk ``i`` draws it; any other scheduler with the same inputs — another
-policy under common random numbers, another tournament cell — replays it,
-byte for byte, without seeding a ``Generator``.  The table holds recordings
-of one kernel seed only: the first attach under a new seed drops the rest,
-so memory stays that of one seed's traffic.  A chunk enters the kernel as one
+model, the generator's traffic key — its type and fields, popularity scale
+included — and the attach time), which keeps every chunk drawn so far.  The
+first scheduler to need chunk ``i`` draws it; any other scheduler with the
+same inputs — another policy under common random numbers, another tournament
+cell — replays it, byte for byte, without seeding a ``Generator``.  The table
+holds the recordings of one attach's inputs only: the first attach with other
+inputs (another seed, workload, fleet scale or attach time) drops the rest.
+Those recordings hold at most ``_RECORDED_ARRIVALS`` arrivals between them;
+a scheduler that reads past the end of a full recording draws on by itself
+from a copy of its streams, so the bytes stay the same and memory stays
+bounded however long the run.  A chunk enters the kernel as one
 ``schedule_batch`` run, which fires exactly as the same timestamps scheduled
 one at a time would (``tests/test_sched/test_kernel.py``); the chunk RNG
 protocol itself is hex-pinned in ``tests/test_sched/test_workload.py``.
@@ -47,7 +51,7 @@ from __future__ import annotations
 
 import copy
 import math
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, Collection, NamedTuple
 
 import numpy as np
 
@@ -64,6 +68,12 @@ __all__ = ["WorkloadGenerator"]
 #: The timestamps of an empty chunk (and of a stream before its first).
 _NO_TIMES = np.empty(0)
 _NO_TIMES.flags.writeable = False
+
+#: Arrivals the recordings of one attach may hold between them, shared
+#: evenly by its devices (≈ 32 B an arrival plus ≈ 300 B a chunk, so a few
+#: MiB): past its share a recording stores nothing more and every scheduler
+#: draws on by itself.  ``sched_fleet`` records ≈ 9k arrivals a cell.
+_RECORDED_ARRIVALS = 1 << 16
 
 
 class _Chunk(NamedTuple):
@@ -87,10 +97,12 @@ class _ArrivalRecording:
     Owns the device's two RNG streams and the append-only list of chunks
     drawn from them so far.  Chunk ``i`` starts at the last timestamp of
     chunk ``i - 1`` (at the attach time for ``i == 0``), so every scheduler
-    with the same inputs asks for the same chunks at the same ``t0``.
+    with the same inputs asks for the same chunks at the same ``t0``.  Once
+    ``room`` arrivals are recorded the recording is full: its streams stay
+    where its last chunk left them, for schedulers to copy and draw on from.
     """
 
-    __slots__ = ("workload", "model", "gaps_rng", "marks_rng", "chunks")
+    __slots__ = ("workload", "model", "rngs", "room", "chunks")
 
     def __init__(
         self,
@@ -98,17 +110,24 @@ class _ArrivalRecording:
         model: QueueModel,
         kernel: "EventKernel",
         label: str,
+        room: int,
     ) -> None:
-        #: A snapshot, so a later attach of the same generator to another
-        #: fleet (a new popularity scale) cannot reach chunks still to draw.
-        self.workload = copy.copy(workload)
+        self.workload = workload
         self.model = model
-        self.gaps_rng = kernel.rng_stream(f"workload/{label}")
-        self.marks_rng = kernel.rng_stream(f"workload/{label}/marks")
+        #: The gaps stream and the marks stream.
+        self.rngs = (
+            kernel.rng_stream(f"workload/{label}"),
+            kernel.rng_stream(f"workload/{label}/marks"),
+        )
+        self.room = room
         self.chunks: list[_Chunk] = []
 
-    def chunk(self, index: int, t0: float) -> _Chunk:
-        """Chunk ``index``, drawn at ``t0`` now unless already recorded."""
+    def chunk(self, index: int, t0: float) -> _Chunk | None:
+        """Chunk ``index``, drawn at ``t0`` now unless already recorded.
+
+        None past the last chunk of a full recording: the caller draws on
+        from :meth:`resume`.
+        """
         chunks = self.chunks
         if index < len(chunks):
             chunk = chunks[index]
@@ -119,12 +138,21 @@ class _ArrivalRecording:
                     "determine its traffic"
                 )
             return chunk
-        chunk = self._draw(t0)
+        if self.room <= 0:
+            return None
+        chunk = self.draw(self.rngs, t0)
         chunks.append(chunk)
+        self.room -= len(chunk.times)
         return chunk
 
-    def _draw(self, t0: float) -> _Chunk:
-        """Draw the next chunk from the streams (the RNG protocol).
+    def resume(self) -> tuple[np.random.Generator, np.random.Generator]:
+        """A private copy of the streams where the full recording ends."""
+        return copy.deepcopy(self.rngs)
+
+    def draw(
+        self, rngs: tuple[np.random.Generator, np.random.Generator], t0: float
+    ) -> _Chunk:
+        """Draw the next chunk from ``rngs`` (the RNG protocol).
 
         From the gaps stream, one ``standard_exponential(size=K)`` call;
         timestamps are ``t0 + cumsum(gaps / rate)``.  From the marks stream,
@@ -139,10 +167,11 @@ class _ArrivalRecording:
             return _Chunk(t0, _NO_TIMES, (), (), ())
         size = int(rate * workload.chunk_refresh_seconds)
         size = max(1, min(workload.max_chunk, size))
-        gaps = self.gaps_rng.standard_exponential(size)
+        gaps_rng, marks_rng = rngs
+        gaps = gaps_rng.standard_exponential(size)
         times = t0 + (gaps / rate).cumsum()
         times.flags.writeable = False
-        integers = self.marks_rng.integers
+        integers = marks_rng.integers
         lo, hi = workload.circuit_range
         tenants = tuple(
             map(
@@ -161,51 +190,52 @@ class _ArrivalRecording:
 
 
 class _RecordingTable:
-    """The arrival recordings of one kernel seed, by the rest of their inputs."""
+    """The arrival recordings of one attach's inputs, by device."""
 
-    __slots__ = ("seed", "recordings")
+    __slots__ = ("inputs", "workload", "recordings")
 
     def __init__(self) -> None:
-        self.seed: int | None = None
-        self.recordings: dict[tuple, _ArrivalRecording] = {}
+        self.inputs: tuple | None = None
+        self.workload: WorkloadGenerator | None = None
+        self.recordings: dict[tuple[str, QueueModel], _ArrivalRecording] = {}
 
     def lookup(
         self,
         kernel: "EventKernel",
         workload: "WorkloadGenerator",
-        queue: DeviceServiceQueue,
-    ) -> _ArrivalRecording:
-        """The recording for one device of one attach; made on first use.
+        queues: Collection[DeviceServiceQueue],
+    ) -> list[_ArrivalRecording]:
+        """The recordings for one attach's devices; made on first use.
 
-        The first lookup under a new kernel seed drops every recording of
-        the old one (schedulers still replaying them keep their reference).
+        An attach's inputs are the kernel seed and time and the generator's
+        traffic key.  The first attach with other inputs than the last
+        drops every recording (schedulers still replaying them keep their
+        reference) and snapshots the generator, so a later attach of the
+        same object to another fleet cannot reach chunks still to draw.
         """
-        if kernel.seed != self.seed:
-            self.seed = kernel.seed
-            self.recordings.clear()
-        key = (
-            queue.name,
-            queue.queue_model,
-            type(workload),
-            workload.num_tenants,
-            workload.jobs_per_tenant_hour,
-            workload.circuit_range,
-            workload.max_priority,
-            workload.chunk_refresh_seconds,
-            workload.max_chunk,
-            workload.spread_load,
-            workload._popularity_scale,
-            kernel.now,
-        )
-        recording = self.recordings.get(key)
-        if recording is None:
-            recording = self.recordings[key] = _ArrivalRecording(
-                workload, queue.queue_model, kernel, queue.name
-            )
-        return recording
+        inputs = (kernel.seed, kernel.now, workload._traffic_key())
+        if inputs != self.inputs:
+            self.inputs = inputs
+            self.workload = copy.copy(workload)
+            self.recordings = {}
+        recordings = self.recordings
+        found = []
+        for queue in queues:
+            key = (queue.name, queue.queue_model)
+            recording = recordings.get(key)
+            if recording is None:
+                recording = recordings[key] = _ArrivalRecording(
+                    self.workload,
+                    queue.queue_model,
+                    kernel,
+                    queue.name,
+                    _RECORDED_ARRIVALS // len(queues),
+                )
+            found.append(recording)
+        return found
 
 
-#: Process-wide: schedulers that share a seed share their traffic.
+#: Process-wide: schedulers that share an attach's inputs share their traffic.
 _RECORDINGS = _RecordingTable()
 
 
@@ -223,6 +253,7 @@ class _DeviceArrivalStream:
         "scheduler",
         "queue",
         "recording",
+        "rngs",
         "index",
         "times",
         "tenants",
@@ -242,6 +273,9 @@ class _DeviceArrivalStream:
         self.scheduler = scheduler
         self.queue = queue
         self.recording = recording
+        #: This stream's own copy of the recording's streams, once it has
+        #: read past the last chunk of a full recording.
+        self.rngs: tuple[np.random.Generator, np.random.Generator] | None = None
         self.index = 0
         #: The chunk's timestamps, kept as the float64 array they were drawn
         #: into: ``schedule_batch`` takes it as is.
@@ -257,11 +291,16 @@ class _DeviceArrivalStream:
 
         The chunk comes from the recording: drawn there first if no
         scheduler with the same inputs has reached it yet (see
-        :meth:`_ArrivalRecording._draw` for the RNG protocol), replayed
-        otherwise.  Raises ``RuntimeError`` if a recorded chunk was drawn at
-        another ``t0``.
+        :meth:`_ArrivalRecording.draw` for the RNG protocol), replayed
+        otherwise.  Past the end of a full recording the stream draws on
+        from its own copy of the recording's streams.  Raises
+        ``RuntimeError`` if a recorded chunk was drawn at another ``t0``.
         """
-        chunk = self.recording.chunk(self.index, t0)
+        recording = self.recording
+        chunk = None if self.rngs else recording.chunk(self.index, t0)
+        if chunk is None:
+            self.rngs = self.rngs or recording.resume()
+            chunk = recording.draw(self.rngs, t0)
         self.index += 1
         self.times = chunk.times
         self.tenants = chunk.tenants
@@ -300,6 +339,11 @@ class _DeviceArrivalStream:
             # Chunk exhausted: refill with the rate in force at this arrival.
             if self.generate_chunk(now):
                 self.admit_chunk()
+
+
+#: Generator attributes that do not shape its traffic: the injection
+#: counter and the tenant-name cache.
+_UNKEYED = frozenset({"jobs_injected", "_tenant_names"})
 
 
 class _TenantNames(dict):
@@ -370,6 +414,18 @@ class WorkloadGenerator:
         #: Read with a plain dict lookup once per arrival.
         self._tenant_names = _TenantNames()
 
+    def _traffic_key(self) -> tuple:
+        """Everything about this generator that shapes the traffic it draws.
+
+        Its type and every attribute but those in ``_UNKEYED``, popularity
+        scale included, so a field added later keys the arrival recording
+        without being listed anywhere else.
+        """
+        return (
+            type(self),
+            *(item for item in vars(self).items() if item[0] not in _UNKEYED),
+        )
+
     # ------------------------------------------------------------------
     def tenant_name(self, index: int) -> str:
         """Interned ``tenant<i>`` string (10k tenants → 10k cached names)."""
@@ -404,12 +460,9 @@ class WorkloadGenerator:
             self._popularity_scale = 1.0 / total if total > 0 else 1.0
         kernel = scheduler.kernel
         now = kernel.now
-        for queue in scheduler.queues.values():
-            stream = _DeviceArrivalStream(
-                workload=self,
-                scheduler=scheduler,
-                queue=queue,
-                recording=_RECORDINGS.lookup(kernel, self, queue),
-            )
+        queues = scheduler.queues.values()
+        recordings = _RECORDINGS.lookup(kernel, self, queues)
+        for queue, recording in zip(queues, recordings):
+            stream = _DeviceArrivalStream(self, scheduler, queue, recording)
             if stream.generate_chunk(now):
                 stream.admit_chunk()

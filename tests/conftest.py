@@ -8,7 +8,28 @@ import pytest
 from repro.circuit import ghz_state, hardware_efficient_ansatz, qaoa_maxcut_ansatz
 from repro.devices import build_qpu
 from repro.hamiltonian import heisenberg_square_lattice, ring_maxcut_hamiltonian
+from repro.sched import workload as workload_module
 from repro.vqa import heisenberg_vqe_problem, ring_maxcut_qaoa_problem
+
+
+@pytest.fixture(autouse=True)
+def forget_arrival_recordings(monkeypatch):
+    """Start every test with an empty tenant-traffic recording table.
+
+    Schedulers that share a seed, device and workload replay one process-wide
+    arrival recording (``repro.sched.workload``); an empty table per test
+    keeps which test draws and which replays independent of test order.
+    Returns a function that empties the table again, for a test whose
+    compared runs must each draw their traffic from the RNG.
+    """
+
+    def forget() -> None:
+        monkeypatch.setattr(
+            workload_module, "_RECORDINGS", workload_module._RecordingTable()
+        )
+
+    forget()
+    return forget
 
 
 @pytest.fixture

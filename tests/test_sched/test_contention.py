@@ -69,8 +69,9 @@ class TestContentionDegradesThroughput:
         )
         assert stormy_wait > quiet_wait
 
-    def test_determinism_under_contention(self, vqe_problem):
+    def test_determinism_under_contention(self, vqe_problem, forget_arrival_recordings):
         a = run_eqc(vqe_problem, tenants=100)
+        forget_arrival_recordings()  # b draws its tenant traffic afresh
         b = run_eqc(vqe_problem, tenants=100)
         assert a.losses.tolist() == b.losses.tolist()
         assert a.times_hours.tolist() == b.times_hours.tolist()

@@ -105,10 +105,11 @@ class TestRunCell:
         assert cell["epochs_per_hour"] > 0
         assert 0.0 <= cell["slo_rejected_fraction"] <= 1.0
 
-    def test_cells_are_deterministic(self, tiny_result):
+    def test_cells_are_deterministic(self, tiny_result, forget_arrival_recordings):
         def strip(cell):
             return {k: v for k, v in cell.items() if k not in _WALL_FIELDS}
 
+        forget_arrival_recordings()  # the rerun draws its tenant traffic afresh
         assert strip(run_cell("backpressure", 6, 200, TINY)) == strip(
             _cell(tiny_result, "backpressure", 200)
         )

@@ -186,8 +186,9 @@ class TestInjection:
         assert workload.jobs_injected == 0
         assert scheduler.queues["Belem"].completed == []
 
-    def test_deterministic_under_fixed_seed(self):
+    def test_deterministic_under_fixed_seed(self, forget_arrival_recordings):
         def trace(seed):
+            forget_arrival_recordings()  # every run draws its own traffic
             scheduler, _ = scheduler_with_traffic(num_tenants=150, seed=seed)
             scheduler.run_until_time(2 * 3600.0)
             return [
@@ -199,10 +200,11 @@ class TestInjection:
         assert first == trace(seed=9)
         assert first != trace(seed=10)
 
-    def test_per_device_streams_are_independent_of_fleet(self):
+    def test_per_device_streams_are_independent_of_fleet(self, forget_arrival_recordings):
         """Belem's traffic is identical whether or not Bogota is registered."""
 
         def belem_arrivals(devices):
+            forget_arrival_recordings()  # every run draws its own traffic
             scheduler, _ = scheduler_with_traffic(num_tenants=100, devices=devices)
             scheduler.run_until_time(2 * 3600.0)
             return [job.arrival_time for job in scheduler.queues["Belem"].completed]
@@ -230,9 +232,8 @@ class TestInjection:
 
 
 @pytest.fixture
-def fresh_recordings(monkeypatch):
-    """An empty recording table; yields every ``rng_stream`` label drawn."""
-    monkeypatch.setattr(workload_module, "_RECORDINGS", workload_module._RecordingTable())
+def stream_labels(monkeypatch):
+    """Every ``rng_stream`` label drawn while the test runs."""
     labels = []
     original = EventKernel.rng_stream
 
@@ -270,32 +271,32 @@ class TestArrivalRecording:
             )
         )
 
-    def test_a_replay_matches_a_fresh_draw(self, fresh_recordings):
+    def test_a_replay_matches_a_fresh_draw(self, stream_labels):
         """Seed 11 draws, a second seed-11 policy replays, seed 12 evicts,
         and seed 11 then draws afresh: all three seed-11 runs see the same
         arrivals, down to the timestamp bits."""
         streams = 2 * len(self.DEVICES)
         drawn = self.arrivals(11, policy="fifo")
-        assert len(fresh_recordings) == streams
+        assert len(stream_labels) == streams
         replayed = self.arrivals(11, policy="deadline")
-        assert len(fresh_recordings) == streams  # no Generator seeded
+        assert len(stream_labels) == streams  # no Generator seeded
         other = self.arrivals(12)
-        assert len(fresh_recordings) == 2 * streams
+        assert len(stream_labels) == 2 * streams
         redrawn = self.arrivals(11, policy="priority")
-        assert len(fresh_recordings) == 3 * streams
+        assert len(stream_labels) == 3 * streams
         assert drawn and replayed == drawn and redrawn == drawn
         assert other != drawn
         assert {priority for *_, priority in drawn} == {0, 1, 2, 3}
 
     def test_rng_streams_are_seeded_once_per_seed_not_per_scheduler(
-        self, fresh_recordings
+        self, stream_labels
     ):
         for policy in ("fifo", "backpressure", "deadline", "fair_share"):
             scheduler, _ = scheduler_with_traffic(
                 300, devices=self.DEVICES, seed=5, policy=policy
             )
             scheduler.run_until_time(self.HORIZON)
-        assert sorted(fresh_recordings) == sorted(
+        assert sorted(stream_labels) == sorted(
             label
             for name in self.DEVICES
             for label in (f"workload/{name}", f"workload/{name}/marks")
@@ -320,18 +321,18 @@ class TestArrivalRecording:
         ids=lambda change: next(iter(change)),
     )
     def test_changing_any_key_field_draws_a_new_recording(
-        self, fresh_recordings, change
+        self, stream_labels, change
     ):
         base = {"num_tenants": 200, "devices": ("Belem",), "seed": 3}
         for _ in range(2):  # the second run replays
             scheduler, _ = scheduler_with_traffic(**base)
             scheduler.run_until_time(600.0)
-        assert fresh_recordings == ["workload/Belem", "workload/Belem/marks"]
+        assert stream_labels == ["workload/Belem", "workload/Belem/marks"]
         scheduler, _ = scheduler_with_traffic(**{**base, **change})
         scheduler.run_until_time(600.0)
-        assert len(fresh_recordings) == 4
+        assert len(stream_labels) == 4
 
-    def test_a_spread_load_fleet_change_draws_a_new_recording(self, fresh_recordings):
+    def test_a_spread_load_fleet_change_draws_a_new_recording(self, stream_labels):
         """Belem's rate under spread load depends on the whole fleet's
         popularity, so the same device in a larger fleet records anew."""
         for devices in (("Belem",), ("Belem",), ("Belem", "Bogota")):
@@ -339,7 +340,40 @@ class TestArrivalRecording:
                 200, devices=devices, seed=3, spread_load=True
             )
             scheduler.run_until_time(600.0)
-        assert fresh_recordings.count("workload/Belem") == 2
+        assert stream_labels.count("workload/Belem") == 2
+
+    def test_the_table_holds_one_attachs_inputs(self, stream_labels):
+        """Other devices under the same inputs join the table; another
+        workload under the same seed empties it, so the first inputs then
+        draw afresh."""
+        for devices, num_tenants, drawn in (
+            (("Belem",), 200, 2),
+            (("Bogota",), 200, 4),
+            (("Belem",), 200, 4),  # replays
+            (("Belem",), 201, 6),  # drops Belem and Bogota
+            (("Belem",), 200, 8),
+        ):
+            scheduler, _ = scheduler_with_traffic(num_tenants, devices=devices, seed=3)
+            scheduler.run_until_time(600.0)
+            assert len(stream_labels) == drawn
+        assert [name for name, _ in workload_module._RECORDINGS.recordings] == ["Belem"]
+
+    def test_a_full_recording_hands_on_a_copy_of_its_streams(
+        self, monkeypatch, stream_labels, forget_arrival_recordings
+    ):
+        """Past its room a recording stores nothing more: every scheduler
+        draws on from its own copy of the streams, and sees the traffic an
+        unbounded recording gives."""
+        expected = self.arrivals(13)
+        forget_arrival_recordings()
+        monkeypatch.setattr(workload_module, "_RECORDED_ARRIVALS", 40 * len(self.DEVICES))
+        assert self.arrivals(13) == expected
+        assert self.arrivals(13, policy="deadline") == expected
+        assert len(stream_labels) == 2 * 2 * len(self.DEVICES)
+        recordings = workload_module._RECORDINGS.recordings.values()
+        recorded = [sum(len(chunk.times) for chunk in r.chunks) for r in recordings]
+        assert all(40 <= n < 80 for n in recorded)
+        assert sum(recorded) < len(expected) / 2
 
     @staticmethod
     def recording(seed=8):
@@ -348,7 +382,7 @@ class TestArrivalRecording:
         (recording,) = workload_module._RECORDINGS.recordings.values()
         return recording
 
-    def test_chunks_are_read_only(self, fresh_recordings):
+    def test_chunks_are_read_only(self, stream_labels):
         chunk = self.recording().chunks[0]
         assert len(chunk.times) == len(chunk.tenants) > 0
         assert not chunk.times.flags.writeable
@@ -359,7 +393,7 @@ class TestArrivalRecording:
         for marks in (chunk.tenants, chunk.circuits, chunk.priorities):
             assert isinstance(marks, tuple)
 
-    def test_a_replay_at_another_t0_raises(self, fresh_recordings):
+    def test_a_replay_at_another_t0_raises(self, stream_labels):
         recording = self.recording()
         first, second = recording.chunks[:2]
         assert second.t0 == first.times[-1]
@@ -367,12 +401,14 @@ class TestArrivalRecording:
         with pytest.raises(RuntimeError, match="chunk 1"):
             recording.chunk(1, second.t0 + 1.0)
 
-    def test_a_reused_generator_keeps_its_first_fleet_rates(self, fresh_recordings):
+    def test_a_reused_generator_keeps_its_first_fleet_rates(
+        self, forget_arrival_recordings
+    ):
         """The recording snapshots the generator, so attaching the same
         object to a smaller spread-load fleet (a new popularity scale)
         cannot reach chunks the first fleet's recording has still to draw."""
         expected = self.arrivals(6, spread_load=True)
-        workload_module._RECORDINGS.recordings.clear()
+        forget_arrival_recordings()
         workload = WorkloadGenerator(300, max_priority=3, spread_load=True)
         first = CloudScheduler(workload=workload, seed=6, downtime_seconds=0.0)
         second = CloudScheduler(workload=workload, seed=6, downtime_seconds=0.0)
