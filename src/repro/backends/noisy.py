@@ -12,7 +12,8 @@ single circuit.
 
 A job executes **clock at submit, physics per wave**
 (:meth:`~repro.devices.qpu.QPU.execute_batch`): ``run`` returns results
-carrying the job's durations and metadata; its physics (lowering by
+carrying the job's durations and clock metadata; its physics (the noise
+record and each result's ``success_probability``, lowering by
 :func:`repro.engine.lower_batch`, one program execution with per-circuit
 coherent biases, depolarizing mix, readout confusion, shots) runs before
 ``run`` returns unless the caller parks it, as the cloud provider — which owns

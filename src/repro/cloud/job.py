@@ -32,9 +32,11 @@ class CloudJob:
         submit_time: simulation time the job entered the queue.
         start_time: simulation time execution began.
         finish_time: simulation time all results were available.
-        results: one :class:`ExecutionResult` per circuit.  Timing and
-            metadata are final at submit; reading ``results`` first resolves
-            the physics half the provider may still hold parked (the counts).
+        results: one :class:`ExecutionResult` per circuit.  Timing and the
+            calibration-age and drift metadata are final at submit; reading
+            ``results`` first resolves the physics half the provider may
+            still hold parked (the ``success_probability`` metadata and the
+            counts).
         attempts: service attempts consumed (1 without fault injection).
         error: short failure description when ``status`` is ``FAILED``.
     """

@@ -324,7 +324,7 @@ class CloudProvider:
             registry.histogram(
                 "cloud.resolve_jobs", bounds=(1, 2, 4, 8, 16, 32, 64)
             ).observe(len(parked))
-            registry.counter("cloud.resolve_rows").inc(sum(len(b.noise) for b in parked))
+            registry.counter("cloud.resolve_rows").inc(sum(len(b.results) for b in parked))
         resolve_batches(parked)
 
     # ------------------------------------------------------------------

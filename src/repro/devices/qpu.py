@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import accumulate, groupby
 from operator import itemgetter
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -35,6 +35,7 @@ from ..circuit.sweep import ParameterSweep
 from ..noise.calibration import CalibrationSnapshot
 from ..noise.drift import DriftModel, DriftProfile
 from ..noise.generator import CalibrationGenerator, NoiseProfile
+from ..reduction import ordered_row_sums
 from ..simulator.mixing import MixingNoiseSpec, NoiseRecord, noisy_probabilities_batch
 from ..simulator.result import ExecutionResult
 from ..simulator.sampler import checked_distributions, sample_distribution_batch
@@ -343,77 +344,16 @@ class QPU:
         parameters device-biased and what produces Casablanca-style
         post-convergence divergence in the Fig. 6 reproduction.
 
-        The one-row record of a device job's array pass
-        (:meth:`_noise_record`): the spec is bit-identical to the one built
-        from the drifted snapshot (pinned by the test suite against
+        The wave pass of device jobs (:func:`_wave_noise`) on one job of one
+        row: the spec is bit-identical to the one built from the drifted
+        snapshot (pinned by the test suite against
         :meth:`true_success_probability` and :meth:`effective_calibration`).
         A footprint that measures nothing has no register width, so its spec
         reads out every device qubit: it serves any register the device
         holds, and its first pairs are the readout of a job's record.
         """
         width = min(self.num_qubits, footprint.num_measurements or self.num_qubits)
-        return self._noise_record(footprint, [self._drift_at(now)], width).specs()[0]
-
-    def _noise_record(
-        self,
-        footprint: CircuitFootprint,
-        drifts: Sequence[tuple[float, int, float]],
-        width: int,
-    ) -> NoiseRecord:
-        """A job's noise record, one row per drift triple ``(age, cycle, factor)``.
-
-        Element for element this is :meth:`CalibrationSnapshot.scale_errors`
-        followed by the snapshot's ``average_*`` sums, without building the
-        snapshot: per calibration cycle the job's drift factors form one
-        column that divides the cycle table's times and scales (then clips
-        to ``[0, 1]``) its error rows in a fixed number of array calls.  Each
-        scaled row, cut to its length, is then summed by the builtin ``sum``,
-        as the snapshot sums it: ``np.sum`` adds pairwise from 8 entries on
-        and a plain ``np.add.accumulate`` adds left to right, while ``sum``
-        compensates its float sums from Python 3.12 on, so only ``sum``
-        itself gives the snapshot's last bit on every supported Python.  The
-        Eq. 2 core stays per circuit on Python floats, because NumPy's
-        ``exp`` and ``**`` need not round as libm's do.  The readout rows
-        are the scaled ``(p01, p10)`` of the first ``width`` qubits.
-        """
-        noise = self.spec.noise_profile
-        connectivity = self.topology.average_degree
-        success: list[float] = []
-        readouts: list[np.ndarray] = []
-        for cycle, run in groupby(drifts, key=itemgetter(1)):
-            column = np.array([factor for _, _, factor in run])[:, None]
-            table, n, n_cx, mu_g1, mu_g2 = self._cycle_table(cycle)
-            t1, t2, t1x2 = table[:3] / column
-            errors = np.minimum(np.maximum(table[3:] * column, 0.0), 1.0)
-            p01, p10, gammas, betas = errors
-            rows = np.array((t1, np.minimum(t2, t1x2), 0.5 * (p01 + p10), gammas))[..., :n]
-            readouts.append(errors[:2, :, :width].transpose(1, 2, 0))  # (p01, p10) last
-            for qubit_rows, cx_row in zip(
-                rows.transpose(1, 0, 2).tolist(), betas[:, :n_cx].tolist()
-            ):
-                t1_avg, t2_avg, omega, gamma = [sum(row) / n for row in qubit_rows]
-                # An empty CX row sums to 0, so beta is 0.0 without couplings.
-                beta = sum(cx_row) / max(1, n_cx)
-                probability = _success_from_averages(
-                    footprint,
-                    mu_g1=mu_g1,
-                    mu_g2=mu_g2,
-                    t1=t1_avg,
-                    t2=t2_avg,
-                    gamma=gamma,
-                    beta=beta,
-                    omega=omega,
-                    crosstalk=noise.crosstalk,
-                    connectivity=connectivity,
-                )
-                success.append(probability)
-        factors = np.array([factor for _, _, factor in drifts])
-        return NoiseRecord(
-            np.array(success),
-            noise.coherent_bias * factors,
-            readouts[0] if len(readouts) == 1 else np.concatenate(readouts),
-            np.zeros(len(success), dtype=bool),
-        )
+        return _wave_noise([ClockRows(self, footprint, [self._drift_at(now)], width)]).specs()[0]
 
     def _cycle_table(self, cycle: int) -> tuple[np.ndarray, int, int, float, float]:
         """The ``(7, 1, width)`` calibration table of one cycle, built once
@@ -475,38 +415,6 @@ class QPU:
             elapsed += job_slot_circuit_seconds(duration)
         return starts, durations, elapsed, drifts
 
-    def _timeline_with_metadata(
-        self,
-        num_circuits: int,
-        footprint: CircuitFootprint,
-        now: float,
-        width: int,
-    ) -> tuple[list[float], list[float], NoiseRecord, list[dict]]:
-        """Per-circuit start time, duration, noise row and result metadata.
-
-        The device clock advances *within* a batch: circuit ``i`` starts at
-        ``now`` plus half the accumulated job durations of its predecessors
-        (:meth:`batch_clock`), and its noise row is evaluated at that start
-        time, with ``width`` readout pairs.  The drift model is evaluated
-        once per circuit start; the clock, the noise record and the metadata
-        all read that one evaluation.  The record of the whole job comes
-        from one array pass per calibration cycle the job touches
-        (:meth:`_noise_record`): a fixed number of NumPy calls whatever the
-        circuit or qubit count, then per circuit the row sums and the scalar
-        Eq. 2 core.  Pure clock/calibration arithmetic, no RNG.
-        """
-        starts, durations, _, drifts = self._walk_clock(num_circuits, now)
-        record = self._noise_record(footprint, drifts, width)
-        metadata = [
-            {
-                "success_probability": success,
-                "calibration_age_hours": age,
-                "drift_factor": factor,
-            }
-            for success, (age, _, factor) in zip(record.success.tolist(), drifts)
-        ]
-        return starts, durations, record, metadata
-
     def execute_batch(
         self,
         circuits: Sequence[QuantumCircuit] | ParameterSweep,
@@ -521,22 +429,22 @@ class QPU:
         The only execution entry point (one circuit is a one-circuit batch):
         bound circuits or an unbound
         :class:`~repro.circuit.sweep.ParameterSweep` (same job slots, same
-        results, nothing bound).  The job's **clock half** runs here —
-        offsets, durations, the job's one
-        :class:`~repro.simulator.mixing.NoiseRecord`, metadata
-        (:meth:`_timeline_with_metadata`): arithmetic, no RNG — and comes
-        back as results whose ``counts`` are ``None``.  Its readout rows
-        cover the footprint's measurements, or the measured register when
-        the footprint measures nothing.  Its **physics half** (lowering,
-        engine, mix/confuse, shots from ``rng`` in batch order) is a
-        :class:`DeferredBatch`: run before returning (``park=None``, the
-        one-job case of :func:`resolve_batches`) or appended to the caller's
-        ``park`` list, to be resolved later in one stacked pass that fills
-        these same results.  Who resolves changes the wall-clock cost, never
-        the physics.  A ``k``-circuit job equals ``k`` one-circuit jobs
-        submitted back to back on the walked clock
-        (:func:`job_slot_circuit_seconds` apart) in counts, durations,
-        metadata and the stream's end state.
+        results, nothing bound).  The job's **clock half** runs here
+        (:meth:`_walk_clock`: one drift evaluation per circuit start gives
+        the durations and the ``calibration_age_hours``/``drift_factor``
+        metadata; arithmetic, no RNG) and comes back as results whose
+        ``counts`` are ``None``.  Its **physics half** is a
+        :class:`DeferredBatch` carrying the job's :class:`ClockRows`, whose
+        readout width covers the footprint's measurements, or the measured
+        register when the footprint measures nothing: run before returning
+        (``park=None``, the one-job case of :func:`resolve_batches`) or
+        appended to the caller's ``park`` list, to be resolved later in one
+        stacked pass that builds the noise, adds each result's
+        ``success_probability`` and fills these same results' counts.  Who
+        resolves changes the wall-clock cost, never the physics.  A
+        ``k``-circuit job equals ``k`` one-circuit jobs submitted back to
+        back on the walked clock (:func:`job_slot_circuit_seconds` apart) in
+        counts, durations, metadata and the stream's end state.
         """
         if not len(circuits):
             raise ValueError("a batch needs at least one circuit")
@@ -549,15 +457,19 @@ class QPU:
             footprint.num_measurements
             or max(len(circuit.measured_qubits) or circuit.num_qubits for circuit in templates),
         )
-        _, durations, record, metadata = self._timeline_with_metadata(
-            len(circuits), footprint, now, width
-        )
+        _, durations, _, drifts = self._walk_clock(len(circuits), now)
         results = [
-            ExecutionResult(None, shots, self.name, duration, metadata=meta)
-            for duration, meta in zip(durations, metadata)
+            ExecutionResult(
+                None,
+                shots,
+                self.name,
+                duration,
+                metadata={"calibration_age_hours": age, "drift_factor": factor},
+            )
+            for duration, (age, _, factor) in zip(durations, drifts)
         ]
         rng = rng if rng is not None else self._rng
-        batch = DeferredBatch(circuits, record, shots, rng, results)
+        batch = DeferredBatch(circuits, ClockRows(self, footprint, drifts, width), shots, rng, results)
         if park is None:
             resolve_batches([batch])
         else:
@@ -565,15 +477,97 @@ class QPU:
         return results
 
 
+class ClockRows(NamedTuple):
+    """What a device job's noise reads of its clock half: the device, the
+    footprint, one drift triple ``(age, cycle, factor)`` per circuit start
+    (:meth:`QPU._drift_at`) and the readout width."""
+
+    qpu: QPU
+    footprint: CircuitFootprint
+    drifts: Sequence[tuple[float, int, float]]
+    width: int
+
+
+def _wave_noise(clocks: Sequence[ClockRows]) -> NoiseRecord:
+    """The noise record of a wave of jobs: one row per drift triple, in order.
+
+    Element for element this is :meth:`CalibrationSnapshot.scale_errors`
+    followed by the snapshot's ``average_*`` sums, without building a
+    snapshot.  Each run of a job's rows in one calibration cycle reads that
+    cycle's table (:meth:`QPU._cycle_table`); the runs are gathered into one
+    zero-padded ``(7, rows, W)`` array, ``W`` the widest table, and one set
+    of array calls divides the times by each row's drift factor, scales the
+    error rows by it and clips them to ``[0, 1]``.  The averages are row sums
+    in the one float-reduction order
+    (:func:`~repro.reduction.ordered_row_sums`, which the padding leaves
+    unchanged) over the row's qubit or coupling count; a device without
+    couplings sums an all-zero CX row to a ``beta`` of ``0.0``.  The Eq. 2
+    core stays per row on Python floats, because NumPy's ``exp`` and ``**``
+    need not round as libm's do.  The readout rows are the scaled
+    ``(p01, p10)`` of the first ``width`` qubits, a width every job of the
+    wave shares.
+    """
+    width = clocks[0].width
+    runs = []  # (clock, cycle table entry, row count) per cycle run of a job
+    factors: list[float] = []
+    for clock in clocks:
+        if clock.width != width:
+            raise ValueError(f"a wave reads out one width: {clock.width} != {width}")
+        for cycle, run in groupby(clock.drifts, key=itemgetter(1)):
+            run_factors = [factor for _, _, factor in run]
+            runs.append((clock, clock.qpu._cycle_table(cycle), len(run_factors)))
+            factors += run_factors
+    column = np.array(factors)[:, None]
+    table = np.zeros((7, len(factors), max(entry[0].shape[2] for _, entry, _ in runs)))
+    start = 0
+    for _, entry, count in runs:
+        table[:, start : start + count, : entry[0].shape[2]] = entry[0]
+        start += count
+    t1, t2, t1x2 = table[:3] / column
+    errors = np.minimum(np.maximum(table[3:] * column, 0.0), 1.0)
+    p01, p10, gammas, betas = errors
+    sums = ordered_row_sums(np.array((t1, np.minimum(t2, t1x2), 0.5 * (p01 + p10), gammas, betas)))
+    rows = iter(sums.T.tolist())
+    success: list[float] = []
+    biases: list[float] = []
+    for clock, (_, n, n_cx, mu_g1, mu_g2), count in runs:
+        noise = clock.qpu.spec.noise_profile
+        connectivity = clock.qpu.topology.average_degree
+        for _ in range(count):
+            t1_sum, t2_sum, omega_sum, gamma_sum, beta_sum = next(rows)
+            probability = _success_from_averages(
+                clock.footprint,
+                mu_g1=mu_g1,
+                mu_g2=mu_g2,
+                t1=t1_sum / n,
+                t2=t2_sum / n,
+                gamma=gamma_sum / n,
+                beta=beta_sum / max(1, n_cx),
+                omega=omega_sum / n,
+                crosstalk=noise.crosstalk,
+                connectivity=connectivity,
+            )
+            success.append(probability)
+        biases += [noise.coherent_bias] * count
+    return NoiseRecord(
+        np.array(success),
+        np.array(biases) * column[:, 0],
+        errors[:2, :, :width].transpose(1, 2, 0),  # (p01, p10) last
+        np.zeros(len(success), dtype=bool),
+    )
+
+
 @dataclass(eq=False, slots=True)
 class DeferredBatch:
-    """The physics half of one device job: ``results`` carry the clock half,
-    ``noise`` is the job's :class:`~repro.simulator.mixing.NoiseRecord` (one
-    row per circuit, in batch order); :func:`resolve_batches` fills the
-    results' ``counts``, ``shots`` each, from the job's own ``rng``."""
+    """The physics half of one device job: ``results`` carry the clock half
+    and ``clock`` what its noise reads of it (:class:`ClockRows`, one drift
+    triple per circuit, in batch order).  :func:`resolve_batches` builds the
+    noise with the rest of the job's wave, writes each result's
+    ``success_probability`` metadata and fills the results' ``counts``,
+    ``shots`` each, from the job's own ``rng``."""
 
     circuits: Sequence[QuantumCircuit] | ParameterSweep
-    noise: NoiseRecord
+    clock: ClockRows
     shots: int
     rng: np.random.Generator
     results: list[ExecutionResult]
@@ -588,8 +582,11 @@ def resolve_batches(parked: list[DeferredBatch]) -> None:
     """Simulate and sample a wave of device jobs, emptying ``parked``.
 
     Jobs whose sweeps run the same templates (an ensemble's gradient jobs,
-    whatever their devices) become **one** sweep over the ``vstack`` of their
-    parameter matrices with the concatenation of their noise records: one
+    whatever their devices) form one template wave.  Its noise is **one**
+    record built from every job's clock rows in one array pass
+    (:func:`_wave_noise`), whose success probabilities go into the results'
+    ``success_probability`` metadata; its circuits are **one** sweep over
+    the ``vstack`` of the jobs' parameter matrices: one
     :func:`~repro.simulator.mixing.noisy_probabilities_batch` pass whose
     ``blocks`` keep each job's rows bit-equal to that job passed alone, as
     any other batch — or a lone job — is.  When ``parked`` is one uniform
@@ -617,16 +614,18 @@ def resolve_batches(parked: list[DeferredBatch]) -> None:
         if len(wave) > 1:
             theta = np.vstack([batch.circuits.theta for batch in wave])
             circuits = ParameterSweep(circuits.templates, theta)
-        noise = NoiseRecord.concatenate([batch.noise for batch in wave])
-        blocks = [len(batch.noise) for batch in wave]
+        noise = _wave_noise([batch.clock for batch in wave])
+        results = [result for batch in wave for result in batch.results]
+        for result, success in zip(results, noise.success.tolist()):
+            result.metadata["success_probability"] = success
+        blocks = [len(batch.results) for batch in wave]
         rows = noisy_probabilities_batch(circuits, noise, blocks=blocks)
         if isinstance(rows, np.ndarray):
-            results = [result for batch in wave for result in batch.results]
             draws.append((wave, rows, blocks, results))
             continue
         for batch, stop in zip(wave, accumulate(blocks)):
             done = 0
-            for _, run in groupby(rows[stop - len(batch.noise) : stop], key=np.size):
+            for _, run in groupby(rows[stop - len(batch.results) : stop], key=np.size):
                 run = np.stack(list(run))
                 draws.append(([batch], run, [len(run)], batch.results[done : done + len(run)]))
                 done += len(run)

@@ -133,12 +133,6 @@ class _RunBuilder:
         else:
             self.elements.append(RunElement(np.asarray(matrix, dtype=complex)))
 
-    def append_element(self, element: RunElement) -> None:
-        if element.matrix is not None:
-            self.append_const(element.matrix)
-        else:
-            self.elements.append(element)
-
     def add(self, name: str, slot: int | None, qubits: tuple[int, ...]) -> None:
         """Append one gate, localizing it onto this run's qubit space."""
         if slot is None:

@@ -14,6 +14,7 @@ chaos runs can be compared transition-for-transition (the determinism pin of
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -68,8 +69,8 @@ class DeviceHealthTracker:
     ) -> None:
         if failure_threshold < 1:
             raise ValueError("failure_threshold must be >= 1")
-        if recovery_seconds <= 0:
-            raise ValueError("recovery_seconds must be positive")
+        if not (math.isfinite(recovery_seconds) and recovery_seconds > 0):
+            raise ValueError("recovery_seconds must be finite and positive")
         if probe_successes < 1:
             raise ValueError("probe_successes must be >= 1")
         if max_reopens < 1:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,8 +47,9 @@ class RetryPolicy:
             raise ValueError("max_backoff_seconds must be >= base_backoff_seconds")
         if not 0.0 <= self.jitter_fraction < 1.0:
             raise ValueError("jitter_fraction must be within [0, 1)")
-        if self.deadline_seconds is not None and self.deadline_seconds <= 0:
-            raise ValueError("deadline_seconds must be positive")
+        deadline = self.deadline_seconds
+        if deadline is not None and not (math.isfinite(deadline) and deadline > 0):
+            raise ValueError("deadline_seconds must be finite and positive")
 
     # ------------------------------------------------------------------
     def backoff_seconds(self, attempt: int, rng: np.random.Generator) -> float:

@@ -11,6 +11,7 @@ from ..circuit.circuit import QuantumCircuit
 from ..circuit.parameters import Parameter
 from ..engine import execute_program, parameter_plan, plan_slot_values
 from ..engine.cache import shared_program_cache
+from ..reduction import ordered_sum
 from ..simulator.result import Counts
 from ..simulator.statevector import simulate_statevector
 from .grouping import MeasurementGroup, group_qubitwise_commuting, measurement_basis_circuit
@@ -46,7 +47,9 @@ def expectation_from_group_counts(
     if len(groups) != len(counts_per_group):
         raise ValueError("need exactly one Counts object per measurement group")
     return float(
-        sum(group.expectation_from_counts(counts) for group, counts in zip(groups, counts_per_group))
+        ordered_sum(
+            group.expectation_from_counts(counts) for group, counts in zip(groups, counts_per_group)
+        )
     )
 
 
@@ -139,29 +142,6 @@ class EnergyEstimator:
             self._compiled = compiled
         return self._compiled
 
-    def sweep_probabilities(
-        self,
-        theta_matrix: np.ndarray,
-        *,
-        dtype=None,
-        tile: int | None = None,
-    ) -> list[np.ndarray]:
-        """Measured distributions of every group over a parameter sweep.
-
-        Entry ``g`` is a ``(points, 2**n)`` stack; no circuit is bound —
-        the ``(points, P)`` matrix feeds the compiled programs directly.
-        ``dtype``/``tile`` select the big-``n`` execution modes (complex64
-        stacks come back float32).
-        """
-        theta = np.atleast_2d(np.asarray(theta_matrix, dtype=float))
-        out = []
-        for program, plan, _ in self._compiled_groups():
-            states = execute_program(
-                program, plan_slot_values(plan, theta), dtype=dtype, tile=tile
-            )
-            out.append(np.abs(states) ** 2)
-        return out
-
     def exact_energies(
         self,
         theta_matrix: np.ndarray,
@@ -198,12 +178,12 @@ class EnergyEstimator:
 
         A point's groups as a device job draws them (consecutive rows of one
         draw matrix) decode in one call, other Counts group by group; either
-        way the group values meet in the builtin ``sum`` as floats in group
-        order, so 3.12's compensated ``sum`` sees the same inputs."""
+        way the group values are summed as floats in group order, in the one
+        float-reduction order (:func:`~repro.reduction.ordered_sum`)."""
         draws = _tabled_draws(counts_per_group, self.hamiltonian.num_qubits)
         if draws is None or len(counts_per_group) != len(self.groups):
             return expectation_from_group_counts(self.groups, counts_per_group)
-        return float(sum(_expectations_from_draws(draws, self._signed_tables).tolist()))
+        return ordered_sum(_expectations_from_draws(draws, self._signed_tables).tolist())
 
     def exact_energy(self, values: Sequence[float]) -> float:
         """Noise-free energy of the ansatz at a parameter vector.

@@ -20,6 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from ..circuit.circuit import QuantumCircuit
+from ..reduction import ordered_row_sums
 from .pauli import PauliString, PauliSum
 
 __all__ = ["MeasurementGroup", "group_qubitwise_commuting", "measurement_basis_circuit"]
@@ -120,11 +121,10 @@ def _expectations_from_draws(draws: np.ndarray, tables: np.ndarray) -> np.ndarra
     products equal its ``(weight * coefficient) * ±1``, and a zero-count
     outcome or a padded term adds ``±0.0``.  A running sum that starts at
     ``+0.0`` never becomes ``-0.0`` under round-to-nearest, and ``±0.0``
-    leaves any other value unchanged, so every partial sum keeps its bits."""
+    leaves any other value unchanged, so every partial sum keeps its bits:
+    the one float-reduction order (:func:`~repro.reduction.ordered_row_sums`)."""
     weights = draws / np.maximum(draws.sum(axis=1), 1)[:, None]
-    contributions = np.zeros((len(draws), 1 + tables[0].size))
-    contributions[:, 1:] = (weights[:, :, None] * tables).reshape(len(draws), -1)
-    return np.add.accumulate(contributions, axis=1)[:, -1]
+    return ordered_row_sums((weights[:, :, None] * tables).reshape(len(draws), -1))
 
 
 def group_qubitwise_commuting(hamiltonian: PauliSum) -> list[MeasurementGroup]:

@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping
 
+from ..reduction import ordered_sum
+
 __all__ = ["QubitCalibration", "GateCalibration", "CalibrationSnapshot"]
 
 
@@ -130,37 +132,38 @@ class CalibrationSnapshot:
 
     @property
     def average_t1(self) -> float:
-        return sum(q.t1 for q in self.qubits) / len(self.qubits)
+        return ordered_sum(q.t1 for q in self.qubits) / len(self.qubits)
 
     @property
     def average_t2(self) -> float:
-        return sum(q.t2 for q in self.qubits) / len(self.qubits)
+        return ordered_sum(q.t2 for q in self.qubits) / len(self.qubits)
 
     @property
     def average_readout_error(self) -> float:
-        return sum(q.readout_error for q in self.qubits) / len(self.qubits)
+        return ordered_sum(q.readout_error for q in self.qubits) / len(self.qubits)
 
     @property
     def average_single_qubit_error(self) -> float:
-        return sum(g.error for g in self.single_qubit_gates) / len(self.single_qubit_gates)
+        return ordered_sum(g.error for g in self.single_qubit_gates) / len(self.single_qubit_gates)
 
     @property
     def average_single_qubit_gate_time(self) -> float:
-        return sum(g.duration for g in self.single_qubit_gates) / len(self.single_qubit_gates)
+        gates = self.single_qubit_gates
+        return ordered_sum(g.duration for g in gates) / len(gates)
 
     @property
     def average_cx_error(self) -> float:
         if not self.two_qubit_gates:
             return 0.0
         errors = [g.error for g in self.two_qubit_gates.values()]
-        return sum(errors) / len(errors)
+        return ordered_sum(errors) / len(errors)
 
     @property
     def average_cx_gate_time(self) -> float:
         if not self.two_qubit_gates:
             return 0.0
         durations = [g.duration for g in self.two_qubit_gates.values()]
-        return sum(durations) / len(durations)
+        return ordered_sum(durations) / len(durations)
 
     # ------------------------------------------------------------------
     def cx_calibration(self, control: int, target: int) -> GateCalibration:

@@ -60,8 +60,8 @@ class DriftProfile:
             raise ValueError("drift_rate must be non-negative")
         if self.oscillation_amplitude < 0:
             raise ValueError("oscillation_amplitude must be non-negative")
-        if self.oscillation_period_hours <= 0:
-            raise ValueError("oscillation_period_hours must be positive")
+        if not (math.isfinite(self.oscillation_period_hours) and self.oscillation_period_hours > 0):
+            raise ValueError("oscillation_period_hours must be finite and positive")
         if not 0.0 <= self.burst_probability <= 1.0:
             raise ValueError("burst_probability must be within [0, 1]")
         if self.burst_magnitude < 1.0:

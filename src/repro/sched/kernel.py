@@ -202,19 +202,6 @@ class EventKernel:
         """Physical heap entries (runs count once; includes dead events)."""
         return len(self._heap)
 
-    def next_event_time(self) -> float | None:
-        """Timestamp of the earliest live pending event (``None`` if empty)."""
-        heap = self._heap
-        while heap:
-            payload = heap[0][4]
-            if payload.__class__ is Event and payload.cancelled:
-                heapq.heappop(heap)
-                payload._pending = False
-                self._cancelled_on_heap -= 1
-                continue
-            return heap[0][0]
-        return None
-
     # ------------------------------------------------------------------
     def rng_stream(self, label: str) -> np.random.Generator:
         """An independent, reproducible RNG stream for one named entity.

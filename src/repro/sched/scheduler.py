@@ -197,16 +197,18 @@ class CloudScheduler:
     def run_until_complete(self, job: SchedJob) -> SchedJob:
         """Advance the kernel exactly until ``job``'s completion event fires.
 
-        A job pinned to a device that is (or goes) permanently down can
-        never complete: the kernel stops at the event that took the device
-        down — not after spinning through tenant traffic to ``max_events`` —
-        and the job is withdrawn and returned with ``done`` still False.
+        A job on a device that is (or goes) permanently down can never
+        complete: the kernel stops at the event that took the device down —
+        not after spinning through tenant traffic to ``max_events`` — and
+        the job is withdrawn and returned with ``done`` still False.  A
+        policy-placed job's device is only known at arrival, so the kernel
+        first runs until the job has arrived.
         """
-        # None for a policy-placed job: its device is only known at arrival.
-        queue = self.queues.get(job.device_name)
+        if job.device_name is None:
+            self.kernel.run_until(lambda: job.device_name is not None)
+        queue = self.queues[job.device_name]
         self.kernel.run_until(
-            lambda: job.finish_time is not None
-            or (queue is not None and queue.downtime_until == _FOREVER)
+            lambda: job.finish_time is not None or queue.downtime_until == _FOREVER
         )
         if not job.done:
             job.arrival_event.cancel()

@@ -427,10 +427,6 @@ class WorkloadGenerator:
         )
 
     # ------------------------------------------------------------------
-    def tenant_name(self, index: int) -> str:
-        """Interned ``tenant<i>`` string (10k tenants → 10k cached names)."""
-        return self._tenant_names[index]
-
     def arrival_rate(self, model: QueueModel, now: float) -> float:
         """Instantaneous arrivals/second on one device at time ``now``."""
         if self.num_tenants == 0:

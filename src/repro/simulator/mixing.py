@@ -87,8 +87,8 @@ class NoiseRecord:
     ``success`` and ``bias`` are ``(k,)``; ``readout`` is ``(k, m, 2)``, the
     ``(p01, p10)`` of the first ``m`` measured bits; ``exact`` is ``(k,)``
     and marks rows read out exactly (no confusion, no renormalization).  A
-    device job carries one from its clock half to its physics half
-    (:meth:`repro.devices.qpu.QPU.execute_batch`); the mixer range-checks
+    wave of device jobs gets one at resolve, built from the jobs' clock rows
+    (:func:`repro.devices.qpu.resolve_batches`); the mixer range-checks
     each array once, where it reads it.
     """
 
@@ -111,13 +111,6 @@ class NoiseRecord:
             np.array(readout, dtype=float).reshape(len(specs), num_bits, 2),
             np.array([not row for row in pairs], dtype=bool),
         )
-
-    @classmethod
-    def concatenate(cls, records: Sequence["NoiseRecord"]) -> "NoiseRecord":
-        """Consecutive batches' records as one (a wave of stacked jobs)."""
-        if len(records) == 1:
-            return records[0]
-        return cls(*map(np.concatenate, zip(*(record._columns() for record in records))))
 
     def take(self, rows: Sequence[int]) -> "NoiseRecord":
         """The record of the positions ``rows`` (one lowered group's)."""

@@ -11,6 +11,7 @@ where the gradient may have been computed from a stale parameter snapshot
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -44,8 +45,8 @@ class AsgdRule:
     gradient_bound: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError("learning_rate must be finite and positive")
         if self.gradient_bound < 0:
             raise ValueError("gradient_bound must be non-negative")
 

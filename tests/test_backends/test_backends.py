@@ -24,7 +24,7 @@ from repro.circuit import (
     hardware_efficient_ansatz,
 )
 from repro.devices import build_qpu
-from repro.devices.qpu import CircuitFootprint, resolve_batches
+from repro.devices.qpu import CircuitFootprint, _wave_noise, resolve_batches
 from repro.simulator.mixing import noisy_probabilities_batch
 from repro.vqa import heisenberg_vqe_problem, sampled_parameter_shift_gradient
 from repro.vqa.gradient import exact_full_gradient, parameter_shift_batch
@@ -265,11 +265,12 @@ class TestUnmeasuredCircuitOnADevice:
         parked = []
         (again,) = NoisyBackend(qpu).run(ghz3, shots=2048, seed=5, now=900.0, park=parked)
         (job,) = parked
-        (spec,) = job.noise.specs()
+        noise = _wave_noise([job.clock])
+        (spec,) = noise.specs()
         assert len(spec.per_qubit_readout) == 3
         footprint = CircuitFootprint.from_circuit(ghz3)
         assert spec.success_probability == qpu.true_success_probability(footprint, 900.0)
-        (row,) = noisy_probabilities_batch(job.circuits, job.noise)
+        (row,) = noisy_probabilities_batch(job.circuits, noise)
         expected = reference.noisy_probabilities(ghz3, spec)
         assert np.max(np.abs(row - expected)) <= 1e-12
         # The one-circuit spec reads out the whole device; its first pairs
@@ -285,3 +286,5 @@ class TestUnmeasuredCircuitOnADevice:
         assert again_row.tobytes() == row.tobytes()
         resolve_batches(parked)
         assert dict(again.counts) == dict(result.counts)
+        assert again.metadata == result.metadata
+        assert again.metadata["success_probability"] == spec.success_probability

@@ -8,7 +8,7 @@ import pytest
 
 from repro.circuit import ghz_state
 from repro.devices.catalog import build_qpu, device_spec
-from repro.devices.qpu import CircuitFootprint, success_probability
+from repro.devices.qpu import CircuitFootprint, ClockRows, _wave_noise, success_probability
 from repro.devices.topology import line_topology
 from repro.noise.calibration import CalibrationSnapshot
 from repro.noise.drift import DriftModel
@@ -165,17 +165,14 @@ class TestExecution:
             assert durations[i] == bogota.job_duration_seconds(starts[i])
         # Half a job slot per circuit.
         assert elapsed == pytest.approx(sum(durations) / 2.0)
-        timeline = bogota._timeline_with_metadata(
-            4, ghz_footprint, now, ghz_footprint.num_measurements
-        )
-        assert timeline[:2] == bogota.batch_clock(4, now)[:2] == (starts, durations)
+        assert bogota._walk_clock(4, now)[:2] == (starts, durations)
         results = bogota.execute_batch(
             [ghz_state(4)] * 4, ghz_footprint, shots=64, now=now, rng=rng
         )
         assert [r.duration_seconds for r in results] == durations
 
     def test_timeline_reads_one_drift_evaluation_per_start(
-        self, bogota, ghz_footprint, monkeypatch
+        self, bogota, ghz_footprint, monkeypatch, rng
     ):
         """Clock, noise spec and metadata of a batch equal — bit for bit —
         what the public per-instant methods return at each circuit start."""
@@ -187,16 +184,18 @@ class TestExecution:
             "drift_factor",
             lambda hours, cycle=0: calls.append(hours) or original(hours, cycle),
         )
-        starts, durations, record, metadata = bogota._timeline_with_metadata(
-            24, ghz_footprint, now, ghz_footprint.num_measurements
+        results = bogota.execute_batch(
+            [ghz_state(4)] * 24, ghz_footprint, shots=16, now=now, rng=rng
         )
-        specs = record.specs()
-        assert len(calls) == 24
+        assert len(calls) == 24  # the noise, built at resolve, reads the walk's triples
+        starts, durations, _, drifts = bogota._walk_clock(24, now)
+        width = ghz_footprint.num_measurements
+        specs = _wave_noise([ClockRows(bogota, ghz_footprint, drifts, width)]).specs()
         assert bogota.calibration_cycle(starts[0]) != bogota.calibration_cycle(starts[-1])
-        for start, duration, spec, meta in zip(starts, durations, specs, metadata):
-            assert duration == bogota.job_duration_seconds(start)
+        for start, duration, spec, result in zip(starts, durations, specs, results):
+            assert duration == result.duration_seconds == bogota.job_duration_seconds(start)
             assert spec == bogota.execution_noise(ghz_footprint, start)
-            assert meta == {
+            assert result.metadata == {
                 "success_probability": spec.success_probability,
                 "calibration_age_hours": bogota.hours_since_calibration(start),
                 "drift_factor": bogota.drift_factor(start),

@@ -26,6 +26,11 @@ class TestValidation:
         with pytest.raises(ValueError):
             DeviceHealthTracker(max_reopens=0)
 
+    @pytest.mark.parametrize("seconds", [math.nan, math.inf, -math.inf])
+    def test_rejects_a_non_finite_recovery_time(self, seconds):
+        with pytest.raises(ValueError, match="recovery_seconds"):
+            DeviceHealthTracker(recovery_seconds=seconds)
+
 
 class TestStateMachine:
     def test_closed_until_threshold(self):

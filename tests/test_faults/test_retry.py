@@ -1,5 +1,7 @@
 """Tests for the retry/backoff policy."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,11 @@ class TestValidation:
             RetryPolicy(jitter_fraction=1.0)
         with pytest.raises(ValueError):
             RetryPolicy(deadline_seconds=0.0)
+
+    @pytest.mark.parametrize("deadline", [math.nan, math.inf, -math.inf])
+    def test_rejects_a_non_finite_deadline(self, deadline):
+        with pytest.raises(ValueError, match="deadline_seconds"):
+            RetryPolicy(deadline_seconds=deadline)
 
 
 class TestBackoff:

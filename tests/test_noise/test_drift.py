@@ -1,5 +1,7 @@
 """Tests for the time-dependent drift model."""
 
+import math
+
 import pytest
 
 from repro.noise.drift import DriftModel, DriftProfile
@@ -12,6 +14,11 @@ class TestDriftProfile:
     def test_negative_rate_rejected(self):
         with pytest.raises(ValueError):
             DriftProfile(drift_rate=-0.1)
+
+    @pytest.mark.parametrize("hours", [math.nan, math.inf, -math.inf])
+    def test_non_finite_oscillation_period_rejected(self, hours):
+        with pytest.raises(ValueError, match="oscillation_period_hours"):
+            DriftProfile(oscillation_period_hours=hours)
 
     def test_burst_probability_range(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 """Tests for injected outages on the discrete-event scheduler path."""
 
+import functools
+
 import pytest
 
 from repro.cloud.queueing import queue_model_for
@@ -120,6 +122,21 @@ class TestOutageWindows:
         assert scheduler.kernel.pending == pending - 1
         scheduler.run_until_time(1000.0)
         assert queue.waiting == [] and late.start_time is None
+
+    def test_run_until_complete_gives_up_on_a_policy_placed_job_too(self):
+        """A job the policy places is withdrawn when the device it landed on
+        dies, as a pinned one is, though its device is only known once it
+        arrives (``max_events`` is cut so a spin fails fast)."""
+        scheduler = make_scheduler(downtime_seconds=600.0)
+        scheduler.kernel.run_until = functools.partial(
+            scheduler.kernel.run_until, max_events=10_000
+        )
+        scheduler.inject_outage("Belem", start=50.0, permanent=True)
+        job = scheduler.submit(device_name=None, arrival=0.0, duration=80.0)
+        assert scheduler.run_until_complete(job) is job
+        assert not job.done and job.device_name == "Belem"
+        assert scheduler.now == 50.0
+        assert scheduler.queues["Belem"].waiting == []
 
     def test_validation(self):
         scheduler = make_scheduler()

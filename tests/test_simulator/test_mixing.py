@@ -5,9 +5,9 @@ import pytest
 
 from repro.circuit import QuantumCircuit, ghz_state
 from repro.devices.catalog import build_qpu
-from repro.devices.qpu import CircuitFootprint, DeferredBatch, resolve_batches
-from repro.simulator.mixing import MixingNoiseSpec, NoiseRecord, noisy_probabilities_batch
-from repro.simulator.result import ExecutionResult
+from repro.devices.qpu import CircuitFootprint
+from repro.simulator.mixing import MixingNoiseSpec, noisy_probabilities_batch
+from repro.simulator.sampler import sample_distribution_batch
 
 
 def noisy_row(circuit, spec):
@@ -18,10 +18,10 @@ def noisy_row(circuit, spec):
 
 def sampled(circuit, spec, shots, rng):
     """One circuit's counts, drawn as a device job's physics half draws them."""
-    results = [ExecutionResult(None, shots, "test", 0.0)]
-    noise = NoiseRecord.from_specs([spec], circuit.num_qubits)
-    resolve_batches([DeferredBatch([circuit], noise, shots, rng, results)])
-    return results[0].counts
+    (counts,) = sample_distribution_batch(
+        noisy_probabilities_batch([circuit], [spec]), shots, rng, circuit.num_qubits
+    )
+    return counts
 
 
 class TestMixingNoiseSpec:

@@ -8,7 +8,7 @@ that machinery: full gate unitaries on a dense density matrix, a global
 depolarizing mix, a marginal and a Kronecker product of confusion matrices.
 The two must agree to 1e-12 on drawn circuits of up to six qubits over every
 unitary gate, with random measured registers, under noise specs of real
-catalog devices (``QPU._timeline_with_metadata``) and random ones with and
+catalog devices (the wave pass ``_wave_noise``) and random ones with and
 without readout error, in the three shapes the library calls: one job, a
 stacked wave of jobs (``blocks=``, as ``resolve_batches`` passes it) and a
 one-circuit job.  Parametrized cases pin, whatever hypothesis draws, each
@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 from repro.circuit import Parameter, ParameterSweep, QuantumCircuit
 from repro.circuit.gates import GATE_SPECS
 from repro.devices.catalog import available_devices, build_qpu
-from repro.devices.qpu import SECONDS_PER_HOUR, CircuitFootprint
+from repro.devices.qpu import SECONDS_PER_HOUR, CircuitFootprint, ClockRows, _wave_noise
 from repro.simulator.mixing import MixingNoiseSpec, noisy_probabilities_batch
 
 TOLERANCE = 1e-12
@@ -42,6 +42,12 @@ biases = st.floats(min_value=-0.2, max_value=0.2, allow_nan=False)
 
 def register_width(circuit):
     return len(circuit.measured_qubits) or circuit.num_qubits
+
+
+def job_noise(qpu, count, footprint, now, width):
+    """The noise record of a ``count``-circuit job starting at ``now``."""
+    drifts = qpu._walk_clock(count, now)[3]
+    return _wave_noise([ClockRows(qpu, footprint, drifts, width)])
 
 
 def assert_matches_oracle(rows, circuits, specs):
@@ -120,7 +126,7 @@ def job_specs(draw, circuit, count):
         footprint = dataclasses.replace(
             CircuitFootprint.from_circuit(circuit), num_measurements=width
         )
-        return qpu._timeline_with_metadata(count, footprint, now, width)[2].specs()
+        return job_noise(qpu, count, footprint, now, width).specs()
     return [draw(random_specs(width)) for _ in range(count)]
 
 
@@ -206,7 +212,7 @@ def test_each_catalog_device_matches_the_density_matrix(qpu):
         circuit.ry(1.1, qubit).measure(qubit)
     period = qpu.spec.calibration_period_hours * SECONDS_PER_HOUR
     footprint = CircuitFootprint.from_circuit(circuit)
-    specs = qpu._timeline_with_metadata(4, footprint, period - 1.0, width)[2].specs()
+    specs = job_noise(qpu, 4, footprint, period - 1.0, width).specs()
     circuits = [circuit] * len(specs)
     assert_matches_oracle(noisy_probabilities_batch(circuits, specs), circuits, specs)
 

@@ -1,5 +1,7 @@
 """Tests for the ASGD update rule and parameter state."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,11 @@ class TestAsgdRule:
     def test_invalid_learning_rate_rejected(self):
         with pytest.raises(ValueError):
             AsgdRule(learning_rate=0.0)
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf])
+    def test_non_finite_learning_rate_rejected(self, rate):
+        with pytest.raises(ValueError, match="learning_rate"):
+            AsgdRule(learning_rate=rate)
 
     def test_gradient_bound_applied(self):
         rule = AsgdRule(learning_rate=1.0, gradient_bound=0.5)
