@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .._fields import require
 from ..backends.base import ExecutionBackend
 from ..backends.statevector import StatevectorBackend
 from ..circuit.sweep import ParameterSweep
@@ -47,20 +48,21 @@ class IdealTrainer:
     ) -> None:
         """Args:
             estimator: the shared ansatz + Hamiltonian estimator.
-            shots: shots per circuit when sampling (paper: 8192).
-            learning_rate: SGD step size.
+            shots: shots per circuit when sampling (paper: 8192), >= 1.
+            learning_rate: SGD step size (finite, > 0).
             exact: use exact expectation values instead of sampled counts.
-            seed: sampling seed.
-            seconds_per_epoch: nominal simulator wall time per epoch, used
-                only so the history has a meaningful epochs/hour.
+            seed: sampling seed, an integer >= 0.
+            seconds_per_epoch: nominal simulator wall time per epoch (finite,
+                > 0), used only so the history has a meaningful epochs/hour.
             backend: ideal execution backend for sampled mode; defaults to
                 :class:`StatevectorBackend`.
         """
         self.estimator = estimator
-        self.shots = int(shots)
+        self.shots = int(require(self, "shots", shots, low=1, integer=True))
         self.rule = AsgdRule(learning_rate=learning_rate)
         self.exact = bool(exact)
-        self.rng = np.random.default_rng(seed)
+        self.rng = np.random.default_rng(require(self, "seed", seed, low=0, integer=True))
+        require(self, "seconds_per_epoch", seconds_per_epoch, low=0.0, open_low=True)
         self.seconds_per_epoch = float(seconds_per_epoch)
         self.backend: ExecutionBackend = backend if backend is not None else StatevectorBackend()
         self.label = "ideal_simulator"

@@ -15,6 +15,7 @@ at the first epoch boundary past ``max_wall_hours`` of simulated time.
 
 from __future__ import annotations
 
+from .._fields import require
 from ..cloud.provider import BackendFactory, CloudProvider
 from ..cloud.queueing import QueueModel
 from ..devices.catalog import build_qpu
@@ -62,6 +63,7 @@ class SingleDeviceTrainer:
             objective=objective, qpu=self.qpu, provider=self.provider, shots=shots
         )
         self.rule = AsgdRule(learning_rate=learning_rate)
+        require(self, "max_wall_hours", max_wall_hours, low=0.0, open_low=True)
         self.max_wall_hours = float(max_wall_hours)
         self.label = f"single[{self.qpu.name}]"
 

@@ -321,22 +321,6 @@ class QuantumCircuit:
         combined._invalidate_caches()
         return combined
 
-    def remap_qubits(self, mapping: Mapping[int, int], num_qubits: int | None = None) -> "QuantumCircuit":
-        """Return a copy with qubits relabelled via ``mapping``.
-
-        Args:
-            mapping: logical-to-physical index map; must cover every qubit used.
-            num_qubits: width of the new circuit (defaults to current width).
-        """
-        width = num_qubits if num_qubits is not None else self.num_qubits
-        out = QuantumCircuit(width, self.name)
-        for inst in self._instructions:
-            if inst.is_barrier:
-                out.barrier()
-                continue
-            out.append(inst.remap(mapping))
-        return out
-
     def without_measurements(self) -> "QuantumCircuit":
         """Return a copy with measurement directives removed."""
         out = QuantumCircuit(self.num_qubits, self.name)

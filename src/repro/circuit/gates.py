@@ -142,10 +142,6 @@ class Instruction:
         )
         return Instruction(self.name, self.qubits, bound)
 
-    def remap(self, mapping: Mapping[int, int]) -> "Instruction":
-        """Return a copy with qubit indices translated through ``mapping``."""
-        return Instruction(self.name, tuple(mapping[q] for q in self.qubits), self.params)
-
     def __repr__(self) -> str:
         if self.params:
             args = ", ".join(str(p) for p in self.params)

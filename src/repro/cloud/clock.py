@@ -9,6 +9,8 @@ deterministic.
 
 from __future__ import annotations
 
+from .._fields import require
+
 __all__ = ["VirtualClock", "SECONDS_PER_HOUR", "hours", "seconds_to_hours"]
 
 SECONDS_PER_HOUR = 3600.0
@@ -25,12 +27,10 @@ def seconds_to_hours(value: float) -> float:
 
 
 class VirtualClock:
-    """A monotonically non-decreasing simulation clock (seconds)."""
+    """A monotonically non-decreasing simulation clock (seconds) from ``start >= 0``."""
 
     def __init__(self, start: float = 0.0) -> None:
-        if start < 0:
-            raise ValueError("the clock cannot start before t=0")
-        self._now = float(start)
+        self._now = float(require(self, "start", start, low=0.0))
 
     @property
     def now(self) -> float:

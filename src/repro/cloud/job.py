@@ -74,11 +74,6 @@ class CloudJob:
         return max(0.0, self.start_time - self.submit_time)
 
     @property
-    def execution_seconds(self) -> float:
-        """Time spent executing on the device."""
-        return max(0.0, self.finish_time - self.start_time)
-
-    @property
     def turnaround_seconds(self) -> float:
         """Submission-to-completion latency."""
         return max(0.0, self.finish_time - self.submit_time)

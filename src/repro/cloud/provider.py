@@ -32,6 +32,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .._fields import require
 from ..backends.base import ExecutionBackend
 from ..backends.noisy import NoisyBackend
 from ..circuit.circuit import QuantumCircuit
@@ -137,6 +138,8 @@ class CloudProvider:
         names = [q.name for q in qpus]
         if len(set(names)) != len(names):
             raise ValueError("duplicate device names in the fleet")
+        require(self, "seed", seed, low=0, integer=True)
+        require(self, "shots", shots, low=1, integer=True)
         self._endpoints: dict[str, DeviceEndpoint] = {}
         for qpu in qpus:
             model = (

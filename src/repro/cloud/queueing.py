@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .._fields import require
 from .clock import SECONDS_PER_HOUR
 
 __all__ = [
@@ -37,10 +38,10 @@ class QueueModel:
     """Stochastic queue-delay model for one device.
 
     Attributes:
-        mean_wait_seconds: median queue wait when congestion is average.
-        sigma: lognormal spread of the wait.
+        mean_wait_seconds: median queue wait when congestion is average (>= 0).
+        sigma: lognormal spread of the wait (>= 0).
         popularity: 0..1 community load factor; higher = busier device.
-        diurnal_amplitude: relative amplitude of the day/night load swing.
+        diurnal_amplitude: relative amplitude of the day/night swing, in [0, 1].
     """
 
     mean_wait_seconds: float = 60.0
@@ -49,14 +50,10 @@ class QueueModel:
     diurnal_amplitude: float = 0.4
 
     def __post_init__(self) -> None:
-        if self.mean_wait_seconds < 0:
-            raise ValueError("mean_wait_seconds must be non-negative")
-        if self.sigma < 0:
-            raise ValueError("sigma must be non-negative")
-        if not 0.0 <= self.popularity <= 1.0:
-            raise ValueError("popularity must be within [0, 1]")
-        if not 0.0 <= self.diurnal_amplitude <= 1.0:
-            raise ValueError("diurnal_amplitude must be within [0, 1]")
+        require(self, "mean_wait_seconds", self.mean_wait_seconds, low=0.0)
+        require(self, "sigma", self.sigma, low=0.0)
+        require(self, "popularity", self.popularity, low=0.0, high=1.0)
+        require(self, "diurnal_amplitude", self.diurnal_amplitude, low=0.0, high=1.0)
 
     # ------------------------------------------------------------------
     def congestion_factor(self, now_seconds: float) -> float:

@@ -33,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Hashable, Sequence
 
+from .._fields import require
 from ..backends.cache import shared_transpile_cache
 from ..cloud.job import CloudJob
 from ..cloud.provider import CloudProvider
@@ -114,7 +115,7 @@ class EQCClientNode:
         self.objective = objective
         self.qpu = qpu
         self.provider = provider
-        self.shots = int(shots)
+        self.shots = int(require(self, "shots", shots, low=1, integer=True))
         self.name = name or f"client_{qpu.name}"
         self._footprints: dict[tuple[Hashable, ...], CircuitFootprint] = {}
         #: The last ``(calibration, footprint, estimate)`` (see current_p_correct).

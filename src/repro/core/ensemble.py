@@ -9,10 +9,10 @@ sweeps (fleet composition, shots, learning rate, weight bounds, seeds).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
+from .._fields import require
 from ..backends.cache import shared_transpile_cache
 from ..cloud.provider import CloudProvider
 from ..cloud.queueing import QueueModel
@@ -111,35 +111,27 @@ class EQCConfig:
     def __post_init__(self) -> None:
         if not self.device_names:
             raise ValueError("the ensemble needs at least one device")
-        if self.shots < 1:
-            raise ValueError("shots must be >= 1")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ValueError(
-                f"learning_rate must be finite and positive (got {self.learning_rate!r})"
-            )
+        require(self, "shots", self.shots, low=1, integer=True)
+        require(self, "learning_rate", self.learning_rate, low=0.0, open_low=True)
         if self.weight_bounds is not None and not isinstance(self.weight_bounds, WeightBounds):
             raise ValueError(
                 "weight_bounds must be None or a WeightBounds "
                 f"(got {type(self.weight_bounds).__name__})"
             )
-        if self.background_tenants < 0:
-            raise ValueError("background_tenants must be non-negative")
-        if self.tenant_jobs_per_hour <= 0:
-            raise ValueError("tenant_jobs_per_hour must be positive")
-        if self.dispatch_deadline is not None and self.dispatch_deadline <= 0:
-            raise ValueError("dispatch_deadline must be positive")
-        if not 1 <= self.min_live_devices <= len(self.device_names):
-            raise ValueError(
-                "min_live_devices must be within [1, number of devices]"
-            )
+        require(self, "seed", self.seed, low=0, integer=True)
+        require(self, "background_tenants", self.background_tenants, low=0, integer=True)
+        require(self, "tenant_jobs_per_hour", self.tenant_jobs_per_hour, low=0.0, open_low=True)
+        if self.dispatch_deadline is not None:
+            require(self, "dispatch_deadline", self.dispatch_deadline, low=0.0, open_low=True)
+        devices = len(self.device_names)
+        require(self, "min_live_devices", self.min_live_devices, low=1, high=devices, integer=True)
         if self.retry_policy is not None and not self.faults_enabled:
             raise ValueError(
                 "retry_policy requires a fault_plan with device-level faults"
             )
-        if self.checkpoint_every is not None and self.checkpoint_every < 1:
-            raise ValueError("checkpoint_every must be >= 1")
-        if self.checkpoint_retention < 1:
-            raise ValueError("checkpoint_retention must be >= 1")
+        if self.checkpoint_every is not None:
+            require(self, "checkpoint_every", self.checkpoint_every, low=1, integer=True)
+        require(self, "checkpoint_retention", self.checkpoint_retention, low=1, integer=True)
         if (self.checkpoint_every is None) != (self.run_store is None):
             raise ValueError(
                 "checkpoint_every and run_store must be set together: "

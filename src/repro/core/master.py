@@ -24,6 +24,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
+from .._fields import require
 from ..cloud.clock import SECONDS_PER_HOUR
 from ..faults.errors import DeviceOutageError, FaultError, FleetExhaustedError
 from ..faults.health import DeviceHealthTracker
@@ -126,12 +127,10 @@ class EQCMasterNode:
         names = [client.name for client in clients]
         if len(set(names)) != len(names):
             raise ValueError("client names must be unique")
-        if dispatch_deadline is not None and dispatch_deadline <= 0:
-            raise ValueError("dispatch_deadline must be positive")
-        if not 1 <= min_live_devices <= len(clients):
-            raise ValueError(
-                "min_live_devices must be within [1, number of clients]"
-            )
+        require(self, "start_time", start_time, low=0.0)
+        if dispatch_deadline is not None:
+            require(self, "dispatch_deadline", dispatch_deadline, low=0.0, open_low=True)
+        require(self, "min_live_devices", min_live_devices, low=1, high=len(clients), integer=True)
         self.objective = objective
         self.clients = list(clients)
         self.task_queue = task_queue

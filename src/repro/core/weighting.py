@@ -12,10 +12,10 @@ dampened.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+from .._fields import require
 from ..devices.qpu import CircuitFootprint, success_probability
 from ..noise.calibration import CalibrationSnapshot
 
@@ -46,16 +46,14 @@ def estimate_p_correct(
 
 @dataclass(frozen=True)
 class WeightBounds:
-    """A closed interval ``[low, high]`` that weights are normalized into."""
+    """A finite closed interval ``0 <= low <= high`` that weights are normalized into."""
 
     low: float
     high: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.low) and self.low >= 0):
-            raise ValueError(f"low must be finite and non-negative (got {self.low!r})")
-        if not (math.isfinite(self.high) and self.high >= self.low):
-            raise ValueError(f"high must be finite and >= low (got {self.high!r})")
+        require(self, "low", self.low, low=0.0)
+        require(self, "high", self.high, low=self.low)
 
     @property
     def midpoint(self) -> float:

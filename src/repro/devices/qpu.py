@@ -30,6 +30,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .._fields import require
 from ..circuit.circuit import QuantumCircuit
 from ..circuit.sweep import ParameterSweep
 from ..noise.calibration import CalibrationSnapshot
@@ -135,15 +136,17 @@ class QPUSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        owner = f"QPUSpec {self.name}"
+        require(owner, "num_qubits", self.num_qubits, low=1, integer=True)
         if self.num_qubits != self.topology.num_qubits:
             raise ValueError(
                 f"{self.name}: num_qubits={self.num_qubits} does not match "
                 f"topology width {self.topology.num_qubits}"
             )
+        require(owner, "quantum_volume", self.quantum_volume, low=1, integer=True)
         for name in ("base_job_seconds", "calibration_period_hours", "properties_refresh_hours"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{self.name}: {name} must be finite and positive (got {value!r})")
+            require(owner, name, getattr(self, name), low=0.0, open_low=True)
+        require(owner, "seed", self.seed, low=0, integer=True)
 
 
 class _CalibrationRecord:

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from .._fields import require
 from ..analysis.reporting import format_table
 from ..baselines.ideal import IdealTrainer
 from ..baselines.single_device import DEFAULT_TERMINATION_HOURS, SingleDeviceTrainer
@@ -40,6 +41,13 @@ class QAOAExperimentConfig:
     max_single_device_hours: float = DEFAULT_TERMINATION_HOURS
     record_every: int = 1
     run_ideal_reference: bool = True
+
+    def __post_init__(self) -> None:
+        for name in ("iterations", "shots", "eqc_runs", "record_every"):
+            require(self, name, getattr(self, name), low=1, integer=True)
+        for name in ("learning_rate", "max_single_device_hours"):
+            require(self, name, getattr(self, name), low=0.0, open_low=True)
+        require(self, "seed", self.seed, low=0, integer=True)
 
 
 @dataclass

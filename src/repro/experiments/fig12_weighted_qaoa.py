@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from .._fields import require
 from ..analysis.reporting import format_table
 from ..core.ensemble import EQCConfig, EQCEnsemble
 from ..core.history import TrainingHistory
@@ -49,6 +50,12 @@ class WeightedQAOAConfig:
     #: Also run the single-device baselines so the Fig. 12 ranking panel can
     #: be reproduced; reuse a Fig. 11 result instead when one is available.
     include_single_devices: bool = True
+
+    def __post_init__(self) -> None:
+        for name in ("iterations", "shots", "record_every"):
+            require(self, name, getattr(self, name), low=1, integer=True)
+        require(self, "learning_rate", self.learning_rate, low=0.0, open_low=True)
+        require(self, "seed", self.seed, low=0, integer=True)
 
 
 @dataclass

@@ -27,6 +27,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .._fields import require
 from ..analysis.reporting import format_table
 from ..baselines.ideal import IdealTrainer
 from ..baselines.single_device import DEFAULT_TERMINATION_HOURS, SingleDeviceTrainer
@@ -62,8 +63,11 @@ class VQEExperimentConfig:
     record_every: int = 1
 
     def __post_init__(self) -> None:
-        if self.epochs < 1 or self.eqc_runs < 1:
-            raise ValueError("epochs and eqc_runs must be >= 1")
+        for name in ("epochs", "shots", "eqc_runs", "record_every"):
+            require(self, name, getattr(self, name), low=1, integer=True)
+        for name in ("learning_rate", "max_single_device_hours"):
+            require(self, name, getattr(self, name), low=0.0, open_low=True)
+        require(self, "seed", self.seed, low=0, integer=True)
 
 
 @dataclass

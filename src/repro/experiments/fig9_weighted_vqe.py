@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
+from .._fields import require
 from ..analysis.reporting import format_table
 from ..baselines.ideal import IdealTrainer
 from ..core.ensemble import EQCConfig, EQCEnsemble
@@ -49,6 +50,12 @@ class WeightedVQEConfig:
     seed: int = 7
     record_every: int = 1
     run_ideal_reference: bool = True
+
+    def __post_init__(self) -> None:
+        for name in ("epochs", "shots", "record_every"):
+            require(self, name, getattr(self, name), low=1, integer=True)
+        require(self, "learning_rate", self.learning_rate, low=0.0, open_low=True)
+        require(self, "seed", self.seed, low=0, integer=True)
 
 
 @dataclass

@@ -14,10 +14,10 @@ chaos runs can be compared transition-for-transition (the determinism pin of
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 
+from .._fields import require
 from ..telemetry import TELEMETRY as _telemetry
 
 __all__ = ["BreakerState", "BreakerTransition", "DeviceHealthTracker"]
@@ -67,16 +67,11 @@ class DeviceHealthTracker:
         max_reopens: int = 8,
         max_transitions: int = 10000,
     ) -> None:
-        if failure_threshold < 1:
-            raise ValueError("failure_threshold must be >= 1")
-        if not (math.isfinite(recovery_seconds) and recovery_seconds > 0):
-            raise ValueError("recovery_seconds must be finite and positive")
-        if probe_successes < 1:
-            raise ValueError("probe_successes must be >= 1")
-        if max_reopens < 1:
-            raise ValueError("max_reopens must be >= 1")
-        if max_transitions < 1:
-            raise ValueError("max_transitions must be >= 1")
+        require(self, "recovery_seconds", recovery_seconds, low=0.0, open_low=True)
+        require(self, "failure_threshold", failure_threshold, low=1, integer=True)
+        require(self, "probe_successes", probe_successes, low=1, integer=True)
+        require(self, "max_reopens", max_reopens, low=1, integer=True)
+        require(self, "max_transitions", max_transitions, low=1, integer=True)
         self.failure_threshold = int(failure_threshold)
         self.recovery_seconds = float(recovery_seconds)
         self.probe_successes = int(probe_successes)

@@ -22,6 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from .._fields import require
+
 __all__ = ["OutageWindow", "FaultPlan"]
 
 
@@ -29,9 +31,9 @@ __all__ = ["OutageWindow", "FaultPlan"]
 class OutageWindow:
     """One device outage: ``[start, start + duration)`` (or forever).
 
-    ``permanent=True`` (or ``duration=inf``) models a device that never
-    comes back — the fleet-shrink scenario the paper's ensemble argument is
-    ultimately about.
+    ``start >= 0`` and ``duration > 0``; ``permanent=True`` (or ``duration=inf``,
+    the one infinity allowed) models a device that never comes back — the
+    fleet-shrink scenario the paper's ensemble argument is ultimately about.
     """
 
     device: str
@@ -42,10 +44,9 @@ class OutageWindow:
     def __post_init__(self) -> None:
         if not self.device:
             raise ValueError("an outage window needs a device name")
-        if self.start < 0:
-            raise ValueError("outage start must be non-negative")
-        if self.duration <= 0:
-            raise ValueError("outage duration must be positive")
+        require(self, "start", self.start, low=0.0)
+        if self.duration != math.inf:  # inf is a permanent outage
+            require(self, "duration", self.duration, low=0.0, open_low=True)
         if self.permanent and math.isfinite(self.duration):
             # Normalize: a permanent outage has no end.
             object.__setattr__(self, "duration", float("inf"))
@@ -73,7 +74,7 @@ class FaultPlan:
         result_timeout_rate: probability that a successfully executed job's
             results are delayed by ``result_delay_seconds`` before becoming
             visible (a per-job deadline turns the delay into a failure).
-        result_delay_seconds: size of one injected result delay.
+        result_delay_seconds: size of one injected result delay (finite, > 0).
         calibration_blackouts: windows during which a device's published
             properties freeze at their window-start values, so client
             ``PCorrect`` estimates go stale.
@@ -92,12 +93,10 @@ class FaultPlan:
         object.__setattr__(
             self, "calibration_blackouts", tuple(self.calibration_blackouts)
         )
-        if not 0.0 <= self.transient_failure_rate < 1.0:
-            raise ValueError("transient_failure_rate must be within [0, 1)")
-        if not 0.0 <= self.result_timeout_rate < 1.0:
-            raise ValueError("result_timeout_rate must be within [0, 1)")
-        if self.result_delay_seconds <= 0:
-            raise ValueError("result_delay_seconds must be positive")
+        require(self, "seed", self.seed, low=0, integer=True)
+        for name in ("transient_failure_rate", "result_timeout_rate"):
+            require(self, name, getattr(self, name), low=0.0, high=1.0, open_high=True)
+        require(self, "result_delay_seconds", self.result_delay_seconds, low=0.0, open_low=True)
 
     # ------------------------------------------------------------------
     @property

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .._fields import require
 
 __all__ = ["RetryPolicy", "DEFAULT_RETRY_POLICY"]
 
@@ -15,11 +16,11 @@ class RetryPolicy:
     """How the provider retries transiently failing jobs.
 
     Attributes:
-        max_attempts: total attempts per job (first try included).
-        base_backoff_seconds: wait after the first failure.
-        backoff_multiplier: exponential growth factor between attempts.
-        max_backoff_seconds: cap on any single backoff wait.
-        jitter_fraction: relative jitter band; the actual wait is
+        max_attempts: total attempts per job (first try included), >= 1.
+        base_backoff_seconds: wait after the first failure (>= 0).
+        backoff_multiplier: exponential growth factor between attempts (>= 1).
+        max_backoff_seconds: cap on any single backoff wait (>= the base).
+        jitter_fraction: relative jitter band in [0, 1); the actual wait is
             ``backoff * (1 + jitter_fraction * u)`` with ``u ~ U(-1, 1)``
             drawn from the injector's per-device retry stream, so jitter is
             deterministic given ``(plan, seed)``.
@@ -37,19 +38,13 @@ class RetryPolicy:
     deadline_seconds: float | None = None
 
     def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-        if self.base_backoff_seconds < 0:
-            raise ValueError("base_backoff_seconds must be non-negative")
-        if self.backoff_multiplier < 1.0:
-            raise ValueError("backoff_multiplier must be >= 1")
-        if self.max_backoff_seconds < self.base_backoff_seconds:
-            raise ValueError("max_backoff_seconds must be >= base_backoff_seconds")
-        if not 0.0 <= self.jitter_fraction < 1.0:
-            raise ValueError("jitter_fraction must be within [0, 1)")
-        deadline = self.deadline_seconds
-        if deadline is not None and not (math.isfinite(deadline) and deadline > 0):
-            raise ValueError("deadline_seconds must be finite and positive")
+        require(self, "max_attempts", self.max_attempts, low=1, integer=True)
+        base = require(self, "base_backoff_seconds", self.base_backoff_seconds, low=0.0)
+        require(self, "backoff_multiplier", self.backoff_multiplier, low=1.0)
+        require(self, "max_backoff_seconds", self.max_backoff_seconds, low=base)
+        require(self, "jitter_fraction", self.jitter_fraction, low=0.0, high=1.0, open_high=True)
+        if self.deadline_seconds is not None:
+            require(self, "deadline_seconds", self.deadline_seconds, low=0.0, open_low=True)
 
     # ------------------------------------------------------------------
     def backoff_seconds(self, attempt: int, rng: np.random.Generator) -> float:

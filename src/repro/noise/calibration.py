@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping
 
+from .._fields import require
 from ..reduction import ordered_sum
 
 __all__ = ["QubitCalibration", "GateCalibration", "CalibrationSnapshot"]
@@ -28,8 +29,8 @@ class QubitCalibration:
     """Reported calibration data for a single physical qubit.
 
     Attributes:
-        t1: relaxation time constant, seconds.
-        t2: dephasing time constant, seconds (``t2 <= 2 * t1``).
+        t1: relaxation time constant, seconds (finite, > 0).
+        t2: dephasing time constant, seconds (``0 < t2 <= 2 * t1``).
         readout_p01: probability of reading 1 when the qubit held 0.
         readout_p10: probability of reading 0 when the qubit held 1.
         frequency: qubit transition frequency, Hz (informational).
@@ -44,14 +45,12 @@ class QubitCalibration:
     anharmonicity: float = -0.33e9
 
     def __post_init__(self) -> None:
-        if self.t1 <= 0 or self.t2 <= 0:
-            raise ValueError("T1 and T2 must be positive")
-        if self.t2 > 2 * self.t1 + 1e-15:
-            raise ValueError("unphysical calibration: T2 exceeds 2*T1")
-        for name in ("readout_p01", "readout_p10"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name}={value} outside [0, 1]")
+        require(self, "t1", self.t1, low=0.0, open_low=True)
+        require(self, "t2", self.t2, low=0.0, high=2 * self.t1 + 1e-15, open_low=True)
+        require(self, "readout_p01", self.readout_p01, low=0.0, high=1.0)
+        require(self, "readout_p10", self.readout_p10, low=0.0, high=1.0)
+        require(self, "frequency", self.frequency)
+        require(self, "anharmonicity", self.anharmonicity)
 
     @property
     def readout_error(self) -> float:
@@ -61,16 +60,14 @@ class QubitCalibration:
 
 @dataclass(frozen=True)
 class GateCalibration:
-    """Reported error rate and duration for one gate (or gate family)."""
+    """Reported error rate in [0, 1] and duration >= 0 for one gate (or family)."""
 
     error: float
     duration: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.error <= 1.0:
-            raise ValueError(f"gate error {self.error} outside [0, 1]")
-        if self.duration < 0:
-            raise ValueError("gate duration must be non-negative")
+        require(self, "error", self.error, low=0.0, high=1.0)
+        require(self, "duration", self.duration, low=0.0)
 
     @property
     def fidelity(self) -> float:

@@ -27,6 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .._fields import require
+
 __all__ = ["DriftProfile", "DriftModel"]
 
 _TWO_PI = 2.0 * math.pi
@@ -38,14 +40,14 @@ class DriftProfile:
 
     Attributes:
         drift_rate: fractional error growth per hour since calibration
-            (0.02 means errors are 2% worse per hour).
+            (0.02 means errors are 2% worse per hour), >= 0.
         oscillation_amplitude: amplitude of the slow periodic swing
-            (fraction of the base error level).
-        oscillation_period_hours: period of the slow swing.
+            (fraction of the base error level), >= 0.
+        oscillation_period_hours: period of the slow swing, > 0.
         burst_probability: probability per calibration cycle that the device
             experiences a noise burst window.
-        burst_magnitude: multiplicative error inflation during a burst.
-        burst_duration_hours: length of a burst window.
+        burst_magnitude: multiplicative error inflation during a burst, >= 1.
+        burst_duration_hours: length of a burst window, > 0.
     """
 
     drift_rate: float = 0.02
@@ -56,18 +58,12 @@ class DriftProfile:
     burst_duration_hours: float = 4.0
 
     def __post_init__(self) -> None:
-        if self.drift_rate < 0:
-            raise ValueError("drift_rate must be non-negative")
-        if self.oscillation_amplitude < 0:
-            raise ValueError("oscillation_amplitude must be non-negative")
-        if not (math.isfinite(self.oscillation_period_hours) and self.oscillation_period_hours > 0):
-            raise ValueError("oscillation_period_hours must be finite and positive")
-        if not 0.0 <= self.burst_probability <= 1.0:
-            raise ValueError("burst_probability must be within [0, 1]")
-        if self.burst_magnitude < 1.0:
-            raise ValueError("burst_magnitude must be >= 1")
-        if self.burst_duration_hours <= 0:
-            raise ValueError("burst_duration_hours must be positive")
+        require(self, "drift_rate", self.drift_rate, low=0.0)
+        require(self, "oscillation_amplitude", self.oscillation_amplitude, low=0.0)
+        for name in ("oscillation_period_hours", "burst_duration_hours"):
+            require(self, name, getattr(self, name), low=0.0, open_low=True)
+        require(self, "burst_probability", self.burst_probability, low=0.0, high=1.0)
+        require(self, "burst_magnitude", self.burst_magnitude, low=1.0)
 
 
 class DriftModel:
@@ -129,17 +125,6 @@ class DriftModel:
         )
         params = self._cycle_params[cycle] = (phase, burst_roll, burst_start)
         return params
-
-    def speed_factor(self, hours_since_calibration: float, cycle: int = 0) -> float:
-        """Throughput multiplier (<= 1) at a given calibration age.
-
-        Devices under drift (or mid-burst) also serve jobs more slowly —
-        re-queues, retries and maintenance windows.  The paper reports
-        Toronto swinging from 6.5 to 0.03 epochs/hour; this factor produces
-        that style of slowdown.
-        """
-        factor = self.drift_factor(hours_since_calibration, cycle)
-        return 1.0 / factor
 
     # ------------------------------------------------------------------
     def _cycle_rng(self, cycle: int) -> np.random.Generator:

@@ -12,12 +12,12 @@ fingerprint, just like real recalibrations.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from .._fields import require
 from .calibration import CalibrationSnapshot, GateCalibration, QubitCalibration
 
 __all__ = ["NoiseProfile", "CalibrationGenerator"]
@@ -61,21 +61,11 @@ class NoiseProfile:
 
     def __post_init__(self) -> None:
         for name in ("t1", "t2", "single_qubit_gate_time", "cx_gate_time"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and positive (got {value!r})")
-        for name in ("single_qubit_error", "cx_error", "readout_error"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name}={value} outside [0, 1]")
-        if not (math.isfinite(self.relative_spread) and self.relative_spread >= 0):
-            raise ValueError(
-                f"relative_spread must be finite and non-negative (got {self.relative_spread!r})"
-            )
-        if not 0.0 <= self.crosstalk <= 1.0:
-            raise ValueError("crosstalk must be within [0, 1]")
-        if not math.isfinite(self.coherent_bias):
-            raise ValueError(f"coherent_bias must be finite (got {self.coherent_bias!r})")
+            require(self, name, getattr(self, name), low=0.0, open_low=True)
+        for name in ("single_qubit_error", "cx_error", "readout_error", "crosstalk"):
+            require(self, name, getattr(self, name), low=0.0, high=1.0)
+        require(self, "relative_spread", self.relative_spread, low=0.0)
+        require(self, "coherent_bias", self.coherent_bias)
 
 
 class CalibrationGenerator:

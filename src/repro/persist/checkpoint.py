@@ -47,6 +47,7 @@ from dataclasses import fields, replace
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+from .._fields import require
 from ..telemetry import TELEMETRY as _telemetry
 from .format import (
     CheckpointCorruptError,
@@ -102,10 +103,8 @@ class TrainingCheckpointer:
         injector: "FaultInjector | None" = None,
         resume: bool = False,
     ) -> None:
-        if checkpoint_every < 1:
-            raise ValueError("checkpoint_every must be >= 1")
-        if retention < 1:
-            raise ValueError("retention must be >= 1")
+        require(self, "checkpoint_every", checkpoint_every, low=1, integer=True)
+        require(self, "retention", retention, low=1, integer=True)
         self.run = run
         self.checkpoint_every = int(checkpoint_every)
         self.retention = int(retention)

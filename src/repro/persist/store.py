@@ -131,17 +131,18 @@ def config_from_dict(data: Mapping) -> "EQCConfig":
     queue_models = data["queue_models"]
     plan = data["fault_plan"]
     retry = data["retry_policy"]
+    # Input from disk: numbers go in unconverted, so a constructor refuses a bad one by name.
     return EQCConfig(
         device_names=tuple(data["device_names"]),
-        shots=int(data["shots"]),
-        learning_rate=float(data["learning_rate"]),
+        shots=data["shots"],
+        learning_rate=data["learning_rate"],
         weight_bounds=(
             None
             if bounds is None
-            else WeightBounds(low=float(bounds["low"]), high=float(bounds["high"]))
+            else WeightBounds(low=bounds["low"], high=bounds["high"])
         ),
         refresh_weights=bool(data["refresh_weights"]),
-        seed=int(data["seed"]),
+        seed=data["seed"],
         label=str(data["label"]),
         queue_models=(
             None
@@ -150,17 +151,17 @@ def config_from_dict(data: Mapping) -> "EQCConfig":
                 name: QueueModel(**model) for name, model in queue_models.items()
             }
         ),
-        background_tenants=int(data["background_tenants"]),
-        tenant_jobs_per_hour=float(data["tenant_jobs_per_hour"]),
+        background_tenants=data["background_tenants"],
+        tenant_jobs_per_hour=data["tenant_jobs_per_hour"],
         fault_plan=(
             None
             if plan is None
             else FaultPlan(
-                seed=int(plan["seed"]),
+                seed=plan["seed"],
                 outages=tuple(OutageWindow(**w) for w in plan["outages"]),
-                transient_failure_rate=float(plan["transient_failure_rate"]),
-                result_timeout_rate=float(plan["result_timeout_rate"]),
-                result_delay_seconds=float(plan["result_delay_seconds"]),
+                transient_failure_rate=plan["transient_failure_rate"],
+                result_timeout_rate=plan["result_timeout_rate"],
+                result_delay_seconds=plan["result_delay_seconds"],
                 calibration_blackouts=tuple(
                     OutageWindow(**w) for w in plan["calibration_blackouts"]
                 ),
@@ -168,10 +169,10 @@ def config_from_dict(data: Mapping) -> "EQCConfig":
         ),
         retry_policy=None if retry is None else RetryPolicy(**retry),
         dispatch_deadline=data["dispatch_deadline"],
-        min_live_devices=int(data["min_live_devices"]),
+        min_live_devices=data["min_live_devices"],
         checkpoint_every=data["checkpoint_every"],
         run_store=data["run_store"],
-        checkpoint_retention=int(data["checkpoint_retention"]),
+        checkpoint_retention=data["checkpoint_retention"],
     )
 
 

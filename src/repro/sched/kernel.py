@@ -58,6 +58,7 @@ from typing import Callable
 
 import numpy as np
 
+from .._fields import require
 from ..cloud.clock import VirtualClock
 
 __all__ = ["Event", "EventKernel"]
@@ -125,10 +126,6 @@ class Event:
         if kernel is not None and self._pending:
             kernel._note_cancelled()
 
-    @property
-    def sort_key(self) -> tuple[float, int, int]:
-        return (self.time, self.priority, self.sequence)
-
     def __repr__(self) -> str:
         state = "cancelled" if self.cancelled else "live"
         return (
@@ -175,7 +172,7 @@ class EventKernel:
 
     def __init__(self, clock: VirtualClock | None = None, seed: int = 0) -> None:
         self.clock = clock if clock is not None else VirtualClock()
-        self.seed = int(seed)
+        self.seed = int(require(self, "seed", seed, low=0, integer=True))
         #: Heap of ``(time, priority, sequence, action, payload)`` where the
         #: payload is an :class:`Event` (single, cancellable) or a
         #: :class:`_Run` cursor (batched).  The unique sequence guarantees

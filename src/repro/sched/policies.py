@@ -28,10 +28,10 @@ family.)
 
 from __future__ import annotations
 
-import math
 import zlib
 from typing import Mapping, Sequence
 
+from .._fields import require
 from ..cloud.queueing import StatisticalQueuePolicy
 from .queues import DeviceServiceQueue, SchedJob
 
@@ -199,8 +199,8 @@ class BackpressurePolicy(SchedulingPolicy):
     name = "backpressure"
 
     def __init__(self, low_watermark: int = 8, high_watermark: int = 24) -> None:
-        if not 0 <= low_watermark < high_watermark:
-            raise ValueError("need 0 <= low_watermark < high_watermark")
+        low = require(self, "low_watermark", low_watermark, low=0, integer=True)
+        require(self, "high_watermark", high_watermark, low=low, open_low=True, integer=True)
         self.low_watermark = int(low_watermark)
         self.high_watermark = int(high_watermark)
 
@@ -246,16 +246,14 @@ class DeadlinePolicy(SchedulingPolicy):
         foreground_slack: float = 600.0,
         tier_slacks: Sequence[float] = (900.0, 3600.0, 7200.0),
     ) -> None:
-        tier_slacks = tuple(float(s) for s in tier_slacks)
+        require(self, "foreground_slack", foreground_slack, low=0.0, open_low=True)
+        tier_slacks = tuple(tier_slacks)
         if not tier_slacks:
             raise ValueError("tier_slacks must name at least one tier")
-        slacks = [("foreground_slack", float(foreground_slack))]
-        slacks += [(f"tier_slacks[{i}]", s) for i, s in enumerate(tier_slacks)]
-        for name, value in slacks:
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and positive (got {value!r})")
+        for i, slack in enumerate(tier_slacks):
+            require(self, f"tier_slacks[{i}]", slack, low=0.0, open_low=True)
         self.foreground_slack = float(foreground_slack)
-        self.tier_slacks = tier_slacks
+        self.tier_slacks = tuple(float(s) for s in tier_slacks)
         #: tenant name -> its tier's slack (the hash is stable, so memoized).
         self._tenant_slack: dict[str, float] = {}
 

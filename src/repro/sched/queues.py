@@ -189,9 +189,6 @@ class DeviceServiceQueue:
         estimated = self._slot_estimate * self._waiting_circuits
         return max(0.0, horizon) + estimated
 
-    def in_downtime(self, now: float) -> bool:
-        return float(now) < self.downtime_until
-
     @property
     def dead_since(self) -> float | None:
         """Start of the permanent outage that took the device down for good

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 
+from .._fields import require
 from ..cloud.clock import VirtualClock
 from ..cloud.queueing import QueueModel
 from ..devices.qpu import QPU
@@ -52,6 +53,9 @@ class CloudScheduler:
         downtime_seconds: float = DEFAULT_DOWNTIME_SECONDS,
         max_queue_length: int | None = DEFAULT_MAX_QUEUE_LENGTH,
     ) -> None:
+        require(self, "downtime_seconds", downtime_seconds, low=0.0)
+        if max_queue_length is not None:
+            require(self, "max_queue_length", max_queue_length, low=0, integer=True)
         self.kernel = EventKernel(clock=clock, seed=seed)
         self.policy = resolve_policy(policy)
         self.workload = workload

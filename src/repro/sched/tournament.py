@@ -30,6 +30,7 @@ from dataclasses import dataclass, replace as _dc_replace
 
 import numpy as np
 
+from .._fields import require
 from ..cloud.provider import CloudProvider
 from ..cloud.queueing import QueueModel, queue_model_for
 from ..core.client import EQCClientNode
@@ -106,17 +107,19 @@ class TournamentConfig:
         for axis in ("device_counts", "tenant_levels", "policies"):
             if not getattr(self, axis):
                 raise ValueError(f"{axis} must not be empty")
-        if min(self.device_counts) < 1:
-            raise ValueError(f"device_counts must be >= 1 (got {self.device_counts!r})")
-        if min(self.tenant_levels) < 0:
-            raise ValueError(f"tenant_levels must be >= 0 (got {self.tenant_levels!r})")
+        for count in self.device_counts:
+            require(self, "device_counts", count, low=1, integer=True)
+        for level in self.tenant_levels:
+            require(self, "tenant_levels", level, low=0, integer=True)
         unknown = [name for name in self.policies if name not in POLICY_REGISTRY]
         if unknown:
             raise ValueError(f"policies must be in {sorted(POLICY_REGISTRY)} (got {unknown!r})")
-        if self.num_epochs < 1:
-            raise ValueError(f"num_epochs must be >= 1 (got {self.num_epochs!r})")
-        if not 1 <= self.clients <= min(self.device_counts):
-            raise ValueError(f"clients must be in [1, min(device_counts)] (got {self.clients!r})")
+        require(self, "num_epochs", self.num_epochs, low=1, integer=True)
+        require(self, "clients", self.clients, low=1, high=min(self.device_counts), integer=True)
+        require(self, "jobs_per_tenant_hour", self.jobs_per_tenant_hour, low=0.0, open_low=True)
+        require(self, "seed", self.seed, low=0, integer=True)
+        require(self, "downtime_seconds", self.downtime_seconds, low=0.0)
+        require(self, "max_queue_length", self.max_queue_length, low=0, integer=True)
 
 
 #: The quick grid: 2 policies x 2 tenant loads on one fleet size, 2 epochs.

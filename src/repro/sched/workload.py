@@ -50,11 +50,11 @@ protocol itself is hex-pinned in ``tests/test_sched/test_workload.py``.
 from __future__ import annotations
 
 import copy
-import math
 from typing import TYPE_CHECKING, Collection, NamedTuple
 
 import numpy as np
 
+from .._fields import require
 from ..cloud.clock import SECONDS_PER_HOUR
 from ..cloud.queueing import QueueModel
 from .queues import EVENT_PRIORITY, DeviceServiceQueue, SchedJob
@@ -361,7 +361,7 @@ class WorkloadGenerator:
         num_tenants: size of the simulated community (0 disables traffic).
         jobs_per_tenant_hour: fleet-wide submission rate per tenant before
             popularity/diurnal scaling.
-        circuit_range: inclusive (lo, hi) batch size of one tenant job.
+        circuit_range: inclusive (lo, hi) batch size, ``1 <= lo <= hi``.
         max_priority: tenant jobs draw a priority in [0, max_priority]
             (0 keeps every tenant job at the EQC default priority).
         chunk_refresh_seconds: target simulated span of one vectorized
@@ -387,21 +387,14 @@ class WorkloadGenerator:
         max_chunk: int = 4096,
         spread_load: bool = False,
     ) -> None:
-        if num_tenants < 0:
-            raise ValueError("num_tenants must be non-negative")
-        for name, value in (
-            ("jobs_per_tenant_hour", jobs_per_tenant_hour),
-            ("chunk_refresh_seconds", chunk_refresh_seconds),
-        ):
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and positive (got {value!r})")
+        require(self, "num_tenants", num_tenants, low=0, integer=True)
+        require(self, "jobs_per_tenant_hour", jobs_per_tenant_hour, low=0.0, open_low=True)
+        require(self, "chunk_refresh_seconds", chunk_refresh_seconds, low=0.0, open_low=True)
         lo, hi = circuit_range
-        if not 1 <= lo <= hi:
-            raise ValueError("circuit_range must satisfy 1 <= lo <= hi")
-        if max_priority < 0:
-            raise ValueError("max_priority must be non-negative")
-        if max_chunk < 1:
-            raise ValueError("max_chunk must be at least 1")
+        require(self, "circuit_range[0]", lo, low=1, integer=True)
+        require(self, "circuit_range[1]", hi, low=lo, integer=True)
+        require(self, "max_priority", max_priority, low=0, integer=True)
+        require(self, "max_chunk", max_chunk, low=1, integer=True)
         self.num_tenants = int(num_tenants)
         self.jobs_per_tenant_hour = float(jobs_per_tenant_hour)
         self.circuit_range = (int(lo), int(hi))

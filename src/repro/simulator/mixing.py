@@ -25,13 +25,13 @@ time, as dense density-matrix evolution of full gate unitaries, in
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
+from .._fields import require
 from ..circuit.circuit import QuantumCircuit
 from ..circuit.sweep import ParameterSweep
 from ..engine import execute_program, lower_batch, marginal_probabilities
@@ -67,17 +67,12 @@ class MixingNoiseSpec:
     per_qubit_readout: tuple[tuple[float, float], ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.success_probability <= 1.0:
-            raise ValueError("success_probability must be within [0, 1]")
-        for name in ("readout_p01", "readout_p10"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name}={value} outside [0, 1]")
-        for p01, p10 in self.per_qubit_readout:
-            if not (0.0 <= p01 <= 1.0 and 0.0 <= p10 <= 1.0):
-                raise ValueError("per_qubit_readout probabilities outside [0, 1]")
-        if not math.isfinite(self.coherent_bias):
-            raise ValueError(f"coherent_bias must be finite (got {self.coherent_bias!r})")
+        for name in ("success_probability", "readout_p01", "readout_p10"):
+            require(self, name, getattr(self, name), low=0.0, high=1.0)
+        for pair in self.per_qubit_readout:
+            for p in pair:
+                require(self, "per_qubit_readout", p, low=0.0, high=1.0)
+        require(self, "coherent_bias", self.coherent_bias)
 
 
 @dataclass(frozen=True, eq=False)

@@ -26,6 +26,8 @@ import json
 import time
 from typing import Mapping, Sequence
 
+from .._fields import require
+
 __all__ = ["Tracer", "SIM_PID", "validate_chrome_trace"]
 
 #: Chrome pid hosting the wall-clock spans.
@@ -62,7 +64,7 @@ class Tracer:
     """Collects spans and exports them as Chrome trace events."""
 
     def __init__(self, max_events: int = 200_000) -> None:
-        self.max_events = int(max_events)
+        self.max_events = int(require(self, "max_events", max_events, low=0, integer=True))
         self.dropped = 0
         self._events: list[dict] = []
 

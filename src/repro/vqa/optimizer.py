@@ -11,11 +11,12 @@ where the gradient may have been computed from a stale parameter snapshot
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
+
+from .._fields import require
 
 __all__ = ["AsgdRule", "ParameterVectorState", "clip_gradient", "initial_parameters"]
 
@@ -37,18 +38,17 @@ class AsgdRule:
     """The (weighted) asynchronous SGD update rule.
 
     Attributes:
-        learning_rate: the step size ``alpha`` (paper uses 0.1).
-        gradient_bound: optional clamp on the incoming gradient (0 = off).
+        learning_rate: the step size ``alpha`` (paper uses 0.1); finite, > 0.
+        gradient_bound: optional clamp on the incoming gradient (0 = off);
+            finite, >= 0.
     """
 
     learning_rate: float = 0.1
     gradient_bound: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ValueError("learning_rate must be finite and positive")
-        if self.gradient_bound < 0:
-            raise ValueError("gradient_bound must be non-negative")
+        require(self, "learning_rate", self.learning_rate, low=0.0, open_low=True)
+        require(self, "gradient_bound", self.gradient_bound, low=0.0)
 
     def step(self, value: float, gradient: float, weight: float = 1.0) -> float:
         """Apply one update to a single parameter (paper Eq. 4 / Eq. 12)."""

@@ -151,12 +151,6 @@ class TestTransformations:
         with pytest.raises(ValueError):
             QuantumCircuit(2).compose(QuantumCircuit(3))
 
-    def test_remap_qubits(self):
-        qc = QuantumCircuit(2).cx(0, 1)
-        remapped = qc.remap_qubits({0: 4, 1: 2}, num_qubits=5)
-        assert remapped.num_qubits == 5
-        assert remapped.instructions[0].qubits == (4, 2)
-
     def test_without_measurements(self):
         qc = QuantumCircuit(2).h(0).measure_all()
         stripped = qc.without_measurements()

@@ -78,10 +78,6 @@ class TestInstruction:
         inst = Instruction("ry", (0,), (0.5,))
         assert inst.bind({}) is inst
 
-    def test_remap(self):
-        inst = Instruction("cx", (0, 1)).remap({0: 3, 1: 2})
-        assert inst.qubits == (3, 2)
-
 
 class TestGateMatrices:
     @pytest.mark.parametrize("name", ["id", "x", "y", "z", "h", "s", "sdg", "t", "sx"])

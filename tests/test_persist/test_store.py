@@ -204,3 +204,48 @@ class TestConfigValidation:
         assert make_config(
             checkpoint_every=2, run_store=str(tmp_path)
         ).checkpointing_enabled
+
+
+#: Every numeric knob set, nested ones included, so each is a manifest leaf.
+MANIFEST_CONFIG = make_config(
+    device_names=("x2", "Belem", "Bogota"),
+    weight_bounds=WeightBounds(low=0.4, high=1.6),
+    queue_models={"x2": QueueModel(mean_wait_seconds=180.0, popularity=0.8)},
+    fault_plan=FaultPlan(
+        transient_failure_rate=0.1,
+        outages=(OutageWindow(device="Belem", start=1.0, duration=2.0),),
+        calibration_blackouts=(OutageWindow(device="x2", start=3.0, duration=4.0),),
+        seed=9,
+    ),
+    retry_policy=RetryPolicy(max_attempts=5, deadline_seconds=3600.0),
+    dispatch_deadline=7200.0,
+    checkpoint_every=2,
+    run_store="runs",
+)
+
+
+def numeric_leaves(node, path=()):
+    """``(path, key)`` of every number in a serialized config, depth first."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        if isinstance(value, (dict, list)):
+            yield from numeric_leaves(value, path + (key,))
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            yield path + (key,)
+
+
+@pytest.mark.parametrize(
+    "leaf",
+    list(numeric_leaves(config_to_dict(MANIFEST_CONFIG))),
+    ids=lambda leaf: ".".join(map(str, leaf)),
+)
+def test_a_non_finite_manifest_number_is_refused_by_its_field_name(leaf):
+    """A manifest is input from disk: NaN used to pass for some fields and
+    fail as ``cannot convert float NaN to integer`` for others."""
+    data = json.loads(json.dumps(config_to_dict(MANIFEST_CONFIG)))
+    node = data
+    for key in leaf[:-1]:
+        node = node[key]
+    node[leaf[-1]] = float("nan")
+    with pytest.raises(ValueError, match=f"^{leaf[-1]} "):
+        config_from_dict(data)

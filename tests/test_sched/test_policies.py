@@ -236,8 +236,6 @@ class TestDeadlinePolicy:
             ({"tier_slacks": ()}, "tier_slacks"),
             ({"tier_slacks": (900.0, float("nan"))}, r"tier_slacks\[1\]"),
             ({"tier_slacks": (float("inf"),)}, r"tier_slacks\[0\]"),
-            ({"foreground_slack": float("nan")}, "foreground_slack"),
-            ({"foreground_slack": float("inf")}, "foreground_slack"),
         ],
     )
     def test_rejects_an_empty_or_non_finite_tier_table_by_name(self, kwargs, field):

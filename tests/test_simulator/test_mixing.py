@@ -44,9 +44,6 @@ class TestMixingNoiseSpec:
     @pytest.mark.parametrize(
         "field, value",
         [
-            ("coherent_bias", float("nan")),
-            ("coherent_bias", float("inf")),
-            ("coherent_bias", float("-inf")),
             pytest.param("per_qubit_readout", ((1.5, 0.0),), id="per_qubit_readout-1.5"),
             pytest.param("per_qubit_readout", ((0.01, float("nan")),), id="per_qubit_readout-nan"),
         ],
