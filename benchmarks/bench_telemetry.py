@@ -28,7 +28,7 @@ from _common import bench_json_path, bench_main, write_bench_json
 from repro import EQCConfig, EQCEnsemble, EnergyObjective
 from repro.circuit import hardware_efficient_ansatz
 from repro.engine import compile_circuit, execute_program
-from repro.engine.executor import _execute_block, _resolve_dtype
+from repro.engine.executor import _execute_block
 from repro.telemetry import (
     TELEMETRY,
     run_report,
@@ -48,8 +48,8 @@ REQUIRED_CATEGORIES = {"engine", "sched", "eqc"}
 BENCH_PATH = bench_json_path("telemetry")
 
 
-def _baseline_execute(program, thetas) -> np.ndarray:
-    """Pre-telemetry ``execute_program`` (untiled path), branch-for-branch.
+def _baseline_execute(program, thetas, blocks=None) -> np.ndarray:
+    """Pre-telemetry ``execute_program``, branch-for-branch.
 
     Identical input validation and dispatch into the shared
     :func:`_execute_block` kernel, with the telemetry enabled-check removed —
@@ -58,7 +58,12 @@ def _baseline_execute(program, thetas) -> np.ndarray:
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     if thetas.shape[1] != program.num_slots:
         raise ValueError("slot count mismatch")
-    return _execute_block(program, thetas, _resolve_dtype(None))
+    size = thetas.shape[0]
+    if size % program.stride:
+        raise ValueError("rows are not whole points")
+    if blocks is not None and (sum(blocks) != size or any(b % program.stride for b in blocks)):
+        raise ValueError("blocks are not whole points")
+    return _execute_block(program, thetas, blocks)
 
 
 def measure_disabled_overhead(samples: int) -> dict:

@@ -24,7 +24,6 @@ import numpy as np
 from ..circuit.circuit import QuantumCircuit
 from ..circuit.sweep import ParameterSweep
 from ..engine import execute_program, lower_batch, marginal_probabilities
-from ..engine.cache import ProgramCache, shared_program_cache
 from ..simulator.result import ExecutionResult
 from ..simulator.sampler import sample_distribution
 from .base import check_shots, measured_register, normalize_batch
@@ -35,21 +34,14 @@ __all__ = ["StatevectorBackend"]
 class StatevectorBackend:
     """Ideal (noise-free) execution backend."""
 
-    def __init__(
-        self,
-        name: str = "statevector",
-        program_cache: ProgramCache | None = None,
-    ) -> None:
+    def __init__(self, name: str = "statevector") -> None:
         self.name = name
-        self.program_cache = (
-            program_cache if program_cache is not None else shared_program_cache()
-        )
 
     def _distributions(
         self, batch: Sequence[QuantumCircuit] | ParameterSweep
     ) -> tuple[list[np.ndarray], int]:
         """Measured-register distributions in flat order, and the group count."""
-        groups = lower_batch(batch, self.program_cache)
+        groups = lower_batch(batch)
         out: list[np.ndarray | None] = [None] * len(batch)
         for program, thetas, circuit, positions in groups:
             states = execute_program(program, thetas)

@@ -259,8 +259,8 @@ class EQCEnsemble:
         :class:`~repro.persist.TrainingCheckpointer`); user code never
         passes it.
         """
-        if record_every < 1:
-            raise ValueError("record_every must be >= 1")
+        require(self, "num_epochs", num_epochs, low=1, integer=True)
+        require(self, "record_every", record_every, low=1, integer=True)
         theta = checked_initial_parameters(self.objective, initial_parameters)
         queue = task_queue or vqe_task_cycle(self.objective.num_parameters)
         checkpointer = _checkpointer

@@ -223,13 +223,11 @@ class EQCMasterNode:
         trajectory is bit-identical with or without it.
         """
         if target_updates is None:
-            if num_epochs is None or num_epochs < 1:
-                raise ValueError("num_epochs must be >= 1")
+            require(self, "num_epochs", num_epochs, low=1, integer=True)
             target_updates = num_epochs * self.cycle_length
-        elif target_updates < 1:
-            raise ValueError("target_updates must be >= 1")
-        if record_every < 1:
-            raise ValueError("record_every must be >= 1")
+        else:
+            require(self, "target_updates", target_updates, low=1, integer=True)
+        require(self, "record_every", record_every, low=1, integer=True)
 
         history = TrainingHistory(
             label=self.label,

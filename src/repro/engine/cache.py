@@ -28,7 +28,7 @@ __all__ = ["ProgramCache", "shared_program_cache"]
 class ProgramCache:
     """A structure-keyed cache of :class:`GateProgram` objects."""
 
-    def __init__(self, *, fuse: bool = True, diagonals: bool = True) -> None:
+    def __init__(self) -> None:
         self._entries: dict[tuple, GateProgram] = {}
         #: Merged programs, keyed by the identities of the cached programs
         #: they fold (stable for as long as ``_entries`` holds those).
@@ -38,8 +38,6 @@ class ProgramCache:
         self._plans: weakref.WeakKeyDictionary[QuantumCircuit, tuple] = (
             weakref.WeakKeyDictionary()
         )
-        self._fuse = fuse
-        self._diagonals = diagonals
         self.hits = 0
         self.misses = 0
 
@@ -67,7 +65,7 @@ class ProgramCache:
             return program
         self.misses += 1
         start = time.perf_counter() if _telemetry.enabled else 0.0
-        program = compile_circuit(circuit, fuse=self._fuse, diagonals=self._diagonals)
+        program = compile_circuit(circuit)
         self._entries[key] = program
         if _telemetry.enabled:
             registry = _telemetry.registry

@@ -158,23 +158,13 @@ class _RunBuilder:
             self.elements.append(RunElement(None, gate=name, slot=slot))
 
 
-def compile_circuit(
-    circuit: QuantumCircuit,
-    *,
-    fuse: bool = True,
-    diagonals: bool = True,
-) -> GateProgram:
+def compile_circuit(circuit: QuantumCircuit) -> GateProgram:
     """Lower a circuit structure into a flat numeric gate program.
 
     Parameter *values* are ignored entirely: every parameterized gate becomes
     a runtime slot, so one program serves any binding of the same structure.
     Measurement and barrier directives are skipped (the executor produces the
     full final state; callers marginalize over the measured register).
-
-    Args:
-        fuse: enable adjacent-gate fusion and diagonal-region merging.
-        diagonals: represent diagonal gates as elementwise phase ops (when
-            off they are applied as matrices like any other gate).
     """
     n = circuit.num_qubits
     builders: list[_DiagBuilder | _RunBuilder] = []
@@ -195,36 +185,30 @@ def compile_circuit(
             slot_positions.append(position)
             slot_gates.append(name)
 
-        if diagonals and name in DIAGONAL_GATES:
-            placed = False
-            if fuse:
-                run = _matching_run(owner, qubits)
-                if run is not None:
-                    run.add(name, slot, qubits)
-                    placed = True
-                elif open_diag is not None and all(
-                    owner.get(q) is None
-                    or owner[q] is open_diag
-                    or owner[q].seq < open_diag.seq
-                    for q in qubits
-                ):
-                    open_diag.add(name, slot, qubits)
-                    for q in qubits:
-                        owner[q] = open_diag
-                    placed = True
-            if not placed:
-                diag = _DiagBuilder(len(builders), n)
-                builders.append(diag)
-                diag.add(name, slot, qubits)
+        if name in DIAGONAL_GATES:
+            run = _matching_run(owner, qubits)
+            if run is not None:
+                run.add(name, slot, qubits)
+            elif open_diag is not None and all(
+                owner.get(q) is None
+                or owner[q] is open_diag
+                or owner[q].seq < open_diag.seq
+                for q in qubits
+            ):
+                open_diag.add(name, slot, qubits)
                 for q in qubits:
-                    owner[q] = diag
-                if fuse:
-                    open_diag = diag
+                    owner[q] = open_diag
+            else:
+                open_diag = _DiagBuilder(len(builders), n)
+                builders.append(open_diag)
+                open_diag.add(name, slot, qubits)
+                for q in qubits:
+                    owner[q] = open_diag
             continue
 
         # matrix path ----------------------------------------------------
         if len(qubits) == 1:
-            target = owner.get(qubits[0]) if fuse else None
+            target = owner.get(qubits[0])
             if isinstance(target, _RunBuilder) and qubits[0] in target.qubits:
                 target.add(name, slot, qubits)
             else:
@@ -233,38 +217,37 @@ def compile_circuit(
                 run.add(name, slot, qubits)
                 owner[qubits[0]] = run
         else:
-            run = _matching_run(owner, qubits) if fuse else None
+            run = _matching_run(owner, qubits)
             if run is not None:
                 run.add(name, slot, qubits)
             else:
                 run = _RunBuilder(len(builders), qubits)
                 builders.append(run)
-                if fuse:
-                    # Absorb pending single-qubit runs on either wire: their
-                    # factors commute past everything between them and this
-                    # op (nothing else touches the wire — they still own it).
-                    for wire in qubits:
-                        pending = owner.get(wire)
-                        if isinstance(pending, _RunBuilder) and pending.qubits == (wire,):
-                            position_in_pair = qubits.index(wire)
-                            for element in pending.elements:
-                                if element.matrix is not None:
-                                    lifted = (
-                                        np.kron(element.matrix, np.eye(2))
-                                        if position_in_pair == 0
-                                        else np.kron(np.eye(2), element.matrix)
+                # Absorb pending single-qubit runs on either wire: their
+                # factors commute past everything between them and this
+                # op (nothing else touches the wire — they still own it).
+                for wire in qubits:
+                    pending = owner.get(wire)
+                    if isinstance(pending, _RunBuilder) and pending.qubits == (wire,):
+                        position_in_pair = qubits.index(wire)
+                        for element in pending.elements:
+                            if element.matrix is not None:
+                                lifted = (
+                                    np.kron(element.matrix, np.eye(2))
+                                    if position_in_pair == 0
+                                    else np.kron(np.eye(2), element.matrix)
+                                )
+                                run.append_const(lifted)
+                            else:
+                                run.elements.append(
+                                    RunElement(
+                                        None,
+                                        gate=element.gate,
+                                        slot=element.slot,
+                                        lift=position_in_pair,
                                     )
-                                    run.append_const(lifted)
-                                else:
-                                    run.elements.append(
-                                        RunElement(
-                                            None,
-                                            gate=element.gate,
-                                            slot=element.slot,
-                                            lift=position_in_pair,
-                                        )
-                                    )
-                            pending.dead = True
+                                )
+                        pending.dead = True
                 run.add(name, slot, qubits)
                 for q in qubits:
                     owner[q] = run

@@ -16,7 +16,7 @@ import numpy as np
 
 from ..circuit.circuit import QuantumCircuit
 from ..circuit.sweep import ParameterSweep
-from .cache import ProgramCache, shared_program_cache
+from .cache import shared_program_cache
 from .program import GateProgram, plan_slot_values, slot_values_from_circuits
 
 __all__ = ["lower_batch"]
@@ -24,7 +24,6 @@ __all__ = ["lower_batch"]
 
 def lower_batch(
     batch: Sequence[QuantumCircuit] | ParameterSweep,
-    cache: ProgramCache | None = None,
 ) -> list[tuple[GateProgram, np.ndarray, QuantumCircuit, list[int]]]:
     """A batch as ``(program, slot angles, representative, positions)`` groups.
 
@@ -46,7 +45,7 @@ def lower_batch(
     Raises:
         ValueError: on an empty batch or a circuit with unbound parameters.
     """
-    cache = cache if cache is not None else shared_program_cache()
+    cache = shared_program_cache()
     if not isinstance(batch, ParameterSweep):
         circuits = list(batch)
         if not circuits:

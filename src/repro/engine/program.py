@@ -142,10 +142,18 @@ class GateProgram:
         return len(self.ops)
 
     @cached_property
-    def lead_states(self) -> dict[np.dtype, np.ndarray]:
-        """The read-only state ``ops[:lead]`` reach from ``|0...0>``, per
-        execution dtype (filled on first use by the executor)."""
-        return {}
+    def lead_state(self) -> np.ndarray:
+        """The read-only state ``ops[:lead]`` reach from ``|0...0>``, built on
+        first use as a one-row pass (those ops read no angle)."""
+        from .executor import _apply_ops  # the executor imports this module
+
+        start = np.zeros((1, self.dim), dtype=complex)
+        start[0, 0] = 1.0
+        lead = PassPlan.of(self.ops[: self.lead])
+        thetas = np.zeros((1, self.num_slots))
+        state = _apply_ops(lead, start, thetas, [slice(0, 1)], self.num_qubits)[0]
+        state.setflags(write=False)
+        return state
 
     @cached_property
     def pass_plans(self) -> tuple["PassPlan", tuple["PassPlan", ...]]:

@@ -24,7 +24,7 @@ from .fig12_weighted_qaoa import (
     render_fig12,
     run_fig12_weighted_qaoa,
 )
-from .speedup import render_speedup, run_speedup_summary, speedup_from_result
+from .speedup import render_speedup, speedup_from_result
 from .table1 import render_table1, table1_rows
 
 __all__ = [
@@ -60,7 +60,6 @@ __all__ = [
     "run_fig12_weighted_qaoa",
     "render_fig12",
     "speedup_from_result",
-    "run_speedup_summary",
     "render_speedup",
     "run_weight_refresh_ablation",
     "run_ensemble_size_sweep",

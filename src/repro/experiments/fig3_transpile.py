@@ -48,14 +48,12 @@ class TranspilationRow:
         }
 
 
-def fig3_transpilation(
-    device_names: Sequence[str] = DEFAULT_DEVICES,
-    include_vqe_ansatz: bool = True,
-) -> list[TranspilationRow]:
-    """Transpile the demo circuit (and the VQE ansatz) onto each device."""
-    circuits = [("fig3_demo", linear_entangler_demo(4))]
-    if include_vqe_ansatz:
-        circuits.append(("fig8_vqe_ansatz", hardware_efficient_ansatz(4)))
+def fig3_transpilation(device_names: Sequence[str] = DEFAULT_DEVICES) -> list[TranspilationRow]:
+    """Transpile the demo circuit and the VQE ansatz onto each device."""
+    circuits = [
+        ("fig3_demo", linear_entangler_demo(4)),
+        ("fig8_vqe_ansatz", hardware_efficient_ansatz(4)),
+    ]
 
     rows: list[TranspilationRow] = []
     for name in device_names:

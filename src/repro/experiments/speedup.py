@@ -7,24 +7,16 @@ computes the analogous statistics from a Fig. 6 experiment result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..analysis.metrics import SpeedupSummary, speedup_summary
 from ..analysis.reporting import format_kv, format_table
-from .fig6_vqe import VQEExperimentConfig, VQEExperimentResult, run_fig6_vqe
+from .fig6_vqe import VQEExperimentResult
 
-__all__ = ["speedup_from_result", "run_speedup_summary", "render_speedup"]
+__all__ = ["speedup_from_result", "render_speedup"]
 
 
 def speedup_from_result(result: VQEExperimentResult) -> SpeedupSummary:
     """Speedup statistics of the first EQC run against every single device."""
     return speedup_summary(result.eqc_mean_history, list(result.singles.values()))
-
-
-def run_speedup_summary(config: VQEExperimentConfig | None = None) -> SpeedupSummary:
-    """Run a Fig. 6 experiment and summarize its speedups."""
-    result = run_fig6_vqe(config)
-    return speedup_from_result(result)
 
 
 def render_speedup(summary: SpeedupSummary) -> str:

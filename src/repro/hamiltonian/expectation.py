@@ -142,27 +142,17 @@ class EnergyEstimator:
             self._compiled = compiled
         return self._compiled
 
-    def exact_energies(
-        self,
-        theta_matrix: np.ndarray,
-        *,
-        dtype=None,
-        tile: int | None = None,
-    ) -> np.ndarray:
+    def exact_energies(self, theta_matrix: np.ndarray) -> np.ndarray:
         """Noise-free energies at every row of a ``(points, P)`` matrix.
 
         One compiled pass per measurement group; Z-diagonalized Pauli terms
         are evaluated through precomputed sign weights instead of per-qubit
-        axis moves.  Agrees with :meth:`exact_energy` to ~1e-14 (complex64
-        mode to ~1e-5), and the energy accumulator stays float64 in every
-        mode.
+        axis moves.  Agrees with :meth:`exact_energy` to ~1e-14.
         """
         theta = np.atleast_2d(np.asarray(theta_matrix, dtype=float))
         energies = np.zeros(theta.shape[0], dtype=float)
         for program, plan, weights in self._compiled_groups():
-            states = execute_program(
-                program, plan_slot_values(plan, theta), dtype=dtype, tile=tile
-            )
+            states = execute_program(program, plan_slot_values(plan, theta))
             energies += (np.abs(states) ** 2) @ weights
         return energies
 

@@ -188,8 +188,7 @@ class CalibrationSnapshot:
         shorter coherence).  Used by the drift model to produce the
         *effective* (unreported) calibration between calibration events.
         """
-        if factor <= 0:
-            raise ValueError("scale factor must be positive")
+        require(self, "factor", factor, low=0, open_low=True)
 
         def clamp(p: float) -> float:
             return min(1.0, max(0.0, p))

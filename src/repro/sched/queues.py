@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
+from .._fields import require
 from ..cloud.clock import SECONDS_PER_HOUR
 from ..cloud.queueing import QueueModel
 from ..devices.qpu import QPU, job_slot_circuit_seconds
@@ -261,10 +262,9 @@ class DeviceServiceQueue:
         in service when the window opens is cut and requeued at the head of
         the waiting list, to restart from scratch once the device returns.
         """
-        if start < 0:
-            raise ValueError("outage start must be non-negative")
-        if duration <= 0:
-            raise ValueError("outage duration must be positive")
+        require(self, "start", start, low=0)
+        if duration != math.inf:  # inf is a permanent outage
+            require(self, "duration", duration, low=0, open_low=True)
         if permanent:
             duration = float("inf")
         self.kernel.schedule(

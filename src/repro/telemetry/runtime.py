@@ -67,15 +67,14 @@ if os.environ.get("REPRO_TELEMETRY", "0") not in ("", "0"):
 
 
 @contextmanager
-def telemetry_session(reset: bool = True):
+def telemetry_session():
     """Enable collection for a block; restores the prior enabled state.
 
-    ``reset=True`` (default) starts the block from an empty registry and
-    tracer so the session captures exactly one run.
+    The block starts from an empty registry and tracer, so the session
+    captures exactly one run.
     """
     previous = TELEMETRY.enabled
-    if reset:
-        TELEMETRY.reset()
+    TELEMETRY.reset()
     TELEMETRY.enable()
     try:
         yield TELEMETRY

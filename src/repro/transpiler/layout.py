@@ -1,28 +1,21 @@
 """Initial layout selection: mapping logical qubits onto physical qubits.
 
-The layout pass chooses which physical qubits host the circuit.  Two
-strategies are provided:
-
-* ``trivial`` — logical qubit *i* on physical qubit *i* (useful for tests and
-  for devices whose numbering already matches the circuit).
-* ``greedy`` (default) — pick a well-connected region of the device and place
-  the most interaction-heavy logical qubits on the best-connected physical
-  qubits, which minimizes the SWAP count the router has to pay.
+The layout pass chooses which physical qubits host the circuit: it picks a
+well-connected region of the device and places the most interaction-heavy
+logical qubits on the best-connected physical qubits, which minimizes the
+SWAP count the router has to pay.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Literal, Mapping
+from typing import Mapping
 
 from ..circuit.circuit import QuantumCircuit
 from ..circuit.gates import is_two_qubit
 from ..devices.topology import Topology
 
 __all__ = ["Layout", "select_layout"]
-
-LayoutStrategy = Literal["trivial", "greedy"]
-
 
 class Layout:
     """A bijective map from logical qubits to physical qubits."""
@@ -80,11 +73,7 @@ def interaction_counts(circuit: QuantumCircuit) -> Counter:
     return counts
 
 
-def select_layout(
-    circuit: QuantumCircuit,
-    topology: Topology,
-    strategy: LayoutStrategy = "greedy",
-) -> Layout:
+def select_layout(circuit: QuantumCircuit, topology: Topology) -> Layout:
     """Choose an initial logical-to-physical mapping.
 
     Raises:
@@ -96,12 +85,8 @@ def select_layout(
             f"circuit needs {circuit.num_qubits} qubits but device "
             f"{topology.name!r} has only {topology.num_qubits}"
         )
-    if strategy == "trivial":
-        return Layout({q: q for q in range(circuit.num_qubits)}, topology.num_qubits)
-    if strategy != "greedy":
-        raise ValueError(f"unknown layout strategy {strategy!r}")
 
-    # Greedy: grow a connected physical region from the best-connected qubit,
+    # Grow a connected physical region from the best-connected qubit,
     # then assign busy logical qubits to well-connected physical slots.
     start = max(range(topology.num_qubits), key=lambda q: (topology.degree(q), -q))
     region = [start]

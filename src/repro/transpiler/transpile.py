@@ -15,7 +15,7 @@ from ..circuit.circuit import QuantumCircuit
 from ..devices.qpu import CircuitFootprint
 from ..devices.topology import Topology
 from .decompose import decompose_to_basis
-from .layout import Layout, LayoutStrategy, select_layout
+from .layout import Layout, select_layout
 from .metrics import circuit_footprint
 from .routing import RoutingResult, route_circuit
 
@@ -51,11 +51,7 @@ class TranspileResult:
         return 3 * self.num_swaps
 
 
-def transpile(
-    circuit: QuantumCircuit,
-    topology: Topology,
-    layout_strategy: LayoutStrategy = "greedy",
-) -> TranspileResult:
+def transpile(circuit: QuantumCircuit, topology: Topology) -> TranspileResult:
     """Transpile a logical circuit for a device topology.
 
     The pipeline is: basis decomposition -> initial layout -> SWAP routing ->
@@ -65,7 +61,7 @@ def transpile(
     amortize the cost.
     """
     basis = decompose_to_basis(circuit)
-    layout = select_layout(basis, topology, strategy=layout_strategy)
+    layout = select_layout(basis, topology)
     routed: RoutingResult = route_circuit(basis, topology, layout)
     footprint = circuit_footprint(routed.circuit)
     return TranspileResult(

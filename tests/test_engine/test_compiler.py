@@ -4,8 +4,7 @@ The compiler may reorder commuting gates, fold constants, fuse runs, and
 specialize diagonals — but the executed program must agree with the looped
 reference simulator to ≤1e-10 on every structure it can be handed.  The
 randomized section draws structures from the full gate alphabet and checks
-fused, unfused, and diagonal-disabled compilations against
-``simulate_statevector`` on random bindings.
+each compiled program against ``simulate_statevector`` on random bindings.
 """
 
 import numpy as np
@@ -21,6 +20,7 @@ from repro.engine import (
     ProgramCache,
     compile_circuit,
     execute_program,
+    marginal_distribution,
     marginal_probabilities,
     parameter_plan,
     plan_slot_values,
@@ -66,28 +66,20 @@ def random_structure(rng: np.random.Generator, num_qubits: int, num_gates: int):
 
 class TestRandomizedEquivalence:
     @pytest.mark.parametrize("seed", range(12))
-    def test_fused_unfused_and_reference_agree(self, seed):
+    def test_compiled_program_and_reference_agree(self, seed):
         rng = np.random.default_rng(1000 + seed)
         num_qubits = int(rng.integers(2, 6))
         circuit = random_structure(rng, num_qubits, int(rng.integers(8, 40)))
         num_params = len(circuit.ordered_parameters())
         theta = rng.uniform(-2 * np.pi, 2 * np.pi, (4, num_params))
 
-        programs = {
-            "fused": compile_circuit(circuit),
-            "unfused": compile_circuit(circuit, fuse=False),
-            "matrices-only": compile_circuit(circuit, fuse=False, diagonals=False),
-            "fused-no-diag": compile_circuit(circuit, fuse=True, diagonals=False),
-        }
-        references = [
-            simulate_statevector(circuit.assign_by_order(row)).data for row in theta
-        ]
-        for label, program in programs.items():
-            plan = parameter_plan(circuit, program)
-            states = execute_program(program, plan_slot_values(plan, theta))
-            for row, reference in zip(states, references):
-                delta = float(np.max(np.abs(row - reference)))
-                assert delta < TOLERANCE, f"{label} diverged by {delta:.2e}"
+        program = compile_circuit(circuit)
+        plan = parameter_plan(circuit, program)
+        states = execute_program(program, plan_slot_values(plan, theta))
+        for row, values in zip(states, theta):
+            reference = simulate_statevector(circuit.assign_by_order(values)).data
+            delta = float(np.max(np.abs(row - reference)))
+            assert delta < TOLERANCE, f"diverged by {delta:.2e}"
 
     @pytest.mark.parametrize("seed", range(6))
     def test_bound_circuit_extraction_matches_plan(self, seed):
@@ -129,7 +121,7 @@ class TestFusionStructure:
         qc.cx(0, 1)
         qc.cx(0, 1)
         qc.swap(0, 1)
-        program = compile_circuit(qc, diagonals=False)
+        program = compile_circuit(qc)
         assert program.num_ops == 1
         op = program.ops[0]
         assert isinstance(op, MatrixOp) and set(op.qubits) == {0, 1}
@@ -204,3 +196,46 @@ class TestExecutorContracts:
         qc.x(0)
         state = execute_program(compile_circuit(qc), batch=1)[0]
         assert np.argmax(np.abs(state)) == 0b10
+
+    def test_states_are_complex128_and_marginals_float64(self):
+        program = compile_circuit(hardware_efficient_ansatz(3))
+        states = execute_program(program, np.zeros((2, program.num_slots)))
+        assert states.dtype == np.complex128
+        probs = np.random.default_rng(4).random((2, 8))
+        assert marginal_distribution(probs, [0, 1, 2], 3).dtype == np.float64
+
+
+class TestScratchDeferral:
+    @staticmethod
+    def _count_scratch(monkeypatch) -> list:
+        calls = []
+        real_empty_like = np.empty_like
+        monkeypatch.setattr(
+            np, "empty_like", lambda *a, **k: (calls.append(1), real_empty_like(*a, **k))[1]
+        )
+        return calls
+
+    def test_diagonal_only_program_never_allocates_scratch(self, monkeypatch):
+        """A diagonal-only program must run in a single ping buffer."""
+        a, b = Parameter("a"), Parameter("b")
+        circuit = QuantumCircuit(3, name="phases").rz(a, 0).rzz(b, 0, 1).cp(0.3, 1, 2)
+        program = compile_circuit(circuit)
+        assert all(type(op) is DiagonalOp for op in program.ops)
+        slots = plan_slot_values(
+            parameter_plan(circuit, program),
+            np.random.default_rng(0).uniform(-1, 1, (4, 2)),
+        )
+        calls = self._count_scratch(monkeypatch)
+        execute_program(program, slots)
+        assert calls == []
+
+    def test_matrix_program_allocates_scratch_once(self, monkeypatch):
+        circuit = hardware_efficient_ansatz(3)
+        program = compile_circuit(circuit)
+        slots = plan_slot_values(
+            parameter_plan(circuit, program),
+            np.random.default_rng(1).uniform(-1, 1, (4, len(circuit.ordered_parameters()))),
+        )
+        calls = self._count_scratch(monkeypatch)
+        execute_program(program, slots)
+        assert len(calls) == 1

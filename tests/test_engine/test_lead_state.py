@@ -2,13 +2,13 @@
 
 A program's leading ops that read no slot angle (``GateProgram.lead``: folded
 matrix ops, slotless diagonal ops) reach one state whatever the row, so
-``executor._execute_block`` starts every row from a copy of that state, built
-once per dtype, and runs only the rest.  The engine used to run the whole
-shared pass from ``|0...0>`` (``tests/_reference/engine.py``); the states must
-be byte-equal over random 1-5 qubit programs whose constant lead is anything
-from empty to the whole program, followed by parameterized ops, merged
-templates, ``blocks``, ``tile`` and both precisions.  The memoized state is
-read-only and never shared with a returned stack.
+``executor._execute_block`` starts every row from a copy of that state
+(``GateProgram.lead_state``, built once) and runs only the rest.  The engine
+used to run the whole shared pass from ``|0...0>``
+(``tests/_reference/engine.py``); the states must be byte-equal over random
+1-5 qubit programs whose constant lead is anything from empty to the whole
+program, followed by parameterized ops, merged templates and ``blocks``.  The
+memoized state is read-only and never shared with a returned stack.
 """
 
 from unittest import mock
@@ -26,7 +26,6 @@ CONSTANT_1Q = ("h", "x", "y", "z", "s", "sdg", "t", "sx")
 CONSTANT_2Q = ("cx", "cz", "swap")
 ROTATION_1Q = ("rx", "ry", "rz")
 ROTATION_2Q = ("rzz", "cp")
-DTYPES = (np.complex128, np.complex64)
 
 
 def _gates(draw, num_qubits, names_1q, names_2q, count, angle=None):
@@ -59,38 +58,31 @@ def programs(draw):
         _gates(draw, n, CONSTANT_1Q, CONSTANT_2Q, draw(st.integers(0, 3)))
         for _ in range(draw(st.integers(1, 3)))
     ]
-    diagonals = draw(st.booleans())
-    return merge_programs(
-        [compile_circuit(_circuit(n, lead + body + tail), diagonals=diagonals) for tail in tails]
-    )
+    return merge_programs([compile_circuit(_circuit(n, lead + body + tail)) for tail in tails])
 
 
 @given(
     program=programs(),
     points=st.integers(1, 6),
-    dtype=st.sampled_from(DTYPES),
-    mode=st.sampled_from(["plain", "blocks", "tile"]),
+    mode=st.sampled_from(["plain", "blocks"]),
     seed=st.integers(0, 2**32 - 1),
 )
 @settings(max_examples=200, deadline=None)
-def test_states_are_byte_equal_to_the_pass_from_zero(program, points, dtype, mode, seed):
-    cdtype = np.dtype(dtype)
+def test_states_are_byte_equal_to_the_pass_from_zero(program, points, mode, seed):
     stride = program.stride
     rng = np.random.default_rng(seed)
     thetas = rng.uniform(-np.pi, np.pi, (points * stride, program.num_slots))
-    kwargs = {"dtype": dtype}
+    kwargs = {}
     if mode == "blocks":
         first = int(rng.integers(0, points + 1))
         kwargs["blocks"] = [b * stride for b in (first, points - first) if b]
-    elif mode == "tile":
-        kwargs["tile"] = int(rng.integers(1, points * stride + 1))
     got = execute_program(program, thetas, **kwargs)
     with mock.patch.object(executor, "_execute_block", reference.execute_block):
         expected = execute_program(program, thetas, **kwargs)
-    assert got.dtype == expected.dtype == cdtype
+    assert got.dtype == expected.dtype == np.complex128
     assert got.tobytes() == expected.tobytes()
 
-    lead = program.lead_states[cdtype]
+    lead = program.lead_state
     assert not lead.flags.writeable and lead.shape == (program.dim,)
     assert not np.shares_memory(got, lead)
     got[:] = 0.5  # the caller's to mutate: the next run starts clean
@@ -98,17 +90,16 @@ def test_states_are_byte_equal_to_the_pass_from_zero(program, points, dtype, mod
 
 
 def test_the_qaoa_program_leads_with_its_hadamard_layer(qaoa_problem):
-    """The ring QAOA's four ``h`` gates are its lead; each dtype builds it once."""
+    """The ring QAOA's four ``h`` gates are its lead; the program builds it once."""
     template = qaoa_problem.estimator.template_circuits()[0]
     program = compile_circuit(template)
     assert program.lead == 4 and program.num_ops > 4
     thetas = np.random.default_rng(3).uniform(-np.pi, np.pi, (5, program.num_slots))
-    for dtype in DTYPES:
-        execute_program(program, thetas, dtype=dtype)
-        state = program.lead_states[np.dtype(dtype)]
-        execute_program(program, thetas, dtype=dtype)
-        assert program.lead_states[np.dtype(dtype)] is state
-        assert np.allclose(state, np.full(16, 0.25))
+    execute_program(program, thetas)
+    state = program.lead_state
+    execute_program(program, thetas)
+    assert program.lead_state is state
+    assert np.allclose(state, np.full(16, 0.25))
     assert program.pass_plans[0].ops == program.ops[4:]
 
 
@@ -117,5 +108,5 @@ def test_a_program_that_opens_with_an_angle_starts_from_zero():
     program = compile_circuit(circuit)
     assert program.lead == 0
     execute_program(program, [[0.3]])
-    zero = program.lead_states[np.dtype(np.complex128)]
+    zero = program.lead_state
     assert zero.tolist() == [1, 0, 0, 0]

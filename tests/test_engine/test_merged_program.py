@@ -100,14 +100,6 @@ class TestMergedExecution:
         with pytest.raises(ValueError, match="not a multiple of 3"):
             execute_program(merged, np.zeros((4, merged.num_slots)))
 
-    def test_tiles_hold_whole_points(self, vqe_programs):
-        _, programs = vqe_programs
-        merged = merge_programs(programs)
-        thetas = np.random.default_rng(5).uniform(-3, 3, (12, merged.num_slots))
-        untiled = execute_program(merged, thetas)
-        for tile in (1, 4, 6, 7):
-            assert np.allclose(execute_program(merged, thetas, tile=tile), untiled, atol=1e-12)
-
     def test_wide_shared_diagonal_layer_is_bitwise_per_template(self):
         """A slot-angle GEMM's rounding can depend on its row count (BLAS
         picks the reduction order by shape, visibly from ~6 slots up), so the
@@ -147,14 +139,12 @@ class TestMergedExecution:
                 programs[0], thetas[: blocks[0]]
             ).tobytes()
 
-    @pytest.mark.parametrize(
-        "blocks, tile", [([3, 4], None), ([3, 3], None), ([6, 3], 3), ([6, 6], None)]
-    )
-    def test_blocks_must_split_untiled_rows_into_whole_points(self, vqe_programs, blocks, tile):
+    @pytest.mark.parametrize("blocks", [[3, 4], [3, 3], [6, 6]])
+    def test_blocks_must_split_rows_into_whole_points(self, vqe_programs, blocks):
         _, programs = vqe_programs
         merged = merge_programs(programs)
         with pytest.raises(ValueError, match="whole points"):
-            execute_program(merged, np.zeros((9, merged.num_slots)), blocks=blocks, tile=tile)
+            execute_program(merged, np.zeros((9, merged.num_slots)), blocks=blocks)
 
 
 class TestMergedTelemetry:

@@ -28,10 +28,13 @@ import pytest
 import repro
 from repro._fields import require
 from repro.cloud import CloudProvider
-from repro.core import EnergyObjective, EQCClientNode, WeightingConfig
+from repro.cloud.queueing import queue_model_for
+from repro.core import EnergyObjective, EQCClientNode, EQCConfig, EQCEnsemble, EQCMasterNode
+from repro.core import WeightingConfig
 from repro.devices import build_qpu
 from repro.devices.catalog import device_spec
 from repro.persist import RunDirectory
+from repro.sched import CloudScheduler
 from repro.vqa import AsgdRule, vqe_task_cycle
 
 PACKAGES = [repro] + [
@@ -231,3 +234,63 @@ def test_require_names_the_field_first_and_the_owner_last(value, bounds, message
 def test_require_returns_numpy_scalars_in_range_unchanged():
     for value in (np.int64(3), np.float32(0.5), True, 7):
         assert require("X", "shots", value, low=0, high=7) is value
+
+
+def _ensemble(problem):
+    return EQCEnsemble.for_estimator(
+        problem.estimator, EQCConfig(device_names=("x2",), shots=64, seed=0)
+    )
+
+
+def _ensemble_train(problem, **arguments):
+    theta = np.zeros(problem.estimator.num_parameters)
+    _ensemble(problem).train(theta, **{"num_epochs": 1, **arguments})
+
+
+def _master_train(problem, **arguments):
+    ensemble = _ensemble(problem)
+    EQCMasterNode(
+        objective=ensemble.objective,
+        clients=ensemble.clients,
+        task_queue=vqe_task_cycle(problem.estimator.num_parameters),
+        rule=AsgdRule(0.1),
+        weighting=WeightingConfig(),
+        initial_parameters=np.zeros(problem.estimator.num_parameters),
+    ).train(**arguments)
+
+
+def _inject_outage(problem, *arguments, **keywords):
+    scheduler = CloudScheduler(policy="fifo")
+    scheduler.register_device(build_qpu("Belem"), queue_model_for("Belem"))
+    scheduler.inject_outage("Belem", *arguments, **keywords)
+
+
+def _scale_errors(problem, factor):
+    build_qpu("Belem").reported_calibration(0.0).scale_errors(factor)
+
+
+@pytest.mark.parametrize(
+    "call, field",
+    [
+        (lambda p: _ensemble_train(p, num_epochs=math.nan), "num_epochs"),
+        (lambda p: _ensemble_train(p, record_every=math.nan), "record_every"),
+        (lambda p: _master_train(p, num_epochs=math.nan), "num_epochs"),
+        (lambda p: _master_train(p, target_updates=math.nan), "target_updates"),
+        (lambda p: _master_train(p, num_epochs=1, record_every=math.nan), "record_every"),
+        (lambda p: _inject_outage(p, 10.0, duration=math.nan), "duration"),
+        (lambda p: _inject_outage(p, math.nan), "start"),
+        (lambda p: _scale_errors(p, math.nan), "factor"),
+    ],
+    ids=[
+        "EQCEnsemble.train-num_epochs", "EQCEnsemble.train-record_every",
+        "EQCMasterNode.train-num_epochs", "EQCMasterNode.train-target_updates",
+        "EQCMasterNode.train-record_every", "CloudScheduler.inject_outage-duration",
+        "CloudScheduler.inject_outage-start", "CalibrationSnapshot.scale_errors-factor",
+    ],
+)
+def test_per_call_arguments_refuse_nan_by_name(call, field, vqe_problem):
+    """Method arguments are checked like constructor fields: NaN is refused
+    up front, by the argument's name (it used to run zero epochs, arm a no-op
+    outage, or fail later under another field's name)."""
+    with pytest.raises(ValueError, match=f"^{field} must be "):
+        call(vqe_problem)

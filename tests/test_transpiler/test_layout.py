@@ -46,20 +46,10 @@ class TestInteractionCounts:
 
 
 class TestSelectLayout:
-    def test_trivial_layout(self):
-        qc = QuantumCircuit(3).cx(0, 1)
-        layout = select_layout(qc, line_topology(5), strategy="trivial")
-        assert layout.as_dict() == {0: 0, 1: 1, 2: 2}
-
     def test_circuit_wider_than_device_rejected(self):
         qc = QuantumCircuit(6)
         with pytest.raises(ValueError):
             select_layout(qc, line_topology(5))
-
-    def test_unknown_strategy_rejected(self):
-        qc = QuantumCircuit(2)
-        with pytest.raises(ValueError):
-            select_layout(qc, line_topology(5), strategy="magic")
 
     def test_greedy_layout_covers_all_logical_qubits(self):
         qc = hardware_efficient_ansatz(4)
