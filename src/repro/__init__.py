@@ -98,16 +98,12 @@ from .persist import (
 )
 from .sched import (
     BackpressurePolicy,
-    CalibrationAwarePolicy,
     CloudScheduler,
     DeadlinePolicy,
     EventKernel,
     FairSharePolicy,
     FifoPolicy,
-    LeastLoadedPolicy,
-    PriorityPolicy,
     SchedulingPolicy,
-    StatisticalQueuePolicy,
     TournamentConfig,
     WorkloadGenerator,
     run_tournament,
@@ -200,13 +196,9 @@ __all__ = [
     "CloudScheduler",
     "SchedulingPolicy",
     "FifoPolicy",
-    "PriorityPolicy",
     "FairSharePolicy",
-    "LeastLoadedPolicy",
-    "CalibrationAwarePolicy",
     "BackpressurePolicy",
     "DeadlinePolicy",
-    "StatisticalQueuePolicy",
     "WorkloadGenerator",
     "TournamentConfig",
     "run_tournament",

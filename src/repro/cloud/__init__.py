@@ -6,7 +6,6 @@ from .provider import CloudProvider, DeviceEndpoint, UtilizationRecord
 from .queueing import (
     DEFAULT_QUEUE_MODELS,
     QueueModel,
-    StatisticalQueuePolicy,
     queue_model_for,
 )
 
@@ -20,7 +19,6 @@ __all__ = [
     "QueueModel",
     "DEFAULT_QUEUE_MODELS",
     "queue_model_for",
-    "StatisticalQueuePolicy",
     "CloudProvider",
     "DeviceEndpoint",
     "UtilizationRecord",

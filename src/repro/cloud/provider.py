@@ -9,9 +9,9 @@ when an attempt reaches the device head:
 * **statistical** (default) — a job submitted at time *t* waits for
   (a) whatever the device is still executing and (b) a stochastic congestion
   delay from the device's :class:`~repro.cloud.queueing.QueueModel`
-  (the closed-form :class:`~repro.cloud.queueing.StatisticalQueuePolicy`;
-  other users are a distribution, and seeded histories are bit-exact with
-  the pre-scheduler code);
+  (one lognormal draw from the endpoint's stream; other users are a
+  distribution, and seeded histories are bit-exact with the pre-scheduler
+  code);
 * **event kernel** — when constructed with a
   :class:`~repro.sched.scheduler.CloudScheduler`, jobs are submitted into
   the shared discrete-event kernel where they compete with background tenant
@@ -54,7 +54,7 @@ from ..faults.retry import DEFAULT_RETRY_POLICY, RetryPolicy
 from ..simulator.result import ExecutionResult
 from ..telemetry import TELEMETRY as _telemetry
 from .job import CloudJob, JobStatus
-from .queueing import QueueModel, StatisticalQueuePolicy, queue_model_for
+from .queueing import QueueModel, queue_model_for
 
 if TYPE_CHECKING:  # pragma: no cover - cloud never imports sched at runtime
     from ..faults.injector import FaultInjector
@@ -64,9 +64,6 @@ __all__ = ["DeviceEndpoint", "CloudProvider", "UtilizationRecord"]
 
 #: Builds the execution backend serving one device endpoint.
 BackendFactory = Callable[[QPU], ExecutionBackend]
-
-#: The closed-form clock used when no scheduler is attached (stateless).
-_STATISTICAL_CLOCK = StatisticalQueuePolicy()
 
 #: Without fault injection nothing can bomb or be delayed: one attempt.
 _SINGLE_ATTEMPT = RetryPolicy(max_attempts=1)
@@ -338,7 +335,6 @@ class CloudProvider:
         footprint: CircuitFootprint,
         now: float,
         shots: int | None = None,
-        priority: int = 0,
     ) -> CloudJob:
         """Submit a batch of circuits and serve it to completion on the clock.
 
@@ -358,8 +354,8 @@ class CloudProvider:
         Every job runs the same attempt loop: fail fast on a dead device,
         get a service start from the clock (:meth:`_serve` — the event
         kernel when a scheduler is attached, where the job competes with
-        tenant traffic and ``priority`` can matter to the policy; the
-        closed-form statistical queue otherwise), draw the plan's transient
+        tenant traffic under the scheduler's policy; the closed-form
+        statistical queue otherwise), draw the plan's transient
         failure at the device head, park the physics, add any injected result
         delay, enforce the per-job deadline, book the device time.  A bombed
         attempt holds the device for zero seconds, backs off (exponential,
@@ -426,9 +422,7 @@ class CloudProvider:
         first_failure: float | None = None
         for attempt in range(1, retry.max_attempts + 1):
             job.attempts = attempt
-            start_time, elapsed = self._serve(
-                endpoint, job, attempt_now, priority, service
-            )
+            start_time, elapsed = self._serve(endpoint, job, attempt_now, service)
             if not results:
                 # The attempt bombed at the device head.
                 if first_failure is None:
@@ -503,7 +497,6 @@ class CloudProvider:
         endpoint: DeviceEndpoint,
         job: CloudJob,
         arrival: float,
-        priority: int,
         service: Callable[[float], float],
     ) -> tuple[float, float]:
         """The clock seam: one service attempt for a job arriving at ``arrival``.
@@ -516,8 +509,9 @@ class CloudProvider:
         calibration downtime and injected outages (which preempt and requeue
         it) — so noise, drift and the device RNG stream see the true
         execution time.  On the statistical clock the start is closed form:
-        one queue-wait draw from the endpoint's stream, deferred past a
-        transient outage window of the plan.  Either way a device that is
+        ``arrival`` plus one queue-wait draw from the endpoint's stream, no
+        earlier than the endpoint's ``free_at``, deferred past a transient
+        outage window of the plan.  Either way a device that is
         (or goes) down for good raises ``DeviceOutageError(permanent=True)``.
         """
         device = job.device_name
@@ -527,7 +521,6 @@ class CloudProvider:
                 arrival=arrival,
                 tenant="eqc",
                 num_circuits=job.num_circuits,
-                priority=priority,
                 service=service,
             )
             self.scheduler.run_until_complete(handle)
@@ -541,7 +534,10 @@ class CloudProvider:
             outage = faults.outage_at(device, arrival)
             if outage is not None and outage.permanent:
                 raise self._device_lost(job, arrival)
-        start_time = _STATISTICAL_CLOCK.start_time(endpoint, arrival)
+        start_time = max(
+            arrival + endpoint.queue_model.sample_wait(arrival, endpoint.rng),
+            endpoint.free_at,
+        )
         if faults is not None:
             outage = faults.outage_at(device, start_time)
             if outage is not None:

@@ -29,7 +29,6 @@ __all__ = [
     "QueueModel",
     "DEFAULT_QUEUE_MODELS",
     "queue_model_for",
-    "StatisticalQueuePolicy",
 ]
 
 
@@ -97,28 +96,3 @@ def queue_model_for(device_name: str) -> QueueModel:
     """The queue model for a device (a generic default for unknown names)."""
     return DEFAULT_QUEUE_MODELS.get(device_name, _FALLBACK)
 
-
-class StatisticalQueuePolicy:
-    """The closed-form queueing fallback: lognormal wait, no event kernel.
-
-    This is the original ``CloudProvider.submit`` timing decision factored
-    into a policy object, with the exact same RNG consumption (one
-    ``sample_wait`` draw from the endpoint's stream per job), so seeded
-    golden histories captured before the :mod:`repro.sched` subsystem
-    existed remain bit-exact.  Background tenants, calibration downtime and
-    policy-driven job ordering exist only on the kernel path — here the
-    "other users" are a statistical distribution, not simulated jobs.
-
-    Re-exported from :mod:`repro.sched.policies` as part of the scheduling
-    policy family (defined here so ``cloud`` never imports ``sched``).
-    """
-
-    name = "statistical"
-
-    def start_time(self, endpoint, now: float) -> float:
-        """Service start for a job submitted at ``now`` on one endpoint."""
-        queue_wait = endpoint.queue_model.sample_wait(now, endpoint.rng)
-        return max(float(now) + queue_wait, endpoint.free_at)
-
-    def __repr__(self) -> str:
-        return "StatisticalQueuePolicy()"

@@ -11,25 +11,23 @@ calibration-window downtime, pluggable scheduling policies (including
 backpressure shedding and EDF deadlines), a chunk-vectorized Poisson
 background-tenant workload, and a policy tournament harness
 (:mod:`repro.sched.tournament`) that races the policies across a
-(devices x tenants x policy) grid at fleet scale.
+(devices x tenants x policy) grid at fleet scale.  Every job is pinned to
+its device, as every EQC client is: the policies admit and order work, they
+never place it.
 
-The statistical model survives as :class:`StatisticalQueuePolicy`, the
-provider's default path, keeping every pre-scheduler seeded history
-bit-exact.
+The statistical model survives as the provider's default clock (one
+lognormal queue-wait draw per job in ``CloudProvider._serve``), keeping
+every pre-scheduler seeded history bit-exact.
 """
 
 from .kernel import Event, EventKernel
 from .policies import (
     POLICY_REGISTRY,
     BackpressurePolicy,
-    CalibrationAwarePolicy,
     DeadlinePolicy,
     FairSharePolicy,
     FifoPolicy,
-    LeastLoadedPolicy,
-    PriorityPolicy,
     SchedulingPolicy,
-    StatisticalQueuePolicy,
     resolve_policy,
 )
 from .queues import DeviceServiceQueue, SchedJob
@@ -51,13 +49,9 @@ __all__ = [
     "DeviceServiceQueue",
     "SchedulingPolicy",
     "FifoPolicy",
-    "PriorityPolicy",
     "FairSharePolicy",
-    "LeastLoadedPolicy",
-    "CalibrationAwarePolicy",
     "BackpressurePolicy",
     "DeadlinePolicy",
-    "StatisticalQueuePolicy",
     "POLICY_REGISTRY",
     "resolve_policy",
     "WorkloadGenerator",

@@ -1,29 +1,21 @@
-"""Pluggable scheduling policies: who runs next, and on which device.
+"""Pluggable scheduling policies: which job enters a queue, and which runs next.
 
-A :class:`SchedulingPolicy` answers the three questions a multi-tenant cloud
-scheduler faces:
+A :class:`SchedulingPolicy` answers the two questions a multi-tenant cloud
+scheduler faces once a job reaches its device (every job is pinned to one,
+as every EQC client is pinned to its device):
 
-* **admission** — when a job reaches a device, does it enter the waiting
-  list at all (:meth:`SchedulingPolicy.admit`; the default replicates the
-  fixed background-job cap, :class:`BackpressurePolicy` sheds load smoothly
-  against queue depth instead),
+* **admission** — does it enter the waiting list at all
+  (:meth:`SchedulingPolicy.admit`; the default replicates the fixed
+  background-job cap, :class:`BackpressurePolicy` sheds load smoothly
+  against queue depth instead), and
 * **ordering** — when a device frees up, which waiting job starts
-  (:meth:`SchedulingPolicy.next_job`), and
-* **placement** — when a job arrives without a pinned device, where it goes
-  (:meth:`SchedulingPolicy.select_device`).
+  (:meth:`SchedulingPolicy.next_job`).
 
 All decisions are deterministic functions of queue state: ties break by
-arrival order (ordering) or device name (placement), never by RNG or dict
-iteration accidents, so policy sweeps are exactly reproducible.
-
-:class:`StatisticalQueuePolicy` is the odd one out: it is the pre-kernel
-closed-form queue model (lognormal congestion wait against the device's
-``free_at``), kept as the :class:`~repro.cloud.provider.CloudProvider`
-default so every seeded history recorded before the scheduler existed stays
-bit-exact.  It never touches the event kernel.  (It lives in
-:mod:`repro.cloud.queueing` next to the model it wraps, so the ``cloud``
-layer never imports ``sched``; it is re-exported here as part of the policy
-family.)
+arrival order, never by RNG or dict iteration accidents, so policy sweeps
+are exactly reproducible.  The registry holds the four policies the
+tournament races: ``fifo``, ``fair_share``, ``backpressure`` and
+``deadline``.
 """
 
 from __future__ import annotations
@@ -32,19 +24,14 @@ import zlib
 from typing import Mapping, Sequence
 
 from .._fields import require
-from ..cloud.queueing import StatisticalQueuePolicy
 from .queues import DeviceServiceQueue, SchedJob
 
 __all__ = [
     "SchedulingPolicy",
     "FifoPolicy",
-    "PriorityPolicy",
     "FairSharePolicy",
-    "LeastLoadedPolicy",
-    "CalibrationAwarePolicy",
     "BackpressurePolicy",
     "DeadlinePolicy",
-    "StatisticalQueuePolicy",
     "POLICY_REGISTRY",
     "resolve_policy",
 ]
@@ -63,7 +50,7 @@ def _shed_hash(job_id: int) -> float:
 
 
 class SchedulingPolicy:
-    """Base policy: capped admission, FIFO ordering, least-backlog placement."""
+    """Base policy: capped admission, FIFO ordering."""
 
     name = "base"
 
@@ -101,12 +88,12 @@ class SchedulingPolicy:
         queues: Mapping[str, DeviceServiceQueue],
         now: float,
     ) -> str:
-        """Target device for a job (pinned jobs are returned as-is)."""
-        if job.device_name is not None:
-            return job.device_name
-        return min(
-            queues.values(), key=lambda q: (q.backlog_seconds(now), q.name)
-        ).name
+        """The device a job arrives at: the one it was submitted to.
+
+        Every job is pinned; this stays the scheduler's admission seam,
+        which ``benchmarks/e2e/tracing.py`` times by name.
+        """
+        return job.device_name
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
@@ -116,21 +103,6 @@ class FifoPolicy(SchedulingPolicy):
     """First come, first served — the baseline every cloud queue starts as."""
 
     name = "fifo"
-
-
-class PriorityPolicy(SchedulingPolicy):
-    """Highest :attr:`SchedJob.priority` first; FIFO among equals."""
-
-    name = "priority"
-
-    def next_job(self, waiting, queue, now):
-        best = 0
-        best_priority = waiting[0].priority
-        for i in range(1, len(waiting)):
-            p = waiting[i].priority
-            if p > best_priority:
-                best, best_priority = i, p
-        return best
 
 
 class FairSharePolicy(SchedulingPolicy):
@@ -153,34 +125,6 @@ class FairSharePolicy(SchedulingPolicy):
             if g < best_given:
                 best, best_given = i, g
         return best
-
-
-class LeastLoadedPolicy(SchedulingPolicy):
-    """Place unpinned jobs on the device with the smallest backlog."""
-
-    name = "least_loaded"
-
-
-class CalibrationAwarePolicy(SchedulingPolicy):
-    """Place unpinned jobs on the freshest-calibrated available device.
-
-    Devices inside a calibration window are penalized by their time until
-    reopening; among open devices the one with the youngest calibration (the
-    best expected ``PCorrect``, per the paper's Fig. 4 freshness effect) wins.
-    """
-
-    name = "calibration_aware"
-
-    def select_device(self, job, queues, now):
-        if job.device_name is not None:
-            return job.device_name
-
-        def key(q: DeviceServiceQueue):
-            reopen = max(0.0, q.downtime_until - float(now))
-            visible = max(float(now), q.downtime_until)
-            return (reopen, q.qpu.hours_since_calibration(visible), q.name)
-
-        return min(queues.values(), key=key).name
 
 
 class BackpressurePolicy(SchedulingPolicy):
@@ -297,10 +241,7 @@ POLICY_REGISTRY: dict[str, type[SchedulingPolicy]] = {
     policy.name: policy
     for policy in (
         FifoPolicy,
-        PriorityPolicy,
         FairSharePolicy,
-        LeastLoadedPolicy,
-        CalibrationAwarePolicy,
         BackpressurePolicy,
         DeadlinePolicy,
     )

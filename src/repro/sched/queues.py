@@ -59,10 +59,10 @@ class SchedJob:
     Attributes:
         job_id: scheduler-assigned id (monotone, deterministic).
         tenant: owning tenant ("eqc" for foreground training jobs).
-        device_name: target device; ``None`` until the policy routes the job.
+        device_name: the device the job is pinned to (every submission
+            names one, as every EQC client is pinned to its device).
         arrival_time: simulation time the job enters the system.
         num_circuits: batch size (drives the default service duration).
-        priority: larger = more urgent (used by priority policies only).
         foreground: foreground jobs (EQC training) are always admitted;
             background tenant jobs are rejected when the device queue is at
             its admission-control cap.
@@ -81,7 +81,6 @@ class SchedJob:
     device_name: str | None = None
     arrival_time: float = 0.0
     num_circuits: int = 2
-    priority: int = 0
     foreground: bool = False
     service: ServiceFn | None = None
     start_time: float | None = None
@@ -149,13 +148,6 @@ class DeviceServiceQueue:
         self.max_queue_length = max_queue_length
 
         self.waiting: list[SchedJob] = []
-        #: Running sum of waiting circuits, so :meth:`backlog_seconds` is
-        #: O(1) — placement scans every queue per unpinned arrival, which
-        #: would otherwise cost O(fleet x queue depth) per job.
-        self._waiting_circuits = 0
-        #: Per-circuit estimate at the device's calibrated speed (waiting
-        #: jobs' true durations are only known once they start).
-        self._slot_estimate = job_slot_circuit_seconds(qpu.spec.base_job_seconds)
         self.in_service: SchedJob | None = None
         #: Device-local timeline: when the current/last service ends.
         self.free_at = 0.0
@@ -178,17 +170,6 @@ class DeviceServiceQueue:
     @property
     def queue_length(self) -> int:
         return len(self.waiting)
-
-    def backlog_seconds(self, now: float) -> float:
-        """Estimated seconds of work ahead of a job arriving at ``now``.
-
-        The in-service remainder and any calibration window are exact; the
-        waiting jobs are estimated at the device's calibrated speed (their
-        true durations are only known once they start).
-        """
-        horizon = max(self.free_at, self.downtime_until) - float(now)
-        estimated = self._slot_estimate * self._waiting_circuits
-        return max(0.0, horizon) + estimated
 
     @property
     def dead_since(self) -> float | None:
@@ -287,7 +268,6 @@ class DeviceServiceQueue:
             preempted.start_time = None
             preempted.service_seconds = 0.0
             self.waiting.insert(0, preempted)
-            self._waiting_circuits += preempted.num_circuits
             self.in_service = None
             self.free_at = now
         if _telemetry.enabled:
@@ -312,7 +292,6 @@ class DeviceServiceQueue:
     # ------------------------------------------------------------------
     def on_arrival(self, job: SchedJob, now: float) -> None:
         """Admit a job to the waiting list and start it if the device is free."""
-        job.device_name = self.name
         if not self.policy.admit(job, self, now):
             job.rejected = True
             self.jobs_rejected += 1
@@ -322,7 +301,6 @@ class DeviceServiceQueue:
                 ).inc()
             return
         self.waiting.append(job)
-        self._waiting_circuits += job.num_circuits
         if self.in_service is None:
             # A late-replayed submission (arrival behind the device's local
             # timeline) cannot rewind committed work: it queues from free_at.
@@ -333,7 +311,6 @@ class DeviceServiceQueue:
         """Drop a job from the waiting list (its submitter gave up on it)."""
         if job in self.waiting:
             self.waiting.remove(job)
-            self._waiting_circuits -= job.num_circuits
 
     def _try_start(self, now: float) -> None:
         waiting = self.waiting
@@ -345,8 +322,6 @@ class DeviceServiceQueue:
                 self._ensure_wakeup(downtime_until)
             return
         job = waiting.pop(self.policy.next_job(waiting, self, now))
-        circuits = job.num_circuits
-        self._waiting_circuits -= circuits
         self.in_service = job
         job.start_time = now
         if job.service is not None:
@@ -355,6 +330,7 @@ class DeviceServiceQueue:
             # Default tenant physics: the device's drift-aware job clock, one
             # half-slot per circuit (a full slot covers a forward/backward pair).
             slot = job_slot_circuit_seconds(self.qpu.job_duration_seconds(now))
+            circuits = job.num_circuits
             duration = slot * (circuits if circuits > 1 else 1)
         job.service_seconds = duration
         self.free_at = free_at = now + duration

@@ -109,33 +109,29 @@ class CloudScheduler:
     # ------------------------------------------------------------------
     def submit(
         self,
-        device_name: str | None = None,
+        device_name: str,
         arrival: float = 0.0,
         tenant: str = "eqc",
         num_circuits: int = 2,
-        priority: int = 0,
         service: ServiceFn | None = None,
         duration: float | None = None,
         foreground: bool = True,
     ) -> SchedJob:
-        """Enqueue one job; returns its handle (not yet simulated).
+        """Enqueue one job on its device; returns its handle (not yet simulated).
 
-        ``device_name=None`` defers placement to the policy's
-        ``select_device`` at arrival time (least-loaded, calibration-aware).
         Exactly one of ``service`` (physics callback) / ``duration`` (fixed
         seconds) may be given; with neither, the device's drift-aware job
         clock prices the batch.  Directly submitted jobs are *foreground*
         (never rejected by admission control) unless stated otherwise.
         """
         self._ensure_started()
+        require(self, "arrival", arrival, low=0.0)
         if service is not None and duration is not None:
             raise ValueError("pass either service or duration, not both")
         if duration is not None:
-            fixed = float(duration)
-            if fixed <= 0:
-                raise ValueError("duration must be positive")
+            fixed = float(require(self, "duration", duration, low=0.0, open_low=True))
             service = lambda _start, _d=fixed: _d  # noqa: E731
-        if device_name is not None and device_name not in self.queues:
+        if device_name not in self.queues:
             raise KeyError(f"unknown device {device_name!r}")
         job = SchedJob(
             job_id=self.next_job_id(),
@@ -143,7 +139,6 @@ class CloudScheduler:
             device_name=device_name,
             arrival_time=float(arrival),
             num_circuits=int(num_circuits),
-            priority=int(priority),
             foreground=bool(foreground),
             service=service,
         )
@@ -204,12 +199,8 @@ class CloudScheduler:
         A job on a device that is (or goes) permanently down can never
         complete: the kernel stops at the event that took the device down —
         not after spinning through tenant traffic to ``max_events`` — and
-        the job is withdrawn and returned with ``done`` still False.  A
-        policy-placed job's device is only known at arrival, so the kernel
-        first runs until the job has arrived.
+        the job is withdrawn and returned with ``done`` still False.
         """
-        if job.device_name is None:
-            self.kernel.run_until(lambda: job.device_name is not None)
         queue = self.queues[job.device_name]
         self.kernel.run_until(
             lambda: job.finish_time is not None or queue.downtime_until == _FOREVER

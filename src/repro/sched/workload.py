@@ -15,10 +15,9 @@ load swings by time of day).  The process is a piecewise-homogeneous
 approximation of the non-homogeneous Poisson process, generated in
 **vectorized chunks**: the rate is frozen at the chunk's start time, a whole
 block of inter-arrival gaps is drawn with one ``numpy`` call and accumulated
-into absolute timestamps, and the tenant/batch-size/priority marks of the
-chunk are drawn as three array calls from a second per-device stream (two
-when ``max_priority`` is 0: that draw has no entropy and no effect).  The
-chunk spans roughly ``chunk_refresh_seconds`` of simulated time (clamped to
+into absolute timestamps, and the tenant and batch-size marks of the chunk
+are drawn as two array calls from a second per-device stream.  The chunk
+spans roughly ``chunk_refresh_seconds`` of simulated time (clamped to
 ``max_chunk`` arrivals), so the rate still tracks the multi-hour diurnal
 curve while the kernel admits arrivals thousands at a time through
 :meth:`~repro.sched.kernel.EventKernel.schedule_batch` instead of one heap
@@ -88,7 +87,6 @@ class _Chunk(NamedTuple):
     times: np.ndarray
     tenants: tuple[str, ...]
     circuits: tuple[int, ...]
-    priorities: tuple[int, ...]
 
 
 class _ArrivalRecording:
@@ -156,15 +154,13 @@ class _ArrivalRecording:
 
         From the gaps stream, one ``standard_exponential(size=K)`` call;
         timestamps are ``t0 + cumsum(gaps / rate)``.  From the marks stream,
-        exactly three calls — ``integers(num_tenants, size=K)``,
-        ``integers(lo, hi+1, size=K)``, ``integers(max_priority+1, size=K)``
-        — in that order.  The last is skipped when ``max_priority == 0``: a
-        draw over a range of one consumes no bits, so the stream cannot tell.
+        exactly two calls — ``integers(num_tenants, size=K)`` then
+        ``integers(lo, hi+1, size=K)``.
         """
         workload = self.workload
         rate = workload.arrival_rate(self.model, t0)
         if rate <= 0.0:
-            return _Chunk(t0, _NO_TIMES, (), (), ())
+            return _Chunk(t0, _NO_TIMES, (), ())
         size = int(rate * workload.chunk_refresh_seconds)
         size = max(1, min(workload.max_chunk, size))
         gaps_rng, marks_rng = rngs
@@ -180,13 +176,7 @@ class _ArrivalRecording:
             )
         )
         circuits = tuple(integers(lo, hi + 1, size=size).tolist())
-        if workload.max_priority:
-            priorities = tuple(
-                integers(workload.max_priority + 1, size=size).tolist()
-            )
-        else:
-            priorities = (0,) * size
-        return _Chunk(t0, times, tenants, circuits, priorities)
+        return _Chunk(t0, times, tenants, circuits)
 
 
 class _RecordingTable:
@@ -258,7 +248,6 @@ class _DeviceArrivalStream:
         "times",
         "tenants",
         "circuits",
-        "priorities",
         "cursor",
     )
 
@@ -282,7 +271,6 @@ class _DeviceArrivalStream:
         self.times = _NO_TIMES
         self.tenants: tuple[str, ...] = ()
         self.circuits: tuple[int, ...] = ()
-        self.priorities: tuple[int, ...] = ()
         self.cursor = 0
 
     # ------------------------------------------------------------------
@@ -305,7 +293,6 @@ class _DeviceArrivalStream:
         self.times = chunk.times
         self.tenants = chunk.tenants
         self.circuits = chunk.circuits
-        self.priorities = chunk.priorities
         self.cursor = 0
         return bool(chunk.tenants)
 
@@ -331,7 +318,6 @@ class _DeviceArrivalStream:
             queue.name,
             now,
             self.circuits[i],
-            self.priorities[i],
         )
         self.workload.jobs_injected += 1
         queue.on_arrival(job, now)
@@ -362,8 +348,6 @@ class WorkloadGenerator:
         jobs_per_tenant_hour: fleet-wide submission rate per tenant before
             popularity/diurnal scaling.
         circuit_range: inclusive (lo, hi) batch size, ``1 <= lo <= hi``.
-        max_priority: tenant jobs draw a priority in [0, max_priority]
-            (0 keeps every tenant job at the EQC default priority).
         chunk_refresh_seconds: target simulated span of one vectorized
             arrival chunk — the rate is frozen within a chunk, so this is
             the resolution at which the diurnal curve is tracked.
@@ -382,7 +366,6 @@ class WorkloadGenerator:
         num_tenants: int,
         jobs_per_tenant_hour: float = 1.0,
         circuit_range: tuple[int, int] = (2, 8),
-        max_priority: int = 0,
         chunk_refresh_seconds: float = 900.0,
         max_chunk: int = 4096,
         spread_load: bool = False,
@@ -393,12 +376,10 @@ class WorkloadGenerator:
         lo, hi = circuit_range
         require(self, "circuit_range[0]", lo, low=1, integer=True)
         require(self, "circuit_range[1]", hi, low=lo, integer=True)
-        require(self, "max_priority", max_priority, low=0, integer=True)
         require(self, "max_chunk", max_chunk, low=1, integer=True)
         self.num_tenants = int(num_tenants)
         self.jobs_per_tenant_hour = float(jobs_per_tenant_hour)
         self.circuit_range = (int(lo), int(hi))
-        self.max_priority = int(max_priority)
         self.chunk_refresh_seconds = float(chunk_refresh_seconds)
         self.max_chunk = int(max_chunk)
         self.spread_load = bool(spread_load)

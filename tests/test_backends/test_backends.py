@@ -195,7 +195,6 @@ class TestBackendSwap:
         """Same seed, same first job: the timing is identical whichever
         backend does the physics, and it is the device's own batch clock."""
         from repro.cloud.provider import CloudProvider
-        from repro.cloud.queueing import StatisticalQueuePolicy
         from repro.transpiler import transpile
 
         circuit = ghz_state(4)
@@ -207,8 +206,10 @@ class TestBackendSwap:
             backend_factory=lambda qpu: StatevectorBackend(),
         )
         noisy = CloudProvider([build_qpu("Belem")], seed=4, shots=64)
-        start = StatisticalQueuePolicy().start_time(
-            copy.deepcopy(noisy._endpoint("Belem")), 7000.0
+        endpoint = copy.deepcopy(noisy._endpoint("Belem"))
+        start = max(
+            7000.0 + endpoint.queue_model.sample_wait(7000.0, endpoint.rng),
+            endpoint.free_at,
         )
         _, durations, elapsed = noisy.qpu("Belem").batch_clock(3, start)
         for provider in (ideal, noisy):

@@ -274,7 +274,6 @@ class TestChaosUnderContention:
             # Stranded tenant jobs stay queued; the provider's own is withdrawn.
             assert queue.in_service is None
             assert all(job.tenant != "eqc" for job in queue.waiting)
-            assert queue._waiting_circuits == sum(j.num_circuits for j in queue.waiting)
             return excinfo.value
 
         # First detection: the kernel runs through the tenant traffic up to

@@ -259,10 +259,18 @@ def _master_train(problem, **arguments):
     ).train(**arguments)
 
 
-def _inject_outage(problem, *arguments, **keywords):
+def _belem_scheduler():
     scheduler = CloudScheduler(policy="fifo")
     scheduler.register_device(build_qpu("Belem"), queue_model_for("Belem"))
-    scheduler.inject_outage("Belem", *arguments, **keywords)
+    return scheduler
+
+
+def _inject_outage(problem, *arguments, **keywords):
+    _belem_scheduler().inject_outage("Belem", *arguments, **keywords)
+
+
+def _scheduler_submit(problem, **keywords):
+    _belem_scheduler().submit("Belem", **keywords)
 
 
 def _scale_errors(problem, factor):
@@ -279,18 +287,22 @@ def _scale_errors(problem, factor):
         (lambda p: _master_train(p, num_epochs=1, record_every=math.nan), "record_every"),
         (lambda p: _inject_outage(p, 10.0, duration=math.nan), "duration"),
         (lambda p: _inject_outage(p, math.nan), "start"),
+        (lambda p: _scheduler_submit(p, duration=math.nan), "duration"),
+        (lambda p: _scheduler_submit(p, arrival=math.nan), "arrival"),
         (lambda p: _scale_errors(p, math.nan), "factor"),
     ],
     ids=[
         "EQCEnsemble.train-num_epochs", "EQCEnsemble.train-record_every",
         "EQCMasterNode.train-num_epochs", "EQCMasterNode.train-target_updates",
         "EQCMasterNode.train-record_every", "CloudScheduler.inject_outage-duration",
-        "CloudScheduler.inject_outage-start", "CalibrationSnapshot.scale_errors-factor",
+        "CloudScheduler.inject_outage-start", "CloudScheduler.submit-duration",
+        "CloudScheduler.submit-arrival", "CalibrationSnapshot.scale_errors-factor",
     ],
 )
 def test_per_call_arguments_refuse_nan_by_name(call, field, vqe_problem):
     """Method arguments are checked like constructor fields: NaN is refused
     up front, by the argument's name (it used to run zero epochs, arm a no-op
-    outage, or fail later under another field's name)."""
+    outage, admit a job that failed later in the kernel, or fail later under
+    another field's name)."""
     with pytest.raises(ValueError, match=f"^{field} must be "):
         call(vqe_problem)

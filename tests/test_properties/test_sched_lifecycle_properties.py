@@ -20,8 +20,8 @@ from repro.sched import POLICY_REGISTRY, CloudScheduler, WorkloadGenerator
 from repro.sched.kernel import Event
 
 DEVICES = ("Belem", "x2", "Bogota")
-#: Only this device may go down for good, so a policy-placed job always has a
-#: live device to land on and ``run_until_complete`` on it terminates.
+#: Only this device may go down for good; ``run_until_complete`` withdraws a
+#: job stranded on it.
 MORTAL = 0
 
 outage_plans = st.lists(
@@ -36,8 +36,7 @@ outage_plans = st.lists(
 action_lists = st.lists(
     st.one_of(
         st.tuples(st.just("advance"), st.floats(0.0, 2400.0)),
-        # Index len(DEVICES) leaves placement to the policy.
-        st.tuples(st.just("submit"), st.integers(0, len(DEVICES))),
+        st.tuples(st.just("submit"), st.integers(0, len(DEVICES) - 1)),
         st.tuples(st.just("complete"), st.integers(0, 7)),
         st.tuples(st.just("withdraw"), st.integers(0, 7)),
     ),
@@ -49,10 +48,8 @@ action_lists = st.lists(
 class Harness:
     """A small fleet whose queues count what is offered to and taken from them."""
 
-    def __init__(self, policy, seed, tenants, cap, max_priority, outage_plan):
-        workload = WorkloadGenerator(
-            tenants, jobs_per_tenant_hour=2.0, max_priority=max_priority
-        )
+    def __init__(self, policy, seed, tenants, cap, outage_plan):
+        workload = WorkloadGenerator(tenants, jobs_per_tenant_hour=2.0)
         self.scheduler = CloudScheduler(
             policy=policy,
             workload=workload,
@@ -100,11 +97,9 @@ class Harness:
             scheduler.run_until_time(scheduler.now + argument)
             return
         if action == "submit":
-            name = DEVICES[argument] if argument < len(DEVICES) else None
-            # Above every tenant priority, so no policy starves it for long.
             self.handles.append(
                 scheduler.submit(
-                    device_name=name, arrival=scheduler.now, duration=45.0, priority=9
+                    device_name=DEVICES[argument], arrival=scheduler.now, duration=45.0
                 )
             )
             return
@@ -120,8 +115,8 @@ class Harness:
                 self.gone.add(handle)
         else:
             scheduler.run_until_time(scheduler.now)  # deliver arrivals due now
-            queue = scheduler.queues.get(handle.device_name)
-            if queue is not None and handle in queue.waiting:
+            queue = scheduler.queues[handle.device_name]
+            if handle in queue.waiting:
                 queue.withdraw(handle)
                 self.gone.add(handle)
 
@@ -169,15 +164,14 @@ class Harness:
     seed=st.integers(0, 2**31 - 1),
     tenants=st.integers(0, 400),
     cap=st.one_of(st.none(), st.integers(1, 8)),
-    max_priority=st.integers(0, 3),
     outage_plan=outage_plans,
     actions=action_lists,
 )
 @settings(max_examples=60, deadline=None)
 def test_lifecycle_invariants_hold_at_every_stop(
-    policy, seed, tenants, cap, max_priority, outage_plan, actions
+    policy, seed, tenants, cap, outage_plan, actions
 ):
-    harness = Harness(policy, seed, tenants, cap, max_priority, outage_plan)
+    harness = Harness(policy, seed, tenants, cap, outage_plan)
     harness.apply("submit", 0)  # arms calibration and tenant traffic
     harness.check()
     for action, argument in actions:

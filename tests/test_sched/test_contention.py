@@ -78,9 +78,7 @@ class TestContentionDegradesThroughput:
 
 
 class TestPolicySweep:
-    @pytest.mark.parametrize(
-        "policy", ["fifo", "priority", "fair_share", "least_loaded", "calibration_aware"]
-    )
+    @pytest.mark.parametrize("policy", ["fifo", "fair_share"])
     def test_every_policy_trains_to_completion(self, vqe_problem, policy):
         history = run_eqc(vqe_problem, tenants=20, policy=policy, num_epochs=1)
         assert len(history.records) == 1

@@ -25,7 +25,6 @@ GOLDEN = {
     "backpressure": "bd11ebe66a50ffb496da95f51845e31fa84ac39025c4c0374acc43835c6b01fe",
     "deadline": "0f860d7683ec46209f8f751e10855581b6d5ebe8fdf90fc01a6223cc82f35ed7",
     "fair_share": "e1a36a49eb2969df0a98da7be01b6adc1c7858a881997a9f1df9606654f36e3a",
-    "priority": "b89dc74c2d165db480cc0ea2fd427eb3694672bac8e0638241b2bee4c8ac3921",
 }
 
 DEVICES = 20
@@ -36,14 +35,7 @@ HORIZON = 3600.0
 
 
 def fleet_digest(policy: str) -> str:
-    # Only the priority policy reads job priorities; giving it a non-trivial
-    # range also covers the third marks draw, which is zero-entropy at 0.
-    workload = WorkloadGenerator(
-        TENANTS,
-        jobs_per_tenant_hour=1.0,
-        spread_load=True,
-        max_priority=3 if policy == "priority" else 0,
-    )
+    workload = WorkloadGenerator(TENANTS, jobs_per_tenant_hour=1.0, spread_load=True)
     scheduler = CloudScheduler(policy=policy, workload=workload, seed=1001)
     for qpu, model in clone_fleet(DEVICES):
         scheduler.register_device(qpu, model)

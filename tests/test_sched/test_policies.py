@@ -1,24 +1,25 @@
-"""Tests for scheduling policies: ordering, placement, tenant fairness."""
+"""Tests for scheduling policies: admission, ordering, tenant fairness."""
 
-import numpy as np
+import copy
+
 import pytest
 
-from repro.cloud.queueing import QueueModel, StatisticalQueuePolicy, queue_model_for
+from repro.backends import StatevectorBackend
+from repro.circuit import ghz_state
+from repro.cloud.provider import CloudProvider
+from repro.cloud.queueing import queue_model_for
 from repro.devices.catalog import build_qpu
 from repro.sched import (
     POLICY_REGISTRY,
     BackpressurePolicy,
-    CalibrationAwarePolicy,
     CloudScheduler,
     DeadlinePolicy,
     FairSharePolicy,
     FifoPolicy,
-    LeastLoadedPolicy,
-    PriorityPolicy,
     SchedulingPolicy,
     resolve_policy,
 )
-from repro.cloud.clock import SECONDS_PER_HOUR
+from repro.transpiler import transpile
 
 
 def one_device_scheduler(policy, device="Belem"):
@@ -39,7 +40,7 @@ class TestResolvePolicy:
         assert isinstance(resolve_policy("fair_share"), FairSharePolicy)
 
     def test_passthrough_instance(self):
-        policy = PriorityPolicy()
+        policy = DeadlinePolicy()
         assert resolve_policy(policy) is policy
 
     def test_none_is_fifo(self):
@@ -74,82 +75,6 @@ class TestOrderingPolicies:
         """The paper-motivating separation: under fair share, a light tenant
         overtakes a flooding tenant after one service instead of ten."""
         assert self.flood_then_probe(FairSharePolicy()) == pytest.approx(100.0)
-
-    def test_priority_jobs_jump_the_queue(self):
-        scheduler = one_device_scheduler(PriorityPolicy())
-        low = [
-            scheduler.submit(
-                device_name="Belem", arrival=0.0, duration=50.0, priority=0
-            )
-            for _ in range(3)
-        ]
-        urgent = scheduler.submit(
-            device_name="Belem", arrival=0.0, duration=50.0, priority=5
-        )
-        for job in (*low, urgent):
-            scheduler.run_until_complete(job)
-        # The urgent job runs right after the in-service job finishes.
-        assert urgent.start_time == pytest.approx(50.0)
-
-    def test_priority_ties_break_fifo(self):
-        scheduler = one_device_scheduler(PriorityPolicy())
-        jobs = [
-            scheduler.submit(device_name="Belem", arrival=0.0, duration=10.0)
-            for _ in range(4)
-        ]
-        scheduler.run_until_complete(jobs[-1])
-        starts = [job.start_time for job in jobs]
-        assert starts == sorted(starts)
-
-
-class TestPlacementPolicies:
-    def test_least_loaded_spreads_unpinned_jobs(self):
-        scheduler = fleet_scheduler(LeastLoadedPolicy())
-        jobs = [
-            scheduler.submit(device_name=None, arrival=0.0, duration=100.0)
-            for _ in range(3)
-        ]
-        for job in jobs:
-            scheduler.run_until_complete(job)
-        assert sorted(job.device_name for job in jobs) == [
-            "Belem", "Bogota", "Casablanca",
-        ]
-
-    def test_least_loaded_avoids_the_busy_device(self):
-        scheduler = fleet_scheduler(LeastLoadedPolicy())
-        scheduler.submit(device_name="Belem", arrival=0.0, duration=10_000.0)
-        probe = scheduler.submit(device_name=None, arrival=1.0, duration=10.0)
-        scheduler.run_until_complete(probe)
-        assert probe.device_name != "Belem"
-
-    def test_calibration_aware_prefers_open_devices(self):
-        import dataclasses
-
-        from repro.devices.qpu import QPU
-
-        scheduler = CloudScheduler(
-            policy=CalibrationAwarePolicy(), downtime_seconds=3600.0
-        )
-        # Belem calibrates every 24h; give Casablanca a 10h cadence so at
-        # t = 24h + 60s Belem is inside a calibration window and Casablanca
-        # is open (last calibrated at 20h).
-        scheduler.register_device(build_qpu("Belem"), queue_model_for("Belem"))
-        fresh_spec = dataclasses.replace(
-            build_qpu("Casablanca").spec, calibration_period_hours=10.0
-        )
-        scheduler.register_device(QPU(fresh_spec), queue_model_for("Casablanca"))
-        boundary = 24.0 * SECONDS_PER_HOUR
-        probe = scheduler.submit(
-            device_name=None, arrival=boundary + 60.0, duration=10.0
-        )
-        scheduler.run_until_complete(probe)
-        assert probe.device_name == "Casablanca"
-
-    def test_pinned_jobs_ignore_placement(self):
-        scheduler = fleet_scheduler(CalibrationAwarePolicy())
-        job = scheduler.submit(device_name="Belem", arrival=0.0, duration=10.0)
-        scheduler.run_until_complete(job)
-        assert job.device_name == "Belem"
 
 
 class TestBackpressurePolicy:
@@ -296,36 +221,49 @@ class TestDeadlinePolicy:
         assert late_bulk.start_time == pytest.approx(110.0)
 
 
-class TestStatisticalQueuePolicy:
-    class _Endpoint:
-        def __init__(self):
-            self.queue_model = QueueModel(mean_wait_seconds=60.0, sigma=0.3)
-            self.rng = np.random.default_rng(5)
-            self.free_at = 0.0
+class TestStatisticalClock:
+    """Without a scheduler a job starts at one closed-form queue-wait draw:
+    ``max(arrival + sample_wait(arrival, rng), free_at)``."""
+
+    @staticmethod
+    def provider():
+        return CloudProvider(
+            [build_qpu("Belem")],
+            seed=5,
+            shots=64,
+            backend_factory=lambda qpu: StatevectorBackend(),
+        )
+
+    @staticmethod
+    def submit(provider, now):
+        circuit = ghz_state(4)
+        footprint = transpile(circuit, provider.qpu("Belem").topology).footprint
+        return provider.submit("Belem", [circuit], footprint, now=now)
 
     def test_matches_closed_form_queue_math(self):
-        policy = StatisticalQueuePolicy()
-        endpoint = self._Endpoint()
-        reference = self._Endpoint()
+        provider = self.provider()
+        reference = copy.deepcopy(provider._endpoint("Belem"))
         expected = max(
             100.0 + reference.queue_model.sample_wait(100.0, reference.rng),
             reference.free_at,
         )
-        assert policy.start_time(endpoint, 100.0) == expected
+        assert self.submit(provider, 100.0).start_time == expected
 
     def test_respects_device_backlog(self):
-        policy = StatisticalQueuePolicy()
-        endpoint = self._Endpoint()
-        endpoint.free_at = 1e9
-        assert policy.start_time(endpoint, 0.0) == 1e9
+        provider = self.provider()
+        provider._endpoint("Belem").free_at = 1e9
+        assert self.submit(provider, 0.0).start_time == 1e9
 
 
 class TestDeterminism:
     def test_same_seed_same_schedule(self):
         def run():
             scheduler = fleet_scheduler(SchedulingPolicy())
+            names = scheduler.device_names
             jobs = [
-                scheduler.submit(device_name=None, arrival=float(i), duration=30.0)
+                scheduler.submit(
+                    device_name=names[i % len(names)], arrival=float(i), duration=30.0
+                )
                 for i in range(6)
             ]
             for job in jobs:

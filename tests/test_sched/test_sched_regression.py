@@ -1,9 +1,9 @@
 """Golden-history regression: the scheduler PR must not move the fallback.
 
 The values below were captured from the pre-scheduler code (PR 1 state).
-With no scheduler attached, ``CloudProvider`` prices queue waits through
-``StatisticalQueuePolicy`` with the exact RNG consumption of the code it
-replaced, so these seeded histories must stay bit-exact forever.
+With no scheduler attached, ``CloudProvider`` prices queue waits in closed
+form with the exact RNG consumption of the code it replaced (one queue-wait
+draw per job), so these seeded histories must stay bit-exact forever.
 """
 
 import copy
@@ -12,7 +12,6 @@ import numpy as np
 
 from repro.baselines.single_device import SingleDeviceTrainer
 from repro.circuit import ghz_state
-from repro.cloud.queueing import StatisticalQueuePolicy
 from repro.core.objective import EnergyObjective
 from repro.transpiler import transpile
 from repro.vqa import heisenberg_vqe_problem
@@ -32,8 +31,8 @@ GOLDEN_SINGLE_HOURS_HEX = [
 
 class TestStatisticalFallbackRegression:
     def test_default_provider_uses_statistical_policy(self):
-        """No scheduler attached, and a job starts exactly when
-        ``StatisticalQueuePolicy`` says (one draw from the endpoint stream)."""
+        """No scheduler attached, and a job starts exactly where the closed
+        form puts it (one draw from the endpoint stream)."""
         problem = heisenberg_vqe_problem()
         trainer = SingleDeviceTrainer(
             EnergyObjective(problem.estimator), "Belem", shots=256, seed=11
@@ -41,7 +40,10 @@ class TestStatisticalFallbackRegression:
         provider = trainer.provider
         assert provider.scheduler is None
         endpoint = copy.deepcopy(provider._endpoint("Belem"))
-        expected_start = StatisticalQueuePolicy().start_time(endpoint, 120.0)
+        expected_start = max(
+            120.0 + endpoint.queue_model.sample_wait(120.0, endpoint.rng),
+            endpoint.free_at,
+        )
         circuit = ghz_state(4)
         footprint = transpile(circuit, provider.qpu("Belem").topology).footprint
         job = provider.submit("Belem", [circuit], footprint, now=120.0)

@@ -32,15 +32,13 @@ def scheduler_with_traffic(
 
 def recorded(scheduler):
     """A list that fills with every arrival as (device, time, tenant,
-    circuits, priority) while ``scheduler`` runs."""
+    circuits) while ``scheduler`` runs."""
     records = []
     for name, queue in scheduler.queues.items():
         original = queue.on_arrival
 
         def recorder(job, now, name=name, original=original):
-            records.append(
-                (name, job.arrival_time, job.tenant, job.num_circuits, job.priority)
-            )
+            records.append((name, job.arrival_time, job.tenant, job.num_circuits))
             original(job, now)
 
         queue.on_arrival = recorder
@@ -48,7 +46,7 @@ def recorded(scheduler):
 
 
 def record_arrivals(horizon, num_tenants=100, devices=("Belem", "Bogota"), **kwargs):
-    """Every injected arrival as (device, time, tenant, circuits, priority)."""
+    """Every injected arrival as (device, time, tenant, circuits)."""
     scheduler, _ = scheduler_with_traffic(num_tenants, devices=devices, **kwargs)
     records = recorded(scheduler)
     scheduler.run_until_time(horizon)
@@ -84,7 +82,7 @@ class TestChunkRngProtocol:
         RNG protocol (stream labels, draw order, cumsum accumulation) moves.
         """
         records = record_arrivals(3600.0, devices=("Belem",))
-        head = [(t.hex(), tenant, circuits) for _, t, tenant, circuits, _ in records[:4]]
+        head = [(t.hex(), tenant, circuits) for _, t, tenant, circuits in records[:4]]
         assert head == [
             ("0x1.f8b63a6437aa5p+7", "tenant42", 6),
             ("0x1.f142911cc0f84p+8", "tenant57", 8),
@@ -116,17 +114,6 @@ class TestChunkRngProtocol:
         scalar_marks = EventKernel(seed=0).rng_stream("workload/Belem/marks")
         tenants_scalar = [int(scalar_marks.integers(100)) for _ in range(size)]
         assert tenants_vec == tenants_scalar
-
-    def test_draw_over_a_range_of_one_consumes_no_bits(self):
-        """What licenses skipping the priority draw when ``max_priority == 0``:
-        ``integers(1, size=K)`` returns zeros and leaves the stream where it
-        was, so the next chunk's marks cannot tell whether it was made."""
-        marks = EventKernel(seed=0).rng_stream("workload/Belem/marks")
-        marks.integers(100, size=7)  # leave an odd number of 32-bit halves buffered
-        before = marks.bit_generator.state
-        drawn = marks.integers(1, size=4096)  # max_priority + 1 == 1
-        assert not drawn.any()
-        assert marks.bit_generator.state == before
 
 
 class TestSpreadLoad:
@@ -239,8 +226,7 @@ def stream_labels(monkeypatch):
 
 def hex_records(records):
     return [
-        (device, t.hex(), tenant, circuits, priority)
-        for device, t, tenant, circuits, priority in records
+        (device, t.hex(), tenant, circuits) for device, t, tenant, circuits in records
     ]
 
 
@@ -258,7 +244,6 @@ class TestArrivalRecording:
                 devices=self.DEVICES,
                 seed=seed,
                 policy=policy,
-                max_priority=3,
                 **kwargs,
             )
         )
@@ -274,11 +259,10 @@ class TestArrivalRecording:
         assert len(stream_labels) == streams  # no Generator seeded
         other = self.arrivals(12)
         assert len(stream_labels) == 2 * streams
-        redrawn = self.arrivals(11, policy="priority")
+        redrawn = self.arrivals(11, policy="backpressure")
         assert len(stream_labels) == 3 * streams
         assert drawn and replayed == drawn and redrawn == drawn
         assert other != drawn
-        assert {priority for *_, priority in drawn} == {0, 1, 2, 3}
 
     def test_rng_streams_are_seeded_once_per_seed_not_per_scheduler(
         self, stream_labels
@@ -302,7 +286,6 @@ class TestArrivalRecording:
             {"num_tenants": 201},
             {"jobs_per_tenant_hour": 1.5},
             {"circuit_range": (2, 9)},
-            {"max_priority": 2},
             {"chunk_refresh_seconds": 600.0},
             {"max_chunk": 4095},
             {"spread_load": True},
@@ -382,7 +365,7 @@ class TestArrivalRecording:
             chunk.times[0] = 0.0
         with pytest.raises(AttributeError):
             chunk.t0 = 1.0
-        for marks in (chunk.tenants, chunk.circuits, chunk.priorities):
+        for marks in (chunk.tenants, chunk.circuits):
             assert isinstance(marks, tuple)
 
     def test_a_replay_at_another_t0_raises(self, stream_labels):
@@ -401,7 +384,7 @@ class TestArrivalRecording:
         cannot reach chunks the first fleet's recording has still to draw."""
         expected = self.arrivals(6, spread_load=True)
         forget_arrival_recordings()
-        workload = WorkloadGenerator(300, max_priority=3, spread_load=True)
+        workload = WorkloadGenerator(300, spread_load=True)
         first = CloudScheduler(workload=workload, seed=6, downtime_seconds=0.0)
         second = CloudScheduler(workload=workload, seed=6, downtime_seconds=0.0)
         for scheduler, devices in ((first, self.DEVICES), (second, ("Belem",))):

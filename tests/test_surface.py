@@ -2,8 +2,9 @@
 
 ROADMAP standard 2 asks for the least code and the fewest options; these
 asserts turn growth of the execution protocol, the execution chain's entry
-points, the top-level, backends and simulator packages and the ensemble
-configuration into a deliberate one-line edit made in review.
+points, the scheduler's policies and submit calls, the top-level, backends
+and simulator packages and the ensemble configuration into a deliberate
+one-line edit made in review.
 """
 
 import dataclasses
@@ -13,9 +14,12 @@ import repro
 import repro.backends
 import repro.simulator
 from repro.backends import ExecutionBackend, StatevectorBackend
+from repro.cloud import CloudProvider
 from repro.core.ensemble import EQCConfig
 from repro.engine import ProgramCache, compile_circuit, execute_program
 from repro.hamiltonian import EnergyEstimator
+from repro.sched import POLICY_REGISTRY, CloudScheduler, SchedJob, WorkloadGenerator
+from repro.sched.tournament import FULL_CONFIG
 from repro.telemetry import telemetry_session
 from repro.transpiler import select_layout, transpile
 
@@ -46,6 +50,31 @@ def test_execution_chain_runs_one_configuration():
     assert _parameters(telemetry_session) == []
 
 
+def test_scheduler_serves_pinned_jobs_under_the_raced_policies():
+    """The registry is the four policies the tournament races, every job
+    names its device, and no job carries a priority."""
+    assert sorted(POLICY_REGISTRY) == sorted(FULL_CONFIG.policies)
+    assert _parameters(CloudScheduler.submit) == [
+        "self", "device_name", "arrival", "tenant", "num_circuits",
+        "service", "duration", "foreground",
+    ]
+    assert _parameters(CloudProvider.submit) == [
+        "self", "device_name", "circuits", "footprint", "now", "shots",
+    ]
+    assert _parameters(WorkloadGenerator) == [
+        "num_tenants", "jobs_per_tenant_hour", "circuit_range",
+        "chunk_refresh_seconds", "max_chunk", "spread_load",
+    ]
+    assert [field.name for field in dataclasses.fields(SchedJob)] == [
+        "job_id", "tenant", "device_name", "arrival_time", "num_circuits",
+        "foreground", "service", "start_time", "finish_time", "service_seconds",
+        "rejected", "deadline", "arrival_event",
+    ]
+    assert inspect.signature(CloudScheduler.submit).parameters[
+        "device_name"
+    ].default is inspect.Parameter.empty
+
+
 def test_backends_package_exports():
     assert set(repro.backends.__all__) == {
         "ExecutionBackend",
@@ -66,7 +95,7 @@ def test_eqc_config_field_count():
 
 
 def test_top_level_export_count():
-    assert len(repro.__all__) == 89
+    assert len(repro.__all__) == 85
     assert len(set(repro.__all__)) == len(repro.__all__)
 
 
