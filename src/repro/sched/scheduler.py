@@ -126,6 +126,7 @@ class CloudScheduler:
         """
         self._ensure_started()
         require(self, "arrival", arrival, low=0.0)
+        require(self, "num_circuits", num_circuits, low=1, integer=True)
         if service is not None and duration is not None:
             raise ValueError("pass either service or duration, not both")
         if duration is not None:

@@ -289,6 +289,7 @@ def _scale_errors(problem, factor):
         (lambda p: _inject_outage(p, math.nan), "start"),
         (lambda p: _scheduler_submit(p, duration=math.nan), "duration"),
         (lambda p: _scheduler_submit(p, arrival=math.nan), "arrival"),
+        (lambda p: _scheduler_submit(p, num_circuits=math.nan), "num_circuits"),
         (lambda p: _scale_errors(p, math.nan), "factor"),
     ],
     ids=[
@@ -296,7 +297,8 @@ def _scale_errors(problem, factor):
         "EQCMasterNode.train-num_epochs", "EQCMasterNode.train-target_updates",
         "EQCMasterNode.train-record_every", "CloudScheduler.inject_outage-duration",
         "CloudScheduler.inject_outage-start", "CloudScheduler.submit-duration",
-        "CloudScheduler.submit-arrival", "CalibrationSnapshot.scale_errors-factor",
+        "CloudScheduler.submit-arrival", "CloudScheduler.submit-num_circuits",
+        "CalibrationSnapshot.scale_errors-factor",
     ],
 )
 def test_per_call_arguments_refuse_nan_by_name(call, field, vqe_problem):
@@ -306,3 +308,29 @@ def test_per_call_arguments_refuse_nan_by_name(call, field, vqe_problem):
     another field's name)."""
     with pytest.raises(ValueError, match=f"^{field} must be "):
         call(vqe_problem)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("arrival", -1.0),
+        ("arrival", math.inf),
+        ("duration", 0.0),
+        ("duration", -5.0),
+        ("duration", math.inf),
+        ("num_circuits", 0),
+        ("num_circuits", -3),
+        ("num_circuits", 2.5),
+    ],
+)
+def test_scheduler_submit_refuses_out_of_range_by_name(field, value):
+    """A job needs a finite arrival >= 0, a finite duration > 0 and a whole
+    circuit count >= 1; anything else is refused at submit, by name, and
+    the refused job never reaches the queue (a zero or negative circuit count used to be priced
+    as a one-circuit job)."""
+    scheduler = _belem_scheduler()
+    with pytest.raises(ValueError, match=f"^{field} must be "):
+        scheduler.submit("Belem", **{field: value})
+    job = scheduler.submit("Belem", duration=10.0)
+    scheduler.run_until_complete(job)
+    assert scheduler.queues["Belem"].completed == [job]

@@ -77,6 +77,25 @@ class TestOrderingPolicies:
         assert self.flood_then_probe(FairSharePolicy()) == pytest.approx(100.0)
 
 
+@pytest.mark.parametrize("name", sorted(POLICY_REGISTRY))
+def test_pinned_jobs_run_on_their_own_device(name):
+    """Every job names its device: each policy admits it to that device's
+    queue, and a long job on one device delays only that device's work."""
+    scheduler = fleet_scheduler(name)
+    devices = ("Belem", "Bogota", "Casablanca")
+    long_job = scheduler.submit(device_name="Belem", arrival=0.0, duration=1000.0)
+    jobs = [
+        scheduler.submit(device_name=device, arrival=0.0, duration=10.0)
+        for device in devices
+    ]
+    for job in (long_job, *jobs):
+        scheduler.run_until_complete(job)
+    for device, job in zip(devices, jobs):
+        assert job.device_name == device
+        assert job in scheduler.queues[device].completed
+    assert [job.start_time for job in jobs] == [1000.0, 0.0, 0.0]
+
+
 class TestBackpressurePolicy:
     def test_registered(self):
         assert "backpressure" in POLICY_REGISTRY
