@@ -27,12 +27,14 @@ imbalance the paper motivates EQC with can be quantified (see
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .._fields import require
+from .._streams import generator_state, restore_generator
 from ..backends.base import ExecutionBackend
 from ..backends.noisy import NoisyBackend
 from ..circuit.circuit import QuantumCircuit
@@ -67,12 +69,6 @@ BackendFactory = Callable[[QPU], ExecutionBackend]
 
 #: Without fault injection nothing can bomb or be delayed: one attempt.
 _SINGLE_ATTEMPT = RetryPolicy(max_attempts=1)
-
-#: What a checkpoint keeps of a job whose physics is parked (``CloudJob`` fields).
-_PARKED_JOB_FIELDS = (
-    "job_id", "device_name", "shots", "submit_time", "start_time", "finish_time", "attempts"
-)
-
 
 @dataclass
 class UtilizationRecord:
@@ -207,7 +203,7 @@ class CloudProvider:
     # checkpoint support
     # ------------------------------------------------------------------
     def snapshot_state(self) -> dict:
-        """Everything that evolves during training, as JSON-able data.
+        """Everything that evolves during training, as nested plain data.
 
         Per endpoint: the RNG bit-generator state (queue waits + measurement
         shots draw from it), the device's own fallback stream, the virtual
@@ -218,7 +214,9 @@ class CloudProvider:
         (config validation rejects checkpointing with a scheduler before a
         snapshot is ever taken).  Parked physics stays parked (its shots are
         still undrawn in these streams) and is captured per job by
-        :meth:`snapshot_job`.
+        :meth:`snapshot_job`.  This view is what the training goldens hash
+        and tests compare; a checkpoint stores the same state as the flat
+        rows of :meth:`snapshot_rows`.
         """
         return {
             "next_job_id": self._next_job_id,
@@ -240,37 +238,78 @@ class CloudProvider:
             },
         }
 
-    def restore_state(self, data: Mapping) -> None:
-        """Restore a captured provider state into this (fresh) provider."""
-        self._next_job_id = int(data["next_job_id"])
-        self.dead_devices = set(data["dead_devices"])
-        self.fault_counters = {k: int(v) for k, v in data["fault_counters"].items()}
-        for name, captured in data["endpoints"].items():
-            endpoint = self._endpoint(name)
-            endpoint.rng.bit_generator.state = dict(captured["rng"])
-            endpoint.qpu._rng.bit_generator.state = dict(captured["qpu_rng"])
-            endpoint.free_at = float(captured["free_at"])
-            record = captured["record"]
-            endpoint.record.jobs_completed = int(record["jobs_completed"])
-            endpoint.record.busy_seconds = float(record["busy_seconds"])
-            endpoint.record.queued_seconds = float(record["queued_seconds"])
-            endpoint.record.last_finish_time = float(record["last_finish_time"])
+    def snapshot_rows(self) -> dict:
+        """:meth:`snapshot_state` as a checkpoint stores it: one row per endpoint
+        (name, stream position, jobs completed, and the device's own stream's
+        position — ``None`` while nothing has read that stream, which is then
+        still derived from the spec seed at first use) and one float column of
+        four figures per endpoint (``free_at``, busy, queued and last finish
+        seconds)."""
+        endpoints = self._endpoints.values()
+        return {
+            "next_job_id": self._next_job_id,
+            "dead_devices": sorted(self.dead_devices),
+            "fault_counters": self.fault_counters,
+            "endpoints": [
+                [
+                    endpoint.qpu.name,
+                    *generator_state(endpoint.rng),
+                    endpoint.record.jobs_completed,
+                    generator_state(endpoint.qpu._rng) if "_rng" in vars(endpoint.qpu) else None,
+                ]
+                for endpoint in endpoints
+            ],
+            "clocks": array("d", [
+                value
+                for endpoint in endpoints
+                for value in (
+                    endpoint.free_at,
+                    endpoint.record.busy_seconds,
+                    endpoint.record.queued_seconds,
+                    endpoint.record.last_finish_time,
+                )
+            ]),
+        }
 
-    def snapshot_job(self, job: CloudJob) -> dict:
-        """A served job whose physics is still parked, as plain values.
+    def restore_rows(self, data: Mapping) -> None:
+        """Restore :meth:`snapshot_rows` into this (fresh) provider."""
+        self._next_job_id = data["next_job_id"]
+        self.dead_devices = set(data["dead_devices"])
+        self.fault_counters = dict(data["fault_counters"])
+        clocks = data["clocks"]
+        for row, (name, *stream, jobs_completed, device_stream) in enumerate(data["endpoints"]):
+            endpoint = self._endpoint(name)
+            restore_generator(endpoint.rng, stream)
+            if device_stream is not None:
+                restore_generator(endpoint.qpu._rng, device_stream)
+            record = endpoint.record
+            record.jobs_completed = jobs_completed
+            (
+                endpoint.free_at,
+                record.busy_seconds,
+                record.queued_seconds,
+                record.last_finish_time,
+            ) = clocks[4 * row : 4 * row + 4]
+
+    def snapshot_job(self, job: CloudJob) -> tuple[list, tuple[float, float, float]]:
+        """A served job whose physics is still parked: ``[job_id, device_name,
+        shots, attempts, position]`` and its submit, start and finish times.
 
         No spec, result or stream is serialized: the clock half is arithmetic
         on the device and ``start_time``, the circuits are the submitter's to
         rebuild, and the shots are still undrawn in the endpoint's stream.
         """
-        data = {name: getattr(job, name) for name in _PARKED_JOB_FIELDS}
         parked = [id(batch.results[-1]) for batch in self._parked]
-        data["position"] = parked.index(id(job.parked_results[-1]))
-        return data
+        position = parked.index(id(job.parked_results[-1]))
+        return (
+            [job.job_id, job.device_name, job.shots, job.attempts, position],
+            (job.submit_time, job.start_time, job.finish_time),
+        )
 
     def restore_job(
         self,
-        data: Mapping,
+        row: Sequence,
+        times: Sequence[float],
         circuits: Sequence[QuantumCircuit] | ParameterSweep,
         footprint: CircuitFootprint,
     ) -> CloudJob:
@@ -280,14 +319,24 @@ class CloudProvider:
         submit makes — no RNG — so the parked batch equals the captured one
         field for field and draws the same counts from the restored stream.
         """
-        fields = {name: data[name] for name in _PARKED_JOB_FIELDS}
-        if len(self._parked) != data["position"]:
+        job_id, device_name, shots, attempts, position = row
+        if len(self._parked) != position:
             raise ValueError(
-                f"job {fields['job_id']} was parked at {data['position']}: it cannot "
+                f"job {job_id} was parked at {position}: it cannot "
                 f"be restored at {len(self._parked)}"
             )
+        submit_time, start_time, finish_time = times
         job = CloudJob(
-            num_circuits=len(circuits), status=JobStatus.DONE, resolve=self.resolve, **fields
+            job_id=job_id,
+            device_name=device_name,
+            num_circuits=len(circuits),
+            shots=shots,
+            submit_time=submit_time,
+            start_time=start_time,
+            finish_time=finish_time,
+            status=JobStatus.DONE,
+            attempts=attempts,
+            resolve=self.resolve,
         )
         endpoint = self._endpoint(job.device_name)
         self._execute_batch(endpoint, job, circuits, footprint, job.start_time, job.shots)

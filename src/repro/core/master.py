@@ -18,6 +18,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import time
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
@@ -404,6 +405,51 @@ class EQCMasterNode:
         if item.kind == "job":
             self.gather(item)
         return None
+
+    def snapshot_state(self) -> dict:
+        """The master's training state as a checkpoint stores it (the event
+        heap is stored per entry by ``repro.persist.state.snapshot_inflight``):
+        parameters, counters, ``PCorrect`` and weights (names; their values
+        one float column), orphaned tasks, fleet events (rows; their times one
+        column), fault stats, the live roster and the task queue's position."""
+        state, events = self.state, self._fleet_events
+        return {
+            "values": array("d", state.values.tolist()),
+            "update_counts": state.update_counts.tolist(),
+            "version": state.version,
+            "telemetry": vars(self.telemetry),
+            "p_correct": list(self._p_correct),
+            "weights": list(self._weights),
+            "rates": array("d", [*self._p_correct.values(), *self._weights.values()]),
+            "orphans": [[t.task_id, t.parameter_index, t.data_index] for t in self._orphans],
+            "fleet_events": [[e["kind"], e["device"], e["detail"]] for e in events],
+            "event_times": array("d", [e["time"] for e in events]),
+            "fault_stats": self._fault_stats,
+            "live": [client.name for client in self._live],
+            "tasks_issued": self.task_queue.tasks_issued,
+        }
+
+    def restore_state(self, data: dict) -> None:
+        """Restore :meth:`snapshot_state` into this (freshly built) master."""
+        self.state.values[:] = data["values"]
+        self.state.update_counts[:] = data["update_counts"]
+        self.state.version = data["version"]
+        for counter, value in data["telemetry"].items():
+            setattr(self.telemetry, counter, value)
+        rates, split = data["rates"], len(data["p_correct"])
+        self._p_correct = dict(zip(data["p_correct"], rates[:split], strict=True))
+        self._weights = dict(zip(data["weights"], rates[split:], strict=True))
+        self._orphans = deque(GradientTask(*row) for row in data["orphans"])
+        self._fleet_events = [
+            {"kind": kind, "device": device, "time": at, "detail": detail}
+            for (kind, device, detail), at in zip(
+                data["fleet_events"], data["event_times"], strict=True
+            )
+        ]
+        self._fault_stats = dict(data["fault_stats"])
+        clients_by_name = {client.name: client for client in self.clients}
+        self._live = [clients_by_name[name] for name in data["live"]]
+        self.task_queue._issued = data["tasks_issued"]
 
     def _epoch_record(self, epoch: int, now: float) -> EpochRecord:
         """The history row for the parameter state at time ``now``."""

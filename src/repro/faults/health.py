@@ -14,6 +14,7 @@ chaos runs can be compared transition-for-transition (the determinism pin of
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -239,62 +240,49 @@ class DeviceHealthTracker:
     # checkpoint support
     # ------------------------------------------------------------------
     def snapshot_state(self) -> dict:
-        """Complete breaker state as JSON-able data (resume mid-chaos)."""
+        """Complete breaker state (resume mid-chaos): one row per device and
+        per logged transition, their times as float columns."""
+        devices = self._devices
         return {
-            "devices": {
-                name: {
-                    "state": entry.state.value,
-                    "consecutive_failures": entry.consecutive_failures,
-                    "opened_at": entry.opened_at,
-                    "probe_successes": entry.probe_successes,
-                    "reopens": entry.reopens,
-                    "dead": entry.dead,
-                    "failures_total": entry.failures_total,
-                    "successes_total": entry.successes_total,
-                }
-                for name, entry in self._devices.items()
-            },
-            "transitions": [
-                {
-                    "time": t.time,
-                    "device": t.device,
-                    "from_state": t.from_state,
-                    "to_state": t.to_state,
-                    "reason": t.reason,
-                }
-                for t in self.transitions
+            "breakers": [
+                [
+                    name,
+                    entry.state.value,
+                    entry.consecutive_failures,
+                    entry.probe_successes,
+                    entry.reopens,
+                    entry.dead,
+                    entry.failures_total,
+                    entry.successes_total,
+                ]
+                for name, entry in devices.items()
             ],
+            "opened_at": array("d", [entry.opened_at for entry in devices.values()]),
+            "transitions": [
+                [t.device, t.from_state, t.to_state, t.reason] for t in self.transitions
+            ],
+            "transition_times": array("d", [t.time for t in self.transitions]),
             "transitions_total": self.transitions_total,
             "transitions_dropped": self.transitions_dropped,
         }
 
     def restore_state(self, data: dict) -> None:
         """Restore a captured breaker state into this (fresh) tracker."""
+        # A row is ``_DeviceHealth``'s fields in order, ``opened_at`` in its column.
         self._devices = {
-            name: _DeviceHealth(
-                state=BreakerState(entry["state"]),
-                consecutive_failures=int(entry["consecutive_failures"]),
-                opened_at=float(entry["opened_at"]),
-                probe_successes=int(entry["probe_successes"]),
-                reopens=int(entry["reopens"]),
-                dead=bool(entry["dead"]),
-                failures_total=int(entry["failures_total"]),
-                successes_total=int(entry["successes_total"]),
+            name: _DeviceHealth(BreakerState(state), consecutive_failures, opened_at, *rest)
+            for (name, state, consecutive_failures, *rest), opened_at in zip(
+                data["breakers"], data["opened_at"], strict=True
             )
-            for name, entry in data["devices"].items()
         }
         self.transitions = [
-            BreakerTransition(
-                time=float(t["time"]),
-                device=str(t["device"]),
-                from_state=str(t["from_state"]),
-                to_state=str(t["to_state"]),
-                reason=str(t["reason"]),
+            BreakerTransition(time, device, from_state, to_state, reason)
+            for (device, from_state, to_state, reason), time in zip(
+                data["transitions"], data["transition_times"], strict=True
             )
-            for t in data["transitions"]
         ]
-        self.transitions_total = int(data["transitions_total"])
-        self.transitions_dropped = int(data["transitions_dropped"])
+        self.transitions_total = data["transitions_total"]
+        self.transitions_dropped = data["transitions_dropped"]
 
     def publish(self, registry=None, prefix: str = "faults") -> None:
         """Write breaker states and transition counts into a metrics registry."""

@@ -18,6 +18,7 @@ import zlib
 
 import numpy as np
 
+from .._streams import generator_state, restore_generator
 from .plan import FaultPlan, OutageWindow
 
 __all__ = ["FaultInjector"]
@@ -54,21 +55,18 @@ class FaultInjector:
     # checkpoint support
     # ------------------------------------------------------------------
     def snapshot_streams(self) -> dict:
-        """Bit-generator states of every stream created so far, by label.
+        """The position row of every stream created so far, by label.
 
         A stream that was never created needs no capture: it will be derived
         from ``(seed, plan.seed, label)`` at first use, exactly as in the
         original run.
         """
-        return {
-            label: generator.bit_generator.state
-            for label, generator in self._streams.items()
-        }
+        return {label: generator_state(generator) for label, generator in self._streams.items()}
 
-    def restore_streams(self, states: dict) -> None:
+    def restore_streams(self, rows: dict) -> None:
         """Restore captured streams mid-sequence (resume under active chaos)."""
-        for label, state in states.items():
-            self.stream(label).bit_generator.state = dict(state)
+        for label, row in rows.items():
+            restore_generator(self.stream(label), row)
 
     # ------------------------------------------------------------------
     # per-fault decision draws

@@ -9,9 +9,10 @@ generations, and implements the recovery contract:
   the history gains appends one more, so the run's committed progress and its
   history survive a process kill between checkpoints;
 * **checkpoint** — at every ``checkpoint_every``-th epoch boundary the
-  training state (master loop, event heap, history head, environment) is
-  written as one atomic checkpoint generation, with the journal fsynced
-  first so no checkpoint ever points past its own journal;
+  training state (master loop, event heap, the count and digest of the
+  journaled epoch records, environment) is written as one atomic checkpoint
+  generation, with the journal fsynced first so no checkpoint ever points
+  past its own journal;
 * **restore** — recovery loads the newest checkpoint that passes
   verification (a corrupted generation falls back to the previous one,
   counted in :attr:`fallbacks`; a store of another schema is refused),
@@ -31,10 +32,12 @@ resume-exactness goldens pin.
 **Cost model.**  A checkpoint forces nothing to happen and repeats nothing
 already durable: a job whose physics is still parked is stored parked (waves
 are as wide with a checkpoint every epoch as with none), and an epoch record
-is written once, to the journal — a generation carries their *count* and a
-running digest of their frames, which restore checks the journal against.  A
-generation is therefore O(state) bytes, small at the fleet sizes trained here
-and encoded whole every time.
+is written once, to the journal — a generation carries their count and a
+running digest of their frames, and so does ``history.json``.  A generation
+is O(state): flat rows built straight from the owners' snapshot methods, its
+floats packed as float64 columns (no ``repr``), encoded whole every time.
+What remains per generation is the owners' RNG state reads, the JSON of the
+rows, the temp-file write and rename, and the journal fsync.
 """
 
 from __future__ import annotations
@@ -42,8 +45,8 @@ from __future__ import annotations
 import hashlib
 import os
 import time
+from array import array
 from collections import deque
-from dataclasses import fields, replace
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -60,15 +63,13 @@ from .format import (
 from .journal import JournalWriter, read_journal
 from .state import (
     restore_environment,
-    restore_history,
     restore_inflight,
     restore_parked,
-    restore_task,
+    restore_record,
     snapshot_environment,
     snapshot_history,
     snapshot_inflight,
     snapshot_record,
-    snapshot_task,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -166,7 +167,7 @@ class TrainingCheckpointer:
         if self._restore_sections is not None:
             meta, head = self._restore_sections["meta"], self._restore_sections["history"]
             updates, epochs, digest = meta["updates_applied"], head["record_count"], head["digest"]
-            self._last_checkpoint_epoch = int(meta["epoch_completed"])
+            self._last_checkpoint_epoch = meta["epoch_completed"]
         journal = read_journal(self.run.journal_path)
         for frame in journal.records:
             if "update" in frame:
@@ -189,9 +190,9 @@ class TrainingCheckpointer:
         if journal.torn_tail_bytes:  # or the writer would append behind the tear
             os.truncate(self.run.journal_path, journal.valid_bytes)
 
-    def _count_epoch(self, frame: dict) -> None:
+    def _count_epoch(self, frame: dict, body: bytes | None = None) -> None:
         self._epoch_frames.append(frame)
-        self._digest.update(encode_json(frame).encode())
+        self._digest.update(body or encode_json(frame).encode())
 
     @property
     def has_restore(self) -> bool:
@@ -209,36 +210,18 @@ class TrainingCheckpointer:
             return None
         start_ns = time.time_ns() if _telemetry.enabled else 0
         sections = self._restore_sections
-        meta = sections["meta"]
-        ms = sections["master"]
-
-        state = master.state
-        if len(ms["values"]) != state.num_parameters:
+        meta, ms = sections["meta"], sections["master"]
+        if len(ms["values"]) != master.state.num_parameters:
             raise CheckpointCorruptError(
                 f"checkpoint carries {len(ms['values'])} parameters, "
-                f"the objective has {state.num_parameters}"
+                f"the objective has {master.state.num_parameters}"
             )
-        state.values[:] = [float(v) for v in ms["values"]]
-        state.update_counts[:] = [int(c) for c in ms["update_counts"]]
-        state.version = int(ms["version"])
+        master.restore_state(ms)
+        now, epoch_sim_start, master._start_time = meta["clock"]
 
-        for counter, value in ms["telemetry"].items():
-            setattr(master.telemetry, counter, int(value))
-
-        master._p_correct = {k: float(v) for k, v in ms["p_correct"].items()}
-        master._weights = {k: float(v) for k, v in ms["weights"].items()}
-        master._orphans = deque(restore_task(t) for t in ms["orphans"])
-        master._fleet_events = [dict(e) for e in ms["fleet_events"]]
-        master._fault_stats = {k: int(v) for k, v in ms["fault_stats"].items()}
-        clients_by_name = {client.name: client for client in master.clients}
-        master._live = [clients_by_name[name] for name in ms["live"]]
-        master.task_queue._issued = int(ms["tasks_issued"])
-        master._start_time = float(meta["start_time"])
-
-        # The head from the container, the records from the journal prefix.
-        restored = restore_history({**sections["history"], "records": self._epoch_frames})
-        for field in fields(history):
-            setattr(history, field.name, getattr(restored, field.name))
+        # The head is this train call's own; the records are the journal prefix's.
+        for frame in self._epoch_frames:
+            history.add(restore_record(frame))
 
         restore_environment(
             sections["environment"],
@@ -249,12 +232,13 @@ class TrainingCheckpointer:
         )
         # Parked jobs re-park in the order the provider held them (not the
         # heap's), each back with the master under a fresh job id.
+        clients_by_name = {client.name: client for client in master.clients}
         entries = sections["pending"]
         parked = [entry for entry in entries if entry["parked"] is not None]
-        parked.sort(key=lambda entry: entry["parked"]["job"]["position"])
+        parked.sort(key=lambda entry: entry["parked"][-1])  # the job's parked position
         job_ids = {
             entry["sequence"]: master.register(
-                restore_parked(entry["parked"], clients_by_name[entry["client"]])
+                restore_parked(entry, clients_by_name[entry["client"]])
             )
             for entry in parked
         }
@@ -269,18 +253,12 @@ class TrainingCheckpointer:
                 start_ns,
                 time.time_ns(),
                 args={
-                    "epoch": int(meta["epoch_completed"]),
+                    "epoch": meta["epoch_completed"],
                     "journal_suffix": len(self._verify),
                     "fallbacks": len(self.fallbacks),
                 },
             )
-        return (
-            pending,
-            int(meta["sequence"]),
-            float(meta["now"]),
-            int(meta["epoch_completed"]),
-            float(meta["epoch_sim_start"]),
-        )
+        return pending, meta["sequence"], now, meta["epoch_completed"], epoch_sim_start
 
     # ------------------------------------------------------------------
     # record / checkpoint
@@ -299,12 +277,12 @@ class TrainingCheckpointer:
         }
         self._commit(record)
 
-    def _commit(self, frame: dict) -> None:
-        """Append one frame to the journal — or, while replaying, verify it
-        bit-for-bit against the frame the interrupted run already left there."""
+    def _commit(self, frame: dict) -> bytes | None:
+        """Append one frame to the journal (returning its JSON body) — or, while
+        replaying, verify it bit-for-bit against the frame the interrupted run
+        already left there."""
         if not self._verify:
-            self.journal.append(frame)
-            return
+            return self.journal.append(frame)
         expected = self._verify.popleft()
         if expected != frame:
             kind = "update" if "update" in frame else "epoch"
@@ -317,6 +295,12 @@ class TrainingCheckpointer:
                 f"replayed={frame!r} — the resumed environment does not "
                 f"match the one that wrote this run"
             )
+
+    def _journal_records(self, history: "TrainingHistory") -> None:
+        """Journal (or, on replay, verify) the epoch records the history gained."""
+        for record in history.records[len(self._epoch_frames) :]:
+            frame = snapshot_record(record)
+            self._count_epoch(frame, self._commit(frame))
 
     def after_iteration(
         self,
@@ -335,10 +319,7 @@ class TrainingCheckpointer:
         ``checkpoint_every``-multiple epoch — the loop state is then exactly
         "about to pop the next event", which is where restore re-enters.
         """
-        for record in history.records[len(self._epoch_frames) :]:
-            frame = snapshot_record(record)
-            self._commit(frame)
-            self._count_epoch(frame)
+        self._journal_records(history)
         if (
             epoch_completed <= self._last_checkpoint_epoch
             or epoch_completed % self.checkpoint_every != 0
@@ -346,35 +327,20 @@ class TrainingCheckpointer:
             return
         telemetry_on = _telemetry.enabled
         start = time.perf_counter() if telemetry_on else 0.0
-        state = master.state
         sections = {
             "meta": {
                 "updates_applied": master.telemetry.updates_applied,
-                "epoch_completed": int(epoch_completed),
-                "now": float(now),
-                "sequence": int(sequence),
-                "epoch_sim_start": float(epoch_sim_start),
-                "start_time": master._start_time,
+                "epoch_completed": epoch_completed,
+                "sequence": sequence,
                 "label": master.label,
+                "clock": array("d", (now, epoch_sim_start, master._start_time)),
             },
-            "master": {
-                "values": [float(v) for v in state.values],
-                "update_counts": [int(c) for c in state.update_counts],
-                "version": state.version,
-                "telemetry": dict(vars(master.telemetry)),
-                "p_correct": dict(master._p_correct),
-                "weights": dict(master._weights),
-                "orphans": [snapshot_task(t) for t in master._orphans],
-                "fleet_events": list(master._fleet_events),
-                "fault_stats": dict(master._fault_stats),
-                "live": [client.name for client in master._live],
-                "tasks_issued": master.task_queue.tasks_issued,
-            },
+            "master": master.snapshot_state(),
             "pending": [snapshot_inflight(entry, master) for entry in pending],
-            # The head only: the records are the journal's first ``record_count``
-            # epoch frames, whose bytes hash to ``digest``.
+            # The records are the journal's first ``record_count`` epoch
+            # frames, whose bytes hash to ``digest``.
             "history": {
-                **snapshot_history(replace(history, records=[])),
+                "records": [],
                 "record_count": len(self._epoch_frames),
                 "digest": self._digest.hexdigest(),
             },
@@ -416,7 +382,13 @@ class TrainingCheckpointer:
     # completion
     # ------------------------------------------------------------------
     def finalize(self, history: "TrainingHistory") -> None:
-        """Persist the finished run: final history, telemetry, manifest."""
+        """Persist the finished run: final history, telemetry, manifest.
+
+        ``history.json`` is the head, the record count and the digest; the
+        records are the journal's epoch frames (a partial last epoch, recorded
+        after the loop, is journaled here).
+        """
+        self._journal_records(history)
         self.close()
         history.metadata["persist"] = {
             "journal_records": self.journal.records_written,
@@ -424,7 +396,14 @@ class TrainingCheckpointer:
             "checkpoints_written": self.checkpoints_written,
             "fallbacks": len(self.fallbacks),
         }
-        atomic_write_json(self.run.history_path, snapshot_history(history))
+        atomic_write_json(
+            self.run.history_path,
+            {
+                **snapshot_history(history),
+                "record_count": len(self._epoch_frames),
+                "digest": self._digest.hexdigest(),
+            },
+        )
         if _telemetry.enabled:
             atomic_write_json(
                 self.run.telemetry_path, _telemetry.registry.snapshot()

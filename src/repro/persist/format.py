@@ -9,17 +9,17 @@ A checkpoint file is a sectioned container::
     ...
 
 The header is one JSON object ``{"schema": N, "sections": [{"name", "length",
-"crc32"}, ...]}``; each payload is the UTF-8 JSON encoding of one section's
-value, and its CRC32 is recorded in the directory.  Readers verify the magic,
-the schema number, every section length, and every section CRC before
-returning anything — a truncated or bit-flipped file raises
+"crc32"}, ...]}``.  A payload is one section's value as compact JSON, a
+newline, then its float columns as little-endian float64 bytes: a section
+value is JSON data whose leaves may also be ``array('d')`` columns, each
+packed in document order and marked ``{"f64": <count>}`` in the JSON.  A float
+thus round-trips as its eight bytes (``-0.0``, subnormals, infinities, NaN
+payloads) and costs a copy, not a ``repr``; ints (128-bit PCG64 words among
+them) and strings stay JSON.  Readers verify the magic, the schema number,
+every section length and CRC, and that the columns use up exactly the packed
+floats before returning anything — a truncated or bit-flipped file raises
 :class:`CheckpointCorruptError` instead of yielding silently wrong state,
 which is what lets the recovery path fall back one checkpoint generation.
-
-Floats survive the JSON round trip bit-exactly (``json`` serializes via
-``repr``, the shortest exact representation), and NumPy bit-generator states
-are plain dicts of (big) integers — so a restored RNG stream continues from
-exactly the captured position.
 
 Writes are atomic: the container is assembled in full, written to a
 temporary sibling, fsynced, and moved over the destination with
@@ -31,8 +31,11 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import time
 import zlib
+from array import array
+from functools import partial
 from pathlib import Path
 
 __all__ = [
@@ -52,9 +55,12 @@ CHECKPOINT_MAGIC = b"EQCCKPT\n"
 
 #: Current checkpoint schema.  Bump on any incompatible layout change; the
 #: reader rejects unknown schemas loudly instead of misinterpreting bytes.
-#: Schema 2: in-flight jobs are stored parked and epoch records live in the
-#: journal, so a schema-1 run store cannot be continued by this code.
-CHECKPOINT_SCHEMA = 2
+#: Schema 3: flat rows with packed float64 columns (schema 2 nested objects
+#: and wrote floats as JSON text; its stores are refused, as schema 1's are).
+CHECKPOINT_SCHEMA = 3
+
+_COLUMN = "f64"  # marks a float column's place in a section's JSON
+_LITTLE_ENDIAN = sys.byteorder == "little"
 
 
 #: ``json.dumps(value, separators=(",", ":"))`` without building an encoder per
@@ -112,13 +118,29 @@ def atomic_write_json(path: str | os.PathLike, value: object, indent: int = 2) -
     atomic_write_bytes(path, (json.dumps(value, indent=indent) + "\n").encode())
 
 
+def _little_endian(floats: array) -> array:
+    if not _LITTLE_ENDIAN:
+        floats = array("d", floats)
+        floats.byteswap()
+    return floats
+
+
+def _column_bytes(columns: list, value: object) -> dict:
+    """``default`` of the section encoder: a float column, set aside and marked."""
+    if not (isinstance(value, array) and value.typecode == "d"):
+        raise TypeError(f"{type(value).__name__} is neither JSON data nor a float64 column")
+    columns.append(_little_endian(value).tobytes())
+    return {_COLUMN: len(value)}
+
+
 def write_checkpoint_file(
     path: str | os.PathLike, sections: dict[str, object], fsync: bool = False
 ) -> int:
     """Assemble and atomically write one checkpoint container.
 
-    ``sections`` maps section names to JSON-serializable values.  Returns the
-    container size in bytes (telemetry records it as the checkpoint payload).
+    ``sections`` maps section names to JSON data with optional ``array('d')``
+    float columns.  Returns the container size in bytes (telemetry records it
+    as the checkpoint payload).
 
     Checkpoints default to ``fsync=False``: the run journal — fsynced before
     every checkpoint commits — is the durability anchor, and a generation
@@ -127,7 +149,12 @@ def write_checkpoint_file(
     checkpointing cheap (the ``qaoa10_chaos_durable`` workload of
     ``benchmarks/e2e`` measures it).
     """
-    payloads = [(name, encode_json(value).encode()) for name, value in sections.items()]
+    columns: list[bytes] = []
+    encode = json.JSONEncoder(separators=(",", ":"), default=partial(_column_bytes, columns)).encode
+    payloads = []
+    for name, value in sections.items():
+        payloads.append((name, b"".join((encode(value).encode(), b"\n", *columns))))
+        columns.clear()
     header = {
         "schema": CHECKPOINT_SCHEMA,
         "sections": [
@@ -140,6 +167,30 @@ def write_checkpoint_file(
     )
     atomic_write_bytes(path, blob, fsync=fsync)
     return len(blob)
+
+
+def _decode_section(payload: bytes) -> object:
+    """A section's value, float columns back in place (``ValueError`` if it is
+    unreadable or its columns do not use up exactly the packed floats)."""
+    text, newline, packed = payload.partition(b"\n")
+    if not newline or len(packed) % 8:
+        raise ValueError("no whole float64 columns after the JSON")
+    floats, taken = _little_endian(array("d", packed)), 0
+
+    def column(value: dict) -> object:
+        nonlocal taken
+        count = value.get(_COLUMN) if len(value) == 1 else None
+        if count is None:
+            return value
+        if type(count) is not int or not 0 <= count <= len(floats) - taken:
+            raise ValueError(f"a float column of {count!r} overruns the packed floats")
+        taken += count
+        return floats[taken - count : taken]
+
+    value = json.loads(text, object_hook=column)
+    if taken != len(floats):
+        raise ValueError(f"{len(floats) - taken} packed floats belong to no column")
+    return value
 
 
 def read_checkpoint_file(path: str | os.PathLike) -> dict[str, object]:
@@ -191,11 +242,9 @@ def read_checkpoint_file(path: str | os.PathLike) -> dict[str, object]:
         if zlib.crc32(payload) != crc:
             raise CheckpointCorruptError(f"{path}: section {name!r} failed its CRC32")
         try:
-            sections[name] = json.loads(payload.decode())
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise CheckpointCorruptError(
-                f"{path}: section {name!r} is not valid JSON: {exc}"
-            ) from exc
+            sections[name] = _decode_section(payload)
+        except ValueError as exc:  # JSON and UTF-8 errors among them
+            raise CheckpointCorruptError(f"{path}: section {name!r} is unreadable: {exc}") from exc
         offset += length
     if offset != len(body):
         raise CheckpointCorruptError(

@@ -15,7 +15,8 @@ fails verification and reports how many bytes of tail it discarded; everything
 before the tear is trusted.
 
 Recovery uses the journal as the run's committed-progress record: a restored
-history is rebuilt from the epoch frames (no checkpoint repeats them), the
+history, and a completed run's, is rebuilt from the epoch frames (neither a
+checkpoint nor ``history.json`` repeats them), the
 deterministic training loop re-executes from the last checkpoint, and every
 regenerated frame is verified bit-for-bit against the one on disk (see
 :class:`~repro.persist.checkpoint.TrainingCheckpointer`), so a corrupted
@@ -35,11 +36,6 @@ from ..telemetry import TELEMETRY as _telemetry
 from .format import encode_json
 
 __all__ = ["JournalWriter", "JournalReadResult", "read_journal"]
-
-
-def _frame(record: dict) -> bytes:
-    body = encode_json(record).encode()
-    return b"%08x " % zlib.crc32(body) + body + b"\n"
 
 
 @dataclass(frozen=True)
@@ -80,13 +76,16 @@ class JournalWriter:
         self.records_written = 0
         self.fsyncs = 0
 
-    def append(self, record: dict) -> None:
+    def append(self, record: dict) -> bytes:
+        """Append one frame; returns its JSON body."""
         if self._fd is None:
             raise ValueError("journal is closed")
-        os.write(self._fd, _frame(record))
+        body = encode_json(record).encode()
+        os.write(self._fd, b"%08x " % zlib.crc32(body) + body + b"\n")
         self.records_written += 1
         if _telemetry.enabled:
             _telemetry.registry.counter("persist.journal_records").inc()
+        return body
 
     def sync(self) -> None:
         """fsync the journal (called at checkpoint boundaries and on close)."""

@@ -1,34 +1,32 @@
 """Bit-exact capture and restoration of a training run's live state.
 
-Everything the EQC training loop needs to continue *as if uninterrupted* is
-snapshotted into JSON-friendly structures and restored symmetrically:
+A checkpoint generation is flat rows, built straight from their owners:
 
-* the master's parameter vector, per-parameter update counts and version,
-  run counters, ``PCorrect`` map, weights, orphaned tasks, fleet events;
-* the master's in-flight event heap — completed-but-unconsumed outcomes, jobs
-  whose physics is still parked (stored parked, re-parked on restore), parked
-  failures, stragglers and breaker probes, preserved in heap order;
-* the history head (the epoch records themselves live in the journal);
-* the cyclic task queue's issue position;
-* the cloud environment: every endpoint's RNG bit-generator state, virtual
-  clock (``free_at``), and utilization record, the provider's job-id counter,
-  dead-device set and fault counters, and each client's job count;
-* the fault machinery mid-chaos: injector stream positions and the full
-  circuit-breaker state including the transition log.
+* the master — ``EQCMasterNode.snapshot_state``: parameters, update counts and
+  version, run counters, ``PCorrect`` map, weights, orphaned tasks, fleet
+  events and the task queue's position;
+* the master's in-flight event heap, one row per entry (:func:`snapshot_inflight`):
+  collected outcomes, jobs whose physics is still parked (stored parked,
+  re-parked on restore), failures, stragglers and probes, in heap order;
+* the environment (:func:`snapshot_environment`): the provider's rows (stream
+  positions, ``free_at`` clocks, utilization records, job-id counter, dead
+  devices, fault counters), each client's job count, the injector's stream
+  positions and the breaker state with its transition log;
+* the history: its epoch records are journal frames; a generation carries
+  their count and digest, and ``history.json`` the head.
 
-Floats round-trip bit-exactly through JSON (``repr``-based serialization),
-and NumPy ``Generator`` states are the bit-generator state dicts NumPy
-itself exposes — a restored stream produces the same draws as the original
-from the captured position onward, which is what the resume-exactness
-goldens pin.
+Ints, strings and PCG64 stream positions (:mod:`repro._streams`) are JSON;
+floats are ``array('d')`` columns packed as float64 bytes, so every float
+round-trips bit-exactly and a restored stream continues with the draws the
+original would have made — what the resume-exactness goldens pin.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
+from dataclasses import fields
 from typing import TYPE_CHECKING, Mapping, Sequence
-
-import numpy as np
 
 from ..core.client import DispatchedTask, EQCClientNode, GradientOutcome
 from ..core.history import EpochRecord, TrainingHistory
@@ -47,16 +45,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..faults.injector import FaultInjector
 
 __all__ = [
-    "generator_state",
-    "restore_generator",
     "snapshot_task",
     "restore_task",
-    "snapshot_outcome",
-    "restore_outcome",
     "snapshot_inflight",
     "restore_inflight",
     "restore_parked",
     "snapshot_record",
+    "restore_record",
     "snapshot_history",
     "restore_history",
     "snapshot_environment",
@@ -65,40 +60,19 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# RNG streams
+# tasks / in-flight heap events
 # ---------------------------------------------------------------------------
 
-def generator_state(rng: np.random.Generator) -> dict:
-    """The complete bit-generator state of one NumPy ``Generator``."""
-    return rng.bit_generator.state
+def snapshot_task(task: GradientTask) -> list:
+    return [task.task_id, task.parameter_index, task.data_index]
 
 
-def restore_generator(rng: np.random.Generator, state: Mapping) -> None:
-    """Restore a ``Generator`` to a captured position in its stream."""
-    rng.bit_generator.state = dict(state)
+def restore_task(row: Sequence) -> GradientTask:
+    return GradientTask(*row)
 
 
-# ---------------------------------------------------------------------------
-# tasks / outcomes / in-flight heap events
-# ---------------------------------------------------------------------------
-
-def snapshot_task(task: GradientTask) -> dict:
-    return dict(vars(task))  # the dataclass fields in order (``asdict`` is 10x the cost)
-
-
-def restore_task(data: Mapping) -> GradientTask:
-    return GradientTask(**data)
-
-
-def snapshot_outcome(outcome: GradientOutcome) -> dict:
-    return {**vars(outcome), "task": snapshot_task(outcome.task)}
-
-
-def restore_outcome(data: Mapping) -> GradientOutcome:
-    return GradientOutcome(**{**data, "task": restore_task(data["task"])})
-
-
-#: Fault classes that can be parked on the master's heap, by wire name.
+#: Fault classes that can be parked on the master's heap, by wire name, and
+#: the constructor arguments some of them add to ``FaultError``'s.
 _FAULT_TYPES = {
     cls.__name__: cls
     for cls in (
@@ -109,73 +83,60 @@ _FAULT_TYPES = {
         DeviceOutageError,
     )
 }
-
-
-def _snapshot_failure(failure: FaultError | None) -> dict | None:
-    if failure is None:
-        return None
-    data = {
-        "type": type(failure).__name__,
-        "message": str(failure),
-        "device_name": failure.device_name,
-        "detect_time": failure.detect_time,
-    }
-    if isinstance(failure, DeviceOutageError):
-        data["permanent"] = failure.permanent
-    if isinstance(failure, JobRetriesExhausted):
-        data["attempts"] = failure.attempts
-    return data
-
-
-def _restore_failure(data: Mapping | None) -> FaultError | None:
-    if data is None:
-        return None
-    cls = _FAULT_TYPES.get(str(data["type"]), FaultError)
-    kwargs = {
-        "device_name": str(data["device_name"]),
-        "detect_time": float(data["detect_time"]),
-    }
-    if cls is DeviceOutageError:
-        kwargs["permanent"] = bool(data.get("permanent", True))
-    if cls is JobRetriesExhausted:
-        kwargs["attempts"] = int(data.get("attempts", 0))
-    return cls(str(data["message"]), **kwargs)
+_FAULT_EXTRAS = ("permanent", "attempts")
 
 
 def snapshot_inflight(entry, master) -> dict:
-    """One master heap event (``repro.core.master._InFlight``) as plain data.
+    """One master heap event (``repro.core.master._InFlight``) as one row.
 
-    A job (or straggler) whose physics is still parked is stored ``parked``,
-    unresolved; one whose counts are in carries its collected outcome.
+    An entry carries at most one part: the outcome of a job whose counts are
+    in (collected here), a failure, or — a job or straggler whose physics is
+    still parked — the dispatch it is stored as, unresolved.  Its floats are
+    one column: the finish time, then the part's (an outcome's gradient,
+    ``p_correct``, submit and finish times and truth; a failure's detection
+    time; a parked job's ``p_correct``, submit, start and finish times and
+    dispatch-time theta).
     """
     dispatched = master.parked_task(entry)
+    outcome, failure, parked = entry.outcome, entry.failure, None
+    floats = [entry.finish_time]
+    if outcome is not None:
+        floats += (outcome.gradient, outcome.p_correct, outcome.submit_time,
+                   outcome.finish_time, outcome.success_probability_truth)
+        outcome = [outcome.client_name, outcome.device_name, *snapshot_task(outcome.task),
+                   outcome.theta_version, outcome.num_circuits]
+    if failure is not None:
+        floats.append(failure.detect_time)
+        extra = {name: getattr(failure, name) for name in _FAULT_EXTRAS if hasattr(failure, name)}
+        failure = [type(failure).__name__, str(failure), failure.device_name, extra]
+    if dispatched is not None:
+        job, times = dispatched.client.provider.snapshot_job(dispatched.cloud_job)
+        floats += (dispatched.p_correct, *times, *dispatched.theta)
+        parked = [*snapshot_task(dispatched.task), dispatched.theta_version, *job]
     return {
-        "finish_time": entry.finish_time,
         "sequence": entry.sequence,
         "kind": entry.kind,
         "client": entry.client.name,
-        "outcome": None if entry.outcome is None else snapshot_outcome(entry.outcome),
+        "outcome": outcome,
         "task": None if entry.task is None else snapshot_task(entry.task),
-        "failure": _snapshot_failure(entry.failure),
-        "parked": None if dispatched is None else {
-            "task": snapshot_task(dispatched.task),
-            "theta": dispatched.theta,
-            "p_correct": dispatched.p_correct,
-            "theta_version": dispatched.theta_version,
-            "job": dispatched.client.provider.snapshot_job(dispatched.cloud_job),
-        },
+        "failure": failure,
+        "parked": parked,
+        "floats": array("d", floats),
     }
 
 
 def restore_parked(data: Mapping, client: EQCClientNode) -> DispatchedTask:
-    """Rebuild a parked job's circuits as its dispatch built them and re-park it."""
-    task = restore_task(data["task"])
-    theta = tuple(float(v) for v in data["theta"])
+    """Rebuild a parked entry's circuits as its dispatch built them and re-park it."""
+    parked = data["parked"]
+    task, theta_version, job = restore_task(parked[:3]), parked[3], parked[4:]
+    p_correct, *times = data["floats"][1:5]
+    theta = tuple(data["floats"][5:])
     spec = client.objective.build_job(task, theta)
     footprint = client.representative_footprint(spec)
-    job = client.provider.restore_job(data["job"], spec.batch, footprint)
-    p_correct, version = float(data["p_correct"]), int(data["theta_version"])
-    return DispatchedTask(client, task, theta, p_correct, job.submit_time, version, job)
+    cloud_job = client.provider.restore_job(job, times, spec.batch, footprint)
+    return DispatchedTask(
+        client, task, theta, p_correct, cloud_job.submit_time, theta_version, cloud_job
+    )
 
 
 def restore_inflight(
@@ -184,15 +145,29 @@ def restore_inflight(
     """``job_id``: where the master holds the entry's re-parked task, if any."""
     from ..core.master import _InFlight  # local: persist must not import core.master at module load
 
+    finish_time, *part = data["floats"]
+    outcome, failure = data["outcome"], data["failure"]
+    if outcome is not None:
+        client_name, device_name, *task, theta_version, num_circuits = outcome
+        gradient, p_correct, submit_time, finished, truth = part
+        outcome = GradientOutcome(
+            client_name, device_name, restore_task(task), gradient, p_correct,
+            submit_time, finished, theta_version, num_circuits, truth,
+        )
+    if failure is not None:
+        kind, message, device_name, extra = failure
+        failure = _FAULT_TYPES.get(kind, FaultError)(
+            message, device_name=device_name, detect_time=part[0], **extra
+        )
     return _InFlight(
-        finish_time=float(data["finish_time"]),
-        sequence=int(data["sequence"]),
-        outcome=None if data["outcome"] is None else restore_outcome(data["outcome"]),
-        client=clients_by_name[str(data["client"])],
+        finish_time=finish_time,
+        sequence=data["sequence"],
+        outcome=outcome,
+        client=clients_by_name[data["client"]],
         job_id=job_id,
-        kind=str(data["kind"]),
+        kind=data["kind"],
         task=None if data["task"] is None else restore_task(data["task"]),
-        failure=_restore_failure(data["failure"]),
+        failure=failure,
     )
 
 
@@ -201,7 +176,7 @@ def restore_inflight(
 # ---------------------------------------------------------------------------
 
 def snapshot_record(record: EpochRecord) -> dict:
-    """One epoch record as plain data (NaN ``noisy_loss`` becomes ``None``)."""
+    """One epoch record as its journal frame (NaN ``noisy_loss`` becomes ``None``)."""
     return {
         "epoch": record.epoch,
         "sim_time_hours": record.sim_time_hours,
@@ -212,43 +187,33 @@ def snapshot_record(record: EpochRecord) -> dict:
     }
 
 
-def snapshot_history(history: TrainingHistory) -> dict:
-    """A ``TrainingHistory`` as plain data (shared with the run store)."""
-    return {
-        "label": history.label,
-        "device_names": list(history.device_names),
-        "total_updates": history.total_updates,
-        "total_jobs": history.total_jobs,
-        "terminated_early": history.terminated_early,
-        "termination_reason": history.termination_reason,
-        "final_epoch_fraction": history.final_epoch_fraction,
-        "metadata": history.metadata,
-        "records": [snapshot_record(r) for r in history.records],
-    }
-
-
-def restore_history(data: Mapping) -> TrainingHistory:
-    history = TrainingHistory(
-        label=str(data["label"]),
-        device_names=tuple(data["device_names"]),
-        total_updates=int(data["total_updates"]),
-        total_jobs=int(data["total_jobs"]),
-        terminated_early=bool(data["terminated_early"]),
-        termination_reason=str(data["termination_reason"]),
-        final_epoch_fraction=float(data["final_epoch_fraction"]),
-        metadata=dict(data["metadata"]),
+def restore_record(frame: Mapping) -> EpochRecord:
+    noisy_loss = frame["noisy_loss"]
+    return EpochRecord(
+        epoch=frame["epoch"],
+        sim_time_hours=frame["sim_time_hours"],
+        loss=frame["loss"],
+        parameters=tuple(frame["parameters"]),
+        weights=dict(frame["weights"]),
+        noisy_loss=float("nan") if noisy_loss is None else noisy_loss,
     )
-    for r in data["records"]:
-        history.add(
-            EpochRecord(
-                epoch=int(r["epoch"]),
-                sim_time_hours=float(r["sim_time_hours"]),
-                loss=float(r["loss"]),
-                parameters=tuple(float(v) for v in r["parameters"]),
-                weights={k: float(v) for k, v in r["weights"].items()},
-                noisy_loss=float("nan") if r["noisy_loss"] is None else float(r["noisy_loss"]),
-            )
-        )
+
+
+#: A history's head: every field but its records, which are the journal's
+#: epoch frames (the run store's ``history.json``).
+_HEAD = tuple(field.name for field in fields(TrainingHistory) if field.name != "records")
+
+
+def snapshot_history(history: TrainingHistory) -> dict:
+    """A ``TrainingHistory``'s head as plain data."""
+    return {name: getattr(history, name) for name in _HEAD}
+
+
+def restore_history(head: Mapping, frames: Sequence[Mapping]) -> TrainingHistory:
+    history = TrainingHistory(**{name: head[name] for name in _HEAD})
+    history.device_names = tuple(history.device_names)
+    for frame in frames:
+        history.add(restore_record(frame))
     return history
 
 
@@ -264,8 +229,8 @@ def snapshot_environment(
 ) -> dict:
     """Capture everything outside the master that evolves during training."""
     return {
-        "provider": provider.snapshot_state(),
-        "clients": {client.name: client.jobs_completed for client in clients},
+        "provider": provider.snapshot_rows(),
+        "clients": [client.jobs_completed for client in clients],
         "injector": None if injector is None else injector.snapshot_streams(),
         "health": None if health is None else health.snapshot_state(),
     }
@@ -279,10 +244,9 @@ def restore_environment(
     health: "DeviceHealthTracker | None" = None,
 ) -> None:
     """Restore a captured environment into freshly constructed objects."""
-    provider.restore_state(data["provider"])
-    counts = data["clients"]
-    for client in clients:
-        client.jobs_completed = int(counts[client.name])
+    provider.restore_rows(data["provider"])
+    for client, jobs_completed in zip(clients, data["clients"], strict=True):
+        client.jobs_completed = jobs_completed
     if injector is not None and data["injector"] is not None:
         injector.restore_streams(data["injector"])
     if health is not None and data["health"] is not None:

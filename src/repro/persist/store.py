@@ -5,10 +5,13 @@ Layout — one directory per run under the store root::
     <root>/
       run-000001/
         manifest.json        config + config hash + seeds + run inputs + status
-        journal.jsonl        write-ahead journal of committed weight updates
+        journal.jsonl        write-ahead journal: committed weight updates and
+                             epoch records (the history's only copy of them)
         checkpoints/
           ckpt-000004.eqc    checkpoint generations (retention-bounded)
-        history.json         final TrainingHistory (written on completion)
+        history.json         final history head: label, fleet, totals, metadata,
+                             and the count and digest of the journal's epoch
+                             records (written on completion)
         telemetry.json       metrics snapshot (when telemetry was enabled)
 
 Run ids are sequential (``run-NNNNNN``), so listings sort chronologically
@@ -32,7 +35,7 @@ from dataclasses import asdict
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping
 
-from .format import atomic_write_json
+from .format import atomic_write_json, encode_json
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.ensemble import EQCConfig
@@ -99,9 +102,9 @@ def config_to_dict(config: "EQCConfig") -> dict:
         ),
         "background_tenants": config.background_tenants,
         "tenant_jobs_per_hour": config.tenant_jobs_per_hour,
-        "fault_plan": (
-            None if config.fault_plan is None else _plan_to_dict(config.fault_plan)
-        ),
+        # describe() flattens the windows already; it is the canonical JSON form
+        # (infinite durations survive via JSON Infinity).
+        "fault_plan": None if config.fault_plan is None else config.fault_plan.describe(),
         "retry_policy": (
             None if config.retry_policy is None else asdict(config.retry_policy)
         ),
@@ -111,12 +114,6 @@ def config_to_dict(config: "EQCConfig") -> dict:
         "run_store": config.run_store,
         "checkpoint_retention": config.checkpoint_retention,
     }
-
-
-def _plan_to_dict(plan) -> dict:
-    # describe() flattens the windows already; it is the canonical JSON form
-    # (infinite durations survive via JSON Infinity).
-    return plan.describe()
 
 
 def config_from_dict(data: Mapping) -> "EQCConfig":
@@ -241,7 +238,11 @@ class RunDirectory:
         return str(self.manifest().get("status", "unknown"))
 
     def history(self) -> "TrainingHistory":
-        """The final history of a completed run."""
+        """The final history of a completed run: the head from ``history.json``,
+        the records from the journal's epoch frames — only if the verified
+        journal holds exactly the records the head counts and digests."""
+        from .checkpoint import JournalDivergenceError
+        from .journal import read_journal
         from .state import restore_history
 
         if not self.history_path.exists():
@@ -249,8 +250,16 @@ class RunDirectory:
                 f"run {self.run_id!r} has no final history "
                 f"(status {self.status()!r}); resume it to completion first"
             )
-        with open(self.history_path) as handle:
-            return restore_history(json.load(handle))
+        head = json.loads(self.history_path.read_text())
+        frames = [frame for frame in read_journal(self.journal_path).records if "epoch" in frame]
+        digest = hashlib.sha256(b"".join(encode_json(frame).encode() for frame in frames))
+        held = (len(frames), digest.hexdigest())
+        expected = (head.get("record_count"), head.get("digest"))
+        if held != expected:
+            raise JournalDivergenceError(
+                f"{self.journal_path}: verified epoch records {held}; history.json holds {expected}"
+            )
+        return restore_history(head, frames)
 
     # ------------------------------------------------------------------
     def write_manifest(self, manifest: dict) -> None:

@@ -9,7 +9,6 @@ and must hold no RNG state: a device's shot stream stays its own.
 
 import copy
 import dataclasses
-import json
 import math
 import pickle
 
@@ -23,6 +22,7 @@ from repro.devices.topology import line_topology
 from repro.noise.calibration import GateCalibration
 from repro.noise.drift import DriftModel
 from repro.noise.generator import CalibrationGenerator
+from repro.persist.format import read_checkpoint_file, write_checkpoint_file
 from repro.sched.tournament import clone_fleet
 
 BOGOTA = device_spec("Bogota")
@@ -124,15 +124,16 @@ def test_a_device_shot_stream_is_its_own_and_built_on_first_read():
     assert vars(QPU(BOGOTA)).keys().isdisjoint({"_rng", "_reported_cache", "_cycle_tables"})
 
 
-def test_provider_checkpoint_round_trips_a_device_stream():
+def test_provider_checkpoint_round_trips_a_device_stream(tmp_path):
     provider = CloudProvider([build_qpu("Belem")], seed=3)
     provider.qpu("Belem")._rng.random(3)
-    captured = json.loads(json.dumps(provider.snapshot_state()))
+    write_checkpoint_file(tmp_path / "c.eqc", {"provider": provider.snapshot_rows()})
+    captured = read_checkpoint_file(tmp_path / "c.eqc")["provider"]
     expected = provider.qpu("Belem")._rng.random(4)
 
     fresh = CloudProvider([build_qpu("Belem")], seed=3)
     fresh.qpu("Belem")._rng.random(7)
-    fresh.restore_state(captured)
+    fresh.restore_rows(captured)
     assert fresh.qpu("Belem")._rng.random(4).tobytes() == expected.tobytes()
 
 

@@ -205,4 +205,4 @@ def test_every_header_bit_flip_falls_back_or_is_refused(crashed, tmp_path):
                 continue
             checkpointer.close()
             assert checkpointer.fallbacks == [str(newest)], (offset, bit)
-    assert refused == ["3"]  # the schema's "2" with bit 0 flipped
+    assert refused == ["2"]  # the schema's "3" with bit 0 flipped

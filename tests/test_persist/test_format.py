@@ -1,10 +1,15 @@
 """Tests for the checkpoint container format and atomic file writes."""
 
 import json
+import math
 import os
+import struct
 import zlib
+from array import array
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.persist.format import (
     CHECKPOINT_MAGIC,
@@ -41,8 +46,8 @@ class TestRoundTrip:
         assert [s["name"] for s in header["sections"]] == list(SECTIONS)
 
     def test_floats_round_trip_bit_exact(self, tmp_path):
-        # repr-based JSON floats are exact: the restored parameter vector
-        # must be bitwise identical, not merely close.
+        # A float left in a section's JSON (the training sections hold none:
+        # their floats are columns) round-trips through ``repr`` exactly.
         values = [0.1 + 0.2, 1e-308, 123456.789012345678, -0.0]
         path = tmp_path / "c.eqc"
         write_checkpoint_file(path, {"v": values})
@@ -89,32 +94,109 @@ class TestCorruption:
             read_checkpoint_file(path)
 
 
-class TestSchema:
-    @staticmethod
-    def container(header: dict, payload: bytes = b"") -> bytes:
-        return CHECKPOINT_MAGIC + json.dumps(header).encode() + b"\n" + payload
+def container(header: dict, payload: bytes = b"") -> bytes:
+    return CHECKPOINT_MAGIC + json.dumps(header).encode() + b"\n" + payload
 
-    def test_a_schema_1_container_is_refused_as_another_schema(self, tmp_path):
-        # Hand-built, exactly as the schema-1 writer laid it out: intact, and
-        # not this code's to interpret.
-        payload = b'{"updates_applied":12}'
-        directory = [{"name": "meta", "length": len(payload), "crc32": zlib.crc32(payload)}]
+
+def one_section(payload: bytes, schema: int = CHECKPOINT_SCHEMA) -> bytes:
+    """A container of one CRC-correct ``meta`` section, built by hand."""
+    directory = [{"name": "meta", "length": len(payload), "crc32": zlib.crc32(payload)}]
+    return container({"schema": schema, "sections": directory}, payload)
+
+
+class TestSchema:
+    @pytest.mark.parametrize("schema", [1, 2])
+    def test_an_older_schema_container_is_refused_as_another_schema(self, tmp_path, schema):
+        # Hand-built, laid out as the schema-1 and schema-2 writers laid it
+        # out (a section was JSON alone): intact, and not this code's to
+        # interpret.
         path = tmp_path / "ckpt-000001.eqc"
-        path.write_bytes(self.container({"schema": 1, "sections": directory}, payload))
-        assert CHECKPOINT_SCHEMA == 2
-        with pytest.raises(CheckpointSchemaError, match="unsupported checkpoint schema 1"):
+        path.write_bytes(one_section(b'{"updates_applied":12}', schema))
+        assert CHECKPOINT_SCHEMA == 3
+        with pytest.raises(CheckpointSchemaError, match=f"unsupported checkpoint schema {schema}"):
             read_checkpoint_file(path)
-        # The same bytes under this schema's number read back.
-        path.write_bytes(self.container({"schema": 2, "sections": directory}, payload))
+        # The same value in this schema's layout reads back.
+        path.write_bytes(one_section(b'{"updates_applied":12}\n'))
         assert read_checkpoint_file(path) == {"meta": {"updates_applied": 12}}
 
-    @pytest.mark.parametrize("schema", [None, "2", 2.5, [2]])
+    @pytest.mark.parametrize("schema", [None, "3", 3.5, [3]])
     def test_an_unreadable_schema_is_damage_not_another_schema(self, tmp_path, schema):
         path = tmp_path / "c.eqc"
-        path.write_bytes(self.container({"schema": schema, "sections": []}))
+        path.write_bytes(container({"schema": schema, "sections": []}))
         with pytest.raises(CheckpointCorruptError) as caught:
             read_checkpoint_file(path)
         assert not isinstance(caught.value, CheckpointSchemaError)
+
+
+#: Floats whose bits a decimal detour could lose: signed zeros, subnormals,
+#: infinities, and NaNs carrying a payload and either sign.
+SPECIAL_FLOATS = [
+    -0.0,
+    0.0,
+    5e-324,
+    -2.2250738585072014e-308 / 3,
+    math.inf,
+    -math.inf,
+    struct.unpack("<d", struct.pack("<Q", 0x7FF8_0000_DEAD_BEEF))[0],
+    struct.unpack("<d", struct.pack("<Q", 0xFFF4_0000_0000_0001))[0],
+]
+
+
+def float_bits(values) -> bytes:
+    return struct.pack(f"<{len(values)}d", *values)
+
+
+class TestFloatColumns:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        columns=st.lists(
+            st.lists(
+                st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(allow_nan=True)),
+                max_size=12,
+            ),
+            max_size=4,
+        )
+    )
+    def test_columns_round_trip_bit_exact(self, tmp_path_factory, columns):
+        path = tmp_path_factory.mktemp("columns") / "c.eqc"
+        sections = {
+            "rows": {"ints": [1, 2**127 + 5], "columns": [array("d", c) for c in columns]},
+            "bare": array("d", [value for c in columns for value in c]),
+        }
+        size = write_checkpoint_file(path, sections)
+        assert size == path.stat().st_size
+        read = read_checkpoint_file(path)
+        assert read["rows"]["ints"] == [1, 2**127 + 5]
+        # Bits, not ``==``: NaN != NaN and -0.0 == 0.0 would hide a lost bit.
+        assert [float_bits(c) for c in read["rows"]["columns"]] == [float_bits(c) for c in columns]
+        assert float_bits(read["bare"]) == float_bits(sections["bare"])
+
+    def test_a_column_is_eight_little_endian_bytes_a_float_after_the_json(self, tmp_path):
+        path = tmp_path / "c.eqc"
+        write_checkpoint_file(path, {"meta": {"clock": array("d", [1.5, -0.0]), "n": 3}})
+        payload = path.read_bytes().split(b"\n", 2)[2]
+        assert payload == b'{"clock":{"f64":2},"n":3}\n' + struct.pack("<2d", 1.5, -0.0)
+
+    def test_anything_else_is_not_encoded(self, tmp_path):
+        with pytest.raises(TypeError, match="float64 column"):
+            write_checkpoint_file(tmp_path / "c.eqc", {"meta": array("i", [1])})
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            b'{"f64":3}\n' + struct.pack("<2d", 1.0, 2.0),  # a column overruns the floats
+            b'{"f64":1}\n' + struct.pack("<2d", 1.0, 2.0),  # a float belongs to no column
+            b'{"f64":-1}\n',  # a negative count
+            b'{"f64":"2"}\n' + struct.pack("<2d", 1.0, 2.0),  # a count that is no int
+            b'{"f64":1}\n' + struct.pack("<d", 1.0)[:5],  # not whole float64s
+            b'{"updates_applied":12}',  # no newline after the JSON
+        ],
+    )
+    def test_a_crc_correct_but_inconsistent_section_is_corruption(self, tmp_path, payload):
+        path = tmp_path / "c.eqc"
+        path.write_bytes(one_section(payload))
+        with pytest.raises(CheckpointCorruptError, match="unreadable"):
+            read_checkpoint_file(path)
 
 
 class TestAtomicWrite:

@@ -1,13 +1,14 @@
-"""A generation holds no epoch record; the journal holds each exactly once.
+"""A generation holds no epoch record and no decimal float.
 
 Schema 1 re-wrote the append-only ``history.records`` into every container.
-Schema 2 journals a record when the history gains it and a container carries
-the history head, the record *count* and a running digest.  The oracle, at
-*every* checkpoint of three runs whose state churns differently: the container
-holds no record; each epoch frame's body is ``encode_json(snapshot_record(r))``
-of the record at its position; count and digest match the frames; and the
-whole file equals the from-values ``write_checkpoint_file`` of the
-``snapshot_*`` functions.
+Since schema 2 a record is journaled when the history gains it and a container
+carries the record *count* and a running digest; schema 3 stores the state as
+flat rows whose floats are packed float64 columns.  The oracle, at *every*
+checkpoint of three runs whose state churns differently: the container holds
+no record; each epoch frame's body is ``encode_json(snapshot_record(r))`` of
+the record at its position; count and digest match the frames; the whole file
+equals the from-values ``write_checkpoint_file`` of the owners' snapshot
+methods; and no JSON part of it decodes to a Python float.
 """
 
 import hashlib
@@ -19,12 +20,7 @@ import repro.persist.checkpoint as checkpoint_module
 from repro import EQCEnsemble, EnergyObjective, FaultPlan, OutageWindow, resume
 from repro.persist.checkpoint import TrainingCheckpointer
 from repro.persist.format import encode_json, write_checkpoint_file
-from repro.persist.state import (
-    snapshot_environment,
-    snapshot_history,
-    snapshot_inflight,
-    snapshot_record,
-)
+from repro.persist.state import snapshot_environment, snapshot_inflight, snapshot_record
 from repro.persist.store import RunStore
 from test_parked_checkpoints import golden_config
 from test_resume import FAULT_PLAN, NUM_EPOCHS, is_epoch_frame, make_config, train_until_crash
@@ -32,6 +28,20 @@ from test_resume import FAULT_PLAN, NUM_EPOCHS, is_epoch_frame, make_config, tra
 
 def epoch_frame_bodies(path):
     return [line[9:] for line in path.read_bytes().splitlines() if is_epoch_frame(line)]
+
+
+def decimal_floats(blob):
+    """Every number the container's JSON parts (header and sections) spell
+    with a fraction or exponent, and every NaN or Infinity constant."""
+    found = []
+    _, header, body = blob.split(b"\n", 2)
+    texts, offset = [header], 0
+    for section in json.loads(header)["sections"]:
+        texts.append(body[offset : offset + section["length"]].partition(b"\n")[0])
+        offset += section["length"]
+    for text in texts:
+        json.loads(text, parse_float=found.append, parse_constant=found.append)
+    return found
 
 
 @pytest.fixture
@@ -48,13 +58,14 @@ def checked(monkeypatch, tmp_path):
         checkpointer, master, history, pending = context
         bodies = epoch_frame_bodies(checkpointer.run.journal_path)
         assert bodies == [encode_json(snapshot_record(r)).encode() for r in history.records]
-        held = sections["history"]
-        assert held["records"] == [] and held["record_count"] == len(bodies)
-        assert held["digest"] == hashlib.sha256(b"".join(bodies)).hexdigest()
-        head = snapshot_history(history)
-        assert all(held[name] == head[name] for name in head if name != "records")
+        assert sections["history"] == {
+            "records": [],
+            "record_count": len(bodies),
+            "digest": hashlib.sha256(b"".join(bodies)).hexdigest(),
+        }
         reference = dict(
             sections,
+            master=master.snapshot_state(),
             pending=[snapshot_inflight(entry, master) for entry in pending],
             environment=snapshot_environment(
                 checkpointer._provider,
@@ -66,6 +77,7 @@ def checked(monkeypatch, tmp_path):
         whole = tmp_path / "oracle.eqc"
         write_checkpoint_file(whole, reference)
         assert path.read_bytes() == whole.read_bytes()
+        assert decimal_floats(path.read_bytes()) == []
         parked = sum(entry["parked"] is not None for entry in sections["pending"])
         assert parked == len(checkpointer._provider._parked)
         generations.append((sections["meta"]["epoch_completed"], parked))

@@ -1,16 +1,18 @@
 """A due checkpoint forces nothing: jobs stay parked, history stays in the journal.
 
-Schema 2's contract, checked differentially on the configuration whose bytes
+The contract since schema 2, checked differentially on the configuration whose bytes
 ``test_training_golden.py`` pins (``qaoa10_chaos_durable``):
 
 * the fleet's engine passes do not depend on the checkpoint cadence;
 * every generation — some holding a job whose physics is still parked — resumes
   to the journal, containers and history of the never-interrupted run;
-* a parked job survives snapshot -> JSON -> restore into a fresh ensemble with
-  its counts and its endpoint's stream bit-equal.
+* a parked job survives snapshot -> container -> restore into a fresh ensemble
+  with its counts and its endpoint's stream bit-equal.
 """
 
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,7 +33,7 @@ from repro import (
 from repro.core.master import EQCMasterNode
 from repro.core.weighting import WeightingConfig
 from repro.devices.qpu import _wave_noise
-from repro.persist.format import read_checkpoint_file
+from repro.persist.format import read_checkpoint_file, write_checkpoint_file
 from repro.persist.state import restore_parked, snapshot_inflight
 from repro.persist.store import RunStore
 from repro.vqa.optimizer import AsgdRule
@@ -172,7 +174,7 @@ def test_a_straggler_cut_while_parked_resumes(objective, theta0, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# one parked job, snapshot -> JSON -> restore
+# one parked job, snapshot -> container -> restore
 # ---------------------------------------------------------------------------
 
 FLEET = ("x2", "Belem", "Quito", "Lima")
@@ -211,7 +213,7 @@ def counts_of(outcome_job):
         max_size=len(FLEET),
     ),
 )
-def test_a_parked_job_round_trips_through_json(objective, seed, jobs):
+def test_a_parked_job_round_trips_through_a_container(objective, seed, jobs):
     original, master = make_master(objective, seed)
     entries = []
     for number, (client, (index, theta, now)) in enumerate(zip(original.clients, jobs)):
@@ -222,16 +224,25 @@ def test_a_parked_job_round_trips_through_json(objective, seed, jobs):
     assert len(original.provider._parked) == len(jobs)
 
     # Heap order is not park order: snapshot (and restore) the entries reversed.
-    stored = json.loads(json.dumps([snapshot_inflight(e, master) for e in reversed(entries)]))
-    environment = json.loads(json.dumps(original.provider.snapshot_state()))
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "c.eqc"
+        write_checkpoint_file(
+            path,
+            {
+                "pending": [snapshot_inflight(e, master) for e in reversed(entries)],
+                "environment": original.provider.snapshot_rows(),
+            },
+        )
+        sections = read_checkpoint_file(path)
+    stored = sections["pending"]
     assert all(entry["parked"] is not None for entry in stored)
     assert len(original.provider._parked) == len(jobs)  # the snapshot resolved nothing
 
     fresh, _ = make_master(objective, seed)
-    fresh.provider.restore_state(environment)
+    fresh.provider.restore_rows(sections["environment"])
     clients = {client.name: client for client in fresh.clients}
-    stored.sort(key=lambda entry: entry["parked"]["job"]["position"])
-    restored = [restore_parked(entry["parked"], clients[entry["client"]]) for entry in stored]
+    stored.sort(key=lambda entry: entry["parked"][-1])  # the job's parked position
+    restored = [restore_parked(entry, clients[entry["client"]]) for entry in stored]
     for ours, theirs in zip(fresh.provider._parked, original.provider._parked):
         assert ours.circuits.theta.tobytes() == theirs.circuits.theta.tobytes()
         # Same clock rows (device spec, footprint, drift triples, width), so

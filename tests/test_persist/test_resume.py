@@ -166,6 +166,29 @@ class TestUninterrupted:
         assert history_key(run.history()) == history_key(history)
         assert run.history().metadata == history.metadata
 
+    def test_a_journal_cut_after_completion_is_refused_not_shortened(
+        self, objective, theta0, tmp_path
+    ):
+        # history.json is the head, the record count and the digest: the
+        # records are the journal's.  A journal that lost epoch frames after
+        # the run completed must not come back as a shorter history.
+        config = make_config(tmp_path)
+        history = EQCEnsemble(objective, config).train(theta0, num_epochs=NUM_EPOCHS)
+        run = RunStore(tmp_path).load_run("run-000001")
+        head = json.loads(run.history_path.read_text())
+        assert "records" not in head and head["record_count"] == NUM_EPOCHS
+        assert history_key(run.history()) == history_key(history)
+        whole = run.journal_path.read_bytes()
+        lines = whole.splitlines(keepends=True)
+        last_epoch = max(i for i, line in enumerate(lines) if is_epoch_frame(line))
+        # The last epoch frame dropped whole, then torn mid-frame.
+        for cut in (b"".join(lines[:last_epoch]), whole[:-3]):
+            run.journal_path.write_bytes(cut)
+            with pytest.raises(JournalDivergenceError, match="epoch records"):
+                run.history()
+            with pytest.raises(JournalDivergenceError):
+                resume(run, objective)  # a completed run's resume is a history read
+
     def test_retention_bounds_generations(self, objective, theta0, tmp_path):
         config = make_config(tmp_path, checkpoint_retention=2)
         EQCEnsemble(objective, config).train(theta0, num_epochs=NUM_EPOCHS)
@@ -338,19 +361,22 @@ class TestCorruptionFallback:
             ["ckpt-000004.eqc", "ckpt-000005.eqc"],
         ]
 
-    def test_a_schema_1_store_is_refused_not_restarted(self, objective, theta0, tmp_path):
+    @pytest.mark.parametrize("schema", [1, 2])
+    def test_an_older_schema_store_is_refused_not_restarted(
+        self, objective, theta0, tmp_path, schema
+    ):
         # Every generation of an older store reads as "unsupported schema".
         # Treated as damage, they would all fall back, the run would restart
-        # from scratch and append epoch frames behind a schema-1 journal.
+        # from scratch and append epoch frames behind the older journal.
         run = self._crashed_run(objective, theta0, tmp_path)
         for path in run.checkpoint_paths():
             magic, header, payload = path.read_bytes().split(b"\n", 2)
             header = json.loads(header)
-            assert magic + b"\n" == CHECKPOINT_MAGIC and header["schema"] == 2
-            header["schema"] = 1
+            assert magic + b"\n" == CHECKPOINT_MAGIC and header["schema"] == 3
+            header["schema"] = schema
             path.write_bytes(b"\n".join((magic, json.dumps(header).encode(), payload)))
         journal = run.journal_path.read_bytes()
-        with pytest.raises(CheckpointSchemaError, match="unsupported checkpoint schema 1"):
+        with pytest.raises(CheckpointSchemaError, match=f"unsupported checkpoint schema {schema}"):
             resume(run, objective)
         assert run.journal_path.read_bytes() == journal
         assert run.status() == "running"

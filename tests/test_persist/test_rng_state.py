@@ -1,11 +1,12 @@
 """RNG bit-generator state round-trips (satellite of the durability PR).
 
-Resume-exactness rests on one primitive: a NumPy ``Generator`` whose
-``bit_generator.state`` is captured, shipped through JSON, and restored —
-possibly in a different process — continues with exactly the draws the
-original would have produced.  These tests pin that primitive directly, in
-the same process, across ``fork`` and ``spawn`` children, and through the
-fault injector's and cloud provider's snapshot/restore surfaces.
+Resume-exactness rests on one primitive: a NumPy ``Generator`` whose stream
+position (:func:`repro._streams.generator_state`, four integers) is captured,
+shipped through JSON or a checkpoint container, and restored — possibly in a
+different process — continues with exactly the draws the original would have
+produced.  These tests pin that primitive directly, in the same process,
+across ``fork`` and ``spawn`` children, and through the fault injector's and
+cloud provider's snapshot/restore surfaces.
 """
 
 import json
@@ -14,8 +15,9 @@ import multiprocessing as mp
 import numpy as np
 import pytest
 
+from repro._streams import generator_state, restore_generator
 from repro.faults import FaultInjector, FaultPlan
-from repro.persist.state import generator_state, restore_generator
+from repro.persist.format import read_checkpoint_file, write_checkpoint_file
 
 
 def _drain(state_json, n, queue):
@@ -105,6 +107,12 @@ class TestInjectorStreams:
         assert [resumed.transient_failure("Quito") for _ in range(10)] == expected
 
 
+def through_container(tmp_path, value):
+    """``value`` written as a checkpoint section and read back."""
+    write_checkpoint_file(tmp_path / "c.eqc", {"section": value})
+    return read_checkpoint_file(tmp_path / "c.eqc")["section"]
+
+
 class TestProviderEndpointStreams:
     @staticmethod
     def make_provider():
@@ -113,7 +121,7 @@ class TestProviderEndpointStreams:
 
         return CloudProvider(build_fleet(("x2", "Belem")), seed=11)
 
-    def test_endpoint_rng_resumes_mid_sequence(self):
+    def test_endpoint_rng_resumes_mid_sequence(self, tmp_path):
         def drain(provider, n):
             results = []
             for name in provider.device_names:
@@ -124,18 +132,19 @@ class TestProviderEndpointStreams:
 
         a = self.make_provider()
         drain(a, 7)  # advance every endpoint stream mid-sequence
-        snapshot = json.loads(json.dumps(a.snapshot_state()))
+        snapshot = through_container(tmp_path, a.snapshot_rows())
         expected = drain(a, 9)
 
         b = self.make_provider()
-        b.restore_state(snapshot)
+        b.restore_rows(snapshot)
         assert drain(b, 9) == expected
+        assert b.snapshot_state() == a.snapshot_state()
 
     def test_job_ids_continue_after_restore(self):
         a = self.make_provider()
         for _ in range(4):
             a._new_job_id()
-        snapshot = a.snapshot_state()
+        snapshot = a.snapshot_rows()
         b = self.make_provider()
-        b.restore_state(snapshot)
+        b.restore_rows(snapshot)
         assert b._new_job_id() == a._new_job_id()
