@@ -129,13 +129,14 @@ def test_the_contended_outage_really_cuts_a_training_job(
 
 
 #: sha256 of what the chaos run leaves on disk (retention keeps the last three
-#: checkpoint containers).  Re-captured once, for checkpoint schema 2 (parked
-#: jobs stored parked, epoch records in the journal); CHANGES.md has the old
-#: -> new table.  The run digests above did not move.
+#: checkpoint containers).  Re-captured for checkpoint schema 2 (parked jobs
+#: stored parked, epoch records in the journal) and for schema 3 (flat rows,
+#: packed float64 columns); CHANGES.md has the old -> new tables.  The run
+#: digests above and the journal did not move.
 GOLDEN_RUN_FILES = {
-    "ckpt-000006.eqc": "d06e902a926dc2bee95d37d526e79b073c78ab2ab4c70784b788936424abf26a",
-    "ckpt-000007.eqc": "da62208e54d82c9e6719d5c068162894ba18fd3c483a96a5d7efa2cf26771bc1",
-    "ckpt-000008.eqc": "461fe99709a6c4b7a908e776ffd7312155940c1b9b5b7d96d1a028141e3a4467",
+    "ckpt-000006.eqc": "e9633c272f6fd3dbc76d3089f6444ef4a22296dfdcf56610da29bac15a81d8d9",
+    "ckpt-000007.eqc": "8f7d0e557161a6baa7b9892ae691a700801cfb29f2f5d592a93ca256f795b310",
+    "ckpt-000008.eqc": "c6bbeb8c7556f0ab0cddd21d4ba2aa949fb09072c13f08f84601e364c8e3120f",
     "journal.jsonl": "12ae5a23f1ae1ed78a2a871a6862d1785d45c994d0ba711b49c0e0092674cb9c",
 }
 
