@@ -189,6 +189,34 @@ class TestUninterrupted:
             with pytest.raises(JournalDivergenceError):
                 resume(run, objective)  # a completed run's resume is a history read
 
+    def test_a_partial_last_epoch_is_journaled_with_the_rest(self, objective, theta0, tmp_path):
+        # A truncated update budget's tail becomes a partial epoch record after
+        # the master's loop, past the last journaling hook: finalize journals
+        # it, or history() would refuse the completed run.
+        from repro.core.master import EQCMasterNode
+        from repro.core.weighting import WeightingConfig
+        from repro.vqa.optimizer import AsgdRule
+        from repro.vqa.tasks import vqe_task_cycle
+
+        config = make_config(tmp_path)
+        ensemble = EQCEnsemble(objective, config)
+        run = RunStore(tmp_path).create_run(config, theta0, num_epochs=NUM_EPOCHS)
+        checkpointer = TrainingCheckpointer(run, 1, provider=ensemble.provider)
+        master = EQCMasterNode(
+            objective,
+            ensemble.clients,
+            vqe_task_cycle(objective.num_parameters),
+            AsgdRule(learning_rate=config.learning_rate),
+            WeightingConfig(),
+            theta0,
+        )
+        updates = 2 * objective.num_parameters + 1
+        history = master.train(target_updates=updates, checkpointer=checkpointer)
+        checkpointer.finalize(history)
+        assert history.metadata["final_epoch_partial_updates"] == 1
+        assert [r.epoch for r in run.history().records] == [1, 2, 3]
+        assert history_key(run.history()) == history_key(history)
+
     def test_retention_bounds_generations(self, objective, theta0, tmp_path):
         config = make_config(tmp_path, checkpoint_retention=2)
         EQCEnsemble(objective, config).train(theta0, num_epochs=NUM_EPOCHS)
