@@ -22,7 +22,10 @@ by roughly an order of magnitude.  Three mechanisms:
   action, so an action that schedules an earlier event is never overtaken).
 * **Cheap events.**  :class:`Event` is a ``__slots__`` class, and the heap
   entry carries the action callable directly so the hot loops never touch
-  event attributes.
+  event attributes.  A recurring owner need not allocate at all:
+  :meth:`EventKernel.rearm` puts a fired event back on the heap under a
+  fresh sequence number, so each device re-arms one service-completion
+  event (and its bound action) for every job it serves.
 * **Lazy cancellation with a compaction sweep.**  ``Event.cancel()`` only
   flips a flag; dead entries are discarded when popped.  The kernel counts
   cancelled-but-pending events and, when more than half of the heap is dead,
@@ -82,6 +85,11 @@ class Event:
     total and therefore deterministic.  The kernel stores the ordering key
     as a plain tuple on its heap (tuple comparison runs in C, which is most
     of the kernel's throughput), so the event itself is never compared.
+
+    An event that has fired may be put back with :meth:`EventKernel.rearm`,
+    which gives it a new ``time`` and ``sequence``: an Event returned by
+    :meth:`EventKernel.step` (a device's service completion, say) can be
+    re-armed later and fire again.
     """
 
     __slots__ = (
@@ -233,6 +241,32 @@ class EventKernel:
         self._live += 1
         return event
 
+    def rearm(self, event: Event, time: float) -> None:
+        """Put a fired ``event`` back on the heap at ``time``.
+
+        The event keeps its priority, kind and action and takes the next
+        sequence number, so it orders exactly as a fresh :meth:`schedule`
+        call at this point would.  An event still pending, or cancelled,
+        is refused: the first would sit on the heap twice, the second was
+        withdrawn for good by whoever cancelled it.
+        """
+        if event._pending or event.cancelled:
+            raise ValueError(f"only a fired event can be re-armed, not {event!r}")
+        if event._kernel is not self:
+            raise ValueError("an event can only be re-armed on its own kernel")
+        if not 0.0 <= time < inf:  # one chained comparison; false on NaN too
+            if not isfinite(time):
+                raise ValueError("event timestamps must be finite")
+            raise ValueError("events cannot be scheduled before t=0")
+        time = float(time)
+        seq = self._seq
+        self._seq = seq + 1
+        event.time = time
+        event.sequence = seq
+        event._pending = True
+        heapq.heappush(self._heap, (time, event.priority, seq, event.action, event))
+        self._live += 1
+
     def schedule_batch(
         self,
         times,
@@ -370,6 +404,7 @@ class EventKernel:
         before the predicate is satisfied — a scheduler deadlock is a bug, not
         a quiet hang.
         """
+        require(self, "max_events", max_events, low=1, integer=True)
         processed = 0
         while not predicate():
             if processed >= max_events:
@@ -392,8 +427,11 @@ class EventKernel:
         remain strictly ahead of every other pending entry (the heap top is
         re-checked after each action, so anything an action schedules —
         including a past-timestamped replay — is dispatched in exact
-        ``(time, priority, sequence)`` order).
+        ``(time, priority, sequence)`` order).  ``timestamp`` must be
+        finite: no pending event is later than NaN, and recurring events
+        (calibration cycles) would keep an infinite bound draining forever.
         """
+        require(self, "timestamp", timestamp)
         heap = self._heap
         pop = heapq.heappop
         push = heapq.heappush

@@ -4,10 +4,10 @@ A :class:`SchedulingPolicy` answers the two questions a multi-tenant cloud
 scheduler faces once a job reaches its device (every job is pinned to one,
 as every EQC client is pinned to its device):
 
-* **admission** — does it enter the waiting list at all
-  (:meth:`SchedulingPolicy.admit`; the default replicates the fixed
-  background-job cap, :class:`BackpressurePolicy` sheds load smoothly
-  against queue depth instead), and
+* **admission** — does a job the queue has room for enter the waiting list
+  (:meth:`SchedulingPolicy.admit`; the default admits it,
+  :class:`BackpressurePolicy` sheds load smoothly against queue depth; the
+  fixed background-job cap is the queue's own check, made first), and
 * **ordering** — when a device frees up, which waiting job starts
   (:meth:`SchedulingPolicy.next_job`).
 
@@ -50,7 +50,7 @@ def _shed_hash(job_id: int) -> float:
 
 
 class SchedulingPolicy:
-    """Base policy: capped admission, FIFO ordering."""
+    """Base policy: admit what the queue admits, FIFO ordering."""
 
     name = "base"
 
@@ -62,16 +62,14 @@ class SchedulingPolicy:
     ) -> bool:
         """Whether ``job`` may join ``queue.waiting`` (False = rejected).
 
-        The default is the classic bounded queue: background jobs bounce off
-        the device's ``max_queue_length`` cap, foreground (EQC) jobs always
-        enter.  Policies may also annotate the job here (e.g.
-        :class:`DeadlinePolicy` stamps ``job.deadline``).
+        Called only for a job the queue has room for:
+        :meth:`DeviceServiceQueue.on_arrival` bounces a background job off
+        the device's ``max_queue_length`` cap before asking.  The default
+        admits it.  Policies may shed more (:class:`BackpressurePolicy`) or
+        annotate the job here (:class:`DeadlinePolicy` stamps
+        ``job.deadline``).
         """
-        return (
-            job.foreground
-            or queue.max_queue_length is None
-            or len(queue.waiting) < queue.max_queue_length
-        )
+        return True
 
     def next_job(
         self,
@@ -136,8 +134,9 @@ class BackpressurePolicy(SchedulingPolicy):
     compared against a multiplicative hash of the job id — no RNG, so two
     runs shed identical jobs).  Early shedding keeps queues short: what *is*
     admitted waits far less, and foreground jobs — always admitted — see a
-    near-empty device instead of a saturated one.  The hard cap still holds
-    as a final backstop.  Ordering stays FIFO.
+    near-empty device instead of a saturated one.  The queue's hard cap is
+    checked before this gate, so a watermark above the cap never admits
+    past it.  Ordering stays FIFO.
     """
 
     name = "backpressure"
@@ -152,9 +151,6 @@ class BackpressurePolicy(SchedulingPolicy):
         if job.foreground:
             return True
         depth = len(queue.waiting)
-        cap = queue.max_queue_length
-        if cap is not None and depth >= cap:
-            return False
         if depth < self.low_watermark:
             return True
         if depth >= self.high_watermark:
@@ -180,7 +176,8 @@ class DeadlinePolicy(SchedulingPolicy):
     a fixed community mix of interactive, batch, and bulk users.  When the
     device frees up, the waiting job with the earliest deadline starts, so
     interactive work overtakes bulk work exactly when it matters and the
-    bulk tier absorbs the queueing.  Admission keeps the default cap.
+    bulk tier absorbs the queueing.  Admission only stamps the deadline:
+    every job the queue's cap lets through is admitted.
     """
 
     name = "deadline"
@@ -212,8 +209,6 @@ class DeadlinePolicy(SchedulingPolicy):
         return slack
 
     def admit(self, job, queue, now):
-        if not super().admit(job, queue, now):
-            return False
         if job.deadline is None:
             job.deadline = float(now) + self.slack_for(job)
         return True

@@ -18,6 +18,7 @@ channel through which device weather shapes tenant-visible latency.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
@@ -143,8 +144,9 @@ class DeviceServiceQueue:
         #: overloaded device (offered load > 1) grows its backlog without
         #: bound and foreground latency diverges; real clouds bound the
         #: queue, so the simulation does too.  Foreground jobs always enter.
-        #: The check itself lives in :meth:`SchedulingPolicy.admit`, so
-        #: policies like backpressure can substitute their own gate.
+        #: :meth:`on_arrival` checks the cap before the policy is asked, so
+        #: a policy's :meth:`~SchedulingPolicy.admit` only ever sees a queue
+        #: with room and may shed earlier (backpressure) but never later.
         self.max_queue_length = max_queue_length
 
         self.waiting: list[SchedJob] = []
@@ -159,11 +161,17 @@ class DeviceServiceQueue:
         self.outage_windows: list[DowntimeWindow] = []
 
         self.completed: list[SchedJob] = []
+        #: ``wait_seconds`` of each completed job, recorded at completion in
+        #: the order of ``completed`` (what the SLO percentiles read).
+        self.waits = array("d")
         self.jobs_rejected = 0
         self.busy_seconds = 0.0
         #: Accumulated service per tenant (what fair-share policies consume).
         self.service_given: dict[str, float] = {}
         self._wakeup: Event | None = None
+        #: The service-completion event, re-armed for every service; an
+        #: outage that cuts a service cancels it, and the next service
+        #: schedules a fresh one.
         self._service_event: Event | None = None
 
     # ------------------------------------------------------------------
@@ -291,8 +299,17 @@ class DeviceServiceQueue:
     # job lifecycle
     # ------------------------------------------------------------------
     def on_arrival(self, job: SchedJob, now: float) -> None:
-        """Admit a job to the waiting list and start it if the device is free."""
-        if not self.policy.admit(job, self, now):
+        """Admit a job to the waiting list and start it if the device is free.
+
+        A background job that finds the waiting list at the cap is rejected
+        before the policy is asked; every other job is the policy's call.
+        """
+        cap = self.max_queue_length
+        if (
+            cap is not None
+            and len(self.waiting) >= cap
+            and not job.foreground
+        ) or not self.policy.admit(job, self, now):
             job.rejected = True
             self.jobs_rejected += 1
             if _telemetry.enabled:
@@ -336,12 +353,16 @@ class DeviceServiceQueue:
         self.free_at = free_at = now + duration
         # The completion reads ``in_service``: one job runs at a time, and an
         # outage that preempts it cancels this event before clearing the slot.
-        self._service_event = self.kernel.schedule(
-            free_at,
-            self._complete,
-            EVENT_PRIORITY["service_complete"],
-            "service_complete",
-        )
+        event = self._service_event
+        if event is None:
+            self._service_event = self.kernel.schedule(
+                free_at,
+                self._complete,
+                EVENT_PRIORITY["service_complete"],
+                "service_complete",
+            )
+        else:
+            self.kernel.rearm(event, free_at)
 
     def _complete(self, now: float) -> None:
         job = self.in_service
@@ -349,8 +370,10 @@ class DeviceServiceQueue:
         # The physics ran; completed handles must not pin the caller's closure.
         job.service = None
         self.in_service = None
-        self._service_event = None
         self.completed.append(job)
+        # ``job.wait_seconds``, inlined (NaN and -0.0 read 0.0 as there).
+        wait = job.start_time - job.arrival_time
+        self.waits.append(wait if wait > 0.0 else 0.0)
         seconds = job.service_seconds
         self.busy_seconds += seconds
         given = self.service_given

@@ -17,13 +17,14 @@ traffic pending on the heap for the next submission to consume.
 from __future__ import annotations
 
 import itertools
+from array import array
 
 from .._fields import require
 from ..cloud.clock import VirtualClock
 from ..cloud.queueing import QueueModel
 from ..devices.qpu import QPU
 from ..telemetry import TELEMETRY as _telemetry
-from ..telemetry.report import jains_index, percentile
+from ..telemetry.report import jains_index, sorted_percentile
 from .kernel import EventKernel
 from .policies import SchedulingPolicy, resolve_policy
 from .queues import EVENT_PRIORITY, DeviceServiceQueue, SchedJob, ServiceFn
@@ -267,12 +268,15 @@ class CloudScheduler:
 
         Queue-wait percentiles cover every completed job (foreground and
         tenant); the fairness index is Jain's index over the device seconds
-        each tenant received, so 1.0 means perfectly even service.
+        each tenant received, so 1.0 means perfectly even service.  The
+        waits are the queues' columns, in :meth:`completed_jobs` order.
         """
-        jobs = self.completed_jobs()
-        waits = [job.wait_seconds for job in jobs]
+        waits = array("d")
+        for queue in self.queues.values():
+            waits.extend(queue.waits)
+        ordered = sorted(waits)
         rejected = sum(queue.jobs_rejected for queue in self.queues.values())
-        offered = len(jobs) + rejected
+        offered = len(waits) + rejected
         service_by_tenant: dict[str, float] = {}
         for queue in self.queues.values():
             for tenant, seconds in queue.service_given.items():
@@ -280,10 +284,10 @@ class CloudScheduler:
                     service_by_tenant.get(tenant, 0.0) + seconds
                 )
         return {
-            "jobs_completed": float(len(jobs)),
+            "jobs_completed": float(len(waits)),
             "queue_wait_mean": float(sum(waits) / len(waits)) if waits else 0.0,
-            "queue_wait_p50": percentile(waits, 50.0),
-            "queue_wait_p99": percentile(waits, 99.0),
+            "queue_wait_p50": sorted_percentile(ordered, 50.0),
+            "queue_wait_p99": sorted_percentile(ordered, 99.0),
             "rejected_fraction": rejected / offered if offered else 0.0,
             "tenant_fairness_jain": jains_index(list(service_by_tenant.values())),
         }

@@ -23,6 +23,7 @@ from .trace import Tracer
 __all__ = [
     "jains_index",
     "percentile",
+    "sorted_percentile",
     "tournament_table",
     "run_report",
     "render_text",
@@ -36,9 +37,16 @@ def percentile(values: Sequence[float], q: float) -> float:
     Matches ``numpy.percentile(..., method="linear")`` so metrics computed
     here agree with any analysis notebook; returns 0.0 on empty input.
     """
-    if not values:
+    return sorted_percentile(sorted(map(float, values)), q)
+
+
+def sorted_percentile(ordered: Sequence[float], q: float) -> float:
+    """:func:`percentile` of values already in ascending order.
+
+    Several percentiles of one sample then share a single sort.
+    """
+    if not ordered:
         return 0.0
-    ordered = sorted(map(float, values))
     if len(ordered) == 1:
         return ordered[0]
     rank = (q / 100.0) * (len(ordered) - 1)

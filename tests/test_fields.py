@@ -21,6 +21,7 @@ import inspect
 import math
 import pkgutil
 import re
+import signal
 
 import numpy as np
 import pytest
@@ -35,6 +36,8 @@ from repro.devices import build_qpu
 from repro.devices.catalog import device_spec
 from repro.persist import RunDirectory
 from repro.sched import CloudScheduler
+from repro.sched.kernel import EventKernel
+from repro.sched.tournament import clone_fleet
 from repro.vqa import AsgdRule, vqe_task_cycle
 
 PACKAGES = [repro] + [
@@ -273,6 +276,34 @@ def _scheduler_submit(problem, **keywords):
     _belem_scheduler().submit("Belem", **keywords)
 
 
+def _drain_to(problem, timestamp):
+    """Drain two calibrating devices with no tenants to ``timestamp``.
+
+    Their calibration cycles re-arm forever, so a bound the drain never
+    passes fails here with ``TimeoutError`` after 10 s instead of hanging.
+    """
+    scheduler = CloudScheduler()
+    for qpu, model in clone_fleet(2):
+        scheduler.register_device(qpu, model)
+
+    def give_up(signum, frame):
+        raise TimeoutError(f"run_until_time({timestamp}) did not return")
+
+    previous = signal.signal(signal.SIGALRM, give_up)
+    signal.alarm(10)
+    try:
+        scheduler.run_until_time(timestamp)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _run_until(problem, max_events):
+    kernel = EventKernel()
+    kernel.schedule(1.0, lambda t: None)
+    kernel.run_until(lambda: kernel.pending == 0, max_events=max_events)
+
+
 def _scale_errors(problem, factor):
     build_qpu("Belem").reported_calibration(0.0).scale_errors(factor)
 
@@ -291,6 +322,9 @@ def _scale_errors(problem, factor):
         (lambda p: _scheduler_submit(p, arrival=math.nan), "arrival"),
         (lambda p: _scheduler_submit(p, num_circuits=math.nan), "num_circuits"),
         (lambda p: _scale_errors(p, math.nan), "factor"),
+        (lambda p: _drain_to(p, math.nan), "timestamp"),
+        (lambda p: _drain_to(p, math.inf), "timestamp"),
+        (lambda p: _run_until(p, math.nan), "max_events"),
     ],
     ids=[
         "EQCEnsemble.train-num_epochs", "EQCEnsemble.train-record_every",
@@ -299,6 +333,8 @@ def _scale_errors(problem, factor):
         "CloudScheduler.inject_outage-start", "CloudScheduler.submit-duration",
         "CloudScheduler.submit-arrival", "CloudScheduler.submit-num_circuits",
         "CalibrationSnapshot.scale_errors-factor",
+        "EventKernel.run_until_time-timestamp", "EventKernel.run_until_time-timestamp-inf",
+        "EventKernel.run_until-max_events",
     ],
 )
 def test_per_call_arguments_refuse_nan_by_name(call, field, vqe_problem):

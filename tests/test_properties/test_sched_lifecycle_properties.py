@@ -4,7 +4,8 @@ A random scheduler run (any registered policy, any seed, tenant load, queue
 cap and outage plan; ``run_until_time`` and ``run_until_complete`` calls
 interleaved with withdrawing a waiting foreground job) must conserve jobs,
 keep time monotone, keep every service start outside the windows in which
-the device was down, and keep the kernel's live-event count equal to what is
+the device was down, keep each queue's waits column equal to its completed
+jobs' waits, and keep the kernel's live-event count equal to what is
 actually on its heap.
 """
 
@@ -146,6 +147,8 @@ class Harness:
                 + self.withdrawn[name]
             )
             assert queue.busy_seconds == sum(j.service_seconds for j in queue.completed)
+            # Recorded once, at completion: a preempted job's restart counts.
+            assert queue.waits.tolist() == [j.wait_seconds for j in queue.completed]
             windows = queue.downtime_windows + queue.outage_windows
             previous_finish = 0.0
             for job in queue.completed + ([running] if running is not None else []):

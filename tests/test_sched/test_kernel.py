@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from repro.cloud.clock import VirtualClock
+from repro.cloud.queueing import queue_model_for
+from repro.devices.catalog import build_qpu
+from repro.sched import CloudScheduler
 from repro.sched.kernel import EventKernel
 
 
@@ -275,3 +278,91 @@ class TestRunHelpers:
         for t in (1.0, 2.0, 3.0):
             kernel.schedule(t, lambda now: fired.append(now))
         assert kernel.run_until(lambda: len(fired) == 2) == 2
+
+
+class TestRearm:
+    def test_a_pending_or_cancelled_event_is_refused(self):
+        kernel = EventKernel()
+        pending = kernel.schedule(1.0, lambda t: None)
+        with pytest.raises(ValueError, match="only a fired event"):
+            kernel.rearm(pending, 2.0)
+        pending.cancel()
+        with pytest.raises(ValueError, match="only a fired event"):
+            kernel.rearm(pending, 2.0)
+        fired = kernel.schedule(3.0, lambda t: None)
+        assert kernel.step() is fired
+        fired.cancel()  # after firing: nothing to withdraw, but it stays dead
+        with pytest.raises(ValueError, match="only a fired event"):
+            kernel.rearm(fired, 4.0)
+        assert kernel.pending == 0 and kernel.heap_size == 0
+
+    def test_a_fired_event_of_another_kernel_or_a_run_is_refused(self):
+        kernel, other = EventKernel(), EventKernel()
+        foreign = other.schedule(1.0, lambda t: None)
+        assert other.step() is foreign
+        with pytest.raises(ValueError, match="its own kernel"):
+            kernel.rearm(foreign, 2.0)
+        kernel.schedule_batch([1.0], lambda t: None)
+        transient = kernel.step()  # a run element's firing has no handle
+        with pytest.raises(ValueError, match="its own kernel"):
+            kernel.rearm(transient, 2.0)
+
+    @pytest.mark.parametrize("time", [float("nan"), float("inf"), -1.0])
+    def test_a_bad_time_is_refused_and_leaves_the_event_fired(self, time):
+        kernel = EventKernel()
+        event = kernel.schedule(1.0, lambda t: None)
+        kernel.step()
+        with pytest.raises(ValueError):
+            kernel.rearm(event, time)
+        assert kernel.pending == 0 and kernel.heap_size == 0
+        kernel.rearm(event, 2.0)
+        assert kernel.pending == 1
+
+    def test_a_rearmed_event_takes_a_fresh_sequence_and_fires_once(self):
+        kernel = EventKernel()
+        fired = []
+        event = kernel.schedule(1.0, fired.append, priority=3, kind="service")
+        kernel.schedule(5.0, lambda t: None)
+        kernel.schedule_batch([2.0, 6.0, 7.0], lambda t: None)
+        assert kernel.step() is event and fired == [1.0]
+        issued = [entry[2] for entry in kernel._heap]
+        pending = kernel.pending
+
+        kernel.rearm(event, 6.0)
+        assert event.sequence > max(issued)
+        assert (event.time, event.priority, event.kind) == (6.0, 3, "service")
+        assert kernel.pending == pending + 1
+        order = []
+        while (step := kernel.step()) is not None:
+            order.append((step.time, step.sequence))
+        # Rearmed after the batch was admitted, it fires after the batch's
+        # element at the same timestamp, exactly as a fresh schedule would.
+        assert fired == [1.0, 6.0]
+        assert order == sorted(order)
+        assert [t for t, _ in order] == [2.0, 5.0, 6.0, 6.0, 7.0]
+        assert order[3] == (6.0, event.sequence)
+        assert kernel.pending == 0 and kernel.events_processed == 6
+
+    def test_an_outage_cancels_the_service_event_and_the_restart_takes_another(self):
+        scheduler = CloudScheduler(policy="fifo", downtime_seconds=0.0)
+        scheduler.register_device(build_qpu("Belem"), queue_model_for("Belem"))
+        first = scheduler.submit("Belem", arrival=0.0, duration=100.0)
+        scheduler.inject_outage("Belem", start=50.0, duration=10.0)
+        kernel, queue = scheduler.kernel, scheduler.queues["Belem"]
+        kernel.run_until_time(0.0)
+        cut = queue._service_event
+        assert cut is not None and cut.time == 100.0
+        second = scheduler.submit("Belem", arrival=20.0, duration=30.0)
+
+        fired = []
+        while not second.done:
+            fired.append(kernel.step())
+        assert cut.cancelled and all(event is not cut for event in fired)
+        assert kernel.events_processed == 1 + len(fired)
+        completions = [e for e in fired if e.kind == "service_complete"]
+        # The restart took a fresh event; the second service re-armed it.
+        assert len(completions) == 2 and completions[0] is completions[1]
+        assert completions[0] is queue._service_event is not cut
+        assert (first.start_time, first.finish_time) == (60.0, 160.0)
+        assert (second.start_time, second.finish_time) == (160.0, 190.0)
+        assert queue.completed == [first, second]

@@ -1,16 +1,18 @@
 """Tests for device service queues: capacity-1 service and downtime windows."""
 
+import numpy as np
 import pytest
 
 from repro.cloud.clock import SECONDS_PER_HOUR
 from repro.cloud.queueing import queue_model_for
 from repro.devices.catalog import build_qpu
-from repro.sched import CloudScheduler, SchedJob
+from repro.sched import POLICY_REGISTRY, CloudScheduler, SchedJob, WorkloadGenerator
+from repro.telemetry import percentile
 
 
-def make_scheduler(device="Belem", **kwargs):
+def make_scheduler(device="Belem", policy="fifo", **kwargs):
     kwargs.setdefault("downtime_seconds", 0.0)
-    scheduler = CloudScheduler(policy="fifo", **kwargs)
+    scheduler = CloudScheduler(policy=policy, **kwargs)
     scheduler.register_device(build_qpu(device), queue_model_for(device))
     return scheduler
 
@@ -82,6 +84,32 @@ class TestAdmissionControl:
         scheduler.run_until_complete(jobs[-1])
         assert scheduler.queues["Belem"].jobs_rejected == 0
         assert all(job.done for job in jobs)
+
+    @pytest.mark.parametrize("name", sorted(POLICY_REGISTRY))
+    def test_a_full_queue_rejects_background_before_the_policy_is_asked(self, name):
+        policy = POLICY_REGISTRY[name]()
+        asked = []
+        admit = policy.admit
+        policy.admit = lambda job, queue, now: asked.append(job) or admit(job, queue, now)
+        scheduler = make_scheduler(policy=policy, max_queue_length=2)
+        queue = scheduler.queues["Belem"]
+
+        def arrive(foreground):
+            return scheduler.submit(
+                device_name="Belem", arrival=1.0, duration=10.0,
+                tenant="eqc" if foreground else "t", foreground=foreground,
+            )
+
+        blocker = scheduler.submit(device_name="Belem", arrival=0.0, duration=1000.0)
+        filling = [arrive(False), arrive(False)]
+        bounced = arrive(False)
+        probe = arrive(True)
+        scheduler.run_until_time(1.0)
+        assert queue.in_service is blocker and queue.waiting == [*filling, probe]
+        assert bounced.rejected and queue.jobs_rejected == 1
+        assert asked == [blocker, *filling, probe]
+        scheduler.run_until_complete(probe)
+        assert probe.done and not probe.rejected
 
 
 class TestHandleIdentity:
@@ -155,3 +183,29 @@ class TestCalibrationDowntime:
         period = scheduler.queues["Belem"].qpu.spec.calibration_period_hours * SECONDS_PER_HOUR
         scheduler.run_until_time(2.5 * period)
         assert scheduler.queues["Belem"].downtime_windows == []
+
+
+class TestSloMetrics:
+    def test_wait_percentiles_match_numpy_over_the_completed_jobs(self):
+        """One sort serves p50 and p99, with ``percentile``'s arithmetic."""
+        scheduler = CloudScheduler(
+            policy="fifo", workload=WorkloadGenerator(300, jobs_per_tenant_hour=3.0), seed=5
+        )
+        for name in ("Belem", "Bogota"):
+            scheduler.register_device(build_qpu(name), queue_model_for(name))
+        scheduler.run_until_time(3 * SECONDS_PER_HOUR)
+        waits = [job.wait_seconds for job in scheduler.completed_jobs()]
+        assert len(waits) > 200 and len(set(waits)) > 100
+        slo = scheduler.slo_metrics()
+        assert slo["jobs_completed"] == len(waits)
+        assert slo["queue_wait_mean"] == sum(waits) / len(waits)
+        for q in (50, 99):
+            assert slo[f"queue_wait_p{q}"] == percentile(waits, q)
+            assert slo[f"queue_wait_p{q}"] == pytest.approx(
+                float(np.percentile(waits, q, method="linear")), rel=1e-12
+            )
+
+    def test_an_idle_fleet_reports_zero_waits(self):
+        slo = make_scheduler().slo_metrics()
+        assert slo["jobs_completed"] == 0.0
+        assert slo["queue_wait_mean"] == slo["queue_wait_p50"] == slo["queue_wait_p99"] == 0.0

@@ -6,6 +6,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.telemetry import (
     MetricsRegistry,
@@ -16,6 +18,7 @@ from repro.telemetry import (
     run_report,
     write_report,
 )
+from repro.telemetry.report import sorted_percentile
 
 
 class TestPercentile:
@@ -30,6 +33,19 @@ class TestPercentile:
     def test_edge_cases(self):
         assert percentile([], 50) == 0.0
         assert percentile([4.2], 99) == 4.2
+        assert sorted_percentile([], 50) == 0.0
+        assert sorted_percentile([4.2], 99) == 4.2
+
+    @given(
+        values=st.lists(st.floats(0.0, 1e6), min_size=1, max_size=60),
+        q=st.floats(0.0, 100.0),
+    )
+    def test_one_sorted_copy_serves_every_percentile(self, values, q):
+        ordered = sorted(values)
+        assert sorted_percentile(ordered, q) == percentile(values, q)
+        assert sorted_percentile(ordered, q) == pytest.approx(
+            float(np.percentile(values, q, method="linear")), rel=1e-9, abs=1e-9
+        )
 
 
 class TestJainsIndex:
