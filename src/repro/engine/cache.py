@@ -20,7 +20,13 @@ from typing import Sequence
 from ..circuit.circuit import QuantumCircuit
 from ..telemetry import TELEMETRY as _telemetry
 from .compiler import compile_circuit
-from .program import GateProgram, ParameterPlan, merge_programs, parameter_plan
+from .program import (
+    GateProgram,
+    GroupPlan,
+    group_plan,
+    merge_programs,
+    parameter_plan,
+)
 
 __all__ = ["ProgramCache", "shared_program_cache"]
 
@@ -33,11 +39,11 @@ class ProgramCache:
         #: Merged programs, keyed by the identities of the cached programs
         #: they fold (stable for as long as ``_entries`` holds those).
         self._merged: dict[tuple[int, ...], GateProgram] = {}
-        #: Per-template parameter plans, keyed by template identity (plans
-        #: depend on the template's Parameter objects, not just structure).
-        self._plans: weakref.WeakKeyDictionary[QuantumCircuit, tuple] = (
-            weakref.WeakKeyDictionary()
-        )
+        #: Sweep lowerings (:meth:`lowering`), keyed by the identities of a
+        #: template tuple: ``(weak refs, structure keys, group plans)``.  A
+        #: plan depends on the templates' Parameter objects, not just their
+        #: structure, so it is never shared between template objects.
+        self._lowerings: dict[tuple[int, ...], tuple] = {}
         self.hits = 0
         self.misses = 0
 
@@ -59,9 +65,7 @@ class ProgramCache:
         key = circuit.structure_key
         program = self._entries.get(key)
         if program is not None:
-            self.hits += 1
-            if _telemetry.enabled:
-                _telemetry.registry.counter("engine.program_cache.hits").inc()
+            self._hit(1)
             return program
         self.misses += 1
         start = time.perf_counter() if _telemetry.enabled else 0.0
@@ -75,6 +79,11 @@ class ProgramCache:
             )
             registry.gauge("engine.program_cache.size").set(len(self._entries))
         return program
+
+    def _hit(self, count: int) -> None:
+        self.hits += count
+        if _telemetry.enabled:
+            _telemetry.registry.counter("engine.program_cache.hits").inc(count)
 
     def merged(self, programs: Sequence[GateProgram]) -> GateProgram:
         """The merged program of a sweep's templates (one program: itself).
@@ -107,31 +116,56 @@ class ProgramCache:
         for field, value in self.stats().items():
             registry.gauge(f"{prefix}.{field}").set(value)
 
-    def plan_for(
-        self, circuit: QuantumCircuit, program: GateProgram | None = None
-    ) -> ParameterPlan:
-        """The (memoized) slot-angle plan of a template circuit.
+    def lowering(self, templates: tuple[QuantumCircuit, ...]) -> tuple[GroupPlan, ...]:
+        """The (memoized) lowering plan of a sweep's templates.
 
-        Plans are keyed by template object identity and validated against the
-        current structure key, so hot sweep paths skip the per-slot Python
-        walk of :func:`parameter_plan` after the first call while a mutated
-        template still gets a fresh plan.
+        Templates of one width, one measured register and one slot-gate
+        table share a :class:`GroupPlan` over their merged program
+        (:meth:`merged`); the groups come in first-appearance order.  The
+        plan is keyed by the tuple's identities and validated against every
+        template's current structure key (by identity: a mutation rebuilds
+        the key), so a mutated template gets a fresh plan.  Templates are
+        held weakly: a dead one drops its plans.  A served plan counts one
+        hit per template, what :meth:`get_or_compile` would count.
         """
-        key = circuit.structure_key
-        entry = self._plans.get(circuit)
-        if entry is not None and entry[0] is key:
-            return entry[1]
-        if program is None:
-            program = self.get_or_compile(circuit)
-        plan = parameter_plan(circuit, program)
-        self._plans[circuit] = (key, plan)
-        return plan
+        key = tuple(map(id, templates))
+        entry = self._lowerings.get(key)
+        if entry is not None and all(
+            ref() is template and structure is template.structure_key
+            for ref, structure, template in zip(entry[0], entry[1], templates)
+        ):
+            self._hit(len(templates))
+            return entry[2]
+        programs = [self.get_or_compile(template) for template in templates]
+        uniform: dict[tuple, list[int]] = {}
+        for offset, (template, program) in enumerate(zip(templates, programs)):
+            shape = (template.num_qubits, template.measured_qubits, program.slot_gates)
+            uniform.setdefault(shape, []).append(offset)
+        groups = tuple(
+            group_plan(
+                self.merged([programs[offset] for offset in offsets]),
+                offsets,
+                [parameter_plan(templates[offset], programs[offset]) for offset in offsets],
+            )
+            for offsets in uniform.values()
+        )
+        lowerings = self._lowerings
+
+        def forget(ref: weakref.ref) -> None:
+            stored = lowerings.get(key)
+            if stored is not None and ref in stored[0]:
+                del lowerings[key]
+
+        refs = tuple(weakref.ref(template, forget) for template in templates)
+        structures = tuple(template.structure_key for template in templates)
+        self._lowerings[key] = (refs, structures, groups)
+        return groups
 
     def clear(self) -> None:
         """Drop every entry (hit/miss counters are kept)."""
         self._entries.clear()
         self._merged.clear()
-        self._plans.clear()
+        self._lowerings.clear()
 
 
 _SHARED = ProgramCache()

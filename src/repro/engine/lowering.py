@@ -6,6 +6,13 @@ unbound :class:`~repro.circuit.sweep.ParameterSweep` — and every physics tail
 compiled programs run over which slot-angle rows, and where do the rows land
 in the batch's flat order.  :func:`lower_batch` is the one place that answers
 it.
+
+A sweep's answer depends on its templates alone, and a training run sends the
+same template tuple wave after wave with only the ``(points, P)`` matrix new.
+So the lookups, parameter plans, grouping and merged programs are planned
+once per template tuple (:meth:`ProgramCache.lowering`), and a wave costs one
+masked multiply-add per group (:meth:`GroupPlan.slot_values`), byte-equal to
+stacking every template's :func:`plan_slot_values`.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ import numpy as np
 from ..circuit.circuit import QuantumCircuit
 from ..circuit.sweep import ParameterSweep
 from .cache import shared_program_cache
-from .program import GateProgram, plan_slot_values, slot_values_from_circuits
+from .program import GateProgram, slot_values_from_circuits
 
 __all__ = ["lower_batch"]
 
@@ -35,15 +42,17 @@ def lower_batch(
     * Bound circuits partition by gate structure
       (:attr:`QuantumCircuit.structure_key`), angles read straight off the
       instruction records.
-    * A sweep lowers off its raw ``(points, P)`` matrix, binding nothing.
-      Templates of one width, one measured register and one slot-gate table
-      — a gradient job's — merge into a single program
-      (:meth:`ProgramCache.merged`) whose rows are the sweep's flat order;
-      templates that differ in any of the three run as a group of their own,
-      on their own flat positions.
+    * A sweep lowers off its raw ``(points, P)`` matrix, binding nothing,
+      through its template tuple's memoized plan
+      (:meth:`ProgramCache.lowering`).  Templates of one width, one measured
+      register and one slot-gate table — a gradient job's — merge into a
+      single program (:meth:`ProgramCache.merged`) whose rows are the
+      sweep's flat order; templates that differ in any of the three run as a
+      group of their own, on their own flat positions.
 
     Raises:
-        ValueError: on an empty batch or a circuit with unbound parameters.
+        ValueError: on an empty batch, a circuit with unbound parameters, or
+            a sweep matrix whose width is not the templates' parameter count.
     """
     cache = shared_program_cache()
     if not isinstance(batch, ParameterSweep):
@@ -65,24 +74,13 @@ def lower_batch(
         return groups
 
     templates = batch.templates
-    programs = [cache.get_or_compile(template) for template in templates]
-    jobs: dict[tuple, list[int]] = {}
-    for offset, (template, program) in enumerate(zip(templates, programs)):
-        uniform = (template.num_qubits, template.measured_qubits, program.slot_gates)
-        jobs.setdefault(uniform, []).append(offset)
-    stride = len(programs)
-    groups = []
-    for offsets in jobs.values():
-        slots = [
-            plan_slot_values(cache.plan_for(templates[offset], programs[offset]), batch.theta)
-            for offset in offsets
-        ]
-        groups.append(
-            (
-                cache.merged([programs[offset] for offset in offsets]),
-                np.stack(slots, axis=1).reshape(len(offsets) * len(batch.theta), -1),
-                templates[offsets[0]],
-                [start + offset for start in range(0, len(batch), stride) for offset in offsets],
-            )
+    starts = range(0, len(batch), len(templates))
+    return [
+        (
+            group.program,
+            group.slot_values(batch.theta),
+            templates[group.templates[0]],
+            [start + offset for start in starts for offset in group.templates],
         )
-    return groups
+        for group in cache.lowering(templates)
+    ]

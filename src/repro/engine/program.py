@@ -46,6 +46,8 @@ __all__ = [
     "ParameterPlan",
     "parameter_plan",
     "plan_slot_values",
+    "GroupPlan",
+    "group_plan",
     "slot_values_from_circuits",
 ]
 
@@ -327,6 +329,65 @@ def plan_slot_values(plan: ParameterPlan, theta: np.ndarray) -> np.ndarray:
     if np.any(bound):
         out[:, bound] += theta[:, plan.param_index[bound]] * plan.coeff[bound]
     return out
+
+
+@dataclass(frozen=True, eq=False)
+class GroupPlan:
+    """The lowering of one uniform template group of a sweep, planned once.
+
+    ``offset`` and ``bound`` are ``(T, S)``: row ``t`` holds the slot offsets
+    and the bound-slot mask of template ``templates[t]``'s
+    :class:`ParameterPlan`.  ``param_index`` and ``coeff`` are the bound
+    slots' entries in template-major order (the order of ``offset[bound]``).
+    ``templates`` are offsets into the sweep's template tuple, the first
+    naming the group's representative; no template object is held.
+    """
+
+    program: GateProgram
+    templates: tuple[int, ...]
+    num_parameters: int
+    offset: np.ndarray
+    bound: np.ndarray
+    param_index: np.ndarray
+    coeff: np.ndarray
+
+    def slot_values(self, theta: np.ndarray) -> np.ndarray:
+        """Map a ``(points, P)`` matrix to the group's ``(points * T, S)`` rows.
+
+        Byte-equal to stacking :func:`plan_slot_values` of every template
+        (``np.stack(..., axis=1)``, then flattened): each element sees the
+        same multiply and the same add.
+        """
+        if theta.shape[1] != self.num_parameters:
+            raise ValueError(
+                f"expected {self.num_parameters} parameters per point, got {theta.shape[1]}"
+            )
+        out = np.empty((theta.shape[0],) + self.offset.shape, dtype=float)
+        out[...] = self.offset
+        if self.param_index.size:
+            out[:, self.bound] += theta[:, self.param_index] * self.coeff
+        return out.reshape(-1, self.offset.shape[1])
+
+
+def group_plan(
+    program: GateProgram, templates: Sequence[int], plans: Sequence[ParameterPlan]
+) -> GroupPlan:
+    """Stack the :class:`ParameterPlan` of each template of a merged group.
+
+    ``program`` is the group's merged program and ``plans[t]`` the plan of
+    the template at sweep offset ``templates[t]``; all plans read one
+    parameter vector, so they must agree on its width.
+    """
+    widths = {plan.num_parameters for plan in plans}
+    if len(widths) != 1:
+        raise ValueError(f"a group's templates read one parameter vector, got widths {widths}")
+    index = np.stack([plan.param_index for plan in plans])
+    bound = index >= 0
+    coeff = np.stack([plan.coeff for plan in plans])
+    arrays = (np.stack([plan.offset for plan in plans]), bound, index[bound], coeff[bound])
+    for array in arrays:
+        array.setflags(write=False)
+    return GroupPlan(program, tuple(templates), widths.pop(), *arrays)
 
 
 def slot_values_from_circuits(

@@ -326,7 +326,15 @@ class TrainingCheckpointer:
         ):
             return
         telemetry_on = _telemetry.enabled
+        # The journal must be durable before the checkpoint that supersedes
+        # its prefix commits — a checkpoint may never point past its journal.
+        # Its fsync is timed apart from the checkpoint it precedes.
         start = time.perf_counter() if telemetry_on else 0.0
+        self.journal.sync()
+        if telemetry_on:
+            synced = time.perf_counter()
+            _telemetry.registry.histogram("persist.journal_sync_seconds").observe(synced - start)
+            start = synced
         sections = {
             "meta": {
                 "updates_applied": master.telemetry.updates_applied,
@@ -351,9 +359,6 @@ class TrainingCheckpointer:
                 health=master.health,
             ),
         }
-        # The journal must be durable before the checkpoint that supersedes
-        # its prefix commits — a checkpoint may never point past its journal.
-        self.journal.sync()
         path = self.run.checkpoints_dir / f"ckpt-{epoch_completed:06d}.eqc"
         size = write_checkpoint_file(path, sections)
         if path not in self._generations:  # a fallback resume re-writes one

@@ -214,6 +214,10 @@ def read_checkpoint_file(path: str | os.PathLike) -> dict[str, object]:
         header = json.loads(body[:newline].decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointCorruptError(f"{path}: unreadable header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise CheckpointCorruptError(
+            f"{path}: header is a JSON {type(header).__name__}, not an object"
+        )
     schema = header.get("schema")
     if schema != CHECKPOINT_SCHEMA:
         # A readable number names other code's layout; anything else is damage.

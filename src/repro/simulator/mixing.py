@@ -186,6 +186,8 @@ def noisy_probabilities_batch(
         thetas = _bias_scaled(thetas, program.slot_gates, record.bias)
         if blocks is None:
             states = execute_program(program, thetas)
+        elif whole:  # the group's rows are the jobs' rows
+            states = execute_program(program, thetas, blocks=blocks)
         else:  # how many of this group's (ascending) positions each job owns
             edges = np.searchsorted(indices, np.cumsum([0, *blocks]))
             states = execute_program(program, thetas, blocks=np.diff(edges).tolist())

@@ -175,7 +175,7 @@ class Statevector:
 
 
 #: Dense plans by circuit identity, valid while the circuit's structure key
-#: is the object they were built against (as ``ProgramCache.plan_for``'s).
+#: is the object they were built against (as ``ProgramCache.lowering``'s).
 _PLANS: "weakref.WeakKeyDictionary[QuantumCircuit, tuple]" = weakref.WeakKeyDictionary()
 
 

@@ -127,6 +127,15 @@ class TestSchema:
             read_checkpoint_file(path)
         assert not isinstance(caught.value, CheckpointSchemaError)
 
+    @pytest.mark.parametrize("header", [b"[1]", b"123", b'"x"'])
+    def test_a_header_that_is_no_json_object_is_damage(self, tmp_path, header):
+        path = tmp_path / "c.eqc"
+        path.write_bytes(CHECKPOINT_MAGIC + header + b"\n")
+        with pytest.raises(CheckpointCorruptError, match="not an object") as caught:
+            read_checkpoint_file(path)
+        assert not isinstance(caught.value, CheckpointSchemaError)
+        assert str(path) in str(caught.value)
+
 
 #: Floats whose bits a decimal detour could lose: signed zeros, subnormals,
 #: infinities, and NaNs carrying a payload and either sign.

@@ -24,6 +24,7 @@ from repro.persist.checkpoint import JournalDivergenceError, TrainingCheckpointe
 from repro.persist.format import CHECKPOINT_MAGIC, CheckpointSchemaError
 from repro.persist.journal import read_journal
 from repro.persist.store import RunDirectory, RunStore
+from repro.telemetry import TELEMETRY, telemetry_session
 
 NUM_EPOCHS = 5
 SHOTS = 64
@@ -165,6 +166,23 @@ class TestUninterrupted:
         # Stored history round-trips exactly.
         assert history_key(run.history()) == history_key(history)
         assert run.history().metadata == history.metadata
+
+    def test_the_journal_sync_is_timed_apart_from_each_checkpoint(
+        self, objective, theta0, tmp_path
+    ):
+        try:
+            with telemetry_session():
+                EQCEnsemble(objective, make_config(tmp_path)).train(
+                    theta0, num_epochs=NUM_EPOCHS
+                )
+                histograms = dict(TELEMETRY.registry.histograms())
+                counters = dict(TELEMETRY.registry.counters())
+        finally:
+            TELEMETRY.reset()
+        assert counters["persist.checkpoints"] == NUM_EPOCHS
+        for name in ("persist.checkpoint_seconds", "persist.journal_sync_seconds"):
+            assert histograms[name].count == NUM_EPOCHS, name
+            assert histograms[name].min_value >= 0.0, name
 
     def test_a_journal_cut_after_completion_is_refused_not_shortened(
         self, objective, theta0, tmp_path
@@ -341,6 +359,23 @@ class TestCorruptionFallback:
 
         history = resume(run, objective)
         assert history_key(history) == history_key(plain_history)
+
+    @pytest.mark.parametrize("header", [b"[1]", b"123", b'"x"'])
+    def test_a_newest_header_that_is_no_object_falls_back_one_generation(
+        self, objective, theta0, plain_history, tmp_path, header
+    ):
+        whole = tmp_path / "whole"
+        EQCEnsemble(objective, make_config(whole)).train(theta0, num_epochs=NUM_EPOCHS)
+        uninterrupted = RunStore(whole).load_run("run-000001").journal_path.read_bytes()
+        run = self._crashed_run(objective, theta0, tmp_path / "crashed")
+        latest = run.checkpoint_paths()[-1]
+        _, _, payload = latest.read_bytes().split(b"\n", 2)
+        latest.write_bytes(CHECKPOINT_MAGIC + header + b"\n" + payload)
+
+        history = resume(run, objective)
+        assert history.metadata["persist"]["fallbacks"] == 1
+        assert history_key(history) == history_key(plain_history)
+        assert run.journal_path.read_bytes() == uninterrupted
 
     def test_fallback_is_recorded(self, objective, theta0, tmp_path):
         run = self._crashed_run(objective, theta0, tmp_path)
