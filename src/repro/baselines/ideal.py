@@ -101,6 +101,7 @@ class IdealTrainer:
             },
         )
         num_parameters = theta.size
+        recorded: list[tuple[int, tuple[float, ...]]] = []
         for epoch in range(1, num_epochs + 1):
             for index in range(num_parameters):
                 if self.exact:
@@ -120,13 +121,9 @@ class IdealTrainer:
                     )[0]
                 theta[index] = self.rule.step(theta[index], gradient)
             if epoch % record_every == 0 or epoch == num_epochs:
-                history.add(
-                    EpochRecord(
-                        epoch=epoch,
-                        sim_time_hours=epoch * self.seconds_per_epoch / 3600.0,
-                        loss=self.estimator.exact_energy(theta),
-                        parameters=tuple(float(v) for v in theta),
-                    )
-                )
+                recorded.append((epoch, tuple(float(v) for v in theta)))
+        losses = self.estimator.exact_energy(np.array([row for _, row in recorded]))
+        for (epoch, row), loss in zip(recorded, losses.tolist(), strict=True):
+            history.add(EpochRecord(epoch, epoch * self.seconds_per_epoch / 3600.0, loss, row))
         history.total_updates = num_epochs * num_parameters
         return history

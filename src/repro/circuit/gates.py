@@ -208,9 +208,10 @@ def _rz(theta: float) -> np.ndarray:
 
 
 def _rzz(theta: float) -> np.ndarray:
-    phase = np.exp(-0.5j * theta)
-    conj = np.exp(0.5j * theta)
-    return np.diag([phase, conj, conj, phase]).astype(complex)
+    matrix = np.zeros((4, 4), dtype=complex)
+    matrix[0, 0] = matrix[3, 3] = np.exp(-0.5j * theta)
+    matrix[1, 1] = matrix[2, 2] = np.exp(0.5j * theta)
+    return matrix
 
 
 def _cp(theta: float) -> np.ndarray:

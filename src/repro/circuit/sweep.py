@@ -11,13 +11,27 @@ circuits accepts a sweep in its place.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
 
 from .circuit import QuantumCircuit
 
-__all__ = ["ParameterSweep"]
+__all__ = ["ParameterSweep", "checked_theta"]
+
+
+def checked_theta(theta, label: object) -> np.ndarray:
+    """``theta`` as a new non-empty float ``(points, P)`` matrix, or a
+    ``ValueError`` naming ``label`` (and a non-finite angle's index and point)."""
+    matrix = np.array(theta, dtype=float, ndmin=2)
+    if matrix.ndim != 2 or matrix.shape[0] < 1:
+        raise ValueError(f"{label}: need a non-empty (points, P) theta, got {np.shape(theta)}")
+    if not all(map(math.isfinite, matrix.ravel().tolist())):  # cheaper than numpy at job sizes
+        point, index = np.argwhere(~np.isfinite(matrix))[0]
+        bad = f"non-finite angle {matrix[point, index]}"
+        raise ValueError(f"{label}: {bad} for parameter index {index} (point {point})")
+    return matrix
 
 
 class ParameterSweep:
@@ -31,9 +45,9 @@ class ParameterSweep:
     ``j``-th parameter of every template in first-appearance order (the
     ``assign_by_order`` convention).
 
-    The matrix is validated once, here: a NaN or infinite angle would
-    otherwise travel to the engine and come back from the sampler as a
-    "probability vector sums to zero".
+    The matrix is validated once, here (:func:`checked_theta`): a NaN or
+    infinite angle would otherwise travel to the engine and come back from
+    the sampler as a "probability vector sums to zero".
 
     Args:
         templates: the parameterized circuits, all over the same parameters.
@@ -53,12 +67,7 @@ class ParameterSweep:
         self.templates = tuple(templates)
         if not self.templates:
             raise ValueError(f"{label}: a sweep needs at least one template")
-        matrix = np.array(theta, dtype=float, ndmin=2)
-        if matrix.ndim != 2 or matrix.shape[0] < 1:
-            raise ValueError(
-                f"{label}: theta must be a non-empty (points, parameters) "
-                f"matrix, got shape {np.shape(theta)}"
-            )
+        matrix = checked_theta(theta, label)
         for template in self.templates:
             if len(template.parameters) != matrix.shape[1]:
                 raise ValueError(
@@ -66,14 +75,16 @@ class ParameterSweep:
                     f"{len(template.parameters)} parameters but theta has "
                     f"{matrix.shape[1]} columns"
                 )
-        if not np.isfinite(matrix).all():
-            point, index = np.argwhere(~np.isfinite(matrix))[0]
-            raise ValueError(
-                f"{label}: non-finite angle {matrix[point, index]} for "
-                f"parameter index {index} (point {point})"
-            )
         matrix.setflags(write=False)
         self.theta = matrix
+
+    @classmethod
+    def stacked(cls, sweeps: Sequence["ParameterSweep"]) -> "ParameterSweep":
+        """The points of ``sweeps`` in order, at the first's templates, unchecked."""
+        sweep = cls.__new__(cls)
+        sweep.templates, sweep.theta = sweeps[0].templates, np.vstack([s.theta for s in sweeps])
+        sweep.theta.setflags(write=False)
+        return sweep
 
     def __len__(self) -> int:
         """Number of circuits the sweep stands for."""

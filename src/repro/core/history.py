@@ -26,7 +26,8 @@ class EpochRecord:
         epoch: 1-based epoch index.
         sim_time_hours: virtual wall-clock time when the epoch completed.
         loss: exact (noise-free) loss of the current parameters — the
-            quantity plotted on the paper's energy/cost axes.
+            quantity plotted on the paper's energy/cost axes; the trainer
+            scores it after the epoch (:meth:`EQCMasterNode.train` says when).
         parameters: snapshot of the parameter vector.
         weights: the per-device weights in force when the epoch completed
             (empty for single-device and ideal baselines).

@@ -221,7 +221,9 @@ class EQCMasterNode:
         epoch boundaries, and — when it carries restored state — re-enters
         the loop exactly where the interrupted run left off.  Checkpointing
         consumes no randomness and never touches the update path, so the
-        trajectory is bit-identical with or without it.
+        trajectory is bit-identical with or without it.  Recorded epochs are
+        scored in one ``objective.exact_losses`` call at return (the tail
+        included), or with a checkpointer before each ``after_iteration``.
         """
         if target_updates is None:
             require(self, "num_epochs", num_epochs, low=1, integer=True)
@@ -247,6 +249,7 @@ class EQCMasterNode:
         epoch_wall_start = time.time_ns() if telemetry_on else 0
         epoch_sim_start = now
         epoch_completed = 0
+        due: list[tuple] = []  # recorded epochs awaiting their exact loss
 
         restored = None
         if checkpointer is not None:
@@ -338,7 +341,7 @@ class EQCMasterNode:
                 if epoch_completed % record_every == 0 or (
                     self.telemetry.updates_applied >= target_updates
                 ):
-                    history.add(self._epoch_record(epoch_completed, now))
+                    due.append((epoch_completed, now, self.state.snapshot(), self.current_weights))
 
             # Hand the finishing client its next task immediately.
             if self.telemetry.updates_applied < target_updates:
@@ -348,6 +351,7 @@ class EQCMasterNode:
             if checkpointer is not None:
                 # End of iteration: the loop state is "about to pop the next
                 # event", which is exactly where a restore re-enters.
+                self._score(history, due)
                 checkpointer.after_iteration(
                     self, history, pending, sequence, now, epoch_completed,
                     epoch_sim_start,
@@ -361,9 +365,10 @@ class EQCMasterNode:
         # final partial epoch so truncated update budgets stay visible.
         tail_updates = self.telemetry.updates_applied - epoch_completed * self.cycle_length
         if tail_updates > 0:
-            history.add(self._epoch_record(epoch_completed + 1, now))
+            due.append((epoch_completed + 1, now, self.state.snapshot(), self.current_weights))
             history.metadata["final_epoch_partial_updates"] = tail_updates
             history.final_epoch_fraction = tail_updates / self.cycle_length
+        self._score(history, due)
 
         history.total_updates = self.telemetry.updates_applied
         history.total_jobs = self.telemetry.jobs_dispatched
@@ -451,15 +456,14 @@ class EQCMasterNode:
         self._live = [clients_by_name[name] for name in data["live"]]
         self.task_queue._issued = data["tasks_issued"]
 
-    def _epoch_record(self, epoch: int, now: float) -> EpochRecord:
-        """The history row for the parameter state at time ``now``."""
-        return EpochRecord(
-            epoch=epoch,
-            sim_time_hours=(now - self._start_time) / SECONDS_PER_HOUR,
-            loss=self.objective.exact_loss(self.state.snapshot()),
-            parameters=self.state.snapshot(),
-            weights=dict(self._weights),
-        )
+    def _score(self, history: TrainingHistory, unscored: list[tuple]) -> None:
+        """Add the ``(epoch, now, parameters, weights)`` rows to ``history``, scored in one call."""
+        if unscored:
+            losses = self.objective.exact_losses([row[2] for row in unscored])
+            for (epoch, now, parameters, weights), loss in zip(unscored, losses, strict=True):
+                hours = (now - self._start_time) / SECONDS_PER_HOUR
+                history.add(EpochRecord(epoch, hours, loss, parameters, weights))
+            unscored.clear()
 
     def publish(self, registry=None, prefix: str = "eqc") -> None:
         """Write the master's run counters into a metrics registry as gauges."""

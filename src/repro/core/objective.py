@@ -89,6 +89,10 @@ class VQAObjective(ABC):
     def exact_loss(self, theta: Sequence[float]) -> float:
         """Noise-free loss at ``theta`` (history tracking / convergence plots)."""
 
+    def exact_losses(self, thetas: Sequence[Sequence[float]]) -> list[float]:
+        """:meth:`exact_loss` at each of ``thetas``, in order."""
+        return [self.exact_loss(theta) for theta in thetas]
+
 
 class EnergyObjective(VQAObjective):
     """VQE/QAOA objective: minimize ``<H>`` of a parameterized ansatz."""
@@ -131,6 +135,9 @@ class EnergyObjective(VQAObjective):
 
     def exact_loss(self, theta: Sequence[float]) -> float:
         return self.estimator.exact_energy(theta)
+
+    def exact_losses(self, thetas: Sequence[Sequence[float]]) -> list[float]:
+        return self.estimator.exact_energy(np.asarray(thetas, dtype=float)).tolist()
 
 
 class QnnObjective(VQAObjective):

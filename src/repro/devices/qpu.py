@@ -589,7 +589,7 @@ def resolve_batches(parked: list[DeferredBatch]) -> None:
     record built from every job's clock rows in one array pass
     (:func:`_wave_noise`), whose success probabilities go into the results'
     ``success_probability`` metadata; its circuits are **one** sweep over
-    the ``vstack`` of the jobs' parameter matrices: one
+    the jobs' checked matrices stacked (:meth:`ParameterSweep.stacked`): one
     :func:`~repro.simulator.mixing.noisy_probabilities_batch` pass whose
     ``blocks`` keep each job's rows bit-equal to that job passed alone, as
     any other batch — or a lone job — is.  When ``parked`` is one uniform
@@ -615,8 +615,7 @@ def resolve_batches(parked: list[DeferredBatch]) -> None:
     for wave in waves.values():
         circuits = wave[0].circuits
         if len(wave) > 1:
-            theta = np.vstack([batch.circuits.theta for batch in wave])
-            circuits = ParameterSweep(circuits.templates, theta)
+            circuits = ParameterSweep.stacked([batch.circuits for batch in wave])
         noise = _wave_noise([batch.clock for batch in wave])
         results = [result for batch in wave for result in batch.results]
         for result, success in zip(results, noise.success.tolist()):

@@ -9,6 +9,7 @@ import numpy as np
 
 from ..circuit.circuit import QuantumCircuit
 from ..circuit.parameters import Parameter
+from ..circuit.sweep import checked_theta
 from ..engine import execute_program, parameter_plan, plan_slot_values
 from ..engine.cache import shared_program_cache
 from ..reduction import ordered_sum
@@ -98,7 +99,7 @@ class EnergyEstimator:
             raise ValueError(
                 f"expected {len(self.parameters)} parameter values, got {len(values)}"
             )
-        return dict(zip(self.parameters, (float(v) for v in values)))
+        return dict(zip(self.parameters, map(float, values)))
 
     def measurement_circuits(self, values: Sequence[float] | None = None) -> list[QuantumCircuit]:
         """One bound (or parameterized) circuit per measurement group.
@@ -149,7 +150,7 @@ class EnergyEstimator:
         are evaluated through precomputed sign weights instead of per-qubit
         axis moves.  Agrees with :meth:`exact_energy` to ~1e-14.
         """
-        theta = np.atleast_2d(np.asarray(theta_matrix, dtype=float))
+        theta = checked_theta(theta_matrix, "exact_energies")
         energies = np.zeros(theta.shape[0], dtype=float)
         for program, plan, weights in self._compiled_groups():
             states = execute_program(program, plan_slot_values(plan, theta))
@@ -175,17 +176,23 @@ class EnergyEstimator:
             return expectation_from_group_counts(self.groups, counts_per_group)
         return ordered_sum(_expectations_from_draws(draws, self._signed_tables).tolist())
 
-    def exact_energy(self, values: Sequence[float]) -> float:
-        """Noise-free energy of the ansatz at a parameter vector.
+    def exact_energy(self, values: Sequence[float] | np.ndarray) -> float | np.ndarray:
+        """Noise-free energy at a parameter vector, or one per row of a
+        ``(points, P)`` matrix; a ``ValueError`` names a non-finite angle.
 
         Simulates the dense statevector gate by gate, resolving each angle
         from ``values`` without binding a circuit, then takes
-        ``<psi|H|psi>`` against the dense Hamiltonian.  The result is
-        bit-equal to the per-epoch losses pinned in the seeded histories;
+        ``<psi|H|psi>`` against the dense Hamiltonian, row by row on one
+        :func:`simulate_statevector` pass: each energy is bit-equal to its
+        row alone, the losses pinned in the seeded histories.
         :meth:`exact_energies` evaluates whole sweeps on the compiled engine
         (agreeing to ~1e-14, not bit for bit).
         """
-        return exact_expectation(self.ansatz, self.hamiltonian, self.bindings(values))
+        theta = np.asarray(values, dtype=float)
+        rows = checked_theta(theta, "exact_energy").tolist()
+        states = simulate_statevector(self.ansatz, [self.bindings(row) for row in rows])
+        energies = [self.hamiltonian.expectation_from_statevector(state) for state in states]
+        return np.array(energies) if theta.ndim == 2 else energies[0]
 
     def ground_energy(self) -> float:
         """Exact ground-state energy of the Hamiltonian."""

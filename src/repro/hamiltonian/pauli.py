@@ -243,8 +243,7 @@ class PauliSum:
         vec = np.asarray(amplitudes, dtype=complex).reshape(-1)
         if vec.size != (1 << self.num_qubits):
             raise ValueError("statevector size does not match the Hamiltonian width")
-        value = np.vdot(vec, self.to_matrix() @ vec)
-        return float(np.real(value))
+        return float(np.vdot(vec, self.to_matrix() @ vec).real)
 
     @property
     def is_diagonal(self) -> bool:

@@ -183,7 +183,7 @@ def _dense_plan(circuit: QuantumCircuit) -> tuple[np.ndarray, tuple, tuple]:
     """``(prefix, pairs, steps)``: the read-only state after the leading
     gates with no free parameter; the distinct ``(build, angle)`` pairs of
     the later gates (a fixed gate: ``build=None`` and its matrix as
-    ``angle``); one ``(gather, scatter, rows, pair index)`` per later gate.
+    ``angle``); one ``(gather, scatter, (2**k, -1), pair index)`` per later gate.
 
     Pairs are told apart by the angle's *identity*, never its value: ring
     QAOA's cost gates share one angle object and build one matrix per run,
@@ -209,7 +209,8 @@ def _dense_plan(circuit: QuantumCircuit) -> tuple[np.ndarray, tuple, tuple]:
         position = index.setdefault((build, id(angle)), len(pairs))
         if position == len(pairs):
             pairs.append((build, angle))
-        steps.append((*_gather_scatter(n, inst.qubits), position))
+        gather, scatter, rows = _gather_scatter(n, inst.qubits)
+        steps.append((gather, scatter, (rows, -1), position))
     prefix.setflags(write=False)
     entry = _PLANS[circuit] = (key, prefix, tuple(pairs), tuple(steps))
     return entry[1:]
@@ -217,8 +218,8 @@ def _dense_plan(circuit: QuantumCircuit) -> tuple[np.ndarray, tuple, tuple]:
 
 def simulate_statevector(
     circuit: QuantumCircuit,
-    parameter_values: Mapping[Parameter, float] | None = None,
-) -> Statevector:
+    parameter_values: Mapping[Parameter, float] | list[Mapping] | None = None,
+) -> Statevector | np.ndarray:
     """Run a circuit on the ideal statevector simulator.
 
     Measurement directives are ignored (the full final state is returned);
@@ -228,26 +229,39 @@ def simulate_statevector(
     ``parameter_values`` and builds its matrix once (no bound circuit, no
     per-angle cache across runs), then applies the gates by gather/scatter:
     the float operations of applying the gates one by one.  The state owns
-    its data.
+    its data.  A list of bindings runs in one stacked ``np.matmul`` per
+    gate (one GEMM per binding, at its shape alone) into the rows of one
+    ``(bindings, 2**n)`` array, each byte-equal to its binding run alone.
 
     Args:
         circuit: the circuit to simulate.
-        parameter_values: bindings for any free parameters.
+        parameter_values: bindings for any free parameters (or a list of them).
 
     Raises:
         ValueError: if free parameters remain unbound.
     """
-    values = parameter_values or {}
-    missing = circuit.parameters - values.keys()
-    if missing:
-        raise ValueError(f"unbound parameters remain: {', '.join(p.name for p in missing)}")
+    single = not isinstance(parameter_values, list)
+    bindings = [parameter_values or {}] if single else parameter_values
+    for values in bindings:
+        missing = circuit.parameters - values.keys()
+        if missing:
+            raise ValueError(f"unbound parameters remain: {', '.join(p.name for p in missing)}")
     vec, pairs, steps = _dense_plan(circuit)
+    points, dim, first = len(bindings), vec.size, bindings[0]
     matrices = [
-        angle if build is None else build(float(bind_value(angle, values)))
+        angle if build is None
+        else build(float(bind_value(angle, first))) if points == 1
+        else np.array([build(float(bind_value(angle, values))) for values in bindings])
         for build, angle in pairs
     ]
-    for gather, scatter, rows, index in steps:
-        vec = (matrices[index] @ vec[gather].reshape(rows, -1)).reshape(-1)[scatter]
+    if points > 1:  # row i is vec[i * dim:(i + 1) * dim]; offset gathers move all rows at once
+        base, vec = np.arange(0, points * dim, dim)[:, None], np.tile(vec, points)
+        steps = [((base + g).ravel(), (base + s).ravel(), (points, *r), i) for g, s, r, i in steps]
+    for gather, scatter, shape, index in steps:
+        vec = (matrices[index] @ vec[gather].reshape(shape)).reshape(-1)[scatter]
+    vec = vec if steps else vec.copy()
+    if not single:
+        return vec.reshape(points, dim)
     state = Statevector(circuit.num_qubits)
-    state._vec = vec if steps else vec.copy()
+    state._vec = vec
     return state

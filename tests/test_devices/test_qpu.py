@@ -6,14 +6,24 @@ import numpy as np
 import pytest
 
 from repro.circuit import ghz_state
+from repro.circuit import sweep as sweep_module
+from repro.circuit.sweep import ParameterSweep
+from repro.core.objective import EnergyObjective
 from repro.devices.catalog import build_qpu, device_spec
-from repro.devices.qpu import CircuitFootprint, ClockRows, _wave_noise, success_probability
+from repro.devices.qpu import (
+    CircuitFootprint,
+    ClockRows,
+    _wave_noise,
+    resolve_batches,
+    success_probability,
+)
 from repro.devices.topology import line_topology
 from repro.noise.calibration import CalibrationSnapshot
 from repro.noise.drift import DriftModel
 from repro.noise.generator import CalibrationGenerator
 from repro.simulator.mixing import noisy_probabilities_batch
 from repro.transpiler import transpile
+from repro.vqa.tasks import GradientTask
 
 
 @pytest.fixture(scope="module")
@@ -231,3 +241,41 @@ class TestQPUSpecValidation:
         timing field are walked by ``tests/test_fields.py``."""
         with pytest.raises(ValueError, match=field):
             dataclasses.replace(device_spec("Bogota"), **{field: value})
+
+
+class TestStackedWaves:
+    """A multi-job template wave runs as one sweep over the jobs' stacked
+    matrices, each checked once, when its own sweep was built."""
+
+    def test_stacked_sweep_is_the_vstack_read_only(self, qaoa_problem):
+        templates = qaoa_problem.estimator.template_circuits()
+        parts = [
+            ParameterSweep(templates, [[0.1, -0.0], [0.2, 0.3]]),
+            ParameterSweep(templates, [0.4, 0.5]),
+        ]
+        stacked = ParameterSweep.stacked(parts)
+        assert stacked.templates is parts[0].templates
+        expected = ParameterSweep(templates, np.vstack([part.theta for part in parts])).theta
+        assert stacked.theta.tobytes() == expected.tobytes() and not stacked.theta.flags.writeable
+        assert len(stacked) == 3 * len(templates)
+
+    def test_resolving_a_wave_checks_no_matrix_again(self, qaoa_problem, monkeypatch):
+        objective = EnergyObjective(qaoa_problem.estimator)
+        qpus = [build_qpu("Belem"), build_qpu("Bogota")]
+        template = qaoa_problem.estimator.template_circuits()[0]
+        footprint = transpile(template, qpus[0].topology).footprint
+        parked, results = [], []
+        for index in range(4):
+            job = objective.build_job(GradientTask(index, index % 2), [0.1 * index, -0.3])
+            rng = np.random.default_rng(index)
+            results += qpus[index % 2].execute_batch(
+                job.batch, footprint, 128, 30.0 * index, rng=rng, park=parked
+            )
+        checks = []
+        original = sweep_module.checked_theta
+        monkeypatch.setattr(
+            sweep_module, "checked_theta", lambda *args: checks.append(args) or original(*args)
+        )
+        resolve_batches(parked)
+        assert checks == [] and parked == []
+        assert all(sum(result.counts.values()) == 128 for result in results)

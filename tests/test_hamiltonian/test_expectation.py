@@ -81,6 +81,30 @@ class TestEnergyEstimator:
         monkeypatch.setattr(QuantumCircuit, "bind_parameters", refuse)
         assert estimator.exact_energy(theta).hex() == expected.hex()
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_angles_are_refused_naming_point_and_index(self, qaoa_problem, bad):
+        """Every exact path refuses a NaN or infinite angle with a
+        ``ValueError`` that names its parameter index and point, as a
+        ``ParameterSweep`` does, instead of returning ``nan``."""
+        estimator = qaoa_problem.estimator
+        with pytest.raises(ValueError, match=r"non-finite angle .* parameter index 0 \(point 0\)"):
+            estimator.exact_energy([bad, 0.1])
+        matrix = [[0.2, 0.1], [0.3, 0.4], [0.5, bad]]
+        pattern = r"non-finite angle .* parameter index 1 \(point 2\)"
+        with pytest.raises(ValueError, match=pattern):
+            estimator.exact_energy(np.array(matrix))
+        with pytest.raises(ValueError, match=pattern):
+            estimator.exact_energies(matrix)
+
+    def test_one_row_matrix_is_an_array_and_a_vector_a_float(self, qaoa_problem):
+        estimator = qaoa_problem.estimator
+        alone = estimator.exact_energy([0.3, -0.7])
+        batch = estimator.exact_energy(np.array([[0.3, -0.7]]))
+        assert isinstance(alone, float) and batch.shape == (1,)
+        assert float(batch[0]).hex() == alone.hex()
+        with pytest.raises(ValueError, match="non-empty"):
+            estimator.exact_energy(np.empty((0, 2)))
+
     def test_sampled_energy_matches_exact(self, heisenberg_h, rng):
         """Sampling each measurement group with many shots reproduces the
         exact energy to within statistical error."""
