@@ -44,11 +44,12 @@ class Parameter:
     build shifted/scaled angles: ``theta + 0.5``, ``0.5 * theta``, ``-theta``.
     """
 
-    __slots__ = ("name", "_uid")
+    __slots__ = ("name", "_uid", "_hash")
 
     def __init__(self, name: str) -> None:
         self.name = str(name)
         self._uid = next(_uid_counter)
+        self._hash = hash(("Parameter", self._uid))
 
     # -- arithmetic -------------------------------------------------------
     def __add__(self, other: float) -> "ParameterExpression":
@@ -72,7 +73,7 @@ class Parameter:
 
     # -- identity ---------------------------------------------------------
     def __hash__(self) -> int:
-        return hash(("Parameter", self._uid))
+        return self._hash
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Parameter) and other._uid == self._uid

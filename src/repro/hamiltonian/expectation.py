@@ -25,6 +25,9 @@ __all__ = [
     "EnergyEstimator",
 ]
 
+#: Most products (16 MiB of float64) one step of a draw matrix's decode holds.
+_DECODE_ELEMENTS = 1 << 21
+
 
 def exact_expectation(
     circuit: QuantumCircuit,
@@ -167,14 +170,28 @@ class EnergyEstimator:
     def energy_from_counts(self, counts_per_group: Sequence[Counts | Mapping[str, int]]) -> float:
         """Energy estimate from one Counts object per measurement group.
 
-        A point's groups as a device job draws them (consecutive rows of one
-        draw matrix) decode in one call, other Counts group by group; either
-        way the group values are summed as floats in group order, in the one
-        float-reduction order (:func:`~repro.reduction.ordered_sum`)."""
+        A job's points are consecutive rows of its sampler call's one draw
+        matrix (a wave): the first call on a matrix decodes all its rows into
+        point energies, kept in the memo its rows share.  A point off a group
+        boundary or in a ragged matrix decodes alone, other Counts group by
+        group.  Decoding is row-independent and group values are summed in
+        group order (:func:`~repro.reduction.ordered_sum`): the same bits."""
+        groups = len(self.groups)
         draws = _tabled_draws(counts_per_group, self.hamiltonian.num_qubits)
-        if draws is None or len(counts_per_group) != len(self.groups):
+        if draws is None or len(counts_per_group) != groups:
             return expectation_from_group_counts(self.groups, counts_per_group)
-        return ordered_sum(_expectations_from_draws(draws, self._signed_tables).tolist())
+        first, tables = counts_per_group[0], self._signed_tables
+        matrix, memo = first._draws, first._decoded
+        if first._row % groups or len(matrix) % groups:
+            return ordered_sum(_expectations_from_draws(draws, tables).tolist())
+        if self not in memo:
+            step = groups * max(1, _DECODE_ELEMENTS // tables.size)
+            values = np.concatenate([
+                _expectations_from_draws(matrix[row : row + step], tables)
+                for row in range(0, len(matrix), step)
+            ]).tolist()
+            memo[self] = [ordered_sum(values[r : r + groups]) for r in range(0, len(values), groups)]
+        return memo[self][first._row // groups]
 
     def exact_energy(self, values: Sequence[float] | np.ndarray) -> float | np.ndarray:
         """Noise-free energy at a parameter vector, or one per row of a

@@ -114,7 +114,8 @@ def _tabled_draws(histograms, num_qubits: int) -> np.ndarray | None:
 
 def _expectations_from_draws(draws: np.ndarray, tables: np.ndarray) -> np.ndarray:
     """Decode row ``r`` of a ``(rows, 2**n)`` draw block against its zero-padded
-    ``(2**n, terms)`` signed-coefficient table ``tables[r]`` (0.0 if shotless).
+    ``(2**n, terms)`` signed-coefficient table ``tables[r % len(tables)]`` (0.0
+    if shotless): the stack is broadcast over ``rows // len(tables)`` points.
 
     Each row sums ``weight * (coefficient * ±1)`` from ``+0.0`` in the per-
     outcome loop's outcome-major, term-inner order, bit-equal to the loop: the
@@ -124,7 +125,8 @@ def _expectations_from_draws(draws: np.ndarray, tables: np.ndarray) -> np.ndarra
     leaves any other value unchanged, so every partial sum keeps its bits:
     the one float-reduction order (:func:`~repro.reduction.ordered_row_sums`)."""
     weights = draws / np.maximum(draws.sum(axis=1), 1)[:, None]
-    return ordered_row_sums((weights[:, :, None] * tables).reshape(len(draws), -1))
+    points = weights.reshape(-1, len(tables), weights.shape[1], 1)
+    return ordered_row_sums((points * tables).reshape(len(draws), -1))
 
 
 def group_qubitwise_commuting(hamiltonian: PauliSum) -> list[MeasurementGroup]:

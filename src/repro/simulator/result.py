@@ -29,14 +29,16 @@ class Counts(Mapping[str, int]):
     mapping takes integral, non-negative counts under ``0``/``1`` labels of
     one width (``ValueError`` otherwise).
 
-    A sampler-built histogram is a row view of the multinomial draw matrix,
-    which :meth:`~repro.hamiltonian.expectation.EnergyEstimator.energy_from_counts`
-    decodes a point's rows of in one call; its :attr:`hits` and label dict
-    are built from the row only when first read.
+    A sampler-built histogram is a row view of its sampler call's one draw
+    matrix (a whole wave), decoded once per estimator into the memo its rows
+    share (:meth:`~repro.hamiltonian.expectation.EnergyEstimator.energy_from_counts`);
+    :attr:`hits` and the label dict are built from the row on first read.
     """
 
-    #: Sampler-built only: the draw matrix and this histogram's row of it.
+    #: Sampler-built only: the draw matrix (this histogram is its row ``_row``)
+    #: and the matrix's per-estimator point energies, shared by its rows.
     _draws: np.ndarray | None = None
+    _decoded: dict | None = None
 
     def __init__(self, data: Mapping[str, int], shots: int | None = None) -> None:
         clean: dict[str, int] = {}
@@ -57,13 +59,16 @@ class Counts(Mapping[str, int]):
             raise ValueError("shots is smaller than the sum of counts")
 
     @classmethod
-    def _rows(cls, draws: np.ndarray, num_bits: int, shots: int) -> list["Counts"]:
-        """Trusted constructor for the samplers: a view of each row of a multinomial
-        draw matrix (each row holds ``shots`` shots, so only zero shots are empty)."""
+    def _rows(cls, draws: np.ndarray, num_bits: int, shots: int, rows=None, decoded=None):
+        """Trusted constructor for the samplers: a view of each of ``rows`` (default
+        all) of a multinomial draw matrix (each of those rows holds ``shots`` shots,
+        so only zero shots are empty), sharing the matrix's ``decoded`` memo."""
         width, histograms = (num_bits if shots else 0), []
-        for row in range(len(draws)):
+        decoded = {} if decoded is None else decoded
+        for row in range(len(draws)) if rows is None else rows:
             histogram = cls.__new__(cls)
             vars(histogram).update(_draws=draws, _row=row, _shots=shots, _num_bits=width)
+            histogram._decoded = decoded
             histograms.append(histogram)
         return histograms
 

@@ -81,6 +81,13 @@ class Statevector:
             vec = vec / norm
         self._vec = vec
 
+    @classmethod
+    def _trusted(cls, num_qubits: int, vec: np.ndarray) -> "Statevector":
+        """Own a normalized complex vector as is (no check, copy or renormalizing)."""
+        state = cls.__new__(cls)
+        state.num_qubits, state._vec = num_qubits, vec
+        return state
+
     # ------------------------------------------------------------------
     @property
     def data(self) -> np.ndarray:
@@ -262,6 +269,4 @@ def simulate_statevector(
     vec = vec if steps else vec.copy()
     if not single:
         return vec.reshape(points, dim)
-    state = Statevector(circuit.num_qubits)
-    state._vec = vec
-    return state
+    return Statevector._trusted(circuit.num_qubits, vec)

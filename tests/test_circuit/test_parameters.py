@@ -1,6 +1,8 @@
 """Tests for the symbolic parameter layer."""
 
+import copy
 import math
+import pickle
 
 import pytest
 
@@ -26,6 +28,16 @@ class TestParameter:
         p = Parameter("x")
         assert p == p
         assert hash(p) == hash(p)
+
+    def test_hash_is_the_id_tuple_hash_and_survives_copies(self):
+        """The hash is computed once; a copy or pickle lands with the same
+        name, id and hash, so dict and set order do not change."""
+        p = Parameter("x")
+        assert hash(p) == hash(("Parameter", p._uid))
+        for twin in (copy.deepcopy(p), copy.copy(p), pickle.loads(pickle.dumps(p))):
+            assert twin == p and twin.name == "x"
+            assert hash(twin) == hash(p) == hash(("Parameter", twin._uid))
+            assert {p: 1}[twin] == 1
 
     def test_bind_returns_value(self):
         p = Parameter("x")

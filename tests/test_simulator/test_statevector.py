@@ -1,6 +1,7 @@
 """Tests for the ideal statevector simulator."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -188,3 +189,17 @@ class TestSimulateCircuit:
         qc = QuantumCircuit(2).ry(a, 0).rz(0.5 * b + 0.1, 1)
         with pytest.raises(ValueError, match=r"unbound parameters remain: b$"):
             simulate_statevector(qc, {a: 0.3})
+
+    def test_a_run_wraps_the_dense_plan_output_without_building_a_state(self):
+        """The one-binding run hands its vector to a trusted constructor:
+        no ``Statevector.__init__`` (a zeroed vector thrown away), and the
+        bytes are the stacked dense-plan run's row."""
+        a, b = Parameter("a"), Parameter("b")
+        qc = QuantumCircuit(3).h(0).ry(a, 1).cx(0, 2).rz(0.5 * b + 0.1, 2).cx(1, 0)
+        binding = {a: 0.7, b: -1.3}
+        (row,) = simulate_statevector(qc, [binding])  # compiles the plan
+        with mock.patch.object(Statevector, "__init__", side_effect=AssertionError) as init:
+            state = simulate_statevector(qc, binding)
+        assert init.call_count == 0
+        assert isinstance(state, Statevector) and state.num_qubits == 3
+        assert state.data.tobytes() == row.tobytes()

@@ -32,12 +32,13 @@ def _state(stream):
 
 @st.composite
 def waves(draw):
-    """1-5 jobs of 1-4 rows over 1-4 bits, mixed shots (zero included),
-    streams drawn from a pool of up to three (so jobs share some), rows
-    off-normalized and with tiny negative drift, as noise mixing leaves them."""
+    """1-5 jobs of 1-6 rows over 1-4 bits (blocks draw row by row and in one
+    call), mixed shots (zero included), streams drawn from a pool of up to
+    three (so jobs share some), rows off-normalized and with tiny negative
+    drift, as noise mixing leaves them."""
     num_bits = draw(st.integers(1, 4))
     jobs = draw(st.integers(1, 5))
-    blocks = [draw(st.integers(1, 4)) for _ in range(jobs)]
+    blocks = [draw(st.integers(1, 6)) for _ in range(jobs)]
     shots = [draw(st.sampled_from([0, 1, 7, 256, 1000])) for _ in range(jobs)]
     pool = draw(st.integers(1, 3))
     owners = [draw(st.integers(0, pool - 1)) for _ in range(jobs)]
@@ -76,8 +77,30 @@ class TestOneCallPerWave:
         streams = [np.random.default_rng(1), np.random.default_rng(2)]
         counts = sample_distribution_batch(probs, [10, 20], streams, 2, blocks=[2, 3])
         assert counts[0]._draws is counts[1]._draws
-        assert counts[2]._draws is counts[4]._draws is not counts[0]._draws
+        assert counts[2]._draws is counts[4]._draws is counts[0]._draws  # one wave matrix
         assert [c.shots for c in counts] == [10, 10, 20, 20, 20]
+
+    @given(wave=waves())
+    @settings(max_examples=100, deadline=None)
+    def test_one_matrix_holds_each_block_as_its_own_call_draws_it(self, wave):
+        """Every Counts of a call views one int64 matrix and shares its decode
+        memo; each block's rows, and every stream's end state, are those of one
+        ``sample_distribution_batch`` call per block."""
+        probs, num_bits, blocks, shots, streams, owners = wave
+        ours, theirs = copy.deepcopy(streams), copy.deepcopy(streams)
+        counts = sample_distribution_batch(
+            probs, shots, [ours[o] for o in owners], num_bits, blocks=blocks
+        )
+        matrix = counts[0]._draws
+        assert matrix.shape == (len(probs), 1 << num_bits) and matrix.dtype == np.int64
+        assert all(c._draws is matrix and c._decoded is counts[0]._decoded for c in counts)
+        assert [c._row for c in counts] == list(range(len(probs)))
+        stop = 0
+        for size, count, owner in zip(blocks, shots, owners):
+            alone = sample_distribution_batch(probs[stop : stop + size], count, theirs[owner], num_bits)
+            assert matrix[stop : stop + size].tobytes() == alone[0]._draws.tobytes()
+            stop += size
+        assert [_state(s) for s in ours] == [_state(s) for s in theirs]
 
     def test_blocks_must_split_the_rows_with_one_stream_and_shot_count_each(self):
         rng = np.random.default_rng(0)
