@@ -59,13 +59,12 @@ class Counts(Mapping[str, int]):
             raise ValueError("shots is smaller than the sum of counts")
 
     @classmethod
-    def _rows(cls, draws: np.ndarray, num_bits: int, shots: int, rows=None, decoded=None):
-        """Trusted constructor for the samplers: a view of each of ``rows`` (default
-        all) of a multinomial draw matrix (each of those rows holds ``shots`` shots,
-        so only zero shots are empty), sharing the matrix's ``decoded`` memo."""
+    def _rows(cls, draws: np.ndarray, num_bits: int, shots: int, rows: range, decoded: dict):
+        """Trusted constructor for the samplers: a view of each of ``rows`` of a
+        multinomial draw matrix (each of those rows holds ``shots`` shots, so
+        only zero shots are empty), sharing the matrix's ``decoded`` memo."""
         width, histograms = (num_bits if shots else 0), []
-        decoded = {} if decoded is None else decoded
-        for row in range(len(draws)) if rows is None else rows:
+        for row in rows:
             histogram = cls.__new__(cls)
             vars(histogram).update(_draws=draws, _row=row, _shots=shots, _num_bits=width)
             histogram._decoded = decoded

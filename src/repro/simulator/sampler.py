@@ -19,10 +19,6 @@ __all__ = [
     "apply_readout_error_batch",
 ]
 
-#: Blocks of at most this many rows draw row by row (the same draws): a stacked
-#: multinomial call costs about four one-row calls more (NumPy 2.4, timeit).
-_ROW_DRAWS = 4
-
 
 def sample_distribution(
     probabilities: np.ndarray,
@@ -64,11 +60,10 @@ def sample_distribution_batch(
     ``blocks`` all rows draw ``shots`` from ``rng``.  With ``blocks`` the
     matrix stacks independent jobs (a device wave): job ``j`` owns the next
     ``blocks[j]`` rows and draws them, ``shots[j]`` each, from its own
-    stream ``rng[j]``, jobs in order — in one multinomial call, or row by
-    row for a block of at most ``_ROW_DRAWS`` rows.  NumPy's
+    stream ``rng[j]``, jobs in order, one row at a time.  NumPy's
     ``Generator.multinomial`` consumes the bit stream row by row, so the
-    draws — and each stream's final state — are those of one call per row
-    (the equivalence is pinned by the test suite).
+    draws — and each stream's final state — are those of one stacked call
+    per job (the equivalence is pinned by the test suite).
 
     Each job's draws fill its rows of one ``(rows, 2**num_bits)`` int64
     matrix, and every returned :class:`~repro.simulator.result.Counts` views
@@ -99,11 +94,8 @@ def sample_distribution_batch(
     stop, decoded, draws = 0, {}, np.empty(probs.shape, dtype=np.int64)
     for size, count, stream in zip(blocks, shots, rng):
         # Zero shots draw zeros and leave the stream where it was.
-        if size > _ROW_DRAWS:
-            draws[stop : stop + size] = stream.multinomial(count, probs[stop : stop + size])
-        else:
-            for row in range(stop, stop + size):
-                draws[row] = stream.multinomial(count, probs[row])
+        for row in range(stop, stop + size):
+            draws[row] = stream.multinomial(count, probs[row])
         counts += Counts._rows(draws, num_bits, count, range(stop, stop + size), decoded)
         stop += size
     return counts

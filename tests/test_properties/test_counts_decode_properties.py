@@ -89,7 +89,9 @@ class TestArrayDecodeMatchesLoop:
     def test_bit_identical(self, case):
         group, row = case
         # Exactly what a sampler builds from a one-row multinomial draw.
-        (counts,) = Counts._rows(row[None], group.num_qubits, int(row.sum()))
+        (counts,) = Counts._rows(
+            row[None], group.num_qubits, int(row.sum()), range(1), {}
+        )
         as_dict = dict(counts)
         loop = group._expectation_from_mapping(as_dict)
         assert group.expectation_from_counts(counts).hex() == float(loop).hex()
@@ -106,7 +108,9 @@ class TestArrayDecodeMatchesLoop:
     def test_estimator_rows_match_reference_and_loop(self, case):
         estimator, draws, shots, start = case
         groups = estimator.groups
-        rows = Counts._rows(draws, estimator.hamiltonian.num_qubits, shots)
+        rows = Counts._rows(
+            draws, estimator.hamiltonian.num_qubits, shots, range(len(draws)), {}
+        )
         counts = rows[start : start + len(groups)]
         assert grouping._tabled_draws(counts, len(groups[0].basis)) is not None  # one call
         expected = reference.energy_from_hits(groups, counts).hex()

@@ -63,7 +63,9 @@ def _alone(estimator, point):
     """The point's rows in a matrix of their own: the per-point decode."""
     draws = np.stack([histogram._draws[histogram._row] for histogram in point])
     return estimator.energy_from_counts(
-        Counts._rows(draws, estimator.hamiltonian.num_qubits, point[0].shots)
+        Counts._rows(
+            draws, estimator.hamiltonian.num_qubits, point[0].shots, range(len(draws)), {}
+        )
     )
 
 
@@ -82,7 +84,7 @@ def _moved(estimator, counts, before, after):
     moved = np.vstack([pad] * before + [matrix] + [pad] * after)
     rows = [before + histogram._row for histogram in counts]
     return [
-        Counts._rows(moved, n, histogram.shots, range(row, row + 1))[0]
+        Counts._rows(moved, n, histogram.shots, range(row, row + 1), {})[0]
         for histogram, row in zip(counts, rows)
     ]
 

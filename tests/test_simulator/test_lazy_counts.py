@@ -30,7 +30,7 @@ def drawn(num_bits, shots, seed=0, rows=(1, 0)):
     (hits,) = np.nonzero(draws[row])
 
     def lazy():
-        return Counts._rows(draws, num_bits, shots)[row]
+        return Counts._rows(draws, num_bits, shots, range(height), {})[row]
 
     eager = Counts(
         {format(int(i), f"0{num_bits}b"): int(draws[row, i]) for i in hits}, shots=shots

@@ -3,7 +3,8 @@
 ``resolve_batches`` hands ``sample_distribution_batch`` a uniform wave's
 whole ``(rows, 2**m)`` matrix with each job's row count, shots and stream:
 the matrix is checked, clipped and renormalized once, then each job draws its
-rows in one multinomial call from its own stream.  Against the job-by-job
+rows, one at a time, from its own stream into its rows of one int64 matrix.
+Against the job-by-job
 loop it replaced (``tests/_reference/sampler.py``) the draws and every
 stream's end state are equal; a bad row anywhere in a wave is refused before
 any stream moves, with every job still parked; a stream shared by jobs of
@@ -32,10 +33,9 @@ def _state(stream):
 
 @st.composite
 def waves(draw):
-    """1-5 jobs of 1-6 rows over 1-4 bits (blocks draw row by row and in one
-    call), mixed shots (zero included), streams drawn from a pool of up to
-    three (so jobs share some), rows off-normalized and with tiny negative
-    drift, as noise mixing leaves them."""
+    """1-5 jobs of 1-6 rows over 1-4 bits, mixed shots (zero included),
+    streams drawn from a pool of up to three (so jobs share some), rows
+    off-normalized and with tiny negative drift, as noise mixing leaves them."""
     num_bits = draw(st.integers(1, 4))
     jobs = draw(st.integers(1, 5))
     blocks = [draw(st.integers(1, 6)) for _ in range(jobs)]
@@ -63,7 +63,10 @@ class TestOneCallPerWave:
             probs, shots, [ours[o] for o in owners], num_bits, blocks=blocks
         )
         expected = reference.draw_job_by_job(probs, blocks, shots, [theirs[o] for o in owners])
-        assert len(counts) == len(probs)
+        matrix = counts[0]._draws  # one int64 matrix and one decode memo for the wave
+        assert matrix.shape == (len(probs), 1 << num_bits) and matrix.dtype == np.int64
+        assert all(c._draws is matrix and c._decoded is counts[0]._decoded for c in counts)
+        assert [c._row for c in counts] == list(range(len(probs)))
         rows = iter(counts)
         for draws, count in zip(expected, shots):
             for row in draws:
@@ -79,28 +82,6 @@ class TestOneCallPerWave:
         assert counts[0]._draws is counts[1]._draws
         assert counts[2]._draws is counts[4]._draws is counts[0]._draws  # one wave matrix
         assert [c.shots for c in counts] == [10, 10, 20, 20, 20]
-
-    @given(wave=waves())
-    @settings(max_examples=100, deadline=None)
-    def test_one_matrix_holds_each_block_as_its_own_call_draws_it(self, wave):
-        """Every Counts of a call views one int64 matrix and shares its decode
-        memo; each block's rows, and every stream's end state, are those of one
-        ``sample_distribution_batch`` call per block."""
-        probs, num_bits, blocks, shots, streams, owners = wave
-        ours, theirs = copy.deepcopy(streams), copy.deepcopy(streams)
-        counts = sample_distribution_batch(
-            probs, shots, [ours[o] for o in owners], num_bits, blocks=blocks
-        )
-        matrix = counts[0]._draws
-        assert matrix.shape == (len(probs), 1 << num_bits) and matrix.dtype == np.int64
-        assert all(c._draws is matrix and c._decoded is counts[0]._decoded for c in counts)
-        assert [c._row for c in counts] == list(range(len(probs)))
-        stop = 0
-        for size, count, owner in zip(blocks, shots, owners):
-            alone = sample_distribution_batch(probs[stop : stop + size], count, theirs[owner], num_bits)
-            assert matrix[stop : stop + size].tobytes() == alone[0]._draws.tobytes()
-            stop += size
-        assert [_state(s) for s in ours] == [_state(s) for s in theirs]
 
     def test_blocks_must_split_the_rows_with_one_stream_and_shot_count_each(self):
         rng = np.random.default_rng(0)
