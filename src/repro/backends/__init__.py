@@ -6,9 +6,10 @@ This package defines the :class:`ExecutionBackend` protocol — one method,
 
 * :class:`StatevectorBackend` — ideal: a whole batch runs as one
   compiled-program pass per lowered group over a ``(rows, 2**n)`` state
-  stack; a sweep never binds a circuit at all.
+  stack; a sweep never binds a circuit at all.  It serves the sampled ideal
+  baseline (:class:`~repro.baselines.ideal.IdealTrainer`) and no device.
 * :class:`NoisyBackend` — the analytic channel/mixing device path, adapted
-  to the protocol; one per cloud device endpoint.
+  to the protocol; every cloud device endpoint runs one.
 
 Both execute from the same lowering (:func:`repro.engine.lower_batch`).  The
 package also owns the shared structure-keyed caches: :class:`TranspileCache`

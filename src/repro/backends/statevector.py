@@ -32,7 +32,11 @@ __all__ = ["StatevectorBackend"]
 
 
 class StatevectorBackend:
-    """Ideal (noise-free) execution backend."""
+    """Ideal (noise-free) execution backend.
+
+    It runs the sampled :class:`~repro.baselines.ideal.IdealTrainer`; every
+    cloud device endpoint runs a :class:`~repro.backends.noisy.NoisyBackend`.
+    """
 
     def __init__(self, name: str = "statevector") -> None:
         self.name = name
@@ -59,12 +63,8 @@ class StatevectorBackend:
         seed: int | None = None,
         *,
         rng: np.random.Generator | None = None,
-        **_context,
     ) -> list[ExecutionResult]:
         """Execute a batch ideally; one compiled pass per lowered group.
-
-        Device context (``footprint``, ``now``) is accepted and ignored so an
-        ideal backend can serve a cloud endpoint directly.
 
         Args:
             batch: a bound circuit, a sequence of bound circuits, or an

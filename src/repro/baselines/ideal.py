@@ -6,9 +6,8 @@ trainer reproduces it: energies are estimated either exactly or by sampling
 an ideal distribution (finite-shot noise only), there is no queue, and the
 wall-clock per epoch is negligible.
 
-Sampled execution is routed through an
-:class:`~repro.backends.base.ExecutionBackend` (default: the ideal
-:class:`~repro.backends.statevector.StatevectorBackend`): every parameter
+Sampled execution runs on the ideal
+:class:`~repro.backends.statevector.StatevectorBackend`: every parameter
 step's forward/backward circuit family is one unbound
 :class:`~repro.circuit.sweep.ParameterSweep`, one vectorized pass.
 """
@@ -18,15 +17,9 @@ from __future__ import annotations
 import numpy as np
 
 from .._fields import require
-from ..backends.base import ExecutionBackend
 from ..backends.statevector import StatevectorBackend
-from ..circuit.sweep import ParameterSweep
 from ..hamiltonian.expectation import EnergyEstimator
-from ..vqa.gradient import (
-    gradient_from_energies,
-    sampled_parameter_shift_gradient,
-    shifted_parameter_vectors,
-)
+from ..vqa.gradient import exact_parameter_shift_gradient, sampled_parameter_shift_gradient
 from ..vqa.optimizer import AsgdRule
 from ..core.history import EpochRecord, TrainingHistory
 
@@ -44,7 +37,6 @@ class IdealTrainer:
         exact: bool = False,
         seed: int = 0,
         seconds_per_epoch: float = 30.0,
-        backend: ExecutionBackend | None = None,
     ) -> None:
         """Args:
             estimator: the shared ansatz + Hamiltonian estimator.
@@ -54,8 +46,6 @@ class IdealTrainer:
             seed: sampling seed, an integer >= 0.
             seconds_per_epoch: nominal simulator wall time per epoch (finite,
                 > 0), used only so the history has a meaningful epochs/hour.
-            backend: ideal execution backend for sampled mode; defaults to
-                :class:`StatevectorBackend`.
         """
         self.estimator = estimator
         self.shots = int(require(self, "shots", shots, low=1, integer=True))
@@ -64,23 +54,10 @@ class IdealTrainer:
         self.rng = np.random.default_rng(require(self, "seed", seed, low=0, integer=True))
         require(self, "seconds_per_epoch", seconds_per_epoch, low=0.0, open_low=True)
         self.seconds_per_epoch = float(seconds_per_epoch)
-        self.backend: ExecutionBackend = backend if backend is not None else StatevectorBackend()
+        self.backend = StatevectorBackend()
         self.label = "ideal_simulator"
 
     # ------------------------------------------------------------------
-    def _energy(self, values) -> float:
-        if self.exact:
-            return self.estimator.exact_energy(values)
-        # Zero-rebind: a one-point sweep straight from the value vector,
-        # sampling each measurement group in the same order as a
-        # bound-circuit submission.
-        results = self.backend.run(
-            ParameterSweep(self.estimator.template_circuits(), values),
-            shots=self.shots,
-            rng=self.rng,
-        )
-        return self.estimator.energy_from_counts([r.counts for r in results])
-
     def train(
         self,
         initial_parameters,
@@ -105,10 +82,7 @@ class IdealTrainer:
         for epoch in range(1, num_epochs + 1):
             for index in range(num_parameters):
                 if self.exact:
-                    pair = shifted_parameter_vectors(theta, index)
-                    gradient = gradient_from_energies(
-                        self._energy(pair.forward), self._energy(pair.backward)
-                    )
+                    gradient = exact_parameter_shift_gradient(self.estimator, theta, index)
                 else:
                     # Both shift evaluations run as one backend batch.
                     gradient = sampled_parameter_shift_gradient(

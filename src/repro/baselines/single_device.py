@@ -16,7 +16,7 @@ at the first epoch boundary past ``max_wall_hours`` of simulated time.
 from __future__ import annotations
 
 from .._fields import require
-from ..cloud.provider import BackendFactory, CloudProvider
+from ..cloud.provider import CloudProvider
 from ..cloud.queueing import QueueModel
 from ..devices.catalog import build_qpu
 from ..vqa.optimizer import AsgdRule
@@ -45,19 +45,14 @@ class SingleDeviceTrainer:
         seed: int = 0,
         max_wall_hours: float = DEFAULT_TERMINATION_HOURS,
         queue_model: QueueModel | None = None,
-        backend_factory: BackendFactory | None = None,
     ) -> None:
         self.objective = objective
         self.qpu = build_qpu(device_name)
         queue_models = {self.qpu.name: queue_model} if queue_model is not None else None
-        # Execution flows through the device endpoint's ExecutionBackend
-        # (NoisyBackend unless overridden), like every other trainer.
+        # Execution flows through the device endpoint's NoisyBackend, like
+        # every other trainer.
         self.provider = CloudProvider(
-            [self.qpu],
-            queue_models=queue_models,
-            seed=seed,
-            shots=shots,
-            backend_factory=backend_factory,
+            [self.qpu], queue_models=queue_models, seed=seed, shots=shots
         )
         self.client = EQCClientNode(
             objective=objective, qpu=self.qpu, provider=self.provider, shots=shots

@@ -29,13 +29,12 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .._fields import require
 from .._streams import generator_state, restore_generator
-from ..backends.base import ExecutionBackend
 from ..backends.noisy import NoisyBackend
 from ..circuit.circuit import QuantumCircuit
 from ..circuit.sweep import ParameterSweep
@@ -64,9 +63,6 @@ if TYPE_CHECKING:  # pragma: no cover - cloud never imports sched at runtime
 
 __all__ = ["DeviceEndpoint", "CloudProvider", "UtilizationRecord"]
 
-#: Builds the execution backend serving one device endpoint.
-BackendFactory = Callable[[QPU], ExecutionBackend]
-
 #: Without fault injection nothing can bomb or be delayed: one attempt.
 _SINGLE_ATTEMPT = RetryPolicy(max_attempts=1)
 
@@ -91,20 +87,14 @@ class DeviceEndpoint:
     """One device's serial queue inside the provider.
 
     The endpoint pairs the queue/utilization bookkeeping with the
-    :class:`ExecutionBackend` that actually runs batches on the device —
-    swapping the backend swaps the physics without touching the scheduling.
+    :class:`~repro.backends.noisy.NoisyBackend` that runs batches on the
+    device: the clock half at submit, the physics parked for the wave.
     """
 
-    def __init__(
-        self,
-        qpu: QPU,
-        queue_model: QueueModel,
-        seed: int,
-        backend: ExecutionBackend | None = None,
-    ) -> None:
+    def __init__(self, qpu: QPU, queue_model: QueueModel, seed: int) -> None:
         self.qpu = qpu
         self.queue_model = queue_model
-        self.backend: ExecutionBackend = backend if backend is not None else NoisyBackend(qpu)
+        self.backend = NoisyBackend(qpu)
         self.rng = np.random.default_rng((seed, qpu.spec.seed, 0xB0B))
         #: Simulation time at which the provider's last job released the device.
         self.free_at = 0.0
@@ -120,7 +110,6 @@ class CloudProvider:
         queue_models: Mapping[str, QueueModel] | None = None,
         seed: int = 0,
         shots: int = 8192,
-        backend_factory: BackendFactory | None = None,
         scheduler: "CloudScheduler | None" = None,
         fault_injector: "FaultInjector | None" = None,
         retry_policy: RetryPolicy | None = None,
@@ -140,8 +129,7 @@ class CloudProvider:
                 if queue_models is not None and qpu.name in queue_models
                 else queue_model_for(qpu.name)
             )
-            backend = backend_factory(qpu) if backend_factory is not None else None
-            self._endpoints[qpu.name] = DeviceEndpoint(qpu, model, seed, backend=backend)
+            self._endpoints[qpu.name] = DeviceEndpoint(qpu, model, seed)
         self.default_shots = int(shots)
         #: Next job id (a plain int rather than itertools.count so checkpoint
         #: snapshots can capture and restore the counter).
@@ -184,10 +172,6 @@ class CloudProvider:
     def qpu(self, device_name: str) -> QPU:
         """The device object behind one endpoint."""
         return self._endpoint(device_name).qpu
-
-    def backend(self, device_name: str) -> ExecutionBackend:
-        """The execution backend serving one endpoint."""
-        return self._endpoint(device_name).backend
 
     def _endpoint(self, device_name: str) -> DeviceEndpoint:
         if device_name not in self._endpoints:
@@ -653,11 +637,10 @@ class CloudProvider:
 
         The whole job is one backend batch; the backend owns the in-batch
         device clock and the physics, the provider owns queueing and
-        per-batch utilization accounting.  A noisy endpoint computes the
-        clock half here (:meth:`QPU.execute_batch`) and parks the physics on
-        ``self._parked`` for :meth:`resolve`; a backend that cannot defer
-        (the ideal one) ignores ``park`` and returns finished results.  Both
-        clocks reach the device through this one call.
+        per-batch utilization accounting.  The endpoint's backend computes
+        the clock half here (:meth:`QPU.execute_batch`) and parks the physics
+        on ``self._parked`` for :meth:`resolve`.  Both clocks reach the device
+        through this one call.
         """
         results = endpoint.backend.run(
             circuits,
@@ -670,13 +653,6 @@ class CloudProvider:
         elapsed = 0.0
         for result in results:
             elapsed += job_slot_circuit_seconds(result.duration_seconds)
-        if elapsed == 0.0:
-            # Ideal backends carry no device clock; charge the device's
-            # own job timing so swapping the physics never collapses the
-            # schedule (busy time, free_at, epochs/hour stay meaningful).
-            _, durations, elapsed = endpoint.qpu.batch_clock(len(results), start_time)
-            for result, duration in zip(results, durations):
-                result.duration_seconds = duration
         job.parked_results.extend(results)
         return elapsed
 

@@ -385,25 +385,18 @@ class QPU:
             entry = self._record.tables[cycle] = (table, len(t1s), len(cx_errors), mu_g1, mu_g2)
         return entry
 
-    def batch_clock(
-        self, num_circuits: int, now: float
-    ) -> tuple[list[float], list[float], float]:
-        """The in-batch device clock of one job starting at ``now``.
-
-        Returns each circuit's start time and job duration, and the device
-        seconds the whole batch occupies.  This is the one place the clock
-        advances within a batch — circuit ``i`` starts half a job slot
-        (:func:`job_slot_circuit_seconds`) per predecessor after ``now``, at
-        the drift-aware speed of its own start time — so the noise timeline
-        and the provider's ideal-backend timing cannot drift apart.
-        """
-        starts, durations, elapsed, _ = self._walk_clock(num_circuits, now)
-        return starts, durations, elapsed
-
     def _walk_clock(
         self, num_circuits: int, now: float
     ) -> tuple[list[float], list[float], float, list[tuple[float, int, float]]]:
-        """:meth:`batch_clock` plus the drift triple evaluated at each start."""
+        """The in-batch device clock of one job starting at ``now``.
+
+        Returns each circuit's start time and job duration, the device
+        seconds the whole batch occupies, and the drift triple evaluated at
+        each start.  This is the one place the clock advances within a batch:
+        circuit ``i`` starts half a job slot (:func:`job_slot_circuit_seconds`)
+        per predecessor after ``now``, at the drift-aware speed of its own
+        start time.
+        """
         starts: list[float] = []
         durations: list[float] = []
         drifts: list[tuple[float, int, float]] = []

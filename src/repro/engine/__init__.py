@@ -76,7 +76,6 @@ from .program import (
     RunElement,
     merge_programs,
     parameter_plan,
-    plan_slot_values,
     slot_values_from_circuits,
 )
 
@@ -90,7 +89,6 @@ __all__ = [
     "compile_circuit",
     "merge_programs",
     "parameter_plan",
-    "plan_slot_values",
     "slot_values_from_circuits",
     "lower_batch",
     "execute_program",

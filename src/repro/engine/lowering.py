@@ -12,7 +12,7 @@ same template tuple wave after wave with only the ``(points, P)`` matrix new.
 So the lookups, parameter plans, grouping and merged programs are planned
 once per template tuple (:meth:`ProgramCache.lowering`), and a wave costs one
 masked multiply-add per group (:meth:`GroupPlan.slot_values`), byte-equal to
-stacking every template's :func:`plan_slot_values`.
+mapping the matrix through every template's :class:`ParameterPlan` alone.
 """
 
 from __future__ import annotations

@@ -45,7 +45,6 @@ __all__ = [
     "merge_programs",
     "ParameterPlan",
     "parameter_plan",
-    "plan_slot_values",
     "GroupPlan",
     "group_plan",
     "slot_values_from_circuits",
@@ -317,20 +316,6 @@ def parameter_plan(
     return ParameterPlan(len(params), param_index, coeff, offset)
 
 
-def plan_slot_values(plan: ParameterPlan, theta: np.ndarray) -> np.ndarray:
-    """Map a ``(points, P)`` parameter matrix to ``(points, S)`` slot angles."""
-    theta = np.atleast_2d(np.asarray(theta, dtype=float))
-    if theta.shape[1] != plan.num_parameters:
-        raise ValueError(
-            f"expected {plan.num_parameters} parameters per point, got {theta.shape[1]}"
-        )
-    out = np.broadcast_to(plan.offset, (theta.shape[0], plan.offset.size)).copy()
-    bound = plan.param_index >= 0
-    if np.any(bound):
-        out[:, bound] += theta[:, plan.param_index[bound]] * plan.coeff[bound]
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class GroupPlan:
     """The lowering of one uniform template group of a sweep, planned once.
@@ -354,7 +339,9 @@ class GroupPlan:
     def slot_values(self, theta: np.ndarray) -> np.ndarray:
         """Map a ``(points, P)`` matrix to the group's ``(points * T, S)`` rows.
 
-        Byte-equal to stacking :func:`plan_slot_values` of every template
+        Byte-equal to mapping the matrix through each template's
+        :class:`ParameterPlan` alone (``offset`` plus ``theta[:, param_index]
+        * coeff`` on the bound slots) and stacking the results
         (``np.stack(..., axis=1)``, then flattened): each element sees the
         same multiply and the same add.
         """

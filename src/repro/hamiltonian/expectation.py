@@ -10,8 +10,6 @@ import numpy as np
 from ..circuit.circuit import QuantumCircuit
 from ..circuit.parameters import Parameter
 from ..circuit.sweep import checked_theta
-from ..engine import execute_program, parameter_plan, plan_slot_values
-from ..engine.cache import shared_program_cache
 from ..reduction import ordered_sum
 from ..simulator.result import Counts
 from ..simulator.statevector import simulate_statevector
@@ -65,10 +63,9 @@ class EnergyEstimator:
     measurement groups, how to build the basis-rotated circuit for each
     group, and how to recombine the measured counts into an energy.
 
-    Each group's measurement circuit is also lowered once through the
-    compiled execution engine, so exact energies over whole parameter sweeps
-    (:meth:`exact_energies`) run with zero circuit binding: one compiled
-    pass per group plus one weight-vector dot product per point.
+    Exact energies have one path, :meth:`exact_energy`: the dense
+    statevector pass the seeded histories pin, for one point or a whole
+    ``(points, P)`` sweep, with zero circuit binding.
     """
 
     def __init__(self, ansatz: QuantumCircuit, hamiltonian: PauliSum) -> None:
@@ -85,7 +82,6 @@ class EnergyEstimator:
         self._group_tails = [measurement_basis_circuit(g.basis) for g in self.groups]
         self.parameters = self.ansatz.ordered_parameters()
         self._templates: tuple[QuantumCircuit, ...] | None = None
-        self._compiled: list[tuple] | None = None
 
     # ------------------------------------------------------------------
     @property
@@ -124,42 +120,6 @@ class EnergyEstimator:
             )
         return list(self._templates)
 
-    # ------------------------------------------------------------------
-    # compiled evaluation
-    # ------------------------------------------------------------------
-    def _compiled_groups(self) -> list[tuple]:
-        """Per group: (compiled program, parameter plan, energy weights).
-
-        The weight vector collapses the group's ``(terms, dim)`` sign matrix
-        against the term coefficients, so a group's energy contribution is a
-        single dot product with the measured-basis distribution.
-        """
-        if self._compiled is None:
-            cache = shared_program_cache()
-            compiled = []
-            for template, group in zip(self.template_circuits(), self.groups):
-                program = cache.get_or_compile(template)
-                plan = parameter_plan(template, program, self.parameters)
-                coefficients = np.array([t.coefficient for t in group.terms])
-                weights = coefficients @ group.sign_matrix
-                compiled.append((program, plan, weights))
-            self._compiled = compiled
-        return self._compiled
-
-    def exact_energies(self, theta_matrix: np.ndarray) -> np.ndarray:
-        """Noise-free energies at every row of a ``(points, P)`` matrix.
-
-        One compiled pass per measurement group; Z-diagonalized Pauli terms
-        are evaluated through precomputed sign weights instead of per-qubit
-        axis moves.  Agrees with :meth:`exact_energy` to ~1e-14.
-        """
-        theta = checked_theta(theta_matrix, "exact_energies")
-        energies = np.zeros(theta.shape[0], dtype=float)
-        for program, plan, weights in self._compiled_groups():
-            states = execute_program(program, plan_slot_values(plan, theta))
-            energies += (np.abs(states) ** 2) @ weights
-        return energies
-
     @cached_property
     def _signed_tables(self) -> np.ndarray:
         """The groups' signed-coefficient tables, zero-padded into one array."""
@@ -172,18 +132,21 @@ class EnergyEstimator:
 
         A job's points are consecutive rows of its sampler call's one draw
         matrix (a wave): the first call on a matrix decodes all its rows into
-        point energies, kept in the memo its rows share.  A point off a group
-        boundary or in a ragged matrix decodes alone, other Counts group by
-        group.  Decoding is row-independent and group values are summed in
-        group order (:func:`~repro.reduction.ordered_sum`): the same bits."""
+        point energies, kept in the memo its rows share.  Any other Counts (a
+        point off a group boundary, a ragged matrix, plain mappings) decode
+        group by group.  Decoding is row-independent, a padded term adds
+        ``+0.0`` and group values are summed in group order
+        (:func:`~repro.reduction.ordered_sum`): the same bits either way."""
         groups = len(self.groups)
-        draws = _tabled_draws(counts_per_group, self.hamiltonian.num_qubits)
-        if draws is None or len(counts_per_group) != groups:
+        if (
+            len(counts_per_group) != groups
+            or _tabled_draws(counts_per_group, self.hamiltonian.num_qubits) is None
+            or counts_per_group[0]._row % groups
+            or len(counts_per_group[0]._draws) % groups
+        ):
             return expectation_from_group_counts(self.groups, counts_per_group)
         first, tables = counts_per_group[0], self._signed_tables
         matrix, memo = first._draws, first._decoded
-        if first._row % groups or len(matrix) % groups:
-            return ordered_sum(_expectations_from_draws(draws, tables).tolist())
         if self not in memo:
             step = groups * max(1, _DECODE_ELEMENTS // tables.size)
             values = np.concatenate([
@@ -202,8 +165,6 @@ class EnergyEstimator:
         ``<psi|H|psi>`` against the dense Hamiltonian, row by row on one
         :func:`simulate_statevector` pass: each energy is bit-equal to its
         row alone, the losses pinned in the seeded histories.
-        :meth:`exact_energies` evaluates whole sweeps on the compiled engine
-        (agreeing to ~1e-14, not bit for bit).
         """
         theta = np.asarray(values, dtype=float)
         rows = checked_theta(theta, "exact_energy").tolist()

@@ -81,10 +81,9 @@ def shifted_theta_matrix(
     """Every point of a parameter-shift sweep as one ``(2·P, P)`` matrix.
 
     Rows are ordered ``[i0 forward, i0 backward, i1 forward, ...]`` — the
-    same point order as :func:`parameter_shift_batch` — and feed compiled
-    zero-rebind execution (the ``theta`` of a
-    :class:`~repro.circuit.sweep.ParameterSweep`,
-    ``EnergyEstimator.exact_energies``) directly.
+    same point order as :func:`parameter_shift_batch` — and feed zero-rebind
+    execution (the ``theta`` of a :class:`~repro.circuit.sweep.ParameterSweep`,
+    ``EnergyEstimator.exact_energy``) directly.
     """
     base = np.asarray([float(v) for v in values], dtype=float)
     indices = (
@@ -127,14 +126,15 @@ def exact_full_gradient(
     values: Sequence[float],
     shift: float = PARAMETER_SHIFT,
 ) -> np.ndarray:
-    """Noise-free gradient over every parameter (tests / ideal baseline).
+    """Noise-free gradient over every parameter.
 
-    The whole 2·P-point shift sweep evaluates through the estimator's
-    compiled programs in one pass — no per-point circuit binding.
+    The whole 2·P-point shift sweep is one :meth:`EnergyEstimator.exact_energy`
+    pass — no per-point circuit binding — and every entry is bit-equal to
+    :func:`exact_parameter_shift_gradient` at its index.
     """
     if not len(values):
         return np.empty(0, dtype=float)
-    energies = estimator.exact_energies(shifted_theta_matrix(values, None, shift))
+    energies = estimator.exact_energy(shifted_theta_matrix(values, None, shift))
     return 0.5 * (energies[0::2] - energies[1::2])
 
 

@@ -9,6 +9,8 @@ and so the per-outcome dict loop, byte for byte
 
 import numpy as np
 
+from repro.reduction import ordered_sum
+
 
 def expectation_from_hits(group, counts):
     """One group's contribution from a ``Counts``' ``(indices, counts)`` hits:
@@ -29,7 +31,8 @@ def expectation_from_hits(group, counts):
 
 
 def energy_from_hits(groups, counts_per_group):
-    """The estimator's energy: group values summed as Python floats in order."""
-    return float(
-        sum(expectation_from_hits(group, counts) for group, counts in zip(groups, counts_per_group))
+    """The estimator's energy: group values summed left to right from ``+0.0``
+    (``ordered_sum``: builtin ``sum`` is compensated from Python 3.12 on)."""
+    return ordered_sum(
+        expectation_from_hits(group, counts) for group, counts in zip(groups, counts_per_group)
     )

@@ -8,7 +8,10 @@ hands the contraction must equal ``combined_matrices`` here byte for byte
 (tests/test_engine/test_factor_tables.py).  The executor also starts every
 row from the program's memoized lead state; ``execute_block`` runs the whole
 shared pass from ``|0...0>`` instead, and the states must be byte-equal
-(tests/test_engine/test_lead_state.py).
+(tests/test_engine/test_lead_state.py).  A sweep's slot angles come from
+``GroupPlan.slot_values``, one masked multiply-add per merged group; it must
+equal stacking ``plan_slot_values`` here, one template at a time, byte for
+byte (tests/test_engine/test_lowering_plan.py).
 """
 
 from itertools import accumulate, pairwise
@@ -79,3 +82,18 @@ def execute_block(program, thetas, blocks=None):
                 n,
             )
     return states
+
+
+def plan_slot_values(plan, theta):
+    """Map a ``(points, P)`` parameter matrix to one template's ``(points, S)``
+    slot angles through its ``ParameterPlan``."""
+    theta = np.atleast_2d(np.asarray(theta, dtype=float))
+    if theta.shape[1] != plan.num_parameters:
+        raise ValueError(
+            f"expected {plan.num_parameters} parameters per point, got {theta.shape[1]}"
+        )
+    out = np.broadcast_to(plan.offset, (theta.shape[0], plan.offset.size)).copy()
+    bound = plan.param_index >= 0
+    if np.any(bound):
+        out[:, bound] += theta[:, plan.param_index[bound]] * plan.coeff[bound]
+    return out

@@ -1,6 +1,5 @@
 """Protocol-level tests for the execution-backend layer."""
 
-import copy
 import dataclasses
 
 import numpy as np
@@ -169,54 +168,6 @@ class TestTranspileCache:
         for field in dataclasses.fields(result):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(result, field.name, getattr(result, field.name))
-
-
-class TestBackendSwap:
-    def test_ideal_backend_on_endpoint_keeps_device_clock(self):
-        """Swapping an ideal backend into a cloud endpoint changes the
-        physics, not the schedule: jobs still occupy device time."""
-        from repro.baselines.single_device import SingleDeviceTrainer
-        from repro.core.objective import EnergyObjective
-
-        problem = heisenberg_vqe_problem()
-        trainer = SingleDeviceTrainer(
-            EnergyObjective(problem.estimator),
-            "Belem",
-            shots=128,
-            seed=0,
-            backend_factory=lambda qpu: StatevectorBackend(),
-        )
-        history = trainer.train(np.zeros(16), num_epochs=1)
-        utilization = trainer.provider.utilization_report()["Belem"]
-        assert history.total_hours() > 0
-        assert utilization["busy_seconds"] > 0
-
-    def test_ideal_and_noisy_endpoints_run_on_one_device_clock(self):
-        """Same seed, same first job: the timing is identical whichever
-        backend does the physics, and it is the device's own batch clock."""
-        from repro.cloud.provider import CloudProvider
-        from repro.transpiler import transpile
-
-        circuit = ghz_state(4)
-        footprint = transpile(circuit, build_qpu("Belem").topology).footprint
-        ideal = CloudProvider(
-            [build_qpu("Belem")],
-            seed=4,
-            shots=64,
-            backend_factory=lambda qpu: StatevectorBackend(),
-        )
-        noisy = CloudProvider([build_qpu("Belem")], seed=4, shots=64)
-        endpoint = copy.deepcopy(noisy._endpoint("Belem"))
-        start = max(
-            7000.0 + endpoint.queue_model.sample_wait(7000.0, endpoint.rng),
-            endpoint.free_at,
-        )
-        _, durations, elapsed = noisy.qpu("Belem").batch_clock(3, start)
-        for provider in (ideal, noisy):
-            job = provider.submit("Belem", [circuit] * 3, footprint, now=7000.0)
-            assert job.start_time == start
-            assert job.finish_time == start + elapsed
-            assert [r.duration_seconds for r in job.results] == durations
 
 
 class TestBackendGradient:

@@ -10,7 +10,6 @@ sampler's decision thresholds.
 
 import numpy as np
 
-from repro.backends import StatevectorBackend
 from repro.baselines.ideal import IdealTrainer
 from repro.core.ensemble import EQCConfig, EQCEnsemble
 from repro.core.objective import EnergyObjective
@@ -54,9 +53,3 @@ class TestIdealTrainerBackendRouting:
         assert trainer.backend.name == "statevector"
         history = trainer.train(np.zeros(16), num_epochs=1)
         assert history.metadata["backend"] == "statevector"
-
-    def test_supplied_backend_is_used_and_recorded(self, vqe_problem):
-        backend = StatevectorBackend(name="mine")
-        trainer = IdealTrainer(vqe_problem.estimator, shots=128, seed=0, backend=backend)
-        assert trainer.backend is backend
-        assert trainer.train(np.zeros(16), num_epochs=1).metadata["backend"] == "mine"

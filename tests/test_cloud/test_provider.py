@@ -1,8 +1,11 @@
 """Tests for the cloud provider's queueing and execution behaviour."""
 
+import copy
+
 import numpy as np
 import pytest
 
+from repro.backends import NoisyBackend
 from repro.circuit import ghz_state
 from repro.cloud.provider import CloudProvider
 from repro.cloud.queueing import QueueModel
@@ -41,6 +44,12 @@ class TestProviderConstruction:
         with pytest.raises(KeyError):
             provider.qpu("nope")
 
+    def test_every_endpoint_runs_its_own_device(self, provider):
+        for name in provider.device_names:
+            backend = provider._endpoint(name).backend
+            assert type(backend) is NoisyBackend
+            assert backend.qpu is provider.qpu(name)
+
 
 class TestSubmission:
     def test_job_lifecycle(self, provider, belem_job_inputs):
@@ -70,6 +79,22 @@ class TestSubmission:
         b = provider.submit("Bogota", [circuit], bogota_fp, now=0.0)
         # Bogota's start is not pushed behind Belem's job
         assert b.start_time < a.finish_time + provider.qpu("Bogota").spec.base_job_seconds * 10
+
+    def test_a_job_holds_the_device_for_its_clock(self, provider, belem_job_inputs):
+        """A job starts at the closed-form queue wait and occupies the device
+        for half a job slot a circuit, each at the duration of its own start."""
+        circuit, footprint = belem_job_inputs
+        endpoint = copy.deepcopy(provider._endpoint("Belem"))
+        start = max(
+            7000.0 + endpoint.queue_model.sample_wait(7000.0, endpoint.rng), endpoint.free_at
+        )
+        starts, durations, elapsed, _ = provider.qpu("Belem")._walk_clock(3, start)
+        job = provider.submit("Belem", [circuit] * 3, footprint, now=7000.0)
+        assert job.start_time == start == starts[0]
+        assert job.finish_time == start + elapsed
+        assert [r.duration_seconds for r in job.results] == durations
+        report = provider.utilization_report()["Belem"]
+        assert report["busy_seconds"] == elapsed
 
     def test_custom_shots(self, provider, belem_job_inputs):
         circuit, footprint = belem_job_inputs

@@ -165,20 +165,18 @@ class TestExecution:
             ghz_footprint, now
         ) < bogota.true_success_probability(ghz_footprint, now)
 
-    def test_batch_clock_is_the_clock_a_batch_runs_on(self, bogota, ghz_footprint, rng):
+    def test_a_batch_runs_on_the_device_clock(self, bogota, ghz_footprint, rng):
+        """Circuit ``i`` runs at the job duration of its own start, half a
+        job slot per predecessor after the batch starts."""
         now = 5.75 * 3600.0
-        starts, durations, elapsed = bogota.batch_clock(4, now)
-        assert starts[0] == now
-        for i in range(3):
-            assert starts[i + 1] > starts[i]
-            assert durations[i] == bogota.job_duration_seconds(starts[i])
-        # Half a job slot per circuit.
-        assert elapsed == pytest.approx(sum(durations) / 2.0)
-        assert bogota._walk_clock(4, now)[:2] == (starts, durations)
         results = bogota.execute_batch(
             [ghz_state(4)] * 4, ghz_footprint, shots=64, now=now, rng=rng
         )
-        assert [r.duration_seconds for r in results] == durations
+        elapsed = 0.0
+        for result in results:
+            assert result.duration_seconds == bogota.job_duration_seconds(now + elapsed)
+            elapsed += result.duration_seconds / 2.0
+        assert elapsed > 0.0
 
     def test_timeline_reads_one_drift_evaluation_per_start(
         self, bogota, ghz_footprint, monkeypatch, rng

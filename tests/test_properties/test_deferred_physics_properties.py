@@ -8,9 +8,8 @@ interleavings of submits (2-5 endpoints, repeat submits to an endpoint that
 is still parked, batches that can and cannot stack), result reads and
 ``snapshot_state()`` calls (which resolve nothing: a checkpoint stores parked
 jobs parked), every job's counts, timing and metadata and every endpoint's
-RNG state equal those of a provider whose backends cannot defer —
-each job simulated and sampled alone, inside its own submit, by
-``QPU.execute_batch``.
+RNG state equal those of a provider that resolves every job inside its own
+submit — each job simulated and sampled alone, a wave of one.
 """
 
 from itertools import accumulate
@@ -20,7 +19,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.backends import NoisyBackend, StatevectorBackend
 from repro.circuit import Parameter, QuantumCircuit, ghz_state
 from repro.circuit.sweep import ParameterSweep
 from repro.cloud.provider import CloudProvider
@@ -30,18 +28,19 @@ from repro.sched import CloudScheduler
 from repro.vqa import heisenberg_vqe_problem, ring_maxcut_qaoa_problem
 
 FLEET = ("x2", "Belem", "Bogota", "Quito", "Manila")
-#: This endpoint can run the ideal backend, which never parks anything.
-IDEAL_DEVICE = "Manila"
 FOOTPRINT = CircuitFootprint(
     num_single_qubit_gates=20, num_two_qubit_gates=8, critical_depth=12, num_measurements=4
 )
 
 
-class EagerNoisyBackend(NoisyBackend):
-    """A noisy backend that cannot defer: the reference, one job at a time."""
+class EagerProvider(CloudProvider):
+    """A provider that never leaves a job parked: the reference, one job at a
+    time."""
 
-    def run(self, batch, shots=8192, seed=None, *, park=None, **context):
-        return super().run(batch, shots, seed, **context)
+    def submit(self, *args, **kwargs):
+        job = super().submit(*args, **kwargs)
+        self.resolve()
+        return job
 
 
 def _split_register_templates():
@@ -102,15 +101,10 @@ def make_batch(kind, rng):
     return sweep.bound_circuits() if kind == "bound" else sweep
 
 
-def make_provider(devices, backend, clock, outage, ideal):
+def make_provider(devices, provider_class, clock, outage):
     scheduler = CloudScheduler(policy="fifo", seed=3) if clock == "kernel" else None
-    provider = CloudProvider(
-        [build_qpu(name) for name in devices],
-        seed=3,
-        scheduler=scheduler,
-        backend_factory=lambda qpu: (
-            StatevectorBackend() if ideal and qpu.name == IDEAL_DEVICE else backend(qpu)
-        ),
+    provider = provider_class(
+        [build_qpu(name) for name in devices], seed=3, scheduler=scheduler
     )
     if scheduler is not None and outage is not None:
         # Whatever is in service anywhere when the window opens is cut and
@@ -149,15 +143,12 @@ rounds = st.lists(
     rounds=rounds,
     clock=st.sampled_from(("statistical", "kernel")),
     outage=st.one_of(st.none(), st.tuples(st.floats(1.0, 600.0), st.floats(50.0, 400.0))),
-    ideal=st.booleans(),
     seed=st.integers(0, 2**16),
 )
-def test_deferred_physics_equals_one_job_at_a_time(
-    num_devices, rounds, clock, outage, ideal, seed
-):
-    devices = FLEET[-num_devices:]  # the last one is the (optionally) ideal endpoint
-    deferred = make_provider(devices, NoisyBackend, clock, outage, ideal)
-    eager = make_provider(devices, EagerNoisyBackend, clock, outage, ideal)
+def test_deferred_physics_equals_one_job_at_a_time(num_devices, rounds, clock, outage, seed):
+    devices = FLEET[-num_devices:]
+    deferred = make_provider(devices, CloudProvider, clock, outage)
+    eager = make_provider(devices, EagerProvider, clock, outage)
     rng = np.random.default_rng(seed)  # batch kinds, angles, shots, arrival gaps
     jobs = []
     now = 0.0
@@ -193,9 +184,9 @@ def test_deferred_physics_equals_one_job_at_a_time(
         assert job_facts(ours) == job_facts(reference)
 
 
-def _parked_wave(kinds, shots, backend=NoisyBackend, seed=7):
+def _parked_wave(kinds, shots, provider_class=CloudProvider, seed=7):
     fleet = build_fleet()[: len(kinds)]
-    provider = CloudProvider(fleet, seed=1, backend_factory=backend)
+    provider = provider_class(fleet, seed=1)
     rng = np.random.default_rng(seed)
     jobs = [
         provider.submit(qpu.name, make_batch(kind, rng), FOOTPRINT, now=0.0, shots=n)
@@ -229,7 +220,7 @@ def test_wide_diagonal_layers_stack_bit_equal_at_any_wave_width(width, monkeypat
         deferred.resolve()
         stacked = sampled[:]
         del sampled[:]
-        eager, reference = _parked_wave(kinds, shots, EagerNoisyBackend, seed)
+        eager, reference = _parked_wave(kinds, shots, EagerProvider, seed)
         assert stacked == sampled
         del sampled[:]
         assert [job_facts(j) for j in jobs] == [job_facts(j) for j in reference]

@@ -4,7 +4,6 @@ import copy
 
 import pytest
 
-from repro.backends import StatevectorBackend
 from repro.circuit import ghz_state
 from repro.cloud.provider import CloudProvider
 from repro.cloud.queueing import queue_model_for
@@ -242,16 +241,12 @@ class TestDeadlinePolicy:
 
 class TestStatisticalClock:
     """Without a scheduler a job starts at one closed-form queue-wait draw:
-    ``max(arrival + sample_wait(arrival, rng), free_at)``."""
+    ``max(arrival + sample_wait(arrival, rng), free_at)``, drawn from the
+    endpoint's stream after the shots of every earlier job on it."""
 
     @staticmethod
     def provider():
-        return CloudProvider(
-            [build_qpu("Belem")],
-            seed=5,
-            shots=64,
-            backend_factory=lambda qpu: StatevectorBackend(),
-        )
+        return CloudProvider([build_qpu("Belem")], seed=5, shots=64)
 
     @staticmethod
     def submit(provider, now):
@@ -259,14 +254,32 @@ class TestStatisticalClock:
         footprint = transpile(circuit, provider.qpu("Belem").topology).footprint
         return provider.submit("Belem", [circuit], footprint, now=now)
 
-    def test_matches_closed_form_queue_math(self):
-        provider = self.provider()
+    @staticmethod
+    def expected_start(provider, now):
         reference = copy.deepcopy(provider._endpoint("Belem"))
-        expected = max(
-            100.0 + reference.queue_model.sample_wait(100.0, reference.rng),
+        return max(
+            now + reference.queue_model.sample_wait(now, reference.rng),
             reference.free_at,
         )
+
+    def test_matches_closed_form_queue_math(self):
+        provider = self.provider()
+        expected = self.expected_start(provider, 100.0)
         assert self.submit(provider, 100.0).start_time == expected
+
+    @pytest.mark.parametrize("read_first", [True, False])
+    def test_next_wait_follows_the_earlier_jobs_shots(self, read_first):
+        """A later job's wait comes after the shots an earlier job draws,
+        whether the earlier job was read or its submit resolves it."""
+        provider = self.provider()
+        first = self.submit(provider, 100.0)
+        shadow = copy.deepcopy(provider)
+        shadow.resolve()  # the 64 shots the first job draws before the next wait
+        expected = self.expected_start(shadow, 5000.0)
+        assert expected != self.expected_start(provider, 5000.0)
+        if read_first:
+            first.results
+        assert self.submit(provider, 5000.0).start_time == expected
 
     def test_respects_device_backlog(self):
         provider = self.provider()

@@ -14,6 +14,7 @@ import repro
 import repro.backends
 import repro.simulator
 from repro.backends import ExecutionBackend, StatevectorBackend
+from repro.baselines import IdealTrainer, SingleDeviceTrainer
 from repro.cloud import CloudProvider
 from repro.core.ensemble import EQCConfig
 from repro.engine import ProgramCache, compile_circuit, execute_program
@@ -42,12 +43,29 @@ def test_execution_chain_runs_one_configuration():
     pass, and layout is greedy: none of them takes a mode argument."""
     assert _parameters(compile_circuit) == ["circuit"]
     assert _parameters(execute_program) == ["program", "thetas", "batch", "blocks"]
-    assert _parameters(EnergyEstimator.exact_energies) == ["self", "theta_matrix"]
+    assert _parameters(EnergyEstimator.exact_energy) == ["self", "values"]
     assert _parameters(ProgramCache) == []
     assert _parameters(select_layout) == ["circuit", "topology"]
     assert _parameters(transpile) == ["circuit", "topology"]
     assert _parameters(StatevectorBackend) == ["name"]
     assert _parameters(telemetry_session) == []
+
+
+def test_each_trainer_runs_one_backend():
+    """Every device endpoint runs the noisy device path and the ideal
+    baseline the statevector backend: no constructor swaps either."""
+    assert _parameters(CloudProvider) == [
+        "qpus", "queue_models", "seed", "shots", "scheduler", "fault_injector",
+        "retry_policy",
+    ]
+    assert _parameters(SingleDeviceTrainer) == [
+        "objective", "device_name", "shots", "learning_rate", "seed",
+        "max_wall_hours", "queue_model",
+    ]
+    assert _parameters(IdealTrainer) == [
+        "estimator", "shots", "learning_rate", "exact", "seed", "seconds_per_epoch",
+    ]
+    assert _parameters(StatevectorBackend.run) == ["self", "batch", "shots", "seed", "rng"]
 
 
 def test_scheduler_serves_pinned_jobs_under_the_raced_policies():

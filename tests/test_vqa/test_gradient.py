@@ -64,6 +64,19 @@ class TestParameterShiftCorrectness:
         fd = (estimator.exact_energy(plus) - estimator.exact_energy(minus)) / (2 * eps)
         assert shift_gradient == pytest.approx(fd, abs=1e-5)
 
+    @pytest.mark.parametrize("problem", ["vqe_problem", "qaoa_problem"])
+    def test_full_gradient_is_the_per_index_gradient(self, problem, request):
+        """One exact gradient: the whole-sweep pass returns, bit for bit, the
+        per-index derivative at every index."""
+        estimator = request.getfixturevalue(problem).estimator
+        rng = np.random.default_rng(9)
+        for theta in rng.uniform(-np.pi, np.pi, (4, estimator.num_parameters)):
+            full = exact_full_gradient(estimator, theta)
+            assert [v.hex() for v in full.tolist()] == [
+                exact_parameter_shift_gradient(estimator, theta, index).hex()
+                for index in range(estimator.num_parameters)
+            ]
+
     def test_full_gradient_shape(self, vqe_problem):
         theta = np.zeros(vqe_problem.num_parameters)
         gradient = exact_full_gradient(vqe_problem.estimator, theta)
