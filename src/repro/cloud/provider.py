@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -371,37 +371,39 @@ class CloudProvider:
     ) -> CloudJob:
         """Submit a batch of circuits and serve it to completion on the clock.
 
-        The batch is either bound circuits (the baselines) or an unbound
-        :class:`~repro.circuit.sweep.ParameterSweep` (an EQC gradient job:
-        templates plus the parameter-point matrix).  It reaches the
-        endpoint's backend untouched, so a sweep is lowered at the device
-        without a single circuit being bound, and either form of the same
-        job yields identical results, timing and RNG state.
-
-        The returned job is already ``DONE`` with its timing populated and its
+        The batch is bound circuits (the baselines) or an unbound
+        :class:`~repro.circuit.sweep.ParameterSweep` (an EQC gradient job);
+        either form of one job yields identical results, timing and RNG
+        state.  The returned job is ``DONE`` with its timing populated and its
         physics parked (``job.results`` resolves it, see :meth:`resolve`);
-        callers (EQC client nodes, baselines) treat ``job.finish_time`` as the
-        moment the results become visible, which is how asynchrony is realized
-        on the virtual clock.
+        callers treat ``job.finish_time`` as the moment the results become
+        visible, which is how asynchrony is realized on the virtual clock.
 
-        Every job runs the same attempt loop: fail fast on a dead device,
-        get a service start from the clock (:meth:`_serve` — the event
-        kernel when a scheduler is attached, where the job competes with
-        tenant traffic under the scheduler's policy; the closed-form
-        statistical queue otherwise), draw the plan's transient
-        failure at the device head, park the physics, add any injected result
-        delay, enforce the per-job deadline, book the device time.  A bombed
-        attempt holds the device for zero seconds, backs off (exponential,
-        deterministically jittered) and re-arrives; without fault injection
-        the loop runs exactly once.  Failures cost *virtual* time: every
+        Every job runs one attempt loop, once without fault injection.
+        Failures cost *virtual* time: every
         :class:`~repro.faults.errors.FaultError` raised here carries the time
         the caller learns about it and the job, ``FAILED`` with its ``error``.
-
-        The endpoint's physics RNG is only drawn for an attempt that
-        actually executes, so a chaos run's successful measurements come from
-        the same stream positions as a fault-free run with the same seed
-        (fault decisions draw from injector streams exclusively).
         """
+        endpoint, job = self._open_job(device_name, circuits, now, shots)
+        arrival, first_failure = job.submit_time, None
+        for attempt in range(1, self._retry_policy.max_attempts + 1):
+            job.attempts = attempt
+            start_time, elapsed = self._attempt(endpoint, job, circuits, footprint, arrival)
+            if job.parked_results:
+                return self._complete(endpoint, job, start_time, elapsed, first_failure)
+            if first_failure is None:
+                first_failure = start_time
+            arrival = self._backoff(job, start_time)
+        raise AssertionError("unreachable: the attempt loop exits via return/raise")
+
+    def _open_job(
+        self,
+        device_name: str,
+        circuits: Sequence[QuantumCircuit] | ParameterSweep,
+        now: float,
+        shots: int | None,
+    ) -> tuple[DeviceEndpoint, CloudJob]:
+        """Check a submission and open its job; a dead device fails it fast."""
         if not len(circuits):
             raise ValueError("a job needs at least one circuit")
         endpoint = self._endpoint(device_name)
@@ -410,10 +412,7 @@ class CloudProvider:
             raise ValueError(f"shots must be >= 1 (got {shots})")
         now = float(now)
         if not 0.0 <= now < math.inf:
-            raise ValueError(
-                f"now must be a finite, non-negative simulation time (got {now!r})"
-            )
-
+            raise ValueError(f"now must be a finite, non-negative simulation time (got {now!r})")
         job = CloudJob(
             job_id=self._new_job_id(),
             device_name=device_name,
@@ -423,107 +422,114 @@ class CloudProvider:
             resolve=self.resolve,
         )
         if device_name in self.dead_devices:
-            raise self._fail(
-                job, DeviceOutageError, "device permanently down", now, permanent=True
-            )
+            raise self._fail(job, DeviceOutageError, "device permanently down", now, permanent=True)
         if any(batch.rng is endpoint.rng for batch in self._parked):
             # This endpoint's stream still owes an earlier job its shots.
             self.resolve()
+        return endpoint, job
 
-        faults = self._faults
-        retry = self._retry_policy
-        counters = self.fault_counters
-        results = job.parked_results
+    def _attempt(
+        self,
+        endpoint: DeviceEndpoint,
+        job: CloudJob,
+        circuits: Sequence[QuantumCircuit] | ParameterSweep,
+        footprint: CircuitFootprint,
+        arrival: float,
+    ) -> tuple[float, float]:
+        """One attempt of ``job``: its start time and the device-seconds held, from
+        the clock (:meth:`_serve`).  An attempt that bombs at the device head
+        (the plan's transient failure) holds the device for zero seconds and
+        leaves ``job.parked_results`` empty; the physics stream is drawn only
+        by an attempt that executes, as in a fault-free run."""
+        faults, results = self._faults, job.parked_results
 
         def service(start_time: float) -> float:
-            # One service start; returns the device-seconds held.  A service
-            # cut by an outage re-enters with a fresh start time: the partial
-            # results are dropped (the cut run stays parked, so its shots are
-            # still drawn first) and the failure draw is made afresh.
+            # A service cut by an outage re-enters with a fresh start time:
+            # the partial results are dropped (the cut run stays parked, so
+            # its shots are still drawn first) and the failure draw is made afresh.
             results.clear()
-            if faults is not None and faults.transient_failure(device_name):
+            if faults is not None and faults.transient_failure(job.device_name):
                 return 0.0
             job.status = JobStatus.RUNNING
-            return self._execute_batch(
-                endpoint, job, circuits, footprint, start_time, shots
+            return self._execute_batch(endpoint, job, circuits, footprint, start_time, job.shots)
+
+        return self._serve(endpoint, job, arrival, service)
+
+    def _deadline(self, job: CloudJob) -> float | None:
+        """The retry policy's deadline for ``job`` (``None``: no deadline)."""
+        seconds = self._retry_policy.deadline_seconds
+        return None if seconds is None else job.submit_time + seconds
+
+    def _backoff(self, job: CloudJob, start_time: float) -> float:
+        """Count an attempt that bombed at ``start_time`` and return when the
+        retry arrives, after an exponential, deterministically jittered
+        backoff; a typed failure once the attempts or the deadline run out."""
+        retry, counters = self._retry_policy, self.fault_counters
+        counters["transient_failures"] += 1
+        if job.attempts >= retry.max_attempts:
+            raise self._fail(
+                job,
+                JobRetriesExhausted,
+                f"transient failures exhausted {job.attempts} attempts",
+                start_time,
+                attempts=job.attempts,
             )
+        backoff = retry.backoff_seconds(job.attempts, self._faults.retry_stream(job.device_name))
+        counters["retries"] += 1
+        if _telemetry.enabled:
+            _telemetry.registry.histogram(
+                "faults.backoff_seconds", bounds=(15, 30, 60, 120, 300, 600, 1200)
+            ).observe(backoff)
+        arrival, deadline = start_time + backoff, self._deadline(job)
+        if deadline is not None and arrival > deadline:
+            raise self._fail(
+                job,
+                JobDeadlineExceeded,
+                f"{retry.deadline_seconds:.0f}s deadline exceeded during backoff",
+                deadline,
+            )
+        return arrival
 
-        deadline = (
-            now + retry.deadline_seconds if retry.deadline_seconds is not None else None
-        )
-        attempt_now = now
-        first_failure: float | None = None
-        for attempt in range(1, retry.max_attempts + 1):
-            job.attempts = attempt
-            start_time, elapsed = self._serve(endpoint, job, attempt_now, service)
-            if not results:
-                # The attempt bombed at the device head.
-                if first_failure is None:
-                    first_failure = start_time
-                counters["transient_failures"] += 1
-                if attempt >= retry.max_attempts:
-                    raise self._fail(
-                        job,
-                        JobRetriesExhausted,
-                        f"transient failures exhausted {attempt} attempts",
-                        start_time,
-                        attempts=attempt,
-                    )
-                backoff = retry.backoff_seconds(attempt, faults.retry_stream(device_name))
-                counters["retries"] += 1
-                if _telemetry.enabled:
-                    _telemetry.registry.histogram(
-                        "faults.backoff_seconds",
-                        bounds=(15, 30, 60, 120, 300, 600, 1200),
-                    ).observe(backoff)
-                attempt_now = start_time + backoff
-                if deadline is not None and attempt_now > deadline:
-                    raise self._fail(
-                        job,
-                        JobDeadlineExceeded,
-                        f"{retry.deadline_seconds:.0f}s deadline exceeded during backoff",
-                        deadline,
-                    )
-                continue
-
-            delay = faults.result_delay(device_name) if faults is not None else 0.0
-            if delay > 0.0:
-                counters["result_delays"] += 1
-            job.start_time = start_time
-            queue_seconds = job.queue_seconds
-            finish_time = start_time + elapsed + delay
-
-            # Device bookkeeping is real regardless of result visibility:
-            # the hardware executed the batch and freed up when it ended,
-            # not when the results landed.
-            endpoint.free_at = start_time + elapsed
-            record = endpoint.record
-            record.jobs_completed += 1
-            record.busy_seconds += elapsed
-            record.queued_seconds += queue_seconds
-            record.last_finish_time = finish_time
-
-            if deadline is not None and finish_time > deadline:
-                if job.parked:
-                    # Nobody will read this job: draw its shots now, so that
-                    # whatever stays parked has an owner to checkpoint it.
-                    self.resolve()
-                raise self._fail(
-                    job,
-                    JobDeadlineExceeded,
-                    "deadline exceeded awaiting results "
-                    f"(finish {finish_time:.0f}s > {deadline:.0f}s)",
-                    deadline,
-                )
-            for result in results:
-                result.queue_seconds = queue_seconds
-            job.finish_time = finish_time
-            job.status = JobStatus.DONE
-            if _telemetry.enabled:
-                self._record_job(job, first_failure)
-            return job
-
-        raise AssertionError("unreachable: the attempt loop exits via return/raise")
+    def _complete(
+        self,
+        endpoint: DeviceEndpoint,
+        job: CloudJob,
+        start_time: float,
+        elapsed: float,
+        first_failure: float | None,
+    ) -> CloudJob:
+        """Finish an attempt that executed: draw any injected result delay,
+        book the device time, enforce the per-job deadline, mark ``job`` done."""
+        delay = self._faults.result_delay(job.device_name) if self._faults is not None else 0.0
+        if delay > 0.0:
+            self.fault_counters["result_delays"] += 1
+        job.start_time = start_time
+        queue_seconds = job.queue_seconds
+        finish_time = start_time + elapsed + delay
+        # The device freed up when the batch ended, not when the results landed.
+        endpoint.free_at = start_time + elapsed
+        record = endpoint.record
+        record.jobs_completed += 1
+        record.busy_seconds += elapsed
+        record.queued_seconds += queue_seconds
+        record.last_finish_time = finish_time
+        deadline = self._deadline(job)
+        if deadline is not None and finish_time > deadline:
+            if job.parked:
+                # Nobody will read this job: draw its shots now, so that
+                # whatever stays parked has an owner to checkpoint it.
+                self.resolve()
+            raise self._fail(
+                job, JobDeadlineExceeded, "deadline exceeded awaiting results "
+                f"(finish {finish_time:.0f}s > {deadline:.0f}s)", deadline
+            )
+        for result in job.parked_results:
+            result.queue_seconds = queue_seconds
+        job.finish_time = finish_time
+        job.status = JobStatus.DONE
+        if _telemetry.enabled:
+            self._record_job(job, first_failure)
+        return job
 
     def _serve(
         self,

@@ -10,7 +10,7 @@ sweeps (fleet composition, shots, learning rate, weight bounds, seeds).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .._fields import require
 from ..backends.cache import shared_transpile_cache
@@ -34,6 +34,9 @@ from .history import TrainingHistory
 from .master import EQCMasterNode, checked_initial_parameters
 from .objective import EnergyObjective, VQAObjective
 from .weighting import BOUNDS_MODERATE, WeightBounds, WeightingConfig
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..persist.checkpoint import TrainingCheckpointer
 
 __all__ = ["EQCConfig", "EQCEnsemble"]
 
@@ -247,7 +250,7 @@ class EQCEnsemble:
         num_epochs: int,
         task_queue: CyclicTaskQueue | None = None,
         record_every: int = 1,
-        _checkpointer: "object | None" = None,
+        _checkpointer: "TrainingCheckpointer | None" = None,
     ) -> TrainingHistory:
         """Run asynchronous ensemble training and return its history.
 
@@ -264,56 +267,16 @@ class EQCEnsemble:
         theta = checked_initial_parameters(self.objective, initial_parameters)
         queue = task_queue or vqe_task_cycle(self.objective.num_parameters)
         checkpointer = _checkpointer
-        run = None
         if checkpointer is None and self.config.checkpointing_enabled:
-            # Imported lazily: persist builds on core's master/history, so a
-            # module-level import would be circular.
-            from ..persist.store import RunStore
-
-            run = RunStore(self.config.run_store).create_run(
-                config=self.config,
-                initial_parameters=theta.tolist(),
-                num_epochs=num_epochs,
-                record_every=record_every,
-            )
+            checkpointer = self._new_checkpointer(theta.tolist(), num_epochs, record_every)
+        health = DeviceHealthTracker() if self.config.fault_tolerant else None
         try:
-            health = DeviceHealthTracker() if self.config.fault_tolerant else None
-            if run is not None:
-                from ..persist.checkpoint import TrainingCheckpointer
-
-                checkpointer = TrainingCheckpointer(
-                    run,
-                    checkpoint_every=self.config.checkpoint_every,
-                    retention=self.config.checkpoint_retention,
-                    provider=self.provider,
-                    injector=self.fault_injector,
-                )
-            master = EQCMasterNode(
-                objective=self.objective,
-                clients=self.clients,
-                task_queue=queue,
-                rule=AsgdRule(learning_rate=self.config.learning_rate),
-                weighting=WeightingConfig(
-                    bounds=self.config.weight_bounds,
-                    refresh_on_every_update=self.config.refresh_weights,
-                ),
-                initial_parameters=theta,
-                label=self.config.describe(),
-                health=health,
-                dispatch_deadline=self.config.dispatch_deadline,
-                min_live_devices=self.config.min_live_devices,
-            )
-            history = master.train(
-                num_epochs=num_epochs,
-                record_every=record_every,
-                checkpointer=checkpointer,
-            )
+            master = self._new_master(queue, theta, health)
+            history = master.train(num_epochs, record_every, checkpointer=checkpointer)
             if self.config.fault_tolerant:
                 if self.config.fault_plan is not None:
                     history.metadata["fault_plan"] = self.config.fault_plan.describe()
-                history.metadata["provider_faults"] = dict(
-                    self.provider.fault_counters
-                )
+                history.metadata["provider_faults"] = dict(self.provider.fault_counters)
                 if health is not None and _telemetry.enabled:
                     health.publish()
             history.metadata["utilization"] = self.provider.utilization_report()
@@ -328,13 +291,52 @@ class EQCEnsemble:
             self.transpile_cache.publish()
             if self.scheduler is not None:
                 self.scheduler.publish()
-            registry = _telemetry.registry
             for name, stats in history.metadata["utilization"].items():
-                registry.gauge("qpu.utilization", device=name).set(
-                    stats["utilization"]
-                )
+                _telemetry.registry.gauge("qpu.utilization", device=name).set(stats["utilization"])
         if checkpointer is not None:
             # The final history (ensemble metadata included) and the closing
             # manifest flip land only after a fully successful run.
             checkpointer.finalize(history)
         return history
+
+    def _new_checkpointer(
+        self, theta: list[float], num_epochs: int, record_every: int
+    ) -> "TrainingCheckpointer":
+        """Register a durable run in the configured store and its checkpointer."""
+        # Imported lazily: persist builds on core's master/history, so a
+        # module-level import would be circular.
+        from ..persist.checkpoint import TrainingCheckpointer
+        from ..persist.store import RunStore
+
+        run = RunStore(self.config.run_store).create_run(
+            config=self.config,
+            initial_parameters=theta,
+            num_epochs=num_epochs,
+            record_every=record_every,
+        )
+        return TrainingCheckpointer(
+            run,
+            checkpoint_every=self.config.checkpoint_every,
+            retention=self.config.checkpoint_retention,
+            provider=self.provider,
+            injector=self.fault_injector,
+        )
+
+    def _new_master(
+        self, queue: CyclicTaskQueue, theta: Sequence[float], health: DeviceHealthTracker | None
+    ) -> EQCMasterNode:
+        return EQCMasterNode(
+            objective=self.objective,
+            clients=self.clients,
+            task_queue=queue,
+            rule=AsgdRule(learning_rate=self.config.learning_rate),
+            weighting=WeightingConfig(
+                bounds=self.config.weight_bounds,
+                refresh_on_every_update=self.config.refresh_weights,
+            ),
+            initial_parameters=theta,
+            label=self.config.describe(),
+            health=health,
+            dispatch_deadline=self.config.dispatch_deadline,
+            min_live_devices=self.config.min_live_devices,
+        )

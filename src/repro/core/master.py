@@ -87,6 +87,44 @@ class _InFlight:
     failure: FaultError | None = field(compare=False, default=None)
 
 
+@dataclass(slots=True)
+class LoopState:
+    """Where the training loop stands before its next heap pop, and all of it
+    that a checkpoint persists: the event heap, the last event sequence number
+    handed out, the simulated clock and the epochs completed."""
+
+    pending: list[_InFlight]
+    sequence: int
+    now: float
+    epoch_completed: int = 0
+
+
+class _LoopTelemetry:
+    """The training loop's telemetry (enabled runs only): each update's wall time
+    and staleness, and each epoch's wall-clock and simulated-time spans."""
+
+    def __init__(self, loop: LoopState, wall_start: int) -> None:
+        self.epoch = loop.epoch_completed
+        self.wall_start = wall_start
+        self.sim_start = loop.now
+
+    def observe(self, loop: LoopState, updates: int, seconds: float, staleness: int) -> None:
+        registry = _telemetry.registry
+        registry.histogram("eqc.weight_update_seconds").observe(seconds)
+        registry.histogram(
+            "eqc.update_staleness", bounds=(0, 1, 2, 4, 8, 16, 32)
+        ).observe(max(0, staleness))
+        if loop.epoch_completed == self.epoch:
+            return
+        self.epoch = loop.epoch_completed
+        name, end_ns = f"epoch {self.epoch}", time.time_ns()
+        _telemetry.tracer.add_span(name, "eqc", self.wall_start, end_ns, args={"updates": updates})
+        _telemetry.tracer.add_sim_span(
+            name, "eqc", "eqc epochs", self.sim_start, loop.now - self.sim_start
+        )
+        self.wall_start, self.sim_start = end_ns, loop.now
+
+
 def checked_initial_parameters(
     objective: VQAObjective, initial_parameters: Sequence[float]
 ) -> np.ndarray:
@@ -151,9 +189,7 @@ class EQCMasterNode:
         #: Circuit breakers gating dispatch; None disables fault tolerance
         #: (the default path pays a couple of ``is not None`` branches only).
         self._health = health
-        self.dispatch_deadline = (
-            float(dispatch_deadline) if dispatch_deadline is not None else None
-        )
+        self.dispatch_deadline = None if dispatch_deadline is None else float(dispatch_deadline)
         self.min_live_devices = int(min_live_devices)
         #: Clients still in the rotation (retirement removes them here; the
         #: full roster in ``self.clients`` is never mutated).
@@ -202,36 +238,56 @@ class EQCMasterNode:
         checkpointer: "TrainingCheckpointer | None" = None,
         max_sim_hours: float | None = None,
     ) -> TrainingHistory:
-        """Run the asynchronous optimization for ``num_epochs`` epochs.
+        """Run the optimization for ``num_epochs`` epochs or exactly
+        ``target_updates`` updates, recording every ``record_every``-th epoch
+        (``max_sim_hours``: :meth:`_close_epoch`).  ``checkpointer`` (see
+        :class:`repro.persist.TrainingCheckpointer`) journals every update and
+        checkpoints, or resumes a restored run; it consumes no randomness."""
+        target_updates = self._update_budget(num_epochs, target_updates, record_every)
+        wall_start = time.time_ns()
+        history, loop = self._start(checkpointer)
+        observer = _LoopTelemetry(loop, wall_start) if _telemetry.enabled else None
+        due: list[tuple] = []  # recorded epochs awaiting their exact loss
+        while self.telemetry.updates_applied < target_updates and loop.pending:
+            item = self._pop(loop)
+            if item.kind != "job":
+                self._absorb_fault(loop, item)
+                continue
+            outcome = self.gather(item)
+            started = time.perf_counter()
+            staleness = self._apply(item.client, outcome, loop.now, checkpointer)
+            seconds = time.perf_counter() - started
+            if self.telemetry.updates_applied % self.cycle_length == 0:
+                target_updates = self._close_epoch(
+                    loop, history, due, target_updates, record_every, max_sim_hours
+                )
+            if observer is not None:
+                observer.observe(loop, self.telemetry.updates_applied, seconds, staleness)
+            if self.telemetry.updates_applied < target_updates:
+                self._dispatch(loop, item.client)  # the finishing client's next task
+            if checkpointer is not None:
+                self._score(history, due)  # the journal sees each record before its hook
+                checkpointer.after_iteration(self, history, loop)
+        return self._finish(history, loop, due, publish=observer is not None)
 
-        ``target_updates`` overrides the epoch count with an exact update
-        budget; when it is not a multiple of ``cycle_length`` the tail
-        updates beyond the last full epoch are recorded as a final *partial*
-        epoch (flagged in ``history.metadata['final_epoch_partial_updates']``)
-        rather than silently dropped.
-
-        ``max_sim_hours`` is the paper's cutoff for crawling devices: at the
-        first epoch boundary past that much simulated time the run stops
-        before handing out another task, always records that epoch, and
-        flags ``history.terminated_early``.  Jobs still in flight are
-        resolved but never applied.
-
-        ``checkpointer`` (see :class:`repro.persist.TrainingCheckpointer`)
-        journals every committed update, writes checkpoint generations at
-        epoch boundaries, and — when it carries restored state — re-enters
-        the loop exactly where the interrupted run left off.  Checkpointing
-        consumes no randomness and never touches the update path, so the
-        trajectory is bit-identical with or without it.  Recorded epochs are
-        scored in one ``objective.exact_losses`` call at return (the tail
-        included), or with a checkpointer before each ``after_iteration``.
-        """
+    def _update_budget(
+        self, num_epochs: int | None, target_updates: int | None, record_every: int
+    ) -> int:
+        """The number of updates a train call applies (its arguments checked)."""
         if target_updates is None:
             require(self, "num_epochs", num_epochs, low=1, integer=True)
             target_updates = num_epochs * self.cycle_length
         else:
             require(self, "target_updates", target_updates, low=1, integer=True)
         require(self, "record_every", record_every, low=1, integer=True)
+        return target_updates
 
+    def _start(
+        self, checkpointer: "TrainingCheckpointer | None"
+    ) -> tuple[TrainingHistory, LoopState]:
+        """A train call's history and the loop state it enters at: a restored
+        checkpoint's, or a fresh run's after one dispatch to every client
+        (Algorithm 1's first loop)."""
         history = TrainingHistory(
             label=self.label,
             device_names=tuple(client.device_name for client in self.clients),
@@ -241,135 +297,89 @@ class EQCMasterNode:
                 "num_clients": len(self.clients),
             },
         )
-
-        pending: list[_InFlight] = []
-        sequence = 0
-        now = self._start_time
-        telemetry_on = _telemetry.enabled
-        epoch_wall_start = time.time_ns() if telemetry_on else 0
-        epoch_sim_start = now
-        epoch_completed = 0
-        due: list[tuple] = []  # recorded epochs awaiting their exact loss
-
-        restored = None
-        if checkpointer is not None:
-            restored = checkpointer.restore_into(self, history)
-        if restored is not None:
-            # Resume: the loop re-enters exactly at the heap pop the
-            # interrupted run was about to perform.
-            pending, sequence, now, epoch_completed, epoch_sim_start = restored
-        else:
-            # Initial dispatch: one task per client (Algorithm 1's first loop).
+        loop = None if checkpointer is None else checkpointer.restore_into(self, history)
+        if loop is None:
+            loop = LoopState([], 0, self._start_time)
             for client in list(self._live):
-                sequence += 1
-                heapq.heappush(pending, self._dispatch(client, now, sequence))
-        while self.telemetry.updates_applied < target_updates and pending:
-            item = heapq.heappop(pending)
-            now = max(now, item.finish_time)
-            if item.kind != "job":
-                # Fault-tolerance event (failure/straggler/probe): absorb it
-                # — breaker bookkeeping, task recovery, redispatch — and move
-                # on; the update path below never sees it.
-                sequence = self._absorb_fault(item, now, sequence, pending)
-                continue
-            outcome = self.gather(item)
-            client = item.client
-            if self._health is not None:
-                self._health.record_success(client.device_name, now)
+                self._dispatch(loop, client)
+        return history, loop
 
-            # Refresh this client's PCorrect and rebuild the ensemble weights.
-            self._p_correct[client.name] = outcome.p_correct
-            if self.weighting.refresh_on_every_update or not self._weights_initialized():
-                self._weights = normalize_weights(self._p_correct, self.weighting.bounds)
-            weight = self._weights.get(client.name, 1.0)
+    def _pop(self, loop: LoopState) -> _InFlight:
+        """The earliest event on the heap; the clock advances to its time."""
+        item = heapq.heappop(loop.pending)
+        loop.now = max(loop.now, item.finish_time)
+        return item
 
-            # Weighted asynchronous update (Eq. 4 / Eq. 12).
-            staleness = self.state.version - outcome.theta_version
-            self.telemetry.total_staleness += max(0, staleness)
-            self.telemetry.max_staleness = max(self.telemetry.max_staleness, staleness)
-            apply_start = time.perf_counter() if telemetry_on else 0.0
-            new_value = self.state.apply(
-                outcome.task.parameter_index, outcome.gradient, self.rule, weight
+    def _apply(
+        self,
+        client: EQCClientNode,
+        outcome: GradientOutcome,
+        now: float,
+        checkpointer: "TrainingCheckpointer | None",
+    ) -> int:
+        """Refresh ``client``'s ``PCorrect`` and the ensemble weights, then apply
+        the weighted asynchronous update (Eq. 4 / Eq. 12) and journal it (on
+        resume: verify it); returns its staleness."""
+        if self._health is not None:
+            self._health.record_success(client.device_name, now)
+        self._p_correct[client.name] = outcome.p_correct
+        if self.weighting.refresh_on_every_update or not self._weights_initialized():
+            self._weights = normalize_weights(self._p_correct, self.weighting.bounds)
+        weight = self._weights.get(client.name, 1.0)
+        staleness = self.state.version - outcome.theta_version
+        self.telemetry.total_staleness += max(0, staleness)
+        self.telemetry.max_staleness = max(self.telemetry.max_staleness, staleness)
+        new_value = self.state.apply(
+            outcome.task.parameter_index, outcome.gradient, self.rule, weight
+        )
+        self.telemetry.updates_applied += 1
+        if checkpointer is not None:
+            checkpointer.record_update(self, outcome, weight, new_value)
+        return staleness
+
+    def _close_epoch(
+        self,
+        loop: LoopState,
+        history: TrainingHistory,
+        due: list[tuple],
+        target_updates: int,
+        record_every: int,
+        max_sim_hours: float | None,
+    ) -> int:
+        """Count the epoch the last update completed, queue its record if it is
+        due, and return the update budget.  ``max_sim_hours`` is the paper's
+        cutoff for crawling devices: past that much simulated time the budget
+        shrinks to the updates applied, so this epoch is recorded as the last
+        (``history.terminated_early``); jobs in flight are never applied."""
+        loop.epoch_completed += 1
+        applied = self.telemetry.updates_applied
+        if (
+            max_sim_hours is not None
+            and (loop.now - self._start_time) / SECONDS_PER_HOUR > max_sim_hours
+        ):
+            history.terminated_early = True
+            history.termination_reason = (
+                f"exceeded {max_sim_hours:.0f} simulated hours "
+                f"after {loop.epoch_completed} epochs"
             )
-            self.telemetry.updates_applied += 1
-            if checkpointer is not None:
-                # Journal the committed update (or, on resume, verify the
-                # replayed update bit-for-bit against its journal record).
-                checkpointer.record_update(self, outcome, weight, new_value)
-            if telemetry_on:
-                registry = _telemetry.registry
-                registry.histogram("eqc.weight_update_seconds").observe(
-                    time.perf_counter() - apply_start
-                )
-                registry.histogram(
-                    "eqc.update_staleness", bounds=(0, 1, 2, 4, 8, 16, 32)
-                ).observe(max(0, staleness))
+            target_updates = applied
+        if loop.epoch_completed % record_every == 0 or applied >= target_updates:
+            due.append(self._epoch_row(loop.epoch_completed, loop.now))
+        return target_updates
 
-            # Epoch bookkeeping.
-            if self.telemetry.updates_applied % self.cycle_length == 0:
-                epoch_completed += 1
-                if telemetry_on:
-                    end_ns = time.time_ns()
-                    _telemetry.tracer.add_span(
-                        f"epoch {epoch_completed}",
-                        "eqc",
-                        epoch_wall_start,
-                        end_ns,
-                        args={"updates": self.telemetry.updates_applied},
-                    )
-                    _telemetry.tracer.add_sim_span(
-                        f"epoch {epoch_completed}",
-                        "eqc",
-                        "eqc epochs",
-                        epoch_sim_start,
-                        now - epoch_sim_start,
-                    )
-                    epoch_wall_start = end_ns
-                    epoch_sim_start = now
-                if (
-                    max_sim_hours is not None
-                    and (now - self._start_time) / SECONDS_PER_HOUR > max_sim_hours
-                ):
-                    # Out of simulated time: this epoch is the last, so the
-                    # update budget shrinks to what has been applied.
-                    history.terminated_early = True
-                    history.termination_reason = (
-                        f"exceeded {max_sim_hours:.0f} simulated hours "
-                        f"after {epoch_completed} epochs"
-                    )
-                    target_updates = self.telemetry.updates_applied
-                if epoch_completed % record_every == 0 or (
-                    self.telemetry.updates_applied >= target_updates
-                ):
-                    due.append((epoch_completed, now, self.state.snapshot(), self.current_weights))
-
-            # Hand the finishing client its next task immediately.
-            if self.telemetry.updates_applied < target_updates:
-                sequence += 1
-                heapq.heappush(pending, self._dispatch(client, now, sequence))
-
-            if checkpointer is not None:
-                # End of iteration: the loop state is "about to pop the next
-                # event", which is exactly where a restore re-enters.
-                self._score(history, due)
-                checkpointer.after_iteration(
-                    self, history, pending, sequence, now, epoch_completed,
-                    epoch_sim_start,
-                )
-
-        # Jobs still in flight at the budget ran all the same: draw their shots.
+    def _finish(
+        self, history: TrainingHistory, loop: LoopState, due: list[tuple], publish: bool
+    ) -> TrainingHistory:
+        """Draw the in-flight jobs' shots, record updates past the last full epoch
+        as a partial epoch, score the recorded epochs and write the run's counters."""
         for client in self.clients:
             client.provider.resolve()
-
-        # Tail updates past the last full epoch boundary: record them as a
-        # final partial epoch so truncated update budgets stay visible.
-        tail_updates = self.telemetry.updates_applied - epoch_completed * self.cycle_length
+        tail_updates = self.telemetry.updates_applied - loop.epoch_completed * self.cycle_length
         if tail_updates > 0:
-            due.append((epoch_completed + 1, now, self.state.snapshot(), self.current_weights))
+            due.append(self._epoch_row(loop.epoch_completed + 1, loop.now))
             history.metadata["final_epoch_partial_updates"] = tail_updates
             history.final_epoch_fraction = tail_updates / self.cycle_length
         self._score(history, due)
-
         history.total_updates = self.telemetry.updates_applied
         history.total_jobs = self.telemetry.jobs_dispatched
         history.metadata["mean_staleness"] = self.telemetry.mean_staleness
@@ -383,7 +393,7 @@ class EQCMasterNode:
             history.metadata["live_devices"] = list(self.live_device_names)
             if self._health is not None:
                 history.metadata["breakers"] = self._health.summary()
-        if telemetry_on:
+        if publish:
             self.publish()
         return history
 
@@ -456,8 +466,11 @@ class EQCMasterNode:
         self._live = [clients_by_name[name] for name in data["live"]]
         self.task_queue._issued = data["tasks_issued"]
 
+    def _epoch_row(self, epoch: int, now: float) -> tuple:
+        return (epoch, now, self.state.snapshot(), self.current_weights)
+
     def _score(self, history: TrainingHistory, unscored: list[tuple]) -> None:
-        """Add the ``(epoch, now, parameters, weights)`` rows to ``history``, scored in one call."""
+        """Add the :meth:`_epoch_row` rows to ``history``, scored in one call."""
         if unscored:
             losses = self.objective.exact_losses([row[2] for row in unscored])
             for (epoch, now, parameters, weights), loss in zip(unscored, losses, strict=True):
@@ -483,76 +496,59 @@ class EQCMasterNode:
             return self._orphans.popleft()
         return self.task_queue.next_task()
 
-    def _dispatch(self, client: EQCClientNode, now: float, sequence: int) -> _InFlight:
-        """Assign the next task to ``client`` at time ``now``."""
-        return self._dispatch_task(client, self._next_task(), now, sequence)
-
-    def _dispatch_task(
-        self, client: EQCClientNode, task: GradientTask, now: float, sequence: int
+    def _dispatch(
+        self, loop: LoopState, client: EQCClientNode, task: GradientTask | None = None
     ) -> _InFlight:
-        """Dispatch one specific task, absorbing faults into heap events."""
-        device = client.device_name
-
-        def parked(kind: str, at: float, **extra) -> _InFlight:
-            # A fault-tolerance event: no outcome, but it carries the task.
-            return _InFlight(
-                finish_time=at,
-                sequence=sequence,
-                outcome=None,
-                client=client,
-                kind=kind,
-                task=task,
-                **extra,
-            )
-
+        """Hand ``client`` ``task`` (by default the next one) at ``loop.now`` and
+        push its heap event, which a fault turns into an event carrying the
+        task: ``probe``, ``failure`` or ``straggler`` (see :class:`_InFlight`)."""
+        now, device = loop.now, client.device_name
+        loop.sequence += 1
+        task = self._next_task() if task is None else task
+        kind, at, job_id, failure = "job", now, -1, None
         if self._health is not None and not self._health.allow(device, now):
             # Breaker open: park the dispatch until the recovery time; the
             # retry becomes the breaker's probe job.
             self._fault_stats["probes"] += 1
-            return parked("probe", max(now, self._health.retry_at(device)))
-        try:
-            # The dispatch returns once the job's clock is known; the physics
-            # runs later and is collected when this entry reaches the front.
-            dispatched = client.dispatch_task(
-                task, self.state.snapshot(), now, self.state.version
-            )
-        except FaultError as exc:
-            # The failure is only *known* at its virtual detection time;
-            # park it on the heap so breaker/retire bookkeeping happens in
-            # event order, interleaved correctly with other completions.
-            return parked("failure", max(now, exc.detect_time), failure=exc)
-        job = dispatched.cloud_job
-        job_id = self.register(dispatched)
-        self.telemetry.jobs_dispatched += 1
-        self.telemetry.circuits_executed += job.num_circuits
-        if (
-            self.dispatch_deadline is not None
-            and job.finish_time - now > self.dispatch_deadline
-        ):
-            # Straggler: the turnaround blows the deadline, so the master
-            # cuts the job at the cutoff instead of waiting (its outcome is
-            # still collected there, then discarded).
-            return parked("straggler", now + self.dispatch_deadline, job_id=job_id)
-        return _InFlight(job.finish_time, sequence, outcome=None, client=client, job_id=job_id)
+            kind, at = "probe", max(now, self._health.retry_at(device))
+        else:
+            try:
+                # The dispatch returns once the job's clock is known; the physics
+                # runs later and is collected when this entry reaches the front.
+                dispatched = client.dispatch_task(
+                    task, self.state.snapshot(), now, self.state.version
+                )
+            except FaultError as exc:
+                # The failure is only *known* at its virtual detection time:
+                # parked on the heap, its bookkeeping happens in event order.
+                kind, at, failure = "failure", max(now, exc.detect_time), exc
+            else:
+                job_id, at = self.register(dispatched), dispatched.cloud_job.finish_time
+                self.telemetry.jobs_dispatched += 1
+                self.telemetry.circuits_executed += dispatched.cloud_job.num_circuits
+                if self.dispatch_deadline is not None and at - now > self.dispatch_deadline:
+                    # Straggler: the master cuts the job at the cutoff instead
+                    # of waiting (its outcome is collected there, then discarded).
+                    kind, at = "straggler", now + self.dispatch_deadline
+        carried = None if kind == "job" else task  # a fault event carries its task
+        item = _InFlight(at, loop.sequence, None, client, job_id, kind, carried, failure)
+        heapq.heappush(loop.pending, item)
+        return item
 
     # ------------------------------------------------------------------
     # graceful degradation
     # ------------------------------------------------------------------
-    def _absorb_fault(
-        self, item: _InFlight, now: float, sequence: int, pending: list
-    ) -> int:
-        """Process one non-job heap event; returns the updated sequence."""
-        client = item.client
+    def _absorb_fault(self, loop: LoopState, item: _InFlight) -> None:
+        """Process one non-job heap event: breaker bookkeeping, task recovery
+        and re-dispatch; the update path never sees it."""
+        client, now = item.client, loop.now
         device = client.device_name
         if item.kind == "probe":
             if client in self._live:
-                sequence += 1
-                heapq.heappush(
-                    pending, self._dispatch_task(client, item.task, now, sequence)
-                )
+                self._dispatch(loop, client, item.task)
             else:
                 self._orphans.append(item.task)
-            return sequence
+            return
         if item.kind == "failure":
             stat, event = "dispatch_failures", "job_failure"
         elif item.kind == "straggler":
@@ -578,10 +574,8 @@ class EQCMasterNode:
         self._orphans.append(item.task)
         if permanent or (self._health is not None and self._health.is_dead(device)):
             self._retire(client, now, reason=detail or "straggler breaker exhausted")
-            return sequence
-        sequence += 1
-        heapq.heappush(pending, self._dispatch(client, now, sequence))
-        return sequence
+            return
+        self._dispatch(loop, client)
 
     def _retire(self, client: EQCClientNode, now: float, reason: str) -> None:
         """Remove a dead device from the rotation; training continues.
@@ -597,9 +591,7 @@ class EQCMasterNode:
         self._fault_stats["retired_devices"] += 1
         if self._p_correct:
             self._weights = normalize_weights(self._p_correct, self.weighting.bounds)
-        self._record_fleet_event(
-            "fleet_shrink", client.device_name, now, detail=reason
-        )
+        self._record_fleet_event("fleet_shrink", client.device_name, now, detail=reason)
         if _telemetry.enabled:
             _telemetry.registry.counter("eqc.fleet_shrink").inc()
             _telemetry.registry.gauge("eqc.live_devices").set(len(self._live))
@@ -610,16 +602,12 @@ class EQCMasterNode:
                 detect_time=now,
             )
 
-    def _record_fleet_event(
-        self, kind: str, device: str, now: float, detail: str = ""
-    ) -> None:
+    def _record_fleet_event(self, kind: str, device: str, now: float, detail: str = "") -> None:
         self._fleet_events.append(
             {"kind": kind, "device": device, "time": float(now), "detail": detail}
         )
         if _telemetry.enabled:
-            _telemetry.registry.counter(
-                "eqc.fault_events", kind=kind, device=device
-            ).inc()
+            _telemetry.registry.counter("eqc.fault_events", kind=kind, device=device).inc()
 
     def _weights_initialized(self) -> bool:
         return len(self._p_correct) == len(self._live)

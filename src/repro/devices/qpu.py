@@ -387,29 +387,25 @@ class QPU:
 
     def _walk_clock(
         self, num_circuits: int, now: float
-    ) -> tuple[list[float], list[float], float, list[tuple[float, int, float]]]:
+    ) -> tuple[list[float], list[tuple[float, int, float]]]:
         """The in-batch device clock of one job starting at ``now``.
 
-        Returns each circuit's start time and job duration, the device
-        seconds the whole batch occupies, and the drift triple evaluated at
-        each start.  This is the one place the clock advances within a batch:
+        Returns each circuit's job duration and the drift triple evaluated at
+        its start.  This is the one place the clock advances within a batch:
         circuit ``i`` starts half a job slot (:func:`job_slot_circuit_seconds`)
         per predecessor after ``now``, at the drift-aware speed of its own
         start time.
         """
-        starts: list[float] = []
         durations: list[float] = []
         drifts: list[tuple[float, int, float]] = []
         elapsed = 0.0
         for _ in range(num_circuits):
-            start = now + elapsed
-            drift = self._drift_at(start)
+            drift = self._drift_at(now + elapsed)
             duration = self._slot_seconds(drift[2])
-            starts.append(start)
             durations.append(duration)
             drifts.append(drift)
             elapsed += job_slot_circuit_seconds(duration)
-        return starts, durations, elapsed, drifts
+        return durations, drifts
 
     def execute_batch(
         self,
@@ -453,7 +449,7 @@ class QPU:
             footprint.num_measurements
             or max(len(circuit.measured_qubits) or circuit.num_qubits for circuit in templates),
         )
-        _, durations, _, drifts = self._walk_clock(len(circuits), now)
+        durations, drifts = self._walk_clock(len(circuits), now)
         results = [
             ExecutionResult(
                 None,

@@ -9,7 +9,7 @@ generations, and implements the recovery contract:
   the history gains appends one more, so the run's committed progress and its
   history survive a process kill between checkpoints;
 * **checkpoint** — at every ``checkpoint_every``-th epoch boundary the
-  training state (master loop, event heap, the count and digest of the
+  training state (the master, its ``LoopState``, the count and digest of the
   journaled epoch records, environment) is written as one atomic checkpoint
   generation, with the journal fsynced first so no checkpoint ever points
   past its own journal;
@@ -75,7 +75,7 @@ from .state import (
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..cloud.provider import CloudProvider
     from ..core.history import TrainingHistory
-    from ..core.master import EQCMasterNode
+    from ..core.master import EQCMasterNode, LoopState
     from ..faults.injector import FaultInjector
     from .store import RunDirectory
 
@@ -89,6 +89,25 @@ class JournalDivergenceError(RuntimeError):
 
 #: What a generation holds; restore refuses one that lacks any of them.
 _SECTIONS = frozenset({"meta", "master", "pending", "history", "environment"})
+
+
+def _restore_pending(entries: list, master: "EQCMasterNode") -> list:
+    """The master's event heap from a generation's rows.  Parked jobs re-park
+    in the order the provider held them (not the heap's), each back with the
+    master under a fresh job id."""
+    clients_by_name = {client.name: client for client in master.clients}
+    parked = [entry for entry in entries if entry["parked"] is not None]
+    parked.sort(key=lambda entry: entry["parked"][-1])  # the job's parked position
+    job_ids = {
+        entry["sequence"]: master.register(
+            restore_parked(entry, clients_by_name[entry["client"]])
+        )
+        for entry in parked
+    }
+    return [
+        restore_inflight(entry, clients_by_name, job_ids.get(entry["sequence"], -1))
+        for entry in entries
+    ]
 
 
 class TrainingCheckpointer:
@@ -198,16 +217,20 @@ class TrainingCheckpointer:
     def has_restore(self) -> bool:
         return self._restore_sections is not None
 
-    def restore_into(self, master: "EQCMasterNode", history: "TrainingHistory"):
+    def restore_into(
+        self, master: "EQCMasterNode", history: "TrainingHistory"
+    ) -> "LoopState | None":
         """Restore the captured run into a freshly built master + history.
 
-        Returns the loop state tuple ``(pending, sequence, now,
-        epoch_completed, epoch_sim_start)`` for the training loop to resume
-        from, or ``None`` when there is nothing to restore (fresh run, or a
-        resume that died before its first checkpoint).
+        Returns the loop state for the training loop to resume from, or
+        ``None`` when there is nothing to restore (fresh run, or a resume that
+        died before its first checkpoint).
         """
         if self._restore_sections is None:
             return None
+        # Local: persist must not import core.master at module load.
+        from ..core.master import LoopState
+
         start_ns = time.time_ns() if _telemetry.enabled else 0
         sections = self._restore_sections
         meta, ms = sections["meta"], sections["master"]
@@ -217,7 +240,7 @@ class TrainingCheckpointer:
                 f"the objective has {master.state.num_parameters}"
             )
         master.restore_state(ms)
-        now, epoch_sim_start, master._start_time = meta["clock"]
+        now, _, master._start_time = meta["clock"]
 
         # The head is this train call's own; the records are the journal prefix's.
         for frame in self._epoch_frames:
@@ -230,22 +253,7 @@ class TrainingCheckpointer:
             injector=self._injector,
             health=master.health,
         )
-        # Parked jobs re-park in the order the provider held them (not the
-        # heap's), each back with the master under a fresh job id.
-        clients_by_name = {client.name: client for client in master.clients}
-        entries = sections["pending"]
-        parked = [entry for entry in entries if entry["parked"] is not None]
-        parked.sort(key=lambda entry: entry["parked"][-1])  # the job's parked position
-        job_ids = {
-            entry["sequence"]: master.register(
-                restore_parked(entry, clients_by_name[entry["client"]])
-            )
-            for entry in parked
-        }
-        pending = [
-            restore_inflight(entry, clients_by_name, job_ids.get(entry["sequence"], -1))
-            for entry in entries
-        ]
+        pending = _restore_pending(sections["pending"], master)
         if _telemetry.enabled:
             _telemetry.tracer.add_span(
                 "checkpoint restore",
@@ -258,7 +266,7 @@ class TrainingCheckpointer:
                     "fallbacks": len(self.fallbacks),
                 },
             )
-        return pending, meta["sequence"], now, meta["epoch_completed"], epoch_sim_start
+        return LoopState(pending, meta["sequence"], now, meta["epoch_completed"])
 
     # ------------------------------------------------------------------
     # record / checkpoint
@@ -303,14 +311,7 @@ class TrainingCheckpointer:
             self._count_epoch(frame, self._commit(frame))
 
     def after_iteration(
-        self,
-        master: "EQCMasterNode",
-        history: "TrainingHistory",
-        pending: list,
-        sequence: int,
-        now: float,
-        epoch_completed: int,
-        epoch_sim_start: float,
+        self, master: "EQCMasterNode", history: "TrainingHistory", loop: "LoopState"
     ) -> None:
         """Journal new epoch records; checkpoint at configured epoch boundaries.
 
@@ -320,10 +321,8 @@ class TrainingCheckpointer:
         "about to pop the next event", which is where restore re-enters.
         """
         self._journal_records(history)
-        if (
-            epoch_completed <= self._last_checkpoint_epoch
-            or epoch_completed % self.checkpoint_every != 0
-        ):
+        epoch = loop.epoch_completed
+        if epoch <= self._last_checkpoint_epoch or epoch % self.checkpoint_every != 0:
             return
         telemetry_on = _telemetry.enabled
         # The journal must be durable before the checkpoint that supersedes
@@ -335,16 +334,34 @@ class TrainingCheckpointer:
             synced = time.perf_counter()
             _telemetry.registry.histogram("persist.journal_sync_seconds").observe(synced - start)
             start = synced
-        sections = {
+        path = self.run.checkpoints_dir / f"ckpt-{epoch:06d}.eqc"
+        size = write_checkpoint_file(path, self._sections(master, loop))
+        if path not in self._generations:  # a fallback resume re-writes one
+            self._generations.append(path)
+        self._last_checkpoint_epoch = int(epoch)
+        self.checkpoints_written += 1
+        if telemetry_on:
+            registry = _telemetry.registry
+            registry.counter("persist.checkpoints").inc()
+            registry.gauge("persist.checkpoint_bytes").set(size)
+            registry.histogram("persist.checkpoint_seconds").observe(
+                time.perf_counter() - start
+            )
+        self._apply_retention()
+
+    def _sections(self, master: "EQCMasterNode", loop: "LoopState") -> dict:
+        """One checkpoint generation.  ``meta["clock"]`` is the loop's time, then
+        the run's start time twice (the middle slot keeps the layout)."""
+        return {
             "meta": {
                 "updates_applied": master.telemetry.updates_applied,
-                "epoch_completed": epoch_completed,
-                "sequence": sequence,
+                "epoch_completed": loop.epoch_completed,
+                "sequence": loop.sequence,
                 "label": master.label,
-                "clock": array("d", (now, epoch_sim_start, master._start_time)),
+                "clock": array("d", (loop.now, master._start_time, master._start_time)),
             },
             "master": master.snapshot_state(),
-            "pending": [snapshot_inflight(entry, master) for entry in pending],
+            "pending": [snapshot_inflight(entry, master) for entry in loop.pending],
             # The records are the journal's first ``record_count`` epoch
             # frames, whose bytes hash to ``digest``.
             "history": {
@@ -359,20 +376,6 @@ class TrainingCheckpointer:
                 health=master.health,
             ),
         }
-        path = self.run.checkpoints_dir / f"ckpt-{epoch_completed:06d}.eqc"
-        size = write_checkpoint_file(path, sections)
-        if path not in self._generations:  # a fallback resume re-writes one
-            self._generations.append(path)
-        self._last_checkpoint_epoch = int(epoch_completed)
-        self.checkpoints_written += 1
-        if telemetry_on:
-            registry = _telemetry.registry
-            registry.counter("persist.checkpoints").inc()
-            registry.gauge("persist.checkpoint_bytes").set(size)
-            registry.histogram("persist.checkpoint_seconds").observe(
-                time.perf_counter() - start
-            )
-        self._apply_retention()
 
     def _apply_retention(self) -> None:
         """Keep the newest ``retention`` generations, delete the rest."""

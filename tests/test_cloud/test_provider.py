@@ -10,6 +10,7 @@ from repro.circuit import ghz_state
 from repro.cloud.provider import CloudProvider
 from repro.cloud.queueing import QueueModel
 from repro.devices.catalog import build_qpu
+from repro.devices.qpu import job_slot_circuit_seconds
 from repro.sched import CloudScheduler
 from repro.transpiler import transpile
 
@@ -88,9 +89,12 @@ class TestSubmission:
         start = max(
             7000.0 + endpoint.queue_model.sample_wait(7000.0, endpoint.rng), endpoint.free_at
         )
-        starts, durations, elapsed, _ = provider.qpu("Belem")._walk_clock(3, start)
+        durations, _ = provider.qpu("Belem")._walk_clock(3, start)
+        elapsed = 0.0  # the device seconds: each circuit's job slot, summed from 0
+        for duration in durations:
+            elapsed += job_slot_circuit_seconds(duration)
         job = provider.submit("Belem", [circuit] * 3, footprint, now=7000.0)
-        assert job.start_time == start == starts[0]
+        assert job.start_time == start
         assert job.finish_time == start + elapsed
         assert [r.duration_seconds for r in job.results] == durations
         report = provider.utilization_report()["Belem"]

@@ -5,7 +5,7 @@ import pytest
 
 from repro.cloud.provider import CloudProvider
 from repro.core.client import EQCClientNode
-from repro.core.master import EQCMasterNode, _InFlight
+from repro.core.master import EQCMasterNode, LoopState, _InFlight
 from repro.core.objective import EnergyObjective
 from repro.core.weighting import BOUNDS_MODERATE, WeightingConfig
 from repro.devices.catalog import build_fleet
@@ -224,10 +224,12 @@ class TestDispatchRegistry:
 
     def test_dispatches_register_consecutive_job_ids(self, vqe_problem):
         master = build_master(vqe_problem)
+        loop = LoopState([], 0, 0.0)
         entries = [
-            master._dispatch_task(client, GradientTask(i, i), 0.0, i)
+            master._dispatch(loop, client, GradientTask(i, i))
             for i, client in enumerate(master.clients)
         ]
+        assert sorted(loop.pending) == sorted(entries)
         assert [entry.job_id for entry in entries] == [0, 1, 2]
         assert sorted(master._dispatched) == [0, 1, 2]
         assert all(entry.kind == "job" and entry.outcome is None for entry in entries)
@@ -236,7 +238,7 @@ class TestDispatchRegistry:
     def test_register_continues_the_dispatch_ids(self, vqe_problem):
         master = build_master(vqe_problem)
         client = master.clients[0]
-        entry = master._dispatch_task(client, GradientTask(0, 0), 0.0, 1)
+        entry = master._dispatch(LoopState([], 0, 0.0), client, GradientTask(0, 0))
         extra = client.dispatch_task(GradientTask(1, 1), master.state.snapshot(), 0.0)
         job_id = master.register(extra)
         assert job_id == entry.job_id + 1
@@ -244,7 +246,7 @@ class TestDispatchRegistry:
 
     def test_gather_collects_once_and_forgets_the_task(self, vqe_problem):
         master = build_master(vqe_problem)
-        entry = master._dispatch_task(master.clients[1], GradientTask(0, 3), 0.0, 1)
+        entry = master._dispatch(LoopState([], 0, 0.0), master.clients[1], GradientTask(0, 3))
         outcome = master.gather(entry)
         assert entry.job_id not in master._dispatched
         # A second gather reads the stored outcome; the task is not collected twice.
@@ -254,7 +256,7 @@ class TestDispatchRegistry:
 
     def test_gathered_outcome_equals_the_clients_own_execute(self, vqe_problem):
         master = build_master(vqe_problem)
-        entry = master._dispatch_task(master.clients[2], GradientTask(0, 5), 0.0, 1)
+        entry = master._dispatch(LoopState([], 0, 0.0), master.clients[2], GradientTask(0, 5))
         # Same seed, same fleet: the reference provider replays the same streams.
         reference = build_master(vqe_problem)
         outcome = reference.clients[2].execute_task(
@@ -265,7 +267,7 @@ class TestDispatchRegistry:
     def test_parked_task_is_held_until_its_counts_are_drawn(self, vqe_problem):
         master = build_master(vqe_problem)
         client = master.clients[0]
-        entry = master._dispatch_task(client, GradientTask(0, 0), 0.0, 1)
+        entry = master._dispatch(LoopState([], 0, 0.0), client, GradientTask(0, 0))
         dispatched = master._dispatched[entry.job_id]
         assert dispatched.cloud_job.parked
         assert master.parked_task(entry) is dispatched
@@ -328,16 +330,17 @@ class TestDispatchRegistry:
         client = master.clients[0]
         entry = None
         for index in range(master.cycle_length):
-            candidate = master._dispatch_task(client, GradientTask(index, index), 0.0, index)
+            loop = LoopState([], index, 0.0)
+            candidate = master._dispatch(loop, client, GradientTask(index, index))
             if candidate.kind == "straggler":
                 entry = candidate
                 break
             master.gather(candidate)
         assert entry is not None
         assert entry.finish_time == STRAGGLER_DEADLINE
-        pending = []
-        master._absorb_fault(entry, entry.finish_time, 100, pending)
+        loop = LoopState([], 100, entry.finish_time)
+        master._absorb_fault(loop, entry)
         assert entry.job_id not in master._dispatched
         assert master._fault_stats["stragglers_cut"] == 1
-        (retry,) = pending
+        (retry,) = loop.pending
         assert master._dispatched[retry.job_id].task is entry.task

@@ -35,6 +35,7 @@ from repro import (
     FaultPlan,
     OutageWindow,
 )
+from repro.telemetry import telemetry_session
 
 VQE4_FLEET = ("x2", "Belem", "Bogota", "Casablanca")
 SEED = 5
@@ -154,3 +155,22 @@ def test_the_chaos_run_retires_bogota_and_checkpoints(vqe_problem, qaoa_problem,
         if path.name in GOLDEN_RUN_FILES
     }
     assert written == GOLDEN_RUN_FILES
+
+
+def test_telemetry_leaves_the_chaos_run_files_unchanged(vqe_problem, qaoa_problem, tmp_path):
+    # Collection is observation only: the checkpoint containers and the
+    # journal a run leaves are the same bytes with telemetry on and off.
+    def run_files(directory):
+        directory.mkdir()
+        run_workload("qaoa10_chaos_durable", vqe_problem, qaoa_problem, directory)
+        return {
+            path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in directory.rglob("*")
+            if path.name in GOLDEN_RUN_FILES
+        }
+
+    off = run_files(tmp_path / "off")
+    with telemetry_session():
+        on = run_files(tmp_path / "on")
+    assert off == GOLDEN_RUN_FILES
+    assert on == off

@@ -13,6 +13,8 @@ crosses a recalibration reads two tables, and a wave over several devices
 pads narrower tables with zeros.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from _reference import noise as reference
@@ -48,13 +50,21 @@ def period_seconds(qpu):
     return qpu.spec.calibration_period_hours * SECONDS_PER_HOUR
 
 
+def walked_starts(now, durations):
+    """Each circuit's start: ``now`` plus its predecessors' job slots, summed from 0."""
+    offsets = itertools.accumulate(map(job_slot_circuit_seconds, durations[:-1]), initial=0.0)
+    return [now + offset for offset in offsets]
+
+
 def assert_matches_loop(qpu, num_circuits, footprint, now):
     """The job's specs equal the loop's at each circuit start."""
     width = max(1, footprint.num_measurements)  # the reference's readout width
-    starts, _, _, drifts = qpu._walk_clock(num_circuits, now)
+    durations, drifts = qpu._walk_clock(num_circuits, now)
     specs = _wave_noise([ClockRows(qpu, footprint, drifts, width)]).specs()
     expected = [reference.noise_spec(qpu, footprint, cycle, factor) for _, cycle, factor in drifts]
     assert specs == expected
+    starts = walked_starts(now, durations)
+    assert [qpu._drift_at(start) for start in starts] == drifts
     return starts
 
 
@@ -111,7 +121,7 @@ def waves(draw, max_width=None):
 
 def clock_rows(width, job):
     qpu, num_circuits, footprint, start = job
-    return ClockRows(qpu, footprint, qpu._walk_clock(num_circuits, start)[3], width)
+    return ClockRows(qpu, footprint, qpu._walk_clock(num_circuits, start)[1], width)
 
 
 def per_job_records(clocks):

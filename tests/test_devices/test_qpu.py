@@ -1,6 +1,7 @@
 """Tests for the simulated QPU model."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from repro.devices.qpu import (
     CircuitFootprint,
     ClockRows,
     _wave_noise,
+    job_slot_circuit_seconds,
     resolve_batches,
     success_probability,
 )
@@ -195,7 +197,12 @@ class TestExecution:
             [ghz_state(4)] * 24, ghz_footprint, shots=16, now=now, rng=rng
         )
         assert len(calls) == 24  # the noise, built at resolve, reads the walk's triples
-        starts, durations, _, drifts = bogota._walk_clock(24, now)
+        durations, drifts = bogota._walk_clock(24, now)
+        # Each start is ``now`` plus its predecessors' job slots, summed from 0.
+        offsets = itertools.accumulate(
+            map(job_slot_circuit_seconds, durations[:-1]), initial=0.0
+        )
+        starts = [now + offset for offset in offsets]
         width = ghz_footprint.num_measurements
         specs = _wave_noise([ClockRows(bogota, ghz_footprint, drifts, width)]).specs()
         assert bogota.calibration_cycle(starts[0]) != bogota.calibration_cycle(starts[-1])

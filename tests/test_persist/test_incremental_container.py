@@ -86,10 +86,10 @@ def checked(monkeypatch, tmp_path):
     context = ()
     real_hook = TrainingCheckpointer.after_iteration
 
-    def remembering_hook(self, master, history, pending, *rest):
+    def remembering_hook(self, master, history, loop):
         nonlocal context
-        context = (self, master, history, pending)
-        real_hook(self, master, history, pending, *rest)
+        context = (self, master, history, loop.pending)
+        real_hook(self, master, history, loop)
 
     monkeypatch.setattr(checkpoint_module, "write_checkpoint_file", checking_write)
     monkeypatch.setattr(TrainingCheckpointer, "after_iteration", remembering_hook)

@@ -30,7 +30,7 @@ from repro import (
     RetryPolicy,
     resume,
 )
-from repro.core.master import EQCMasterNode
+from repro.core.master import EQCMasterNode, LoopState
 from repro.core.weighting import WeightingConfig
 from repro.devices.qpu import _wave_noise
 from repro.persist.format import read_checkpoint_file, write_checkpoint_file
@@ -220,7 +220,7 @@ def test_a_parked_job_round_trips_through_a_container(objective, seed, jobs):
         master.state.values[:] = theta
         master.state.version = number
         task = GradientTask(task_id=number, parameter_index=index)
-        entries.append(master._dispatch_task(client, task, now, number))
+        entries.append(master._dispatch(LoopState([], number, now), client, task))
     assert len(original.provider._parked) == len(jobs)
 
     # Heap order is not park order: snapshot (and restore) the entries reversed.

@@ -46,7 +46,7 @@ def register_width(circuit):
 
 def job_noise(qpu, count, footprint, now, width):
     """The noise record of a ``count``-circuit job starting at ``now``."""
-    drifts = qpu._walk_clock(count, now)[3]
+    drifts = qpu._walk_clock(count, now)[1]
     return _wave_noise([ClockRows(qpu, footprint, drifts, width)])
 
 
