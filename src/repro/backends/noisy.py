@@ -11,13 +11,13 @@ executes straight off its ``(points, P)`` shift matrix without binding a
 single circuit.
 
 A job executes **clock at submit, physics per wave**
-(:meth:`~repro.devices.qpu.QPU.execute_batch`): ``run`` returns results
-carrying the job's durations and clock metadata; its physics (the noise
-record and each result's ``success_probability``, lowering by
-:func:`repro.engine.lower_batch`, one program execution with per-circuit
-coherent biases, depolarizing mix, readout confusion, shots) runs before
-``run`` returns unless the caller parks it, as the cloud provider — which owns
-one backend per endpoint — does (:meth:`~repro.cloud.provider.CloudProvider.resolve`).
+(:meth:`~repro.devices.qpu.QPU.execute_batch`): its clock half (durations
+and drift metadata) is arithmetic; its physics (the noise record and the
+success probability, lowering by :func:`repro.engine.lower_batch`, one
+program execution with per-circuit coherent biases, depolarizing mix,
+readout confusion, shots) runs before ``run`` returns its results, unless
+the caller parks the job, as the cloud provider — which owns one backend per
+endpoint — does (:meth:`~repro.cloud.provider.CloudProvider.resolve`).
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 
 from ..circuit.circuit import QuantumCircuit
 from ..circuit.sweep import ParameterSweep
-from ..devices.qpu import QPU, CircuitFootprint, DeferredBatch
+from ..devices.qpu import QPU, CircuitFootprint, CloudJob
 from ..simulator.result import ExecutionResult
 from .base import check_shots, normalize_batch
 
@@ -51,8 +51,8 @@ class NoisyBackend:
         footprint: CircuitFootprint | None = None,
         now: float = 0.0,
         rng: np.random.Generator | None = None,
-        park: list[DeferredBatch] | None = None,
-    ) -> list[ExecutionResult]:
+        park: CloudJob | None = None,
+    ) -> list[ExecutionResult] | float:
         """Execute a batch with this device's current (drifting) noise.
 
         Args:
@@ -66,8 +66,10 @@ class NoisyBackend:
                 defaults to the logical footprint of the first circuit.
             now: simulation time the batch starts executing.
             rng: externally-owned RNG (the cloud endpoint's stream).
-            park: when given, the physics half is appended here instead of
-                running now (``counts`` stay ``None`` until its owner resolves).
+            park: a job record the clock half fills instead of running the
+                physics now (its ``counts`` stay ``None`` until its owner
+                resolves it); the call then returns the seconds the job
+                holds the device.
         """
         check_shots(shots)
         batch = normalize_batch(batch)

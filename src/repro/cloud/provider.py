@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from array import array
+from copy import copy
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
@@ -38,13 +39,7 @@ from .._streams import generator_state, restore_generator
 from ..backends.noisy import NoisyBackend
 from ..circuit.circuit import QuantumCircuit
 from ..circuit.sweep import ParameterSweep
-from ..devices.qpu import (
-    QPU,
-    CircuitFootprint,
-    DeferredBatch,
-    job_slot_circuit_seconds,
-    resolve_batches,
-)
+from ..devices.qpu import QPU, CircuitFootprint, resolve_batches
 from ..faults.errors import (
     DeviceOutageError,
     FaultError,
@@ -52,7 +47,6 @@ from ..faults.errors import (
     JobRetriesExhausted,
 )
 from ..faults.retry import DEFAULT_RETRY_POLICY, RetryPolicy
-from ..simulator.result import ExecutionResult
 from ..telemetry import TELEMETRY as _telemetry
 from .job import CloudJob, JobStatus
 from .queueing import QueueModel, queue_model_for
@@ -135,7 +129,7 @@ class CloudProvider:
         #: snapshots can capture and restore the counter).
         self._next_job_id = 0
         #: Physics halves not simulated yet, in submit order (:meth:`resolve`).
-        self._parked: list[DeferredBatch] = []
+        self._parked: list[CloudJob] = []
         self.scheduler = scheduler
         #: Fault injection: None (the default) leaves the submit loop a
         #: single attempt that consumes no injector stream.
@@ -283,10 +277,8 @@ class CloudProvider:
         on the device and ``start_time``, the circuits are the submitter's to
         rebuild, and the shots are still undrawn in the endpoint's stream.
         """
-        parked = [id(batch.results[-1]) for batch in self._parked]
-        position = parked.index(id(job.parked_results[-1]))
         return (
-            [job.job_id, job.device_name, job.shots, job.attempts, position],
+            [job.job_id, job.device_name, job.shots, job.attempts, self._parked.index(job)],
             (job.submit_time, job.start_time, job.finish_time),
         )
 
@@ -300,7 +292,7 @@ class CloudProvider:
         """Re-park a :meth:`snapshot_job` job (jobs go back in ``position`` order).
 
         Its clock half re-runs at the captured start time through the call a
-        submit makes — no RNG — so the parked batch equals the captured one
+        submit makes — no RNG — so the parked job equals the captured one
         field for field and draws the same counts from the restored stream.
         """
         job_id, device_name, shots, attempts, position = row
@@ -309,23 +301,11 @@ class CloudProvider:
                 f"job {job_id} was parked at {position}: it cannot "
                 f"be restored at {len(self._parked)}"
             )
-        submit_time, start_time, finish_time = times
         job = CloudJob(
-            job_id=job_id,
-            device_name=device_name,
-            num_circuits=len(circuits),
-            shots=shots,
-            submit_time=submit_time,
-            start_time=start_time,
-            finish_time=finish_time,
-            status=JobStatus.DONE,
-            attempts=attempts,
+            job_id, device_name, len(circuits), shots, *times, JobStatus.DONE, attempts,
             resolve=self.resolve,
         )
-        endpoint = self._endpoint(job.device_name)
-        self._execute_batch(endpoint, job, circuits, footprint, job.start_time, job.shots)
-        for result in job.parked_results:
-            result.queue_seconds = job.queue_seconds
+        self._execute_batch(self._endpoint(device_name), job, circuits, footprint, job.start_time)
         return job
 
     def resolve(self) -> None:
@@ -336,7 +316,8 @@ class CloudProvider:
         utilization) is arithmetic, final when ``submit`` returns; simulation
         and shots are parked, and everything parked fleet-wide resolves
 
-        * the first time a parked result is read (``CloudJob.results``);
+        * the first time a parked job's counts are read (``CloudJob.results``
+          or a training client's collect);
         * when an endpoint with parked physics is submitted to again, so its
           stream is drawn wait -> shots -> wait as one-at-a-time execution
           draws it, and a job nobody reads (a straggler, a kernel service cut
@@ -357,7 +338,7 @@ class CloudProvider:
             registry.histogram(
                 "cloud.resolve_jobs", bounds=(1, 2, 4, 8, 16, 32, 64)
             ).observe(len(parked))
-            registry.counter("cloud.resolve_rows").inc(sum(len(b.results) for b in parked))
+            registry.counter("cloud.resolve_rows").inc(sum(job.num_circuits for job in parked))
         resolve_batches(parked)
 
     # ------------------------------------------------------------------
@@ -389,7 +370,7 @@ class CloudProvider:
         for attempt in range(1, self._retry_policy.max_attempts + 1):
             job.attempts = attempt
             start_time, elapsed = self._attempt(endpoint, job, circuits, footprint, arrival)
-            if job.parked_results:
+            if job.durations is not None:
                 return self._complete(endpoint, job, start_time, elapsed, first_failure)
             if first_failure is None:
                 first_failure = start_time
@@ -404,7 +385,8 @@ class CloudProvider:
         shots: int | None,
     ) -> tuple[DeviceEndpoint, CloudJob]:
         """Check a submission and open its job; a dead device fails it fast."""
-        if not len(circuits):
+        num_circuits = len(circuits)
+        if not num_circuits:
             raise ValueError("a job needs at least one circuit")
         endpoint = self._endpoint(device_name)
         shots = int(shots) if shots is not None else self.default_shots
@@ -413,17 +395,10 @@ class CloudProvider:
         now = float(now)
         if not 0.0 <= now < math.inf:
             raise ValueError(f"now must be a finite, non-negative simulation time (got {now!r})")
-        job = CloudJob(
-            job_id=self._new_job_id(),
-            device_name=device_name,
-            num_circuits=len(circuits),
-            shots=shots,
-            submit_time=now,
-            resolve=self.resolve,
-        )
+        job = CloudJob(self._new_job_id(), device_name, num_circuits, shots, now, resolve=self.resolve)
         if device_name in self.dead_devices:
             raise self._fail(job, DeviceOutageError, "device permanently down", now, permanent=True)
-        if any(batch.rng is endpoint.rng for batch in self._parked):
+        if any(parked.rng is endpoint.rng for parked in self._parked):
             # This endpoint's stream still owes an earlier job its shots.
             self.resolve()
         return endpoint, job
@@ -439,19 +414,21 @@ class CloudProvider:
         """One attempt of ``job``: its start time and the device-seconds held, from
         the clock (:meth:`_serve`).  An attempt that bombs at the device head
         (the plan's transient failure) holds the device for zero seconds and
-        leaves ``job.parked_results`` empty; the physics stream is drawn only
-        by an attempt that executes, as in a fault-free run."""
-        faults, results = self._faults, job.parked_results
+        leaves ``job`` unexecuted (``durations`` is ``None``); the physics
+        stream is drawn only by an attempt that executes, as in a fault-free run."""
+        faults, parked = self._faults, self._parked
 
         def service(start_time: float) -> float:
-            # A service cut by an outage re-enters with a fresh start time:
-            # the partial results are dropped (the cut run stays parked, so
-            # its shots are still drawn first) and the failure draw is made afresh.
-            results.clear()
+            # A service cut by an outage re-enters with a fresh start time: the
+            # cut run stays parked as a copy (its shots are still drawn first),
+            # the job is unexecuted again and the failure draw is made afresh.
+            if job.durations is not None:
+                parked[parked.index(job)] = copy(job)
+                job.durations = None
             if faults is not None and faults.transient_failure(job.device_name):
                 return 0.0
             job.status = JobStatus.RUNNING
-            return self._execute_batch(endpoint, job, circuits, footprint, start_time, job.shots)
+            return self._execute_batch(endpoint, job, circuits, footprint, start_time)
 
         return self._serve(endpoint, job, arrival, service)
 
@@ -523,8 +500,6 @@ class CloudProvider:
                 job, JobDeadlineExceeded, "deadline exceeded awaiting results "
                 f"(finish {finish_time:.0f}s > {deadline:.0f}s)", deadline
             )
-        for result in job.parked_results:
-            result.queue_seconds = queue_seconds
         job.finish_time = finish_time
         job.status = JobStatus.DONE
         if _telemetry.enabled:
@@ -637,29 +612,25 @@ class CloudProvider:
         circuits: Sequence[QuantumCircuit] | ParameterSweep,
         footprint: CircuitFootprint,
         start_time: float,
-        shots: int,
     ) -> float:
         """Start one multi-circuit job on an endpoint; returns elapsed seconds.
 
         The whole job is one backend batch; the backend owns the in-batch
         device clock and the physics, the provider owns queueing and
-        per-batch utilization accounting.  The endpoint's backend computes
-        the clock half here (:meth:`QPU.execute_batch`) and parks the physics
-        on ``self._parked`` for :meth:`resolve`.  Both clocks reach the device
-        through this one call.
+        per-batch utilization accounting.  The endpoint's backend fills the
+        job's clock half here (:meth:`QPU.execute_batch`) and the job is
+        parked on ``self._parked`` for :meth:`resolve`.  Both clocks reach
+        the device through this one call.
         """
-        results = endpoint.backend.run(
+        elapsed = endpoint.backend.run(
             circuits,
-            shots=shots,
+            shots=job.shots,
             footprint=footprint,
             now=start_time,
             rng=endpoint.rng,
-            park=self._parked,
+            park=job,
         )
-        elapsed = 0.0
-        for result in results:
-            elapsed += job_slot_circuit_seconds(result.duration_seconds)
-        job.parked_results.extend(results)
+        self._parked.append(job)
         return elapsed
 
     def _record_job(self, job: CloudJob, first_failure: float | None) -> None:

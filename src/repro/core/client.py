@@ -18,14 +18,17 @@ gradient task, it
 
 In the discrete-event reproduction the submit-and-wait is two halves.  The
 **dispatch half** (:meth:`EQCClientNode.dispatch_task`, up to the submit)
-returns a :class:`DispatchedTask` stamped with the job's simulated finish
-time: a job's clock is read at submit while its physics stays parked.  The
-**collect half** (:meth:`DispatchedTask.collect`) reads the counts — which
-resolves every job the fleet has parked by then in one stacked pass
-(:meth:`repro.cloud.provider.CloudProvider.resolve`) — into the
-:class:`GradientOutcome`.  The master replays the finish stamps in order and
-collects each task as its event pops, which realizes the real Ray-based
-system's asynchrony; ``execute_task`` is both halves back to back.
+returns the job's one record, :class:`~repro.cloud.job.CloudJob`, stamped
+with its simulated finish time and carrying the task, the parameters and
+their version and the ``PCorrect``: a job's clock is read at submit while
+its physics stays parked.  The **collect half**
+(:meth:`EQCClientNode.collect`) reads the record's counts — which resolves
+every job the fleet has parked by then in one stacked pass
+(:meth:`repro.cloud.provider.CloudProvider.resolve`) — and its success
+probability into the :class:`GradientOutcome`.  The master replays the
+finish stamps in order and collects each job as its event pops, which
+realizes the real Ray-based system's asynchrony; ``execute_task`` is both
+halves back to back.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from ..vqa.tasks import GradientTask
 from .objective import GradientJobSpec, VQAObjective
 from .weighting import estimate_p_correct
 
-__all__ = ["GradientOutcome", "DispatchedTask", "EQCClientNode"]
+__all__ = ["GradientOutcome", "EQCClientNode"]
 
 
 @dataclass(frozen=True)
@@ -65,42 +68,6 @@ class GradientOutcome:
         return max(0.0, self.finish_time - self.submit_time)
 
 
-@dataclass(frozen=True)
-class DispatchedTask:
-    """A task whose job is submitted and timed but whose counts are unread."""
-
-    client: "EQCClientNode"
-    task: GradientTask
-    #: The dispatch-time parameters (a checkpoint rebuilds a parked job's
-    #: circuits from ``(task, theta)``).
-    theta: tuple[float, ...]
-    p_correct: float
-    submit_time: float
-    theta_version: int
-    cloud_job: CloudJob
-
-    def collect(self) -> GradientOutcome:
-        """The collect half: counts (resolved on this read) to gradient."""
-        client, job = self.client, self.cloud_job
-        results = job.results
-        gradient = client.objective.gradient_from_counts(
-            self.task, [result.counts for result in results]
-        )
-        truth = results[0].metadata.get("success_probability", float("nan"))
-        return GradientOutcome(
-            client_name=client.name,
-            device_name=client.qpu.name,
-            task=self.task,
-            gradient=float(gradient),
-            p_correct=self.p_correct,
-            submit_time=self.submit_time,
-            finish_time=float(job.finish_time),
-            theta_version=self.theta_version,
-            num_circuits=job.num_circuits,
-            success_probability_truth=float(truth),
-        )
-
-
 class EQCClientNode:
     """A client node managing one QPU."""
 
@@ -116,6 +83,7 @@ class EQCClientNode:
         self.qpu = qpu
         self.provider = provider
         self.shots = int(require(self, "shots", shots, low=1, integer=True))
+        self.device_name = qpu.name
         self.name = name or f"client_{qpu.name}"
         self._footprints: dict[tuple[Hashable, ...], CircuitFootprint] = {}
         #: The last ``(calibration, footprint, estimate)`` (see current_p_correct).
@@ -123,10 +91,6 @@ class EQCClientNode:
         self.jobs_completed = 0
 
     # ------------------------------------------------------------------
-    @property
-    def device_name(self) -> str:
-        return self.qpu.name
-
     def representative_footprint(self, job: GradientJobSpec) -> CircuitFootprint:
         """The footprint used for weighting and execution-noise scaling.
 
@@ -188,27 +152,43 @@ class EQCClientNode:
         theta: Sequence[float],
         submit_time: float,
         theta_version: int = 0,
-    ) -> DispatchedTask:
-        """The dispatch half of Algorithm 2's body: build, weigh, submit."""
+    ) -> CloudJob:
+        """The dispatch half of Algorithm 2's body: build, weigh, submit.
+
+        Returns the submitted job, which also carries ``task``, ``theta``
+        (a checkpoint rebuilds a parked job's circuits from them),
+        ``theta_version`` and the ``PCorrect`` estimate."""
         job_spec = self.objective.build_job(task, theta)
         footprint = self.representative_footprint(job_spec)
         p_correct = self.current_p_correct(job_spec, submit_time, footprint)
-        cloud_job = self.provider.submit(
-            device_name=self.qpu.name,
+        job = self.provider.submit(
+            device_name=self.device_name,
             circuits=job_spec.batch,
             footprint=footprint,
             now=submit_time,
             shots=self.shots,
         )
+        job.task, job.theta, job.theta_version = task, tuple(theta), int(theta_version)
+        job.p_correct = float(p_correct)
         self.jobs_completed += 1
-        return DispatchedTask(
-            self,
-            task,
-            tuple(theta),
-            float(p_correct),
-            float(submit_time),
-            int(theta_version),
-            cloud_job,
+        return job
+
+    def collect(self, job: CloudJob) -> GradientOutcome:
+        """The collect half: a dispatched job's counts (resolved on this read)
+        to its gradient."""
+        if job.counts is None:
+            job.resolve()
+        return GradientOutcome(
+            client_name=self.name,
+            device_name=job.device_name,
+            task=job.task,
+            gradient=float(self.objective.gradient_from_counts(job.task, job.counts)),
+            p_correct=job.p_correct,
+            submit_time=job.submit_time,
+            finish_time=float(job.finish_time),
+            theta_version=job.theta_version,
+            num_circuits=job.num_circuits,
+            success_probability_truth=job.success,
         )
 
     def execute_task(
@@ -218,8 +198,8 @@ class EQCClientNode:
         submit_time: float,
         theta_version: int = 0,
     ) -> GradientOutcome:
-        """Serve one task end to end: :meth:`dispatch_task`, then collect."""
-        return self.dispatch_task(task, theta, submit_time, theta_version).collect()
+        """Serve one task end to end: :meth:`dispatch_task`, then :meth:`collect`."""
+        return self.collect(self.dispatch_task(task, theta, submit_time, theta_version))
 
 
 def _average_footprints(footprints: Sequence[CircuitFootprint]) -> CircuitFootprint:

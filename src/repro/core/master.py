@@ -32,7 +32,8 @@ from ..faults.health import DeviceHealthTracker
 from ..telemetry import TELEMETRY as _telemetry
 from ..vqa.optimizer import AsgdRule, ParameterVectorState
 from ..vqa.tasks import CyclicTaskQueue, GradientTask
-from .client import DispatchedTask, EQCClientNode, GradientOutcome
+from ..cloud.job import CloudJob
+from .client import EQCClientNode, GradientOutcome
 from .history import EpochRecord, TrainingHistory
 from .objective import VQAObjective
 from .weighting import WeightingConfig, normalize_weights
@@ -180,8 +181,8 @@ class EQCMasterNode:
             checked_initial_parameters(objective, initial_parameters)
         )
         self.telemetry = MasterTelemetry()
-        #: Dispatched tasks by ``job_id``, held until their outcome is collected.
-        self._dispatched: dict[int, DispatchedTask] = {}
+        #: Dispatched jobs by ``job_id``, held until their outcome is collected.
+        self._dispatched: dict[int, CloudJob] = {}
         self._job_ids = itertools.count()
         self._start_time = float(start_time)
         self._p_correct: dict[str, float] = {}
@@ -248,6 +249,7 @@ class EQCMasterNode:
         history, loop = self._start(checkpointer)
         observer = _LoopTelemetry(loop, wall_start) if _telemetry.enabled else None
         due: list[tuple] = []  # recorded epochs awaiting their exact loss
+        cycle_length = self.cycle_length
         while self.telemetry.updates_applied < target_updates and loop.pending:
             item = self._pop(loop)
             if item.kind != "job":
@@ -257,7 +259,7 @@ class EQCMasterNode:
             started = time.perf_counter()
             staleness = self._apply(item.client, outcome, loop.now, checkpointer)
             seconds = time.perf_counter() - started
-            if self.telemetry.updates_applied % self.cycle_length == 0:
+            if self.telemetry.updates_applied % cycle_length == 0:
                 target_updates = self._close_epoch(
                     loop, history, due, target_updates, record_every, max_sim_hours
                 )
@@ -398,25 +400,25 @@ class EQCMasterNode:
         return history
 
     def gather(self, item: _InFlight) -> GradientOutcome:
-        """The outcome of a job event, collected from its dispatched task once."""
+        """The outcome of a job event, collected from its dispatched job once."""
         if item.outcome is None:
-            item.outcome = self._dispatched.pop(item.job_id).collect()
+            item.outcome = item.client.collect(self._dispatched.pop(item.job_id))
         return item.outcome
 
-    def register(self, dispatched: DispatchedTask) -> int:
-        """Hold a dispatched task until it is collected; returns its job id
-        (a restored checkpoint re-enters its parked tasks here)."""
+    def register(self, job: CloudJob) -> int:
+        """Hold a dispatched job until it is collected; returns its master-side
+        id (a restored checkpoint re-enters its parked jobs here)."""
         job_id = next(self._job_ids)
-        self._dispatched[job_id] = dispatched
+        self._dispatched[job_id] = job
         return job_id
 
-    def parked_task(self, item: _InFlight) -> DispatchedTask | None:
-        """The task behind a heap entry whose physics is still parked, which a
+    def parked_task(self, item: _InFlight) -> CloudJob | None:
+        """The job behind a heap entry whose physics is still parked, which a
         checkpoint stores as it is; once the counts are in, ``None`` — and a
         ``job`` entry is collected into its outcome (arithmetic, no RNG)."""
-        dispatched = self._dispatched.get(item.job_id)
-        if dispatched is None or dispatched.cloud_job.parked:
-            return dispatched
+        job = self._dispatched.get(item.job_id)
+        if job is None or job.parked:
+            return job
         if item.kind == "job":
             self.gather(item)
         return None
@@ -515,17 +517,15 @@ class EQCMasterNode:
             try:
                 # The dispatch returns once the job's clock is known; the physics
                 # runs later and is collected when this entry reaches the front.
-                dispatched = client.dispatch_task(
-                    task, self.state.snapshot(), now, self.state.version
-                )
+                job = client.dispatch_task(task, self.state.snapshot(), now, self.state.version)
             except FaultError as exc:
                 # The failure is only *known* at its virtual detection time:
                 # parked on the heap, its bookkeeping happens in event order.
                 kind, at, failure = "failure", max(now, exc.detect_time), exc
             else:
-                job_id, at = self.register(dispatched), dispatched.cloud_job.finish_time
+                job_id, at = self.register(job), job.finish_time
                 self.telemetry.jobs_dispatched += 1
-                self.telemetry.circuits_executed += dispatched.cloud_job.num_circuits
+                self.telemetry.circuits_executed += job.num_circuits
                 if self.dispatch_deadline is not None and at - now > self.dispatch_deadline:
                     # Straggler: the master cuts the job at the cutoff instead
                     # of waiting (its outcome is collected there, then discarded).
@@ -556,7 +556,7 @@ class EQCMasterNode:
             if item.job_id >= 0:
                 # Drain the job's outcome (and discard it): the cut job
                 # ran all the same, and leaves the dispatched registry here.
-                self._dispatched.pop(item.job_id).collect()
+                client.collect(self._dispatched.pop(item.job_id))
         else:
             raise RuntimeError(f"unknown in-flight event kind {item.kind!r}")
         # One tail for both: record the failure, recover the task, then

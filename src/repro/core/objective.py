@@ -124,7 +124,7 @@ class EnergyObjective(VQAObjective):
         )
 
     def gradient_from_counts(self, task: GradientTask, counts: Sequence[Counts]) -> float:
-        groups = self.estimator.num_groups
+        groups = len(self.estimator.groups)
         if len(counts) != 2 * groups:
             raise ValueError(
                 f"expected {2 * groups} Counts objects (forward+backward), got {len(counts)}"

@@ -23,10 +23,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from enum import Enum
 from functools import cached_property, lru_cache
 from itertools import accumulate, groupby
 from operator import itemgetter
-from typing import NamedTuple, Sequence
+from typing import Callable, Hashable, Sequence
 
 import numpy as np
 
@@ -38,7 +39,7 @@ from ..noise.drift import DriftModel, DriftProfile
 from ..noise.generator import CalibrationGenerator, NoiseProfile
 from ..reduction import ordered_row_sums
 from ..simulator.mixing import MixingNoiseSpec, NoiseRecord, noisy_probabilities_batch
-from ..simulator.result import ExecutionResult
+from ..simulator.result import Counts, ExecutionResult
 from ..simulator.sampler import checked_distributions, sample_distribution_batch
 from .topology import Topology
 
@@ -46,7 +47,6 @@ __all__ = [
     "CircuitFootprint",
     "QPUSpec",
     "QPU",
-    "DeferredBatch",
     "resolve_batches",
     "SECONDS_PER_HOUR",
     "job_slot_circuit_seconds",
@@ -61,9 +61,9 @@ def job_slot_circuit_seconds(job_duration_seconds: float) -> float:
 
     One device "job slot" (``QPUSpec.base_job_seconds``) covers a
     forward/backward circuit pair, so each circuit advances the clock by half
-    a slot.  Both the in-batch noise clock (:meth:`QPU.execute_batch`) and the
-    cloud provider's finish-time/busy accounting use this single definition —
-    changing the convention here keeps them consistent.
+    a slot.  The in-batch clock (:meth:`QPU._walk_clock`, whose sum is the
+    cloud provider's finish-time/busy accounting) and the scheduler's tenant
+    jobs use this single definition.
     """
     return job_duration_seconds / 2.0
 
@@ -175,11 +175,15 @@ class QPU:
     """A stateful simulated quantum backend.
 
     Every ``QPU`` of an equal spec reads that spec's one calibration record
-    (:data:`_calibration_record`); a device's own state is only its default
-    shot stream ``_rng``, built on first read."""
+    (:data:`_calibration_record`); its name, width and topology are the
+    spec's, and a device's own state is only its default shot stream
+    ``_rng``, built on first read."""
 
     def __init__(self, spec: QPUSpec) -> None:
         self.spec = spec
+        self.name = spec.name
+        self.num_qubits = spec.num_qubits
+        self.topology = spec.topology
         self._record = _calibration_record(spec)
         self._drift = self._record.drift
 
@@ -187,21 +191,6 @@ class QPU:
     def _rng(self) -> np.random.Generator:
         """The stream of jobs run with no ``rng`` (the provider checkpoints it)."""
         return np.random.default_rng((self.spec.seed, 0xD1CE))
-
-    # ------------------------------------------------------------------
-    # identity / convenience
-    # ------------------------------------------------------------------
-    @property
-    def name(self) -> str:
-        return self.spec.name
-
-    @property
-    def num_qubits(self) -> int:
-        return self.spec.num_qubits
-
-    @property
-    def topology(self) -> Topology:
-        return self.spec.topology
 
     def __repr__(self) -> str:
         return (
@@ -262,8 +251,11 @@ class QPU:
         on any device of the spec, returns the same object.
         """
         refresh = self.spec.properties_refresh_hours
-        cycle = self.calibration_cycle(now)
-        step = math.floor(self.hours_since_calibration(now) / refresh)
+        period = self.spec.calibration_period_hours * SECONDS_PER_HOUR
+        now = float(now)
+        # calibration_cycle and hours_since_calibration, spelled out
+        cycle = max(0, int(now // period))
+        step = math.floor((now % period) / SECONDS_PER_HOUR / refresh)
         estimated = self._record.estimated
         snapshot = estimated.get((cycle, step))
         if snapshot is None:
@@ -288,10 +280,6 @@ class QPU:
         cycle = max(0, int(now // period))
         return age, cycle, self._drift.drift_factor(age, cycle)
 
-    def _slot_seconds(self, factor: float) -> float:
-        """Job duration at drift ``factor`` (speed is its reciprocal)."""
-        return self.spec.base_job_seconds / max(1.0 / factor, 1e-6)
-
     # ------------------------------------------------------------------
     # timing
     # ------------------------------------------------------------------
@@ -306,8 +294,8 @@ class QPU:
         sinusoid of the calibration age), so it is evaluated per start time and
         never tabulated per calibration step: a table would move every seeded
         timeline.  The scheduler prices each tenant job through this call, so
-        it spells out :meth:`_drift_at` and :meth:`_slot_seconds` in one frame
-        (same float operations, same order).
+        it spells out :meth:`_drift_at` and the duration at a drift factor in
+        one frame (the float operations of :meth:`_walk_clock`, in order).
         """
         spec = self.spec
         period = spec.calibration_period_hours * SECONDS_PER_HOUR
@@ -355,8 +343,10 @@ class QPU:
         reads out every device qubit: it serves any register the device
         holds, and its first pairs are the readout of a job's record.
         """
-        width = min(self.num_qubits, footprint.num_measurements or self.num_qubits)
-        return _wave_noise([ClockRows(self, footprint, [self._drift_at(now)], width)]).specs()[0]
+        job = CloudJob(-1, self.name, 1, 1, now, qpu=self, footprint=footprint)
+        job.width = min(self.num_qubits, footprint.num_measurements or self.num_qubits)
+        job.drifts = [self._drift_at(now)]
+        return _wave_noise([job]).specs()[0]
 
     def _cycle_table(self, cycle: int) -> tuple[np.ndarray, int, int, float, float]:
         """The ``(7, 1, width)`` calibration table of one cycle, built once
@@ -387,25 +377,32 @@ class QPU:
 
     def _walk_clock(
         self, num_circuits: int, now: float
-    ) -> tuple[list[float], list[tuple[float, int, float]]]:
+    ) -> tuple[list[float], list[tuple[float, int, float]], float]:
         """The in-batch device clock of one job starting at ``now``.
 
-        Returns each circuit's job duration and the drift triple evaluated at
-        its start.  This is the one place the clock advances within a batch:
-        circuit ``i`` starts half a job slot (:func:`job_slot_circuit_seconds`)
-        per predecessor after ``now``, at the drift-aware speed of its own
-        start time.
+        Returns each circuit's job duration, the drift triple ``(age, cycle,
+        factor)`` at its start (:meth:`_drift_at`, spelled out here) and the
+        seconds the job holds the device.  This is the one place the clock
+        advances within a batch: circuit ``i`` starts half a job slot
+        (:func:`job_slot_circuit_seconds`) per predecessor after ``now``, at
+        the drift-aware speed (the reciprocal of the factor) of its own start
+        time.
         """
+        spec, drift_factor = self.spec, self._drift.drift_factor
+        period = spec.calibration_period_hours * SECONDS_PER_HOUR
         durations: list[float] = []
         drifts: list[tuple[float, int, float]] = []
         elapsed = 0.0
         for _ in range(num_circuits):
-            drift = self._drift_at(now + elapsed)
-            duration = self._slot_seconds(drift[2])
+            start = float(now + elapsed)
+            age = (start % period) / SECONDS_PER_HOUR
+            cycle = max(0, int(start // period))
+            factor = drift_factor(age, cycle)
+            duration = spec.base_job_seconds / max(1.0 / factor, 1e-6)
             durations.append(duration)
-            drifts.append(drift)
+            drifts.append((age, cycle, factor))
             elapsed += job_slot_circuit_seconds(duration)
-        return durations, drifts
+        return durations, drifts, elapsed
 
     def execute_batch(
         self,
@@ -414,73 +411,154 @@ class QPU:
         shots: int,
         now: float,
         rng: np.random.Generator | None = None,
-        park: "list[DeferredBatch] | None" = None,
-    ) -> list[ExecutionResult]:
+        park: "CloudJob | None" = None,
+    ) -> "list[ExecutionResult] | float":
         """Run a batch of circuits back to back on this device.
 
         The only execution entry point (one circuit is a one-circuit batch):
         bound circuits or an unbound
         :class:`~repro.circuit.sweep.ParameterSweep` (same job slots, same
-        results, nothing bound).  The job's **clock half** runs here
-        (:meth:`_walk_clock`: one drift evaluation per circuit start gives
-        the durations and the ``calibration_age_hours``/``drift_factor``
-        metadata; arithmetic, no RNG) and comes back as results whose
-        ``counts`` are ``None``.  Its **physics half** is a
-        :class:`DeferredBatch` carrying the job's :class:`ClockRows`, whose
-        readout width covers the footprint's measurements, or the measured
-        register when the footprint measures nothing: run before returning
-        (``park=None``, the one-job case of :func:`resolve_batches`) or
-        appended to the caller's ``park`` list, to be resolved later in one
-        stacked pass that builds the noise, adds each result's
-        ``success_probability`` and fills these same results' counts.  Who
-        resolves changes the wall-clock cost, never the physics.  A
-        ``k``-circuit job equals ``k`` one-circuit jobs submitted back to
-        back on the walked clock (:func:`job_slot_circuit_seconds` apart) in
-        counts, durations, metadata and the stream's end state.
+        results, nothing bound).  The job's **clock half** runs here and
+        fills the job record (:meth:`_walk_clock`'s durations and drift
+        triples, arithmetic, no RNG; the circuits, footprint, stream, and a
+        readout width that covers the footprint's measurements, or the
+        measured register when the footprint measures nothing).  Its
+        **physics half** (:func:`resolve_batches`: noise, success probability,
+        counts) runs before the call returns the record's
+        :attr:`CloudJob.results` — or, for a ``park`` record, is left to its
+        caller's stacked pass with the rest of its wave, and the call returns
+        the seconds the job holds the device.  Who resolves changes the
+        wall-clock cost, never the physics.  A ``k``-circuit job equals ``k``
+        one-circuit jobs submitted back to back on the walked clock
+        (:func:`job_slot_circuit_seconds` apart) in counts, durations,
+        metadata and the stream's end state.
         """
-        if not len(circuits):
+        num_circuits = park.num_circuits if park is not None else len(circuits)
+        if not num_circuits:
             raise ValueError("a batch needs at least one circuit")
         if shots < 1:
             raise ValueError("shots must be >= 1")
         templates = circuits.templates if isinstance(circuits, ParameterSweep) else circuits
+        job = park if park is not None else CloudJob(-1, self.name, num_circuits, shots, now, now)
+        job.qpu, job.circuits, job.footprint, job.shots = self, circuits, footprint, shots
         # Unmeasured: the widest register the mixer samples (measured_register).
-        width = min(
+        job.width = min(
             self.num_qubits,
             footprint.num_measurements
             or max(len(circuit.measured_qubits) or circuit.num_qubits for circuit in templates),
         )
-        durations, drifts = self._walk_clock(len(circuits), now)
-        results = [
+        job.rng = rng if rng is not None else self._rng
+        job.durations, job.drifts, elapsed = self._walk_clock(num_circuits, now)
+        if park is not None:
+            return elapsed
+        resolve_batches([job])
+        return job.results
+
+
+class JobStatus(str, Enum):
+    """Lifecycle of a cloud job."""
+
+    QUEUED = "queued"
+    RUNNING = "running"
+    DONE = "done"
+    FAILED = "failed"
+
+
+@dataclass(slots=True, eq=False)
+class CloudJob:
+    """One job on one device, from its submit to its counts: the one record
+    a job is on every layer (:class:`repro.cloud.CloudJob` names it).  The
+    provider opens and serves it, the device fills its clock half
+    (:meth:`QPU.execute_batch`), a training client adds what it dispatched
+    and :func:`resolve_batches` adds the counts.  Per-circuit
+    :class:`ExecutionResult` objects are built only when :attr:`results` is read.
+
+    Attributes:
+        job_id: unique id assigned by the provider (``-1``: a direct device call).
+        device_name, num_circuits, shots: the target backend, the batch size
+            and the shots per circuit.
+        submit_time, start_time, finish_time: when the job entered the queue,
+            began executing and had all its results available.
+        status, attempts, error: the lifecycle, the service attempts consumed
+            (1 without fault injection) and a ``FAILED`` job's description.
+        resolve: the provider's hook that resolves every parked job.
+        qpu, circuits, footprint, rng, width: the device, the batch, the
+            footprint its noise scales with, the stream its shots draw from
+            and its readout width (set at execution).
+        durations, drifts: per circuit, its duration and the drift triple
+            ``(age, cycle, factor)`` at its start (``None`` until executed).
+        counts: per circuit, a view of its row of the wave's count matrix
+            (``None`` while the physics is parked).
+        success: the first circuit's true success probability (at resolve).
+        task, theta, theta_version, p_correct: a training dispatch's gradient
+            task, parameters and their version, and its ``PCorrect``.
+    """
+
+    job_id: int
+    device_name: str
+    num_circuits: int
+    shots: int
+    submit_time: float
+    start_time: float = 0.0
+    finish_time: float = 0.0
+    status: JobStatus = JobStatus.QUEUED
+    attempts: int = 1
+    error: str = ""
+    resolve: Callable[[], None] | None = field(default=None, repr=False)
+    qpu: QPU | None = field(default=None, repr=False)
+    circuits: Sequence[QuantumCircuit] | ParameterSweep = field(default=(), repr=False)
+    footprint: CircuitFootprint | None = field(default=None, repr=False)
+    rng: np.random.Generator | None = field(default=None, repr=False)
+    width: int = field(default=0, repr=False)
+    durations: list[float] | None = field(default=None, repr=False)
+    drifts: list[tuple[float, int, float]] | None = field(default=None, repr=False)
+    counts: list[Counts] | None = field(default=None, repr=False)
+    success: float = field(default=math.nan, repr=False)
+    task: Hashable = field(default=None, repr=False)
+    theta: tuple[float, ...] = field(default=(), repr=False)
+    theta_version: int = field(default=0, repr=False)
+    p_correct: float = field(default=math.nan, repr=False)
+
+    @property
+    def parked(self) -> bool:
+        """True while the job has executed but its counts are not drawn."""
+        return self.durations is not None and self.counts is None
+
+    @property
+    def results(self) -> list[ExecutionResult]:
+        """One result per circuit (empty until the job executes); a parked
+        job resolves first, with the rest of its wave."""
+        if self.parked:
+            self.resolve()
+        if self.counts is None:
+            return []
+        queue_seconds = self.queue_seconds
+        return [
             ExecutionResult(
-                None,
-                shots,
-                self.name,
+                counts,
+                self.shots,
+                self.device_name,
                 duration,
-                metadata={"calibration_age_hours": age, "drift_factor": factor},
+                queue_seconds,
+                {"calibration_age_hours": age, "drift_factor": factor, "success_probability": success},
             )
-            for duration, (age, _, factor) in zip(durations, drifts)
+            for counts, duration, (age, _, factor), success in zip(
+                self.counts, self.durations, self.drifts, _wave_noise([self]).success.tolist()
+            )
         ]
-        rng = rng if rng is not None else self._rng
-        batch = DeferredBatch(circuits, ClockRows(self, footprint, drifts, width), shots, rng, results)
-        if park is None:
-            resolve_batches([batch])
-        else:
-            park.append(batch)
-        return results
+
+    @property
+    def queue_seconds(self) -> float:
+        """Time spent waiting in the device queue."""
+        return max(0.0, self.start_time - self.submit_time)
+
+    @property
+    def turnaround_seconds(self) -> float:
+        """Submission-to-completion latency."""
+        return max(0.0, self.finish_time - self.submit_time)
 
 
-class ClockRows(NamedTuple):
-    """What a device job's noise reads of its clock half: the device, the
-    footprint, one drift triple ``(age, cycle, factor)`` per circuit start
-    (:meth:`QPU._drift_at`) and the readout width."""
-
-    qpu: QPU
-    footprint: CircuitFootprint
-    drifts: Sequence[tuple[float, int, float]]
-    width: int
-
-
-def _wave_noise(clocks: Sequence[ClockRows]) -> NoiseRecord:
+def _wave_noise(jobs: Sequence[CloudJob]) -> NoiseRecord:
     """The noise record of a wave of jobs: one row per drift triple, in order.
 
     Element for element this is :meth:`CalibrationSnapshot.scale_errors`
@@ -492,22 +570,22 @@ def _wave_noise(clocks: Sequence[ClockRows]) -> NoiseRecord:
     error rows by it and clips them to ``[0, 1]``.  The averages are row sums
     in the one float-reduction order
     (:func:`~repro.reduction.ordered_row_sums`, which the padding leaves
-    unchanged) over the row's qubit or coupling count; a device without
-    couplings sums an all-zero CX row to a ``beta`` of ``0.0``.  The Eq. 2
-    core stays per row on Python floats, because NumPy's ``exp`` and ``**``
-    need not round as libm's do.  The readout rows are the scaled
-    ``(p01, p10)`` of the first ``width`` qubits, a width every job of the
-    wave shares.
+    unchanged, so a job's rows are the same in any wave) over the row's
+    qubit or coupling count; a device without couplings sums an all-zero
+    CX row to a ``beta`` of ``0.0``.  The Eq. 2 core stays per row on Python
+    floats, because NumPy's ``exp`` and ``**`` need not round as libm's do.
+    The readout rows are the scaled ``(p01, p10)`` of the first ``width``
+    qubits, a width every job of the wave shares.
     """
-    width = clocks[0].width
-    runs = []  # (clock, cycle table entry, row count) per cycle run of a job
+    width = jobs[0].width
+    runs = []  # (job, cycle table entry, row count) per cycle run of a job
     factors: list[float] = []
-    for clock in clocks:
-        if clock.width != width:
-            raise ValueError(f"a wave reads out one width: {clock.width} != {width}")
-        for cycle, run in groupby(clock.drifts, key=itemgetter(1)):
+    for job in jobs:
+        if job.width != width:
+            raise ValueError(f"a wave reads out one width: {job.width} != {width}")
+        for cycle, run in groupby(job.drifts, key=itemgetter(1)):
             run_factors = [factor for _, _, factor in run]
-            runs.append((clock, clock.qpu._cycle_table(cycle), len(run_factors)))
+            runs.append((job, job.qpu._cycle_table(cycle), len(run_factors)))
             factors += run_factors
     column = np.array(factors)[:, None]
     table = np.zeros((7, len(factors), max(entry[0].shape[2] for _, entry, _ in runs)))
@@ -519,16 +597,27 @@ def _wave_noise(clocks: Sequence[ClockRows]) -> NoiseRecord:
     errors = np.minimum(np.maximum(table[3:] * column, 0.0), 1.0)
     p01, p10, gammas, betas = errors
     sums = ordered_row_sums(np.array((t1, np.minimum(t2, t1x2), 0.5 * (p01 + p10), gammas, betas)))
-    rows = iter(sums.T.tolist())
+    biases = [job.qpu.spec.noise_profile.coherent_bias for job, _, count in runs for _ in range(count)]
+    return NoiseRecord(
+        np.array(_wave_success(runs, sums.T.tolist())),
+        np.array(biases) * column[:, 0],
+        errors[:2, :, :width].transpose(1, 2, 0),  # (p01, p10) last
+        np.zeros(len(factors), dtype=bool),
+    )
+
+
+def _wave_success(runs: list, sums: list[list[float]]) -> list[float]:
+    """Each row's Eq. 2 success probability from its ``(t1, t2, omega, gamma,
+    beta)`` row sums, per cycle run of :func:`_wave_noise`."""
+    rows = iter(sums)
     success: list[float] = []
-    biases: list[float] = []
-    for clock, (_, n, n_cx, mu_g1, mu_g2), count in runs:
-        noise = clock.qpu.spec.noise_profile
-        connectivity = clock.qpu.topology.average_degree
+    for job, (_, n, n_cx, mu_g1, mu_g2), count in runs:
+        noise = job.qpu.spec.noise_profile
+        connectivity = job.qpu.topology.average_degree
         for _ in range(count):
             t1_sum, t2_sum, omega_sum, gamma_sum, beta_sum = next(rows)
             probability = _success_from_averages(
-                clock.footprint,
+                job.footprint,
                 mu_g1=mu_g1,
                 mu_g2=mu_g2,
                 t1=t1_sum / n,
@@ -540,45 +629,22 @@ def _wave_noise(clocks: Sequence[ClockRows]) -> NoiseRecord:
                 connectivity=connectivity,
             )
             success.append(probability)
-        biases += [noise.coherent_bias] * count
-    return NoiseRecord(
-        np.array(success),
-        np.array(biases) * column[:, 0],
-        errors[:2, :, :width].transpose(1, 2, 0),  # (p01, p10) last
-        np.zeros(len(success), dtype=bool),
-    )
+    return success
 
 
-@dataclass(eq=False, slots=True)
-class DeferredBatch:
-    """The physics half of one device job: ``results`` carry the clock half
-    and ``clock`` what its noise reads of it (:class:`ClockRows`, one drift
-    triple per circuit, in batch order).  :func:`resolve_batches` builds the
-    noise with the rest of the job's wave, writes each result's
-    ``success_probability`` metadata and fills the results' ``counts``,
-    ``shots`` each, from the job's own ``rng``."""
-
-    circuits: Sequence[QuantumCircuit] | ParameterSweep
-    clock: ClockRows
-    shots: int
-    rng: np.random.Generator
-    results: list[ExecutionResult]
+#: One sampler call: the jobs, their ``(rows, 2**m)`` distributions and row counts.
+_Draw = tuple[list[CloudJob], np.ndarray, list[int]]
 
 
-#: One sampler call: the jobs, their ``(rows, 2**m)`` distributions, each
-#: job's row count, and the results those rows fill.
-_Draw = tuple[list[DeferredBatch], np.ndarray, list[int], list[ExecutionResult]]
-
-
-def resolve_batches(parked: list[DeferredBatch]) -> None:
+def resolve_batches(parked: list[CloudJob]) -> None:
     """Simulate and sample a wave of device jobs, emptying ``parked``.
 
     Jobs whose sweeps run the same templates (an ensemble's gradient jobs,
     whatever their devices) form one template wave.  Its noise is **one**
-    record built from every job's clock rows in one array pass
-    (:func:`_wave_noise`), whose success probabilities go into the results'
-    ``success_probability`` metadata; its circuits are **one** sweep over
-    the jobs' checked matrices stacked (:meth:`ParameterSweep.stacked`): one
+    record built from every job's drift triples in one array pass
+    (:func:`_wave_noise`), whose first row per job is that job's
+    ``success``; its circuits are **one** sweep over the jobs' checked
+    matrices stacked (:meth:`ParameterSweep.stacked`): one
     :func:`~repro.simulator.mixing.noisy_probabilities_batch` pass whose
     ``blocks`` keep each job's rows bit-equal to that job passed alone, as
     any other batch — or a lone job — is.  When ``parked`` is one uniform
@@ -595,51 +661,47 @@ def resolve_batches(parked: list[DeferredBatch]) -> None:
     stream moves, and the jobs leave ``parked`` only with their counts in: a
     pass or a check that raises parks them all.
     """
-    waves: dict[object, list[DeferredBatch]] = {}
-    for batch in parked:
-        sweep = isinstance(batch.circuits, ParameterSweep)
-        key = tuple(map(id, batch.circuits.templates)) if sweep else id(batch)
-        waves.setdefault(key, []).append(batch)
+    waves: dict[object, list[CloudJob]] = {}
+    for job in parked:
+        sweep = isinstance(job.circuits, ParameterSweep)
+        waves.setdefault(tuple(map(id, job.circuits.templates)) if sweep else id(job), []).append(job)
     draws: list[_Draw] = []
     for wave in waves.values():
         circuits = wave[0].circuits
         if len(wave) > 1:
-            circuits = ParameterSweep.stacked([batch.circuits for batch in wave])
-        noise = _wave_noise([batch.clock for batch in wave])
-        results = [result for batch in wave for result in batch.results]
-        for result, success in zip(results, noise.success.tolist()):
-            result.metadata["success_probability"] = success
-        blocks = [len(batch.results) for batch in wave]
+            circuits = ParameterSweep.stacked([job.circuits for job in wave])
+        noise, blocks = _wave_noise(wave), [job.num_circuits for job in wave]
+        for job, first in zip(wave, accumulate(blocks, initial=0)):
+            job.success = noise.success[first].item()
         rows = noisy_probabilities_batch(circuits, noise, blocks=blocks)
         if isinstance(rows, np.ndarray):
-            draws.append((wave, rows, blocks, results))
+            draws.append((wave, rows, blocks))
             continue
-        for batch, stop in zip(wave, accumulate(blocks)):
-            done = 0
-            for _, run in groupby(rows[stop - len(batch.results) : stop], key=np.size):
+        for job, stop in zip(wave, accumulate(blocks)):
+            for _, run in groupby(rows[stop - job.num_circuits : stop], key=np.size):
                 run = np.stack(list(run))
-                draws.append(([batch], run, [len(run)], batch.results[done : done + len(run)]))
-                done += len(run)
+                draws.append(([job], run, [len(run)]))
     if len(waves) > 1:
-        position = {id(batch): index for index, batch in enumerate(parked)}
+        position = {id(job): index for index, job in enumerate(parked)}
         draws = sorted(_job_by_job(draws), key=lambda draw: position[id(draw[0][0])])
-    for _, rows, _, _ in draws[1:]:  # the first call checks its own rows
+    for _, rows, _ in draws[1:]:  # the first call checks its own rows
         checked_distributions(rows, rows.shape[1].bit_length() - 1)
-    for jobs, rows, blocks, results in draws:
-        shots, streams = [batch.shots for batch in jobs], [batch.rng for batch in jobs]
+    for jobs, rows, blocks in draws:
+        shots, streams = [job.shots for job in jobs], [job.rng for job in jobs]
         drawn = sample_distribution_batch(
             rows, shots, streams, rows.shape[1].bit_length() - 1, blocks=blocks
         )
-        for result, counts in zip(results, drawn):
-            result.counts = counts
+        for job, size, stop in zip(jobs, blocks, accumulate(blocks)):
+            counts = drawn[stop - size : stop]
+            job.counts = counts if job.counts is None else job.counts + counts
     parked.clear()
 
 
 def _job_by_job(draws: list[_Draw]):
     """Every draw split into one draw per job."""
-    for jobs, rows, blocks, results in draws:
-        for batch, size, stop in zip(jobs, blocks, accumulate(blocks)):
-            yield [batch], rows[stop - size : stop], [size], results[stop - size : stop]
+    for jobs, rows, blocks in draws:
+        for job, size, stop in zip(jobs, blocks, accumulate(blocks)):
+            yield [job], rows[stop - size : stop], [size]
 
 
 # ---------------------------------------------------------------------------

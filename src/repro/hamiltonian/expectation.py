@@ -76,6 +76,7 @@ class EnergyEstimator:
             )
         self.ansatz = ansatz.without_measurements()
         self.hamiltonian = hamiltonian
+        self._width = hamiltonian.num_qubits
         self.groups: tuple[MeasurementGroup, ...] = tuple(
             group_qubitwise_commuting(hamiltonian)
         )
@@ -140,7 +141,7 @@ class EnergyEstimator:
         groups = len(self.groups)
         if (
             len(counts_per_group) != groups
-            or _tabled_draws(counts_per_group, self.hamiltonian.num_qubits) is None
+            or _tabled_draws(counts_per_group, self._width) is None
             or counts_per_group[0]._row % groups
             or len(counts_per_group[0]._draws) % groups
         ):

@@ -28,7 +28,8 @@ from array import array
 from dataclasses import fields
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from ..core.client import DispatchedTask, EQCClientNode, GradientOutcome
+from ..cloud.job import CloudJob
+from ..core.client import EQCClientNode, GradientOutcome
 from ..core.history import EpochRecord, TrainingHistory
 from ..faults.errors import (
     DeviceOutageError,
@@ -97,7 +98,7 @@ def snapshot_inflight(entry, master) -> dict:
     time; a parked job's ``p_correct``, submit, start and finish times and
     dispatch-time theta).
     """
-    dispatched = master.parked_task(entry)
+    job = master.parked_task(entry)
     outcome, failure, parked = entry.outcome, entry.failure, None
     floats = [entry.finish_time]
     if outcome is not None:
@@ -109,10 +110,10 @@ def snapshot_inflight(entry, master) -> dict:
         floats.append(failure.detect_time)
         extra = {name: getattr(failure, name) for name in _FAULT_EXTRAS if hasattr(failure, name)}
         failure = [type(failure).__name__, str(failure), failure.device_name, extra]
-    if dispatched is not None:
-        job, times = dispatched.client.provider.snapshot_job(dispatched.cloud_job)
-        floats += (dispatched.p_correct, *times, *dispatched.theta)
-        parked = [*snapshot_task(dispatched.task), dispatched.theta_version, *job]
+    if job is not None:
+        row, times = entry.client.provider.snapshot_job(job)
+        floats += (job.p_correct, *times, *job.theta)
+        parked = [*snapshot_task(job.task), job.theta_version, *row]
     return {
         "sequence": entry.sequence,
         "kind": entry.kind,
@@ -125,18 +126,17 @@ def snapshot_inflight(entry, master) -> dict:
     }
 
 
-def restore_parked(data: Mapping, client: EQCClientNode) -> DispatchedTask:
+def restore_parked(data: Mapping, client: EQCClientNode) -> CloudJob:
     """Rebuild a parked entry's circuits as its dispatch built them and re-park it."""
     parked = data["parked"]
-    task, theta_version, job = restore_task(parked[:3]), parked[3], parked[4:]
+    task, theta_version, row = restore_task(parked[:3]), parked[3], parked[4:]
     p_correct, *times = data["floats"][1:5]
     theta = tuple(data["floats"][5:])
     spec = client.objective.build_job(task, theta)
     footprint = client.representative_footprint(spec)
-    cloud_job = client.provider.restore_job(job, times, spec.batch, footprint)
-    return DispatchedTask(
-        client, task, theta, p_correct, cloud_job.submit_time, theta_version, cloud_job
-    )
+    job = client.provider.restore_job(row, times, spec.batch, footprint)
+    job.task, job.theta, job.theta_version, job.p_correct = task, theta, theta_version, p_correct
+    return job
 
 
 def restore_inflight(

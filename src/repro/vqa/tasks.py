@@ -59,13 +59,10 @@ class CyclicTaskQueue:
         if not cycle:
             raise ValueError("task cycle must not be empty")
         self._cycle = cycle
+        self.cycle_length = len(cycle)
         self._issued = 0
 
     # ------------------------------------------------------------------
-    @property
-    def cycle_length(self) -> int:
-        return len(self._cycle)
-
     @property
     def tasks_issued(self) -> int:
         return self._issued

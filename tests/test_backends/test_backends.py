@@ -23,7 +23,7 @@ from repro.circuit import (
     hardware_efficient_ansatz,
 )
 from repro.devices import build_qpu
-from repro.devices.qpu import CircuitFootprint, _wave_noise, resolve_batches
+from repro.devices.qpu import CircuitFootprint, CloudJob, _wave_noise, resolve_batches
 from repro.simulator.mixing import noisy_probabilities_batch
 from repro.vqa import heisenberg_vqe_problem, sampled_parameter_shift_gradient
 from repro.vqa.gradient import exact_full_gradient, parameter_shift_batch
@@ -210,10 +210,10 @@ class TestUnmeasuredCircuitOnADevice:
         (ideal,) = StatevectorBackend().run(ghz3, shots=2048, seed=5)
         assert ideal.counts.num_bits == 3
 
-        parked = []
-        (again,) = NoisyBackend(qpu).run(ghz3, shots=2048, seed=5, now=900.0, park=parked)
-        (job,) = parked
-        noise = _wave_noise([job.clock])
+        job = CloudJob(0, qpu.name, 1, 2048, 900.0)
+        held = NoisyBackend(qpu).run(ghz3, shots=2048, seed=5, now=900.0, park=job)
+        assert held == job.durations[0] / 2.0  # one circuit holds half a job slot
+        noise = _wave_noise([job])
         (spec,) = noise.specs()
         assert len(spec.per_qubit_readout) == 3
         footprint = CircuitFootprint.from_circuit(ghz3)
@@ -232,7 +232,8 @@ class TestUnmeasuredCircuitOnADevice:
         )
         (again_row,) = noisy_probabilities_batch(job.circuits, [single])
         assert again_row.tobytes() == row.tobytes()
-        resolve_batches(parked)
+        resolve_batches([job])
+        (again,) = job.results
         assert dict(again.counts) == dict(result.counts)
         assert again.metadata == result.metadata
         assert again.metadata["success_probability"] == spec.success_probability

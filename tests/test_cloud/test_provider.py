@@ -89,7 +89,7 @@ class TestSubmission:
         start = max(
             7000.0 + endpoint.queue_model.sample_wait(7000.0, endpoint.rng), endpoint.free_at
         )
-        durations, _ = provider.qpu("Belem")._walk_clock(3, start)
+        durations, _, _ = provider.qpu("Belem")._walk_clock(3, start)
         elapsed = 0.0  # the device seconds: each circuit's job slot, summed from 0
         for duration in durations:
             elapsed += job_slot_circuit_seconds(duration)

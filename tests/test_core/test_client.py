@@ -148,13 +148,13 @@ class TestClientExecution:
         whole, _ = fresh()
         halves, provider = fresh()
         outcome = whole.execute_task(GradientTask(0, 4), theta, submit_time=0.0, theta_version=2)
-        dispatched = halves.dispatch_task(GradientTask(0, 4), theta, submit_time=0.0, theta_version=2)
+        job = halves.dispatch_task(GradientTask(0, 4), theta, submit_time=0.0, theta_version=2)
         # Timing is final at dispatch; the counts are not there yet.
-        assert dispatched.cloud_job.finish_time == outcome.finish_time
+        assert job.finish_time == outcome.finish_time
         assert halves.jobs_completed == 1
-        assert all(r.counts is None for r in dispatched.cloud_job.parked_results)
-        assert len(provider._parked) == 1
-        assert dispatched.collect() == outcome
+        assert job.parked and job.counts is None
+        assert provider._parked == [job]
+        assert halves.collect(job) == outcome
         assert not provider._parked
 
     def test_p_correct_tracks_device_quality(self, vqe_problem):

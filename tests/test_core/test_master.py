@@ -211,7 +211,7 @@ class TestMaxSimHours:
         # applied, and their shots drawn all the same.
         in_flight = master._dispatched
         assert history.total_jobs - history.total_updates == len(in_flight) == 2
-        assert not any(d.cloud_job.parked for d in in_flight.values())
+        assert not any(d.parked for d in in_flight.values())
 
 
 #: A deadline inside the 4-qubit VQE's spread of job turnarounds (roughly
@@ -269,7 +269,7 @@ class TestDispatchRegistry:
         client = master.clients[0]
         entry = master._dispatch(LoopState([], 0, 0.0), client, GradientTask(0, 0))
         dispatched = master._dispatched[entry.job_id]
-        assert dispatched.cloud_job.parked
+        assert dispatched.parked
         assert master.parked_task(entry) is dispatched
         client.provider.resolve()
         assert master.parked_task(entry) is None
@@ -307,7 +307,7 @@ class TestDispatchRegistry:
         )
         master.train(num_epochs=1)
         assert len(registered) == master.telemetry.jobs_dispatched
-        assert sum(d.cloud_job.num_circuits for d in registered) == (
+        assert sum(d.num_circuits for d in registered) == (
             master.telemetry.circuits_executed
         )
 
@@ -323,7 +323,7 @@ class TestDispatchRegistry:
         assert (cut > 0) == (deadline is not None)
         # The jobs in flight at the budget had their shots drawn all the same.
         assert master._dispatched
-        assert not any(d.cloud_job.parked for d in master._dispatched.values())
+        assert not any(d.parked for d in master._dispatched.values())
 
     def test_a_cut_straggler_is_drained_and_its_task_redispatched(self, vqe_problem):
         master = build_master(vqe_problem, dispatch_deadline=STRAGGLER_DEADLINE)

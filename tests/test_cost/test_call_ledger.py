@@ -135,36 +135,34 @@ PINNED = {
     "qaoa10_chaos_durable": {
         "updates": 12,
         "calls": {
-            "_fields": 40, "_streams": 127, "backends": 101, "circuit": 367, "cloud": 445,
-            "core": 530, "devices": 724, "engine": 60, "faults": 247, "hamiltonian": 197,
-            "noise": 186, "persist": 460, "reduction": 111, "simulator": 76, "vqa": 199,
+            "_fields": 40, "_streams": 127, "backends": 101, "circuit": 306, "cloud": 363,
+            "core": 465, "devices": 291, "engine": 60, "faults": 247, "hamiltonian": 112,
+            "noise": 186, "persist": 460, "reduction": 111, "simulator": 76, "vqa": 165,
         },
         "built": {
-            "AsgdRule": 1, "BreakerTransition": 1, "CircuitFootprint": 10, "ClockRows": 20,
-            "CloudJob": 21, "CloudProvider": 1, "CyclicTaskQueue": 1, "DeferredBatch": 20,
-            "DeviceEndpoint": 10, "DeviceHealthTracker": 1, "DeviceOutageError": 1,
-            "DispatchedTask": 20, "EQCClientNode": 10, "EQCConfig": 1, "EQCEnsemble": 1,
-            "EQCMasterNode": 1, "EnergyObjective": 1, "EpochRecord": 6, "ExecutionResult": 40,
-            "FaultInjector": 1, "FaultPlan": 1, "GradientJobSpec": 21, "GradientOutcome": 17,
-            "GradientTask": 20, "JournalWriter": 1, "LoopState": 1, "MasterTelemetry": 1,
-            "NoiseRecord": 4, "NoisyBackend": 10, "OutageWindow": 1, "ParameterSweep": 21,
-            "ParameterVectorState": 1, "QPU": 10, "RunDirectory": 1, "RunStore": 1,
-            "TrainingCheckpointer": 1, "TrainingHistory": 1, "UtilizationRecord": 10,
-            "WeightingConfig": 1, "_DeviceHealth": 10, "_InFlight": 21,
+            "AsgdRule": 1, "BreakerTransition": 1, "CircuitFootprint": 10, "CloudJob": 21,
+            "CloudProvider": 1, "CyclicTaskQueue": 1, "DeviceEndpoint": 10,
+            "DeviceHealthTracker": 1, "DeviceOutageError": 1, "EQCClientNode": 10,
+            "EQCConfig": 1, "EQCEnsemble": 1, "EQCMasterNode": 1, "EnergyObjective": 1,
+            "EpochRecord": 6, "FaultInjector": 1, "FaultPlan": 1, "GradientJobSpec": 21,
+            "GradientOutcome": 17, "GradientTask": 20, "JournalWriter": 1, "LoopState": 1,
+            "MasterTelemetry": 1, "NoiseRecord": 4, "NoisyBackend": 10, "OutageWindow": 1,
+            "ParameterSweep": 21, "ParameterVectorState": 1, "QPU": 10, "RunDirectory": 1,
+            "RunStore": 1, "TrainingCheckpointer": 1, "TrainingHistory": 1,
+            "UtilizationRecord": 10, "WeightingConfig": 1, "_DeviceHealth": 10, "_InFlight": 21,
         },
     },
     "qaoa10_dispatch": {
         "updates": 24,
         "calls": {
-            "_fields": 27, "backends": 140, "circuit": 543, "cloud": 557, "core": 621,
-            "devices": 945, "engine": 90, "hamiltonian": 287, "noise": 212, "reduction": 139,
-            "simulator": 101, "vqa": 329,
+            "_fields": 27, "backends": 140, "circuit": 444, "cloud": 476, "core": 555,
+            "devices": 385, "engine": 90, "hamiltonian": 167, "noise": 212, "reduction": 139,
+            "simulator": 101, "vqa": 270,
         },
         "built": {
-            "AsgdRule": 1, "CircuitFootprint": 10, "ClockRows": 33, "CloudJob": 33,
-            "CloudProvider": 1, "CyclicTaskQueue": 1, "DeferredBatch": 33, "DeviceEndpoint": 10,
-            "DispatchedTask": 33, "EQCClientNode": 10, "EQCConfig": 1, "EQCEnsemble": 1,
-            "EQCMasterNode": 1, "EnergyObjective": 1, "EpochRecord": 12, "ExecutionResult": 66,
+            "AsgdRule": 1, "CircuitFootprint": 10, "CloudJob": 33, "CloudProvider": 1,
+            "CyclicTaskQueue": 1, "DeviceEndpoint": 10, "EQCClientNode": 10, "EQCConfig": 1,
+            "EQCEnsemble": 1, "EQCMasterNode": 1, "EnergyObjective": 1, "EpochRecord": 12,
             "GradientJobSpec": 33, "GradientOutcome": 24, "GradientTask": 33, "LoopState": 1,
             "MasterTelemetry": 1, "NoiseRecord": 6, "NoisyBackend": 10, "ParameterSweep": 33,
             "ParameterVectorState": 1, "QPU": 10, "TrainingHistory": 1, "UtilizationRecord": 10,
@@ -174,37 +172,34 @@ PINNED = {
     "vqe4_contended": {
         "updates": 32,
         "calls": {
-            "_fields": 140, "backends": 138, "circuit": 822, "cloud": 539, "core": 633,
-            "devices": 2181, "engine": 171, "hamiltonian": 312, "noise": 463, "reduction": 109,
-            "sched": 6234, "simulator": 136, "telemetry": 3, "vqa": 377,
+            "_fields": 140, "backends": 138, "circuit": 717, "cloud": 440, "core": 563,
+            "devices": 1056, "engine": 171, "hamiltonian": 152, "noise": 463, "reduction": 109,
+            "sched": 6234, "simulator": 136, "telemetry": 3, "vqa": 308,
         },
         "built": {
-            "AsgdRule": 1, "CircuitFootprint": 4, "ClockRows": 35, "CloudJob": 35,
-            "CloudProvider": 1, "CloudScheduler": 1, "CyclicTaskQueue": 1, "DeadlinePolicy": 1,
-            "DeferredBatch": 35, "DeviceEndpoint": 4, "DeviceServiceQueue": 4,
-            "DispatchedTask": 35, "EQCClientNode": 4, "EQCConfig": 1, "EQCEnsemble": 1,
+            "AsgdRule": 1, "CircuitFootprint": 4, "CloudJob": 35, "CloudProvider": 1,
+            "CloudScheduler": 1, "CyclicTaskQueue": 1, "DeadlinePolicy": 1, "DeviceEndpoint": 4,
+            "DeviceServiceQueue": 4, "EQCClientNode": 4, "EQCConfig": 1, "EQCEnsemble": 1,
             "EQCMasterNode": 1, "EnergyObjective": 1, "EpochRecord": 2, "Event": 43,
-            "EventKernel": 1, "ExecutionResult": 210, "GradientJobSpec": 35,
-            "GradientOutcome": 32, "GradientTask": 35, "LoopState": 1, "MasterTelemetry": 1,
-            "NoiseRecord": 9, "NoisyBackend": 4, "ParameterSweep": 35,
-            "ParameterVectorState": 1, "QPU": 4, "SchedJob": 1041, "TrainingHistory": 1,
-            "UtilizationRecord": 4, "VirtualClock": 1, "WeightingConfig": 1,
-            "WorkloadGenerator": 1, "_ArrivalRecording": 4, "_Chunk": 25,
+            "EventKernel": 1, "GradientJobSpec": 35, "GradientOutcome": 32, "GradientTask": 35,
+            "LoopState": 1, "MasterTelemetry": 1, "NoiseRecord": 9, "NoisyBackend": 4,
+            "ParameterSweep": 35, "ParameterVectorState": 1, "QPU": 4, "SchedJob": 1041,
+            "TrainingHistory": 1, "UtilizationRecord": 4, "VirtualClock": 1,
+            "WeightingConfig": 1, "WorkloadGenerator": 1, "_ArrivalRecording": 4, "_Chunk": 25,
             "_DeviceArrivalStream": 4, "_InFlight": 35, "_Run": 25,
         },
     },
     "vqe4_stat": {
         "updates": 32,
         "calls": {
-            "_fields": 21, "backends": 138, "circuit": 836, "cloud": 583, "core": 633,
-            "devices": 1768, "engine": 209, "hamiltonian": 315, "noise": 260, "reduction": 120,
-            "simulator": 158, "vqa": 377,
+            "_fields": 21, "backends": 138, "circuit": 731, "cloud": 484, "core": 563,
+            "devices": 657, "engine": 209, "hamiltonian": 155, "noise": 260, "reduction": 120,
+            "simulator": 158, "vqa": 308,
         },
         "built": {
-            "AsgdRule": 1, "CircuitFootprint": 4, "ClockRows": 35, "CloudJob": 35,
-            "CloudProvider": 1, "CyclicTaskQueue": 1, "DeferredBatch": 35, "DeviceEndpoint": 4,
-            "DispatchedTask": 35, "EQCClientNode": 4, "EQCConfig": 1, "EQCEnsemble": 1,
-            "EQCMasterNode": 1, "EnergyObjective": 1, "EpochRecord": 2, "ExecutionResult": 210,
+            "AsgdRule": 1, "CircuitFootprint": 4, "CloudJob": 35, "CloudProvider": 1,
+            "CyclicTaskQueue": 1, "DeviceEndpoint": 4, "EQCClientNode": 4, "EQCConfig": 1,
+            "EQCEnsemble": 1, "EQCMasterNode": 1, "EnergyObjective": 1, "EpochRecord": 2,
             "GradientJobSpec": 35, "GradientOutcome": 32, "GradientTask": 35, "LoopState": 1,
             "MasterTelemetry": 1, "NoiseRecord": 11, "NoisyBackend": 4, "ParameterSweep": 35,
             "ParameterVectorState": 1, "QPU": 4, "TrainingHistory": 1, "UtilizationRecord": 4,

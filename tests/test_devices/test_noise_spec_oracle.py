@@ -27,7 +27,7 @@ from repro.devices.qpu import (
     QPU,
     SECONDS_PER_HOUR,
     CircuitFootprint,
-    ClockRows,
+    CloudJob,
     QPUSpec,
     _wave_noise,
     job_slot_circuit_seconds,
@@ -59,8 +59,8 @@ def walked_starts(now, durations):
 def assert_matches_loop(qpu, num_circuits, footprint, now):
     """The job's specs equal the loop's at each circuit start."""
     width = max(1, footprint.num_measurements)  # the reference's readout width
-    durations, drifts = qpu._walk_clock(num_circuits, now)
-    specs = _wave_noise([ClockRows(qpu, footprint, drifts, width)]).specs()
+    durations, drifts, _ = qpu._walk_clock(num_circuits, now)
+    specs = _wave_noise([clock_rows(qpu, footprint, drifts, width)]).specs()
     expected = [reference.noise_spec(qpu, footprint, cycle, factor) for _, cycle, factor in drifts]
     assert specs == expected
     starts = walked_starts(now, durations)
@@ -119,14 +119,25 @@ def waves(draw, max_width=None):
     return width, wave
 
 
-def clock_rows(width, job):
+def clock_rows(qpu, footprint, drifts, width):
+    """A job record holding what its noise reads: device, footprint, drift
+    triples and readout width."""
+    return CloudJob(-1, qpu.name, len(drifts), 1, 0.0, qpu=qpu, footprint=footprint,
+                    drifts=drifts, width=width)
+
+
+def walked_job(width, job):
     qpu, num_circuits, footprint, start = job
-    return ClockRows(qpu, footprint, qpu._walk_clock(num_circuits, start)[1], width)
+    return clock_rows(qpu, footprint, qpu._walk_clock(num_circuits, start)[1], width)
+
+
+def reference_record(clock):
+    return reference._noise_record(clock.qpu, clock.footprint, clock.drifts, clock.width)
 
 
 def per_job_records(clocks):
     """The wave as the per-job pass built it: one record per job, concatenated."""
-    records = [reference._noise_record(*clock) for clock in clocks]
+    records = [reference_record(clock) for clock in clocks]
     columns = zip(*(record._columns() for record in records))
     return type(records[0])(*map(np.concatenate, columns))
 
@@ -149,7 +160,7 @@ def test_a_job_across_a_recalibration_reads_both_tables(qpu):
 @given(waves())
 def test_drawn_waves_match_the_per_job_records(wave):
     width, jobs = wave
-    clocks = [clock_rows(width, job) for job in jobs]
+    clocks = [walked_job(width, job) for job in jobs]
     assert_bit_equal(_wave_noise(clocks), per_job_records(clocks))
 
 
@@ -163,7 +174,7 @@ def test_execution_noise_is_the_per_job_row(job):
 
 
 def expected_metadata(clock):
-    success = reference._noise_record(*clock).success.tolist()
+    success = reference_record(clock).success.tolist()
     return [
         {"success_probability": s, "calibration_age_hours": age, "drift_factor": factor}
         for s, (age, _, factor) in zip(success, clock.drifts)
@@ -175,7 +186,8 @@ def expected_metadata(clock):
 def test_a_resolved_wave_writes_each_rows_success(wave, seed):
     """Parked jobs sharing a template resolve as one wave; each result's
     metadata carries its row of the per-job record, as does the same job
-    run alone (``park=None``), with the same counts."""
+    run alone (``park=None``), with the same counts; the job's ``success``
+    is its first row's."""
     width, jobs = wave
     template = QuantumCircuit(width)
     template.ry(Parameter("t"), 0)
@@ -185,14 +197,17 @@ def test_a_resolved_wave_writes_each_rows_success(wave, seed):
     for number, job in enumerate(jobs):
         qpu, num_circuits, footprint, start = job
         sweep = ParameterSweep([template], np.full((num_circuits, 1), 0.3 * number))
-        parked_results = qpu.execute_batch(
-            sweep, footprint, 8, start, np.random.default_rng(seed + number), park=parked
+        record = CloudJob(number, qpu.name, num_circuits, 8, start)
+        qpu.execute_batch(
+            sweep, footprint, 8, start, np.random.default_rng(seed + number), park=record
         )
+        parked.append(record)
         alone = qpu.execute_batch(sweep, footprint, 8, start, np.random.default_rng(seed + number))
-        runs.append((parked_results, alone, clock_rows(width, job)))
+        runs.append((record, alone, walked_job(width, job)))
     resolve_batches(parked)
-    for parked_results, alone, clock in runs:
+    for record, alone, clock in runs:
         expected = expected_metadata(clock)
-        assert [result.metadata for result in parked_results] == expected
+        assert [result.metadata for result in record.results] == expected
         assert [result.metadata for result in alone] == expected
-        assert [dict(r.counts) for r in parked_results] == [dict(r.counts) for r in alone]
+        assert record.success == expected[0]["success_probability"]
+        assert [dict(r.counts) for r in record.results] == [dict(r.counts) for r in alone]

@@ -13,7 +13,7 @@ from repro.core.objective import EnergyObjective
 from repro.devices.catalog import build_qpu, device_spec
 from repro.devices.qpu import (
     CircuitFootprint,
-    ClockRows,
+    CloudJob,
     _wave_noise,
     job_slot_circuit_seconds,
     resolve_batches,
@@ -197,14 +197,16 @@ class TestExecution:
             [ghz_state(4)] * 24, ghz_footprint, shots=16, now=now, rng=rng
         )
         assert len(calls) == 24  # the noise, built at resolve, reads the walk's triples
-        durations, drifts = bogota._walk_clock(24, now)
+        durations, drifts, _ = bogota._walk_clock(24, now)
         # Each start is ``now`` plus its predecessors' job slots, summed from 0.
         offsets = itertools.accumulate(
             map(job_slot_circuit_seconds, durations[:-1]), initial=0.0
         )
         starts = [now + offset for offset in offsets]
         width = ghz_footprint.num_measurements
-        specs = _wave_noise([ClockRows(bogota, ghz_footprint, drifts, width)]).specs()
+        job = CloudJob(-1, "Bogota", len(drifts), 1, now, qpu=bogota, footprint=ghz_footprint,
+                       drifts=drifts, width=width)
+        specs = _wave_noise([job]).specs()
         assert bogota.calibration_cycle(starts[0]) != bogota.calibration_cycle(starts[-1])
         for start, duration, spec, result in zip(starts, durations, specs, results):
             assert duration == result.duration_seconds == bogota.job_duration_seconds(start)
@@ -269,13 +271,16 @@ class TestStackedWaves:
         qpus = [build_qpu("Belem"), build_qpu("Bogota")]
         template = qaoa_problem.estimator.template_circuits()[0]
         footprint = transpile(template, qpus[0].topology).footprint
-        parked, results = [], []
+        parked = []
         for index in range(4):
             job = objective.build_job(GradientTask(index, index % 2), [0.1 * index, -0.3])
             rng = np.random.default_rng(index)
-            results += qpus[index % 2].execute_batch(
-                job.batch, footprint, 128, 30.0 * index, rng=rng, park=parked
+            record = CloudJob(index, qpus[index % 2].name, len(job.batch), 128, 30.0 * index)
+            qpus[index % 2].execute_batch(
+                job.batch, footprint, 128, 30.0 * index, rng=rng, park=record
             )
+            parked.append(record)
+        jobs = list(parked)
         checks = []
         original = sweep_module.checked_theta
         monkeypatch.setattr(
@@ -283,4 +288,4 @@ class TestStackedWaves:
         )
         resolve_batches(parked)
         assert checks == [] and parked == []
-        assert all(sum(result.counts.values()) == 128 for result in results)
+        assert all(sum(counts.values()) == 128 for job in jobs for counts in job.counts)

@@ -15,8 +15,6 @@ LIMIT = 60
 
 #: "module:qualified name" -> its length (lines) when it was allowlisted.
 ALLOWED = {
-    "devices/qpu.py:_wave_noise": 67,
-    "devices/qpu.py:resolve_batches": 63,
     "engine/compiler.py:compile_circuit": 102,
     "engine/executor.py:_apply_ops": 68,
     "noise/generator.py:CalibrationGenerator.generate": 69,

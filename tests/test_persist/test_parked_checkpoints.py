@@ -245,18 +245,18 @@ def test_a_parked_job_round_trips_through_a_container(objective, seed, jobs):
     restored = [restore_parked(entry, clients[entry["client"]]) for entry in stored]
     for ours, theirs in zip(fresh.provider._parked, original.provider._parked):
         assert ours.circuits.theta.tobytes() == theirs.circuits.theta.tobytes()
-        # Same clock rows (device spec, footprint, drift triples, width), so
+        # Same clock half (device spec, footprint, drift triples, width), so
         # the same noise record when the wave is built.
-        assert ours.clock.qpu.spec == theirs.clock.qpu.spec
-        assert (ours.clock[1:], ours.shots) == (theirs.clock[1:], theirs.shots)
-        assert _wave_noise([ours.clock]).specs() == _wave_noise([theirs.clock]).specs()
-        assert [(r.duration_seconds, r.metadata, r.queue_seconds) for r in ours.results] == [
-            (r.duration_seconds, r.metadata, r.queue_seconds) for r in theirs.results
-        ]
+        assert ours.qpu.spec == theirs.qpu.spec
+        assert (ours.footprint, ours.drifts, ours.width, ours.shots) == (
+            theirs.footprint, theirs.drifts, theirs.width, theirs.shots
+        )
+        assert _wave_noise([ours]).specs() == _wave_noise([theirs]).specs()
+        assert (ours.durations, ours.queue_seconds) == (theirs.durations, theirs.queue_seconds)
 
-    for entry, dispatched in zip(entries, restored):
-        expected_job = master._dispatched[entry.job_id].cloud_job
-        assert dispatched.collect() == master.gather(entry)
-        assert counts_of(dispatched.cloud_job) == counts_of(expected_job)
+    for entry, job in zip(entries, restored):
+        expected_job = master._dispatched[entry.job_id]
+        assert clients[entry.client.name].collect(job) == master.gather(entry)
+        assert counts_of(job) == counts_of(expected_job)
     assert not fresh.provider._parked and not original.provider._parked
     assert fresh.provider.snapshot_state() == original.provider.snapshot_state()

@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 from repro.circuit import Parameter, ParameterSweep, QuantumCircuit
 from repro.circuit.gates import GATE_SPECS
 from repro.devices.catalog import available_devices, build_qpu
-from repro.devices.qpu import SECONDS_PER_HOUR, CircuitFootprint, ClockRows, _wave_noise
+from repro.devices.qpu import SECONDS_PER_HOUR, CircuitFootprint, CloudJob, _wave_noise
 from repro.simulator.mixing import MixingNoiseSpec, noisy_probabilities_batch
 
 TOLERANCE = 1e-12
@@ -47,7 +47,9 @@ def register_width(circuit):
 def job_noise(qpu, count, footprint, now, width):
     """The noise record of a ``count``-circuit job starting at ``now``."""
     drifts = qpu._walk_clock(count, now)[1]
-    return _wave_noise([ClockRows(qpu, footprint, drifts, width)])
+    job = CloudJob(-1, qpu.name, count, 1, now, qpu=qpu, footprint=footprint, drifts=drifts,
+                   width=width)
+    return _wave_noise([job])
 
 
 def assert_matches_oracle(rows, circuits, specs):

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from repro.circuit.sweep import ParameterSweep
 from repro.devices import qpu as qpu_module
 from repro.devices.catalog import build_qpu
-from repro.devices.qpu import CircuitFootprint, resolve_batches
+from repro.devices.qpu import CircuitFootprint, CloudJob, resolve_batches
 from repro.simulator.sampler import sample_distribution_batch
 
 
@@ -125,10 +125,17 @@ class TestBadRows:
 
 
 def _park(templates, qpu, stream, parked, seed):
+    """A two-point sweep job's counts, read after ``parked`` (if a list) resolves."""
     theta = np.random.default_rng(seed).uniform(-np.pi, np.pi, (2, len(templates[0].parameters)))
     footprint = CircuitFootprint.from_circuit(templates[0])
     sweep = ParameterSweep(templates, theta)
-    return qpu.execute_batch(sweep, footprint, 128, now=60.0 * seed, rng=stream, park=parked)
+    if parked is None:
+        results = qpu.execute_batch(sweep, footprint, 128, now=60.0 * seed, rng=stream)
+        return lambda: results
+    job = CloudJob(seed, qpu.name, len(sweep), 128, 60.0 * seed)
+    qpu.execute_batch(sweep, footprint, 128, now=60.0 * seed, rng=stream, park=job)
+    parked.append(job)
+    return lambda: job.results
 
 
 @pytest.fixture
@@ -152,8 +159,8 @@ class TestResolve:
         alone.append(_park(template_sets[0], qpu, alone_own, None, 9))
         resolve_batches(parked)
         assert not parked
-        facts = [[dict(r.counts) for r in results] for results in waved]
-        assert facts == [[dict(r.counts) for r in results] for results in alone]
+        facts = [[dict(r.counts) for r in results()] for results in waved]
+        assert facts == [[dict(r.counts) for r in results()] for results in alone]
         assert _state(shared) == _state(alone_shared) and _state(own) == _state(alone_own)
 
     @pytest.mark.parametrize("bad_wave", [0, 1])
@@ -183,5 +190,5 @@ class TestResolve:
             resolve_batches(parked)
         assert len(passes) == 2
         assert parked == jobs
-        assert all(r.counts is None for job in jobs for r in job.results)
+        assert all(job.counts is None for job in jobs)
         assert [_state(s) for s in streams] == before
