@@ -27,12 +27,12 @@ import numpy as np
 
 from .._fields import require
 from ..cloud.clock import SECONDS_PER_HOUR
+from ..cloud.job import CloudJob
 from ..faults.errors import DeviceOutageError, FaultError, FleetExhaustedError
 from ..faults.health import DeviceHealthTracker
 from ..telemetry import TELEMETRY as _telemetry
 from ..vqa.optimizer import AsgdRule, ParameterVectorState
 from ..vqa.tasks import CyclicTaskQueue, GradientTask
-from ..cloud.job import CloudJob
 from .client import EQCClientNode, GradientOutcome
 from .history import EpochRecord, TrainingHistory
 from .objective import VQAObjective
