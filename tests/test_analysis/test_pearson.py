@@ -68,9 +68,9 @@ def test_a_constant_sample_has_no_correlation():
     assert math.isnan(r) and math.isnan(p)
 
 
-def test_analysis_and_the_fig4_driver_run_without_scipy():
+def test_analysis_and_the_fig4_experiment_run_without_scipy():
     """In a child whose imports of scipy fail, ``repro.analysis`` imports and
-    the Fig. 4 driver reproduces scipy's r and p."""
+    the Fig. 4 experiment reproduces scipy's r and p."""
     src = str(Path(__file__).resolve().parents[2] / "src")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     probe = (
