@@ -79,6 +79,28 @@ class ParameterSweep:
         self.theta = matrix
 
     @classmethod
+    def over_checked(
+        cls, templates: tuple[QuantumCircuit, ...], width: int, theta, label: object
+    ) -> "ParameterSweep":
+        """A sweep over ``templates``, which the caller checked once through the
+        constructor to take ``width`` parameters each.
+
+        ``theta`` is checked as the constructor checks it (:func:`checked_theta`,
+        then its columns against ``width``); only the templates are not read
+        again.
+        """
+        matrix = checked_theta(theta, label)
+        if matrix.shape[1] != width:
+            raise ValueError(
+                f"{label}: the templates have {width} parameters but theta has "
+                f"{matrix.shape[1]} columns"
+            )
+        matrix.setflags(write=False)
+        sweep = cls.__new__(cls)
+        sweep.templates, sweep.theta = templates, matrix
+        return sweep
+
+    @classmethod
     def stacked(cls, sweeps: Sequence["ParameterSweep"]) -> "ParameterSweep":
         """The points of ``sweeps`` in order, at the first's templates, unchecked."""
         sweep = cls.__new__(cls)

@@ -99,7 +99,11 @@ class EnergyObjective(VQAObjective):
 
     def __init__(self, estimator: EnergyEstimator) -> None:
         self.estimator = estimator
-        self._templates = tuple(estimator.template_circuits())
+        self._templates = templates = tuple(estimator.template_circuits())
+        # The constructor checks every template here, once, against the first
+        # one's parameter count; a job's sweep then checks only its theta.
+        self._width = len(templates[0].parameters) if templates else 0
+        ParameterSweep(templates, np.zeros((1, self._width)), label="EnergyObjective")
         self._template_keys = tuple(
             ("group", index) for index in range(len(self._templates))
         )
@@ -115,10 +119,11 @@ class EnergyObjective(VQAObjective):
 
     def build_job(self, task: GradientTask, theta: Sequence[float]) -> GradientJobSpec:
         return GradientJobSpec(
-            ParameterSweep(
+            ParameterSweep.over_checked(
                 self._templates,
+                self._width,
                 shifted_theta_matrix(theta, [task.parameter_index]),
-                label=task,
+                task,
             ),
             self._template_keys,
         )

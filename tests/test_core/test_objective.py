@@ -63,6 +63,24 @@ class TestEnergyObjective:
         with pytest.raises(ValueError, match="16 parameters"):
             objective.build_job(task, [0.1] * 15)
 
+    def test_templates_are_checked_at_construction(self):
+        """The templates' parameter counts are read once, when the objective
+        is built; a job's sweep compares theta with that count."""
+        from types import SimpleNamespace
+
+        from repro.circuit import Parameter, QuantumCircuit
+
+        a, b = Parameter("a"), Parameter("b")
+        one = QuantumCircuit(1).ry(a, 0)
+        two = QuantumCircuit(1).ry(a, 0).rx(b, 0)
+        with pytest.raises(ValueError, match="EnergyObjective: template .* has 2 parameters"):
+            EnergyObjective(SimpleNamespace(template_circuits=lambda: [one, two]))
+        objective = EnergyObjective(SimpleNamespace(template_circuits=lambda: [two, two]))
+        job = objective.build_job(GradientTask(task_id=0, parameter_index=1), [0.1, 0.2])
+        assert job.batch.templates == (two, two) and job.batch.theta.shape == (2, 2)
+        with pytest.raises(ValueError, match="2 parameters but theta has 1 columns"):
+            objective.build_job(GradientTask(task_id=0, parameter_index=0), [0.1])
+
     def test_gradient_from_ideal_counts_matches_exact(self, vqe_problem, rng):
         objective = EnergyObjective(vqe_problem.estimator)
         theta = np.linspace(-0.4, 0.6, 16)

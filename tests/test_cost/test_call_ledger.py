@@ -135,7 +135,7 @@ PINNED = {
     "qaoa10_chaos_durable": {
         "updates": 12,
         "calls": {
-            "_fields": 40, "_streams": 127, "backends": 101, "circuit": 306, "cloud": 363,
+            "_fields": 40, "_streams": 127, "backends": 101, "circuit": 289, "cloud": 363,
             "core": 465, "devices": 291, "engine": 60, "faults": 247, "hamiltonian": 112,
             "noise": 186, "persist": 460, "reduction": 111, "simulator": 76, "vqa": 165,
         },
@@ -147,7 +147,7 @@ PINNED = {
             "EpochRecord": 6, "FaultInjector": 1, "FaultPlan": 1, "GradientJobSpec": 21,
             "GradientOutcome": 17, "GradientTask": 20, "JournalWriter": 1, "LoopState": 1,
             "MasterTelemetry": 1, "NoiseRecord": 4, "NoisyBackend": 10, "OutageWindow": 1,
-            "ParameterSweep": 21, "ParameterVectorState": 1, "QPU": 10, "RunDirectory": 1,
+            "ParameterSweep": 1, "ParameterVectorState": 1, "QPU": 10, "RunDirectory": 1,
             "RunStore": 1, "TrainingCheckpointer": 1, "TrainingHistory": 1,
             "UtilizationRecord": 10, "WeightingConfig": 1, "_DeviceHealth": 10, "_InFlight": 21,
         },
@@ -155,7 +155,7 @@ PINNED = {
     "qaoa10_dispatch": {
         "updates": 24,
         "calls": {
-            "_fields": 27, "backends": 140, "circuit": 444, "cloud": 476, "core": 555,
+            "_fields": 27, "backends": 140, "circuit": 415, "cloud": 476, "core": 555,
             "devices": 385, "engine": 90, "hamiltonian": 167, "noise": 212, "reduction": 139,
             "simulator": 101, "vqa": 270,
         },
@@ -164,7 +164,7 @@ PINNED = {
             "CyclicTaskQueue": 1, "DeviceEndpoint": 10, "EQCClientNode": 10, "EQCConfig": 1,
             "EQCEnsemble": 1, "EQCMasterNode": 1, "EnergyObjective": 1, "EpochRecord": 12,
             "GradientJobSpec": 33, "GradientOutcome": 24, "GradientTask": 33, "LoopState": 1,
-            "MasterTelemetry": 1, "NoiseRecord": 6, "NoisyBackend": 10, "ParameterSweep": 33,
+            "MasterTelemetry": 1, "NoiseRecord": 6, "NoisyBackend": 10, "ParameterSweep": 1,
             "ParameterVectorState": 1, "QPU": 10, "TrainingHistory": 1, "UtilizationRecord": 10,
             "WeightingConfig": 1, "_InFlight": 33,
         },
@@ -172,7 +172,7 @@ PINNED = {
     "vqe4_contended": {
         "updates": 32,
         "calls": {
-            "_fields": 140, "backends": 138, "circuit": 717, "cloud": 440, "core": 563,
+            "_fields": 140, "backends": 138, "circuit": 618, "cloud": 440, "core": 563,
             "devices": 1056, "engine": 171, "hamiltonian": 152, "noise": 463, "reduction": 109,
             "sched": 6234, "simulator": 136, "telemetry": 3, "vqa": 308,
         },
@@ -183,7 +183,7 @@ PINNED = {
             "EQCMasterNode": 1, "EnergyObjective": 1, "EpochRecord": 2, "Event": 43,
             "EventKernel": 1, "GradientJobSpec": 35, "GradientOutcome": 32, "GradientTask": 35,
             "LoopState": 1, "MasterTelemetry": 1, "NoiseRecord": 9, "NoisyBackend": 4,
-            "ParameterSweep": 35, "ParameterVectorState": 1, "QPU": 4, "SchedJob": 1041,
+            "ParameterSweep": 1, "ParameterVectorState": 1, "QPU": 4, "SchedJob": 1041,
             "TrainingHistory": 1, "UtilizationRecord": 4, "VirtualClock": 1,
             "WeightingConfig": 1, "WorkloadGenerator": 1, "_ArrivalRecording": 4, "_Chunk": 25,
             "_DeviceArrivalStream": 4, "_InFlight": 35, "_Run": 25,
@@ -192,7 +192,7 @@ PINNED = {
     "vqe4_stat": {
         "updates": 32,
         "calls": {
-            "_fields": 21, "backends": 138, "circuit": 731, "cloud": 484, "core": 563,
+            "_fields": 21, "backends": 138, "circuit": 632, "cloud": 484, "core": 563,
             "devices": 657, "engine": 209, "hamiltonian": 155, "noise": 260, "reduction": 120,
             "simulator": 158, "vqa": 308,
         },
@@ -201,7 +201,7 @@ PINNED = {
             "CyclicTaskQueue": 1, "DeviceEndpoint": 4, "EQCClientNode": 4, "EQCConfig": 1,
             "EQCEnsemble": 1, "EQCMasterNode": 1, "EnergyObjective": 1, "EpochRecord": 2,
             "GradientJobSpec": 35, "GradientOutcome": 32, "GradientTask": 35, "LoopState": 1,
-            "MasterTelemetry": 1, "NoiseRecord": 11, "NoisyBackend": 4, "ParameterSweep": 35,
+            "MasterTelemetry": 1, "NoiseRecord": 11, "NoisyBackend": 4, "ParameterSweep": 1,
             "ParameterVectorState": 1, "QPU": 4, "TrainingHistory": 1, "UtilizationRecord": 4,
             "WeightingConfig": 1, "_InFlight": 35,
         },
