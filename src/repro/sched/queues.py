@@ -160,10 +160,12 @@ class DeviceServiceQueue:
         #: physics-driven calibration windows for accounting.
         self.outage_windows: list[DowntimeWindow] = []
 
-        self.completed: list[SchedJob] = []
-        #: ``wait_seconds`` of each completed job, recorded at completion in
-        #: the order of ``completed`` (what the SLO percentiles read).
+        #: What a completion leaves behind, in completion order: the job's id,
+        #: its ``wait_seconds`` (what the SLO percentiles read) and, for a
+        #: foreground job, its wait again.  No finished job is kept.
+        self.completed_ids = array("q")
         self.waits = array("d")
+        self.foreground_waits = array("d")
         self.jobs_rejected = 0
         self.busy_seconds = 0.0
         #: Accumulated service per tenant (what fair-share policies consume).
@@ -370,10 +372,13 @@ class DeviceServiceQueue:
         # The physics ran; completed handles must not pin the caller's closure.
         job.service = None
         self.in_service = None
-        self.completed.append(job)
+        self.completed_ids.append(job.job_id)
         # ``job.wait_seconds``, inlined (NaN and -0.0 read 0.0 as there).
         wait = job.start_time - job.arrival_time
-        self.waits.append(wait if wait > 0.0 else 0.0)
+        wait = wait if wait > 0.0 else 0.0
+        self.waits.append(wait)
+        if job.foreground:
+            self.foreground_waits.append(wait)
         seconds = job.service_seconds
         self.busy_seconds += seconds
         given = self.service_given

@@ -220,32 +220,11 @@ class CloudScheduler:
     # ------------------------------------------------------------------
     # observability
     # ------------------------------------------------------------------
-    def completed_jobs(self) -> list[SchedJob]:
-        """Every finished job fleet-wide, in completion order per device."""
-        return [job for queue in self.queues.values() for job in queue.completed]
-
-    def tenant_report(self) -> dict[str, dict[str, float]]:
-        """Per-tenant latency/throughput aggregates across the fleet."""
-        jobs: dict[str, list[SchedJob]] = {}
-        for job in self.completed_jobs():
-            jobs.setdefault(job.tenant, []).append(job)
-        report: dict[str, dict[str, float]] = {}
-        for tenant, tenant_jobs in sorted(jobs.items()):
-            waits = [job.wait_seconds for job in tenant_jobs]
-            turnarounds = [job.turnaround_seconds for job in tenant_jobs]
-            report[tenant] = {
-                "jobs_completed": float(len(tenant_jobs)),
-                "mean_wait_seconds": float(sum(waits) / len(waits)),
-                "max_wait_seconds": float(max(waits)),
-                "mean_turnaround_seconds": float(sum(turnarounds) / len(turnarounds)),
-            }
-        return report
-
     def metrics(self) -> dict[str, object]:
         """Kernel and per-device counters for benchmarks and experiments."""
         per_device = {
             name: {
-                "jobs_completed": len(queue.completed),
+                "jobs_completed": len(queue.completed_ids),
                 "jobs_rejected": queue.jobs_rejected,
                 "waiting": queue.queue_length,
                 "busy_seconds": queue.busy_seconds,
@@ -269,7 +248,8 @@ class CloudScheduler:
         Queue-wait percentiles cover every completed job (foreground and
         tenant); the fairness index is Jain's index over the device seconds
         each tenant received, so 1.0 means perfectly even service.  The
-        waits are the queues' columns, in :meth:`completed_jobs` order.
+        waits are the queues' columns: devices in registration order, each
+        in completion order.
         """
         waits = array("d")
         for queue in self.queues.values():

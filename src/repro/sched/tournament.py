@@ -218,7 +218,7 @@ def run_cell(
     history = master.train(num_epochs=config.num_epochs)
     wall_seconds = time.perf_counter() - wall_start
 
-    waits = [job.wait_seconds for job in scheduler.completed_jobs() if job.tenant == "eqc"]
+    waits = [wait for queue in scheduler.queues.values() for wait in queue.foreground_waits]
     events = scheduler.kernel.events_processed
     return {
         "policy": policy,

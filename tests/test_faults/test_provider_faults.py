@@ -9,6 +9,7 @@ import copy
 
 import pytest
 
+from _reference.completions import spy_completions
 from repro.circuit import ghz_state
 from repro.cloud.job import JobStatus
 from repro.cloud.provider import CloudProvider
@@ -299,6 +300,7 @@ class TestInjectorWithScheduler:
             provider = make_provider(
                 plan=plan, retry_policy=RetryPolicy(max_attempts=8), clock="kernel"
             )
+            finished = spy_completions(provider.scheduler)
             now, trail = 0.0, []
             for _ in range(10):
                 job = submit_one(provider, belem_job_inputs, now=now)
@@ -307,9 +309,9 @@ class TestInjectorWithScheduler:
                     + tuple(tuple(r.counts.items()) for r in job.results)
                 )
                 now = job.finish_time
-            return provider, trail
+            return provider, trail, finished
 
-        provider, trail = run()
+        provider, trail, finished = run()
         counters = provider.fault_counters
         assert counters["retries"] == counters["transient_failures"] >= 1
         assert counters["result_delays"] >= 1
@@ -320,7 +322,7 @@ class TestInjectorWithScheduler:
         assert len(queue.outage_windows) == 1
         assert queue.in_service is None and not queue.waiting
         # Failed attempts pass through the queue with zero service time.
-        assert len(queue.completed) == 10 + counters["retries"]
+        assert len(finished["Belem"]) == 10 + counters["retries"]
         assert provider._endpoint("Belem").record.jobs_completed == 10
         # Same (plan, seed): the same chaos, bit for bit.
         assert run()[1] == trail

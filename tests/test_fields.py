@@ -27,6 +27,7 @@ import numpy as np
 import pytest
 
 import repro
+from _reference.completions import spy_completions
 from repro._fields import require
 from repro.cloud import CloudProvider
 from repro.cloud.queueing import queue_model_for
@@ -365,8 +366,9 @@ def test_scheduler_submit_refuses_out_of_range_by_name(field, value):
     the refused job never reaches the queue (a zero or negative circuit count used to be priced
     as a one-circuit job)."""
     scheduler = _belem_scheduler()
+    finished = spy_completions(scheduler)
     with pytest.raises(ValueError, match=f"^{field} must be "):
         scheduler.submit("Belem", **{field: value})
     job = scheduler.submit("Belem", duration=10.0)
     scheduler.run_until_complete(job)
-    assert scheduler.queues["Belem"].completed == [job]
+    assert finished["Belem"] == [job]

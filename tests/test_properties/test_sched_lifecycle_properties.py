@@ -4,8 +4,9 @@ A random scheduler run (any registered policy, any seed, tenant load, queue
 cap and outage plan; ``run_until_time`` and ``run_until_complete`` calls
 interleaved with withdrawing a waiting foreground job) must conserve jobs,
 keep time monotone, keep every service start outside the windows in which
-the device was down, keep each queue's waits column equal to its completed
-jobs' waits, and keep the kernel's live-event count equal to what is
+the device was down, keep each queue's id and waits columns equal to its
+completed jobs' ids and waits (the jobs are read through the completion spy
+of ``tests/_reference``), and keep the kernel's live-event count equal to what is
 actually on its heap.
 """
 
@@ -14,9 +15,11 @@ import dataclasses
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _reference.completions import spy_completions
 from repro.cloud.queueing import queue_model_for
 from repro.devices.catalog import TABLE_I
 from repro.devices.qpu import QPU
+from repro.reduction import ordered_sum
 from repro.sched import POLICY_REGISTRY, CloudScheduler, WorkloadGenerator
 from repro.sched.kernel import Event
 
@@ -73,6 +76,7 @@ class Harness:
                 duration=duration,
                 permanent=permanent and index == MORTAL,
             )
+        self.finished = spy_completions(self.scheduler)
         self.handles = []
         self.gone = set()  # handles withdrawn: they will never complete
         self.last_now = 0.0
@@ -139,19 +143,21 @@ class Harness:
 
         for name, queue in scheduler.queues.items():
             running = queue.in_service
+            completed = self.finished[name]
             assert self.offered[name] == (
-                len(queue.completed)
+                len(completed)
                 + queue.jobs_rejected
                 + len(queue.waiting)
                 + (running is not None)
                 + self.withdrawn[name]
             )
-            assert queue.busy_seconds == sum(j.service_seconds for j in queue.completed)
+            assert queue.busy_seconds == ordered_sum(j.service_seconds for j in completed)
             # Recorded once, at completion: a preempted job's restart counts.
-            assert queue.waits.tolist() == [j.wait_seconds for j in queue.completed]
+            assert queue.waits.tolist() == [j.wait_seconds for j in completed]
+            assert queue.completed_ids.tolist() == [j.job_id for j in completed]
             windows = queue.downtime_windows + queue.outage_windows
             previous_finish = 0.0
-            for job in queue.completed + ([running] if running is not None else []):
+            for job in completed + ([running] if running is not None else []):
                 assert job.arrival_time <= job.start_time
                 assert not any(w.start <= job.start_time < w.end for w in windows)
                 # Capacity one: services on a device never overlap.

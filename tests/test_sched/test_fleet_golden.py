@@ -51,10 +51,10 @@ def fleet_digest(policy: str) -> str:
     hasher.update(f"{policy}:{scheduler.kernel.events_processed}".encode())
     for name, queue in scheduler.queues.items():
         hasher.update(
-            f"{name}:{len(queue.completed)}:{queue.jobs_rejected}:"
+            f"{name}:{len(queue.completed_ids)}:{queue.jobs_rejected}:"
             f"{queue.busy_seconds.hex()}".encode()
         )
-        hasher.update(",".join(str(job.job_id) for job in queue.completed).encode())
+        hasher.update(",".join(str(job_id) for job_id in queue.completed_ids).encode())
     slo = scheduler.slo_metrics()
     hasher.update(",".join(f"{k}={float(slo[k]).hex()}" for k in sorted(slo)).encode())
     return hasher.hexdigest()

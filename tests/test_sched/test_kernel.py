@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from _reference.completions import spy_completions
 from repro.cloud.clock import VirtualClock
 from repro.cloud.queueing import queue_model_for
 from repro.devices.catalog import build_qpu
@@ -346,6 +347,7 @@ class TestRearm:
     def test_an_outage_cancels_the_service_event_and_the_restart_takes_another(self):
         scheduler = CloudScheduler(policy="fifo", downtime_seconds=0.0)
         scheduler.register_device(build_qpu("Belem"), queue_model_for("Belem"))
+        finished = spy_completions(scheduler)
         first = scheduler.submit("Belem", arrival=0.0, duration=100.0)
         scheduler.inject_outage("Belem", start=50.0, duration=10.0)
         kernel, queue = scheduler.kernel, scheduler.queues["Belem"]
@@ -365,4 +367,4 @@ class TestRearm:
         assert completions[0] is queue._service_event is not cut
         assert (first.start_time, first.finish_time) == (60.0, 160.0)
         assert (second.start_time, second.finish_time) == (160.0, 190.0)
-        assert queue.completed == [first, second]
+        assert finished["Belem"] == [first, second]

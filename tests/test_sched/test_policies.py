@@ -4,6 +4,7 @@ import copy
 
 import pytest
 
+from _reference.completions import spy_completions
 from repro.circuit import ghz_state
 from repro.cloud.provider import CloudProvider
 from repro.cloud.queueing import queue_model_for
@@ -81,6 +82,7 @@ def test_pinned_jobs_run_on_their_own_device(name):
     """Every job names its device: each policy admits it to that device's
     queue, and a long job on one device delays only that device's work."""
     scheduler = fleet_scheduler(name)
+    finished = spy_completions(scheduler)
     devices = ("Belem", "Bogota", "Casablanca")
     long_job = scheduler.submit(device_name="Belem", arrival=0.0, duration=1000.0)
     jobs = [
@@ -91,7 +93,7 @@ def test_pinned_jobs_run_on_their_own_device(name):
         scheduler.run_until_complete(job)
     for device, job in zip(devices, jobs):
         assert job.device_name == device
-        assert job in scheduler.queues[device].completed
+        assert job in finished[device]
     assert [job.start_time for job in jobs] == [1000.0, 0.0, 0.0]
 
 

