@@ -79,25 +79,16 @@ class ParameterSweep:
         self.theta = matrix
 
     @classmethod
-    def over_checked(
-        cls, templates: tuple[QuantumCircuit, ...], width: int, theta, label: object
-    ) -> "ParameterSweep":
-        """A sweep over ``templates``, which the caller checked once through the
-        constructor to take ``width`` parameters each.
-
-        ``theta`` is checked as the constructor checks it (:func:`checked_theta`,
-        then its columns against ``width``); only the templates are not read
-        again.
-        """
-        matrix = checked_theta(theta, label)
-        if matrix.shape[1] != width:
-            raise ValueError(
-                f"{label}: the templates have {width} parameters but theta has "
-                f"{matrix.shape[1]} columns"
-            )
-        matrix.setflags(write=False)
+    def over_checked(cls, templates: tuple, width: int, theta, label: object) -> "ParameterSweep":
+        """A sweep over ``templates``, which the constructor already checked to
+        take ``width`` parameters each: ``theta`` is checked as there, and the
+        templates are not read again."""
         sweep = cls.__new__(cls)
-        sweep.templates, sweep.theta = templates, matrix
+        sweep.templates, sweep.theta = templates, checked_theta(theta, label)
+        if sweep.theta.shape[1] != width:
+            columns = sweep.theta.shape[1]
+            raise ValueError(f"{label}: templates of {width} parameters, theta of {columns}")
+        sweep.theta.setflags(write=False)
         return sweep
 
     @classmethod

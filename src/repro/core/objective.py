@@ -100,8 +100,7 @@ class EnergyObjective(VQAObjective):
     def __init__(self, estimator: EnergyEstimator) -> None:
         self.estimator = estimator
         self._templates = templates = tuple(estimator.template_circuits())
-        # The constructor checks every template here, once, against the first
-        # one's parameter count; a job's sweep then checks only its theta.
+        # Every template is checked once, here; a job's sweep checks its theta.
         self._width = len(templates[0].parameters) if templates else 0
         ParameterSweep(templates, np.zeros((1, self._width)), label="EnergyObjective")
         self._template_keys = tuple(

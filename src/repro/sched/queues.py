@@ -102,12 +102,6 @@ class SchedJob:
             return 0.0
         return max(0.0, self.start_time - self.arrival_time)
 
-    @property
-    def turnaround_seconds(self) -> float:
-        if self.finish_time is None:
-            return 0.0
-        return max(0.0, self.finish_time - self.arrival_time)
-
 
 @dataclass
 class DowntimeWindow:

@@ -78,7 +78,7 @@ class TestEnergyObjective:
         objective = EnergyObjective(SimpleNamespace(template_circuits=lambda: [two, two]))
         job = objective.build_job(GradientTask(task_id=0, parameter_index=1), [0.1, 0.2])
         assert job.batch.templates == (two, two) and job.batch.theta.shape == (2, 2)
-        with pytest.raises(ValueError, match="2 parameters but theta has 1 columns"):
+        with pytest.raises(ValueError, match="templates of 2 parameters, theta of 1"):
             objective.build_job(GradientTask(task_id=0, parameter_index=0), [0.1])
 
     def test_gradient_from_ideal_counts_matches_exact(self, vqe_problem, rng):

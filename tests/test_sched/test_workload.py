@@ -214,7 +214,7 @@ class TestInjection:
         assert by_tenant
         for jobs in by_tenant.values():
             assert sum(job.wait_seconds for job in jobs) / len(jobs) >= 0.0
-            assert sum(job.turnaround_seconds for job in jobs) / len(jobs) > 0.0
+            assert sum(job.finish_time - job.arrival_time for job in jobs) / len(jobs) > 0.0
 
 
 @pytest.fixture
