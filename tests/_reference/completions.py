@@ -29,8 +29,3 @@ def spy_completions(scheduler) -> dict[str, list]:
 
         queue._complete = spied
     return finished
-
-
-def in_completion_order(finished: dict[str, list]) -> list:
-    """Every spied job: devices in registration order, each in completion order."""
-    return [job for jobs in finished.values() for job in jobs]
